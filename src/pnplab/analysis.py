@@ -5,7 +5,9 @@ is what makes near-equal losses distinguishable at desk-scale sample counts.
 On a fixed sample set the loss of a residual-scaled denoiser is an exact
 quadratic in ``u = 1/delta^2``, so the optimal scale is a ratio of two sample
 moments; its standard error comes from the first-order delta method for a
-ratio of correlated means.
+ratio of correlated means. :class:`ResidualMoments` holds the three per-sample
+moments of one denoiser pass, from which every loss on the scale family
+follows without evaluating the denoiser again.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ __all__ = [
     "DeltaOptEstimate",
     "SandwichReport",
     "DegenerateDenoiserError",
+    "ResidualMoments",
     "estimate_l2",
     "estimate_delta_opt",
     "verify_sandwich",
@@ -85,9 +88,8 @@ def _check_samples(samples: int):
         raise ValueError("samples must be >= 2")
 
 
-def _l2_on_samples(denoiser, clean: np.ndarray, noisy: np.ndarray, seed: int) -> L2Estimate:
-    diff = np.asarray(denoiser(noisy), dtype=np.float64) - clean
-    sq = np.sum(diff * diff, axis=1)
+def _l2_of(sq: np.ndarray, seed: int) -> L2Estimate:
+    """Mean and standard error of per-sample squared errors."""
     m = sq.size
     return L2Estimate(
         value=float(sq.mean()),
@@ -97,6 +99,11 @@ def _l2_on_samples(denoiser, clean: np.ndarray, noisy: np.ndarray, seed: int) ->
     )
 
 
+def _l2_on_samples(denoiser, clean: np.ndarray, noisy: np.ndarray, seed: int) -> L2Estimate:
+    diff = np.asarray(denoiser(noisy), dtype=np.float64) - clean
+    return _l2_of(np.sum(diff * diff, axis=1), seed)
+
+
 def estimate_l2(denoiser, prior: GmmPrior, sigma: float, samples: int, seed: int) -> L2Estimate:
     """Monte-Carlo squared denoising error ``E |D(x + sigma xi) - x|^2``."""
     _check_samples(samples)
@@ -104,10 +111,8 @@ def estimate_l2(denoiser, prior: GmmPrior, sigma: float, samples: int, seed: int
     return _l2_on_samples(denoiser, clean, noisy, seed)
 
 
-def _delta_opt_on_samples(denoiser, clean, noisy, seed) -> DeltaOptEstimate:
-    residual = np.asarray(denoiser(noisy), dtype=np.float64) - noisy
-    a = np.sum(residual * residual, axis=1)
-    b = np.sum((noisy - clean) * residual, axis=1)
+def _delta_opt_of(a: np.ndarray, b: np.ndarray, seed: int) -> DeltaOptEstimate:
+    """Optimal squared scale from per-sample ``|r|^2`` (a) and ``e . r`` (b)."""
     m = a.size
     num = float(a.mean())
     den = float(b.mean())
@@ -133,6 +138,60 @@ def _delta_opt_on_samples(denoiser, clean, noisy, seed) -> DeltaOptEstimate:
     )
 
 
+def _scale_grid(delta_grid) -> np.ndarray:
+    """A nonempty 1-D grid of positive scales, as floats."""
+    grid = np.asarray(delta_grid, dtype=np.float64)
+    if grid.ndim != 1 or grid.size == 0:
+        raise ValueError("delta grid must be a nonempty 1-D sequence")
+    if np.any(grid <= 0):
+        raise ValueError("all grid scales must be positive")
+    return grid
+
+
+@dataclass(frozen=True)
+class ResidualMoments:
+    """Per-sample moments of one denoiser pass over a fixed sample set.
+
+    With noise ``e = noisy - clean`` and residual ``r = D(noisy) - noisy``,
+    the residual-scaled denoiser ``y + u r`` (``u = 1/delta^2``) errs by
+    ``e + u r``, whose squared norm is ``|e|^2 + 2 u e.r + u^2 |r|^2``. The
+    three arrays ``ee``, ``er`` and ``rr`` therefore give the loss at any
+    scale and the optimal scale. The expansion loses relative accuracy only
+    where ``|e + u r|`` is far below ``|e|``, i.e. for a near-perfect denoiser.
+    """
+
+    ee: np.ndarray
+    er: np.ndarray
+    rr: np.ndarray
+    seed: int
+
+    @classmethod
+    def from_samples(cls, denoiser, clean, noisy, seed: int) -> "ResidualMoments":
+        """One denoiser pass over (clean, noisy) pairs of shape (m, n), m >= 2."""
+        _check_samples(len(noisy))
+        noise = noisy - clean
+        residual = np.asarray(denoiser(noisy), dtype=np.float64) - noisy
+        return cls(
+            ee=np.sum(noise * noise, axis=1),
+            er=np.sum(noise * residual, axis=1),
+            rr=np.sum(residual * residual, axis=1),
+            seed=seed,
+        )
+
+    def l2(self, delta: float) -> L2Estimate:
+        """Loss of the residual-scaled denoiser at scale ``delta``."""
+        u = 1.0 / (delta * delta)
+        return _l2_of(self.ee + 2.0 * u * self.er + (u * u) * self.rr, self.seed)
+
+    def sweep(self, delta_grid) -> list[tuple[float, L2Estimate]]:
+        """:meth:`l2` at each scale of a nonempty grid of positive scales."""
+        return [(float(d), self.l2(float(d))) for d in _scale_grid(delta_grid)]
+
+    def delta_opt(self) -> DeltaOptEstimate:
+        """The loss-minimising squared scale; see :func:`estimate_delta_opt`."""
+        return _delta_opt_of(self.rr, self.er, self.seed)
+
+
 def estimate_delta_opt(
     denoiser, prior: GmmPrior, sigma: float, samples: int, seed: int
 ) -> DeltaOptEstimate:
@@ -144,7 +203,7 @@ def estimate_delta_opt(
     """
     _check_samples(samples)
     clean, noisy = prior.sample_pairs(sigma, samples, seed)
-    return _delta_opt_on_samples(denoiser, clean, noisy, seed)
+    return ResidualMoments.from_samples(denoiser, clean, noisy, seed).delta_opt()
 
 
 def verify_sandwich(
@@ -158,7 +217,7 @@ def verify_sandwich(
     """
     _check_samples(samples)
     clean, noisy = prior.sample_pairs(sigma, samples, seed)
-    opt = _delta_opt_on_samples(denoiser, clean, noisy, seed)
+    opt = ResidualMoments.from_samples(denoiser, clean, noisy, seed).delta_opt()
     mmse = MmseDenoiser(prior, sigma)
     scaled = tweedie_scale(denoiser, opt.delta_opt)
     l2_mmse = _l2_on_samples(mmse, clean, noisy, seed)
@@ -190,16 +249,11 @@ def delta_sweep(
     samples: int,
     seed: int,
 ) -> list[tuple[float, L2Estimate]]:
-    """Loss of the residual-scaled denoiser at each grid scale, on shared samples."""
-    delta_grid = np.asarray(delta_grid, dtype=np.float64)
-    if delta_grid.size == 0:
-        raise ValueError("delta grid must be nonempty")
-    if np.any(delta_grid <= 0):
-        raise ValueError("all grid scales must be positive")
+    """Loss of the residual-scaled denoiser at each grid scale, on shared samples.
+
+    One denoiser pass serves the whole grid (see :class:`ResidualMoments`);
+    the direct evaluation through :func:`tweedie_scale` is its test oracle.
+    """
     _check_samples(samples)
     clean, noisy = prior.sample_pairs(sigma, samples, seed)
-    out = []
-    for delta in delta_grid:
-        scaled = tweedie_scale(denoiser, float(delta))
-        out.append((float(delta), _l2_on_samples(scaled, clean, noisy, seed)))
-    return out
+    return ResidualMoments.from_samples(denoiser, clean, noisy, seed).sweep(delta_grid)

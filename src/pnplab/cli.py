@@ -46,24 +46,31 @@ _ENV_SEED = "PNPLAB_SEED"
 def _load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            config = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"malformed JSON in {path!r} at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    if not isinstance(config, dict):
+        raise ConfigError(f"config {path!r} must be a JSON object, got a {type(config).__name__}")
+    return config
 
 
 def _resolve_seed(flag_seed, config: dict) -> int:
     if flag_seed is not None:
         return int(flag_seed)
     if "seed" in config and config["seed"] is not None:
-        return int(config["seed"])
-    env = os.environ.get(_ENV_SEED)
-    if env is not None:
-        return int(env)
-    return 0
+        source, value = "config field 'seed'", config["seed"]
+    elif os.environ.get(_ENV_SEED) is not None:
+        source, value = _ENV_SEED, os.environ[_ENV_SEED]
+    else:
+        return 0
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{source} must be an integer, got {value!r}") from None
 
 
 def _prepare_out_dir(out: str) -> None:
@@ -98,9 +105,10 @@ def _cmd_delta_opt(args) -> int:
         sigma = float(config["sigma"])
         samples = int(config.get("samples", 100000))
         denoiser = denoiser_from_config(config["denoiser"], prior=prior, sigma=sigma)
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ConfigError(str(exc)) from exc
+    if not (sigma > 0 and samples >= 2):
+        raise ConfigError("'sigma' must be positive and 'samples' at least 2")
     try:
         report = verify_sandwich(denoiser, prior, sigma, samples, seed)
     except DegenerateDenoiserError as exc:
@@ -287,7 +295,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--config", default=None)
     p_run.add_argument("--out", default=".")
     p_run.add_argument("--seed", type=int, default=None)
-    p_run.add_argument("--workers", type=int, default=1)
+    p_run.add_argument(
+        "--workers", type=int, default=1, help="accepted for compatibility; has no effect"
+    )
     p_run.set_defaults(func=_cmd_run)
 
     p_self = sub.add_parser("selftest", help="run the fast oracle suite")

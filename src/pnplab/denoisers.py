@@ -144,6 +144,10 @@ class ScaledDenoiser:
     ``gamma_rescale`` additionally multiplies the output by
     ``delta^2 / (1 + delta^2)``, making the family strictly contractive when
     the base is non-expansive.
+
+    ``delta`` may also be a 1-D vector with one scale per row; the wrapper
+    then maps (m, n) stacks with ``m == delta.size``, row i at scale
+    ``delta[i]``, which is how the batched solver runs a whole scale grid.
     """
 
     MODES = ("tweedie", "homogeneous")
@@ -151,29 +155,49 @@ class ScaledDenoiser:
     def __init__(
         self,
         base: Denoiser,
-        delta: float,
+        delta,
         mode: str = "tweedie",
         gamma_rescale: bool = False,
     ):
-        if delta <= 0:
-            raise ValueError("delta must be positive")
+        scales = np.asarray(delta, dtype=np.float64)
+        if scales.ndim > 1 or scales.size < 1 or not np.all(scales > 0):
+            raise ValueError("delta must be positive (a scalar or a nonempty 1-D vector)")
         if mode not in self.MODES:
             raise ValueError(f"mode must be one of {self.MODES}, got {mode!r}")
         self.base = base
-        self.delta = float(delta)
         self.mode = mode
         self.gamma_rescale = bool(gamma_rescale)
         self.dim = base.dim
+        if scales.ndim == 0:
+            self.delta = float(scales)
+            self._n_rows = None
+            column = self.delta
+        else:
+            self.delta = scales.copy()
+            self.delta.setflags(write=False)
+            self._n_rows = scales.size
+            column = self.delta[:, None]
+        self._scale = column
+        self._u = 1.0 / (column * column)
+        self._gamma = gamma_factor(column) if self.gamma_rescale else None
 
     def __call__(self, y) -> np.ndarray:
+        y = np.asarray(y, dtype=np.float64)
+        if self._n_rows is not None and (y.ndim != 2 or y.shape[0] != self._n_rows):
+            raise ValueError(f"expected a stack of {self._n_rows} rows, got shape {y.shape}")
         if self.mode == "tweedie":
-            u = 1.0 / (self.delta * self.delta)
-            out = (1.0 - u) * np.asarray(y, dtype=np.float64) + u * self.base(y)
+            out = (1.0 - self._u) * y + self._u * self.base(y)
         else:
-            out = self.base(self.delta * np.asarray(y, dtype=np.float64)) / self.delta
-        if self.gamma_rescale:
-            out = gamma_factor(self.delta) * out
+            out = self.base(self._scale * y) / self._scale
+        if self._gamma is not None:
+            out = self._gamma * out
         return out
+
+    def rows(self, index) -> "ScaledDenoiser":
+        """The same wrapper restricted to the rows ``index`` of a per-row scale."""
+        if self._n_rows is None:
+            return self
+        return ScaledDenoiser(self.base, self.delta[index], self.mode, self.gamma_rescale)
 
 
 def tweedie_scale(base: Denoiser, delta: float, gamma_rescale: bool = False) -> ScaledDenoiser:

@@ -4,23 +4,27 @@ Four protocols: a scale sweep over a family of denoisers of graded quality,
 a data-perturbation stability run, a joint noise-and-scale limit probing
 convergent regularisation, and a noise-level table of Lipschitz estimates.
 
-Every run is a pure function of its resolved config; grid points execute on a
-bounded worker pool and are written in grid order, so the emitted CSV is
-byte-identical for any worker count. Wall-clock runtimes are kept on the
-in-memory records (and in the run manifest) but never written into the CSV.
+Every run is a pure function of its resolved config. Its prior, operator and
+denoiser are built and cross-checked before any work starts; a bad config
+raises :class:`ConfigError`. The solve protocols run their whole grid as one
+batched fixed-point stack (:func:`~pnplab.solver.pnp_pgd_batch`), and the
+scale sweep derives every grid loss from one denoiser pass per mismatch
+ratio on one shared sample set. The ``workers`` argument is accepted and has
+no effect. Records come out in grid order, so the emitted CSV is
+byte-identical across reruns; its runtime column is pinned to zero.
 """
 
 from __future__ import annotations
 
+import copy
 import os
-import time
-from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import svgplot
-from .analysis import delta_sweep, estimate_delta_opt
+from .analysis import ResidualMoments, _check_samples, _scale_grid
 from .denoisers import (
     MmseDenoiser,
     OutputShrink,
@@ -30,7 +34,7 @@ from .denoisers import (
 )
 from .linop import operator_from_config
 from .prior import GmmPrior
-from .solver import DivergenceError, PnpConfig, pnp_pgd
+from .solver import PnpConfig, pnp_pgd_batch
 
 __all__ = [
     "ConfigError",
@@ -60,7 +64,6 @@ class ExperimentRecord:
     experiment: str
     key: float
     metrics: dict[str, float] = field(default_factory=dict)
-    runtime_ms: float = 0.0
 
 
 # -- defaults ----------------------------------------------------------------
@@ -141,7 +144,9 @@ def resolve_config(name: str, config: dict | None = None) -> dict:
         raise ConfigError(
             f"unknown experiment {name!r}; valid names: {', '.join(EXPERIMENT_NAMES)}"
         )
-    resolved = {k: v for k, v in _DEFAULTS[name].items()}
+    if config is not None and not isinstance(config, dict):
+        raise ConfigError(f"config must be a mapping of fields, got {type(config).__name__}")
+    resolved = copy.deepcopy(_DEFAULTS[name])
     config = config or {}
     for key, value in config.items():
         if key not in resolved:
@@ -155,32 +160,55 @@ def resolve_config(name: str, config: dict | None = None) -> dict:
     return resolved
 
 
+@contextmanager
+def _reading(what: str):
+    """Report a malformed value met while reading ``what`` as a :class:`ConfigError`.
+
+    Wraps only the reading of config fields and the construction of objects
+    from them, never a computation, so an internal error keeps its traceback.
+    """
+    try:
+        yield
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {what}: {exc}") from exc
+
+
 def _solver_config(resolved: dict) -> PnpConfig:
     s = resolved["solver"]
-    try:
+    with _reading("solver config"):
         return PnpConfig(
             tau=s["tau"],
             max_iters=s.get("max_iters", 300),
             tol=s.get("tol", 1e-9),
             record_history=s.get("record_history", False),
         )
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"bad solver config: {exc}") from exc
 
 
 def _build_prior(resolved: dict) -> GmmPrior:
-    try:
+    with _reading("prior config"):
         return GmmPrior.from_config(resolved["prior"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
 
 
-def _run_grid(fn, keys, workers: int):
-    """Evaluate a pure per-key task over a grid, preserving grid order."""
-    if workers <= 1:
-        return [fn(k) for k in keys]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, keys))
+def _build_solve(resolved: dict, sigma: float, delta) -> tuple:
+    """Prior, operator and scaled denoiser of a solve protocol, dims cross-checked.
+
+    ``delta`` is one scale or one per grid point; everything the batched
+    solve needs is validated here, before it starts.
+    """
+    prior = _build_prior(resolved)
+    with _reading("solve config"):
+        op = operator_from_config(resolved["operator"])
+        base = denoiser_from_config(resolved["denoiser"], prior=prior, sigma=sigma)
+        eps = float(resolved.get("contract_eps", 0.0))
+        if eps > 0.0:
+            base = OutputShrink(base, 1.0 - eps)
+        scaled = ScaledDenoiser(
+            base, delta, mode=resolved["mode"], gamma_rescale=bool(resolved["gamma_rescale"])
+        )
+    for what, dim in (("prior", prior.dim), ("denoiser", scaled.dim)):
+        if dim != op.in_dim:
+            raise ConfigError(f"{what} has dim {dim}, but the operator acts on dim {op.in_dim}")
+    return prior, op, scaled, _solver_config(resolved)
 
 
 # -- protocols ---------------------------------------------------------------
@@ -192,42 +220,38 @@ def run_delta_sweep_experiment(config: dict | None = None, workers: int = 1):
     One denoiser per mismatch ratio (training noise over data noise), all
     evaluated on one shared sample set. Emits the loss curve per ratio, the
     estimated optimal squared scale per ratio, and a summary flag recording
-    whether those estimates increase strictly with the mismatch.
+    whether those estimates increase strictly with the mismatch. Each ratio
+    costs one denoiser pass (see :class:`~pnplab.analysis.ResidualMoments`).
     """
     resolved = resolve_config("delta-sweep", config)
     prior = _build_prior(resolved)
-    sigma = float(resolved["sigma"])
-    ratios = [float(r) for r in resolved["mismatch_ratios"]]
-    grid = [float(d) for d in resolved["delta_grid"]]
-    samples = int(resolved["samples"])
-    seed = int(resolved["seed"])
-    if not grid or not ratios:
-        raise ConfigError("delta_grid and mismatch_ratios must be nonempty")
+    with _reading("delta-sweep config"):
+        sigma = float(resolved["sigma"])
+        ratios = [float(r) for r in resolved["mismatch_ratios"]]
+        grid = _scale_grid(resolved["delta_grid"])
+        samples = int(resolved["samples"])
+        _check_samples(samples)
+        seed = int(resolved["seed"])
+        clean, noisy = prior.sample_pairs(sigma, samples, seed)
+        denoisers = [MmseDenoiser(prior, ratio * sigma) for ratio in ratios]
+    if not ratios:
+        raise ConfigError("mismatch_ratios must be nonempty")
 
-    def task(ratio: float):
-        t0 = time.perf_counter()
-        denoiser = MmseDenoiser(prior, ratio * sigma)
-        sweep = delta_sweep(denoiser, prior, sigma, grid, samples, seed)
-        opt = estimate_delta_opt(denoiser, prior, sigma, samples, seed)
-        ms = (time.perf_counter() - t0) * 1000.0
-        return ratio, sweep, opt, ms
-
-    results = _run_grid(task, ratios, workers)
     records: list[ExperimentRecord] = []
-    opts = {}
-    for ratio, sweep, opt, ms in results:
+    ordered = []
+    for ratio, denoiser in zip(ratios, denoisers):
         label = f"r={ratio:g}"
-        opts[ratio] = opt
-        per_point = ms / (len(sweep) + 1)
-        for delta, est in sweep:
+        moments = ResidualMoments.from_samples(denoiser, clean, noisy, seed)
+        for delta, est in moments.sweep(grid):
             records.append(
                 ExperimentRecord(
                     "delta-sweep",
                     key=delta,
                     metrics={f"l2[{label}]": est.value, f"l2_stderr[{label}]": est.stderr},
-                    runtime_ms=per_point,
                 )
             )
+        opt = moments.delta_opt()
+        ordered.append(opt.delta_opt_sq)
         records.append(
             ExperimentRecord(
                 "delta-sweep",
@@ -236,10 +260,8 @@ def run_delta_sweep_experiment(config: dict | None = None, workers: int = 1):
                     "delta_opt_sq": opt.delta_opt_sq,
                     "delta_opt_sq_stderr": opt.stderr_delta_opt_sq,
                 },
-                runtime_ms=per_point,
             )
         )
-    ordered = [opts[r].delta_opt_sq for r in ratios]
     strict = all(a < b for a, b in zip(ordered, ordered[1:]))
     records.append(
         ExperimentRecord(
@@ -249,64 +271,39 @@ def run_delta_sweep_experiment(config: dict | None = None, workers: int = 1):
     return resolved, records
 
 
-def _stability_denoiser(resolved: dict, prior: GmmPrior, sigma: float) -> ScaledDenoiser:
-    base = denoiser_from_config(resolved["denoiser"], prior=prior, sigma=sigma)
-    eps = float(resolved.get("contract_eps", 0.0))
-    if eps > 0.0:
-        base = OutputShrink(base, 1.0 - eps)
-    return ScaledDenoiser(
-        base,
-        float(resolved["delta"]),
-        mode=resolved["mode"],
-        gamma_rescale=bool(resolved["gamma_rescale"]),
-    )
-
-
 def run_stability(config: dict | None = None, workers: int = 1):
     """Distance between reconstructions from perturbed and clean data.
 
     Forms measurements from one prior sample, perturbs them with one fixed
     noise draw shrunk by 1/k, and solves both problems from the same start.
     With a contractive scaled denoiser the reconstruction map is Lipschitz in
-    the data, so the recorded distance decays at least like 1/k.
+    the data, so the recorded distance decays at least like 1/k. The clean
+    solve is row 0 of the batch, the perturbed ones follow in grid order.
     """
     resolved = resolve_config("stability", config)
-    prior = _build_prior(resolved)
-    sigma = float(resolved["sigma"])
-    op = operator_from_config(resolved["operator"])
-    scaled = _stability_denoiser(resolved, prior, sigma)
-    cfg = _solver_config(resolved)
-    seed = int(resolved["seed"])
-    k_grid = [float(k) for k in resolved["k_grid"]]
-    if not k_grid:
-        raise ConfigError("k_grid must be nonempty")
-
-    clean, _ = prior.sample_pairs(sigma, 1, seed)
-    x_true = clean[0]
-    y = op.apply(x_true)
+    with _reading("stability config"):
+        sigma = float(resolved["sigma"])
+        delta = float(resolved["delta"])
+        seed = int(resolved["seed"])
+        k_grid = np.array([float(k) for k in resolved["k_grid"]])
+    if not (k_grid.size and np.all(k_grid > 0)):
+        raise ConfigError("k_grid must be a nonempty list of positive numbers")
+    prior, op, scaled, cfg = _build_solve(resolved, sigma, delta)
+    with _reading("stability config"):
+        clean, _ = prior.sample_pairs(sigma, 1, seed)
+    y = op.apply(clean[0])
     xi = np.random.default_rng([seed, 1]).standard_normal(op.out_dim)
-    try:
-        limit = pnp_pgd(op, y, scaled, cfg)
-    except DivergenceError:
-        limit = None
-
-    def task(k: float):
-        t0 = time.perf_counter()
-        metrics: dict[str, float] = {}
-        if limit is None:
-            metrics["diverged"] = 1.0
+    res = pnp_pgd_batch(op, np.vstack([y, y + (sigma / k_grid)[:, None] * xi]), scaled, cfg)
+    records = []
+    for row, k in enumerate(k_grid, start=1):
+        if res.diverged[0] or res.diverged[row]:
+            metrics = {"diverged": 1.0}
         else:
-            try:
-                res = pnp_pgd(op, y + (sigma / k) * xi, scaled, cfg)
-                metrics["distance_to_limit"] = float(np.linalg.norm(res.x_star - limit.x_star))
-                metrics["converged"] = float(res.converged)
-            except DivergenceError:
-                metrics["diverged"] = 1.0
-        return ExperimentRecord(
-            "stability", key=k, metrics=metrics, runtime_ms=(time.perf_counter() - t0) * 1e3
-        )
-
-    records = _run_grid(task, k_grid, workers)
+            metrics = {
+                "distance_to_limit": float(np.linalg.norm(res.x_star[row] - res.x_star[0])),
+                "converged": float(res.converged[row]),
+            }
+        records.append(ExperimentRecord("stability", key=float(k), metrics=metrics))
     return resolved, records
 
 
@@ -318,60 +315,48 @@ def run_conv_reg(config: dict | None = None, workers: int = 1):
     from the zero start, and the relative measurement-space residual is
     recorded, together with gaps between reconstructions at consecutive grid
     points. Divergence at a grid point is recorded as data, not an error.
+    The grid runs as one batch with one scale per row.
     """
     resolved = resolve_config("conv-reg", config)
-    prior = _build_prior(resolved)
-    sigma = float(resolved["sigma"])
+    with _reading("conv-reg config"):
+        sigma = float(resolved["sigma"])
+        grid = np.array([float(d) for d in resolved["delta_grid"]])
+        seed = int(resolved["seed"])
     if sigma < 0:
         raise ConfigError("sigma must be nonnegative")
-    op = operator_from_config(resolved["operator"])
-    base = denoiser_from_config(resolved["denoiser"], prior=prior, sigma=max(sigma, 1e-12))
-    cfg = _solver_config(resolved)
-    seed = int(resolved["seed"])
-    grid = [float(d) for d in resolved["delta_grid"]]
-    if not grid:
+    if not grid.size:
         raise ConfigError("delta_grid must be nonempty")
-    resample = bool(resolved["resample_noise_per_delta"])
+    prior, op, scaled, cfg = _build_solve(resolved, max(sigma, 1e-12), grid)
 
     clean, _ = prior.sample_pairs(max(sigma, 1e-12), 1, seed)
-    x_true = clean[0]
-    y0 = op.apply(x_true)
+    y0 = op.apply(clean[0])
     norm_y0 = float(np.linalg.norm(y0))
-    xi = np.random.default_rng([seed, 1]).standard_normal(op.out_dim)
-
-    def task(item):
-        index, delta = item
-        t0 = time.perf_counter()
-        scaled = ScaledDenoiser(
-            base, delta, mode=resolved["mode"], gamma_rescale=bool(resolved["gamma_rescale"])
+    if resolved["resample_noise_per_delta"]:
+        noise = np.stack(
+            [
+                np.random.default_rng([seed, 2, i]).standard_normal(op.out_dim)
+                for i in range(grid.size)
+            ]
         )
-        noise = (
-            np.random.default_rng([seed, 2, index]).standard_normal(op.out_dim)
-            if resample
-            else xi
-        )
-        y_delta = y0 + (sigma / delta) * noise
-        metrics: dict[str, float] = {}
-        x_delta = None
-        try:
-            res = pnp_pgd(op, y_delta, scaled, cfg)
-            x_delta = res.x_star
-            metrics["data_consistency"] = float(
-                np.linalg.norm(op.apply(x_delta) - y0) / max(norm_y0, 1e-300)
-            )
-            metrics["converged"] = float(res.converged)
-        except DivergenceError:
-            metrics["diverged"] = 1.0
-        ms = (time.perf_counter() - t0) * 1e3
-        return ExperimentRecord("conv-reg", key=delta, metrics=metrics, runtime_ms=ms), x_delta
-
-    results = _run_grid(task, list(enumerate(grid)), workers)
-    records = [rec for rec, _ in results]
-    solutions = [sol for _, sol in results]
-    for i in range(len(records) - 1):
-        if solutions[i] is not None and solutions[i + 1] is not None:
+    else:
+        noise = np.random.default_rng([seed, 1]).standard_normal(op.out_dim)
+    res = pnp_pgd_batch(op, y0 + (sigma / grid)[:, None] * noise, scaled, cfg)
+    records = []
+    for delta, x, converged, diverged in zip(grid, res.x_star, res.converged, res.diverged):
+        if diverged:
+            metrics = {"diverged": 1.0}
+        else:
+            metrics = {
+                "data_consistency": float(
+                    np.linalg.norm(op.apply(x) - y0) / max(norm_y0, 1e-300)
+                ),
+                "converged": float(converged),
+            }
+        records.append(ExperimentRecord("conv-reg", key=float(delta), metrics=metrics))
+    for i in range(grid.size - 1):
+        if not (res.diverged[i] or res.diverged[i + 1]):
             records[i].metrics["iterate_gap"] = float(
-                np.linalg.norm(solutions[i] - solutions[i + 1])
+                np.linalg.norm(res.x_star[i] - res.x_star[i + 1])
             )
     return resolved, records
 
@@ -386,28 +371,25 @@ def run_lipschitz_table(config: dict | None = None, workers: int = 1):
     """
     resolved = resolve_config("lipschitz", config)
     prior = _build_prior(resolved)
-    sigma_grid = [float(s) for s in resolved["sigma_grid"]]
-    if not sigma_grid:
-        raise ConfigError("sigma_grid must be nonempty")
-    cloud_size = int(resolved["cloud_size"])
-    seed = int(resolved["seed"])
+    with _reading("lipschitz config"):
+        sigma_grid = [float(s) for s in resolved["sigma_grid"]]
+        cloud_size = int(resolved["cloud_size"])
+        seed = int(resolved["seed"])
+        denoisers = [MmseDenoiser(prior, sigma) for sigma in sigma_grid]
+    if not sigma_grid or cloud_size < 2:
+        raise ConfigError("sigma_grid must be nonempty and cloud_size at least 2")
 
-    def task(item):
-        index, sigma = item
-        t0 = time.perf_counter()
+    records = []
+    for index, (sigma, denoiser) in enumerate(zip(sigma_grid, denoisers)):
         _, noisy = prior.sample_pairs(sigma, cloud_size, np.random.SeedSequence([seed, index]))
-        lip = estimate_lipschitz(MmseDenoiser(prior, sigma), noisy)
-        return ExperimentRecord(
-            "lipschitz",
-            key=sigma,
-            metrics={
-                "lipschitz_max": lip,
-                "non_expansive": float(lip <= 1.0 + 1e-9),
-            },
-            runtime_ms=(time.perf_counter() - t0) * 1e3,
+        lip = estimate_lipschitz(denoiser, noisy)
+        records.append(
+            ExperimentRecord(
+                "lipschitz",
+                key=sigma,
+                metrics={"lipschitz_max": lip, "non_expansive": float(lip <= 1.0 + 1e-9)},
+            )
         )
-
-    records = _run_grid(task, list(enumerate(sigma_grid)), workers)
     return resolved, records
 
 

@@ -2,6 +2,11 @@
 
 Signals are plain 1-D float64 numpy arrays. Every operator is immutable after
 construction and safe for concurrent read-only use.
+
+The public methods validate their input. Each operator also has unchecked
+``_apply``/``_adjoint`` methods acting on the last axis, so one call maps an
+(m, n) stack of signals; the batched solver calls those after validating its
+inputs once.
 """
 
 from __future__ import annotations
@@ -40,17 +45,25 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 class LinearOperator:
     """A linear map with an adjoint.
 
-    Subclasses set ``in_dim``/``out_dim`` and implement :meth:`apply` and
-    :meth:`adjoint` on 1-D vectors.
+    Subclasses set ``in_dim``/``out_dim`` and implement the unchecked
+    ``_apply`` and ``_adjoint`` on the last axis of their argument.
     """
 
     in_dim: int
     out_dim: int
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        """``A x`` for one vector of length ``in_dim``."""
+        return self._apply(as_signal(x, self.in_dim))
 
     def adjoint(self, y: np.ndarray) -> np.ndarray:
+        """``A^T y`` for one vector of length ``out_dim``."""
+        return self._adjoint(as_signal(y, self.out_dim))
+
+    def _apply(self, x: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    def _adjoint(self, y: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
@@ -62,7 +75,7 @@ class LinearOperator:
             raise ValueError("tau must be positive")
         x = as_signal(x, self.in_dim)
         y = as_signal(y, self.out_dim)
-        return x - tau * self.adjoint(self.apply(x) - y)
+        return x - tau * self._adjoint(self._apply(x) - y)
 
     def op_norm_sq(
         self,
@@ -87,7 +100,7 @@ class LinearOperator:
         history: list[float] = []
         estimate = 0.0
         for _ in range(iters):
-            w = self.adjoint(self.apply(v))
+            w = self._adjoint(self._apply(v))
             rayleigh = float(v @ w)
             norm_w = float(np.linalg.norm(w))
             if norm_w == 0.0:
@@ -107,8 +120,7 @@ class LinearOperator:
 
     def as_matrix(self) -> np.ndarray:
         """Materialize the operator as a dense ``out_dim x in_dim`` matrix."""
-        eye = np.eye(self.in_dim)
-        return np.stack([self.apply(eye[:, j]) for j in range(self.in_dim)], axis=1)
+        return np.ascontiguousarray(self._apply(np.eye(self.in_dim)).T)
 
 
 class Identity(LinearOperator):
@@ -119,11 +131,11 @@ class Identity(LinearOperator):
             raise ValueError("dim must be >= 1")
         self.in_dim = self.out_dim = int(dim)
 
-    def apply(self, x):
-        return as_signal(x, self.in_dim).copy()
+    def _apply(self, x):
+        return x.copy()
 
-    def adjoint(self, y):
-        return as_signal(y, self.out_dim).copy()
+    def _adjoint(self, y):
+        return y.copy()
 
 
 class Mask(LinearOperator):
@@ -140,11 +152,11 @@ class Mask(LinearOperator):
         self.mask = _frozen(mask)
         self.in_dim = self.out_dim = int(mask.size)
 
-    def apply(self, x):
-        return np.where(self.mask, as_signal(x, self.in_dim), 0.0)
+    def _apply(self, x):
+        return np.where(self.mask, x, 0.0)
 
-    def adjoint(self, y):
-        return np.where(self.mask, as_signal(y, self.out_dim), 0.0)
+    def _adjoint(self, y):
+        return np.where(self.mask, y, 0.0)
 
     @classmethod
     def random(cls, dim: int, mask_fraction: float, seed: int = 0) -> "Mask":
@@ -178,12 +190,10 @@ class Convolve1d(LinearOperator):
         self._kernel_f = np.fft.rfft(padded)
         self._kernel_f.setflags(write=False)
 
-    def apply(self, x):
-        x = as_signal(x, self.in_dim)
+    def _apply(self, x):
         return np.fft.irfft(np.fft.rfft(x) * self._kernel_f, n=self.in_dim)
 
-    def adjoint(self, y):
-        y = as_signal(y, self.out_dim)
+    def _adjoint(self, y):
         return np.fft.irfft(np.fft.rfft(y) * np.conj(self._kernel_f), n=self.in_dim)
 
 
@@ -199,11 +209,11 @@ class DenseOperator(LinearOperator):
         self.matrix = _frozen(matrix)
         self.out_dim, self.in_dim = matrix.shape
 
-    def apply(self, x):
-        return self.matrix @ as_signal(x, self.in_dim)
+    def _apply(self, x):
+        return x @ self.matrix.T
 
-    def adjoint(self, y):
-        return self.matrix.T @ as_signal(y, self.out_dim)
+    def _adjoint(self, y):
+        return y @ self.matrix
 
     def as_matrix(self):
         return np.array(self.matrix)

@@ -6,6 +6,11 @@ scales above one the composition is an averaged operator, so the iteration
 converges whenever a fixed point exists; the averagedness arithmetic lives
 here too, next to an exact linear-algebra oracle for affine denoisers that
 the iterative path is tested against.
+
+:func:`pnp_pgd` runs one problem. :func:`pnp_pgd_batch` runs a stack of
+problems that share the operator, the base denoiser and the start and differ
+in the data and the scale; it freezes each row where :func:`pnp_pgd` would
+have stopped on it.
 """
 
 from __future__ import annotations
@@ -20,11 +25,13 @@ from .linop import LinearOperator, as_signal
 __all__ = [
     "PnpConfig",
     "FixedPointResult",
+    "BatchResult",
     "DivergenceError",
     "NoUniqueFixedPointError",
     "averagedness_theta",
     "compose_averaged",
     "pnp_pgd",
+    "pnp_pgd_batch",
     "scaled_affine_map",
     "linear_fixed_point_oracle",
 ]
@@ -83,6 +90,22 @@ class FixedPointResult:
     step_size_warning: bool = False
 
 
+@dataclass
+class BatchResult:
+    """Outcome of a batched fixed-point run, one entry per row.
+
+    ``iterations`` counts the iterations a row ran; for a diverged row it is
+    the iteration that left the trust region (``DivergenceError.iteration``
+    of the serial run), and ``x_star`` holds the row's last finite iterate.
+    """
+
+    x_star: np.ndarray
+    iterations: np.ndarray
+    converged: np.ndarray
+    diverged: np.ndarray
+    step_size_warning: bool = False
+
+
 def averagedness_theta(delta: float) -> float:
     """Averagedness constant ``delta^2 / (2 delta^2 - 1)`` of the composed map.
 
@@ -134,9 +157,7 @@ def pnp_pgd(
         raise ValueError(
             f"denoiser dim {denoiser.dim} does not match operator in_dim {op.in_dim}"
         )
-    certified = 1.0 / max(op.op_norm_sq(), 1e-300)
-    tau = certified if config.tau is None else config.tau
-    warn = tau > certified * (1.0 + 1e-9)
+    tau, warn = _step_size(op, config)
 
     residuals: list[float] = []
     objectives: list[float] = []
@@ -166,6 +187,79 @@ def pnp_pgd(
     )
 
 
+def _step_size(op: LinearOperator, config: PnpConfig) -> tuple[float, bool]:
+    """The configured (or certified) step size, and whether it voids the certificate."""
+    certified = 1.0 / max(op.op_norm_sq(), 1e-300)
+    tau = certified if config.tau is None else config.tau
+    return tau, bool(tau > certified * (1.0 + 1e-9))
+
+
+def pnp_pgd_batch(
+    op: LinearOperator,
+    ys: np.ndarray,
+    denoiser: ScaledDenoiser,
+    config: PnpConfig,
+) -> BatchResult:
+    """Run :func:`pnp_pgd` from the zero start on every row of an (m, out_dim) stack.
+
+    ``denoiser`` carries either one scale for all rows or one per row (see
+    :class:`ScaledDenoiser`, which checks its row count). Inputs and
+    dimensions are checked once here, and ``||A^T A||`` is estimated once
+    for the batch. Each row stops where
+    the serial solve would: at convergence, at divergence (recorded in
+    ``diverged`` instead of raised) or at ``max_iters``; stopped rows leave
+    the stack, so the denoiser only sees the rows still running. Histories
+    are not recorded.
+    """
+    ys = np.asarray(ys, dtype=np.float64)
+    if ys.ndim != 2 or ys.shape[0] < 1 or ys.shape[1] != op.out_dim:
+        raise ValueError(
+            f"measurements must be an (m, {op.out_dim}) stack, got shape {ys.shape}"
+        )
+    if not np.all(np.isfinite(ys)):
+        raise ValueError("measurements contain non-finite entries")
+    if denoiser.dim != op.in_dim:
+        raise ValueError(
+            f"denoiser dim {denoiser.dim} does not match operator in_dim {op.in_dim}"
+        )
+    m = ys.shape[0]
+    tau, warn = _step_size(op, config)
+
+    iterations = np.full(m, config.max_iters)
+    converged = np.zeros(m, dtype=bool)
+    diverged = np.zeros(m, dtype=bool)
+    x = np.zeros((m, op.in_dim))
+    active = np.arange(m)
+    xa, ya, step = x.copy(), ys, denoiser
+    for i in range(config.max_iters):
+        x_next = step(xa - tau * op._adjoint(op._apply(xa) - ya))
+        norms = np.linalg.norm(x_next, axis=1)
+        bad = ~np.all(np.isfinite(x_next), axis=1) | (norms > _DIVERGENCE_NORM)
+        residual = np.linalg.norm(x_next - xa, axis=1)
+        done = bad | (residual <= config.tol * (1.0 + norms))
+        if done.any():
+            rows = active[done]
+            iterations[rows] = i + 1
+            diverged[rows] = bad[done]
+            converged[rows] = ~bad[done]
+            x[rows] = np.where(bad[done, None], xa[done], x_next[done])
+            keep = ~done
+            active, xa = active[keep], x_next[keep]
+            if active.size == 0:
+                break
+            ya, step = ys[active], denoiser.rows(active)
+        else:
+            xa = x_next
+    x[active] = xa
+    return BatchResult(
+        x_star=x,
+        iterations=iterations,
+        converged=converged,
+        diverged=diverged,
+        step_size_warning=warn,
+    )
+
+
 def scaled_affine_map(denoiser: ScaledDenoiser) -> tuple[np.ndarray, np.ndarray]:
     """The (matrix, offset) form of a scaled denoiser over an affine base.
 
@@ -174,6 +268,8 @@ def scaled_affine_map(denoiser: ScaledDenoiser) -> tuple[np.ndarray, np.ndarray]
     both parts.
     """
     base = denoiser.base
+    if np.ndim(denoiser.delta):
+        raise ValueError("expected a scaled denoiser with one scale")
     if not isinstance(base, AffineDenoiser):
         raise ValueError("expected a scaled denoiser over an affine base")
     n = base.dim
@@ -208,7 +304,7 @@ def linear_fixed_point_oracle(
     s_matrix, s_offset = scaled_affine_map(denoiser)
     a_matrix = op.as_matrix()
     n = op.in_dim
-    tau = 1.0 / max(op.op_norm_sq(), 1e-300) if config.tau is None else config.tau
+    tau, _ = _step_size(op, config)
     grad_matrix = np.eye(n) - tau * a_matrix.T @ a_matrix
     m_matrix = s_matrix @ grad_matrix
     c = s_matrix @ (tau * (a_matrix.T @ y)) + s_offset

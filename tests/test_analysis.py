@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pnplab.analysis import (
     DegenerateDenoiserError,
+    ResidualMoments,
+    _l2_on_samples,
     delta_sweep,
     estimate_delta_opt,
     estimate_l2,
     verify_sandwich,
 )
-from pnplab.denoisers import MmseDenoiser, ShrinkageDenoiser
+from pnplab.denoisers import MmseDenoiser, ShrinkageDenoiser, tweedie_scale
 from pnplab.prior import GmmPrior
 
 
@@ -217,3 +221,42 @@ def test_mmse_is_optimal_in_the_zoo():
     for d in others:
         est = estimate_l2(d, prior, sigma, 100000, 31)
         assert ref.value <= est.value + 3 * np.hypot(ref.stderr, est.stderr)
+
+
+class TestResidualMoments:
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(
+        grid=st.lists(st.floats(0.2, 50.0), min_size=1, max_size=12),
+        ratio=st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_one_pass_sweep_matches_direct_scaling(self, grid, ratio, seed):
+        prior = _hetero_prior()
+        sigma = 0.1
+        d = MmseDenoiser(prior, ratio * sigma)
+        sweep = delta_sweep(d, prior, sigma, grid, 2000, seed)
+        clean, noisy = prior.sample_pairs(sigma, 2000, seed)
+        for (delta, est), want_delta in zip(sweep, grid):
+            assert delta == want_delta
+            want = _l2_on_samples(tweedie_scale(d, delta), clean, noisy, seed)
+            assert abs(est.value - want.value) <= 1e-12 * want.value
+            assert abs(est.stderr - want.stderr) <= 1e-12 * want.stderr
+
+    def test_delta_opt_minimises_the_directly_evaluated_loss(self):
+        prior = _hetero_prior()
+        d = MmseDenoiser(prior, 0.2)
+        clean, noisy = prior.sample_pairs(0.1, 5000, 3)
+        best = ResidualMoments.from_samples(d, clean, noisy, 3).delta_opt().delta_opt
+        at_best = _l2_on_samples(tweedie_scale(d, best), clean, noisy, 3).value
+        for factor in (0.9, 0.99, 1.01, 1.1):
+            near = _l2_on_samples(tweedie_scale(d, factor * best), clean, noisy, 3).value
+            assert at_best < near
+
+    def test_invalid_grid_and_sample_count_rejected(self):
+        prior = _single_gaussian(4)
+        clean, noisy = prior.sample_pairs(0.1, 10, 0)
+        moments = ResidualMoments.from_samples(ShrinkageDenoiser(0.5, 4), clean, noisy, 0)
+        with pytest.raises(ValueError):
+            moments.sweep([1.0, 0.0])
+        with pytest.raises(ValueError):
+            ResidualMoments.from_samples(ShrinkageDenoiser(0.5, 4), clean[:1], noisy[:1], 0)

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from pnplab import cli
 from pnplab.prior import GmmPrior
@@ -49,6 +50,17 @@ class TestDeltaOpt:
         code = cli.main(["delta-opt", "--config", path, "--out", str(tmp_path)])
         assert code == 1
         assert "sigma" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sigma, samples", [(-0.1, 20000), (0.1, 1)])
+    def test_out_of_range_sigma_or_samples_exits_one(self, tmp_path, capsys, sigma, samples):
+        path = _delta_opt_config(tmp_path, {"kind": "shrinkage", "alpha": 0.5, "dim": 4}, sigma)
+        config = json.loads(open(path).read())
+        config["samples"] = samples
+        open(path, "w").write(json.dumps(config))
+        code = cli.main(["delta-opt", "--config", path, "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("config error: ") and err.count("\n") == 1
 
     def test_malformed_json_diagnosed_with_position(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -202,6 +214,66 @@ class TestRun:
         )
         manifest = json.loads((out2 / "lipschitz_manifest.json").read_text())
         assert manifest["seed"] == 7
+
+
+class TestConfigErrorsAtTheBoundary:
+    """Malformed input ends in one ``config error:`` line and exit 1, never a traceback."""
+
+    def _run(self, tmp_path, capsys, config=None, experiment="conv-reg"):
+        argv = ["run", experiment, "--out", str(tmp_path / "out")]
+        if config is not None:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(config))
+            argv += ["--config", str(path)]
+        code = cli.main(argv)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert not (tmp_path / "out" / f"{experiment}.csv").exists()
+        return err
+
+    def test_non_integer_env_seed(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("PNPLAB_SEED", "abc")
+        err = self._run(tmp_path, capsys)
+        assert "PNPLAB_SEED" in err and "'abc'" in err
+
+    def test_top_level_json_list(self, tmp_path, capsys):
+        err = self._run(tmp_path, capsys, config=[1, 2])
+        assert "JSON object" in err
+
+    def test_unknown_operator_kind(self, tmp_path, capsys):
+        err = self._run(tmp_path, capsys, config={"operator": {"kind": "nope"}})
+        assert "'nope'" in err
+
+    def test_prior_dim_differs_from_operator_dim(self, tmp_path, capsys):
+        prior = {"weights": [1.0], "means": [[0.0, 1.0]], "variances": [1.0]}
+        err = self._run(tmp_path, capsys, config={"prior": prior})
+        assert "dim 2" in err and "dim 64" in err
+
+    @pytest.mark.parametrize(
+        "experiment, config, needle",
+        [
+            ("conv-reg", {"sigma": "high"}, "conv-reg config"),
+            ("stability", {"k_grid": [1, 0, 4]}, "k_grid"),
+            ("delta-sweep", {"samples": 1}, "samples"),
+            ("delta-sweep", {"delta_grid": [1.0, -2.0]}, "positive"),
+            ("lipschitz", {"sigma_grid": [0.1, 0.0]}, "sigma"),
+            ("lipschitz", {"cloud_size": 1}, "cloud_size"),
+        ],
+    )
+    def test_malformed_field_values(self, tmp_path, capsys, experiment, config, needle):
+        err = self._run(tmp_path, capsys, config=config, experiment=experiment)
+        assert needle in err
+
+    def test_internal_errors_are_not_reported_as_config_errors(self, tmp_path, monkeypatch):
+        import pnplab.experiments
+
+        def broken(*args, **kwargs):
+            raise ValueError("internal failure")
+
+        monkeypatch.setattr(pnplab.experiments, "pnp_pgd_batch", broken)
+        with pytest.raises(ValueError, match="internal failure"):
+            cli.main(["run", "conv-reg", "--out", str(tmp_path / "out")])
 
 
 class TestSelftest:

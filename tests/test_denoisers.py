@@ -107,6 +107,36 @@ class TestTweedieScale:
             tweedie_scale(ShrinkageDenoiser(0.5, 1), 0.0)
 
 
+class TestPerRowScale:
+    @pytest.mark.parametrize("mode", ["tweedie", "homogeneous"])
+    @pytest.mark.parametrize("gamma", [False, True])
+    def test_each_row_equals_its_scalar_wrapper(self, mode, gamma):
+        prior = GmmPrior([0.5, 0.5], [[-1.0, 0.5, 0.0], [1.0, 0.0, 2.0]], [0.2, 0.4])
+        base = MmseDenoiser(prior, 0.3)
+        deltas = np.array([0.7, 1.0, 3.0, 40.0])
+        ys = np.random.default_rng(5).standard_normal((deltas.size, 3))
+        out = ScaledDenoiser(base, deltas, mode=mode, gamma_rescale=gamma)(ys)
+        for row, delta in enumerate(deltas):
+            want = ScaledDenoiser(base, delta, mode=mode, gamma_rescale=gamma)(ys[row])
+            np.testing.assert_array_equal(out[row], want)
+
+    def test_rows_restricts_the_scales(self):
+        sd = ScaledDenoiser(ShrinkageDenoiser(0.5, 2), np.array([1.0, 2.0, 4.0]))
+        sub = sd.rows(np.array([0, 2]))
+        np.testing.assert_array_equal(sub.delta, [1.0, 4.0])
+        scalar = tweedie_scale(ShrinkageDenoiser(0.5, 2), 2.0)
+        assert scalar.rows(np.array([0])) is scalar
+
+    def test_row_count_and_sign_checked(self):
+        sd = ScaledDenoiser(ShrinkageDenoiser(0.5, 2), np.array([1.0, 2.0]))
+        with pytest.raises(ValueError, match="2 rows"):
+            sd(np.zeros((3, 2)))
+        with pytest.raises(ValueError, match="2 rows"):
+            sd(np.zeros(2))
+        with pytest.raises(ValueError, match="positive"):
+            ScaledDenoiser(ShrinkageDenoiser(0.5, 2), np.array([1.0, -2.0]))
+
+
 class TestHomogeneousScale:
     def test_delta_one_reproduces_base(self):
         base = AffineDenoiser([[0.5]], [0.3])

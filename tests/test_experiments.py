@@ -37,6 +37,16 @@ class TestResolveConfig:
         assert resolved["sigma"] == 0.2
         assert resolved["solver"]["max_iters"] == 300
 
+    def test_resolved_config_does_not_alias_the_defaults(self):
+        first = resolve_config("conv-reg")
+        first["operator"]["seed"] = 5
+        first["solver"]["max_iters"] = 7
+        first["prior"]["means"][0][0] = 99.0
+        second = resolve_config("conv-reg")
+        assert second["operator"]["seed"] == 0
+        assert second["solver"]["max_iters"] == 300
+        assert second["prior"]["means"][0][0] != 99.0
+
     def test_solver_overrides_merge(self):
         resolved = resolve_config("conv-reg", {"solver": {"max_iters": 10}})
         assert resolved["solver"]["max_iters"] == 10

@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pnplab.denoisers import (
     AffineDenoiser,
     MmseDenoiser,
+    ScaledDenoiser,
     ShrinkageDenoiser,
     homogeneous_scale,
     tweedie_scale,
 )
-from pnplab.linop import DenseOperator, Identity, Mask
+from pnplab.linop import Convolve1d, DenseOperator, Identity, Mask
 from pnplab.prior import GmmPrior
 from pnplab.solver import (
     DivergenceError,
@@ -18,6 +21,7 @@ from pnplab.solver import (
     compose_averaged,
     linear_fixed_point_oracle,
     pnp_pgd,
+    pnp_pgd_batch,
     scaled_affine_map,
 )
 
@@ -249,3 +253,111 @@ class TestThetaContract:
                         ((np.eye(n) - m) @ d) ** 2
                     )
                     assert lhs <= np.sum(d**2) + 1e-9
+
+
+def _serial_rows(op, ys, base, deltas, mode, gamma, cfg):
+    """Per row: (iterations, converged, diverged, x_star or None) from separate solves."""
+    out = []
+    for y, delta in zip(ys, deltas):
+        scaled = ScaledDenoiser(base, delta, mode=mode, gamma_rescale=gamma)
+        try:
+            res = pnp_pgd(op, y, scaled, cfg)
+            out.append((res.iterations, res.converged, False, res.x_star))
+        except DivergenceError as exc:
+            out.append((exc.iteration, False, True, None))
+    return out
+
+
+def _assert_batch_matches_serial(op, ys, base, deltas, mode, gamma, cfg):
+    batch = pnp_pgd_batch(
+        op, ys, ScaledDenoiser(base, np.asarray(deltas), mode=mode, gamma_rescale=gamma), cfg
+    )
+    serial = _serial_rows(op, ys, base, deltas, mode, gamma, cfg)
+    for row, (iterations, converged, diverged, x_star) in enumerate(serial):
+        assert batch.iterations[row] == iterations
+        assert batch.converged[row] == converged
+        assert batch.diverged[row] == diverged
+        if x_star is not None:
+            gap = np.linalg.norm(batch.x_star[row] - x_star)
+            assert gap <= 1e-12 * (1.0 + np.linalg.norm(x_star))
+    return batch
+
+
+def _operator(kind, n, rng):
+    if kind == "identity":
+        return Identity(n)
+    if kind == "mask":
+        observed = rng.random(n) < 0.7
+        observed[0] = True
+        return Mask(observed)
+    if kind == "conv1d":
+        return Convolve1d(rng.uniform(0.1, 1.0, min(3, n)), n)
+    return DenseOperator(rng.standard_normal((n + 1, n)))
+
+
+class TestBatch:
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        kind=st.sampled_from(["identity", "mask", "conv1d", "dense"]),
+        base_kind=st.sampled_from(["affine", "mmse"]),
+        mode=st.sampled_from(["tweedie", "homogeneous"]),
+        gamma=st.booleans(),
+        norm=st.sampled_from([0.5, 0.95, 1.5, 4.0]),
+        tau_factor=st.sampled_from([1.0, 1.9]),
+        deltas=st.lists(st.floats(0.5, 30.0), min_size=1, max_size=6),
+        seed=st.integers(0, 2**16),
+    )
+    def test_batch_equals_serial(
+        self, kind, base_kind, mode, gamma, norm, tau_factor, deltas, seed
+    ):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 9))
+        op = _operator(kind, n, rng)
+        if base_kind == "affine":
+            base = _random_nonexpansive_affine(rng, n, norm=norm)
+        else:
+            prior = GmmPrior([0.5, 0.5], rng.standard_normal((2, n)), [0.3, 0.6])
+            base = MmseDenoiser(prior, 0.2)
+        ys = 2.0 * rng.standard_normal((len(deltas), op.out_dim))
+        cfg = PnpConfig(tau=tau_factor / op.op_norm_sq(), max_iters=120, tol=1e-9)
+        _assert_batch_matches_serial(op, ys, base, deltas, mode, gamma, cfg)
+
+    def test_stack_mixes_diverging_capped_and_converging_rows(self):
+        n = 4
+        base = AffineDenoiser(5.0 * np.eye(n), 0.3 * np.ones(n))
+        ys = np.random.default_rng(0).standard_normal((3, n))
+        cfg = PnpConfig(tau=1.5, max_iters=200, tol=1e-9)
+        batch = _assert_batch_matches_serial(
+            Identity(n), ys, base, [1.0, 2.0, 4.0], "tweedie", False, cfg
+        )
+        assert list(batch.diverged) == [True, False, False]
+        assert list(batch.converged) == [False, False, True]
+        assert batch.iterations[1] == 200
+        assert batch.step_size_warning
+
+    def test_one_row_reproduces_pnp_pgd_exactly(self):
+        rng = np.random.default_rng(4)
+        n = 10
+        prior = GmmPrior([0.3, 0.7], rng.standard_normal((2, n)), [0.2, 0.5])
+        op = Mask.random(n, 0.3, seed=1)
+        y = op.apply(rng.standard_normal(n))
+        scaled = tweedie_scale(MmseDenoiser(prior, 0.1), 3.0, gamma_rescale=True)
+        cfg = PnpConfig(tau=1.0, max_iters=300, tol=1e-10)
+        serial = pnp_pgd(op, y, scaled, cfg)
+        batch = pnp_pgd_batch(op, y[None, :], scaled, cfg)
+        assert batch.iterations[0] == serial.iterations
+        assert np.array_equal(batch.x_star[0], serial.x_star)
+
+    def test_inputs_checked_at_the_boundary(self):
+        op = Identity(3)
+        scaled = tweedie_scale(ShrinkageDenoiser(0.5, 3), 2.0)
+        cfg = PnpConfig(tau=1.0)
+        with pytest.raises(ValueError, match="stack"):
+            pnp_pgd_batch(op, np.zeros(3), scaled, cfg)
+        with pytest.raises(ValueError, match="non-finite"):
+            pnp_pgd_batch(op, np.full((2, 3), np.nan), scaled, cfg)
+        with pytest.raises(ValueError, match="stack of 3 rows"):
+            per_row = ScaledDenoiser(ShrinkageDenoiser(0.5, 3), np.array([1.0, 2.0, 3.0]))
+            pnp_pgd_batch(op, np.zeros((2, 3)), per_row, cfg)
+        with pytest.raises(ValueError, match="denoiser dim"):
+            pnp_pgd_batch(Identity(4), np.zeros((2, 4)), scaled, cfg)
