@@ -8,6 +8,11 @@ moments; its standard error comes from the first-order delta method for a
 ratio of correlated means. :class:`ResidualMoments` holds the three per-sample
 moments of one denoiser pass, from which every loss on the scale family
 follows without evaluating the denoiser again.
+
+A denoiser pass runs over blocks of rows sized to a fixed element budget, so
+its temporaries stay cache-sized and no full (samples, n) array is built
+beyond the samples themselves; the per-sample arrays still cover every
+sample, and every mean, standard error and ratio is taken over all of them.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .denoisers import Denoiser, MmseDenoiser, tweedie_scale
+from .denoisers import Denoiser, MmseDenoiser
 from .prior import GmmPrior
 
 __all__ = [
@@ -83,9 +88,28 @@ class SandwichReport:
     passed: bool
 
 
-def _check_samples(samples: int):
+# Floats per block of a denoiser pass: 256 rows at n = 256, 8192 rows at n = 8.
+_BLOCK_FLOATS = 1 << 16
+
+
+def _row_blocks(rows: int, dim: int):
+    """Consecutive row slices holding about ``_BLOCK_FLOATS`` floats each."""
+    step = max(1, _BLOCK_FLOATS // max(dim, 1))
+    for start in range(0, rows, step):
+        yield slice(start, min(start + step, rows))
+
+
+# Most floats one (samples, n) array may hold; 20000 x 256 is 5.1e6.
+_MAX_SAMPLE_FLOATS = 1 << 25
+
+
+def _check_samples(samples: int, dim: int = 1):
     if samples < 2:
         raise ValueError("samples must be >= 2")
+    if samples * dim > _MAX_SAMPLE_FLOATS:
+        raise ValueError(
+            f"samples x dim = {samples} x {dim} exceeds the cap of {_MAX_SAMPLE_FLOATS} floats"
+        )
 
 
 def _l2_of(sq: np.ndarray, seed: int) -> L2Estimate:
@@ -100,13 +124,17 @@ def _l2_of(sq: np.ndarray, seed: int) -> L2Estimate:
 
 
 def _l2_on_samples(denoiser, clean: np.ndarray, noisy: np.ndarray, seed: int) -> L2Estimate:
-    diff = np.asarray(denoiser(noisy), dtype=np.float64) - clean
-    return _l2_of(np.sum(diff * diff, axis=1), seed)
+    """Loss of ``denoiser`` on (clean, noisy) pairs of shape (m, n), block by block."""
+    sq = np.empty(len(noisy))
+    for rows in _row_blocks(*noisy.shape):
+        diff = np.asarray(denoiser(noisy[rows]), dtype=np.float64) - clean[rows]
+        sq[rows] = np.sum(diff * diff, axis=1)
+    return _l2_of(sq, seed)
 
 
 def estimate_l2(denoiser, prior: GmmPrior, sigma: float, samples: int, seed: int) -> L2Estimate:
     """Monte-Carlo squared denoising error ``E |D(x + sigma xi) - x|^2``."""
-    _check_samples(samples)
+    _check_samples(samples, prior.dim)
     clean, noisy = prior.sample_pairs(sigma, samples, seed)
     return _l2_on_samples(denoiser, clean, noisy, seed)
 
@@ -169,14 +197,15 @@ class ResidualMoments:
     def from_samples(cls, denoiser, clean, noisy, seed: int) -> "ResidualMoments":
         """One denoiser pass over (clean, noisy) pairs of shape (m, n), m >= 2."""
         _check_samples(len(noisy))
-        noise = noisy - clean
-        residual = np.asarray(denoiser(noisy), dtype=np.float64) - noisy
-        return cls(
-            ee=np.sum(noise * noise, axis=1),
-            er=np.sum(noise * residual, axis=1),
-            rr=np.sum(residual * residual, axis=1),
-            seed=seed,
-        )
+        ee, er, rr = (np.empty(len(noisy)) for _ in range(3))
+        for rows in _row_blocks(*noisy.shape):
+            y = noisy[rows]
+            noise = y - clean[rows]
+            residual = np.asarray(denoiser(y), dtype=np.float64) - y
+            ee[rows] = np.sum(noise * noise, axis=1)
+            er[rows] = np.sum(noise * residual, axis=1)
+            rr[rows] = np.sum(residual * residual, axis=1)
+        return cls(ee=ee, er=er, rr=rr, seed=seed)
 
     def l2(self, delta: float) -> L2Estimate:
         """Loss of the residual-scaled denoiser at scale ``delta``."""
@@ -201,7 +230,7 @@ def estimate_delta_opt(
     come from the same sample set, and the returned standard error accounts
     for their correlation.
     """
-    _check_samples(samples)
+    _check_samples(samples, prior.dim)
     clean, noisy = prior.sample_pairs(sigma, samples, seed)
     return ResidualMoments.from_samples(denoiser, clean, noisy, seed).delta_opt()
 
@@ -214,15 +243,19 @@ def verify_sandwich(
     Computes the exact-posterior-mean loss, the loss of the base rescaled at
     its estimated optimal scale, and the base loss, all on one sample set.
     Passing means both orderings hold within three combined standard errors.
+
+    Two denoiser passes in all: one of the base, whose
+    :class:`ResidualMoments` give the optimal scale and both base-family
+    losses (the base itself is the family member at ``delta = 1``), and one of
+    the exact posterior mean.
     """
-    _check_samples(samples)
+    _check_samples(samples, prior.dim)
     clean, noisy = prior.sample_pairs(sigma, samples, seed)
-    opt = ResidualMoments.from_samples(denoiser, clean, noisy, seed).delta_opt()
-    mmse = MmseDenoiser(prior, sigma)
-    scaled = tweedie_scale(denoiser, opt.delta_opt)
-    l2_mmse = _l2_on_samples(mmse, clean, noisy, seed)
-    l2_scaled = _l2_on_samples(scaled, clean, noisy, seed)
-    l2_base = _l2_on_samples(denoiser, clean, noisy, seed)
+    moments = ResidualMoments.from_samples(denoiser, clean, noisy, seed)
+    opt = moments.delta_opt()
+    l2_mmse = _l2_on_samples(MmseDenoiser(prior, sigma), clean, noisy, seed)
+    l2_scaled = moments.l2(opt.delta_opt)
+    l2_base = moments.l2(1.0)
     se_lower = float(np.hypot(l2_mmse.stderr, l2_scaled.stderr))
     se_upper = float(np.hypot(l2_scaled.stderr, l2_base.stderr))
     margin_lower = l2_scaled.value - l2_mmse.value
@@ -254,6 +287,6 @@ def delta_sweep(
     One denoiser pass serves the whole grid (see :class:`ResidualMoments`);
     the direct evaluation through :func:`tweedie_scale` is its test oracle.
     """
-    _check_samples(samples)
+    _check_samples(samples, prior.dim)
     clean, noisy = prior.sample_pairs(sigma, samples, seed)
     return ResidualMoments.from_samples(denoiser, clean, noisy, seed).sweep(delta_grid)

@@ -19,7 +19,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .analysis import DegenerateDenoiserError, verify_sandwich
+from .analysis import DegenerateDenoiserError, _check_samples, verify_sandwich
 from .denoisers import AffineDenoiser, denoiser_from_config, tweedie_scale
 from .experiments import (
     EXPERIMENT_NAMES,
@@ -105,10 +105,11 @@ def _cmd_delta_opt(args) -> int:
         sigma = float(config["sigma"])
         samples = int(config.get("samples", 100000))
         denoiser = denoiser_from_config(config["denoiser"], prior=prior, sigma=sigma)
+        _check_samples(samples, prior.dim)
     except (AttributeError, TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
-    if not (sigma > 0 and samples >= 2):
-        raise ConfigError("'sigma' must be positive and 'samples' at least 2")
+    if not sigma > 0:
+        raise ConfigError("'sigma' must be positive")
     try:
         report = verify_sandwich(denoiser, prior, sigma, samples, seed)
     except DegenerateDenoiserError as exc:

@@ -229,28 +229,44 @@ def _spectral_norm_sq(matrix: np.ndarray, iters: int = 200, seed: int = 0) -> fl
     return estimate
 
 
+# Floats per block of pairwise differences in estimate_lipschitz.
+_PAIR_BLOCK_FLOATS = 1 << 16
+
+
+def _pair_distances(rows: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """Distances from rows ``start:stop`` to rows ``start:``, as a (stop - start, m - start) array."""
+    diff = rows[start:stop, None, :] - rows[None, start:, :]
+    return np.sqrt(np.sum(diff * diff, axis=2))
+
+
 def estimate_lipschitz(denoiser, points) -> float:
     """Largest pairwise ratio ``|D(y1) - D(y2)| / |y1 - y2|`` over a point cloud.
 
     Duplicate points are skipped; at least one distinct pair is required. For
     a plain affine denoiser the estimate is cross-checked against the spectral
-    norm of its matrix, which it can never exceed.
+    norm of its matrix, which it can never exceed. Pairs are formed one block
+    of rows at a time, so memory grows with the cloud, not with its pairs.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[0] < 2:
         raise ValueError("need at least two points")
     outputs = np.asarray(denoiser(pts), dtype=np.float64)
-    diff_in = pts[:, None, :] - pts[None, :, :]
-    diff_out = outputs[:, None, :] - outputs[None, :, :]
-    dist_in = np.sqrt(np.sum(diff_in * diff_in, axis=2))
-    dist_out = np.sqrt(np.sum(diff_out * diff_out, axis=2))
-    iu = np.triu_indices(pts.shape[0], k=1)
-    d_in = dist_in[iu]
-    d_out = dist_out[iu]
-    valid = d_in > 0.0
-    if not np.any(valid):
+    m, n = pts.shape
+    step = max(1, _PAIR_BLOCK_FLOATS // (m * n))
+    estimate = None
+    for start in range(0, m - 1, step):
+        stop = min(start + step, m - 1)
+        # Each row i of the block against every later point j > i.
+        later = np.arange(start, m)[None, :] > np.arange(start, stop)[:, None]
+        dist_in = _pair_distances(pts, start, stop)[later]
+        dist_out = _pair_distances(outputs, start, stop)[later]
+        valid = dist_in > 0.0
+        if np.any(valid):
+            block_max = np.max(dist_out[valid] / dist_in[valid])
+            estimate = block_max if estimate is None else np.maximum(estimate, block_max)
+    if estimate is None:
         raise ValueError("all point pairs are duplicates; no valid pair")
-    estimate = float(np.max(d_out[valid] / d_in[valid]))
+    estimate = float(estimate)
     if isinstance(denoiser, AffineDenoiser):
         exact = float(np.sqrt(_spectral_norm_sq(denoiser.matrix)))
         if estimate > exact + 1e-8:

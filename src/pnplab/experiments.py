@@ -230,7 +230,7 @@ def run_delta_sweep_experiment(config: dict | None = None, workers: int = 1):
         ratios = [float(r) for r in resolved["mismatch_ratios"]]
         grid = _scale_grid(resolved["delta_grid"])
         samples = int(resolved["samples"])
-        _check_samples(samples)
+        _check_samples(samples, prior.dim)
         seed = int(resolved["seed"])
         clean, noisy = prior.sample_pairs(sigma, samples, seed)
         denoisers = [MmseDenoiser(prior, ratio * sigma) for ratio in ratios]
@@ -361,6 +361,10 @@ def run_conv_reg(config: dict | None = None, workers: int = 1):
     return resolved, records
 
 
+# Largest Lipschitz point cloud: its pair count, and so its run time, grows as the square.
+_MAX_CLOUD_SIZE = 10_000
+
+
 def run_lipschitz_table(config: dict | None = None, workers: int = 1):
     """Pairwise Lipschitz estimate of the optimal denoiser per noise level.
 
@@ -376,8 +380,10 @@ def run_lipschitz_table(config: dict | None = None, workers: int = 1):
         cloud_size = int(resolved["cloud_size"])
         seed = int(resolved["seed"])
         denoisers = [MmseDenoiser(prior, sigma) for sigma in sigma_grid]
-    if not sigma_grid or cloud_size < 2:
-        raise ConfigError("sigma_grid must be nonempty and cloud_size at least 2")
+    if not sigma_grid or not 2 <= cloud_size <= _MAX_CLOUD_SIZE:
+        raise ConfigError(
+            f"sigma_grid must be nonempty and cloud_size between 2 and {_MAX_CLOUD_SIZE}"
+        )
 
     records = []
     for index, (sigma, denoiser) in enumerate(zip(sigma_grid, denoisers)):

@@ -67,7 +67,13 @@ class GmmPrior:
             raise ValueError("variances must be positive, one per component")
         if not (np.all(np.isfinite(w)) and np.all(np.isfinite(mu)) and np.all(np.isfinite(v))):
             raise ValueError("prior parameters must be finite")
-        for name, arr in (("weights", w), ("means", mu), ("variances", v)):
+        for name, arr in (
+            ("weights", w),
+            ("means", mu),
+            ("variances", v),
+            ("_log_weights", np.log(w)),
+            ("_means_sq", np.sum(mu * mu, axis=1)),
+        ):
             arr = arr.copy()
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -97,18 +103,14 @@ class GmmPrior:
     def _component_logpdf(self, points: np.ndarray, sigma: float) -> np.ndarray:
         """(m, K) array of ``log w_k + log N(y; mu_k, (v_k + sigma^2) I)``."""
         t = self.variances + sigma * sigma
-        sq = (
-            np.sum(points * points, axis=1)[:, None]
-            + np.sum(self.means * self.means, axis=1)[None, :]
-            - 2.0 * points @ self.means.T
-        )
-        sq = np.maximum(sq, 0.0)
-        n = self.dim
-        return (
-            np.log(self.weights)[None, :]
-            - 0.5 * n * (_LOG_2PI + np.log(t))[None, :]
-            - 0.5 * sq / t[None, :]
-        )
+        sq = points @ self.means.T
+        sq *= 2.0
+        np.subtract(np.sum(points * points, axis=1)[:, None] + self._means_sq, sq, out=sq)
+        np.maximum(sq, 0.0, out=sq)
+        sq *= 0.5
+        sq /= t
+        log_norm = self._log_weights - 0.5 * self.dim * (_LOG_2PI + np.log(t))
+        return np.subtract(log_norm, sq, out=sq)
 
     def log_density(self, y, sigma: float = 0.0):
         """Log-density of the noise-smoothed mixture at noise level ``sigma``.
@@ -133,9 +135,9 @@ class GmmPrior:
         if sigma < 0:
             raise ValueError("sigma must be nonnegative")
         points, single = _as_points(y, self.dim)
-        logs = self._component_logpdf(points, sigma)
-        logs = logs - logs.max(axis=1, keepdims=True)
-        r = np.exp(logs)
+        r = self._component_logpdf(points, sigma)
+        r -= r.max(axis=1, keepdims=True)
+        np.exp(r, out=r)
         r /= r.sum(axis=1, keepdims=True)
         return r[0] if single else r
 
@@ -144,9 +146,10 @@ class GmmPrior:
         if sigma < 0:
             raise ValueError("sigma must be nonnegative")
         points, single = _as_points(y, self.dim)
-        t = self.variances + sigma * sigma
-        r = self.responsibilities(points, sigma) / t[None, :]
-        out = r @ self.means - points * r.sum(axis=1)[:, None]
+        r = self.responsibilities(points, sigma)
+        r /= self.variances + sigma * sigma
+        out = r @ self.means
+        out -= points * r.sum(axis=1)[:, None]
         return out[0] if single else out
 
     # -- denoising ---------------------------------------------------------
@@ -156,7 +159,9 @@ class GmmPrior:
         if sigma <= 0:
             raise ValueError("sigma must be positive")
         points, single = _as_points(y, self.dim)
-        out = points + (sigma * sigma) * self.score(points, sigma)
+        out = self.score(points, sigma)
+        out *= sigma * sigma
+        out += points
         return out[0] if single else out
 
     def posterior_mean(self, y, sigma: float):
@@ -190,8 +195,10 @@ class GmmPrior:
             raise ValueError("count must be >= 1")
         rng = np.random.default_rng(seed)
         comps = rng.choice(self.n_components, size=count, p=self.weights)
-        clean = self.means[comps] + np.sqrt(self.variances[comps])[:, None] * (
-            rng.standard_normal((count, self.dim))
-        )
-        noisy = clean + sigma * rng.standard_normal((count, self.dim))
+        clean = rng.standard_normal((count, self.dim))
+        clean *= np.sqrt(self.variances[comps])[:, None]
+        clean += self.means[comps]
+        noisy = rng.standard_normal((count, self.dim))
+        noisy *= sigma
+        noisy += clean
         return clean, noisy

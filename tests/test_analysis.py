@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pnplab.analysis
 from pnplab.analysis import (
     DegenerateDenoiserError,
     ResidualMoments,
@@ -12,7 +13,7 @@ from pnplab.analysis import (
     estimate_l2,
     verify_sandwich,
 )
-from pnplab.denoisers import MmseDenoiser, ShrinkageDenoiser, tweedie_scale
+from pnplab.denoisers import Denoiser, MmseDenoiser, ShrinkageDenoiser, tweedie_scale
 from pnplab.prior import GmmPrior
 
 
@@ -135,6 +136,44 @@ class TestSandwich:
         sigma = 0.3
         rep = verify_sandwich(MmseDenoiser(prior, 2 * sigma), prior, sigma, 100000, 42)
         assert rep.passed
+
+    @pytest.mark.parametrize("ratio", [0.5, 2.0])
+    def test_moment_losses_match_direct_evaluation(self, ratio):
+        prior = _hetero_prior()
+        sigma, samples, seed = 0.2, 5000, 8
+        base = MmseDenoiser(prior, ratio * sigma)
+        rep = verify_sandwich(base, prior, sigma, samples, seed)
+        clean, noisy = prior.sample_pairs(sigma, samples, seed)
+        scaled = tweedie_scale(base, rep.delta_opt.delta_opt)
+        for got, want in (
+            (rep.l2_scaled, _l2_on_samples(scaled, clean, noisy, seed)),
+            (rep.l2_base, _l2_on_samples(base, clean, noisy, seed)),
+        ):
+            assert abs(got.value - want.value) <= 1e-12 * want.value
+            assert abs(got.stderr - want.stderr) <= 1e-12 * want.stderr
+
+    def test_two_denoiser_passes(self, monkeypatch):
+        prior = _hetero_prior()
+        seen = {"base": [], "mmse": []}
+
+        class Counting(Denoiser):
+            def __init__(self, inner, log):
+                self.inner, self.log, self.dim = inner, log, inner.dim
+
+            def __call__(self, y):
+                self.log.append(np.array(y))
+                return self.inner(y)
+
+        monkeypatch.setattr(
+            pnplab.analysis,
+            "MmseDenoiser",
+            lambda p, s: Counting(MmseDenoiser(p, s), seen["mmse"]),
+        )
+        base = Counting(ShrinkageDenoiser(0.6, 4), seen["base"])
+        verify_sandwich(base, prior, 0.3, 1000, 4)
+        _, noisy = prior.sample_pairs(0.3, 1000, 4)
+        for log in seen.values():
+            np.testing.assert_array_equal(np.concatenate(log), noisy)
 
     def test_degenerate_propagates(self):
         prior = _single_gaussian(4)
@@ -260,3 +299,27 @@ class TestResidualMoments:
             moments.sweep([1.0, 0.0])
         with pytest.raises(ValueError):
             ResidualMoments.from_samples(ShrinkageDenoiser(0.5, 4), clean[:1], noisy[:1], 0)
+
+
+class TestRowBlocks:
+    DIM = 4
+    BLOCK_ROWS = 8
+
+    @pytest.mark.parametrize("m", [2, 7, 8, 9, 17])
+    def test_blocked_pass_equals_one_pass(self, monkeypatch, m):
+        prior = _hetero_prior()
+        d = MmseDenoiser(prior, 0.2)
+        clean, noisy = prior.sample_pairs(0.1, m, m)
+        whole = ResidualMoments.from_samples(d, clean, noisy, m)
+        whole_l2 = _l2_on_samples(d, clean, noisy, m)
+        monkeypatch.setattr(pnplab.analysis, "_BLOCK_FLOATS", self.BLOCK_ROWS * self.DIM)
+        calls = []
+        counted = lambda y: calls.append(len(y)) or d(y)  # noqa: E731
+        blocked = ResidualMoments.from_samples(counted, clean, noisy, m)
+        assert calls == [min(self.BLOCK_ROWS, m - s) for s in range(0, m, self.BLOCK_ROWS)]
+        blocked_l2 = _l2_on_samples(counted, clean, noisy, m)
+        for name in ("ee", "er", "rr"):
+            want = getattr(whole, name)
+            np.testing.assert_allclose(getattr(blocked, name), want, rtol=1e-12, atol=0)
+        assert abs(blocked_l2.value - whole_l2.value) <= 1e-12 * whole_l2.value
+        assert abs(blocked_l2.stderr - whole_l2.stderr) <= 1e-12 * whole_l2.stderr

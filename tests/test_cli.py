@@ -51,7 +51,7 @@ class TestDeltaOpt:
         assert code == 1
         assert "sigma" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("sigma, samples", [(-0.1, 20000), (0.1, 1)])
+    @pytest.mark.parametrize("sigma, samples", [(-0.1, 20000), (0.1, 1), (0.1, 10**8)])
     def test_out_of_range_sigma_or_samples_exits_one(self, tmp_path, capsys, sigma, samples):
         path = _delta_opt_config(tmp_path, {"kind": "shrinkage", "alpha": 0.5, "dim": 4}, sigma)
         config = json.loads(open(path).read())
@@ -259,6 +259,8 @@ class TestConfigErrorsAtTheBoundary:
             ("delta-sweep", {"delta_grid": [1.0, -2.0]}, "positive"),
             ("lipschitz", {"sigma_grid": [0.1, 0.0]}, "sigma"),
             ("lipschitz", {"cloud_size": 1}, "cloud_size"),
+            ("delta-sweep", {"samples": 10**8}, "exceeds the cap"),
+            ("lipschitz", {"cloud_size": 10**6}, "cloud_size"),
         ],
     )
     def test_malformed_field_values(self, tmp_path, capsys, experiment, config, needle):

@@ -229,6 +229,24 @@ class TestLipschitz:
         with pytest.raises(ValueError, match="no valid pair"):
             estimate_lipschitz(ShrinkageDenoiser(0.5, 2), pts)
 
+    @pytest.mark.parametrize("m", [2, 5, 6, 7, 23])
+    def test_blocked_pairs_equal_the_all_pairs_maximum(self, monkeypatch, m):
+        import pnplab.denoisers
+
+        # 36 floats per block: 3 rows of pairs at m = 6, n = 2.
+        monkeypatch.setattr(pnplab.denoisers, "_PAIR_BLOCK_FLOATS", 36)
+        d = MmseDenoiser(GmmPrior([0.5, 0.5], [[-1.0, 0.0], [1.0, 0.5]], [0.1, 0.3]), 0.2)
+        pts = np.random.default_rng(m).standard_normal((m, 2))
+        if m > 2:
+            pts[-1] = pts[0]  # a duplicate pair, skipped
+        out = d(pts)
+        i, j = np.triu_indices(m, k=1)
+        d_in = np.linalg.norm(pts[i] - pts[j], axis=1)
+        d_out = np.linalg.norm(out[i] - out[j], axis=1)
+        valid = d_in > 0
+        want = float(np.max(d_out[valid] / d_in[valid]))
+        assert estimate_lipschitz(d, pts) == pytest.approx(want, rel=1e-14)
+
     def test_nonexpansiveness_inherited_by_scaling(self):
         """If the base is non-expansive on a cloud, so is every scale >= 1."""
         prior = _single_gaussian(3)

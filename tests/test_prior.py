@@ -195,3 +195,18 @@ class TestSampling:
     def test_count_validated(self):
         with pytest.raises(ValueError):
             _standard_normal_1d().sample_pairs(0.1, 0, 0)
+
+    @pytest.mark.parametrize("seed", [7, np.random.SeedSequence([3, 1])])
+    def test_bitwise_equal_to_the_out_of_place_draw(self, seed):
+        rng = np.random.default_rng(5)
+        prior = GmmPrior([0.2, 0.5, 0.3], rng.standard_normal((3, 6)), [0.5, 1.5, 0.1])
+        sigma, count = 0.3, 400
+        want_rng = np.random.default_rng(seed)
+        comps = want_rng.choice(3, size=count, p=prior.weights)
+        want_clean = prior.means[comps] + np.sqrt(prior.variances[comps])[:, None] * (
+            want_rng.standard_normal((count, 6))
+        )
+        want_noisy = want_clean + sigma * want_rng.standard_normal((count, 6))
+        clean, noisy = prior.sample_pairs(sigma, count, seed)
+        np.testing.assert_array_equal(clean, want_clean)
+        np.testing.assert_array_equal(noisy, want_noisy)
