@@ -314,7 +314,11 @@ class TestRowBlocks:
         whole_l2 = _l2_on_samples(d, clean, noisy, m)
         monkeypatch.setattr(pnplab.analysis, "_BLOCK_FLOATS", self.BLOCK_ROWS * self.DIM)
         calls = []
-        counted = lambda y: calls.append(len(y)) or d(y)  # noqa: E731
+
+        def counted(y):
+            calls.append(len(y))
+            return d(y)
+
         blocked = ResidualMoments.from_samples(counted, clean, noisy, m)
         assert calls == [min(self.BLOCK_ROWS, m - s) for s in range(0, m, self.BLOCK_ROWS)]
         blocked_l2 = _l2_on_samples(counted, clean, noisy, m)
