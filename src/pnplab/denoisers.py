@@ -53,6 +53,10 @@ class MmseDenoiser(Denoiser):
     Evaluating at the same sigma the data was generated with gives the
     L2-optimal denoiser; evaluating at a different sigma models an
     imperfectly trained one.
+
+    The solvers' hot path: the noise-level constants are computed once, and a
+    call checks its input once and runs the prior's unchecked score route,
+    bitwise equal to :meth:`GmmPrior.mmse_denoise`.
     """
 
     def __init__(self, prior: GmmPrior, sigma: float):
@@ -61,9 +65,16 @@ class MmseDenoiser(Denoiser):
         self.prior = prior
         self.sigma = float(sigma)
         self.dim = prior.dim
+        self._smoothed = prior._smoothed(self.sigma)
+        self._sigma_sq = self.sigma * self.sigma
 
     def __call__(self, y):
-        return self.prior.mmse_denoise(self._check(y), self.sigma)
+        y = self._check(y)
+        points = y.reshape(-1, self.dim)
+        out = self.prior._score(points, *self._smoothed)
+        out *= self._sigma_sq
+        out += points
+        return out.reshape(y.shape)
 
 
 class ShrinkageDenoiser(Denoiser):
@@ -171,22 +182,22 @@ class ScaledDenoiser:
         if scales.ndim == 0:
             self.delta = float(scales)
             self._n_rows = None
-            column = self.delta
+            self._scale = self.delta
         else:
             self.delta = scales.copy()
             self.delta.setflags(write=False)
             self._n_rows = scales.size
-            column = self.delta[:, None]
-        self._scale = column
-        self._u = 1.0 / (column * column)
-        self._gamma = gamma_factor(column) if self.gamma_rescale else None
+            self._scale = self.delta[:, None]
+        self._u = 1.0 / (self._scale * self._scale)
+        self._keep = 1.0 - self._u
+        self._gamma = gamma_factor(self._scale) if self.gamma_rescale else None
 
     def __call__(self, y) -> np.ndarray:
         y = np.asarray(y, dtype=np.float64)
         if self._n_rows is not None and (y.ndim != 2 or y.shape[0] != self._n_rows):
             raise ValueError(f"expected a stack of {self._n_rows} rows, got shape {y.shape}")
         if self.mode == "tweedie":
-            out = (1.0 - self._u) * y + self._u * self.base(y)
+            out = self._keep * y + self._u * self.base(y)
         else:
             out = self.base(self._scale * y) / self._scale
         if self._gamma is not None:
@@ -208,25 +219,6 @@ def tweedie_scale(base: Denoiser, delta: float, gamma_rescale: bool = False) -> 
 def homogeneous_scale(base: Denoiser, delta: float, gamma_rescale: bool = False) -> ScaledDenoiser:
     """Argument/output scaling ``base(delta * y) / delta`` as a wrapper object."""
     return ScaledDenoiser(base, delta, mode="homogeneous", gamma_rescale=gamma_rescale)
-
-
-def _spectral_norm_sq(matrix: np.ndarray, iters: int = 200, seed: int = 0) -> float:
-    """Largest eigenvalue of ``W^T W`` by power iteration."""
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(matrix.shape[1])
-    v /= np.linalg.norm(v)
-    estimate = 0.0
-    for _ in range(iters):
-        w = matrix.T @ (matrix @ v)
-        rayleigh = float(v @ w)
-        norm_w = float(np.linalg.norm(w))
-        if norm_w == 0.0:
-            return 0.0
-        if abs(rayleigh - estimate) < 1e-14 * max(abs(rayleigh), 1e-300) and estimate:
-            return rayleigh
-        estimate = rayleigh
-        v = w / norm_w
-    return estimate
 
 
 # Floats per block of pairwise differences in estimate_lipschitz.
@@ -268,7 +260,7 @@ def estimate_lipschitz(denoiser, points) -> float:
         raise ValueError("all point pairs are duplicates; no valid pair")
     estimate = float(estimate)
     if isinstance(denoiser, AffineDenoiser):
-        exact = float(np.sqrt(_spectral_norm_sq(denoiser.matrix)))
+        exact = float(np.linalg.norm(denoiser.matrix, 2))
         if estimate > exact + 1e-8:
             raise RuntimeError(
                 f"pairwise Lipschitz estimate {estimate} exceeds the exact "

@@ -7,6 +7,12 @@ additive Gaussian noise are all available in closed form. That gives two
 independent routes to the optimal denoiser: the score route
 ``y + sigma^2 * grad log p(y)`` and the direct posterior-mean route, which
 the test suite holds against each other.
+
+Each public method checks ``sigma`` and its points once, then runs one
+unchecked private route on an (m, n) batch with the per-noise-level
+constants from ``_smoothed``; :class:`~pnplab.denoisers.MmseDenoiser` computes
+those once and calls the route directly. With one component the
+responsibilities are ones, as the softmax gives wherever ``|y|^2`` is finite.
 """
 
 from __future__ import annotations
@@ -100,17 +106,38 @@ class GmmPrior:
 
     # -- densities ---------------------------------------------------------
 
-    def _component_logpdf(self, points: np.ndarray, sigma: float) -> np.ndarray:
-        """(m, K) array of ``log w_k + log N(y; mu_k, (v_k + sigma^2) I)``."""
+    def _smoothed(self, sigma: float) -> tuple[np.ndarray, np.ndarray]:
+        """Smoothed variances ``t = v + sigma^2``, log normalisers ``log w - n/2 log(2 pi t)``."""
         t = self.variances + sigma * sigma
+        return t, self._log_weights - 0.5 * self.dim * (_LOG_2PI + np.log(t))
+
+    def _component_logpdf(self, points, t, log_norm) -> np.ndarray:
+        """(m, K) array of ``log w_k + log N(y; mu_k, t_k I)``."""
         sq = points @ self.means.T
         sq *= 2.0
         np.subtract(np.sum(points * points, axis=1)[:, None] + self._means_sq, sq, out=sq)
         np.maximum(sq, 0.0, out=sq)
         sq *= 0.5
         sq /= t
-        log_norm = self._log_weights - 0.5 * self.dim * (_LOG_2PI + np.log(t))
         return np.subtract(log_norm, sq, out=sq)
+
+    def _responsibilities(self, points, t, log_norm) -> np.ndarray:
+        """(m, K) log-space softmax of the component log-terms; ones for one component."""
+        if self.n_components == 1:
+            return np.ones((points.shape[0], 1))
+        r = self._component_logpdf(points, t, log_norm)
+        r -= r.max(axis=1, keepdims=True)
+        np.exp(r, out=r)
+        r /= r.sum(axis=1, keepdims=True)
+        return r
+
+    def _score(self, points, t, log_norm) -> np.ndarray:
+        """(m, n) gradient of the smoothed log-density."""
+        r = self._responsibilities(points, t, log_norm)
+        r /= t
+        out = r @ self.means
+        out -= points * r.sum(axis=1)[:, None]
+        return out
 
     def log_density(self, y, sigma: float = 0.0):
         """Log-density of the noise-smoothed mixture at noise level ``sigma``.
@@ -121,7 +148,7 @@ class GmmPrior:
         if sigma < 0:
             raise ValueError("sigma must be nonnegative")
         points, single = _as_points(y, self.dim)
-        logs = self._component_logpdf(points, sigma)
+        logs = self._component_logpdf(points, *self._smoothed(sigma))
         top = logs.max(axis=1)
         out = top + np.log(np.sum(np.exp(logs - top[:, None]), axis=1))
         return float(out[0]) if single else out
@@ -135,10 +162,7 @@ class GmmPrior:
         if sigma < 0:
             raise ValueError("sigma must be nonnegative")
         points, single = _as_points(y, self.dim)
-        r = self._component_logpdf(points, sigma)
-        r -= r.max(axis=1, keepdims=True)
-        np.exp(r, out=r)
-        r /= r.sum(axis=1, keepdims=True)
+        r = self._responsibilities(points, *self._smoothed(sigma))
         return r[0] if single else r
 
     def score(self, y, sigma: float = 0.0):
@@ -146,10 +170,7 @@ class GmmPrior:
         if sigma < 0:
             raise ValueError("sigma must be nonnegative")
         points, single = _as_points(y, self.dim)
-        r = self.responsibilities(points, sigma)
-        r /= self.variances + sigma * sigma
-        out = r @ self.means
-        out -= points * r.sum(axis=1)[:, None]
+        out = self._score(points, *self._smoothed(sigma))
         return out[0] if single else out
 
     # -- denoising ---------------------------------------------------------
@@ -175,9 +196,9 @@ class GmmPrior:
         if sigma <= 0:
             raise ValueError("sigma must be positive")
         points, single = _as_points(y, self.dim)
-        t = self.variances + sigma * sigma
+        t, log_norm = self._smoothed(sigma)
         rho = self.variances / t
-        r = self.responsibilities(points, sigma)
+        r = self._responsibilities(points, t, log_norm)
         out = (r * (1.0 - rho)[None, :]) @ self.means + points * (r @ rho)[:, None]
         return out[0] if single else out
 

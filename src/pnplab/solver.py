@@ -233,9 +233,11 @@ def pnp_pgd_batch(
     xa, ya, step = x.copy(), ys, denoiser
     for i in range(config.max_iters):
         x_next = step(xa - tau * op._adjoint(op._apply(xa) - ya))
-        norms = np.linalg.norm(x_next, axis=1)
-        bad = ~np.all(np.isfinite(x_next), axis=1) | (norms > _DIVERGENCE_NORM)
-        residual = np.linalg.norm(x_next - xa, axis=1)
+        # np.linalg.norm(axis=1) bitwise, without its dispatch; a row with NaN
+        # or inf entries, or an overflowing square, is not <= the bound either.
+        norms = np.sqrt(np.add.reduce(np.square(x_next), axis=1))
+        bad = ~(norms <= _DIVERGENCE_NORM)
+        residual = np.sqrt(np.add.reduce(np.square(x_next - xa), axis=1))
         done = bad | (residual <= config.tol * (1.0 + norms))
         if done.any():
             rows = active[done]

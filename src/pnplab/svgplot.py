@@ -89,8 +89,10 @@ def line_plot(
         if pts:
             cleaned[name] = ([p[0] for p in pts], [p[1] for p in pts])
 
-    all_x = [x for xs, _ in cleaned.values() for x in xs] or [0.0, 1.0]
-    all_y = [y for _, ys in cleaned.values() for y in ys] or [0.0, 1.0]
+    # With no point left an axis spans [0, 1]; a log axis would clamp that to
+    # [1e-300, 1] and draw 301 ticks, so it spans one decade instead.
+    all_x = [x for xs, _ in cleaned.values() for x in xs] or ([1.0, 10.0] if log_x else [0.0, 1.0])
+    all_y = [y for _, ys in cleaned.values() for y in ys] or ([1.0, 10.0] if log_y else [0.0, 1.0])
     x_axis = _Axis(min(all_x), max(all_x), _MARGIN_L, _WIDTH - _MARGIN_R, log_x)
     pad = 0.0 if log_y else 0.05 * (max(all_y) - min(all_y) or 1.0)
     y_axis = _Axis(min(all_y) - pad, max(all_y) + pad, _HEIGHT - _MARGIN_B, _MARGIN_T, log_y)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pnplab.denoisers import (
     AffineDenoiser,
@@ -55,6 +57,30 @@ class TestZoo:
         base = AffineDenoiser(np.eye(2), np.array([1.0, 1.0]))
         d = OutputShrink(base, 0.5)
         np.testing.assert_allclose(d(np.array([1.0, 3.0])), [1.0, 2.0])
+
+
+class TestMmseHotPath:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        k=st.integers(1, 5),
+        n=st.integers(1, 64),
+        m=st.integers(1, 6),
+        offset=st.sampled_from([0.0, 1.0, 30.0, 1e3]),
+        sigma=st.floats(0.01, 3.0),
+        seed=st.integers(0, 2**16),
+    )
+    def test_bitwise_equal_to_the_prior_score_route(self, k, n, m, offset, sigma, seed):
+        rng = np.random.default_rng(seed)
+        weights = rng.uniform(0.5, 1.5, k)
+        prior = GmmPrior(
+            weights / weights.sum(), offset * rng.standard_normal((k, n)), rng.uniform(0.05, 2.0, k)
+        )
+        d = MmseDenoiser(prior, sigma)
+        ys = (offset + 1.0) * rng.standard_normal((m, n))
+        np.testing.assert_array_equal(d(ys), prior.mmse_denoise(ys, sigma))
+        single = d(ys[0])
+        assert single.shape == (n,)
+        np.testing.assert_array_equal(single, prior.mmse_denoise(ys[0], sigma))
 
 
 class TestTweedieScale:
@@ -218,6 +244,12 @@ class TestLipschitz:
         est = estimate_lipschitz(d, rng.standard_normal((30, 4)))
         exact = float(np.linalg.svd(w, compute_uv=False)[0])
         assert est <= exact + 1e-8
+
+    def test_affine_cross_check_with_close_top_singular_values(self):
+        d = AffineDenoiser(np.diag([1.0, 1.0 - 1e-6]), np.zeros(2))
+        pts = np.random.default_rng(0).standard_normal((200, 2))
+        est = estimate_lipschitz(d, pts)
+        assert 1.0 - 1e-6 <= est <= 1.0 + 1e-12
 
     def test_duplicates_skipped(self):
         pts = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])

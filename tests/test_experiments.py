@@ -1,5 +1,11 @@
+import struct
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pnplab.denoisers import AffineDenoiser, homogeneous_scale, tweedie_scale
 from pnplab.experiments import (
@@ -327,6 +333,38 @@ class TestArtifacts:
         assert float(cells[3]) == 1e-7 / 3.0  # round-trip exact
         assert cells[4] == "0.0"
         assert cells[5] == "9"
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        values=st.lists(
+            st.one_of(
+                st.sampled_from([-0.0, 0.0, 5e-324, -2.5e-310, 1.7e308, -1.7e308, 1e-7 / 3.0]),
+                st.floats(allow_nan=False, allow_infinity=False),
+            ),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    def test_csv_round_trip_is_bitwise(self, values):
+        records = [
+            ExperimentRecord("conv-reg", key=v, metrics={"a": v, "b": -v}) for v in values
+        ]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "out.csv"
+            write_records_csv(path, records, seed=0)
+            lines = path.read_text(encoding="utf-8").split("\n")[1:-1]
+        want = [
+            (key, metric, value)
+            for key, metrics in sorted(((v, {"a": v, "b": -v}) for v in values), key=lambda r: r[0])
+            for metric, value in sorted(metrics.items())
+        ]
+        assert len(lines) == len(want)
+        bits = struct.Struct("<d").pack
+        for line, (key, metric, value) in zip(lines, want):
+            cells = line.split(",")
+            assert cells[2] == metric
+            assert bits(float(cells[1])) == bits(key)
+            assert bits(float(cells[3])) == bits(value)
 
     def test_same_config_same_bytes(self, tmp_path):
         config = {"delta_grid": [1.0, 5.0, 25.0]}

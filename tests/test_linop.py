@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pnplab.linop import (
     Convolve1d,
@@ -75,6 +77,32 @@ class TestAdjoint:
                 lhs = float(op.apply(x) @ y)
                 rhs = float(x @ op.adjoint(y))
                 assert abs(lhs - rhs) <= 1e-10 * (1.0 + abs(lhs))
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        kind=st.sampled_from(["identity", "mask", "conv1d", "dense"]),
+        n=st.integers(1, 16),
+        out_dim=st.integers(1, 16),
+        scale=st.sampled_from([1e-3, 1.0, 1e3]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_adjoint_identity_over_kinds_dims_and_data(self, kind, n, out_dim, scale, seed):
+        rng = np.random.default_rng(seed)
+        if kind == "identity":
+            op = Identity(n)
+        elif kind == "mask":
+            op = Mask(rng.random(n) < 0.6)
+        elif kind == "conv1d":
+            op = Convolve1d(rng.standard_normal(int(rng.integers(1, n + 1))), n)
+        else:
+            op = DenseOperator(rng.standard_normal((out_dim, n)))
+        x = scale * rng.standard_normal(op.in_dim)
+        y = rng.standard_normal(op.out_dim)
+        ax, aty = op.apply(x), op.adjoint(y)
+        lhs, rhs = float(ax @ y), float(x @ aty)
+        # Both sides are sums of the same n * out_dim products, in another order.
+        bound = 1e-13 * (np.abs(ax) @ np.abs(y) + np.abs(x) @ np.abs(aty) + 1e-300)
+        assert abs(lhs - rhs) <= bound
 
 
 class TestOpNormSq:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pnplab.prior import GmmPrior
 
@@ -210,3 +212,38 @@ class TestSampling:
         clean, noisy = prior.sample_pairs(sigma, count, seed)
         np.testing.assert_array_equal(clean, want_clean)
         np.testing.assert_array_equal(noisy, want_noisy)
+
+
+class TestOneComponent:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(1, 64),
+        m=st.integers(1, 8),
+        offset=st.sampled_from([0.0, 1.0, 30.0, 1e3]),
+        sigma=st.floats(0.0, 3.0),
+        seed=st.integers(0, 2**16),
+    )
+    def test_responsibilities_are_ones_and_equal_the_softmax(self, n, m, offset, sigma, seed):
+        rng = np.random.default_rng(seed)
+        prior = GmmPrior([1.0], offset * rng.standard_normal((1, n)), [rng.uniform(0.05, 2.0)])
+        points = offset * rng.standard_normal((m, n)) + rng.standard_normal((m, n))
+        r = prior.responsibilities(points, sigma)
+        np.testing.assert_array_equal(r, np.ones((m, 1)))
+        # The general softmax over the single log-term, as for K > 1.
+        soft = prior._component_logpdf(points, *prior._smoothed(sigma))
+        soft -= soft.max(axis=1, keepdims=True)
+        np.exp(soft, out=soft)
+        soft /= soft.sum(axis=1, keepdims=True)
+        np.testing.assert_array_equal(r, soft)
+
+    def test_far_point_stays_finite(self):
+        prior = GmmPrior([1.0], [[0.5, -1.0, 2.0]], [0.4])
+        y = np.array([1e160, -1e160, 1e160])
+        # |y|^2 overflows, so a softmax over the one log-term would give NaN.
+        with np.errstate(over="ignore"):
+            assert np.isinf(np.sum(y * y))
+        assert prior.responsibilities(y, 0.2)[0] == 1.0
+        assert np.all(np.isfinite(prior.score(y, 0.2)))
+        denoised = prior.mmse_denoise(y, 0.2)
+        assert np.all(np.isfinite(denoised))
+        np.testing.assert_allclose(denoised, (0.4 * y + 0.04 * prior.means[0]) / 0.44, rtol=1e-15)

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from pnplab.denoisers import (
     AffineDenoiser,
+    Denoiser,
     MmseDenoiser,
     ScaledDenoiser,
     ShrinkageDenoiser,
@@ -14,6 +15,7 @@ from pnplab.denoisers import (
 from pnplab.linop import Convolve1d, DenseOperator, Identity, Mask
 from pnplab.prior import GmmPrior
 from pnplab.solver import (
+    _DIVERGENCE_NORM,
     DivergenceError,
     NoUniqueFixedPointError,
     PnpConfig,
@@ -361,3 +363,68 @@ class TestBatch:
             pnp_pgd_batch(op, np.zeros((2, 3)), per_row, cfg)
         with pytest.raises(ValueError, match="denoiser dim"):
             pnp_pgd_batch(Identity(4), np.zeros((2, 4)), scaled, cfg)
+
+
+class _TaggedRows(Denoiser):
+    """``v -> v / 2 + c`` row by row, except on rows whose first entry is a tag:
+    1 gives NaN, 2 gives inf, 3 gives entries of 1e200 (their squares
+    overflow), 4 gives entries of 1e12 (just past the divergence bound) and 5
+    gives entries of 1e11 (inside it)."""
+
+    TAGS = {1.0: np.nan, 2.0: np.inf, 3.0: 1e200, 4.0: 1e12, 5.0: 1e11}
+
+    def __init__(self, offset):
+        self.offset = np.asarray(offset, dtype=np.float64)
+        self.dim = self.offset.size
+
+    def __call__(self, y):
+        y = self._check(y)
+        out = 0.5 * y + self.offset
+        for tag, value in self.TAGS.items():
+            out[y[:, 0] == tag] = value
+        return out
+
+
+def _old_stop_oracle(op, ys, denoiser, tau, config):
+    """Every row iterated on its own under the stop test that used
+    ``np.linalg.norm`` and a separate ``isfinite`` pass."""
+    m = ys.shape[0]
+    iterations = np.full(m, config.max_iters)
+    converged = np.zeros(m, dtype=bool)
+    diverged = np.zeros(m, dtype=bool)
+    running = np.ones(m, dtype=bool)
+    x = np.zeros((m, op.in_dim))
+    for i in range(config.max_iters):
+        x_next = denoiser(x - tau * op._adjoint(op._apply(x) - ys))
+        norms = np.linalg.norm(x_next, axis=1)
+        bad = ~np.all(np.isfinite(x_next), axis=1) | (norms > _DIVERGENCE_NORM)
+        residual = np.linalg.norm(x_next - x, axis=1)
+        done = running & (bad | (residual <= config.tol * (1.0 + norms)))
+        iterations[done] = i + 1
+        diverged[done] = bad[done]
+        converged[done] = ~bad[done]
+        running &= ~done
+        if not running.any():
+            break
+        x = x_next
+    return iterations, converged, diverged
+
+
+class TestStopTest:
+    def test_nan_inf_overflowing_and_large_rows_stop_as_before(self):
+        op = Mask(np.array([True, False, False]))
+        ys = np.zeros((6, 3))
+        ys[:, 0] = [1.0, 2.0, 0.25, 3.0, 4.0, 5.0]
+        base = _TaggedRows([0.0, 1.0, -2.0])
+        denoiser = ScaledDenoiser(base, np.array([1.0, 1.0, 1.5, 1.0, 1.0, 1.0]))
+        cfg = PnpConfig(tau=1.0, max_iters=200, tol=1e-9)
+        with np.errstate(over="ignore", invalid="ignore"):
+            batch = pnp_pgd_batch(op, ys, denoiser, cfg)
+            iterations, converged, diverged = _old_stop_oracle(op, ys, denoiser, 1.0, cfg)
+        np.testing.assert_array_equal(batch.iterations, iterations)
+        np.testing.assert_array_equal(batch.converged, converged)
+        np.testing.assert_array_equal(batch.diverged, diverged)
+        assert list(batch.diverged) == [True, True, False, True, True, False]
+        assert list(batch.iterations[[0, 1, 3, 4, 5]]) == [1, 1, 1, 1, 2]
+        assert 2 < batch.iterations[2] < cfg.max_iters and batch.converged[2]
+        assert np.all(np.isfinite(batch.x_star))
