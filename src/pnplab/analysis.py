@@ -166,13 +166,13 @@ def _delta_opt_of(a: np.ndarray, b: np.ndarray, seed: int) -> DeltaOptEstimate:
     )
 
 
-def _scale_grid(delta_grid) -> np.ndarray:
-    """A nonempty 1-D grid of positive scales, as floats."""
-    grid = np.asarray(delta_grid, dtype=np.float64)
+def _scale_grid(values, name: str = "delta grid") -> np.ndarray:
+    """A nonempty 1-D grid of positive values, as floats; ``name`` is its config field."""
+    grid = np.asarray(values, dtype=np.float64)
     if grid.ndim != 1 or grid.size == 0:
-        raise ValueError("delta grid must be a nonempty 1-D sequence")
-    if np.any(grid <= 0):
-        raise ValueError("all grid scales must be positive")
+        raise ValueError(f"{name} must be a nonempty 1-D sequence")
+    if not np.all(grid > 0):
+        raise ValueError(f"every value of {name} must be positive")
     return grid
 
 

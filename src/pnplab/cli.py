@@ -22,9 +22,9 @@ from . import __version__
 from .analysis import DegenerateDenoiserError, _check_samples, verify_sandwich
 from .denoisers import AffineDenoiser, denoiser_from_config, tweedie_scale
 from .experiments import (
-    EXPERIMENT_NAMES,
     ConfigError,
     ExperimentRecord,
+    _reading,
     resolve_config,
     run_experiment,
     write_plots,
@@ -73,43 +73,62 @@ def _resolve_seed(flag_seed, config: dict) -> int:
         raise ConfigError(f"{source} must be an integer, got {value!r}") from None
 
 
-def _prepare_out_dir(out: str) -> None:
-    os.makedirs(out, exist_ok=True)
-    with tempfile.NamedTemporaryFile(prefix=".probe", dir=out):
-        pass
-
-
-def _write_manifest(out: str, name: str, payload: dict) -> None:
-    path = os.path.join(out, f"{name}_manifest.json")
-    fd, tmp = tempfile.mkstemp(prefix=".manifest", dir=out)
-    with os.fdopen(fd, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    os.replace(tmp, path)
+def _prepare_out_dir(out: str) -> bool:
+    """Create ``out`` and probe it with a temporary file; on failure say why and return False."""
+    try:
+        os.makedirs(out, exist_ok=True)
+        with tempfile.NamedTemporaryFile(prefix=".probe", dir=out):
+            pass
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return False
+    return True
 
 
 def _now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
+def _write_artifacts(args, name: str, records, resolved: dict, started: str, **extra) -> str:
+    """Write ``<name>.csv`` and then ``<name>_manifest.json`` into ``args.out``; returns the CSV path.
+
+    The manifest is written last and moved into place whole, so its presence
+    marks a complete set of artifacts.
+    """
+    csv_path = os.path.join(args.out, f"{name}.csv")
+    write_records_csv(csv_path, records, resolved["seed"])
+    manifest = {
+        "command": f"run {name}" if args.command == "run" else name,
+        "config_path": os.path.abspath(args.config) if args.config else None,
+        "resolved_spec": resolved,
+        "seed": resolved["seed"],
+        "tool_version": __version__,
+        "started_at": started,
+        "finished_at": _now(),
+        **extra,
+    }
+    fd, tmp = tempfile.mkstemp(prefix=".manifest", dir=args.out)
+    with os.fdopen(fd, "w", encoding="utf-8") as fh:
+        json.dump(manifest, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    os.replace(tmp, os.path.join(args.out, f"{name}_manifest.json"))
+    return csv_path
+
+
 def _cmd_delta_opt(args) -> int:
     config = _load_json(args.config)
-    for field in ("prior", "denoiser", "sigma"):
-        if field not in config:
-            print(f"config error: missing required field {field!r}", file=sys.stderr)
-            return 1
     seed = _resolve_seed(args.seed, config)
     started = _now()
-    try:
+    with _reading("delta-opt config"):
         prior = GmmPrior.from_config(config["prior"])
         sigma = float(config["sigma"])
+        if not sigma > 0:
+            raise ValueError("'sigma' must be positive")
         samples = int(config.get("samples", 100000))
-        denoiser = denoiser_from_config(config["denoiser"], prior=prior, sigma=sigma)
         _check_samples(samples, prior.dim)
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
-    if not sigma > 0:
-        raise ConfigError("'sigma' must be positive")
+        denoiser = denoiser_from_config(config["denoiser"], prior=prior, sigma=sigma)
+    if not _prepare_out_dir(args.out):
+        return 1
     try:
         report = verify_sandwich(denoiser, prior, sigma, samples, seed)
     except DegenerateDenoiserError as exc:
@@ -123,11 +142,6 @@ def _cmd_delta_opt(args) -> int:
         f"l2_mmse = {report.l2_mmse.value!r}  l2_scaled = {report.l2_scaled.value!r}  "
         f"l2_base = {report.l2_base.value!r}"
     )
-    try:
-        _prepare_out_dir(args.out)
-    except OSError as exc:
-        print(f"output error: {exc}", file=sys.stderr)
-        return 1
     record = ExperimentRecord(
         "delta-opt",
         key=0.0,
@@ -140,57 +154,24 @@ def _cmd_delta_opt(args) -> int:
             "sandwich_pass": float(report.passed),
         },
     )
-    write_records_csv(os.path.join(args.out, "delta-opt.csv"), [record], seed)
-    _write_manifest(
-        args.out,
-        "delta-opt",
-        {
-            "command": "delta-opt",
-            "config_path": os.path.abspath(args.config),
-            "resolved_spec": {**config, "samples": samples, "seed": seed},
-            "seed": seed,
-            "tool_version": __version__,
-            "started_at": started,
-            "finished_at": _now(),
-        },
-    )
+    resolved = {**config, "samples": samples, "seed": seed}
+    _write_artifacts(args, "delta-opt", [record], resolved, started)
     return 0
 
 
 def _cmd_run(args) -> int:
-    try:
-        config = _load_json(args.config) if args.config else {}
-        seed = _resolve_seed(args.seed, config)
-        config["seed"] = seed
-        resolved = resolve_config(args.experiment, config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        _prepare_out_dir(args.out)
-    except OSError as exc:
-        print(f"output error: {exc}", file=sys.stderr)
+    config = _load_json(args.config) if args.config else {}
+    config["seed"] = _resolve_seed(args.seed, config)
+    resolved = resolve_config(args.experiment, config)
+    if not _prepare_out_dir(args.out):
         return 1
     started = _now()
     t0 = time.perf_counter()
     resolved, records = run_experiment(args.experiment, resolved, workers=args.workers)
     total_ms = (time.perf_counter() - t0) * 1e3
-    csv_path = os.path.join(args.out, f"{args.experiment}.csv")
-    write_records_csv(csv_path, records, seed)
     write_plots(args.experiment, records, args.out)
-    _write_manifest(
-        args.out,
-        args.experiment,
-        {
-            "command": f"run {args.experiment}",
-            "config_path": os.path.abspath(args.config) if args.config else None,
-            "resolved_spec": resolved,
-            "seed": seed,
-            "tool_version": __version__,
-            "started_at": started,
-            "finished_at": _now(),
-            "total_runtime_ms": total_ms,
-        },
+    csv_path = _write_artifacts(
+        args, args.experiment, records, resolved, started, total_runtime_ms=total_ms
     )
     print(f"wrote {csv_path}")
     return 0
@@ -308,13 +289,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if getattr(args, "command", None) == "run" and args.experiment not in EXPERIMENT_NAMES:
-        print(
-            f"unknown experiment {args.experiment!r}; valid names: "
-            f"{', '.join(EXPERIMENT_NAMES)}",
-            file=sys.stderr,
-        )
-        return 1
     try:
         return args.func(args)
     except ConfigError as exc:

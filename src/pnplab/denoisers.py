@@ -275,7 +275,8 @@ def denoiser_from_config(config: dict, prior: GmmPrior | None = None, sigma: flo
     ``exact_mmse`` takes the data noise level ``sigma`` from context;
     ``mismatched_mmse`` reads its own ``sigma_train``. ``shrinkage`` needs
     ``alpha`` (and ``dim`` unless a prior provides it); ``affine`` needs
-    ``matrix`` and ``offset``.
+    ``matrix`` and ``offset``. Given a prior, a denoiser of another dim is
+    rejected.
     """
     kind = config.get("kind")
     if kind == "exact_mmse":
@@ -294,16 +295,20 @@ def denoiser_from_config(config: dict, prior: GmmPrior | None = None, sigma: flo
         dim = config.get("dim", prior.dim if prior is not None else None)
         if dim is None:
             raise ValueError("shrinkage requires a dim (explicit or via prior)")
-        return ShrinkageDenoiser(config["alpha"], dim)
-    if kind == "affine":
+        denoiser = ShrinkageDenoiser(config["alpha"], dim)
+    elif kind == "affine":
         for key in ("matrix", "offset"):
             if key not in config:
                 raise ValueError(f"denoiser config missing required field {key!r}")
-        return AffineDenoiser(config["matrix"], config["offset"])
-    raise ValueError(
-        f"unknown denoiser kind {kind!r}; expected one of exact_mmse, "
-        "mismatched_mmse, shrinkage, affine"
-    )
+        denoiser = AffineDenoiser(config["matrix"], config["offset"])
+    else:
+        raise ValueError(
+            f"unknown denoiser kind {kind!r}; expected one of exact_mmse, "
+            "mismatched_mmse, shrinkage, affine"
+        )
+    if prior is not None and denoiser.dim != prior.dim:
+        raise ValueError(f"denoiser has dim {denoiser.dim}, but the prior has dim {prior.dim}")
+    return denoiser
 
 
 def scaling_from_config(base: Denoiser, config: dict) -> ScaledDenoiser:

@@ -20,6 +20,7 @@ import copy
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -49,9 +50,6 @@ __all__ = [
     "write_records_csv",
     "write_plots",
 ]
-
-EXPERIMENT_NAMES = ("delta-sweep", "stability", "conv-reg", "lipschitz")
-
 
 class ConfigError(ValueError):
     """A config is malformed or missing a required field."""
@@ -95,49 +93,6 @@ def _log_grid(start: float, stop: float, points: int) -> list[float]:
     return [float(v) for v in np.geomspace(start, stop, points)]
 
 
-_DEFAULTS: dict[str, dict] = {
-    "delta-sweep": {
-        "prior": _multimodal_prior_config(8),
-        "sigma": 0.1,
-        "mismatch_ratios": [1.0, 1.5, 2.0, 3.0],
-        "delta_grid": _log_grid(0.7, 20.0, 33),
-        "samples": 20000,
-        "seed": 0,
-    },
-    "stability": {
-        "prior": _single_prior_config(64),
-        "operator": {"kind": "mask", "dim": 64, "mask_fraction": 0.2, "seed": 0},
-        "denoiser": {"kind": "exact_mmse"},
-        "mode": "tweedie",
-        "gamma_rescale": False,
-        "delta": 1.09,
-        "contract_eps": 1e-3,
-        "sigma": 0.1,
-        "k_grid": [1, 2, 4, 8, 16, 32, 64, 128, 256],
-        "solver": {"tau": 1.0, "max_iters": 20000, "tol": 1e-11},
-        "seed": 0,
-    },
-    "conv-reg": {
-        "prior": _multimodal_prior_config(64),
-        "operator": {"kind": "mask", "dim": 64, "mask_fraction": 0.2, "seed": 0},
-        "denoiser": {"kind": "exact_mmse"},
-        "mode": "tweedie",
-        "gamma_rescale": True,
-        "sigma": 0.1,
-        "delta_grid": _log_grid(1.0, 1000.0, 32),
-        "resample_noise_per_delta": False,
-        "solver": {"tau": 1.0, "max_iters": 300, "tol": 1e-9},
-        "seed": 0,
-    },
-    "lipschitz": {
-        "prior": _single_prior_config(4),
-        "sigma_grid": [0.01, 0.03, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3],
-        "cloud_size": 128,
-        "seed": 0,
-    },
-}
-
-
 def resolve_config(name: str, config: dict | None = None) -> dict:
     """Fill defaults for the named experiment; unknown keys are rejected."""
     if name not in EXPERIMENT_NAMES:
@@ -146,17 +101,14 @@ def resolve_config(name: str, config: dict | None = None) -> dict:
         )
     if config is not None and not isinstance(config, dict):
         raise ConfigError(f"config must be a mapping of fields, got {type(config).__name__}")
-    resolved = copy.deepcopy(_DEFAULTS[name])
+    resolved = copy.deepcopy(_PROTOCOLS[name].defaults)
     config = config or {}
     for key, value in config.items():
         if key not in resolved:
             raise ConfigError(f"unknown config field {key!r} for experiment {name!r}")
-        if isinstance(resolved[key], dict) and isinstance(value, dict) and key == "solver":
-            merged = dict(resolved[key])
-            merged.update(value)
-            resolved[key] = merged
-        else:
-            resolved[key] = value
+        if key == "solver" and isinstance(value, dict):
+            value = {**resolved[key], **value}
+        resolved[key] = value
     return resolved
 
 
@@ -170,18 +122,8 @@ def _reading(what: str):
     try:
         yield
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad {what}: {exc}") from exc
-
-
-def _solver_config(resolved: dict) -> PnpConfig:
-    s = resolved["solver"]
-    with _reading("solver config"):
-        return PnpConfig(
-            tau=s["tau"],
-            max_iters=s.get("max_iters", 300),
-            tol=s.get("tol", 1e-9),
-            record_history=s.get("record_history", False),
-        )
+        detail = f"missing field {exc}" if isinstance(exc, KeyError) else exc
+        raise ConfigError(f"bad {what}: {detail}") from exc
 
 
 def _build_prior(resolved: dict) -> GmmPrior:
@@ -190,14 +132,22 @@ def _build_prior(resolved: dict) -> GmmPrior:
 
 
 def _build_solve(resolved: dict, sigma: float, delta) -> tuple:
-    """Prior, operator and scaled denoiser of a solve protocol, dims cross-checked.
+    """Prior, operator, scaled denoiser and solver config of a solve protocol.
 
     ``delta`` is one scale or one per grid point; everything the batched
     solve needs is validated here, before it starts.
     """
     prior = _build_prior(resolved)
     with _reading("solve config"):
-        op = operator_from_config(resolved["operator"])
+        spec = resolved["operator"]
+        # A declared dim sizes the operator's arrays, so it is compared first;
+        # an operator given as an array (a mask or a matrix) declares none.
+        op_dim = spec.get("dim", prior.dim)
+        if op_dim == prior.dim:
+            op = operator_from_config(spec)
+            op_dim = op.in_dim
+        if op_dim != prior.dim:
+            raise ValueError(f"prior has dim {prior.dim}, but the operator acts on dim {op_dim}")
         base = denoiser_from_config(resolved["denoiser"], prior=prior, sigma=sigma)
         eps = float(resolved.get("contract_eps", 0.0))
         if eps > 0.0:
@@ -205,10 +155,7 @@ def _build_solve(resolved: dict, sigma: float, delta) -> tuple:
         scaled = ScaledDenoiser(
             base, delta, mode=resolved["mode"], gamma_rescale=bool(resolved["gamma_rescale"])
         )
-    for what, dim in (("prior", prior.dim), ("denoiser", scaled.dim)):
-        if dim != op.in_dim:
-            raise ConfigError(f"{what} has dim {dim}, but the operator acts on dim {op.in_dim}")
-    return prior, op, scaled, _solver_config(resolved)
+        return prior, op, scaled, PnpConfig(**resolved["solver"])
 
 
 # -- protocols ---------------------------------------------------------------
@@ -227,15 +174,13 @@ def run_delta_sweep_experiment(config: dict | None = None, workers: int = 1):
     prior = _build_prior(resolved)
     with _reading("delta-sweep config"):
         sigma = float(resolved["sigma"])
-        ratios = [float(r) for r in resolved["mismatch_ratios"]]
-        grid = _scale_grid(resolved["delta_grid"])
+        ratios = _scale_grid(resolved["mismatch_ratios"], "mismatch_ratios")
+        grid = _scale_grid(resolved["delta_grid"], "delta_grid")
         samples = int(resolved["samples"])
         _check_samples(samples, prior.dim)
         seed = int(resolved["seed"])
         clean, noisy = prior.sample_pairs(sigma, samples, seed)
         denoisers = [MmseDenoiser(prior, ratio * sigma) for ratio in ratios]
-    if not ratios:
-        raise ConfigError("mismatch_ratios must be nonempty")
 
     records: list[ExperimentRecord] = []
     ordered = []
@@ -285,9 +230,7 @@ def run_stability(config: dict | None = None, workers: int = 1):
         sigma = float(resolved["sigma"])
         delta = float(resolved["delta"])
         seed = int(resolved["seed"])
-        k_grid = np.array([float(k) for k in resolved["k_grid"]])
-    if not (k_grid.size and np.all(k_grid > 0)):
-        raise ConfigError("k_grid must be a nonempty list of positive numbers")
+        k_grid = _scale_grid(resolved["k_grid"], "k_grid")
     prior, op, scaled, cfg = _build_solve(resolved, sigma, delta)
     with _reading("stability config"):
         clean, _ = prior.sample_pairs(sigma, 1, seed)
@@ -320,12 +263,10 @@ def run_conv_reg(config: dict | None = None, workers: int = 1):
     resolved = resolve_config("conv-reg", config)
     with _reading("conv-reg config"):
         sigma = float(resolved["sigma"])
-        grid = np.array([float(d) for d in resolved["delta_grid"]])
+        grid = _scale_grid(resolved["delta_grid"], "delta_grid")
         seed = int(resolved["seed"])
     if sigma < 0:
         raise ConfigError("sigma must be nonnegative")
-    if not grid.size:
-        raise ConfigError("delta_grid must be nonempty")
     prior, op, scaled, cfg = _build_solve(resolved, max(sigma, 1e-12), grid)
 
     clean, _ = prior.sample_pairs(max(sigma, 1e-12), 1, seed)
@@ -376,14 +317,12 @@ def run_lipschitz_table(config: dict | None = None, workers: int = 1):
     resolved = resolve_config("lipschitz", config)
     prior = _build_prior(resolved)
     with _reading("lipschitz config"):
-        sigma_grid = [float(s) for s in resolved["sigma_grid"]]
+        sigma_grid = _scale_grid(resolved["sigma_grid"], "sigma_grid")
         cloud_size = int(resolved["cloud_size"])
         seed = int(resolved["seed"])
         denoisers = [MmseDenoiser(prior, sigma) for sigma in sigma_grid]
-    if not sigma_grid or not 2 <= cloud_size <= _MAX_CLOUD_SIZE:
-        raise ConfigError(
-            f"sigma_grid must be nonempty and cloud_size between 2 and {_MAX_CLOUD_SIZE}"
-        )
+    if not 2 <= cloud_size <= _MAX_CLOUD_SIZE:
+        raise ConfigError(f"cloud_size must lie between 2 and {_MAX_CLOUD_SIZE}")
 
     records = []
     for index, (sigma, denoiser) in enumerate(zip(sigma_grid, denoisers)):
@@ -399,21 +338,84 @@ def run_lipschitz_table(config: dict | None = None, workers: int = 1):
     return resolved, records
 
 
-_RUNNERS = {
-    "delta-sweep": run_delta_sweep_experiment,
-    "stability": run_stability,
-    "conv-reg": run_conv_reg,
-    "lipschitz": run_lipschitz_table,
+class _Protocol(NamedTuple):
+    """How a protocol runs, what its config defaults to, and how its plots are drawn."""
+
+    runner: Callable
+    xlabel: str
+    log_x: bool
+    defaults: dict
+
+
+_PROTOCOLS = {
+    "delta-sweep": _Protocol(
+        run_delta_sweep_experiment,
+        "scale delta",
+        True,
+        {
+            "prior": _multimodal_prior_config(8),
+            "sigma": 0.1,
+            "mismatch_ratios": [1.0, 1.5, 2.0, 3.0],
+            "delta_grid": _log_grid(0.7, 20.0, 33),
+            "samples": 20000,
+            "seed": 0,
+        },
+    ),
+    "stability": _Protocol(
+        run_stability,
+        "perturbation index k",
+        True,
+        {
+            "prior": _single_prior_config(64),
+            "operator": {"kind": "mask", "dim": 64, "mask_fraction": 0.2, "seed": 0},
+            "denoiser": {"kind": "exact_mmse"},
+            "mode": "tweedie",
+            "gamma_rescale": False,
+            "delta": 1.09,
+            "contract_eps": 1e-3,
+            "sigma": 0.1,
+            "k_grid": [1, 2, 4, 8, 16, 32, 64, 128, 256],
+            "solver": {"tau": 1.0, "max_iters": 20000, "tol": 1e-11},
+            "seed": 0,
+        },
+    ),
+    "conv-reg": _Protocol(
+        run_conv_reg,
+        "scale delta",
+        True,
+        {
+            "prior": _multimodal_prior_config(64),
+            "operator": {"kind": "mask", "dim": 64, "mask_fraction": 0.2, "seed": 0},
+            "denoiser": {"kind": "exact_mmse"},
+            "mode": "tweedie",
+            "gamma_rescale": True,
+            "sigma": 0.1,
+            "delta_grid": _log_grid(1.0, 1000.0, 32),
+            "resample_noise_per_delta": False,
+            "solver": {"tau": 1.0, "max_iters": 300, "tol": 1e-9},
+            "seed": 0,
+        },
+    ),
+    "lipschitz": _Protocol(
+        run_lipschitz_table,
+        "noise level sigma",
+        False,
+        {
+            "prior": _single_prior_config(4),
+            "sigma_grid": [0.01, 0.03, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3],
+            "cloud_size": 128,
+            "seed": 0,
+        },
+    ),
 }
+
+EXPERIMENT_NAMES = tuple(_PROTOCOLS)
 
 
 def run_experiment(name: str, config: dict | None = None, workers: int = 1):
     """Dispatch to the named protocol; returns (resolved config, records)."""
-    if name not in _RUNNERS:
-        raise ConfigError(
-            f"unknown experiment {name!r}; valid names: {', '.join(EXPERIMENT_NAMES)}"
-        )
-    return _RUNNERS[name](config, workers=workers)
+    resolved = resolve_config(name, config)
+    return _PROTOCOLS[name].runner(resolved, workers=workers)
 
 
 # -- artifacts ---------------------------------------------------------------
@@ -443,19 +445,18 @@ def write_records_csv(path, records: list[ExperimentRecord], seed: int) -> None:
         fh.write("\n".join(rows) + "\n")
 
 
-_PLOT_AXES = {
-    "delta-sweep": ("scale delta", True),
-    "stability": ("perturbation index k", True),
-    "conv-reg": ("scale delta", True),
-    "lipschitz": ("noise level sigma", False),
-}
-
-
 def write_plots(name: str, records: list[ExperimentRecord], out_dir) -> list[str]:
-    """One SVG line plot per metric; bracketed metric suffixes become series."""
-    xlabel, log_x = _PLOT_AXES[name]
+    """One SVG line plot per metric; bracketed metric suffixes become series.
+
+    A record a log-x axis cannot place (a key of zero or below) is left out,
+    so a metric with no other point, such as delta-sweep's scalar
+    ``quality_ordering_strict``, gets no plot; the CSV holds every record.
+    """
+    protocol = _PROTOCOLS[name]
     grouped: dict[str, dict[str, tuple[list[float], list[float]]]] = {}
     for rec in sorted(records, key=lambda r: r.key):
+        if protocol.log_x and not rec.key > 0:
+            continue
         for metric, value in rec.metrics.items():
             if "[" in metric:
                 base, label = metric[:-1].split("[", 1)
@@ -473,9 +474,9 @@ def write_plots(name: str, records: list[ExperimentRecord], out_dir) -> list[str
             out,
             series,
             title=f"{name}: {base}",
-            xlabel=xlabel,
+            xlabel=protocol.xlabel,
             ylabel=base,
-            log_x=log_x,
+            log_x=protocol.log_x,
             log_y=log_y,
         )
         paths.append(out)

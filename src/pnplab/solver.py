@@ -15,6 +15,7 @@ have stopped on it.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,6 +75,8 @@ class PnpConfig:
             raise ValueError("tau must be positive")
         if self.tol <= 0:
             raise ValueError("tol must be positive")
+        if not isinstance(self.max_iters, numbers.Integral):
+            raise TypeError(f"max_iters must be an integer, got {self.max_iters!r}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
 

@@ -1,4 +1,7 @@
+import importlib.util
 import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -61,6 +64,32 @@ class TestDeltaOpt:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("config error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "denoiser",
+        [
+            {"kind": "shrinkage", "alpha": 0.5, "dim": 5},
+            {"kind": "affine", "matrix": [[0.5, 0.0], [0.0, 0.5]], "offset": [0.0, 0.0]},
+        ],
+        ids=["shrinkage", "affine"],
+    )
+    def test_denoiser_dim_differs_from_prior_dim(self, tmp_path, capsys, denoiser):
+        path = _delta_opt_config(tmp_path, denoiser)
+        code = cli.main(["delta-opt", "--config", path, "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert "prior has dim 4" in err
+
+    def test_unwritable_out_dir_exits_one_before_compute(self, tmp_path, capsys):
+        path = _delta_opt_config(tmp_path, {"kind": "exact_mmse"})
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a file, not a directory")
+        code = cli.main(["delta-opt", "--config", path, "--out", str(blocker / "sub")])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("output error: ")
 
     def test_malformed_json_diagnosed_with_position(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -261,11 +290,27 @@ class TestConfigErrorsAtTheBoundary:
             ("lipschitz", {"cloud_size": 1}, "cloud_size"),
             ("delta-sweep", {"samples": 10**8}, "exceeds the cap"),
             ("lipschitz", {"cloud_size": 10**6}, "cloud_size"),
+            ("stability", {"solver": {"max_iters": 1e3}}, "max_iters"),
+            ("conv-reg", {"solver": {"max_iter": 3}}, "max_iter"),
+            (
+                "conv-reg",
+                {"operator": {"kind": "mask", "dim": 10**12, "mask_fraction": 0.2}},
+                "dim 1000000000000",
+            ),
+            (
+                "conv-reg",
+                {"operator": {"kind": "conv1d", "dim": 10**12, "kernel": [0.5, 0.5]}},
+                "dim 1000000000000",
+            ),
         ],
     )
     def test_malformed_field_values(self, tmp_path, capsys, experiment, config, needle):
         err = self._run(tmp_path, capsys, config=config, experiment=experiment)
         assert needle in err
+
+    def test_unknown_experiment(self, tmp_path, capsys):
+        err = self._run(tmp_path, capsys, experiment="sharpen")
+        assert "unknown experiment 'sharpen'; valid names: delta-sweep" in err
 
     def test_internal_errors_are_not_reported_as_config_errors(self, tmp_path, monkeypatch):
         import pnplab.experiments
@@ -276,6 +321,27 @@ class TestConfigErrorsAtTheBoundary:
         monkeypatch.setattr(pnplab.experiments, "pnp_pgd_batch", broken)
         with pytest.raises(ValueError, match="internal failure"):
             cli.main(["run", "conv-reg", "--out", str(tmp_path / "out")])
+
+
+def _benchmark_workloads():
+    """The benchmark's workload table and output check, loaded from ``perfbench/workloads.py``."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up while the class is built
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("workload", ["solve-short", "solve-long", "mc-sweep"])
+def test_default_runs_match_the_benchmark_references(tmp_path, capsys, workload):
+    """The benchmark's own invocation and rule: same rows, flags exact, values within 1e-6."""
+    workloads = _benchmark_workloads()
+    w = workloads.WORKLOADS[workload]
+    argv = workloads.command(w, workloads.REFERENCE_SEED, str(tmp_path), None)
+    assert cli.main(argv) == 0
+    csv_bytes = (tmp_path / w.csv_name).read_bytes()
+    assert workloads.check_output(w, workloads.REFERENCE_SEED, capsys.readouterr().out, csv_bytes) is None
 
 
 class TestSelftest:

@@ -396,6 +396,14 @@ class TestArtifacts:
             assert open(path, "rb").read() == blob
         assert all(open(p, "rb").read().startswith(b"<svg") for p in first)
 
+    def test_every_default_delta_sweep_plot_draws_a_line(self, tmp_path):
+        """The ordering flag sits at key 0, which a log axis cannot place: it gets no plot."""
+        _, records = run_delta_sweep_experiment()
+        paths = write_plots("delta-sweep", records, tmp_path)
+        assert paths
+        for path in paths:
+            assert "<polyline" in open(path, encoding="utf-8").read()
+
     def test_run_experiment_dispatch(self):
         with pytest.raises(ConfigError, match="valid names"):
             run_experiment("unknown", {})
