@@ -2,7 +2,7 @@
 
 Subcommands: ``delta-opt`` (optimal-scale estimate plus the sandwich check),
 ``run <experiment>`` (CSV/SVG artifacts plus a manifest), and ``selftest``
-(fast oracle suite). Exit codes: 0 success, 1 config or I/O error,
+(fast oracle suite). Exit codes: 0 success, 1 usage, config or I/O error,
 2 degenerate denoiser, 3 selftest failure.
 """
 
@@ -24,6 +24,7 @@ from .denoisers import AffineDenoiser, denoiser_from_config, tweedie_scale
 from .experiments import (
     ConfigError,
     ExperimentRecord,
+    _check_fields,
     _reading,
     resolve_config,
     run_experiment,
@@ -109,14 +110,19 @@ def _write_artifacts(args, name: str, records, resolved: dict, started: str, **e
     }
     fd, tmp = tempfile.mkstemp(prefix=".manifest", dir=args.out)
     with os.fdopen(fd, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+        # Compact, because json.dumps then runs the C encoder; indent= would not.
+        fh.write(json.dumps(manifest, sort_keys=True))
         fh.write("\n")
     os.replace(tmp, os.path.join(args.out, f"{name}_manifest.json"))
     return csv_path
 
 
+_DELTA_OPT_FIELDS = ("prior", "denoiser", "sigma", "samples", "seed")
+
+
 def _cmd_delta_opt(args) -> int:
     config = _load_json(args.config)
+    _check_fields(config, _DELTA_OPT_FIELDS, "delta-opt")
     seed = _resolve_seed(args.seed, config)
     started = _now()
     with _reading("delta-opt config"):
@@ -258,8 +264,18 @@ def _cmd_selftest(_args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error in one line and exit 1, since exit 2 means a degenerate denoiser.
+
+    Subparsers are built from the parser's own class, so they inherit this.
+    """
+
+    def error(self, message):
+        self.exit(1, f"usage error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pnplab",
         description="Scaled plug-and-play denoising experiments with closed-form oracles.",
     )

@@ -93,6 +93,13 @@ def _log_grid(start: float, stop: float, points: int) -> list[float]:
     return [float(v) for v in np.geomspace(start, stop, points)]
 
 
+def _check_fields(config: dict, known, reader: str) -> None:
+    """Reject the first field of ``config`` not in ``known``; ``reader`` names who reads it."""
+    for key in config:
+        if key not in known:
+            raise ConfigError(f"unknown config field {key!r} for {reader}")
+
+
 def resolve_config(name: str, config: dict | None = None) -> dict:
     """Fill defaults for the named experiment; unknown keys are rejected."""
     if name not in EXPERIMENT_NAMES:
@@ -103,9 +110,8 @@ def resolve_config(name: str, config: dict | None = None) -> dict:
         raise ConfigError(f"config must be a mapping of fields, got {type(config).__name__}")
     resolved = copy.deepcopy(_PROTOCOLS[name].defaults)
     config = config or {}
+    _check_fields(config, resolved, f"experiment {name!r}")
     for key, value in config.items():
-        if key not in resolved:
-            raise ConfigError(f"unknown config field {key!r} for experiment {name!r}")
         if key == "solver" and isinstance(value, dict):
             value = {**resolved[key], **value}
         resolved[key] = value

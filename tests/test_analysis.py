@@ -7,6 +7,7 @@ import pnplab.analysis
 from pnplab.analysis import (
     DegenerateDenoiserError,
     ResidualMoments,
+    _delta_opt_of,
     _l2_on_samples,
     delta_sweep,
     estimate_delta_opt,
@@ -291,6 +292,67 @@ class TestResidualMoments:
             near = _l2_on_samples(tweedie_scale(d, factor * best), clean, noisy, 3).value
             assert at_best < near
 
+    DELTAS = [0.2, 0.5, 0.9, 1.0, 1.1, 2.0, 5.0, 20.0, 50.0]
+    BASES = pytest.mark.parametrize(
+        "make",
+        [
+            lambda p, s: MmseDenoiser(p, s),
+            lambda p, s: MmseDenoiser(p, 3 * s),
+            lambda p, s: ShrinkageDenoiser(0.5, p.dim),
+        ],
+        ids=["exact-mmse", "mismatched-mmse", "shrinkage"],
+    )
+
+    @staticmethod
+    def _tight_pass(make):
+        """A pass over a two-component prior of variance 1e-6 at sigma 0.1.
+
+        The exact MMSE denoiser's error there is far below the noise, which is
+        where a closed form in the noise basis loses relative accuracy.
+        """
+        prior = GmmPrior([0.4, 0.6], [[-1.0, 0.5, 0.0], [1.0, -0.5, 2.0]], [1e-6, 1e-6])
+        sigma, m, seed = 0.1, 4000, 21
+        d = make(prior, sigma)
+        clean, noisy = prior.sample_pairs(sigma, m, seed)
+        return d, clean, noisy, ResidualMoments.from_samples(d, clean, noisy, seed)
+
+    @BASES
+    def test_closed_form_losses_match_per_sample_evaluation(self, make):
+        d, clean, noisy, moments = self._tight_pass(make)
+        sweep = moments.sweep(self.DELTAS)
+        for i, delta in enumerate(self.DELTAS):
+            want = _l2_on_samples(tweedie_scale(d, delta), clean, noisy, moments.seed)
+            got = moments.l2(delta)
+            assert sweep[i] == (delta, got)
+            assert abs(got.value - want.value) <= 1e-12 * want.value
+            assert abs(got.stderr - want.stderr) <= 1e-12 * want.stderr
+
+    @pytest.mark.skipif(
+        np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
+        reason="the oracle needs a long double wider than float64",
+    )
+    @BASES
+    def test_closed_form_delta_opt_matches_per_sample_oracle(self, make):
+        # The per-sample noise-basis oracle cancels to 6e-12 in float64 on the
+        # near-perfect case, so it runs in extended precision.
+        d, clean, noisy, moments = self._tight_pass(make)
+        out, y, x = (v.astype(np.longdouble) for v in (d(noisy), noisy, clean))
+        rr = np.sum((out - y) ** 2, axis=1)
+        er = np.sum((y - x) * (out - y), axis=1)
+        got, want = moments.delta_opt(), _delta_opt_of(rr, er, moments.seed)
+        for name in ("numerator", "denominator", "delta_opt_sq", "stderr_delta_opt_sq"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert abs(a - b) <= 1e-12 * abs(b), name
+
+    def test_a_denoiser_returning_its_input_leaves_the_samples_alone(self):
+        prior = _single_gaussian(4)
+        clean, noisy = prior.sample_pairs(0.1, 10, 0)
+        kept = noisy.copy()
+        moments = ResidualMoments.from_samples(lambda y: y, clean, noisy, 0)
+        np.testing.assert_array_equal(noisy, kept)
+        assert np.all(moments.rr == 0.0)
+        np.testing.assert_allclose(moments.aa, np.sum((noisy - clean) ** 2, axis=1), rtol=1e-15)
+
     def test_invalid_grid_and_sample_count_rejected(self):
         prior = _single_gaussian(4)
         clean, noisy = prior.sample_pairs(0.1, 10, 0)
@@ -322,7 +384,7 @@ class TestRowBlocks:
         blocked = ResidualMoments.from_samples(counted, clean, noisy, m)
         assert calls == [min(self.BLOCK_ROWS, m - s) for s in range(0, m, self.BLOCK_ROWS)]
         blocked_l2 = _l2_on_samples(counted, clean, noisy, m)
-        for name in ("ee", "er", "rr"):
+        for name in ("aa", "ar", "rr"):
             want = getattr(whole, name)
             np.testing.assert_allclose(getattr(blocked, name), want, rtol=1e-12, atol=0)
         assert abs(blocked_l2.value - whole_l2.value) <= 1e-12 * whole_l2.value

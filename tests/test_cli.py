@@ -91,6 +91,23 @@ class TestDeltaOpt:
         assert captured.out == ""
         assert captured.err.startswith("output error: ")
 
+    def test_misspelt_field_exits_one_before_sampling(self, tmp_path, capsys, monkeypatch):
+        path = _delta_opt_config(tmp_path, {"kind": "exact_mmse"})
+        config = json.loads(open(path).read())
+        config["sample"] = 50
+        open(path, "w").write(json.dumps(config))
+
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before the field check")
+
+        monkeypatch.setattr(GmmPrior, "sample_pairs", no_sampling)
+        code = cli.main(["delta-opt", "--config", path, "--out", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == "config error: unknown config field 'sample' for delta-opt\n"
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
     def test_malformed_json_diagnosed_with_position(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text('{"prior": [1,\n  "oops"')
@@ -321,6 +338,34 @@ class TestConfigErrorsAtTheBoundary:
         monkeypatch.setattr(pnplab.experiments, "pnp_pgd_batch", broken)
         with pytest.raises(ValueError, match="internal failure"):
             cli.main(["run", "conv-reg", "--out", str(tmp_path / "out")])
+
+
+class TestUsageErrors:
+    """argparse's usage errors exit 1 with one line; exit 2 means a degenerate denoiser."""
+
+    @pytest.mark.parametrize(
+        "argv, needle",
+        [
+            (["run", "stability", "--seed", "abc"], "invalid int value: 'abc'"),
+            (["run", "stability", "--sharpen"], "unrecognized arguments: --sharpen"),
+            ([], "the following arguments are required: command"),
+        ],
+        ids=["bad-seed", "unknown-flag", "no-subcommand"],
+    )
+    def test_exit_one_with_one_line(self, capsys, argv, needle):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(argv)
+        err = capsys.readouterr().err
+        assert exit_info.value.code == 1
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+        assert needle in err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["run", "--help"], ["--version"]])
+    def test_help_and_version_exit_zero(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(argv)
+        assert exit_info.value.code == 0
+        assert capsys.readouterr().out
 
 
 def _benchmark_workloads():
