@@ -11,10 +11,14 @@ residual, with their means and 3x3 covariance; the loss and standard error
 at every scale, and the optimal scale, are closed forms in those statistics,
 so a whole scale grid costs one pass plus O(1) per scale.
 
-A denoiser pass runs over blocks of rows sized to a fixed element budget, so
-its temporaries stay cache-sized and no full (samples, n) array is built
-beyond the samples themselves; the per-sample arrays still cover every
-sample, and every mean, standard error and ratio is taken over all of them.
+Every estimate runs one block loop, :func:`_one_pass`: it traverses a sample
+set once, in blocks of rows sized to a fixed element budget, and evaluates
+every denoiser of the comparison on each block, so temporaries stay
+cache-sized. Sample sets drawn here come from :meth:`GmmPrior.pair_blocks`,
+so the noisy rows are drawn block by block and never held whole. MMSE
+denoisers over one prior share each block's distances to its components.
+The per-sample arrays still cover every sample, and every mean, standard
+error and ratio is taken over all of them.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import denoisers as _zoo
 from .denoisers import Denoiser, MmseDenoiser
 from .prior import GmmPrior
 
@@ -90,15 +95,23 @@ class SandwichReport:
     passed: bool
 
 
-# Floats per block of a denoiser pass: 256 rows at n = 256, 8192 rows at n = 8.
-_BLOCK_FLOATS = 1 << 16
+# Floats per block of a denoiser pass: 128 rows at n = 256, 4096 rows at n = 8.
+# A pass holds every denoiser's per-sample moments at once, so its block
+# temporaries are kept small enough that its peak memory does not grow.
+_BLOCK_FLOATS = 1 << 15
 
 
-def _row_blocks(rows: int, dim: int):
-    """Consecutive row slices holding about ``_BLOCK_FLOATS`` floats each."""
-    step = max(1, _BLOCK_FLOATS // max(dim, 1))
-    for start in range(0, rows, step):
-        yield slice(start, min(start + step, rows))
+def _block_rows(dim: int) -> int:
+    """Rows of a block holding about ``_BLOCK_FLOATS`` floats."""
+    return max(1, _BLOCK_FLOATS // max(dim, 1))
+
+
+def _array_blocks(clean: np.ndarray, noisy: np.ndarray):
+    """Consecutive ``(rows, clean, noisy)`` blocks of two (m, n) arrays, as ``pair_blocks`` yields them."""
+    step = _block_rows(noisy.shape[1])
+    for start in range(0, len(noisy), step):
+        rows = slice(start, min(start + step, len(noisy)))
+        yield rows, clean[rows], noisy[rows]
 
 
 # Most floats one (samples, n) array may hold; 20000 x 256 is 5.1e6.
@@ -131,19 +144,14 @@ def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _l2_on_samples(denoiser, clean: np.ndarray, noisy: np.ndarray, seed: int) -> L2Estimate:
-    """Loss of ``denoiser`` on (clean, noisy) pairs of shape (m, n), block by block."""
-    sq = np.empty(len(noisy))
-    for rows in _row_blocks(*noisy.shape):
-        diff = np.asarray(denoiser(noisy[rows]), dtype=np.float64) - clean[rows]
-        sq[rows] = _row_dot(diff, diff)
-    return _l2_of(sq, seed)
+    """Loss of ``denoiser`` on (clean, noisy) pairs of shape (m, n), m >= 2."""
+    return _l2_of(ResidualMoments.from_samples(denoiser, clean, noisy, seed).aa, seed)
 
 
 def estimate_l2(denoiser, prior: GmmPrior, sigma: float, samples: int, seed: int) -> L2Estimate:
     """Monte-Carlo squared denoising error ``E |D(x + sigma xi) - x|^2``."""
-    _check_samples(samples, prior.dim)
-    clean, noisy = prior.sample_pairs(sigma, samples, seed)
-    return _l2_on_samples(denoiser, clean, noisy, seed)
+    (moments,) = _moments_on_prior([denoiser], prior, sigma, samples, seed)
+    return _l2_of(moments.aa, seed)
 
 
 def _check_denominator(num, den) -> None:
@@ -235,19 +243,7 @@ class ResidualMoments:
     def from_samples(cls, denoiser, clean, noisy, seed: int) -> "ResidualMoments":
         """One denoiser pass over (clean, noisy) pairs of shape (m, n), m >= 2."""
         _check_samples(len(noisy))
-        aa, ar, rr = (np.empty(len(noisy)) for _ in range(3))
-        for rows in _row_blocks(*noisy.shape):
-            y = noisy[rows]
-            out = np.asarray(denoiser(y), dtype=np.float64)
-            if np.may_share_memory(out, noisy) or np.may_share_memory(out, clean):
-                out = out.copy()  # the residual overwrites it; never the samples
-            error = out - clean[rows]
-            residual = out
-            residual -= y
-            aa[rows] = _row_dot(error, error)
-            ar[rows] = _row_dot(error, residual)
-            rr[rows] = _row_dot(residual, residual)
-        return cls(aa=aa, ar=ar, rr=rr, seed=seed)
+        return _one_pass([denoiser], _array_blocks(clean, noisy), len(noisy), seed)[0]
 
     def _losses(self, deltas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Loss and standard error at each scale, elementwise, so one scale reads the same alone."""
@@ -286,6 +282,49 @@ class ResidualMoments:
         return _delta_opt_estimate(num, den, var / self.aa.size, self.aa.size, self.seed)
 
 
+def _one_pass(denoisers: list, blocks, samples: int, seed: int) -> list[ResidualMoments]:
+    """Traverse ``blocks`` once and return the :class:`ResidualMoments` of each denoiser.
+
+    ``blocks`` yields ``(rows, clean, noisy)`` triples covering ``samples``
+    rows. On each block, the MMSE denoisers over one mixture prior of more
+    than one component share the block's distances to its components, formed
+    once, and their residual is formed in place of their fresh output. Every
+    other denoiser is called on the block, and its output, which may be the
+    block itself or an array the denoiser keeps, is only read.
+    """
+    # The class is looked up on its module, so that rebinding the name
+    # ``analysis.MmseDenoiser`` does not change which denoisers share distances.
+    keys = [
+        id(d.prior) if isinstance(d, _zoo.MmseDenoiser) and d.prior.n_components > 1 else None
+        for d in denoisers
+    ]
+    mixtures = {key: d.prior for key, d in zip(keys, denoisers) if key is not None}
+    stats = np.empty((len(denoisers), 3, samples))
+    for rows, clean, noisy in blocks:
+        dists = {key: prior._half_sq_dists(noisy) for key, prior in mixtures.items()}
+        for d, key, (aa, ar, rr) in zip(denoisers, keys, stats):
+            if key is not None:
+                out = d(noisy, dists[key])
+                error = out - clean
+                residual = out
+                residual -= noisy
+            else:
+                out = np.asarray(d(noisy), dtype=np.float64)
+                error = out - clean
+                residual = out - noisy
+            aa[rows] = _row_dot(error, error)
+            ar[rows] = _row_dot(error, residual)
+            rr[rows] = _row_dot(residual, residual)
+    return [ResidualMoments(aa=aa, ar=ar, rr=rr, seed=seed) for aa, ar, rr in stats]
+
+
+def _moments_on_prior(denoisers: list, prior: GmmPrior, sigma: float, samples: int, seed: int):
+    """:func:`_one_pass` of ``denoisers`` over ``samples`` pairs drawn from ``prior`` at ``sigma``."""
+    _check_samples(samples, prior.dim)
+    blocks = prior.pair_blocks(sigma, samples, seed, _block_rows(prior.dim))
+    return _one_pass(denoisers, blocks, samples, seed)
+
+
 def estimate_delta_opt(
     denoiser, prior: GmmPrior, sigma: float, samples: int, seed: int
 ) -> DeltaOptEstimate:
@@ -295,9 +334,8 @@ def estimate_delta_opt(
     come from the same sample set, and the returned standard error accounts
     for their correlation.
     """
-    _check_samples(samples, prior.dim)
-    clean, noisy = prior.sample_pairs(sigma, samples, seed)
-    return ResidualMoments.from_samples(denoiser, clean, noisy, seed).delta_opt()
+    (moments,) = _moments_on_prior([denoiser], prior, sigma, samples, seed)
+    return moments.delta_opt()
 
 
 def verify_sandwich(
@@ -309,16 +347,23 @@ def verify_sandwich(
     its estimated optimal scale, and the base loss, all on one sample set.
     Passing means both orderings hold within three combined standard errors.
 
-    Two denoiser passes in all: one of the base, whose
+    One pass over the samples runs the base, whose
     :class:`ResidualMoments` give the optimal scale and both base-family
-    losses (the base itself is the family member at ``delta = 1``), and one of
-    the exact posterior mean.
+    losses (the base itself is the family member at ``delta = 1``), and the
+    exact posterior mean. A base with no positive optimal scale (a
+    nonnegative mean noise/residual inner product, as for an expanding map)
+    raises :class:`DegenerateDenoiserError`.
     """
-    _check_samples(samples, prior.dim)
-    clean, noisy = prior.sample_pairs(sigma, samples, seed)
-    moments = ResidualMoments.from_samples(denoiser, clean, noisy, seed)
+    moments, exact = _moments_on_prior(
+        [denoiser, MmseDenoiser(prior, sigma)], prior, sigma, samples, seed
+    )
     opt = moments.delta_opt()
-    l2_mmse = _l2_on_samples(MmseDenoiser(prior, sigma), clean, noisy, seed)
+    if opt.nonnegative_denominator:
+        raise DegenerateDenoiserError(
+            "no positive optimal scale exists: the mean inner product of the noise "
+            f"and the denoiser's residual is {opt.denominator!r}, not negative"
+        )
+    l2_mmse = _l2_of(exact.aa, seed)
     l2_scaled = moments.l2(opt.delta_opt)
     l2_base = moments.l2(1.0)
     se_lower = float(np.hypot(l2_mmse.stderr, l2_scaled.stderr))
@@ -352,6 +397,5 @@ def delta_sweep(
     One denoiser pass serves the whole grid (see :class:`ResidualMoments`);
     the direct evaluation through :func:`tweedie_scale` is its test oracle.
     """
-    _check_samples(samples, prior.dim)
-    clean, noisy = prior.sample_pairs(sigma, samples, seed)
-    return ResidualMoments.from_samples(denoiser, clean, noisy, seed).sweep(delta_grid)
+    (moments,) = _moments_on_prior([denoiser], prior, sigma, samples, seed)
+    return moments.sweep(delta_grid)

@@ -56,7 +56,10 @@ class MmseDenoiser(Denoiser):
 
     The solvers' hot path: the noise-level constants are computed once, and a
     call checks its input once and runs the prior's unchecked score route,
-    bitwise equal to :meth:`GmmPrior.mmse_denoise`.
+    bitwise equal to :meth:`GmmPrior.mmse_denoise`. A Monte-Carlo pass that
+    runs several of these over one prior passes ``half_sq``, the prior's
+    (K, m) half squared distances to the rows of ``y``
+    (``GmmPrior._half_sq_dists``), formed once for all of them.
     """
 
     def __init__(self, prior: GmmPrior, sigma: float):
@@ -68,10 +71,10 @@ class MmseDenoiser(Denoiser):
         self._smoothed = prior._smoothed(self.sigma)
         self._sigma_sq = self.sigma * self.sigma
 
-    def __call__(self, y):
+    def __call__(self, y, half_sq=None):
         y = self._check(y)
         points = y.reshape(-1, self.dim)
-        out = self.prior._score(points, *self._smoothed)
+        out = self.prior._score(points, *self._smoothed, half_sq)
         out *= self._sigma_sq
         out += points
         return out.reshape(y.shape)

@@ -8,10 +8,11 @@ Every run is a pure function of its resolved config. Its prior, operator and
 denoiser are built and cross-checked before any work starts; a bad config
 raises :class:`ConfigError`. The solve protocols run their whole grid as one
 batched fixed-point stack (:func:`~pnplab.solver.pnp_pgd_batch`), and the
-scale sweep derives every grid loss from one denoiser pass per mismatch
-ratio on one shared sample set. The ``workers`` argument is accepted and has
-no effect. Records come out in grid order, so the emitted CSV is
-byte-identical across reruns; its runtime column is pinned to zero.
+scale sweep derives every grid loss from one streamed pass over one shared
+sample set that evaluates every mismatch ratio's denoiser. The ``workers``
+argument is accepted and has no effect. Records come out in grid order, so
+the emitted CSV is byte-identical across reruns; its runtime column is
+pinned to zero.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import svgplot
-from .analysis import ResidualMoments, _check_samples, _scale_grid
+from .analysis import _check_samples, _moments_on_prior, _scale_grid
 from .denoisers import (
     MmseDenoiser,
     OutputShrink,
@@ -173,8 +174,9 @@ def run_delta_sweep_experiment(config: dict | None = None, workers: int = 1):
     One denoiser per mismatch ratio (training noise over data noise), all
     evaluated on one shared sample set. Emits the loss curve per ratio, the
     estimated optimal squared scale per ratio, and a summary flag recording
-    whether those estimates increase strictly with the mismatch. Each ratio
-    costs one denoiser pass (see :class:`~pnplab.analysis.ResidualMoments`).
+    whether those estimates increase strictly with the mismatch. One pass
+    over the samples evaluates every ratio's denoiser (see
+    :class:`~pnplab.analysis.ResidualMoments`).
     """
     resolved = resolve_config("delta-sweep", config)
     prior = _build_prior(resolved)
@@ -185,14 +187,13 @@ def run_delta_sweep_experiment(config: dict | None = None, workers: int = 1):
         samples = int(resolved["samples"])
         _check_samples(samples, prior.dim)
         seed = int(resolved["seed"])
-        clean, noisy = prior.sample_pairs(sigma, samples, seed)
         denoisers = [MmseDenoiser(prior, ratio * sigma) for ratio in ratios]
 
     records: list[ExperimentRecord] = []
     ordered = []
-    for ratio, denoiser in zip(ratios, denoisers):
+    passes = _moments_on_prior(denoisers, prior, sigma, samples, seed)
+    for ratio, moments in zip(ratios, passes):
         label = f"r={ratio:g}"
-        moments = ResidualMoments.from_samples(denoiser, clean, noisy, seed)
         for delta, est in moments.sweep(grid):
             records.append(
                 ExperimentRecord(

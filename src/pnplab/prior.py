@@ -11,8 +11,17 @@ the test suite holds against each other.
 Each public method checks ``sigma`` and its points once, then runs one
 unchecked private route on an (m, n) batch with the per-noise-level
 constants from ``_smoothed``; :class:`~pnplab.denoisers.MmseDenoiser` computes
-those once and calls the route directly. With one component the
-responsibilities are ones, as the softmax gives wherever ``|y|^2`` is finite.
+those once and calls the route directly. Every route builds on one distance
+kernel, ``_half_sq_dists``, the only place ``|y - mu_k|^2`` is formed. It is
+laid out component-major, (K, m), so the softmax reduces over the contiguous
+axis, and it expands the squared distance about the mean of the component
+means, so that it stays accurate for a mixture far from the origin. Callers
+that evaluate several noise levels on the same points pass the distances in
+once. With one component the responsibilities are ones, and the score is the
+Gaussian's ``(mu - y) / t`` with no distance formed.
+
+:meth:`GmmPrior.pair_blocks` draws a (clean, noisy) sample set and hands the
+noisy rows out block by block, so a Monte-Carlo pass never holds them whole.
 """
 
 from __future__ import annotations
@@ -73,12 +82,16 @@ class GmmPrior:
             raise ValueError("variances must be positive, one per component")
         if not (np.all(np.isfinite(w)) and np.all(np.isfinite(mu)) and np.all(np.isfinite(v))):
             raise ValueError("prior parameters must be finite")
+        centre = mu.mean(axis=0)
+        centred = mu - centre
         for name, arr in (
             ("weights", w),
             ("means", mu),
             ("variances", v),
             ("_log_weights", np.log(w)),
-            ("_means_sq", np.sum(mu * mu, axis=1)),
+            ("_centre", centre),
+            ("_centred_means", centred),
+            ("_centred_half_sq", 0.5 * np.sum(centred * centred, axis=1)),
         ):
             arr = arr.copy()
             arr.setflags(write=False)
@@ -111,32 +124,53 @@ class GmmPrior:
         t = self.variances + sigma * sigma
         return t, self._log_weights - 0.5 * self.dim * (_LOG_2PI + np.log(t))
 
-    def _component_logpdf(self, points, t, log_norm) -> np.ndarray:
-        """(m, K) array of ``log w_k + log N(y; mu_k, t_k I)``."""
-        sq = points @ self.means.T
-        sq *= 2.0
-        np.subtract(np.sum(points * points, axis=1)[:, None] + self._means_sq, sq, out=sq)
-        np.maximum(sq, 0.0, out=sq)
-        sq *= 0.5
-        sq /= t
-        return np.subtract(log_norm, sq, out=sq)
+    def _half_sq_dists(self, points) -> np.ndarray:
+        """(K, m) array of ``|y - mu_k|^2 / 2``, clamped at 0.
 
-    def _responsibilities(self, points, t, log_norm) -> np.ndarray:
-        """(m, K) log-space softmax of the component log-terms; ones for one component."""
+        Expanded as ``|y - c|^2 / 2 + |mu_k - c|^2 / 2 - (mu_k - c).(y - c)``
+        about the mean ``c`` of the component means, so that one gemm forms
+        every cross term and the expansion cancels on the scale of the
+        mixture's spread, not of its distance from the origin.
+        """
+        y = points - self._centre
+        half = self._centred_means @ y.T
+        half_y_sq = 0.5 * np.einsum("ij,ij->i", y, y)
+        np.subtract(self._centred_half_sq[:, None] + half_y_sq, half, out=half)
+        return np.maximum(half, 0.0, out=half)
+
+    def _component_logpdf(self, points, t, log_norm, half_sq=None) -> np.ndarray:
+        """(K, m) array of ``log w_k + log N(y; mu_k, t_k I)``; ``half_sq`` as from ``_half_sq_dists``."""
+        if half_sq is None:
+            logs = self._half_sq_dists(points)
+            logs /= t[:, None]
+        else:
+            logs = half_sq / t[:, None]
+        return np.subtract(log_norm[:, None], logs, out=logs)
+
+    def _responsibilities(self, points, t, log_norm, half_sq=None) -> np.ndarray:
+        """(K, m) log-space softmax of the component log-terms; ones for one component."""
         if self.n_components == 1:
-            return np.ones((points.shape[0], 1))
-        r = self._component_logpdf(points, t, log_norm)
-        r -= r.max(axis=1, keepdims=True)
+            return np.ones((1, points.shape[0]))
+        r = self._component_logpdf(points, t, log_norm, half_sq)
+        r -= r.max(axis=0)
         np.exp(r, out=r)
-        r /= r.sum(axis=1, keepdims=True)
+        r /= r.sum(axis=0)
         return r
 
-    def _score(self, points, t, log_norm) -> np.ndarray:
-        """(m, n) gradient of the smoothed log-density."""
-        r = self._responsibilities(points, t, log_norm)
-        r /= t
-        out = r @ self.means
-        out -= points * r.sum(axis=1)[:, None]
+    def _score(self, points, t, log_norm, half_sq=None) -> np.ndarray:
+        """(m, n) gradient of the smoothed log-density.
+
+        ``half_sq``, the (K, m) distances of ``_half_sq_dists``, may be passed
+        in when several noise levels share the points; with one component
+        none are needed.
+        """
+        if self.n_components == 1:
+            inv_t = 1.0 / t[0]
+            return self.means[0] * inv_t - points * inv_t
+        r = self._responsibilities(points, t, log_norm, half_sq)
+        r /= t[:, None]
+        out = r.T @ self.means
+        out -= points * r.sum(axis=0)[:, None]
         return out
 
     def log_density(self, y, sigma: float = 0.0):
@@ -149,8 +183,8 @@ class GmmPrior:
             raise ValueError("sigma must be nonnegative")
         points, single = _as_points(y, self.dim)
         logs = self._component_logpdf(points, *self._smoothed(sigma))
-        top = logs.max(axis=1)
-        out = top + np.log(np.sum(np.exp(logs - top[:, None]), axis=1))
+        top = logs.max(axis=0)
+        out = top + np.log(np.sum(np.exp(logs - top), axis=0))
         return float(out[0]) if single else out
 
     def responsibilities(self, y, sigma: float = 0.0):
@@ -162,7 +196,7 @@ class GmmPrior:
         if sigma < 0:
             raise ValueError("sigma must be nonnegative")
         points, single = _as_points(y, self.dim)
-        r = self._responsibilities(points, *self._smoothed(sigma))
+        r = self._responsibilities(points, *self._smoothed(sigma)).T
         return r[0] if single else r
 
     def score(self, y, sigma: float = 0.0):
@@ -199,27 +233,51 @@ class GmmPrior:
         t, log_norm = self._smoothed(sigma)
         rho = self.variances / t
         r = self._responsibilities(points, t, log_norm)
-        out = (r * (1.0 - rho)[None, :]) @ self.means + points * (r @ rho)[:, None]
+        out = (r * (1.0 - rho)[:, None]).T @ self.means + points * (rho @ r)[:, None]
         return out[0] if single else out
 
     # -- sampling ----------------------------------------------------------
 
-    def sample_pairs(self, sigma: float, count: int, seed: int):
-        """Draw ``count`` (clean, noisy) pairs, noisy = clean + sigma * xi.
+    def pair_blocks(self, sigma: float, count: int, seed, rows: int):
+        """Draw ``count`` (clean, noisy) pairs, noisy = clean + sigma * xi, in blocks of rows.
 
-        Deterministic given ``seed``: same seed, bitwise-identical arrays.
-        Returns two (count, n) arrays.
+        Returns an iterator of ``(rows, clean_block, noisy_block)``: a slice
+        of the sample index and that slice's (clean, noisy) rows, at most
+        ``rows`` of them. The component labels and every clean row are drawn
+        first, then the noisy rows block by block into one reused buffer, so
+        each noisy block is valid only until the next one is drawn. The
+        stream is that of :meth:`sample_pairs` for any ``rows``.
         """
         if sigma <= 0:
             raise ValueError("sigma must be positive")
         if count < 1:
             raise ValueError("count must be >= 1")
+        if rows < 1:
+            raise ValueError("rows must be >= 1")
         rng = np.random.default_rng(seed)
         comps = rng.choice(self.n_components, size=count, p=self.weights)
         clean = rng.standard_normal((count, self.dim))
         clean *= np.sqrt(self.variances[comps])[:, None]
-        clean += self.means[comps]
-        noisy = rng.standard_normal((count, self.dim))
-        noisy *= sigma
-        noisy += clean
+        buffer = np.empty((min(rows, count), self.dim))
+
+        def blocks():
+            for start in range(0, count, rows):
+                index = slice(start, min(start + rows, count))
+                block = clean[index]
+                block += self.means[comps[index]]
+                noisy = buffer[: len(block)]
+                rng.standard_normal(out=noisy)
+                noisy *= sigma
+                noisy += block
+                yield index, block, noisy
+
+        return blocks()
+
+    def sample_pairs(self, sigma: float, count: int, seed):
+        """Draw ``count`` (clean, noisy) pairs, noisy = clean + sigma * xi.
+
+        Deterministic given ``seed``: same seed, bitwise-identical arrays.
+        Returns two (count, n) arrays: :meth:`pair_blocks` in one block.
+        """
+        ((_, clean, noisy),) = self.pair_blocks(sigma, count, seed, count)
         return clean, noisy

@@ -9,12 +9,19 @@ from pnplab.analysis import (
     ResidualMoments,
     _delta_opt_of,
     _l2_on_samples,
+    _moments_on_prior,
     delta_sweep,
     estimate_delta_opt,
     estimate_l2,
     verify_sandwich,
 )
-from pnplab.denoisers import Denoiser, MmseDenoiser, ShrinkageDenoiser, tweedie_scale
+from pnplab.denoisers import (
+    AffineDenoiser,
+    Denoiser,
+    MmseDenoiser,
+    ShrinkageDenoiser,
+    tweedie_scale,
+)
 from pnplab.prior import GmmPrior
 
 
@@ -94,8 +101,6 @@ class TestEstimateDeltaOpt:
             estimate_delta_opt(ShrinkageDenoiser(1.0, 4), prior, 0.1, 1000, 0)
 
     def test_expanding_denoiser_flagged_not_rejected(self):
-        from pnplab.denoisers import AffineDenoiser
-
         prior = _single_gaussian(2)
         inflate = AffineDenoiser(1.5 * np.eye(2), np.zeros(2))
         est = estimate_delta_opt(inflate, prior, 0.1, 5000, 1)
@@ -149,6 +154,7 @@ class TestSandwich:
         for got, want in (
             (rep.l2_scaled, _l2_on_samples(scaled, clean, noisy, seed)),
             (rep.l2_base, _l2_on_samples(base, clean, noisy, seed)),
+            (rep.l2_mmse, _l2_on_samples(MmseDenoiser(prior, sigma), clean, noisy, seed)),
         ):
             assert abs(got.value - want.value) <= 1e-12 * want.value
             assert abs(got.stderr - want.stderr) <= 1e-12 * want.stderr
@@ -180,6 +186,12 @@ class TestSandwich:
         prior = _single_gaussian(4)
         with pytest.raises(DegenerateDenoiserError):
             verify_sandwich(ShrinkageDenoiser(1.0, 4), prior, 0.1, 1000, 0)
+
+    def test_expanding_denoiser_has_no_optimal_scale(self):
+        prior = _single_gaussian(2)
+        inflate = AffineDenoiser(1.5 * np.eye(2), np.zeros(2))
+        with pytest.raises(DegenerateDenoiserError, match="no positive optimal scale"):
+            verify_sandwich(inflate, prior, 0.1, 5000, 1)
 
 
 class TestDeltaSweep:
@@ -353,6 +365,16 @@ class TestResidualMoments:
         assert np.all(moments.rr == 0.0)
         np.testing.assert_allclose(moments.aa, np.sum((noisy - clean) ** 2, axis=1), rtol=1e-15)
 
+    def test_a_denoiser_keeping_its_output_finds_it_unchanged(self):
+        prior = _single_gaussian(4)
+        clean, noisy = prior.sample_pairs(0.1, 10, 0)
+        held = np.full_like(noisy, 0.5)
+        kept = held.copy()
+        moments = ResidualMoments.from_samples(lambda y: held, clean, noisy, 0)
+        estimate_l2(lambda y: held, prior, 0.1, 10, 0)
+        np.testing.assert_array_equal(held, kept)
+        np.testing.assert_allclose(moments.rr, np.sum((held - noisy) ** 2, axis=1), rtol=1e-15)
+
     def test_invalid_grid_and_sample_count_rejected(self):
         prior = _single_gaussian(4)
         clean, noisy = prior.sample_pairs(0.1, 10, 0)
@@ -389,3 +411,45 @@ class TestRowBlocks:
             np.testing.assert_allclose(getattr(blocked, name), want, rtol=1e-12, atol=0)
         assert abs(blocked_l2.value - whole_l2.value) <= 1e-12 * whole_l2.value
         assert abs(blocked_l2.stderr - whole_l2.stderr) <= 1e-12 * whole_l2.stderr
+
+
+class TestOnePass:
+    BLOCK_ROWS = 7
+
+    @pytest.mark.parametrize("samples", [2, 7, 50, 301])
+    def test_multi_denoiser_pass_equals_per_denoiser_passes(self, monkeypatch, samples):
+        prior = _hetero_prior()
+        other = _hetero_prior()  # equal, but not the same object: no shared distances
+        sigma, seed = 0.1, samples
+        rng = np.random.default_rng(1)
+        mmse = [MmseDenoiser(prior, r * sigma) for r in (0.5, 1.0, 3.0)] + [MmseDenoiser(other, sigma)]
+        plain = [
+            ShrinkageDenoiser(0.5, 4),
+            AffineDenoiser(0.3 * rng.standard_normal((4, 4)), rng.standard_normal(4)),
+            tweedie_scale(mmse[0], 2.0),
+            MmseDenoiser(_single_gaussian(4), sigma),
+            lambda y: y,
+        ]
+        monkeypatch.setattr(pnplab.analysis, "_BLOCK_FLOATS", self.BLOCK_ROWS * 4)
+        formed = []
+        half_sq_dists = GmmPrior._half_sq_dists
+
+        def counted(self, points):
+            formed.append(len(points))
+            return half_sq_dists(self, points)
+
+        monkeypatch.setattr(GmmPrior, "_half_sq_dists", counted)
+        passes = _moments_on_prior(mmse + plain, prior, sigma, samples, seed)
+        blocks = [min(self.BLOCK_ROWS, samples - s) for s in range(0, samples, self.BLOCK_ROWS)]
+        # Once per block for each of the two priors, and once inside the scaled wrapper.
+        assert formed == [rows for rows in blocks for _ in range(3)]
+
+        clean, noisy = prior.sample_pairs(sigma, samples, seed)
+        for d, got in zip(mmse + plain, passes):
+            want = ResidualMoments.from_samples(d, clean, noisy, seed)
+            for name in ("aa", "ar", "rr"):
+                a, b = getattr(got, name), getattr(want, name)
+                if isinstance(d, MmseDenoiser):
+                    np.testing.assert_allclose(a, b, rtol=1e-12, atol=0)
+                else:
+                    np.testing.assert_array_equal(a, b)

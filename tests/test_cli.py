@@ -48,6 +48,24 @@ class TestDeltaOpt:
         assert code == 2
         assert "degenerate denoiser" in capsys.readouterr().err
 
+    def test_expanding_denoiser_exits_two_without_writing(self, tmp_path, capsys):
+        config = {
+            "prior": {"weights": [1.0], "means": [[0.0, 0.0]], "variances": [1.0]},
+            "denoiser": {"kind": "affine", "matrix": [[1.5, 0.0], [0.0, 1.5]], "offset": [0.0, 0.0]},
+            "sigma": 0.1,
+            "samples": 5000,
+        }
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        code = cli.main(["delta-opt", "--config", str(path), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("degenerate denoiser: no positive optimal scale")
+        assert captured.err.count("\n") == 1
+        assert not (out / "delta-opt.csv").exists()
+
     def test_missing_sigma_exits_one_naming_field(self, tmp_path, capsys):
         path = _delta_opt_config(tmp_path, {"kind": "exact_mmse"}, drop="sigma")
         code = cli.main(["delta-opt", "--config", path, "--out", str(tmp_path)])
@@ -101,6 +119,7 @@ class TestDeltaOpt:
             raise AssertionError("sampled before the field check")
 
         monkeypatch.setattr(GmmPrior, "sample_pairs", no_sampling)
+        monkeypatch.setattr(GmmPrior, "pair_blocks", no_sampling)
         code = cli.main(["delta-opt", "--config", path, "--out", str(tmp_path / "out")])
         captured = capsys.readouterr()
         assert code == 1

@@ -214,6 +214,109 @@ class TestSampling:
         np.testing.assert_array_equal(noisy, want_noisy)
 
 
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        count=st.integers(1, 300),
+        dim=st.integers(1, 16),
+        rows=st.integers(1, 400),
+        k=st.integers(1, 4),
+        seed=st.integers(0, 2**16),
+    )
+    def test_pair_blocks_concatenate_to_sample_pairs(self, count, dim, rows, k, seed):
+        rng = np.random.default_rng(seed)
+        weights = rng.uniform(0.5, 1.5, k)
+        prior = GmmPrior(weights / weights.sum(), rng.standard_normal((k, dim)), rng.uniform(0.1, 2.0, k))
+        want_clean, want_noisy = prior.sample_pairs(0.3, count, seed)
+        starts, cleans, noisies = [], [], []
+        for index, clean, noisy in prior.pair_blocks(0.3, count, seed, rows):
+            assert 1 <= len(clean) == len(noisy) == index.stop - index.start <= rows
+            starts.append(index.start)
+            cleans.append(clean.copy())
+            noisies.append(noisy.copy())  # the noisy buffer is reused
+        assert starts == list(range(0, count, rows))
+        np.testing.assert_array_equal(np.concatenate(cleans), want_clean)
+        np.testing.assert_array_equal(np.concatenate(noisies), want_noisy)
+
+    def test_pair_blocks_rows_validated(self):
+        with pytest.raises(ValueError, match="rows"):
+            _standard_normal_1d().pair_blocks(0.1, 10, 0, 0)
+
+
+def _row_major_score(prior, points, sigma):
+    """The uncentred, row-major (m, K) score formula, kept as the oracle of ``_score``."""
+    t, log_norm = prior._smoothed(sigma)
+    means_sq = np.sum(prior.means * prior.means, axis=1)
+    if prior.n_components == 1:
+        r = np.ones((points.shape[0], 1))
+    else:
+        sq = points @ prior.means.T
+        sq *= 2.0
+        np.subtract(np.sum(points * points, axis=1)[:, None] + means_sq, sq, out=sq)
+        np.maximum(sq, 0.0, out=sq)
+        sq *= 0.5
+        sq /= t
+        r = np.subtract(log_norm, sq, out=sq)
+        r -= r.max(axis=1, keepdims=True)
+        np.exp(r, out=r)
+        r /= r.sum(axis=1, keepdims=True)
+    r /= t
+    out = r @ prior.means
+    out -= points * r.sum(axis=1)[:, None]
+    return out
+
+
+class TestComponentMajorKernel:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        k=st.sampled_from([1, 2, 3, 64]),
+        n=st.integers(1, 32),
+        m=st.integers(1, 40),
+        sigma=st.floats(0.01, 2.0),
+        seed=st.integers(0, 2**16),
+    )
+    def test_score_matches_the_row_major_formula(self, k, n, m, sigma, seed):
+        rng = np.random.default_rng(seed)
+        weights = rng.uniform(0.5, 1.5, k)
+        prior = GmmPrior(weights / weights.sum(), rng.standard_normal((k, n)), rng.uniform(0.05, 2.0, k))
+        points = 2.0 * rng.standard_normal((m, n))
+        got = prior._score(points, *prior._smoothed(sigma))
+        want = _row_major_score(prior, points, sigma)
+        if k == 1:
+            np.testing.assert_array_equal(got, want)
+        else:
+            # Relative to the size of the score's two terms, which may cancel.
+            t_min = float(np.min(prior.variances)) + sigma * sigma
+            scale = (np.linalg.norm(points, axis=1) + np.max(np.linalg.norm(prior.means, axis=1))) / t_min
+            assert np.all(np.linalg.norm(got - want, axis=1) <= 1e-12 * scale)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        k=st.integers(1, 5),
+        n=st.integers(1, 16),
+        offset=st.sampled_from([0.0, 1.0, 1e2, 1e4]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_distances_stay_accurate_far_from_the_origin(self, k, n, offset, seed):
+        """A mixture of spread 0.1 at distance ``offset``: the centred expansion keeps its accuracy."""
+        rng = np.random.default_rng(seed)
+        means = offset + 0.1 * rng.standard_normal((k, n))
+        prior = GmmPrior(np.full(k, 1.0 / k), means, np.full(k, 1e-6))
+        points = means[rng.integers(0, k, 30)] + 0.05 * rng.standard_normal((30, n))
+        got = prior._half_sq_dists(points)
+        direct = 0.5 * np.sum((points[None, :, :] - means[:, None, :]) ** 2, axis=2)
+        centre = means.mean(axis=0)
+        spread = np.max(np.sum((points - centre) ** 2, axis=1)) + np.max(np.sum((means - centre) ** 2, axis=1))
+        assert got.shape == (k, 30)
+        assert np.all(got >= 0.0)
+        tol = 4 * (n + 2) * np.finfo(float).eps * spread
+        assert np.max(np.abs(got - direct)) <= tol
+        # The log-terms divide the distances by the variance 1e-6.
+        t, log_norm = prior._smoothed(0.0)
+        logs = prior._component_logpdf(points, t, log_norm)
+        want = log_norm[:, None] - direct / t[:, None]
+        assert np.all(np.abs(logs - want) <= tol / 1e-6 + 4 * np.finfo(float).eps * np.abs(want))
+
+
 class TestOneComponent:
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(
@@ -229,12 +332,13 @@ class TestOneComponent:
         points = offset * rng.standard_normal((m, n)) + rng.standard_normal((m, n))
         r = prior.responsibilities(points, sigma)
         np.testing.assert_array_equal(r, np.ones((m, 1)))
-        # The general softmax over the single log-term, as for K > 1.
+        # The general softmax over the single log-term, as for K > 1; the
+        # log-terms are laid out (K, m).
         soft = prior._component_logpdf(points, *prior._smoothed(sigma))
-        soft -= soft.max(axis=1, keepdims=True)
+        soft -= soft.max(axis=0)
         np.exp(soft, out=soft)
-        soft /= soft.sum(axis=1, keepdims=True)
-        np.testing.assert_array_equal(r, soft)
+        soft /= soft.sum(axis=0)
+        np.testing.assert_array_equal(r, soft.T)
 
     def test_far_point_stays_finite(self):
         prior = GmmPrior([1.0], [[0.5, -1.0, 2.0]], [0.4])
