@@ -25,6 +25,7 @@ from .experiments import (
     ConfigError,
     ExperimentRecord,
     _check_fields,
+    _noise_level,
     _reading,
     resolve_config,
     run_experiment,
@@ -127,9 +128,7 @@ def _cmd_delta_opt(args) -> int:
     started = _now()
     with _reading("delta-opt config"):
         prior = GmmPrior.from_config(config["prior"])
-        sigma = float(config["sigma"])
-        if not sigma > 0:
-            raise ValueError("'sigma' must be positive")
+        sigma = _noise_level(config["sigma"])
         samples = int(config.get("samples", 100000))
         _check_samples(samples, prior.dim)
         denoiser = denoiser_from_config(config["denoiser"], prior=prior, sigma=sigma)

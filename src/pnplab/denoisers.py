@@ -33,18 +33,35 @@ __all__ = [
 
 
 class Denoiser:
-    """Base class: a map from noisy signals to estimates on a fixed dimension."""
+    """Base class: a map from noisy signals to estimates on a fixed dimension.
+
+    ``__call__`` checks its input, a 1-D vector or an (m, n) batch.
+    ``_apply`` is the unchecked route on an (m, n) stack of float64 rows,
+    which callers that validated their stack once (the batched solver) run
+    in their loops; it defaults to the checked call, so a subclass that
+    defines only ``__call__`` still works there. The zoo's classes implement
+    ``_apply`` and make ``__call__`` the check plus ``_apply``, so both
+    routes give bitwise the same output.
+    """
 
     dim: int
 
     def __call__(self, y: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def _apply(self, y: np.ndarray) -> np.ndarray:
+        return self(y)
+
     def _check(self, y) -> np.ndarray:
         y = np.asarray(y, dtype=np.float64)
         if y.shape[-1:] != (self.dim,) or y.ndim not in (1, 2):
             raise ValueError(f"expected signals of dim {self.dim}, got shape {y.shape}")
         return y
+
+    def _checked_apply(self, y, *args) -> np.ndarray:
+        """Check ``y``, run ``_apply`` on it as an (m, n) stack and return it in ``y``'s shape."""
+        y = self._check(y)
+        return self._apply(y.reshape(-1, self.dim), *args).reshape(y.shape)
 
 
 class MmseDenoiser(Denoiser):
@@ -54,30 +71,41 @@ class MmseDenoiser(Denoiser):
     L2-optimal denoiser; evaluating at a different sigma models an
     imperfectly trained one.
 
-    The solvers' hot path: the noise-level constants are computed once, and a
-    call checks its input once and runs the prior's unchecked score route,
-    bitwise equal to :meth:`GmmPrior.mmse_denoise`. A Monte-Carlo pass that
+    The solvers' hot path: the noise-level constants are computed once, and
+    ``_apply`` runs the prior's unchecked score route, bitwise equal to
+    :meth:`GmmPrior.mmse_denoise`. With one component that route is the
+    Gaussian's ``mu / t - y / t``, and ``mu / t`` (formed as
+    ``mu * (1 / t)``, the same product) is kept too. A Monte-Carlo pass that
     runs several of these over one prior passes ``half_sq``, the prior's
     (K, m) half squared distances to the rows of ``y``
     (``GmmPrior._half_sq_dists``), formed once for all of them.
     """
 
     def __init__(self, prior: GmmPrior, sigma: float):
-        if sigma <= 0:
-            raise ValueError("sigma must be positive")
+        if not 0.0 < sigma < np.inf:
+            raise ValueError("sigma must be positive and finite")
         self.prior = prior
         self.sigma = float(sigma)
         self.dim = prior.dim
         self._smoothed = prior._smoothed(self.sigma)
         self._sigma_sq = self.sigma * self.sigma
+        if prior.n_components == 1:
+            self._inv_t = 1.0 / self._smoothed[0][0]
+            self._mean_over_t = prior.means[0] * self._inv_t
+        else:
+            self._mean_over_t = None
 
     def __call__(self, y, half_sq=None):
-        y = self._check(y)
-        points = y.reshape(-1, self.dim)
-        out = self.prior._score(points, *self._smoothed, half_sq)
+        return self._checked_apply(y, half_sq)
+
+    def _apply(self, y, half_sq=None):
+        if self._mean_over_t is None:
+            out = self.prior._score(y, *self._smoothed, half_sq)
+        else:
+            out = self._mean_over_t - y * self._inv_t
         out *= self._sigma_sq
-        out += points
-        return out.reshape(y.shape)
+        out += y
+        return out
 
 
 class ShrinkageDenoiser(Denoiser):
@@ -92,7 +120,10 @@ class ShrinkageDenoiser(Denoiser):
         self.dim = int(dim)
 
     def __call__(self, y):
-        return self.alpha * self._check(y)
+        return self._checked_apply(y)
+
+    def _apply(self, y):
+        return self.alpha * y
 
 
 class AffineDenoiser(Denoiser):
@@ -114,7 +145,9 @@ class AffineDenoiser(Denoiser):
         self.dim = matrix.shape[0]
 
     def __call__(self, y):
-        y = self._check(y)
+        return self._checked_apply(y)
+
+    def _apply(self, y):
         return y @ self.matrix.T + self.offset
 
 
@@ -133,7 +166,10 @@ class OutputShrink(Denoiser):
         self.dim = base.dim
 
     def __call__(self, y):
-        return self.alpha * self.base(y)
+        return self._checked_apply(y)
+
+    def _apply(self, y):
+        return self.alpha * self.base._apply(y)
 
 
 def gamma_factor(delta: float) -> float:
@@ -142,7 +178,7 @@ def gamma_factor(delta: float) -> float:
     return d2 / (1.0 + d2)
 
 
-class ScaledDenoiser:
+class ScaledDenoiser(Denoiser):
     """A base denoiser modulated by a positive scale ``delta``.
 
     mode ``"tweedie"``
@@ -162,6 +198,8 @@ class ScaledDenoiser:
     ``delta`` may also be a 1-D vector with one scale per row; the wrapper
     then maps (m, n) stacks with ``m == delta.size``, row i at scale
     ``delta[i]``, which is how the batched solver runs a whole scale grid.
+    The call checks that row count; ``_apply`` does not, so a caller of the
+    unchecked route checks it once with :meth:`check_rows`.
     """
 
     MODES = ("tweedie", "homogeneous")
@@ -196,16 +234,22 @@ class ScaledDenoiser:
         self._gamma = gamma_factor(self._scale) if self.gamma_rescale else None
 
     def __call__(self, y) -> np.ndarray:
-        y = np.asarray(y, dtype=np.float64)
-        if self._n_rows is not None and (y.ndim != 2 or y.shape[0] != self._n_rows):
-            raise ValueError(f"expected a stack of {self._n_rows} rows, got shape {y.shape}")
+        self.check_rows(np.shape(y))
+        return self._checked_apply(y)
+
+    def _apply(self, y):
         if self.mode == "tweedie":
-            out = self._keep * y + self._u * self.base(y)
+            out = self._keep * y + self._u * self.base._apply(y)
         else:
-            out = self.base(self._scale * y) / self._scale
+            out = self.base._apply(self._scale * y) / self._scale
         if self._gamma is not None:
             out = self._gamma * out
         return out
+
+    def check_rows(self, shape) -> None:
+        """Reject a stack of ``shape`` whose row count a per-row scale does not match."""
+        if self._n_rows is not None and (len(shape) != 2 or shape[0] != self._n_rows):
+            raise ValueError(f"expected a stack of {self._n_rows} rows, got shape {shape}")
 
     def rows(self, index) -> "ScaledDenoiser":
         """The same wrapper restricted to the rows ``index`` of a per-row scale."""

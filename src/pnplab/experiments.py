@@ -133,6 +133,15 @@ def _reading(what: str):
         raise ConfigError(f"bad {what}: {detail}") from exc
 
 
+def _noise_level(value, zero_ok: bool = False) -> float:
+    """A config's data noise level ``sigma``: finite, and positive unless ``zero_ok``."""
+    sigma = float(value)
+    if not (0.0 <= sigma < np.inf and (zero_ok or sigma > 0.0)):
+        sign = "nonnegative" if zero_ok else "positive"
+        raise ValueError(f"'sigma' must be {sign} and finite, got {sigma!r}")
+    return sigma
+
+
 def _build_prior(resolved: dict) -> GmmPrior:
     with _reading("prior config"):
         return GmmPrior.from_config(resolved["prior"])
@@ -157,6 +166,8 @@ def _build_solve(resolved: dict, sigma: float, delta) -> tuple:
             raise ValueError(f"prior has dim {prior.dim}, but the operator acts on dim {op_dim}")
         base = denoiser_from_config(resolved["denoiser"], prior=prior, sigma=sigma)
         eps = float(resolved.get("contract_eps", 0.0))
+        if not 0.0 <= eps < 1.0:
+            raise ValueError(f"'contract_eps' must lie in [0, 1), got {eps!r}")
         if eps > 0.0:
             base = OutputShrink(base, 1.0 - eps)
         scaled = ScaledDenoiser(
@@ -181,7 +192,7 @@ def run_delta_sweep_experiment(config: dict | None = None, workers: int = 1):
     resolved = resolve_config("delta-sweep", config)
     prior = _build_prior(resolved)
     with _reading("delta-sweep config"):
-        sigma = float(resolved["sigma"])
+        sigma = _noise_level(resolved["sigma"])
         ratios = _scale_grid(resolved["mismatch_ratios"], "mismatch_ratios")
         grid = _scale_grid(resolved["delta_grid"], "delta_grid")
         samples = int(resolved["samples"])
@@ -234,7 +245,7 @@ def run_stability(config: dict | None = None, workers: int = 1):
     """
     resolved = resolve_config("stability", config)
     with _reading("stability config"):
-        sigma = float(resolved["sigma"])
+        sigma = _noise_level(resolved["sigma"])
         delta = float(resolved["delta"])
         seed = int(resolved["seed"])
         k_grid = _scale_grid(resolved["k_grid"], "k_grid")
@@ -269,11 +280,9 @@ def run_conv_reg(config: dict | None = None, workers: int = 1):
     """
     resolved = resolve_config("conv-reg", config)
     with _reading("conv-reg config"):
-        sigma = float(resolved["sigma"])
+        sigma = _noise_level(resolved["sigma"], zero_ok=True)
         grid = _scale_grid(resolved["delta_grid"], "delta_grid")
         seed = int(resolved["seed"])
-    if sigma < 0:
-        raise ConfigError("sigma must be nonnegative")
     prior, op, scaled, cfg = _build_solve(resolved, max(sigma, 1e-12), grid)
 
     clean, _ = prior.sample_pairs(max(sigma, 1e-12), 1, seed)

@@ -5,8 +5,13 @@ construction and safe for concurrent read-only use.
 
 The public methods validate their input. Each operator also has unchecked
 ``_apply``/``_adjoint`` methods acting on the last axis, so one call maps an
-(m, n) stack of signals; the batched solver calls those after validating its
-inputs once.
+(m, n) stack of signals, and an unchecked ``_normal_residual`` for the
+gradient of the data term, which a mask or the identity forms in one
+operation; the batched solver calls those after validating its inputs once.
+
+``op_norm_sq`` is computed once per operator: in closed form for every
+operator here, by power iteration (:meth:`LinearOperator.power_norm_sq`)
+for any other subclass.
 """
 
 from __future__ import annotations
@@ -46,11 +51,13 @@ class LinearOperator:
     """A linear map with an adjoint.
 
     Subclasses set ``in_dim``/``out_dim`` and implement the unchecked
-    ``_apply`` and ``_adjoint`` on the last axis of their argument.
+    ``_apply`` and ``_adjoint`` on the last axis of their argument; they may
+    give ``||A^T A||`` in closed form by overriding ``_norm_sq``.
     """
 
     in_dim: int
     out_dim: int
+    _norm_sq_cache: float | None = None
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """``A x`` for one vector of length ``in_dim``."""
@@ -66,6 +73,10 @@ class LinearOperator:
     def _adjoint(self, y: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def _normal_residual(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Unchecked ``A^T (A x - y)`` on the last axis, the gradient of the data term."""
+        return self._adjoint(self._apply(x) - y)
+
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.apply(x)
 
@@ -75,9 +86,18 @@ class LinearOperator:
             raise ValueError("tau must be positive")
         x = as_signal(x, self.in_dim)
         y = as_signal(y, self.out_dim)
-        return x - tau * self._adjoint(self._apply(x) - y)
+        return x - tau * self._normal_residual(x, y)
 
-    def op_norm_sq(
+    def op_norm_sq(self) -> float:
+        """``||A^T A||``, the largest eigenvalue of ``A^T A``, computed on the first call."""
+        if self._norm_sq_cache is None:
+            self._norm_sq_cache = float(self._norm_sq())
+        return self._norm_sq_cache
+
+    def _norm_sq(self) -> float:
+        return self.power_norm_sq()
+
+    def power_norm_sq(
         self,
         iters: int = 200,
         seed: int = 0,
@@ -137,6 +157,12 @@ class Identity(LinearOperator):
     def _adjoint(self, y):
         return y.copy()
 
+    def _normal_residual(self, x, y):
+        return x - y
+
+    def _norm_sq(self):
+        return 1.0
+
 
 class Mask(LinearOperator):
     """Coordinate projection: observed entries pass through, masked ones are zeroed.
@@ -158,6 +184,12 @@ class Mask(LinearOperator):
     def _adjoint(self, y):
         return np.where(self.mask, y, 0.0)
 
+    def _normal_residual(self, x, y):
+        return np.where(self.mask, x - y, 0.0)
+
+    def _norm_sq(self):
+        return 1.0 if self.mask.any() else 0.0
+
     @classmethod
     def random(cls, dim: int, mask_fraction: float, seed: int = 0) -> "Mask":
         """Mask with ``round(mask_fraction * dim)`` seeded random entries hidden."""
@@ -175,8 +207,7 @@ class Convolve1d(LinearOperator):
     """Circular (periodic) convolution with a fixed kernel.
 
     The adjoint is circular correlation. Periodic boundaries make the exact
-    operator norm computable from the kernel's DFT magnitudes, which tests use
-    as an oracle.
+    operator norm the largest squared magnitude of the kernel's DFT.
     """
 
     def __init__(self, kernel, dim: int):
@@ -196,6 +227,10 @@ class Convolve1d(LinearOperator):
     def _adjoint(self, y):
         return np.fft.irfft(np.fft.rfft(y) * np.conj(self._kernel_f), n=self.in_dim)
 
+    def _norm_sq(self):
+        # The real kernel's full DFT repeats the rfft's magnitudes.
+        return np.max(np.square(np.abs(self._kernel_f)))
+
 
 class DenseOperator(LinearOperator):
     """An explicit m x n matrix."""
@@ -214,6 +249,9 @@ class DenseOperator(LinearOperator):
 
     def _adjoint(self, y):
         return y @ self.matrix
+
+    def _norm_sq(self):
+        return np.linalg.norm(self.matrix, 2) ** 2
 
     def as_matrix(self):
         return np.array(self.matrix)

@@ -179,7 +179,7 @@ class GmmPrior:
         ``sigma = 0`` gives the prior itself. Evaluated with log-sum-exp so
         points far from every component stay finite.
         """
-        if sigma < 0:
+        if not sigma >= 0:
             raise ValueError("sigma must be nonnegative")
         points, single = _as_points(y, self.dim)
         logs = self._component_logpdf(points, *self._smoothed(sigma))
@@ -193,7 +193,7 @@ class GmmPrior:
         Computed as a log-space softmax; when every component underflows the
         max-shift leaves a hard assignment to the nearest component.
         """
-        if sigma < 0:
+        if not sigma >= 0:
             raise ValueError("sigma must be nonnegative")
         points, single = _as_points(y, self.dim)
         r = self._responsibilities(points, *self._smoothed(sigma)).T
@@ -201,7 +201,7 @@ class GmmPrior:
 
     def score(self, y, sigma: float = 0.0):
         """Gradient of the smoothed log-density with respect to ``y``."""
-        if sigma < 0:
+        if not sigma >= 0:
             raise ValueError("sigma must be nonnegative")
         points, single = _as_points(y, self.dim)
         out = self._score(points, *self._smoothed(sigma))
@@ -211,7 +211,7 @@ class GmmPrior:
 
     def mmse_denoise(self, y, sigma: float):
         """Posterior mean via the score route: ``y + sigma^2 * score(y, sigma)``."""
-        if sigma <= 0:
+        if not sigma > 0:
             raise ValueError("sigma must be positive")
         points, single = _as_points(y, self.dim)
         out = self.score(points, sigma)
@@ -227,7 +227,7 @@ class GmmPrior:
         responsibilities. Agrees with :meth:`mmse_denoise` to round-off; the
         two are kept as separate code paths on purpose.
         """
-        if sigma <= 0:
+        if not sigma > 0:
             raise ValueError("sigma must be positive")
         points, single = _as_points(y, self.dim)
         t, log_norm = self._smoothed(sigma)
@@ -248,7 +248,7 @@ class GmmPrior:
         each noisy block is valid only until the next one is drawn. The
         stream is that of :meth:`sample_pairs` for any ``rows``.
         """
-        if sigma <= 0:
+        if not sigma > 0:
             raise ValueError("sigma must be positive")
         if count < 1:
             raise ValueError("count must be >= 1")

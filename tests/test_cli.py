@@ -72,7 +72,10 @@ class TestDeltaOpt:
         assert code == 1
         assert "sigma" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("sigma, samples", [(-0.1, 20000), (0.1, 1), (0.1, 10**8)])
+    @pytest.mark.parametrize(
+        "sigma, samples",
+        [(-0.1, 20000), (float("nan"), 20000), (float("inf"), 20000), (0.1, 1), (0.1, 10**8)],
+    )
     def test_out_of_range_sigma_or_samples_exits_one(self, tmp_path, capsys, sigma, samples):
         path = _delta_opt_config(tmp_path, {"kind": "shrinkage", "alpha": 0.5, "dim": 4}, sigma)
         config = json.loads(open(path).read())
@@ -341,6 +344,36 @@ class TestConfigErrorsAtTheBoundary:
         ],
     )
     def test_malformed_field_values(self, tmp_path, capsys, experiment, config, needle):
+        err = self._run(tmp_path, capsys, config=config, experiment=experiment)
+        assert needle in err
+
+    @pytest.mark.parametrize("experiment", ["stability", "conv-reg", "delta-sweep"])
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf"), -0.1])
+    def test_non_finite_or_negative_noise_level(self, tmp_path, capsys, experiment, sigma):
+        err = self._run(tmp_path, capsys, config={"sigma": sigma}, experiment=experiment)
+        assert "'sigma' must be" in err and repr(sigma) in err
+
+    def test_zero_noise_level_still_runs_conv_reg(self, tmp_path):
+        config = {"sigma": 0.0, "delta_grid": [1.0, 10.0], "solver": {"max_iters": 20}}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        argv = ["run", "conv-reg", "--config", str(path), "--out", str(tmp_path / "out")]
+        assert cli.main(argv) == 0
+
+    @pytest.mark.parametrize(
+        "experiment, config, needle",
+        [
+            ("stability", {"solver": {"tau": float("nan")}}, "tau must be positive and finite"),
+            ("stability", {"solver": {"tau": float("inf")}}, "tau must be positive and finite"),
+            ("conv-reg", {"solver": {"tol": float("nan")}}, "tol must be positive and finite"),
+            ("conv-reg", {"solver": {"tol": float("inf")}}, "tol must be positive and finite"),
+            ("conv-reg", {"solver": {"max_iters": True}}, "max_iters must be an integer"),
+            ("stability", {"contract_eps": float("nan")}, "'contract_eps' must lie in [0, 1)"),
+            ("stability", {"contract_eps": -1e-3}, "'contract_eps' must lie in [0, 1)"),
+            ("stability", {"contract_eps": 1.0}, "'contract_eps' must lie in [0, 1)"),
+        ],
+    )
+    def test_malformed_solver_fields(self, tmp_path, capsys, experiment, config, needle):
         err = self._run(tmp_path, capsys, config=config, experiment=experiment)
         assert needle in err
 

@@ -83,6 +83,12 @@ class TestMmseHotPath:
         np.testing.assert_array_equal(single, prior.mmse_denoise(ys[0], sigma))
 
 
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, float("nan"), float("inf")])
+    def test_sigma_must_be_positive_and_finite(self, sigma):
+        with pytest.raises(ValueError, match="positive and finite"):
+            MmseDenoiser(_single_gaussian(), sigma)
+
+
 class TestTweedieScale:
     def test_delta_one_reproduces_base_exactly(self):
         prior = _single_gaussian()

@@ -129,6 +129,46 @@ class TestStability:
         kd = [r.key * r.metrics["distance_to_limit"] for r in records]
         np.testing.assert_allclose(kd, kd[0], rtol=1e-8)
 
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(
+        sigma=st.floats(0.1, 0.5),
+        delta=st.floats(1.01, 1.5),
+        mask_fraction=st.floats(0.0, 0.6),
+        k_grid=st.lists(st.floats(1.0, 512.0), min_size=1, max_size=3),
+    )
+    def test_default_base_matches_the_closed_form_oracle(
+        self, sigma, delta, mask_fraction, k_grid
+    ):
+        """Under a one-Gaussian prior N(mu, v I) the default base, the MMSE map
+        shrunk by alpha = 1 - contract_eps, is the affine map
+        W = alpha v / (v + sigma^2) I, b = alpha sigma^2 / (v + sigma^2) mu."""
+        config = {
+            "operator": {"kind": "mask", "dim": 64, "mask_fraction": mask_fraction, "seed": 0},
+            "delta": delta,
+            "sigma": sigma,
+            "k_grid": k_grid,
+            "solver": {"tau": 1.0, "max_iters": 100000, "tol": 1e-13},
+        }
+        resolved, records = run_stability(config)
+        prior = GmmPrior.from_config(resolved["prior"])
+        v, mu = prior.variances[0], prior.means[0]
+        alpha = 1.0 - resolved["contract_eps"]
+        base = AffineDenoiser(
+            alpha * v / (v + sigma**2) * np.eye(64), alpha * sigma**2 / (v + sigma**2) * mu
+        )
+        scaled = tweedie_scale(base, delta)
+        op = operator_from_config(resolved["operator"])
+        cfg = PnpConfig(**resolved["solver"])
+        clean, _ = prior.sample_pairs(sigma, 1, 0)
+        y = op.apply(clean[0])
+        xi = np.random.default_rng([0, 1]).standard_normal(64)
+        x_limit = linear_fixed_point_oracle(op, y, scaled, cfg)
+        for rec in records:
+            assert rec.metrics["converged"] == 1.0
+            x_k = linear_fixed_point_oracle(op, y + (sigma / rec.key) * xi, scaled, cfg)
+            want = float(np.linalg.norm(x_k - x_limit))
+            assert abs(rec.metrics["distance_to_limit"] - want) <= 1e-9 * want
+
     def test_divergence_recorded_not_fatal(self):
         n = 8
         config = {
@@ -299,7 +339,7 @@ class TestLipschitzTable:
         values = []
         for rec in records:
             oracle = 1.0 / (1.0 + rec.key**2)  # s = 1
-            assert rec.metrics["lipschitz_max"] == pytest.approx(oracle, abs=1e-6)
+            assert rec.metrics["lipschitz_max"] == pytest.approx(oracle, rel=1e-12, abs=0.0)
             assert rec.metrics["non_expansive"] == 1.0
             values.append(rec.metrics["lipschitz_max"])
         assert all(a > b for a, b in zip(values, values[1:]))

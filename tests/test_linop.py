@@ -7,6 +7,7 @@ from pnplab.linop import (
     Convolve1d,
     DenseOperator,
     Identity,
+    LinearOperator,
     Mask,
     as_signal,
     operator_from_config,
@@ -106,26 +107,38 @@ class TestAdjoint:
 
 
 class TestOpNormSq:
+    """``op_norm_sq`` is exact and cached; power iteration is the fallback and the oracle."""
+
     def test_identity_is_one(self):
-        assert Identity(7).op_norm_sq() == pytest.approx(1.0, abs=1e-8)
+        op = Identity(7)
+        assert op.op_norm_sq() == 1.0
+        assert op.power_norm_sq() == pytest.approx(1.0, abs=1e-8)
 
     def test_mask_is_one(self):
         op = Mask(np.array([True, False, False, True]))
-        assert op.op_norm_sq() == pytest.approx(1.0, abs=1e-8)
+        assert op.op_norm_sq() == 1.0
+        assert op.power_norm_sq() == pytest.approx(1.0, abs=1e-8)
+
+    def test_fully_masked_is_zero(self):
+        op = Mask(np.zeros(5, dtype=bool))
+        assert op.op_norm_sq() == 0.0
+        assert op.power_norm_sq() == 0.0
 
     def test_dense_against_eigensolver(self):
         op = DenseOperator([[2.0, 0.0], [0.0, 1.0]])
         # oracle: largest eigenvalue of A^T A by direct eigendecomposition
         oracle = float(np.linalg.eigvalsh(op.matrix.T @ op.matrix).max())
         assert oracle == pytest.approx(4.0)
-        assert op.op_norm_sq() == pytest.approx(oracle, abs=1e-6)
+        assert op.op_norm_sq() == pytest.approx(oracle, rel=1e-14)
+        assert op.power_norm_sq() == pytest.approx(oracle, abs=1e-6)
 
     def test_random_dense_against_eigensolver(self):
         rng = np.random.default_rng(5)
         a = rng.standard_normal((6, 4))
         op = DenseOperator(a)
         oracle = float(np.linalg.eigvalsh(a.T @ a).max())
-        assert op.op_norm_sq(iters=500) == pytest.approx(oracle, rel=1e-8)
+        assert op.op_norm_sq() == pytest.approx(oracle, rel=1e-13)
+        assert op.power_norm_sq(iters=500) == pytest.approx(oracle, rel=1e-8)
 
     def test_convolution_against_fourier_oracle(self):
         """Circular convolution norm equals the largest squared DFT magnitude."""
@@ -134,21 +147,68 @@ class TestOpNormSq:
         padded = np.zeros(16)
         padded[: kernel.size] = kernel
         oracle = float(np.max(np.abs(np.fft.fft(padded)) ** 2))
-        assert op.op_norm_sq(iters=2000) == pytest.approx(oracle, rel=1e-9)
+        assert op.op_norm_sq() == pytest.approx(oracle, rel=1e-14)
+        assert op.power_norm_sq(iters=2000) == pytest.approx(oracle, rel=1e-9)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(kind=st.sampled_from(["conv1d", "dense"]), seed=st.integers(0, 2**16))
+    def test_closed_forms_match_power_iteration(self, kind, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 12))
+        if kind == "conv1d":
+            op = Convolve1d(rng.standard_normal(int(rng.integers(1, n + 1))), n)
+        else:
+            op = DenseOperator(rng.standard_normal((int(rng.integers(1, 12)), n)))
+        oracle = float(np.linalg.eigvalsh(op.as_matrix().T @ op.as_matrix()).max())
+        assert op.op_norm_sq() == pytest.approx(oracle, rel=1e-12, abs=1e-14)
+        assert op.op_norm_sq() == pytest.approx(op.power_norm_sq(iters=5000), rel=1e-6)
+
+    def test_computed_once(self, monkeypatch):
+        op = DenseOperator(np.random.default_rng(2).standard_normal((5, 3)))
+        first = op.op_norm_sq()
+        monkeypatch.setattr(op, "_norm_sq", lambda: pytest.fail("norm computed twice"))
+        assert op.op_norm_sq() == first
+
+    def test_other_operators_fall_back_to_power_iteration(self):
+        class Doubling(LinearOperator):
+            in_dim = out_dim = 3
+
+            def _apply(self, x):
+                return 2.0 * x
+
+            def _adjoint(self, y):
+                return 2.0 * y
+
+        assert Doubling().op_norm_sq() == Doubling().power_norm_sq()
+        assert Doubling().op_norm_sq() == pytest.approx(4.0, rel=1e-12)
 
     def test_zero_operator_short_circuits(self):
         op = DenseOperator(np.zeros((3, 3)))
         assert op.op_norm_sq() == 0.0
+        assert op.power_norm_sq() == 0.0
 
     def test_rayleigh_history_nondecreasing(self):
         rng = np.random.default_rng(1)
         op = DenseOperator(rng.standard_normal((8, 8)))
-        _, history = op.op_norm_sq(iters=100, return_history=True)
+        _, history = op.power_norm_sq(iters=100, return_history=True)
         assert np.all(np.diff(history) >= -1e-12 * np.abs(history[:-1]))
 
     def test_iters_validated(self):
         with pytest.raises(ValueError):
-            Identity(2).op_norm_sq(iters=0)
+            Identity(2).power_norm_sq(iters=0)
+
+
+class TestNormalResidual:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**16), rows=st.integers(1, 5))
+    def test_equals_the_adjoint_of_the_residual_bitwise(self, seed, rows):
+        rng = np.random.default_rng(seed)
+        fully_masked = Mask(np.zeros(5, dtype=bool))
+        for op in _zoo(rng) + [fully_masked]:
+            x = rng.standard_normal((rows, op.in_dim))
+            y = rng.standard_normal((rows, op.out_dim))
+            want = LinearOperator._normal_residual(op, x, y)
+            assert np.array_equal(op._normal_residual(x, y), want)
 
 
 class TestGradientStep:
@@ -173,7 +233,7 @@ class TestGradientStep:
         """With tau <= 1/||A^T A|| the step map cannot expand distances."""
         rng = np.random.default_rng(17)
         for op in _zoo(rng):
-            tau = 1.0 / op.op_norm_sq(iters=500)
+            tau = 1.0 / op.op_norm_sq()
             y = rng.standard_normal(op.out_dim)
             for _ in range(50):
                 x1 = rng.standard_normal(op.in_dim)

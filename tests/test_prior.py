@@ -171,6 +171,17 @@ class TestDenoising:
         with pytest.raises(ValueError):
             _standard_normal_1d().mmse_denoise(np.array([0.0]), 0.0)
 
+    def test_nan_sigma_rejected_by_every_method(self):
+        prior, y = _standard_normal_1d(), np.array([0.0])
+        for method in (prior.log_density, prior.responsibilities, prior.score):
+            with pytest.raises(ValueError, match="nonnegative"):
+                method(y, float("nan"))
+        for method in (prior.mmse_denoise, prior.posterior_mean):
+            with pytest.raises(ValueError, match="positive"):
+                method(y, float("nan"))
+        with pytest.raises(ValueError, match="positive"):
+            prior.sample_pairs(float("nan"), 3, 0)
+
 
 class TestSampling:
     def test_same_seed_bitwise_identical(self):

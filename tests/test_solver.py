@@ -7,6 +7,7 @@ from pnplab.denoisers import (
     AffineDenoiser,
     Denoiser,
     MmseDenoiser,
+    OutputShrink,
     ScaledDenoiser,
     ShrinkageDenoiser,
     homogeneous_scale,
@@ -16,6 +17,7 @@ from pnplab.linop import Convolve1d, DenseOperator, Identity, Mask
 from pnplab.prior import GmmPrior
 from pnplab.solver import (
     _DIVERGENCE_NORM,
+    _STOP_BLOCK,
     DivergenceError,
     NoUniqueFixedPointError,
     PnpConfig,
@@ -176,6 +178,23 @@ class TestPnpPgd:
             PnpConfig(tau=1.0, tol=0.0)
         with pytest.raises(ValueError):
             PnpConfig(tau=1.0, max_iters=0)
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"tau": float("nan")},
+            {"tau": float("inf")},
+            {"tol": float("nan")},
+            {"tol": float("inf")},
+        ],
+    )
+    def test_non_finite_step_or_tolerance_rejected(self, fields):
+        with pytest.raises(ValueError, match="positive and finite"):
+            PnpConfig(**fields)
+
+    def test_boolean_max_iters_rejected(self):
+        with pytest.raises(TypeError, match="max_iters"):
+            PnpConfig(max_iters=True)
 
 
 class TestLinearOracle:
@@ -428,3 +447,244 @@ class TestStopTest:
         assert list(batch.iterations[[0, 1, 3, 4, 5]]) == [1, 1, 1, 1, 2]
         assert 2 < batch.iterations[2] < cfg.max_iters and batch.converged[2]
         assert np.all(np.isfinite(batch.x_star))
+
+
+class _Clock(Denoiser):
+    """A test denoiser on 3-vectors whose rows stop at iterations set by their data.
+
+    Entry 0 counts: each call raises it by one, up to entry 1, so under a mask
+    that observes entries 1 and 2 with ``tau = 1`` a row whose data holds ``s``
+    in entry 1 converges at iteration ``s + 1``. A positive entry 2, ``d``,
+    makes the row jump to entries of 1e13, past the divergence bound, at
+    iteration ``d`` unless it converged first. A row that has jumped is
+    multiplied by 1e150 on every later call, so its squares overflow one
+    iteration after it diverged and its entries two iterations after.
+    """
+
+    dim = 3
+
+    def __call__(self, y):
+        y = self._check(y)
+        out = y.copy()
+        out[:, 0] = np.minimum(y[:, 0] + 1.0, y[:, 1])
+        out[(y[:, 2] > 0) & (y[:, 0] + 1.0 >= y[:, 2])] = 1e13
+        blown = np.abs(y[:, 0]) >= 1e12
+        out[blown] = 1e150 * y[blown]
+        return out
+
+
+_CLOCK_OP = Mask(np.array([False, True, True]))
+
+
+def _assert_clock_rows_stop_as_before(stops, max_iters):
+    """Rows given as (s, d) pairs stop as under the old stop test and as the serial solve."""
+    ys = np.array([[0.0, s, d] for s, d in stops])
+    m = ys.shape[0]
+    cfg = PnpConfig(tau=1.0, max_iters=max_iters, tol=1e-9)
+    denoiser = ScaledDenoiser(_Clock(), np.ones(m))
+    # No errstate here: iterates computed after a row stopped must not warn.
+    batch = pnp_pgd_batch(_CLOCK_OP, ys, denoiser, cfg)
+    with np.errstate(over="ignore", invalid="ignore"):
+        iterations, converged, diverged = _old_stop_oracle(_CLOCK_OP, ys, denoiser, 1.0, cfg)
+    np.testing.assert_array_equal(batch.iterations, iterations)
+    np.testing.assert_array_equal(batch.converged, converged)
+    np.testing.assert_array_equal(batch.diverged, diverged)
+    serial = _serial_rows(_CLOCK_OP, ys, _Clock(), [1.0] * m, "tweedie", False, cfg)
+    for row, (its, conv, div, x_star) in enumerate(serial):
+        s, d = stops[row]
+        assert (batch.iterations[row], batch.converged[row], batch.diverged[row]) == (its, conv, div)
+        if div:
+            # the last finite iterate: d - 1 iterations of counting from zero
+            x_star = np.array([min(d - 1, s), s, d]) if d > 1 else np.zeros(3)
+        assert np.array_equal(batch.x_star[row], x_star)
+    return batch
+
+
+def _retiring_oracle(op, ys, denoiser, tau, config):
+    """The batched loop with a stop test after every iteration, retiring stopped
+    rows at once: (x_star, iterations, converged, diverged)."""
+    m = ys.shape[0]
+    iterations = np.full(m, config.max_iters)
+    converged = np.zeros(m, dtype=bool)
+    diverged = np.zeros(m, dtype=bool)
+    x = np.zeros((m, op.in_dim))
+    active = np.arange(m)
+    xa, ya, step = x.copy(), ys, denoiser
+    for i in range(config.max_iters):
+        x_next = step(xa - tau * op._adjoint(op._apply(xa) - ya))
+        norms = np.sqrt(np.add.reduce(np.square(x_next), axis=1))
+        bad = ~(norms <= _DIVERGENCE_NORM)
+        residual = np.sqrt(np.add.reduce(np.square(x_next - xa), axis=1))
+        done = bad | (residual <= config.tol * (1.0 + norms))
+        rows = active[done]
+        iterations[rows] = i + 1
+        diverged[rows] = bad[done]
+        converged[rows] = ~bad[done]
+        x[rows] = np.where(bad[done, None], xa[done], x_next[done])
+        active, xa = active[~done], x_next[~done]
+        if active.size == 0:
+            break
+        ya, step = ys[active], denoiser.rows(active)
+    x[active] = xa
+    return x, iterations, converged, diverged
+
+
+class TestStopBlocks:
+    """The stop test runs once per block of ``_STOP_BLOCK`` iterations."""
+
+    @pytest.mark.parametrize("kind", ["mask", "conv1d", "dense"])
+    def test_a_row_left_alone_runs_alone(self, kind):
+        """Under homogeneous scaling of an affine base, a quarter of these stacks
+        end with one row whose one-row matrix products round differently from
+        those of a stack of several rows."""
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(2, 9))
+            op = _operator(kind, n, rng)
+            base = _random_nonexpansive_affine(rng, n, norm=0.95)
+            scaled = ScaledDenoiser(base, rng.uniform(0.5, 30.0, 4), mode="homogeneous")
+            ys = 2.0 * rng.standard_normal((4, op.out_dim))
+            cfg = PnpConfig(tau=1.0 / op.op_norm_sq(), max_iters=150, tol=1e-9)
+            batch = pnp_pgd_batch(op, ys, scaled, cfg)
+            x_star, iterations, _, _ = _retiring_oracle(op, ys, scaled, cfg.tau, cfg)
+            np.testing.assert_array_equal(batch.iterations, iterations)
+            assert np.array_equal(batch.x_star, x_star)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        kind=st.sampled_from(["identity", "mask", "conv1d", "dense"]),
+        base_kind=st.sampled_from(["affine", "mmse"]),
+        mode=st.sampled_from(["tweedie", "homogeneous"]),
+        norm=st.sampled_from([0.5, 0.95, 4.0]),
+        max_iters=st.integers(1, 150),
+        rows=st.integers(1, 8),
+        seed=st.integers(0, 2**16),
+    )
+    def test_equals_a_stop_test_after_every_iteration_bitwise(
+        self, kind, base_kind, mode, norm, max_iters, rows, seed
+    ):
+        """Matrix products included: a row left alone runs in a one-row stack,
+        as it does when rows are retired after every iteration."""
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 9))
+        op = _operator(kind, n, rng)
+        if base_kind == "affine":
+            base = _random_nonexpansive_affine(rng, n, norm=norm)
+        else:
+            base = MmseDenoiser(GmmPrior([0.5, 0.5], rng.standard_normal((2, n)), [0.3, 0.6]), 0.2)
+        scaled = ScaledDenoiser(base, rng.uniform(0.5, 30.0, rows), mode=mode)
+        ys = 2.0 * rng.standard_normal((rows, op.out_dim))
+        cfg = PnpConfig(tau=1.0 / op.op_norm_sq(), max_iters=max_iters, tol=1e-9)
+        batch = pnp_pgd_batch(op, ys, scaled, cfg)
+        with np.errstate(over="ignore", invalid="ignore"):
+            x_star, iterations, converged, diverged = _retiring_oracle(op, ys, scaled, cfg.tau, cfg)
+        np.testing.assert_array_equal(batch.iterations, iterations)
+        np.testing.assert_array_equal(batch.converged, converged)
+        np.testing.assert_array_equal(batch.diverged, diverged)
+        assert np.array_equal(batch.x_star, x_star)
+
+    @pytest.mark.parametrize(
+        "max_iters", [1, _STOP_BLOCK - 1, _STOP_BLOCK, _STOP_BLOCK + 1, 2 * _STOP_BLOCK + 3, 60]
+    )
+    def test_rows_stop_at_every_offset_of_a_block(self, max_iters):
+        span = 3 * _STOP_BLOCK + 2
+        converging = [(s, 0) for s in range(span)]
+        diverging = [(span, d) for d in range(1, span + 1)]
+        batch = _assert_clock_rows_stop_as_before(converging + diverging, max_iters)
+        # every offset inside a block is a stop, by convergence and by divergence
+        expected = np.minimum(np.arange(1, span + 1), max_iters)
+        np.testing.assert_array_equal(batch.iterations[:span], expected)
+        np.testing.assert_array_equal(batch.iterations[span:], expected)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        max_iters=st.integers(1, 4 * _STOP_BLOCK + 3),
+        stops=st.lists(
+            st.tuples(st.integers(0, 4 * _STOP_BLOCK), st.integers(0, 4 * _STOP_BLOCK)),
+            min_size=1,
+            max_size=9,
+        ),
+    )
+    def test_random_stops_match_the_old_stop_test_and_the_serial_solve(self, max_iters, stops):
+        _assert_clock_rows_stop_as_before(stops, max_iters)
+
+    @pytest.mark.parametrize("stop", range(1, 2 * _STOP_BLOCK + 2))
+    def test_one_row_reproduces_pnp_pgd_bitwise_at_each_stop(self, stop):
+        rng = np.random.default_rng(9)
+        n = 12
+        prior = GmmPrior([0.4, 0.6], rng.standard_normal((2, n)), [0.3, 0.5])
+        op = Mask.random(n, 0.25, seed=2)
+        y = op.apply(rng.standard_normal(n))
+        scaled = tweedie_scale(MmseDenoiser(prior, 0.2), 1.7, gamma_rescale=True)
+        cfg = PnpConfig(tau=1.0, max_iters=stop, tol=1e-9)
+        serial = pnp_pgd(op, y, scaled, cfg)
+        batch = pnp_pgd_batch(op, y[None, :], scaled, cfg)
+        assert serial.iterations == batch.iterations[0] == stop
+        assert np.array_equal(batch.x_star[0], serial.x_star)
+        # the same stop reached by convergence
+        _assert_clock_rows_stop_as_before([(stop - 1, 0)], 2 * _STOP_BLOCK + 2)
+
+    def test_row_diverging_at_once_and_overflowing_later_raises_no_warning(self):
+        # Row 0 jumps past the bound at iteration 1 and overflows at 2 and 3;
+        # row 1 keeps the block running until it converges at iteration 6.
+        batch = _assert_clock_rows_stop_as_before([(40, 1), (5, 0)], 50)
+        assert list(batch.iterations) == [1, 6]
+        assert list(batch.diverged) == [True, False]
+        assert np.array_equal(batch.x_star[0], np.zeros(3))
+
+
+class TestUncheckedRoutes:
+    """``_apply`` is the denoisers' unchecked route, bitwise equal to the checked call."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        kind=st.sampled_from(["mmse1", "mmse3", "shrinkage", "affine"]),
+        mode=st.sampled_from(["tweedie", "homogeneous"]),
+        gamma=st.booleans(),
+        shrink=st.sampled_from([None, 0.9]),
+        per_row=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_apply_equals_call_bitwise(self, kind, mode, gamma, shrink, per_row, seed):
+        rng = np.random.default_rng(seed)
+        n, m = int(rng.integers(1, 9)), int(rng.integers(1, 6))
+        if kind.startswith("mmse"):
+            k = int(kind[-1])
+            weights = np.full(k, 1.0 / k)
+            base = MmseDenoiser(GmmPrior(weights, rng.standard_normal((k, n)), [0.5] * k), 0.3)
+        elif kind == "shrinkage":
+            base = ShrinkageDenoiser(0.7, n)
+        else:
+            base = _random_nonexpansive_affine(rng, n)
+        if shrink is not None:
+            base = OutputShrink(base, shrink)
+        deltas = rng.uniform(0.8, 5.0, m) if per_row else float(rng.uniform(0.8, 5.0))
+        scaled = ScaledDenoiser(base, deltas, mode=mode, gamma_rescale=gamma)
+        y = rng.standard_normal((m, n))
+        assert np.array_equal(scaled._apply(y), scaled(y))
+        assert np.array_equal(base._apply(y), base(y))
+
+    def test_one_component_mmse_equals_the_prior_route_bitwise(self):
+        rng = np.random.default_rng(1)
+        prior = GmmPrior([1.0], [rng.standard_normal(6)], [0.7])
+        y = 3.0 * rng.standard_normal((20, 6))
+        assert np.array_equal(MmseDenoiser(prior, 0.4)._apply(y), prior.mmse_denoise(y, 0.4))
+
+    def test_subclass_defining_only_call_runs_in_the_batch(self):
+        class Halving(Denoiser):
+            dim = 2
+
+            def __call__(self, y):
+                return 0.5 * self._check(y)
+
+        scaled = tweedie_scale(Halving(), 1.0)
+        res = pnp_pgd_batch(Identity(2), np.ones((3, 2)), scaled, PnpConfig(tau=1.0))
+        assert res.converged.all()
+        np.testing.assert_array_equal(res.x_star, np.full((3, 2), 0.5))
+
+    def test_per_row_scale_checked_once_with_the_call_message(self):
+        per_row = ScaledDenoiser(ShrinkageDenoiser(0.5, 3), np.array([1.0, 2.0]))
+        with pytest.raises(ValueError, match=r"expected a stack of 2 rows, got shape \(3, 3\)"):
+            per_row(np.zeros((3, 3)))
+        with pytest.raises(ValueError, match=r"expected a stack of 2 rows, got shape \(3, 3\)"):
+            pnp_pgd_batch(Identity(3), np.zeros((3, 3)), per_row, PnpConfig(tau=1.0))
