@@ -30,7 +30,6 @@ from .denoisers import (
     estimate_lipschitz,
     gamma_factor,
     homogeneous_scale,
-    scaling_from_config,
     tweedie_scale,
 )
 from .experiments import (
@@ -118,7 +117,6 @@ __all__ = [
     "run_lipschitz_table",
     "run_stability",
     "scaled_affine_map",
-    "scaling_from_config",
     "tweedie_scale",
     "verify_sandwich",
     "write_plots",

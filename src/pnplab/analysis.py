@@ -54,8 +54,6 @@ class L2Estimate:
 
     value: float
     stderr: float
-    samples: int
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -71,8 +69,6 @@ class DeltaOptEstimate:
     denominator: float
     delta_opt_sq: float
     stderr_delta_opt_sq: float
-    samples: int
-    seed: int
     nonnegative_denominator: bool = False
 
     @property
@@ -127,15 +123,9 @@ def _check_samples(samples: int, dim: int = 1):
         )
 
 
-def _l2_of(sq: np.ndarray, seed: int) -> L2Estimate:
+def _l2_of(sq: np.ndarray) -> L2Estimate:
     """Mean and standard error of per-sample squared errors."""
-    m = sq.size
-    return L2Estimate(
-        value=float(sq.mean()),
-        stderr=float(np.std(sq, ddof=1) / np.sqrt(m)),
-        samples=m,
-        seed=seed,
-    )
+    return L2Estimate(value=float(sq.mean()), stderr=float(np.std(sq, ddof=1) / np.sqrt(sq.size)))
 
 
 def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -143,15 +133,15 @@ def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", a, b)
 
 
-def _l2_on_samples(denoiser, clean: np.ndarray, noisy: np.ndarray, seed: int) -> L2Estimate:
+def _l2_on_samples(denoiser, clean: np.ndarray, noisy: np.ndarray) -> L2Estimate:
     """Loss of ``denoiser`` on (clean, noisy) pairs of shape (m, n), m >= 2."""
-    return _l2_of(ResidualMoments.from_samples(denoiser, clean, noisy, seed).aa, seed)
+    return _l2_of(ResidualMoments.from_samples(denoiser, clean, noisy).aa)
 
 
 def estimate_l2(denoiser, prior: GmmPrior, sigma: float, samples: int, seed: int) -> L2Estimate:
     """Monte-Carlo squared denoising error ``E |D(x + sigma xi) - x|^2``."""
     (moments,) = _moments_on_prior([denoiser], prior, sigma, samples, seed)
-    return _l2_of(moments.aa, seed)
+    return _l2_of(moments.aa)
 
 
 def _check_denominator(num, den) -> None:
@@ -162,20 +152,18 @@ def _check_denominator(num, den) -> None:
         )
 
 
-def _delta_opt_estimate(num: float, den: float, var, samples: int, seed: int) -> DeltaOptEstimate:
+def _delta_opt_estimate(num: float, den: float, var) -> DeltaOptEstimate:
     """``-num / den`` with ``var``, the delta-method variance of that ratio of means."""
     return DeltaOptEstimate(
         numerator=num,
         denominator=den,
         delta_opt_sq=-num / den,
         stderr_delta_opt_sq=float(np.sqrt(max(var, 0.0))),
-        samples=samples,
-        seed=seed,
         nonnegative_denominator=den >= 0.0,
     )
 
 
-def _delta_opt_of(a: np.ndarray, b: np.ndarray, seed: int) -> DeltaOptEstimate:
+def _delta_opt_of(a: np.ndarray, b: np.ndarray) -> DeltaOptEstimate:
     """Optimal squared scale from per-sample ``|r|^2`` (a) and ``e . r`` (b).
 
     The noise-basis route, kept as the test oracle of
@@ -192,16 +180,16 @@ def _delta_opt_of(a: np.ndarray, b: np.ndarray, seed: int) -> DeltaOptEstimate:
         - 2.0 * num * cov[0, 1] / den**3
         + num**2 * cov[1, 1] / den**4
     ) / a.size
-    return _delta_opt_estimate(float(num), float(den), var, a.size, seed)
+    return _delta_opt_estimate(float(num), float(den), var)
 
 
 def _scale_grid(values, name: str = "delta grid") -> np.ndarray:
-    """A nonempty 1-D grid of positive values, as floats; ``name`` is its config field."""
+    """A nonempty 1-D grid of positive finite values, as floats; ``name`` is its config field."""
     grid = np.asarray(values, dtype=np.float64)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError(f"{name} must be a nonempty 1-D sequence")
-    if not np.all(grid > 0):
-        raise ValueError(f"every value of {name} must be positive")
+    if not np.all((grid > 0) & (grid < np.inf)):
+        raise ValueError(f"every value of {name} must be positive and finite")
     return grid
 
 
@@ -228,7 +216,6 @@ class ResidualMoments:
     aa: np.ndarray
     ar: np.ndarray
     rr: np.ndarray
-    seed: int
     mean: np.ndarray = field(init=False, repr=False)
     cov: np.ndarray = field(init=False, repr=False)
 
@@ -240,10 +227,10 @@ class ResidualMoments:
         object.__setattr__(self, "cov", centred @ centred.T / (centred.shape[1] - 1))
 
     @classmethod
-    def from_samples(cls, denoiser, clean, noisy, seed: int) -> "ResidualMoments":
+    def from_samples(cls, denoiser, clean, noisy) -> "ResidualMoments":
         """One denoiser pass over (clean, noisy) pairs of shape (m, n), m >= 2."""
         _check_samples(len(noisy))
-        return _one_pass([denoiser], _array_blocks(clean, noisy), len(noisy), seed)[0]
+        return _one_pass([denoiser], _array_blocks(clean, noisy), len(noisy))[0]
 
     def _losses(self, deltas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Loss and standard error at each scale, elementwise, so one scale reads the same alone."""
@@ -253,19 +240,16 @@ class ResidualMoments:
         var = sum(self.cov[i, j] * (w[i] * w[j]) for i in range(3) for j in range(3))
         return value, np.sqrt(np.maximum(var, 0.0)) / np.sqrt(self.aa.size)
 
-    def _estimate(self, value, stderr) -> L2Estimate:
-        return L2Estimate(float(value), float(stderr), self.aa.size, self.seed)
-
     def l2(self, delta: float) -> L2Estimate:
         """Loss of the residual-scaled denoiser at scale ``delta``."""
         value, stderr = self._losses(np.array([delta], dtype=np.float64))
-        return self._estimate(value[0], stderr[0])
+        return L2Estimate(float(value[0]), float(stderr[0]))
 
     def sweep(self, delta_grid) -> list[tuple[float, L2Estimate]]:
-        """:meth:`l2` at each scale of a nonempty grid of positive scales."""
+        """:meth:`l2` at each scale of a nonempty grid of positive finite scales."""
         grid = _scale_grid(delta_grid)
         values, stderrs = self._losses(grid)
-        return [(float(d), self._estimate(v, e)) for d, v, e in zip(grid, values, stderrs)]
+        return [(float(d), L2Estimate(float(v), float(e))) for d, v, e in zip(grid, values, stderrs)]
 
     def delta_opt(self) -> DeltaOptEstimate:
         """The loss-minimising squared scale; see :func:`estimate_delta_opt`.
@@ -279,10 +263,10 @@ class ResidualMoments:
         num, den = float(rr), float(ar - rr)
         _check_denominator(num, den)
         var = (ar * ar * c[2, 2] - 2.0 * ar * rr * c[1, 2] + rr * rr * c[1, 1]) / den**4
-        return _delta_opt_estimate(num, den, var / self.aa.size, self.aa.size, self.seed)
+        return _delta_opt_estimate(num, den, var / self.aa.size)
 
 
-def _one_pass(denoisers: list, blocks, samples: int, seed: int) -> list[ResidualMoments]:
+def _one_pass(denoisers: list, blocks, samples: int) -> list[ResidualMoments]:
     """Traverse ``blocks`` once and return the :class:`ResidualMoments` of each denoiser.
 
     ``blocks`` yields ``(rows, clean, noisy)`` triples covering ``samples``
@@ -315,14 +299,14 @@ def _one_pass(denoisers: list, blocks, samples: int, seed: int) -> list[Residual
             aa[rows] = _row_dot(error, error)
             ar[rows] = _row_dot(error, residual)
             rr[rows] = _row_dot(residual, residual)
-    return [ResidualMoments(aa=aa, ar=ar, rr=rr, seed=seed) for aa, ar, rr in stats]
+    return [ResidualMoments(aa=aa, ar=ar, rr=rr) for aa, ar, rr in stats]
 
 
 def _moments_on_prior(denoisers: list, prior: GmmPrior, sigma: float, samples: int, seed: int):
     """:func:`_one_pass` of ``denoisers`` over ``samples`` pairs drawn from ``prior`` at ``sigma``."""
     _check_samples(samples, prior.dim)
     blocks = prior.pair_blocks(sigma, samples, seed, _block_rows(prior.dim))
-    return _one_pass(denoisers, blocks, samples, seed)
+    return _one_pass(denoisers, blocks, samples)
 
 
 def estimate_delta_opt(
@@ -363,7 +347,7 @@ def verify_sandwich(
             "no positive optimal scale exists: the mean inner product of the noise "
             f"and the denoiser's residual is {opt.denominator!r}, not negative"
         )
-    l2_mmse = _l2_of(exact.aa, seed)
+    l2_mmse = _l2_of(exact.aa)
     l2_scaled = moments.l2(opt.delta_opt)
     l2_base = moments.l2(1.0)
     se_lower = float(np.hypot(l2_mmse.stderr, l2_scaled.stderr))

@@ -23,10 +23,11 @@ from .analysis import DegenerateDenoiserError, _check_samples, verify_sandwich
 from .denoisers import AffineDenoiser, denoiser_from_config, tweedie_scale
 from .experiments import (
     ConfigError,
-    ExperimentRecord,
     _check_fields,
+    _integer,
     _noise_level,
     _reading,
+    _records,
     resolve_config,
     run_experiment,
     write_plots,
@@ -62,17 +63,17 @@ def _load_json(path: str) -> dict:
 
 def _resolve_seed(flag_seed, config: dict) -> int:
     if flag_seed is not None:
-        return int(flag_seed)
-    if "seed" in config and config["seed"] is not None:
-        source, value = "config field 'seed'", config["seed"]
+        source, value = "--seed", flag_seed
+    elif config.get("seed") is not None:
+        source, value = "config", config["seed"]
     elif os.environ.get(_ENV_SEED) is not None:
         source, value = _ENV_SEED, os.environ[_ENV_SEED]
+        with _reading(source):
+            value = int(value)
     else:
         return 0
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{source} must be an integer, got {value!r}") from None
+    with _reading(source):
+        return _integer(value, "seed")
 
 
 def _prepare_out_dir(out: str) -> bool:
@@ -129,7 +130,7 @@ def _cmd_delta_opt(args) -> int:
     with _reading("delta-opt config"):
         prior = GmmPrior.from_config(config["prior"])
         sigma = _noise_level(config["sigma"])
-        samples = int(config.get("samples", 100000))
+        samples = _integer(config.get("samples", 100000), "samples")
         _check_samples(samples, prior.dim)
         denoiser = denoiser_from_config(config["denoiser"], prior=prior, sigma=sigma)
     if not _prepare_out_dir(args.out):
@@ -147,20 +148,16 @@ def _cmd_delta_opt(args) -> int:
         f"l2_mmse = {report.l2_mmse.value!r}  l2_scaled = {report.l2_scaled.value!r}  "
         f"l2_base = {report.l2_base.value!r}"
     )
-    record = ExperimentRecord(
-        "delta-opt",
-        key=0.0,
-        metrics={
-            "delta_opt_sq": opt.delta_opt_sq,
-            "delta_opt_sq_stderr": opt.stderr_delta_opt_sq,
-            "l2_mmse": report.l2_mmse.value,
-            "l2_scaled": report.l2_scaled.value,
-            "l2_base": report.l2_base.value,
-            "sandwich_pass": float(report.passed),
-        },
-    )
+    columns = {
+        "delta_opt_sq": [opt.delta_opt_sq],
+        "delta_opt_sq_stderr": [opt.stderr_delta_opt_sq],
+        "l2_mmse": [report.l2_mmse.value],
+        "l2_scaled": [report.l2_scaled.value],
+        "l2_base": [report.l2_base.value],
+        "sandwich_pass": [report.passed],
+    }
     resolved = {**config, "samples": samples, "seed": seed}
-    _write_artifacts(args, "delta-opt", [record], resolved, started)
+    _write_artifacts(args, "delta-opt", _records("delta-opt", [0.0], columns), resolved, started)
     return 0
 
 
@@ -172,7 +169,7 @@ def _cmd_run(args) -> int:
         return 1
     started = _now()
     t0 = time.perf_counter()
-    resolved, records = run_experiment(args.experiment, resolved, workers=args.workers)
+    resolved, records = run_experiment(args.experiment, resolved)
     total_ms = (time.perf_counter() - t0) * 1e3
     write_plots(args.experiment, records, args.out)
     csv_path = _write_artifacts(

@@ -28,7 +28,6 @@ __all__ = [
     "gamma_factor",
     "estimate_lipschitz",
     "denoiser_from_config",
-    "scaling_from_config",
 ]
 
 
@@ -212,8 +211,8 @@ class ScaledDenoiser(Denoiser):
         gamma_rescale: bool = False,
     ):
         scales = np.asarray(delta, dtype=np.float64)
-        if scales.ndim > 1 or scales.size < 1 or not np.all(scales > 0):
-            raise ValueError("delta must be positive (a scalar or a nonempty 1-D vector)")
+        if scales.ndim > 1 or scales.size < 1 or not np.all((scales > 0) & (scales < np.inf)):
+            raise ValueError("delta must be positive and finite (a scalar or a nonempty 1-D vector)")
         if mode not in self.MODES:
             raise ValueError(f"mode must be one of {self.MODES}, got {mode!r}")
         self.base = base
@@ -356,13 +355,3 @@ def denoiser_from_config(config: dict, prior: GmmPrior | None = None, sigma: flo
     if prior is not None and denoiser.dim != prior.dim:
         raise ValueError(f"denoiser has dim {denoiser.dim}, but the prior has dim {prior.dim}")
     return denoiser
-
-
-def scaling_from_config(base: Denoiser, config: dict) -> ScaledDenoiser:
-    """Wrap ``base`` per ``{"mode": ..., "delta": ..., "gamma_rescale": ...}``."""
-    mode = config.get("mode", "tweedie")
-    if "delta" not in config:
-        raise ValueError("scaling config missing required field 'delta'")
-    return ScaledDenoiser(
-        base, config["delta"], mode=mode, gamma_rescale=config.get("gamma_rescale", False)
-    )

@@ -9,15 +9,20 @@ denoiser are built and cross-checked before any work starts; a bad config
 raises :class:`ConfigError`. The solve protocols run their whole grid as one
 batched fixed-point stack (:func:`~pnplab.solver.pnp_pgd_batch`), and the
 scale sweep derives every grid loss from one streamed pass over one shared
-sample set that evaluates every mismatch ratio's denoiser. The ``workers``
-argument is accepted and has no effect. Records come out in grid order, so
-the emitted CSV is byte-identical across reruns; its runtime column is
-pinned to zero.
+sample set that evaluates every mismatch ratio's denoiser.
+
+Every CSV row, here and in the CLI's ``delta-opt``, is built by one record
+builder, :func:`_records`, from a protocol's keys and one column of values
+per metric; it holds the one divergence rule, that a diverged grid point
+records only ``diverged = 1.0``. Records come out in grid order, so the
+emitted CSV is byte-identical across reruns; its runtime column is pinned to
+zero.
 """
 
 from __future__ import annotations
 
 import copy
+import numbers
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -63,6 +68,22 @@ class ExperimentRecord:
     experiment: str
     key: float
     metrics: dict[str, float] = field(default_factory=dict)
+
+
+def _records(experiment: str, keys, columns: dict, diverged=None) -> list[ExperimentRecord]:
+    """One record per key, in order; record i holds ``columns[m][i]`` for each metric m.
+
+    A ``None`` in a column leaves that metric out of its record. A grid point
+    flagged in ``diverged`` records only ``diverged = 1.0``.
+    """
+    records = []
+    for i, key in enumerate(keys):
+        if diverged is not None and diverged[i]:
+            metrics = {"diverged": 1.0}
+        else:
+            metrics = {m: float(col[i]) for m, col in columns.items() if col[i] is not None}
+        records.append(ExperimentRecord(experiment, float(key), metrics))
+    return records
 
 
 # -- defaults ----------------------------------------------------------------
@@ -133,6 +154,13 @@ def _reading(what: str):
         raise ConfigError(f"bad {what}: {detail}") from exc
 
 
+def _integer(value, name: str) -> int:
+    """A config's count or seed ``name``: a nonnegative integer, not a boolean or a float."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+        raise ValueError(f"{name!r} must be a nonnegative integer, got {value!r}")
+    return int(value)
+
+
 def _noise_level(value, zero_ok: bool = False) -> float:
     """A config's data noise level ``sigma``: finite, and positive unless ``zero_ok``."""
     sigma = float(value)
@@ -179,7 +207,7 @@ def _build_solve(resolved: dict, sigma: float, delta) -> tuple:
 # -- protocols ---------------------------------------------------------------
 
 
-def run_delta_sweep_experiment(config: dict | None = None, workers: int = 1):
+def run_delta_sweep_experiment(config: dict | None = None):
     """Loss-versus-scale curves for a graded family of mismatched denoisers.
 
     One denoiser per mismatch ratio (training noise over data noise), all
@@ -195,46 +223,33 @@ def run_delta_sweep_experiment(config: dict | None = None, workers: int = 1):
         sigma = _noise_level(resolved["sigma"])
         ratios = _scale_grid(resolved["mismatch_ratios"], "mismatch_ratios")
         grid = _scale_grid(resolved["delta_grid"], "delta_grid")
-        samples = int(resolved["samples"])
+        samples = _integer(resolved["samples"], "samples")
         _check_samples(samples, prior.dim)
-        seed = int(resolved["seed"])
+        seed = _integer(resolved["seed"], "seed")
         denoisers = [MmseDenoiser(prior, ratio * sigma) for ratio in ratios]
 
-    records: list[ExperimentRecord] = []
+    records = []
     ordered = []
     passes = _moments_on_prior(denoisers, prior, sigma, samples, seed)
     for ratio, moments in zip(ratios, passes):
         label = f"r={ratio:g}"
-        for delta, est in moments.sweep(grid):
-            records.append(
-                ExperimentRecord(
-                    "delta-sweep",
-                    key=delta,
-                    metrics={f"l2[{label}]": est.value, f"l2_stderr[{label}]": est.stderr},
-                )
-            )
+        values, stderrs = moments._losses(grid)
+        records += _records(
+            "delta-sweep", grid, {f"l2[{label}]": values, f"l2_stderr[{label}]": stderrs}
+        )
         opt = moments.delta_opt()
         ordered.append(opt.delta_opt_sq)
-        records.append(
-            ExperimentRecord(
-                "delta-sweep",
-                key=ratio,
-                metrics={
-                    "delta_opt_sq": opt.delta_opt_sq,
-                    "delta_opt_sq_stderr": opt.stderr_delta_opt_sq,
-                },
-            )
+        records += _records(
+            "delta-sweep",
+            [ratio],
+            {"delta_opt_sq": [opt.delta_opt_sq], "delta_opt_sq_stderr": [opt.stderr_delta_opt_sq]},
         )
     strict = all(a < b for a, b in zip(ordered, ordered[1:]))
-    records.append(
-        ExperimentRecord(
-            "delta-sweep", key=0.0, metrics={"quality_ordering_strict": float(strict)}
-        )
-    )
+    records += _records("delta-sweep", [0.0], {"quality_ordering_strict": [strict]})
     return resolved, records
 
 
-def run_stability(config: dict | None = None, workers: int = 1):
+def run_stability(config: dict | None = None):
     """Distance between reconstructions from perturbed and clean data.
 
     Forms measurements from one prior sample, perturbs them with one fixed
@@ -247,7 +262,7 @@ def run_stability(config: dict | None = None, workers: int = 1):
     with _reading("stability config"):
         sigma = _noise_level(resolved["sigma"])
         delta = float(resolved["delta"])
-        seed = int(resolved["seed"])
+        seed = _integer(resolved["seed"], "seed")
         k_grid = _scale_grid(resolved["k_grid"], "k_grid")
     prior, op, scaled, cfg = _build_solve(resolved, sigma, delta)
     with _reading("stability config"):
@@ -255,20 +270,12 @@ def run_stability(config: dict | None = None, workers: int = 1):
     y = op.apply(clean[0])
     xi = np.random.default_rng([seed, 1]).standard_normal(op.out_dim)
     res = pnp_pgd_batch(op, np.vstack([y, y + (sigma / k_grid)[:, None] * xi]), scaled, cfg)
-    records = []
-    for row, k in enumerate(k_grid, start=1):
-        if res.diverged[0] or res.diverged[row]:
-            metrics = {"diverged": 1.0}
-        else:
-            metrics = {
-                "distance_to_limit": float(np.linalg.norm(res.x_star[row] - res.x_star[0])),
-                "converged": float(res.converged[row]),
-            }
-        records.append(ExperimentRecord("stability", key=float(k), metrics=metrics))
-    return resolved, records
+    distance = [np.linalg.norm(x - res.x_star[0]) for x in res.x_star[1:]]
+    columns = {"distance_to_limit": distance, "converged": res.converged[1:]}
+    return resolved, _records("stability", k_grid, columns, res.diverged[0] | res.diverged[1:])
 
 
-def run_conv_reg(config: dict | None = None, workers: int = 1):
+def run_conv_reg(config: dict | None = None):
     """Joint limit of vanishing data noise and regularisation strength.
 
     For each scale on a logarithmic grid the clean measurements are perturbed
@@ -282,7 +289,7 @@ def run_conv_reg(config: dict | None = None, workers: int = 1):
     with _reading("conv-reg config"):
         sigma = _noise_level(resolved["sigma"], zero_ok=True)
         grid = _scale_grid(resolved["delta_grid"], "delta_grid")
-        seed = int(resolved["seed"])
+        seed = _integer(resolved["seed"], "seed")
     prior, op, scaled, cfg = _build_solve(resolved, max(sigma, 1e-12), grid)
 
     clean, _ = prior.sample_pairs(max(sigma, 1e-12), 1, seed)
@@ -298,31 +305,25 @@ def run_conv_reg(config: dict | None = None, workers: int = 1):
     else:
         noise = np.random.default_rng([seed, 1]).standard_normal(op.out_dim)
     res = pnp_pgd_batch(op, y0 + (sigma / grid)[:, None] * noise, scaled, cfg)
-    records = []
-    for delta, x, converged, diverged in zip(grid, res.x_star, res.converged, res.diverged):
-        if diverged:
-            metrics = {"diverged": 1.0}
-        else:
-            metrics = {
-                "data_consistency": float(
-                    np.linalg.norm(op.apply(x) - y0) / max(norm_y0, 1e-300)
-                ),
-                "converged": float(converged),
-            }
-        records.append(ExperimentRecord("conv-reg", key=float(delta), metrics=metrics))
-    for i in range(grid.size - 1):
-        if not (res.diverged[i] or res.diverged[i + 1]):
-            records[i].metrics["iterate_gap"] = float(
-                np.linalg.norm(res.x_star[i] - res.x_star[i + 1])
-            )
-    return resolved, records
+    x, diverged = res.x_star, res.diverged
+    # The gap from each grid point to the next, where neither diverged.
+    gaps = [
+        None if diverged[i] or diverged[i + 1] else np.linalg.norm(x[i] - x[i + 1])
+        for i in range(grid.size - 1)
+    ]
+    columns = {
+        "data_consistency": [np.linalg.norm(op.apply(row) - y0) / max(norm_y0, 1e-300) for row in x],
+        "converged": res.converged,
+        "iterate_gap": gaps + [None],
+    }
+    return resolved, _records("conv-reg", grid, columns, diverged)
 
 
 # Largest Lipschitz point cloud: its pair count, and so its run time, grows as the square.
 _MAX_CLOUD_SIZE = 10_000
 
 
-def run_lipschitz_table(config: dict | None = None, workers: int = 1):
+def run_lipschitz_table(config: dict | None = None):
     """Pairwise Lipschitz estimate of the optimal denoiser per noise level.
 
     The point cloud is drawn from the noisy prior at each level. An estimate
@@ -334,24 +335,18 @@ def run_lipschitz_table(config: dict | None = None, workers: int = 1):
     prior = _build_prior(resolved)
     with _reading("lipschitz config"):
         sigma_grid = _scale_grid(resolved["sigma_grid"], "sigma_grid")
-        cloud_size = int(resolved["cloud_size"])
-        seed = int(resolved["seed"])
+        cloud_size = _integer(resolved["cloud_size"], "cloud_size")
+        seed = _integer(resolved["seed"], "seed")
         denoisers = [MmseDenoiser(prior, sigma) for sigma in sigma_grid]
     if not 2 <= cloud_size <= _MAX_CLOUD_SIZE:
         raise ConfigError(f"cloud_size must lie between 2 and {_MAX_CLOUD_SIZE}")
 
-    records = []
+    lips = []
     for index, (sigma, denoiser) in enumerate(zip(sigma_grid, denoisers)):
         _, noisy = prior.sample_pairs(sigma, cloud_size, np.random.SeedSequence([seed, index]))
-        lip = estimate_lipschitz(denoiser, noisy)
-        records.append(
-            ExperimentRecord(
-                "lipschitz",
-                key=sigma,
-                metrics={"lipschitz_max": lip, "non_expansive": float(lip <= 1.0 + 1e-9)},
-            )
-        )
-    return resolved, records
+        lips.append(estimate_lipschitz(denoiser, noisy))
+    columns = {"lipschitz_max": lips, "non_expansive": [lip <= 1.0 + 1e-9 for lip in lips]}
+    return resolved, _records("lipschitz", sigma_grid, columns)
 
 
 class _Protocol(NamedTuple):
@@ -428,10 +423,10 @@ _PROTOCOLS = {
 EXPERIMENT_NAMES = tuple(_PROTOCOLS)
 
 
-def run_experiment(name: str, config: dict | None = None, workers: int = 1):
+def run_experiment(name: str, config: dict | None = None):
     """Dispatch to the named protocol; returns (resolved config, records)."""
     resolved = resolve_config(name, config)
-    return _PROTOCOLS[name].runner(resolved, workers=workers)
+    return _PROTOCOLS[name].runner(resolved)
 
 
 # -- artifacts ---------------------------------------------------------------

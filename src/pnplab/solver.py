@@ -100,7 +100,6 @@ class FixedPointResult:
     iterations: int
     converged: bool
     residual_history: np.ndarray
-    objective_history: np.ndarray
     step_size_warning: bool = False
 
 
@@ -174,7 +173,6 @@ def pnp_pgd(
     tau, warn = _step_size(op, config)
 
     residuals: list[float] = []
-    objectives: list[float] = []
     iterations = 0
     converged = False
     for i in range(config.max_iters):
@@ -185,8 +183,6 @@ def pnp_pgd(
         iterations = i + 1
         if config.record_history:
             residuals.append(residual)
-            r = op.apply(x_next) - y
-            objectives.append(0.5 * float(r @ r))
         x = x_next
         if residual <= config.tol * (1.0 + float(np.linalg.norm(x))):
             converged = True
@@ -196,7 +192,6 @@ def pnp_pgd(
         iterations=iterations,
         converged=converged,
         residual_history=np.asarray(residuals),
-        objective_history=np.asarray(objectives),
         step_size_warning=bool(warn),
     )
 

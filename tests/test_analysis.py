@@ -152,9 +152,9 @@ class TestSandwich:
         clean, noisy = prior.sample_pairs(sigma, samples, seed)
         scaled = tweedie_scale(base, rep.delta_opt.delta_opt)
         for got, want in (
-            (rep.l2_scaled, _l2_on_samples(scaled, clean, noisy, seed)),
-            (rep.l2_base, _l2_on_samples(base, clean, noisy, seed)),
-            (rep.l2_mmse, _l2_on_samples(MmseDenoiser(prior, sigma), clean, noisy, seed)),
+            (rep.l2_scaled, _l2_on_samples(scaled, clean, noisy)),
+            (rep.l2_base, _l2_on_samples(base, clean, noisy)),
+            (rep.l2_mmse, _l2_on_samples(MmseDenoiser(prior, sigma), clean, noisy)),
         ):
             assert abs(got.value - want.value) <= 1e-12 * want.value
             assert abs(got.stderr - want.stderr) <= 1e-12 * want.stderr
@@ -290,7 +290,7 @@ class TestResidualMoments:
         clean, noisy = prior.sample_pairs(sigma, 2000, seed)
         for (delta, est), want_delta in zip(sweep, grid):
             assert delta == want_delta
-            want = _l2_on_samples(tweedie_scale(d, delta), clean, noisy, seed)
+            want = _l2_on_samples(tweedie_scale(d, delta), clean, noisy)
             assert abs(est.value - want.value) <= 1e-12 * want.value
             assert abs(est.stderr - want.stderr) <= 1e-12 * want.stderr
 
@@ -298,10 +298,10 @@ class TestResidualMoments:
         prior = _hetero_prior()
         d = MmseDenoiser(prior, 0.2)
         clean, noisy = prior.sample_pairs(0.1, 5000, 3)
-        best = ResidualMoments.from_samples(d, clean, noisy, 3).delta_opt().delta_opt
-        at_best = _l2_on_samples(tweedie_scale(d, best), clean, noisy, 3).value
+        best = ResidualMoments.from_samples(d, clean, noisy).delta_opt().delta_opt
+        at_best = _l2_on_samples(tweedie_scale(d, best), clean, noisy).value
         for factor in (0.9, 0.99, 1.01, 1.1):
-            near = _l2_on_samples(tweedie_scale(d, factor * best), clean, noisy, 3).value
+            near = _l2_on_samples(tweedie_scale(d, factor * best), clean, noisy).value
             assert at_best < near
 
     DELTAS = [0.2, 0.5, 0.9, 1.0, 1.1, 2.0, 5.0, 20.0, 50.0]
@@ -326,14 +326,14 @@ class TestResidualMoments:
         sigma, m, seed = 0.1, 4000, 21
         d = make(prior, sigma)
         clean, noisy = prior.sample_pairs(sigma, m, seed)
-        return d, clean, noisy, ResidualMoments.from_samples(d, clean, noisy, seed)
+        return d, clean, noisy, ResidualMoments.from_samples(d, clean, noisy)
 
     @BASES
     def test_closed_form_losses_match_per_sample_evaluation(self, make):
         d, clean, noisy, moments = self._tight_pass(make)
         sweep = moments.sweep(self.DELTAS)
         for i, delta in enumerate(self.DELTAS):
-            want = _l2_on_samples(tweedie_scale(d, delta), clean, noisy, moments.seed)
+            want = _l2_on_samples(tweedie_scale(d, delta), clean, noisy)
             got = moments.l2(delta)
             assert sweep[i] == (delta, got)
             assert abs(got.value - want.value) <= 1e-12 * want.value
@@ -351,7 +351,7 @@ class TestResidualMoments:
         out, y, x = (v.astype(np.longdouble) for v in (d(noisy), noisy, clean))
         rr = np.sum((out - y) ** 2, axis=1)
         er = np.sum((y - x) * (out - y), axis=1)
-        got, want = moments.delta_opt(), _delta_opt_of(rr, er, moments.seed)
+        got, want = moments.delta_opt(), _delta_opt_of(rr, er)
         for name in ("numerator", "denominator", "delta_opt_sq", "stderr_delta_opt_sq"):
             a, b = getattr(got, name), getattr(want, name)
             assert abs(a - b) <= 1e-12 * abs(b), name
@@ -360,7 +360,7 @@ class TestResidualMoments:
         prior = _single_gaussian(4)
         clean, noisy = prior.sample_pairs(0.1, 10, 0)
         kept = noisy.copy()
-        moments = ResidualMoments.from_samples(lambda y: y, clean, noisy, 0)
+        moments = ResidualMoments.from_samples(lambda y: y, clean, noisy)
         np.testing.assert_array_equal(noisy, kept)
         assert np.all(moments.rr == 0.0)
         np.testing.assert_allclose(moments.aa, np.sum((noisy - clean) ** 2, axis=1), rtol=1e-15)
@@ -370,7 +370,7 @@ class TestResidualMoments:
         clean, noisy = prior.sample_pairs(0.1, 10, 0)
         held = np.full_like(noisy, 0.5)
         kept = held.copy()
-        moments = ResidualMoments.from_samples(lambda y: held, clean, noisy, 0)
+        moments = ResidualMoments.from_samples(lambda y: held, clean, noisy)
         estimate_l2(lambda y: held, prior, 0.1, 10, 0)
         np.testing.assert_array_equal(held, kept)
         np.testing.assert_allclose(moments.rr, np.sum((held - noisy) ** 2, axis=1), rtol=1e-15)
@@ -378,11 +378,11 @@ class TestResidualMoments:
     def test_invalid_grid_and_sample_count_rejected(self):
         prior = _single_gaussian(4)
         clean, noisy = prior.sample_pairs(0.1, 10, 0)
-        moments = ResidualMoments.from_samples(ShrinkageDenoiser(0.5, 4), clean, noisy, 0)
+        moments = ResidualMoments.from_samples(ShrinkageDenoiser(0.5, 4), clean, noisy)
         with pytest.raises(ValueError):
             moments.sweep([1.0, 0.0])
         with pytest.raises(ValueError):
-            ResidualMoments.from_samples(ShrinkageDenoiser(0.5, 4), clean[:1], noisy[:1], 0)
+            ResidualMoments.from_samples(ShrinkageDenoiser(0.5, 4), clean[:1], noisy[:1])
 
 
 class TestRowBlocks:
@@ -394,8 +394,8 @@ class TestRowBlocks:
         prior = _hetero_prior()
         d = MmseDenoiser(prior, 0.2)
         clean, noisy = prior.sample_pairs(0.1, m, m)
-        whole = ResidualMoments.from_samples(d, clean, noisy, m)
-        whole_l2 = _l2_on_samples(d, clean, noisy, m)
+        whole = ResidualMoments.from_samples(d, clean, noisy)
+        whole_l2 = _l2_on_samples(d, clean, noisy)
         monkeypatch.setattr(pnplab.analysis, "_BLOCK_FLOATS", self.BLOCK_ROWS * self.DIM)
         calls = []
 
@@ -403,9 +403,9 @@ class TestRowBlocks:
             calls.append(len(y))
             return d(y)
 
-        blocked = ResidualMoments.from_samples(counted, clean, noisy, m)
+        blocked = ResidualMoments.from_samples(counted, clean, noisy)
         assert calls == [min(self.BLOCK_ROWS, m - s) for s in range(0, m, self.BLOCK_ROWS)]
-        blocked_l2 = _l2_on_samples(counted, clean, noisy, m)
+        blocked_l2 = _l2_on_samples(counted, clean, noisy)
         for name in ("aa", "ar", "rr"):
             want = getattr(whole, name)
             np.testing.assert_allclose(getattr(blocked, name), want, rtol=1e-12, atol=0)
@@ -446,7 +446,7 @@ class TestOnePass:
 
         clean, noisy = prior.sample_pairs(sigma, samples, seed)
         for d, got in zip(mmse + plain, passes):
-            want = ResidualMoments.from_samples(d, clean, noisy, seed)
+            want = ResidualMoments.from_samples(d, clean, noisy)
             for name in ("aa", "ar", "rr"):
                 a, b = getattr(got, name), getattr(want, name)
                 if isinstance(d, MmseDenoiser):

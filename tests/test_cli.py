@@ -74,7 +74,15 @@ class TestDeltaOpt:
 
     @pytest.mark.parametrize(
         "sigma, samples",
-        [(-0.1, 20000), (float("nan"), 20000), (float("inf"), 20000), (0.1, 1), (0.1, 10**8)],
+        [
+            (-0.1, 20000),
+            (float("nan"), 20000),
+            (float("inf"), 20000),
+            (0.1, 1),
+            (0.1, 10**8),
+            (0.1, 200.7),
+            (0.1, True),
+        ],
     )
     def test_out_of_range_sigma_or_samples_exits_one(self, tmp_path, capsys, sigma, samples):
         path = _delta_opt_config(tmp_path, {"kind": "shrinkage", "alpha": 0.5, "dim": 4}, sigma)
@@ -341,6 +349,22 @@ class TestConfigErrorsAtTheBoundary:
                 {"operator": {"kind": "conv1d", "dim": 10**12, "kernel": [0.5, 0.5]}},
                 "dim 1000000000000",
             ),
+            ("conv-reg", {"delta_grid": [1.0, np.inf]}, "delta_grid must be positive and finite"),
+            ("stability", {"k_grid": [1, np.inf]}, "k_grid must be positive and finite"),
+            ("delta-sweep", {"delta_grid": [1.0, np.inf]}, "delta_grid must be positive and finite"),
+            (
+                "delta-sweep",
+                {"mismatch_ratios": [1.0, np.inf]},
+                "mismatch_ratios must be positive and finite",
+            ),
+            ("lipschitz", {"sigma_grid": [0.1, np.inf]}, "sigma_grid must be positive and finite"),
+            ("stability", {"delta": np.inf}, "delta must be positive and finite"),
+            ("delta-sweep", {"samples": 200.7}, "'samples' must be a nonnegative integer, got 200.7"),
+            ("delta-sweep", {"samples": True}, "'samples' must be a nonnegative integer, got True"),
+            ("lipschitz", {"cloud_size": 64.5}, "'cloud_size' must be a nonnegative integer, got 64.5"),
+            ("lipschitz", {"cloud_size": True}, "'cloud_size' must be a nonnegative integer, got True"),
+            ("lipschitz", {"seed": True}, "'seed' must be a nonnegative integer, got True"),
+            ("conv-reg", {"seed": 1.5}, "'seed' must be a nonnegative integer, got 1.5"),
         ],
     )
     def test_malformed_field_values(self, tmp_path, capsys, experiment, config, needle):
@@ -352,6 +376,31 @@ class TestConfigErrorsAtTheBoundary:
     def test_non_finite_or_negative_noise_level(self, tmp_path, capsys, experiment, sigma):
         err = self._run(tmp_path, capsys, config={"sigma": sigma}, experiment=experiment)
         assert "'sigma' must be" in err and repr(sigma) in err
+
+    @pytest.mark.parametrize("source", ["--seed", "PNPLAB_SEED", "config"])
+    @pytest.mark.parametrize("command", ["run", "delta-opt"])
+    def test_negative_seed_from_any_source(self, tmp_path, capsys, monkeypatch, command, source):
+        if command == "run":
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps({"sigma_grid": [0.1], "cloud_size": 32}))
+            path, argv = str(path), ["run", "lipschitz"]
+        else:
+            path, argv = _delta_opt_config(tmp_path, {"kind": "exact_mmse"}, drop="seed"), ["delta-opt"]
+        argv += ["--config", path, "--out", str(tmp_path / "out")]
+        if source == "--seed":
+            argv += ["--seed", "-1"]
+        elif source == "PNPLAB_SEED":
+            monkeypatch.setenv("PNPLAB_SEED", "-1")
+        else:
+            config = json.loads(open(path).read())
+            config["seed"] = -1
+            open(path, "w").write(json.dumps(config))
+        code = cli.main(argv)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"config error: bad {source}: ") and err.count("\n") == 1
+        assert "'seed' must be a nonnegative integer, got -1" in err
+        assert not (tmp_path / "out").exists()
 
     def test_zero_noise_level_still_runs_conv_reg(self, tmp_path):
         config = {"sigma": 0.0, "delta_grid": [1.0, 10.0], "solver": {"max_iters": 20}}

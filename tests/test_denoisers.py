@@ -13,7 +13,6 @@ from pnplab.denoisers import (
     estimate_lipschitz,
     gamma_factor,
     homogeneous_scale,
-    scaling_from_config,
     tweedie_scale,
 )
 from pnplab.prior import GmmPrior
@@ -319,10 +318,3 @@ class TestConfig:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown denoiser kind"):
             denoiser_from_config({"kind": "wavelet"})
-
-    def test_scaling_config(self):
-        base = ShrinkageDenoiser(0.5, 1)
-        sd = scaling_from_config(base, {"mode": "homogeneous", "delta": 2.0})
-        assert sd.mode == "homogeneous" and sd.delta == 2.0
-        with pytest.raises(ValueError, match="delta"):
-            scaling_from_config(base, {"mode": "tweedie"})

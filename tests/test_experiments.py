@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pnplab import experiments
 from pnplab.denoisers import AffineDenoiser, homogeneous_scale, tweedie_scale
 from pnplab.experiments import (
     ConfigError,
@@ -22,7 +23,7 @@ from pnplab.experiments import (
 )
 from pnplab.linop import operator_from_config
 from pnplab.prior import GmmPrior
-from pnplab.solver import PnpConfig, linear_fixed_point_oracle
+from pnplab.solver import PnpConfig, linear_fixed_point_oracle, pnp_pgd_batch
 
 
 def _metric_series(records, metric):
@@ -57,6 +58,26 @@ class TestResolveConfig:
         resolved = resolve_config("conv-reg", {"solver": {"max_iters": 10}})
         assert resolved["solver"]["max_iters"] == 10
         assert resolved["solver"]["tau"] == 1.0
+
+    @pytest.mark.parametrize(
+        "runner, config, name",
+        [
+            (run_delta_sweep_experiment, {"samples": 200.7}, "samples"),
+            (run_delta_sweep_experiment, {"samples": True}, "samples"),
+            (run_lipschitz_table, {"cloud_size": 32.5}, "cloud_size"),
+            (run_lipschitz_table, {"cloud_size": True}, "cloud_size"),
+            (run_delta_sweep_experiment, {"seed": False}, "seed"),
+            (run_stability, {"seed": True}, "seed"),
+            (run_conv_reg, {"seed": 1.5}, "seed"),
+            (run_lipschitz_table, {"seed": 2.5}, "seed"),
+            (run_conv_reg, {"seed": -1}, "seed"),
+            (run_lipschitz_table, {"cloud_size": -5}, "cloud_size"),
+        ],
+    )
+    def test_counts_and_seeds_reject_booleans_fractions_and_negatives(self, runner, config, name):
+        want = f"'{name}' must be a nonnegative integer, got {config[name]}"
+        with pytest.raises(ConfigError, match=want):
+            runner(config)
 
 
 class TestStability:
@@ -189,6 +210,36 @@ class TestStability:
         _, records = run_stability(config)
         assert all(r.metrics.get("diverged") == 1.0 for r in records)
 
+    def test_a_diverged_clean_row_marks_every_k(self):
+        """x -> 1.1 x + c(y) in one dimension: a row runs past the divergence bound
+        at an iteration set by |c(y)|. The offset puts the clean row at |c| = 1,
+        the k = 1 row at c = 0 and the k = 2 row at |c| = 1/2, so within 270
+        iterations only the clean row diverges (at about 266; k = 2 would at 274)."""
+        seed = 4
+        xi = np.random.default_rng([seed, 1]).standard_normal(1)[0]
+        sigma = 1.0 / (1.1 * abs(xi))
+        config = {
+            "prior": {"weights": [1.0], "means": [[0.0]], "variances": [1.0]},
+            "operator": {"kind": "identity", "dim": 1},
+            "denoiser": {"kind": "affine", "matrix": [[2.2]], "offset": [0.0]},
+            "contract_eps": 0.0,
+            "delta": 1.0,
+            "sigma": sigma,
+            "k_grid": [1, 2],
+            "solver": {"tau": 0.5, "max_iters": 270, "tol": 1e-9},
+            "seed": seed,
+        }
+        prior = GmmPrior.from_config(config["prior"])
+        y = prior.sample_pairs(sigma, 1, seed)[0][0, 0]
+        config["denoiser"]["offset"] = [-1.1 * y - np.sign(xi)]
+        resolved, records = run_stability(config)
+
+        _, op, scaled, cfg = experiments._build_solve(resolved, sigma, 1.0)
+        ys = np.array([[y], [y + sigma * xi], [y + sigma / 2 * xi]])
+        assert list(pnp_pgd_batch(op, ys, scaled, cfg).diverged) == [True, False, False]
+        assert [r.key for r in records] == [1.0, 2.0]
+        assert all(r.metrics == {"diverged": 1.0} for r in records)
+
 
 class TestConvReg:
     def test_noiseless_identity_case_is_exact(self):
@@ -306,6 +357,48 @@ class TestConvReg:
         assert all(r.metrics.get("diverged") == 1.0 for r in records)
         assert all("iterate_gap" not in r.metrics for r in records)
 
+    @pytest.mark.parametrize("grid", [[1.0, 2.0, 4.0], [2.0, 1.0, 4.0]])
+    def test_only_the_diverged_scale_is_marked(self, grid):
+        """Residual scaling of 3 I under tau = 0.5: x -> (1 + 2u)(x + y) / 2 with
+        u = 1/delta^2 expands at delta = 1 only. An ``iterate_gap`` is recorded
+        from a grid point to the next only where neither diverged."""
+        n = 4
+        config = {
+            "prior": {"weights": [1.0], "means": [[1.0] * n], "variances": [1.0]},
+            "operator": {"kind": "identity", "dim": n},
+            "denoiser": {"kind": "affine", "matrix": (3.0 * np.eye(n)).tolist(), "offset": [0.0] * n},
+            "mode": "tweedie",
+            "gamma_rescale": False,
+            "delta_grid": grid,
+            "solver": {"tau": 0.5, "max_iters": 400, "tol": 1e-12},
+            "seed": 0,
+        }
+        resolved, records = run_conv_reg(config)
+        assert [r.key for r in records] == grid
+
+        prior = GmmPrior.from_config(config["prior"])
+        op = operator_from_config(config["operator"])
+        clean, _ = prior.sample_pairs(0.1, 1, 0)
+        xi = np.random.default_rng([0, 1]).standard_normal(n)
+        base = AffineDenoiser(config["denoiser"]["matrix"], config["denoiser"]["offset"])
+        cfg = PnpConfig(**resolved["solver"])
+        limit = {
+            d: linear_fixed_point_oracle(op, clean[0] + (0.1 / d) * xi, tweedie_scale(base, d), cfg)
+            for d in grid
+            if d > 1.0
+        }
+        for i, (d, rec) in enumerate(zip(grid, records)):
+            if d == 1.0:
+                assert rec.metrics == {"diverged": 1.0}
+                continue
+            assert rec.metrics["converged"] == 1.0
+            after = grid[i + 1] if i + 1 < len(grid) else None
+            if after in limit:
+                want = float(np.linalg.norm(limit[d] - limit[after]))
+                assert rec.metrics["iterate_gap"] == pytest.approx(want, rel=1e-9)
+            else:
+                assert set(rec.metrics) == {"data_consistency", "converged"}
+
 
 class TestDeltaSweepExperiment:
     def test_quality_ordering_flag_set(self):
@@ -415,16 +508,6 @@ class TestArtifacts:
             write_records_csv(path, records, seed=0)
             outs.append(path.read_bytes())
         assert outs[0] == outs[1]
-
-    def test_worker_count_does_not_change_bytes(self, tmp_path):
-        config = {"delta_grid": [1.0, 3.0, 9.0, 27.0]}
-        blobs = []
-        for workers in (1, 4):
-            _, records = run_conv_reg(dict(config), workers=workers)
-            path = tmp_path / f"w{workers}.csv"
-            write_records_csv(path, records, seed=0)
-            blobs.append(path.read_bytes())
-        assert blobs[0] == blobs[1]
 
     def test_plots_written_and_deterministic(self, tmp_path):
         _, records = run_lipschitz_table()
