@@ -123,11 +123,6 @@ def _check_samples(samples: int, dim: int = 1):
         )
 
 
-def _l2_of(sq: np.ndarray) -> L2Estimate:
-    """Mean and standard error of per-sample squared errors."""
-    return L2Estimate(value=float(sq.mean()), stderr=float(np.std(sq, ddof=1) / np.sqrt(sq.size)))
-
-
 def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Per-row inner products of two (m, n) arrays, without an (m, n) temporary."""
     return np.einsum("ij,ij->i", a, b)
@@ -135,13 +130,13 @@ def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _l2_on_samples(denoiser, clean: np.ndarray, noisy: np.ndarray) -> L2Estimate:
     """Loss of ``denoiser`` on (clean, noisy) pairs of shape (m, n), m >= 2."""
-    return _l2_of(ResidualMoments.from_samples(denoiser, clean, noisy).aa)
+    return ResidualMoments.from_samples(denoiser, clean, noisy).l2(1.0)
 
 
 def estimate_l2(denoiser, prior: GmmPrior, sigma: float, samples: int, seed: int) -> L2Estimate:
     """Monte-Carlo squared denoising error ``E |D(x + sigma xi) - x|^2``."""
     (moments,) = _moments_on_prior([denoiser], prior, sigma, samples, seed)
-    return _l2_of(moments.aa)
+    return moments.l2(1.0)
 
 
 def _check_denominator(num, den) -> None:
@@ -228,7 +223,19 @@ class ResidualMoments:
 
     @classmethod
     def from_samples(cls, denoiser, clean, noisy) -> "ResidualMoments":
-        """One denoiser pass over (clean, noisy) pairs of shape (m, n), m >= 2."""
+        """One denoiser pass over (clean, noisy) pairs, two (m, n) arrays with m >= 2.
+
+        ``n`` is the denoiser's ``dim``; a plain callable declares none, and
+        then the two arrays need only agree.
+        """
+        clean = np.asarray(clean, dtype=np.float64)
+        noisy = np.asarray(noisy, dtype=np.float64)
+        dim = getattr(denoiser, "dim", noisy.shape[-1] if noisy.ndim else None)
+        if noisy.ndim != 2 or noisy.shape[1] != dim or clean.shape != noisy.shape:
+            raise ValueError(
+                f"clean and noisy must both be (m, {dim}) arrays, "
+                f"got shapes {clean.shape} and {noisy.shape}"
+            )
         _check_samples(len(noisy))
         return _one_pass([denoiser], _array_blocks(clean, noisy), len(noisy))[0]
 
@@ -347,7 +354,7 @@ def verify_sandwich(
             "no positive optimal scale exists: the mean inner product of the noise "
             f"and the denoiser's residual is {opt.denominator!r}, not negative"
         )
-    l2_mmse = _l2_of(exact.aa)
+    l2_mmse = exact.l2(1.0)
     l2_scaled = moments.l2(opt.delta_opt)
     l2_base = moments.l2(1.0)
     se_lower = float(np.hypot(l2_mmse.stderr, l2_scaled.stderr))

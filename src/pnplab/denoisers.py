@@ -34,33 +34,31 @@ __all__ = [
 class Denoiser:
     """Base class: a map from noisy signals to estimates on a fixed dimension.
 
-    ``__call__`` checks its input, a 1-D vector or an (m, n) batch.
-    ``_apply`` is the unchecked route on an (m, n) stack of float64 rows,
-    which callers that validated their stack once (the batched solver) run
-    in their loops; it defaults to the checked call, so a subclass that
-    defines only ``__call__`` still works there. The zoo's classes implement
-    ``_apply`` and make ``__call__`` the check plus ``_apply``, so both
-    routes give bitwise the same output.
+    ``__call__`` is the one checked entry point: it takes a 1-D vector or an
+    (m, n) batch, checks it, and runs ``_apply`` on it as an (m, n) stack of
+    float64 rows, returning the result in the input's shape. ``_apply`` is
+    the unchecked route, which callers that validated their stack once (the
+    batched solver) run in their loops, so both routes give bitwise the same
+    output. A subclass that defines only ``__call__`` still works there:
+    ``_apply`` then falls back to the call.
     """
 
     dim: int
 
-    def __call__(self, y: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+    def __call__(self, y, *args) -> np.ndarray:
+        y = self._check(y)
+        return self._apply(y.reshape(-1, self.dim), *args).reshape(y.shape)
 
-    def _apply(self, y: np.ndarray) -> np.ndarray:
-        return self(y)
+    def _apply(self, y, *args) -> np.ndarray:
+        if type(self).__call__ is Denoiser.__call__:
+            raise NotImplementedError(f"{type(self).__name__} defines neither __call__ nor _apply")
+        return self(y, *args)
 
     def _check(self, y) -> np.ndarray:
         y = np.asarray(y, dtype=np.float64)
         if y.shape[-1:] != (self.dim,) or y.ndim not in (1, 2):
             raise ValueError(f"expected signals of dim {self.dim}, got shape {y.shape}")
         return y
-
-    def _checked_apply(self, y, *args) -> np.ndarray:
-        """Check ``y``, run ``_apply`` on it as an (m, n) stack and return it in ``y``'s shape."""
-        y = self._check(y)
-        return self._apply(y.reshape(-1, self.dim), *args).reshape(y.shape)
 
 
 class MmseDenoiser(Denoiser):
@@ -81,8 +79,8 @@ class MmseDenoiser(Denoiser):
     """
 
     def __init__(self, prior: GmmPrior, sigma: float):
-        if not 0.0 < sigma < np.inf:
-            raise ValueError("sigma must be positive and finite")
+        if isinstance(sigma, bool) or not 0.0 < sigma < np.inf:
+            raise ValueError(f"sigma must be positive and finite, got {sigma!r}")
         self.prior = prior
         self.sigma = float(sigma)
         self.dim = prior.dim
@@ -93,9 +91,6 @@ class MmseDenoiser(Denoiser):
             self._mean_over_t = prior.means[0] * self._inv_t
         else:
             self._mean_over_t = None
-
-    def __call__(self, y, half_sq=None):
-        return self._checked_apply(y, half_sq)
 
     def _apply(self, y, half_sq=None):
         if self._mean_over_t is None:
@@ -111,15 +106,12 @@ class ShrinkageDenoiser(Denoiser):
     """Multiply by a constant ``alpha`` in (0, 1]; ``alpha = 1`` is the identity."""
 
     def __init__(self, alpha: float, dim: int):
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError("alpha must lie in (0, 1]")
+        if isinstance(alpha, bool) or not 0.0 < alpha <= 1.0:
+            raise ValueError(f"alpha must lie in (0, 1], got {alpha!r}")
         if dim < 1:
             raise ValueError("dim must be >= 1")
         self.alpha = float(alpha)
         self.dim = int(dim)
-
-    def __call__(self, y):
-        return self._checked_apply(y)
 
     def _apply(self, y):
         return self.alpha * y
@@ -143,9 +135,6 @@ class AffineDenoiser(Denoiser):
         self.offset.setflags(write=False)
         self.dim = matrix.shape[0]
 
-    def __call__(self, y):
-        return self._checked_apply(y)
-
     def _apply(self, y):
         return y @ self.matrix.T + self.offset
 
@@ -163,9 +152,6 @@ class OutputShrink(Denoiser):
         self.base = base
         self.alpha = float(alpha)
         self.dim = base.dim
-
-    def __call__(self, y):
-        return self._checked_apply(y)
 
     def _apply(self, y):
         return self.alpha * self.base._apply(y)
@@ -234,7 +220,7 @@ class ScaledDenoiser(Denoiser):
 
     def __call__(self, y) -> np.ndarray:
         self.check_rows(np.shape(y))
-        return self._checked_apply(y)
+        return super().__call__(y)
 
     def _apply(self, y):
         if self.mode == "tweedie":
@@ -315,6 +301,13 @@ def estimate_lipschitz(denoiser, points) -> float:
     return estimate
 
 
+def _field(config: dict, key: str):
+    """``config[key]``, or a ValueError naming the missing field."""
+    if key not in config:
+        raise ValueError(f"denoiser config missing required field {key!r}")
+    return config[key]
+
+
 def denoiser_from_config(config: dict, prior: GmmPrior | None = None, sigma: float | None = None) -> Denoiser:
     """Build a zoo member from a JSON-style config dict.
 
@@ -332,21 +325,15 @@ def denoiser_from_config(config: dict, prior: GmmPrior | None = None, sigma: flo
     if kind == "mismatched_mmse":
         if prior is None:
             raise ValueError("mismatched_mmse requires a prior")
-        if "sigma_train" not in config:
-            raise ValueError("denoiser config missing required field 'sigma_train'")
-        return MmseDenoiser(prior, config["sigma_train"])
+        return MmseDenoiser(prior, _field(config, "sigma_train"))
     if kind == "shrinkage":
-        if "alpha" not in config:
-            raise ValueError("denoiser config missing required field 'alpha'")
+        alpha = _field(config, "alpha")
         dim = config.get("dim", prior.dim if prior is not None else None)
         if dim is None:
             raise ValueError("shrinkage requires a dim (explicit or via prior)")
-        denoiser = ShrinkageDenoiser(config["alpha"], dim)
+        denoiser = ShrinkageDenoiser(alpha, dim)
     elif kind == "affine":
-        for key in ("matrix", "offset"):
-            if key not in config:
-                raise ValueError(f"denoiser config missing required field {key!r}")
-        denoiser = AffineDenoiser(config["matrix"], config["offset"])
+        denoiser = AffineDenoiser(_field(config, "matrix"), _field(config, "offset"))
     else:
         raise ValueError(
             f"unknown denoiser kind {kind!r}; expected one of exact_mmse, "

@@ -161,9 +161,23 @@ def _integer(value, name: str) -> int:
     return int(value)
 
 
+def _real(value, name: str) -> float:
+    """A config's number ``name`` as a float; a boolean is not a number."""
+    if isinstance(value, bool):
+        raise TypeError(f"{name!r} must be a number, got {value!r}")
+    return float(value)
+
+
+def _flag(value, name: str) -> bool:
+    """A config's switch ``name``: a JSON boolean, not a string or a number."""
+    if not isinstance(value, bool):
+        raise TypeError(f"{name!r} must be true or false, got {value!r}")
+    return value
+
+
 def _noise_level(value, zero_ok: bool = False) -> float:
     """A config's data noise level ``sigma``: finite, and positive unless ``zero_ok``."""
-    sigma = float(value)
+    sigma = _real(value, "sigma")
     if not (0.0 <= sigma < np.inf and (zero_ok or sigma > 0.0)):
         sign = "nonnegative" if zero_ok else "positive"
         raise ValueError(f"'sigma' must be {sign} and finite, got {sigma!r}")
@@ -193,14 +207,13 @@ def _build_solve(resolved: dict, sigma: float, delta) -> tuple:
         if op_dim != prior.dim:
             raise ValueError(f"prior has dim {prior.dim}, but the operator acts on dim {op_dim}")
         base = denoiser_from_config(resolved["denoiser"], prior=prior, sigma=sigma)
-        eps = float(resolved.get("contract_eps", 0.0))
+        eps = _real(resolved.get("contract_eps", 0.0), "contract_eps")
         if not 0.0 <= eps < 1.0:
             raise ValueError(f"'contract_eps' must lie in [0, 1), got {eps!r}")
         if eps > 0.0:
             base = OutputShrink(base, 1.0 - eps)
-        scaled = ScaledDenoiser(
-            base, delta, mode=resolved["mode"], gamma_rescale=bool(resolved["gamma_rescale"])
-        )
+        gamma_rescale = _flag(resolved["gamma_rescale"], "gamma_rescale")
+        scaled = ScaledDenoiser(base, delta, mode=resolved["mode"], gamma_rescale=gamma_rescale)
         return prior, op, scaled, PnpConfig(**resolved["solver"])
 
 
@@ -261,7 +274,7 @@ def run_stability(config: dict | None = None):
     resolved = resolve_config("stability", config)
     with _reading("stability config"):
         sigma = _noise_level(resolved["sigma"])
-        delta = float(resolved["delta"])
+        delta = _real(resolved["delta"], "delta")
         seed = _integer(resolved["seed"], "seed")
         k_grid = _scale_grid(resolved["k_grid"], "k_grid")
     prior, op, scaled, cfg = _build_solve(resolved, sigma, delta)
@@ -290,12 +303,13 @@ def run_conv_reg(config: dict | None = None):
         sigma = _noise_level(resolved["sigma"], zero_ok=True)
         grid = _scale_grid(resolved["delta_grid"], "delta_grid")
         seed = _integer(resolved["seed"], "seed")
+        resample = _flag(resolved["resample_noise_per_delta"], "resample_noise_per_delta")
     prior, op, scaled, cfg = _build_solve(resolved, max(sigma, 1e-12), grid)
 
     clean, _ = prior.sample_pairs(max(sigma, 1e-12), 1, seed)
     y0 = op.apply(clean[0])
     norm_y0 = float(np.linalg.norm(y0))
-    if resolved["resample_noise_per_delta"]:
+    if resample:
         noise = np.stack(
             [
                 np.random.default_rng([seed, 2, i]).standard_normal(op.out_dim)

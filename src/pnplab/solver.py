@@ -73,18 +73,18 @@ class PnpConfig:
     ``1 / ||A^T A||``, estimated from the operator at solve time. The
     convergence certificate needs ``tau <= 1 / ||A^T A||``. ``tol`` is the
     relative successive-iterate threshold, and ``max_iters`` caps the run
-    (experiment parity uses 300; library callers may raise it).
+    (experiment parity uses 300; library callers may raise it). Booleans are
+    rejected for all three.
     """
 
     tau: float | None = None
     max_iters: int = 300
     tol: float = 1e-9
-    record_history: bool = True
 
     def __post_init__(self):
-        if self.tau is not None and not 0 < self.tau < np.inf:
+        if self.tau is not None and (isinstance(self.tau, bool) or not 0 < self.tau < np.inf):
             raise ValueError(f"tau must be positive and finite, got {self.tau!r}")
-        if not 0 < self.tol < np.inf:
+        if isinstance(self.tol, bool) or not 0 < self.tol < np.inf:
             raise ValueError(f"tol must be positive and finite, got {self.tol!r}")
         if isinstance(self.max_iters, bool) or not isinstance(self.max_iters, numbers.Integral):
             raise TypeError(f"max_iters must be an integer, got {self.max_iters!r}")
@@ -152,10 +152,11 @@ def pnp_pgd(
     op : forward operator A.
     y : measurement vector of length ``op.out_dim``.
     denoiser : scaled denoiser applied after each gradient step.
-    config : step size, tolerance, iteration cap, history switch.
+    config : step size, tolerance, iteration cap.
     x0 : starting iterate; defaults to the zero vector.
 
-    Returns a :class:`FixedPointResult`. ``converged`` means the last
+    Returns a :class:`FixedPointResult`, whose ``residual_history`` holds
+    every iteration's successive-iterate residual. ``converged`` means the last
     successive-iterate residual fell below ``tol * (1 + |x|)``. A step size
     above ``1 / ||A^T A||`` voids the convergence certificate and is recorded
     as ``step_size_warning`` rather than raised. Iterates whose norm exceeds
@@ -173,23 +174,20 @@ def pnp_pgd(
     tau, warn = _step_size(op, config)
 
     residuals: list[float] = []
-    iterations = 0
     converged = False
     for i in range(config.max_iters):
         x_next = denoiser(op.gradient_step(y, tau, x))
         if not np.all(np.isfinite(x_next)) or np.linalg.norm(x_next) > _DIVERGENCE_NORM:
             raise DivergenceError(i + 1)
         residual = float(np.linalg.norm(x_next - x))
-        iterations = i + 1
-        if config.record_history:
-            residuals.append(residual)
+        residuals.append(residual)
         x = x_next
         if residual <= config.tol * (1.0 + float(np.linalg.norm(x))):
             converged = True
             break
     return FixedPointResult(
         x_star=x,
-        iterations=iterations,
+        iterations=len(residuals),
         converged=converged,
         residual_history=np.asarray(residuals),
         step_size_warning=bool(warn),

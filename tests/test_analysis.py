@@ -68,6 +68,15 @@ class TestEstimateL2:
         b = estimate_l2(d, prior, 0.1, 5000, 77)
         assert (a.value, a.stderr) == (b.value, b.stderr)
 
+    def test_value_is_the_mean_and_stderr_the_sample_deviation(self):
+        prior = _hetero_prior()
+        d = MmseDenoiser(prior, 0.3)
+        clean, noisy = prior.sample_pairs(0.2, 3000, 4)
+        sq = ResidualMoments.from_samples(d, clean, noisy).aa
+        est = _l2_on_samples(d, clean, noisy)
+        assert est.value == sq.mean()
+        assert est.stderr == pytest.approx(np.std(sq, ddof=1) / np.sqrt(sq.size), rel=1e-12, abs=0)
+
     def test_sample_count_validated(self):
         with pytest.raises(ValueError):
             estimate_l2(ShrinkageDenoiser(1.0, 4), _single_gaussian(4), 0.1, 1, 0)
@@ -375,6 +384,28 @@ class TestResidualMoments:
         np.testing.assert_array_equal(held, kept)
         np.testing.assert_allclose(moments.rr, np.sum((held - noisy) ** 2, axis=1), rtol=1e-15)
 
+    def test_arrays_of_another_shape_rejected(self):
+        # An (m, 1) clean array would broadcast against (m, 4) noisy rows
+        # and give a wrong loss without an error.
+        prior = _single_gaussian(4)
+        d = ShrinkageDenoiser(0.5, 4)
+        clean, noisy = prior.sample_pairs(0.1, 200, 0)
+        right = ResidualMoments.from_samples(d, clean, noisy)
+        # n ((alpha - 1)^2 v + alpha^2 sigma^2) for shrinkage alpha of a centred Gaussian
+        assert abs(right.mean[0] - 4 * (0.25 + 0.25 * 0.01)) <= 4 * right.l2(1.0).stderr
+        for bad_clean, bad_noisy in [
+            (clean[:, :1], noisy),
+            (clean, noisy[:, :1]),
+            (clean[:, :1], noisy[:, :1]),
+            (clean[:-1], noisy),
+            (clean[0], noisy[0]),
+            (clean[None], noisy[None]),
+        ]:
+            with pytest.raises(ValueError, match=r"clean and noisy must both be \(m, 4\) arrays"):
+                ResidualMoments.from_samples(d, bad_clean, bad_noisy)
+        with pytest.raises(ValueError, match=r"must both be \(m, 4\) arrays"):
+            ResidualMoments.from_samples(lambda y: y, clean[:, :1], noisy)
+
     def test_invalid_grid_and_sample_count_rejected(self):
         prior = _single_gaussian(4)
         clean, noisy = prior.sample_pairs(0.1, 10, 0)
@@ -453,3 +484,49 @@ class TestOnePass:
                     np.testing.assert_allclose(a, b, rtol=1e-12, atol=0)
                 else:
                     np.testing.assert_array_equal(a, b)
+
+
+class TestOptimalScaleReferee:
+    """Closed forms under a one-Gaussian prior N(mu, v I) in n dimensions.
+
+    The MMSE denoiser trained at ``sigma' = rho * sigma`` has the residual
+    ``-s (y - mu)`` with ``s = sigma'^2 / (v + sigma'^2)``. Its optimal squared
+    scale is ``s (v + sigma^2) / sigma^2``, and the loss of the residual-scaled
+    denoiser at ``u = 1/delta^2`` is ``n [(1 - u s)^2 sigma^2 + u^2 s^2 v]``.
+    """
+
+    N, V, SIGMA, SAMPLES, SEED = 6, 0.5, 0.2, 20000, 13
+    RATIOS = pytest.mark.parametrize("ratio", [1.0, 1.5, 2.0, 3.0])
+
+    def _setup(self, ratio):
+        prior = GmmPrior([1.0], [np.linspace(-1.0, 2.0, self.N)], [self.V])
+        sigma_train = ratio * self.SIGMA
+        s = sigma_train**2 / (self.V + sigma_train**2)
+        return prior, MmseDenoiser(prior, sigma_train), s
+
+    def _loss(self, s, delta):
+        u = 1.0 / (delta * delta)
+        return self.N * ((1.0 - u * s) ** 2 * self.SIGMA**2 + u * u * s * s * self.V)
+
+    @RATIOS
+    def test_delta_opt_matches_the_closed_form(self, ratio):
+        prior, d, s = self._setup(ratio)
+        est = estimate_delta_opt(d, prior, self.SIGMA, self.SAMPLES, self.SEED)
+        want = s * (self.V + self.SIGMA**2) / self.SIGMA**2
+        assert abs(est.delta_opt_sq - want) <= 4 * est.stderr_delta_opt_sq
+
+    @RATIOS
+    def test_sweep_matches_the_closed_form_loss(self, ratio):
+        prior, d, s = self._setup(ratio)
+        grid = [0.7, 1.0, 1.5, 2.0, 3.0, 5.0, 20.0]
+        for delta, est in delta_sweep(d, prior, self.SIGMA, grid, self.SAMPLES, self.SEED):
+            assert abs(est.value - self._loss(s, delta)) <= 4 * est.stderr
+
+    @RATIOS
+    def test_sandwich_passes_between_the_closed_forms(self, ratio):
+        prior, d, s = self._setup(ratio)
+        report = verify_sandwich(d, prior, self.SIGMA, self.SAMPLES, self.SEED)
+        assert report.passed
+        exact_s = self.SIGMA**2 / (self.V + self.SIGMA**2)
+        assert abs(report.l2_mmse.value - self._loss(exact_s, 1.0)) <= 4 * report.l2_mmse.stderr
+        assert abs(report.l2_base.value - self._loss(s, 1.0)) <= 4 * report.l2_base.stderr

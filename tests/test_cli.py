@@ -82,6 +82,7 @@ class TestDeltaOpt:
             (0.1, 10**8),
             (0.1, 200.7),
             (0.1, True),
+            (True, 20000),
         ],
     )
     def test_out_of_range_sigma_or_samples_exits_one(self, tmp_path, capsys, sigma, samples):
@@ -93,6 +94,27 @@ class TestDeltaOpt:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("config error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "denoiser, needle",
+        [
+            ({"kind": "shrinkage", "alpha": True, "dim": 4}, "alpha must lie in (0, 1], got True"),
+            (
+                {"kind": "mismatched_mmse", "sigma_train": True},
+                "sigma must be positive and finite, got True",
+            ),
+        ],
+        ids=["alpha", "sigma_train"],
+    )
+    def test_boolean_denoiser_number_exits_one(self, tmp_path, capsys, denoiser, needle):
+        # A JSON true is not the number 1: shrinkage by true would be the identity (exit 2).
+        path = _delta_opt_config(tmp_path, denoiser)
+        code = cli.main(["delta-opt", "--config", path, "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert needle in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "denoiser",
@@ -169,6 +191,27 @@ class TestRun:
         assert manifest["command"] == "run lipschitz"
         assert manifest["resolved_spec"]["cloud_size"] == 64
         assert "started_at" in manifest and "finished_at" in manifest
+
+    def test_one_component_delta_sweep_orders_strictly(self, tmp_path):
+        """Under N(mu, v I), delta_opt^2 = s (v + sigma^2) / sigma^2.
+
+        Here s = sigma'^2 / (v + sigma'^2), with sigma' the training noise level.
+        """
+        n, v, sigma, ratios = 4, 0.5, 0.2, [1.0, 1.5, 2.0, 3.0]
+        config = tmp_path / "cfg.json"
+        prior = {"weights": [1.0], "means": [[0.5, -1.0, 0.0, 2.0]], "variances": [v]}
+        fields = {"prior": prior, "sigma": sigma, "mismatch_ratios": ratios, "samples": 10000}
+        config.write_text(json.dumps(fields))
+        out = tmp_path / "out"
+        assert cli.main(["run", "delta-sweep", "--config", str(config), "--out", str(out)]) == 0
+        rows = [row.split(",") for row in (out / "delta-sweep.csv").read_text().split("\n")[1:-1]]
+        values = {(float(key), metric): float(value) for _, key, metric, value, _, _ in rows}
+        assert values[(0.0, "quality_ordering_strict")] == 1.0
+        for ratio in ratios:
+            s = (ratio * sigma) ** 2 / (v + (ratio * sigma) ** 2)
+            want = s * (v + sigma**2) / sigma**2
+            got = values[(ratio, "delta_opt_sq")]
+            assert abs(got - want) <= 4 * values[(ratio, "delta_opt_sq_stderr")]
 
     def test_default_conv_reg_reaches_data_consistency(self, tmp_path):
         """The stock protocol drives the terminal residual below 1e-3."""
@@ -365,6 +408,42 @@ class TestConfigErrorsAtTheBoundary:
             ("lipschitz", {"cloud_size": True}, "'cloud_size' must be a nonnegative integer, got True"),
             ("lipschitz", {"seed": True}, "'seed' must be a nonnegative integer, got True"),
             ("conv-reg", {"seed": 1.5}, "'seed' must be a nonnegative integer, got 1.5"),
+            ("conv-reg", {"sigma": True}, "'sigma' must be a number, got True"),
+            ("stability", {"sigma": True}, "'sigma' must be a number, got True"),
+            ("delta-sweep", {"sigma": False}, "'sigma' must be a number, got False"),
+            ("stability", {"delta": True}, "'delta' must be a number, got True"),
+            (
+                "conv-reg",
+                {"denoiser": {"kind": "shrinkage", "alpha": True}},
+                "alpha must lie in (0, 1], got True",
+            ),
+            (
+                "stability",
+                {"denoiser": {"kind": "mismatched_mmse", "sigma_train": True}},
+                "sigma must be positive and finite, got True",
+            ),
+            (
+                "conv-reg",
+                {"gamma_rescale": "false"},
+                "'gamma_rescale' must be true or false, got 'false'",
+            ),
+            ("stability", {"gamma_rescale": "no"}, "'gamma_rescale' must be true or false, got 'no'"),
+            ("conv-reg", {"gamma_rescale": 0}, "'gamma_rescale' must be true or false, got 0"),
+            (
+                "conv-reg",
+                {"resample_noise_per_delta": "false"},
+                "'resample_noise_per_delta' must be true or false, got 'false'",
+            ),
+            (
+                "conv-reg",
+                {"resample_noise_per_delta": "no"},
+                "'resample_noise_per_delta' must be true or false, got 'no'",
+            ),
+            (
+                "conv-reg",
+                {"resample_noise_per_delta": 0},
+                "'resample_noise_per_delta' must be true or false, got 0",
+            ),
         ],
     )
     def test_malformed_field_values(self, tmp_path, capsys, experiment, config, needle):
@@ -420,6 +499,10 @@ class TestConfigErrorsAtTheBoundary:
             ("stability", {"contract_eps": float("nan")}, "'contract_eps' must lie in [0, 1)"),
             ("stability", {"contract_eps": -1e-3}, "'contract_eps' must lie in [0, 1)"),
             ("stability", {"contract_eps": 1.0}, "'contract_eps' must lie in [0, 1)"),
+            ("conv-reg", {"solver": {"tau": True}}, "tau must be positive and finite, got True"),
+            ("stability", {"solver": {"tol": True}}, "tol must be positive and finite, got True"),
+            ("stability", {"contract_eps": False}, "'contract_eps' must be a number, got False"),
+            ("conv-reg", {"solver": {"record_history": False}}, "'record_history'"),
         ],
     )
     def test_malformed_solver_fields(self, tmp_path, capsys, experiment, config, needle):

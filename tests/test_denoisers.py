@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from pnplab.denoisers import (
     AffineDenoiser,
+    Denoiser,
     MmseDenoiser,
     OutputShrink,
     ScaledDenoiser,
@@ -56,6 +57,44 @@ class TestZoo:
         base = AffineDenoiser(np.eye(2), np.array([1.0, 1.0]))
         d = OutputShrink(base, 0.5)
         np.testing.assert_allclose(d(np.array([1.0, 3.0])), [1.0, 2.0])
+
+    def test_booleans_are_not_numbers(self):
+        with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\], got True"):
+            ShrinkageDenoiser(True, 2)
+        with pytest.raises(ValueError, match="sigma must be positive and finite, got True"):
+            MmseDenoiser(_single_gaussian(), True)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: MmseDenoiser(
+                GmmPrior([0.5, 0.5], [[-1.0, 0.0, 1.0], [1.0, 2.0, 0.0]], [0.3, 0.6]), 0.4
+            ),
+            lambda: MmseDenoiser(_single_gaussian(3), 0.4),
+            lambda: ShrinkageDenoiser(0.3, 3),
+            lambda: AffineDenoiser(np.arange(9.0).reshape(3, 3) / 10.0, [1.0, -1.0, 0.5]),
+            lambda: OutputShrink(ShrinkageDenoiser(0.5, 3), 0.9),
+            lambda: tweedie_scale(ShrinkageDenoiser(0.5, 3), 2.0, gamma_rescale=True),
+        ],
+        ids=["mmse", "mmse-one-component", "shrinkage", "affine", "output-shrink", "scaled"],
+    )
+    def test_the_checked_call_is_the_unchecked_route(self, make):
+        d = make()
+        stack = np.random.default_rng(5).standard_normal((4, 3))
+        np.testing.assert_array_equal(d(stack), d._apply(stack))
+        np.testing.assert_array_equal(d(stack[1]), d._apply(stack[1:2])[0])
+        np.testing.assert_array_equal(d(stack.tolist()), d._apply(stack))
+        with pytest.raises(ValueError, match="expected signals of dim 3"):
+            d(np.zeros((4, 2)))
+
+    def test_a_subclass_defining_neither_method_is_not_implemented(self):
+        class Bare(Denoiser):
+            dim = 2
+
+        with pytest.raises(NotImplementedError, match="Bare defines neither"):
+            Bare()(np.zeros(2))
+        with pytest.raises(NotImplementedError, match="Bare defines neither"):
+            Bare()._apply(np.zeros((1, 2)))
 
 
 class TestMmseHotPath:
@@ -314,6 +353,19 @@ class TestConfig:
             {"kind": "affine", "matrix": [[1.0]], "offset": [0.5]}
         )
         assert isinstance(d2, AffineDenoiser)
+
+    @pytest.mark.parametrize(
+        "config, field",
+        [
+            ({"kind": "mismatched_mmse"}, "sigma_train"),
+            ({"kind": "shrinkage"}, "alpha"),
+            ({"kind": "affine", "offset": [0.0, 0.0]}, "matrix"),
+            ({"kind": "affine", "matrix": np.eye(2).tolist()}, "offset"),
+        ],
+    )
+    def test_a_missing_field_is_named(self, config, field):
+        with pytest.raises(ValueError, match=f"denoiser config missing required field '{field}'"):
+            denoiser_from_config(config, prior=_single_gaussian(), sigma=0.2)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown denoiser kind"):
