@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import denoisers as _zoo
+from .config import POSITIVE, real_array
 from .denoisers import Denoiser, MmseDenoiser
 from .prior import GmmPrior
 
@@ -178,16 +179,6 @@ def _delta_opt_of(a: np.ndarray, b: np.ndarray) -> DeltaOptEstimate:
     return _delta_opt_estimate(float(num), float(den), var)
 
 
-def _scale_grid(values, name: str = "delta grid") -> np.ndarray:
-    """A nonempty 1-D grid of positive finite values, as floats; ``name`` is its config field."""
-    grid = np.asarray(values, dtype=np.float64)
-    if grid.ndim != 1 or grid.size == 0:
-        raise ValueError(f"{name} must be a nonempty 1-D sequence")
-    if not np.all((grid > 0) & (grid < np.inf)):
-        raise ValueError(f"every value of {name} must be positive and finite")
-    return grid
-
-
 @dataclass(frozen=True)
 class ResidualMoments:
     """Per-sample moments of one denoiser pass over a fixed sample set.
@@ -254,7 +245,7 @@ class ResidualMoments:
 
     def sweep(self, delta_grid) -> list[tuple[float, L2Estimate]]:
         """:meth:`l2` at each scale of a nonempty grid of positive finite scales."""
-        grid = _scale_grid(delta_grid)
+        grid = real_array(delta_grid, "delta grid", rule=POSITIVE)
         values, stderrs = self._losses(grid)
         return [(float(d), L2Estimate(float(v), float(e))) for d, v, e in zip(grid, values, stderrs)]
 

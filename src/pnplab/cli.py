@@ -20,28 +20,14 @@ import numpy as np
 
 from . import __version__
 from .analysis import DegenerateDenoiserError, _check_samples, verify_sandwich
+from .config import POSITIVE, ConfigError, count, real
 from .denoisers import AffineDenoiser, denoiser_from_config, tweedie_scale
-from .experiments import (
-    ConfigError,
-    _check_fields,
-    _integer,
-    _noise_level,
-    _reading,
-    _records,
-    resolve_config,
-    run_experiment,
-    write_plots,
-    write_records_csv,
-)
+from .experiments import _check_fields, _reading, _records, run_experiment
+from .experiments import write_plots, write_records_csv
 from .linop import Convolve1d, DenseOperator, Identity, Mask
 from .prior import GmmPrior
-from .solver import (
-    PnpConfig,
-    averagedness_theta,
-    compose_averaged,
-    linear_fixed_point_oracle,
-    pnp_pgd,
-)
+from .solver import PnpConfig, averagedness_theta, compose_averaged
+from .solver import linear_fixed_point_oracle, pnp_pgd
 
 _ENV_SEED = "PNPLAB_SEED"
 
@@ -68,12 +54,11 @@ def _resolve_seed(flag_seed, config: dict) -> int:
         source, value = "config", config["seed"]
     elif os.environ.get(_ENV_SEED) is not None:
         source, value = _ENV_SEED, os.environ[_ENV_SEED]
-        with _reading(source):
-            value = int(value)
     else:
         return 0
     with _reading(source):
-        return _integer(value, "seed")
+        # The environment holds text; every other source holds a number.
+        return count(int(value) if source == _ENV_SEED else value, "seed")
 
 
 def _prepare_out_dir(out: str) -> bool:
@@ -129,8 +114,8 @@ def _cmd_delta_opt(args) -> int:
     started = _now()
     with _reading("delta-opt config"):
         prior = GmmPrior.from_config(config["prior"])
-        sigma = _noise_level(config["sigma"])
-        samples = _integer(config.get("samples", 100000), "samples")
+        sigma = real(config["sigma"], "sigma", POSITIVE)
+        samples = count(config.get("samples", 100000), "samples")
         _check_samples(samples, prior.dim)
         denoiser = denoiser_from_config(config["denoiser"], prior=prior, sigma=sigma)
     if not _prepare_out_dir(args.out):
@@ -164,12 +149,11 @@ def _cmd_delta_opt(args) -> int:
 def _cmd_run(args) -> int:
     config = _load_json(args.config) if args.config else {}
     config["seed"] = _resolve_seed(args.seed, config)
-    resolved = resolve_config(args.experiment, config)
     if not _prepare_out_dir(args.out):
         return 1
     started = _now()
     t0 = time.perf_counter()
-    resolved, records = run_experiment(args.experiment, resolved)
+    resolved, records = run_experiment(args.experiment, config)
     total_ms = (time.perf_counter() - t0) * 1e3
     write_plots(args.experiment, records, args.out)
     csv_path = _write_artifacts(

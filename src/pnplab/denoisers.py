@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .config import count, is_number, real_array, require
 from .prior import GmmPrior
 
 __all__ = [
@@ -79,7 +80,7 @@ class MmseDenoiser(Denoiser):
     """
 
     def __init__(self, prior: GmmPrior, sigma: float):
-        if isinstance(sigma, bool) or not 0.0 < sigma < np.inf:
+        if not is_number(sigma) or not 0.0 < sigma < np.inf:
             raise ValueError(f"sigma must be positive and finite, got {sigma!r}")
         self.prior = prior
         self.sigma = float(sigma)
@@ -106,7 +107,7 @@ class ShrinkageDenoiser(Denoiser):
     """Multiply by a constant ``alpha`` in (0, 1]; ``alpha = 1`` is the identity."""
 
     def __init__(self, alpha: float, dim: int):
-        if isinstance(alpha, bool) or not 0.0 < alpha <= 1.0:
+        if not is_number(alpha) or not 0.0 < alpha <= 1.0:
             raise ValueError(f"alpha must lie in (0, 1], got {alpha!r}")
         if dim < 1:
             raise ValueError("dim must be >= 1")
@@ -301,13 +302,6 @@ def estimate_lipschitz(denoiser, points) -> float:
     return estimate
 
 
-def _field(config: dict, key: str):
-    """``config[key]``, or a ValueError naming the missing field."""
-    if key not in config:
-        raise ValueError(f"denoiser config missing required field {key!r}")
-    return config[key]
-
-
 def denoiser_from_config(config: dict, prior: GmmPrior | None = None, sigma: float | None = None) -> Denoiser:
     """Build a zoo member from a JSON-style config dict.
 
@@ -315,7 +309,8 @@ def denoiser_from_config(config: dict, prior: GmmPrior | None = None, sigma: flo
     ``mismatched_mmse`` reads its own ``sigma_train``. ``shrinkage`` needs
     ``alpha`` (and ``dim`` unless a prior provides it); ``affine`` needs
     ``matrix`` and ``offset``. Given a prior, a denoiser of another dim is
-    rejected.
+    rejected. ``sigma_train`` and ``alpha`` are checked, booleans and
+    strings included, by the denoiser they build.
     """
     kind = config.get("kind")
     if kind == "exact_mmse":
@@ -325,15 +320,15 @@ def denoiser_from_config(config: dict, prior: GmmPrior | None = None, sigma: flo
     if kind == "mismatched_mmse":
         if prior is None:
             raise ValueError("mismatched_mmse requires a prior")
-        return MmseDenoiser(prior, _field(config, "sigma_train"))
+        return MmseDenoiser(prior, require(config, "sigma_train", where="denoiser"))
     if kind == "shrinkage":
-        alpha = _field(config, "alpha")
-        dim = config.get("dim", prior.dim if prior is not None else None)
-        if dim is None:
-            raise ValueError("shrinkage requires a dim (explicit or via prior)")
-        denoiser = ShrinkageDenoiser(alpha, dim)
+        alpha = require(config, "alpha", where="denoiser")
+        explicit = prior is None or "dim" in config
+        dim = require(config, "dim", where="denoiser") if explicit else prior.dim
+        denoiser = ShrinkageDenoiser(alpha, count(dim, "dim"))
     elif kind == "affine":
-        denoiser = AffineDenoiser(_field(config, "matrix"), _field(config, "offset"))
+        matrix, offset = require(config, "matrix", "offset", where="denoiser")
+        denoiser = AffineDenoiser(real_array(matrix, "matrix", ndim=2), real_array(offset, "offset"))
     else:
         raise ValueError(
             f"unknown denoiser kind {kind!r}; expected one of exact_mmse, "

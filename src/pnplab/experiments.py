@@ -22,7 +22,6 @@ zero.
 from __future__ import annotations
 
 import copy
-import numbers
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -31,17 +30,13 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import svgplot
-from .analysis import _check_samples, _moments_on_prior, _scale_grid
-from .denoisers import (
-    MmseDenoiser,
-    OutputShrink,
-    ScaledDenoiser,
-    denoiser_from_config,
-    estimate_lipschitz,
-)
+from .analysis import _MAX_SAMPLE_FLOATS, _check_samples, _moments_on_prior
+from .config import NONNEGATIVE, POSITIVE, UNIT, ConfigError, count, flag, real, real_array
+from .denoisers import MmseDenoiser, OutputShrink, ScaledDenoiser, denoiser_from_config
+from .denoisers import estimate_lipschitz
 from .linop import operator_from_config
 from .prior import GmmPrior
-from .solver import PnpConfig, pnp_pgd_batch
+from .solver import _STOP_BLOCK, PnpConfig, pnp_pgd_batch
 
 __all__ = [
     "ConfigError",
@@ -56,10 +51,6 @@ __all__ = [
     "write_records_csv",
     "write_plots",
 ]
-
-class ConfigError(ValueError):
-    """A config is malformed or missing a required field."""
-
 
 @dataclass
 class ExperimentRecord:
@@ -122,15 +113,20 @@ def _check_fields(config: dict, known, reader: str) -> None:
             raise ConfigError(f"unknown config field {key!r} for {reader}")
 
 
-def resolve_config(name: str, config: dict | None = None) -> dict:
-    """Fill defaults for the named experiment; unknown keys are rejected."""
-    if name not in EXPERIMENT_NAMES:
+def _protocol(name: str) -> "_Protocol":
+    if name not in _PROTOCOLS:
         raise ConfigError(
             f"unknown experiment {name!r}; valid names: {', '.join(EXPERIMENT_NAMES)}"
         )
+    return _PROTOCOLS[name]
+
+
+def resolve_config(name: str, config: dict | None = None) -> dict:
+    """Fill defaults for the named experiment; unknown keys are rejected."""
+    protocol = _protocol(name)
     if config is not None and not isinstance(config, dict):
         raise ConfigError(f"config must be a mapping of fields, got {type(config).__name__}")
-    resolved = copy.deepcopy(_PROTOCOLS[name].defaults)
+    resolved = copy.deepcopy(protocol.defaults)
     config = config or {}
     _check_fields(config, resolved, f"experiment {name!r}")
     for key, value in config.items():
@@ -149,72 +145,42 @@ def _reading(what: str):
     """
     try:
         yield
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         detail = f"missing field {exc}" if isinstance(exc, KeyError) else exc
         raise ConfigError(f"bad {what}: {detail}") from exc
 
 
-def _integer(value, name: str) -> int:
-    """A config's count or seed ``name``: a nonnegative integer, not a boolean or a float."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
-        raise ValueError(f"{name!r} must be a nonnegative integer, got {value!r}")
-    return int(value)
+def _grid_cap(dim: int) -> int:
+    """Most grid points a batched solve on ``dim``-vectors holds within the float cap.
+
+    Its block buffer holds ``_STOP_BLOCK + 1`` iterates per grid point.
+    """
+    return _MAX_SAMPLE_FLOATS // ((_STOP_BLOCK + 1) * dim)
 
 
-def _real(value, name: str) -> float:
-    """A config's number ``name`` as a float; a boolean is not a number."""
-    if isinstance(value, bool):
-        raise TypeError(f"{name!r} must be a number, got {value!r}")
-    return float(value)
-
-
-def _flag(value, name: str) -> bool:
-    """A config's switch ``name``: a JSON boolean, not a string or a number."""
-    if not isinstance(value, bool):
-        raise TypeError(f"{name!r} must be true or false, got {value!r}")
-    return value
-
-
-def _noise_level(value, zero_ok: bool = False) -> float:
-    """A config's data noise level ``sigma``: finite, and positive unless ``zero_ok``."""
-    sigma = _real(value, "sigma")
-    if not (0.0 <= sigma < np.inf and (zero_ok or sigma > 0.0)):
-        sign = "nonnegative" if zero_ok else "positive"
-        raise ValueError(f"'sigma' must be {sign} and finite, got {sigma!r}")
-    return sigma
-
-
-def _build_prior(resolved: dict) -> GmmPrior:
-    with _reading("prior config"):
-        return GmmPrior.from_config(resolved["prior"])
-
-
-def _build_solve(resolved: dict, sigma: float, delta) -> tuple:
-    """Prior, operator, scaled denoiser and solver config of a solve protocol.
+def _build_solve(resolved: dict, prior: GmmPrior, sigma: float, delta) -> tuple:
+    """Operator, scaled denoiser and solver config of a solve protocol on ``prior``.
 
     ``delta`` is one scale or one per grid point; everything the batched
     solve needs is validated here, before it starts.
     """
-    prior = _build_prior(resolved)
     with _reading("solve config"):
         spec = resolved["operator"]
         # A declared dim sizes the operator's arrays, so it is compared first;
         # an operator given as an array (a mask or a matrix) declares none.
-        op_dim = spec.get("dim", prior.dim)
+        op_dim = count(spec.get("dim", prior.dim), "dim")
         if op_dim == prior.dim:
             op = operator_from_config(spec)
             op_dim = op.in_dim
         if op_dim != prior.dim:
             raise ValueError(f"prior has dim {prior.dim}, but the operator acts on dim {op_dim}")
         base = denoiser_from_config(resolved["denoiser"], prior=prior, sigma=sigma)
-        eps = _real(resolved.get("contract_eps", 0.0), "contract_eps")
-        if not 0.0 <= eps < 1.0:
-            raise ValueError(f"'contract_eps' must lie in [0, 1), got {eps!r}")
+        eps = real(resolved.get("contract_eps", 0.0), "contract_eps", UNIT)
         if eps > 0.0:
             base = OutputShrink(base, 1.0 - eps)
-        gamma_rescale = _flag(resolved["gamma_rescale"], "gamma_rescale")
+        gamma_rescale = flag(resolved["gamma_rescale"], "gamma_rescale")
         scaled = ScaledDenoiser(base, delta, mode=resolved["mode"], gamma_rescale=gamma_rescale)
-        return prior, op, scaled, PnpConfig(**resolved["solver"])
+        return op, scaled, PnpConfig(**resolved["solver"])
 
 
 # -- protocols ---------------------------------------------------------------
@@ -231,14 +197,16 @@ def run_delta_sweep_experiment(config: dict | None = None):
     :class:`~pnplab.analysis.ResidualMoments`).
     """
     resolved = resolve_config("delta-sweep", config)
-    prior = _build_prior(resolved)
     with _reading("delta-sweep config"):
-        sigma = _noise_level(resolved["sigma"])
-        ratios = _scale_grid(resolved["mismatch_ratios"], "mismatch_ratios")
-        grid = _scale_grid(resolved["delta_grid"], "delta_grid")
-        samples = _integer(resolved["samples"], "samples")
+        prior = GmmPrior.from_config(resolved["prior"])
+        sigma = real(resolved["sigma"], "sigma", POSITIVE)
+        samples = count(resolved["samples"], "samples")
         _check_samples(samples, prior.dim)
-        seed = _integer(resolved["seed"], "seed")
+        # The pass keeps three moments per sample for each ratio.
+        cap = _MAX_SAMPLE_FLOATS // (3 * samples)
+        ratios = real_array(resolved["mismatch_ratios"], "mismatch_ratios", rule=POSITIVE, cap=cap)
+        grid = real_array(resolved["delta_grid"], "delta_grid", rule=POSITIVE)
+        seed = count(resolved["seed"], "seed")
         denoisers = [MmseDenoiser(prior, ratio * sigma) for ratio in ratios]
 
     records = []
@@ -273,13 +241,13 @@ def run_stability(config: dict | None = None):
     """
     resolved = resolve_config("stability", config)
     with _reading("stability config"):
-        sigma = _noise_level(resolved["sigma"])
-        delta = _real(resolved["delta"], "delta")
-        seed = _integer(resolved["seed"], "seed")
-        k_grid = _scale_grid(resolved["k_grid"], "k_grid")
-    prior, op, scaled, cfg = _build_solve(resolved, sigma, delta)
-    with _reading("stability config"):
-        clean, _ = prior.sample_pairs(sigma, 1, seed)
+        prior = GmmPrior.from_config(resolved["prior"])
+        sigma = real(resolved["sigma"], "sigma", POSITIVE)
+        delta = real(resolved["delta"], "delta")
+        seed = count(resolved["seed"], "seed")
+        k_grid = real_array(resolved["k_grid"], "k_grid", rule=POSITIVE, cap=_grid_cap(prior.dim))
+    op, scaled, cfg = _build_solve(resolved, prior, sigma, delta)
+    clean, _ = prior.sample_pairs(sigma, 1, seed)
     y = op.apply(clean[0])
     xi = np.random.default_rng([seed, 1]).standard_normal(op.out_dim)
     res = pnp_pgd_batch(op, np.vstack([y, y + (sigma / k_grid)[:, None] * xi]), scaled, cfg)
@@ -300,11 +268,12 @@ def run_conv_reg(config: dict | None = None):
     """
     resolved = resolve_config("conv-reg", config)
     with _reading("conv-reg config"):
-        sigma = _noise_level(resolved["sigma"], zero_ok=True)
-        grid = _scale_grid(resolved["delta_grid"], "delta_grid")
-        seed = _integer(resolved["seed"], "seed")
-        resample = _flag(resolved["resample_noise_per_delta"], "resample_noise_per_delta")
-    prior, op, scaled, cfg = _build_solve(resolved, max(sigma, 1e-12), grid)
+        prior = GmmPrior.from_config(resolved["prior"])
+        sigma = real(resolved["sigma"], "sigma", NONNEGATIVE)
+        grid = real_array(resolved["delta_grid"], "delta_grid", rule=POSITIVE, cap=_grid_cap(prior.dim))
+        seed = count(resolved["seed"], "seed")
+        resample = flag(resolved["resample_noise_per_delta"], "resample_noise_per_delta")
+    op, scaled, cfg = _build_solve(resolved, prior, max(sigma, 1e-12), grid)
 
     clean, _ = prior.sample_pairs(max(sigma, 1e-12), 1, seed)
     y0 = op.apply(clean[0])
@@ -346,11 +315,11 @@ def run_lipschitz_table(config: dict | None = None):
     modes at small noise.
     """
     resolved = resolve_config("lipschitz", config)
-    prior = _build_prior(resolved)
     with _reading("lipschitz config"):
-        sigma_grid = _scale_grid(resolved["sigma_grid"], "sigma_grid")
-        cloud_size = _integer(resolved["cloud_size"], "cloud_size")
-        seed = _integer(resolved["seed"], "seed")
+        prior = GmmPrior.from_config(resolved["prior"])
+        sigma_grid = real_array(resolved["sigma_grid"], "sigma_grid", rule=POSITIVE)
+        cloud_size = count(resolved["cloud_size"], "cloud_size")
+        seed = count(resolved["seed"], "seed")
         denoisers = [MmseDenoiser(prior, sigma) for sigma in sigma_grid]
     if not 2 <= cloud_size <= _MAX_CLOUD_SIZE:
         raise ConfigError(f"cloud_size must lie between 2 and {_MAX_CLOUD_SIZE}")
@@ -438,9 +407,8 @@ EXPERIMENT_NAMES = tuple(_PROTOCOLS)
 
 
 def run_experiment(name: str, config: dict | None = None):
-    """Dispatch to the named protocol; returns (resolved config, records)."""
-    resolved = resolve_config(name, config)
-    return _PROTOCOLS[name].runner(resolved)
+    """Run the named protocol, which resolves ``config``; returns (resolved config, records)."""
+    return _protocol(name).runner(config)
 
 
 # -- artifacts ---------------------------------------------------------------

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .config import count, flag_array, real, real_array, require
+
 __all__ = [
     "as_signal",
     "LinearOperator",
@@ -270,25 +272,19 @@ def operator_from_config(config: dict) -> LinearOperator:
     """
     kind = config.get("kind")
     if kind == "identity":
-        return Identity(_require(config, "dim"))
+        return Identity(count(require(config, "dim", where="operator"), "dim"))
     if kind == "mask":
         if "mask" in config:
-            return Mask(config["mask"])
-        return Mask.random(
-            _require(config, "dim"),
-            _require(config, "mask_fraction"),
-            seed=config.get("seed", 0),
-        )
+            return Mask(flag_array(config["mask"], "mask"))
+        dim, fraction = require(config, "dim", "mask_fraction", where="operator")
+        seed = count(config.get("seed", 0), "seed")
+        return Mask.random(count(dim, "dim"), real(fraction, "mask_fraction"), seed=seed)
     if kind == "conv1d":
-        return Convolve1d(_require(config, "kernel"), _require(config, "dim"))
+        kernel, dim = require(config, "kernel", "dim", where="operator")
+        return Convolve1d(real_array(kernel, "kernel"), count(dim, "dim"))
     if kind == "dense":
-        return DenseOperator(_require(config, "matrix"))
+        matrix = require(config, "matrix", where="operator")
+        return DenseOperator(real_array(matrix, "matrix", ndim=2))
     raise ValueError(
         f"unknown operator kind {kind!r}; expected one of identity, mask, conv1d, dense"
     )
-
-
-def _require(config: dict, field: str):
-    if field not in config:
-        raise ValueError(f"operator config missing required field {field!r}")
-    return config[field]

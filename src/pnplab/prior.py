@@ -30,6 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import real_array, require
+
 __all__ = ["GmmPrior"]
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
@@ -112,10 +114,9 @@ class GmmPrior:
 
     @classmethod
     def from_config(cls, config: dict) -> "GmmPrior":
-        for key in ("weights", "means", "variances"):
-            if key not in config:
-                raise ValueError(f"prior config missing required field {key!r}")
-        return cls(config["weights"], config["means"], config["variances"])
+        weights, means, variances = require(config, "weights", "means", "variances", where="prior")
+        means = real_array(means, "means", ndim=2)
+        return cls(real_array(weights, "weights"), means, real_array(variances, "variances"))
 
     # -- densities ---------------------------------------------------------
 
@@ -243,10 +244,11 @@ class GmmPrior:
 
         Returns an iterator of ``(rows, clean_block, noisy_block)``: a slice
         of the sample index and that slice's (clean, noisy) rows, at most
-        ``rows`` of them. The component labels and every clean row are drawn
-        first, then the noisy rows block by block into one reused buffer, so
-        each noisy block is valid only until the next one is drawn. The
-        stream is that of :meth:`sample_pairs` for any ``rows``.
+        ``rows`` of them. The component labels and every clean row's standard
+        normal draw come first; each block's clean rows are then scaled and
+        shifted onto their components, and its noisy rows drawn into one
+        reused buffer, so each noisy block is valid only until the next one
+        is drawn. The stream is that of :meth:`sample_pairs` for any ``rows``.
         """
         if not sigma > 0:
             raise ValueError("sigma must be positive")
@@ -257,13 +259,14 @@ class GmmPrior:
         rng = np.random.default_rng(seed)
         comps = rng.choice(self.n_components, size=count, p=self.weights)
         clean = rng.standard_normal((count, self.dim))
-        clean *= np.sqrt(self.variances[comps])[:, None]
+        scales = np.sqrt(self.variances[comps])[:, None]
         buffer = np.empty((min(rows, count), self.dim))
 
         def blocks():
             for start in range(0, count, rows):
                 index = slice(start, min(start + rows, count))
                 block = clean[index]
+                block *= scales[index]
                 block += self.means[comps[index]]
                 noisy = buffer[: len(block)]
                 rng.standard_normal(out=noisy)

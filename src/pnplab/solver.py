@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import is_number
 from .denoisers import AffineDenoiser, ScaledDenoiser, gamma_factor
 from .linop import LinearOperator, as_signal
 
@@ -73,8 +74,8 @@ class PnpConfig:
     ``1 / ||A^T A||``, estimated from the operator at solve time. The
     convergence certificate needs ``tau <= 1 / ||A^T A||``. ``tol`` is the
     relative successive-iterate threshold, and ``max_iters`` caps the run
-    (experiment parity uses 300; library callers may raise it). Booleans are
-    rejected for all three.
+    (experiment parity uses 300; library callers may raise it). Booleans and
+    strings are rejected for all three.
     """
 
     tau: float | None = None
@@ -82,9 +83,9 @@ class PnpConfig:
     tol: float = 1e-9
 
     def __post_init__(self):
-        if self.tau is not None and (isinstance(self.tau, bool) or not 0 < self.tau < np.inf):
+        if self.tau is not None and (not is_number(self.tau) or not 0 < self.tau < np.inf):
             raise ValueError(f"tau must be positive and finite, got {self.tau!r}")
-        if isinstance(self.tol, bool) or not 0 < self.tol < np.inf:
+        if not is_number(self.tol) or not 0 < self.tol < np.inf:
             raise ValueError(f"tol must be positive and finite, got {self.tol!r}")
         if isinstance(self.max_iters, bool) or not isinstance(self.max_iters, numbers.Integral):
             raise TypeError(f"max_iters must be an integer, got {self.max_iters!r}")

@@ -276,21 +276,53 @@ class TestRun:
             blobs.append((out / "conv-reg.csv").read_bytes())
         assert blobs[0] == blobs[1]
 
-    def test_rerun_from_manifest_reproduces_csv(self, tmp_path):
-        """The manifest's resolved config is a complete recipe for the run."""
-        config = tmp_path / "cfg.json"
-        config.write_text(json.dumps({"delta_grid": [1.0, 30.0], "sigma": 0.2}))
+    @pytest.mark.parametrize(
+        "command, fields",
+        [
+            ("conv-reg", {"delta_grid": [1.0, 30.0], "sigma": 0.2}),
+            ("stability", {"k_grid": [1, 2, 4], "solver": {"max_iters": 500}}),
+            ("delta-sweep", {"mismatch_ratios": [1.0, 2.0], "delta_grid": [1.0, 2.0], "samples": 2000}),
+            ("lipschitz", {"sigma_grid": [0.1, 0.3], "cloud_size": 32}),
+            ("delta-opt", None),
+        ],
+    )
+    def test_rerun_from_manifest_reproduces_csv(self, tmp_path, capsys, command, fields):
+        """The manifest's resolved config is a complete recipe for the run.
+
+        The readers accept everything a manifest writes, such as the integer
+        ``k_grid`` of stability and the prior's nested lists.
+        """
+        if fields is None:
+            config, argv = _delta_opt_config(tmp_path, {"kind": "exact_mmse"}), ["delta-opt"]
+        else:
+            config, argv = tmp_path / "cfg.json", ["run", command]
+            config.write_text(json.dumps(fields))
         first = tmp_path / "first"
-        assert cli.main(["run", "conv-reg", "--config", str(config), "--out", str(first)]) == 0
-        manifest = json.loads((first / "conv-reg_manifest.json").read_text())
+        assert cli.main(argv + ["--config", str(config), "--out", str(first)]) == 0
+        manifest = json.loads((first / f"{command}_manifest.json").read_text())
         replay_config = tmp_path / "replay.json"
         replay_config.write_text(json.dumps(manifest["resolved_spec"]))
         second = tmp_path / "second"
-        assert (
-            cli.main(["run", "conv-reg", "--config", str(replay_config), "--out", str(second)])
-            == 0
-        )
-        assert (first / "conv-reg.csv").read_bytes() == (second / "conv-reg.csv").read_bytes()
+        assert cli.main(argv + ["--config", str(replay_config), "--out", str(second)]) == 0
+        assert (first / f"{command}.csv").read_bytes() == (second / f"{command}.csv").read_bytes()
+        assert capsys.readouterr().err == ""
+
+    def test_a_run_resolves_its_config_once(self, tmp_path, monkeypatch):
+        import pnplab.experiments
+
+        calls = []
+        resolve = pnplab.experiments.resolve_config
+
+        def counted(name, config=None):
+            calls.append(name)
+            return resolve(name, config)
+
+        monkeypatch.setattr(pnplab.experiments, "resolve_config", counted)
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"sigma_grid": [0.1], "cloud_size": 16}))
+        argv = ["run", "lipschitz", "--config", str(config), "--out", str(tmp_path / "out")]
+        assert cli.main(argv) == 0
+        assert calls == ["lipschitz"]
 
     def test_diverging_grid_points_still_exit_zero(self, tmp_path):
         n = 4
@@ -508,6 +540,143 @@ class TestConfigErrorsAtTheBoundary:
     def test_malformed_solver_fields(self, tmp_path, capsys, experiment, config, needle):
         err = self._run(tmp_path, capsys, config=config, experiment=experiment)
         assert needle in err
+
+    @pytest.mark.parametrize(
+        "experiment, config, needle",
+        [
+            ("conv-reg", {"delta_grid": [True, 10.0]}, "delta_grid must hold only numbers, got True"),
+            (
+                "delta-sweep",
+                {"mismatch_ratios": [1.0, "2"]},
+                "mismatch_ratios must hold only numbers, got '2'",
+            ),
+            ("stability", {"sigma": "0.1"}, "'sigma' must be a number, got '0.1'"),
+            (
+                "conv-reg",
+                {"operator": {"kind": "mask", "dim": 64, "mask_fraction": True}},
+                "'mask_fraction' must be a number, got True",
+            ),
+            ("stability", {"k_grid": [1, True, 4]}, "k_grid must hold only numbers, got True"),
+            (
+                "lipschitz",
+                {"prior": {"weights": [True], "means": [[0.0] * 4], "variances": [True]}},
+                "weights must hold only numbers, got True",
+            ),
+            (
+                "lipschitz",
+                {"prior": {"weights": [1.0], "means": [[0.0] * 4], "variances": [True]}},
+                "variances must hold only numbers, got True",
+            ),
+            (
+                "conv-reg",
+                {"operator": {"kind": "mask", "mask": ["no", "yes"] * 32}},
+                "mask must hold only true or false, got 'no'",
+            ),
+            ("conv-reg", {"solver": {"tau": "1.0"}}, "tau must be positive and finite, got '1.0'"),
+            ("stability", {"solver": {"tol": "1e-9"}}, "tol must be positive and finite, got '1e-9'"),
+            ("stability", {"solver": {"max_iters": "30"}}, "max_iters must be an integer, got '30'"),
+            (
+                "conv-reg",
+                {"operator": {"kind": "mask", "dim": 64, "mask_fraction": 0.2, "seed": True}},
+                "'seed' must be a nonnegative integer, got True",
+            ),
+            (
+                "conv-reg",
+                {"operator": {"kind": "mask", "mask": [1, 0, 2] + [1] * 61}},
+                "mask must hold only true or false, got 1",
+            ),
+            (
+                "lipschitz",
+                {"prior": {"weights": [1.0], "means": [[0.0, True, 0.0, 0.0]], "variances": [1.0]}},
+                "means must hold only numbers, got True",
+            ),
+            (
+                "lipschitz",
+                {"prior": {"weights": [1.0], "means": [[0.0] * 4, [1.0] * 3], "variances": [1.0]}},
+                "means must be a nonempty 2-D array of numbers, got shape (2,)",
+            ),
+            (
+                "conv-reg",
+                {"denoiser": {"kind": "shrinkage", "alpha": "0.5"}},
+                "alpha must lie in (0, 1], got '0.5'",
+            ),
+            (
+                "stability",
+                {"denoiser": {"kind": "mismatched_mmse", "sigma_train": "0.2"}},
+                "sigma must be positive and finite, got '0.2'",
+            ),
+            (
+                "conv-reg",
+                {"denoiser": {"kind": "shrinkage", "alpha": 0.5, "dim": 64.0}},
+                "'dim' must be a nonnegative integer, got 64.0",
+            ),
+            (
+                "conv-reg",
+                {"operator": {"kind": "conv1d", "dim": 64, "kernel": [0.5, "0.5"]}},
+                "kernel must hold only numbers, got '0.5'",
+            ),
+            (
+                "conv-reg",
+                {"operator": {"kind": "dense", "matrix": [[1.0] * 64, [False] * 64]}},
+                "matrix must hold only numbers, got False",
+            ),
+            (
+                "conv-reg",
+                {"operator": {"kind": "identity", "dim": "64"}},
+                "'dim' must be a nonnegative integer, got '64'",
+            ),
+            ("lipschitz", {"sigma_grid": [0.1, "0.2"]}, "sigma_grid must hold only numbers, got '0.2'"),
+            ("lipschitz", {"sigma_grid": 0.1}, "sigma_grid must be a nonempty 1-D array of numbers"),
+            # JSON integers too large for a float used to end in a traceback.
+            ("conv-reg", {"sigma": 10**400}, "bad conv-reg config: int too large to convert to float"),
+            ("conv-reg", {"delta_grid": [10**400]}, "bad conv-reg config: int too large"),
+        ],
+    )
+    def test_booleans_strings_and_malformed_arrays(self, tmp_path, capsys, experiment, config, needle):
+        err = self._run(tmp_path, capsys, config=config, experiment=experiment)
+        assert needle in err
+        assert not list((tmp_path / "out").glob("*"))
+
+    @pytest.mark.parametrize(
+        "experiment, fields, at_cap, stage",
+        [
+            # Three moments per sample and ratio: 2**25 // (3 * 20000) ratios.
+            ("delta-sweep", {}, {"mismatch_ratios": [1.0] * 559}, "_moments_on_prior"),
+            # A solve's block buffer holds 9 iterates per grid point: 2**25 // (9 * 64) points.
+            ("conv-reg", {}, {"delta_grid": [1.0] * 58254}, "pnp_pgd_batch"),
+            ("stability", {}, {"k_grid": [1] * 58254}, "pnp_pgd_batch"),
+            # The cap follows the prior's dim: 2**25 // (9 * 512) points.
+            (
+                "conv-reg",
+                {
+                    "prior": {"weights": [1.0], "means": [[0.0] * 512], "variances": [1.0]},
+                    "operator": {"kind": "identity", "dim": 512},
+                },
+                {"delta_grid": [1.0] * 7281},
+                "pnp_pgd_batch",
+            ),
+        ],
+        ids=["delta-sweep", "conv-reg", "stability", "conv-reg-n512"],
+    )
+    def test_grids_are_capped_before_anything_is_allocated(
+        self, tmp_path, capsys, monkeypatch, experiment, fields, at_cap, stage
+    ):
+        """At its cap a grid reaches the computation; one value more exits 1 before it."""
+        import pnplab.experiments
+
+        class Reached(Exception):
+            pass
+
+        def reached(*args, **kwargs):
+            raise Reached
+
+        monkeypatch.setattr(pnplab.experiments, stage, reached)
+        (key, values), = at_cap.items()
+        with pytest.raises(Reached):
+            pnplab.experiments.run_experiment(experiment, {**fields, key: values})
+        over = {**fields, key: values + values[:1]}
+        err = self._run(tmp_path, capsys, config=over, experiment=experiment)
+        assert f"{key} holds {len(values) + 1} values, more than its cap of {len(values)}" in err
 
     def test_unknown_experiment(self, tmp_path, capsys):
         err = self._run(tmp_path, capsys, experiment="sharpen")

@@ -58,6 +58,12 @@ class TestZoo:
         d = OutputShrink(base, 0.5)
         np.testing.assert_allclose(d(np.array([1.0, 3.0])), [1.0, 2.0])
 
+    def test_strings_are_not_numbers(self):
+        with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\], got '0.5'"):
+            ShrinkageDenoiser("0.5", 2)
+        with pytest.raises(ValueError, match="sigma must be positive and finite, got '0.2'"):
+            MmseDenoiser(_single_gaussian(), "0.2")
+
     def test_booleans_are_not_numbers(self):
         with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\], got True"):
             ShrinkageDenoiser(True, 2)

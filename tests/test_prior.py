@@ -248,6 +248,19 @@ class TestSampling:
         np.testing.assert_array_equal(np.concatenate(cleans), want_clean)
         np.testing.assert_array_equal(np.concatenate(noisies), want_noisy)
 
+    @pytest.mark.parametrize("rows", [1, 7, 1000])
+    def test_the_stream_is_labels_then_clean_draws_then_noise(self, rows):
+        """Bitwise the stream drawn whole: each clean row ``z * sqrt(v_k) + mu_k``, then the noise."""
+        prior = GmmPrior([0.2, 0.5, 0.3], np.arange(12.0).reshape(3, 4) - 5.0, [0.5, 2.0, 0.1])
+        rng = np.random.default_rng(9)
+        comps = rng.choice(3, size=50, p=prior.weights)
+        clean = rng.standard_normal((50, 4)) * np.sqrt(prior.variances[comps])[:, None]
+        clean += prior.means[comps]
+        noisy = rng.standard_normal((50, 4)) * 0.3 + clean
+        for index, got_clean, got_noisy in prior.pair_blocks(0.3, 50, 9, rows):
+            np.testing.assert_array_equal(got_clean, clean[index])
+            np.testing.assert_array_equal(got_noisy, noisy[index])
+
     def test_pair_blocks_rows_validated(self):
         with pytest.raises(ValueError, match="rows"):
             _standard_normal_1d().pair_blocks(0.1, 10, 0, 0)

@@ -64,6 +64,12 @@ class TestComposeAveraged:
             u = 1.0 / delta**2
             assert abs(compose_averaged(u, 0.5) - averagedness_theta(delta)) <= 1e-14
 
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(delta=st.floats(min_value=1.0, max_value=1e100, exclude_min=True))
+    def test_composition_is_the_closed_form_at_every_scale(self, delta):
+        """Composing 1/delta^2-averaged with 1/2-averaged gives delta^2 / (2 delta^2 - 1)."""
+        assert abs(compose_averaged(1.0 / delta**2, 0.5) - averagedness_theta(delta)) <= 1e-15
+
     def test_near_identity_second_operator(self):
         assert compose_averaged(0.3, 1e-9) == pytest.approx(0.3, abs=1e-8)
 
@@ -193,6 +199,18 @@ class TestPnpPgd:
     def test_boolean_max_iters_rejected(self):
         with pytest.raises(TypeError, match="max_iters"):
             PnpConfig(max_iters=True)
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"tau": "1.0"}, "tau must be positive and finite, got '1.0'"),
+            ({"tol": "1e-9"}, "tol must be positive and finite, got '1e-9'"),
+            ({"tau": [1.0]}, r"tau must be positive and finite, got \[1.0\]"),
+        ],
+    )
+    def test_strings_are_not_numbers(self, fields, message):
+        with pytest.raises(ValueError, match=message):
+            PnpConfig(**fields)
 
 
 class TestLinearOracle:
