@@ -94,7 +94,10 @@ class SandwichReport:
 
 # Floats per block of a denoiser pass: 128 rows at n = 256, 4096 rows at n = 8.
 # A pass holds every denoiser's per-sample moments at once, so its block
-# temporaries are kept small enough that its peak memory does not grow.
+# temporaries are kept small enough that its peak memory does not grow. On a
+# prior a block's rows are sized by the larger of n and K, which bounds both
+# the (rows, n) sample blocks and the (K, rows) distance and responsibility
+# temporaries.
 _BLOCK_FLOATS = 1 << 15
 
 
@@ -303,7 +306,7 @@ def _one_pass(denoisers: list, blocks, samples: int) -> list[ResidualMoments]:
 def _moments_on_prior(denoisers: list, prior: GmmPrior, sigma: float, samples: int, seed: int):
     """:func:`_one_pass` of ``denoisers`` over ``samples`` pairs drawn from ``prior`` at ``sigma``."""
     _check_samples(samples, prior.dim)
-    blocks = prior.pair_blocks(sigma, samples, seed, _block_rows(prior.dim))
+    blocks = prior.pair_blocks(sigma, samples, seed, _block_rows(max(prior.dim, prior.n_components)))
     return _one_pass(denoisers, blocks, samples)
 
 

@@ -56,7 +56,10 @@ def real(value, name: str, rule=None) -> float:
         raise ConfigError(f"{name!r} must be a number, got {value!r}")
     if rule is not None and not rule[1](value):
         raise ConfigError(f"{name!r} must {rule[0]}, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{name!r} is too large for a float") from None
 
 
 def count(value, name: str) -> int:
@@ -93,7 +96,11 @@ def _items(value, name: str, ndim: int, cap, what: str, wanted) -> np.ndarray:
 
 def real_array(value, name: str, ndim: int = 1, rule=None, cap: int | None = None) -> np.ndarray:
     """The ``ndim``-D array of numbers ``name`` as float64, each checked against ``rule``."""
-    values = _items(value, name, ndim, cap, "numbers", is_number).astype(np.float64)
+    items = _items(value, name, ndim, cap, "numbers", is_number)
+    try:
+        values = items.astype(np.float64)
+    except OverflowError:
+        raise ConfigError(f"{name} holds a number too large for a float") from None
     if rule is not None and not np.all(rule[1](values)):
         first = float(values.flat[np.argmin(rule[1](values))])
         raise ConfigError(f"every value of {name} must {rule[0]}, got {first!r}")

@@ -150,12 +150,16 @@ def _reading(what: str):
         raise ConfigError(f"bad {what}: {detail}") from exc
 
 
+# Most grid points a run records: each is a record, a CSV row and an SVG point.
+_MAX_GRID_POINTS = 1 << 16
+
+
 def _grid_cap(dim: int) -> int:
-    """Most grid points a batched solve on ``dim``-vectors holds within the float cap.
+    """Most grid points a batched solve on ``dim``-vectors records and holds within the float cap.
 
     Its block buffer holds ``_STOP_BLOCK + 1`` iterates per grid point.
     """
-    return _MAX_SAMPLE_FLOATS // ((_STOP_BLOCK + 1) * dim)
+    return min(_MAX_GRID_POINTS, _MAX_SAMPLE_FLOATS // ((_STOP_BLOCK + 1) * dim))
 
 
 def _build_solve(resolved: dict, prior: GmmPrior, sigma: float, delta) -> tuple:
@@ -205,7 +209,9 @@ def run_delta_sweep_experiment(config: dict | None = None):
         # The pass keeps three moments per sample for each ratio.
         cap = _MAX_SAMPLE_FLOATS // (3 * samples)
         ratios = real_array(resolved["mismatch_ratios"], "mismatch_ratios", rule=POSITIVE, cap=cap)
-        grid = real_array(resolved["delta_grid"], "delta_grid", rule=POSITIVE)
+        # One curve point per scale and ratio.
+        cap = _MAX_GRID_POINTS // ratios.size
+        grid = real_array(resolved["delta_grid"], "delta_grid", rule=POSITIVE, cap=cap)
         seed = count(resolved["seed"], "seed")
         denoisers = [MmseDenoiser(prior, ratio * sigma) for ratio in ratios]
 
@@ -317,7 +323,7 @@ def run_lipschitz_table(config: dict | None = None):
     resolved = resolve_config("lipschitz", config)
     with _reading("lipschitz config"):
         prior = GmmPrior.from_config(resolved["prior"])
-        sigma_grid = real_array(resolved["sigma_grid"], "sigma_grid", rule=POSITIVE)
+        sigma_grid = real_array(resolved["sigma_grid"], "sigma_grid", rule=POSITIVE, cap=_MAX_GRID_POINTS)
         cloud_size = count(resolved["cloud_size"], "cloud_size")
         seed = count(resolved["seed"], "seed")
         denoisers = [MmseDenoiser(prior, sigma) for sigma in sigma_grid]

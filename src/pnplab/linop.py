@@ -1,4 +1,4 @@
-"""Linear forward operators: apply/adjoint pairs, norm estimation, gradient steps.
+"""Linear forward operators: apply/adjoint pairs, exact norms, gradient steps.
 
 Signals are plain 1-D float64 numpy arrays. Every operator is immutable after
 construction and safe for concurrent read-only use.
@@ -9,9 +9,11 @@ The public methods validate their input. Each operator also has unchecked
 gradient of the data term, which a mask or the identity forms in one
 operation; the batched solver calls those after validating its inputs once.
 
-``op_norm_sq`` is computed once per operator: in closed form for every
-operator here, by power iteration (:meth:`LinearOperator.power_norm_sq`)
-for any other subclass.
+``op_norm_sq`` is exact and computed once per operator: in closed form for
+the identity, a mask and a circular convolution, and as the largest squared
+singular value of :meth:`LinearOperator.as_matrix` for any other operator,
+a dense matrix among them. A power iteration would read it low, and so
+certify a step ``1 / ||A^T A||`` that is too large.
 """
 
 from __future__ import annotations
@@ -54,7 +56,8 @@ class LinearOperator:
 
     Subclasses set ``in_dim``/``out_dim`` and implement the unchecked
     ``_apply`` and ``_adjoint`` on the last axis of their argument; they may
-    give ``||A^T A||`` in closed form by overriding ``_norm_sq``.
+    give ``||A^T A||`` in closed form by overriding ``_norm_sq``, which
+    otherwise takes the exact spectral norm of the materialized matrix.
     """
 
     in_dim: int
@@ -79,9 +82,6 @@ class LinearOperator:
         """Unchecked ``A^T (A x - y)`` on the last axis, the gradient of the data term."""
         return self._adjoint(self._apply(x) - y)
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self.apply(x)
-
     def gradient_step(self, y: np.ndarray, tau: float, x: np.ndarray) -> np.ndarray:
         """One explicit step on the quadratic data term: ``x - tau * A^T (A x - y)``."""
         if tau <= 0:
@@ -97,48 +97,7 @@ class LinearOperator:
         return self._norm_sq_cache
 
     def _norm_sq(self) -> float:
-        return self.power_norm_sq()
-
-    def power_norm_sq(
-        self,
-        iters: int = 200,
-        seed: int = 0,
-        return_history: bool = False,
-    ):
-        """Estimate ``||A^T A||`` (largest eigenvalue) by power iteration.
-
-        Starts from a seeded random unit vector and stops early once two
-        successive Rayleigh quotients agree to 1e-12 relative. A zero operator
-        short-circuits to 0.0.
-
-        With ``return_history=True`` also returns the Rayleigh-quotient
-        sequence, which is nondecreasing for the symmetric map ``A^T A``.
-        """
-        if iters < 1:
-            raise ValueError("iters must be >= 1")
-        rng = np.random.default_rng(seed)
-        v = rng.standard_normal(self.in_dim)
-        v /= np.linalg.norm(v)
-        history: list[float] = []
-        estimate = 0.0
-        for _ in range(iters):
-            w = self._adjoint(self._apply(v))
-            rayleigh = float(v @ w)
-            norm_w = float(np.linalg.norm(w))
-            if norm_w == 0.0:
-                history.append(0.0)
-                estimate = 0.0
-                break
-            history.append(rayleigh)
-            estimate = rayleigh
-            if len(history) >= 2 and abs(history[-1] - history[-2]) < 1e-12 * max(
-                abs(rayleigh), 1e-300
-            ):
-                break
-            v = w / norm_w
-        if return_history:
-            return estimate, np.asarray(history)
-        return estimate
+        return np.linalg.norm(self.as_matrix(), 2) ** 2
 
     def as_matrix(self) -> np.ndarray:
         """Materialize the operator as a dense ``out_dim x in_dim`` matrix."""
@@ -251,9 +210,6 @@ class DenseOperator(LinearOperator):
 
     def _adjoint(self, y):
         return y @ self.matrix
-
-    def _norm_sq(self):
-        return np.linalg.norm(self.matrix, 2) ** 2
 
     def as_matrix(self):
         return np.array(self.matrix)

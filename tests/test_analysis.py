@@ -485,6 +485,29 @@ class TestOnePass:
                 else:
                     np.testing.assert_array_equal(a, b)
 
+    def test_blocks_bound_the_distance_arrays_when_components_outnumber_dims(self, monkeypatch):
+        """With K > n the (K, rows) distances, not the (rows, n) samples, size a block."""
+        n, k, samples, sigma = 2, 40, 500, 0.3
+        rng = np.random.default_rng(4)
+        prior = GmmPrior(np.full(k, 1.0 / k), rng.uniform(-3.0, 3.0, (k, n)), np.full(k, 0.1))
+        monkeypatch.setattr(pnplab.analysis, "_BLOCK_FLOATS", 200)
+        sizes = []
+        half_sq_dists = GmmPrior._half_sq_dists
+
+        def spied(self, points):
+            out = half_sq_dists(self, points)
+            sizes.append(out.size)
+            return out
+
+        monkeypatch.setattr(GmmPrior, "_half_sq_dists", spied)
+        (got,) = _moments_on_prior([MmseDenoiser(prior, sigma)], prior, sigma, samples, 9)
+        assert sizes and max(sizes) <= 200
+        assert sum(sizes) == k * samples
+
+        clean, noisy = prior.sample_pairs(sigma, samples, 9)
+        want = ResidualMoments.from_samples(MmseDenoiser(prior, sigma), clean, noisy)
+        np.testing.assert_allclose(got.aa, want.aa, rtol=1e-12, atol=0)
+
 
 class TestOptimalScaleReferee:
     """Closed forms under a one-Gaussian prior N(mu, v I) in n dimensions.

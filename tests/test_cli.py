@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -367,6 +368,12 @@ class TestRun:
         assert manifest["seed"] == 7
 
 
+_DIM_ONE = {
+    "prior": {"weights": [0.5, 0.5], "means": [[-1.0], [1.0]], "variances": [0.25, 0.25]},
+    "operator": {"kind": "identity", "dim": 1},
+}
+
+
 class TestConfigErrorsAtTheBoundary:
     """Malformed input ends in one ``config error:`` line and exit 1, never a traceback."""
 
@@ -627,9 +634,13 @@ class TestConfigErrorsAtTheBoundary:
             ),
             ("lipschitz", {"sigma_grid": [0.1, "0.2"]}, "sigma_grid must hold only numbers, got '0.2'"),
             ("lipschitz", {"sigma_grid": 0.1}, "sigma_grid must be a nonempty 1-D array of numbers"),
-            # JSON integers too large for a float used to end in a traceback.
-            ("conv-reg", {"sigma": 10**400}, "bad conv-reg config: int too large to convert to float"),
-            ("conv-reg", {"delta_grid": [10**400]}, "bad conv-reg config: int too large"),
+            # A JSON integer too large for a float is named like any other bad value.
+            ("conv-reg", {"sigma": 10**400}, "bad conv-reg config: 'sigma' is too large for a float"),
+            (
+                "conv-reg",
+                {"delta_grid": [10**400]},
+                "bad conv-reg config: delta_grid holds a number too large for a float",
+            ),
         ],
     )
     def test_booleans_strings_and_malformed_arrays(self, tmp_path, capsys, experiment, config, needle):
@@ -655,8 +666,23 @@ class TestConfigErrorsAtTheBoundary:
                 {"delta_grid": [1.0] * 7281},
                 "pnp_pgd_batch",
             ),
+            # At dim 1 the float cap is far off; a run records at most 2**16 grid points.
+            ("conv-reg", _DIM_ONE, {"delta_grid": [1.0] * 2**16}, "pnp_pgd_batch"),
+            ("stability", _DIM_ONE, {"k_grid": [1] * 2**16}, "pnp_pgd_batch"),
+            # One curve point per scale and ratio: 2**16 // 4 scales with the four default ratios.
+            ("delta-sweep", {}, {"delta_grid": [1.0] * 2**14}, "_moments_on_prior"),
+            ("lipschitz", {}, {"sigma_grid": [0.1] * 2**16}, "estimate_lipschitz"),
         ],
-        ids=["delta-sweep", "conv-reg", "stability", "conv-reg-n512"],
+        ids=[
+            "delta-sweep",
+            "conv-reg",
+            "stability",
+            "conv-reg-n512",
+            "conv-reg-points",
+            "stability-points",
+            "delta-sweep-points",
+            "lipschitz-points",
+        ],
     )
     def test_grids_are_capped_before_anything_is_allocated(
         self, tmp_path, capsys, monkeypatch, experiment, fields, at_cap, stage
@@ -677,6 +703,7 @@ class TestConfigErrorsAtTheBoundary:
         over = {**fields, key: values + values[:1]}
         err = self._run(tmp_path, capsys, config=over, experiment=experiment)
         assert f"{key} holds {len(values) + 1} values, more than its cap of {len(values)}" in err
+        assert not list((tmp_path / "out").glob("*"))
 
     def test_unknown_experiment(self, tmp_path, capsys):
         err = self._run(tmp_path, capsys, experiment="sharpen")
@@ -719,6 +746,24 @@ class TestUsageErrors:
             cli.main(argv)
         assert exit_info.value.code == 0
         assert capsys.readouterr().out
+
+
+def _readme_json_blocks():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return re.findall(r"```json\n(.*?)```", readme, flags=re.DOTALL)
+
+
+def test_readme_has_a_json_example():
+    assert _readme_json_blocks()
+
+
+@pytest.mark.parametrize("block", _readme_json_blocks())
+def test_readme_json_configs_run(tmp_path, capsys, block):
+    """Every JSON config the README shows runs as a conv-reg config."""
+    path = tmp_path / "cfg.json"
+    path.write_text(block)
+    assert cli.main(["run", "conv-reg", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def _benchmark_workloads():

@@ -46,6 +46,8 @@ class TestScalars:
             (float("nan"), NONNEGATIVE, "'x' must be nonnegative and finite, got nan"),
             (-0.1, NONNEGATIVE, "'x' must be nonnegative and finite, got -0.1"),
             (1.0, UNIT, "'x' must lie in [0, 1), got 1.0"),
+            (10**400, None, "'x' is too large for a float"),
+            (-(10**400), NONNEGATIVE, "'x' must be nonnegative and finite, got -1" + "0" * 400),
         ],
     )
     def test_real_rejects(self, value, rule, message):
@@ -93,6 +95,8 @@ class TestArrays:
             ([[1.0, 2.0], [3.0]], 2, "g must be a nonempty 2-D array of numbers, got shape (2,)"),
             ([1.0, 2.0], 2, "g must be a nonempty 2-D array of numbers, got shape (2,)"),
             ([[1.0, [2.0]]], 2, "g must hold only numbers, got [2.0]"),
+            ([1.0, 10**400], 1, "g holds a number too large for a float"),
+            ([[1.0, -(10**400)]], 2, "g holds a number too large for a float"),
         ],
     )
     def test_real_array_rejects(self, value, ndim, message):

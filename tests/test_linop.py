@@ -12,6 +12,7 @@ from pnplab.linop import (
     as_signal,
     operator_from_config,
 )
+from pnplab.solver import PnpConfig, _step_size
 
 
 def _zoo(rng):
@@ -106,23 +107,31 @@ class TestAdjoint:
         assert abs(lhs - rhs) <= bound
 
 
+class _Wrapped(LinearOperator):
+    """An operator known only through ``_apply``/``_adjoint``, with no closed-form norm."""
+
+    def __init__(self, matrix):
+        self._matrix = np.asarray(matrix, dtype=np.float64)
+        self.out_dim, self.in_dim = self._matrix.shape
+
+    def _apply(self, x):
+        return x @ self._matrix.T
+
+    def _adjoint(self, y):
+        return y @ self._matrix
+
+
 class TestOpNormSq:
-    """``op_norm_sq`` is exact and cached; power iteration is the fallback and the oracle."""
+    """``op_norm_sq`` is exact and cached, for the closed forms and for any other operator."""
 
     def test_identity_is_one(self):
-        op = Identity(7)
-        assert op.op_norm_sq() == 1.0
-        assert op.power_norm_sq() == pytest.approx(1.0, abs=1e-8)
+        assert Identity(7).op_norm_sq() == 1.0
 
     def test_mask_is_one(self):
-        op = Mask(np.array([True, False, False, True]))
-        assert op.op_norm_sq() == 1.0
-        assert op.power_norm_sq() == pytest.approx(1.0, abs=1e-8)
+        assert Mask(np.array([True, False, False, True])).op_norm_sq() == 1.0
 
     def test_fully_masked_is_zero(self):
-        op = Mask(np.zeros(5, dtype=bool))
-        assert op.op_norm_sq() == 0.0
-        assert op.power_norm_sq() == 0.0
+        assert Mask(np.zeros(5, dtype=bool)).op_norm_sq() == 0.0
 
     def test_dense_against_eigensolver(self):
         op = DenseOperator([[2.0, 0.0], [0.0, 1.0]])
@@ -130,15 +139,12 @@ class TestOpNormSq:
         oracle = float(np.linalg.eigvalsh(op.matrix.T @ op.matrix).max())
         assert oracle == pytest.approx(4.0)
         assert op.op_norm_sq() == pytest.approx(oracle, rel=1e-14)
-        assert op.power_norm_sq() == pytest.approx(oracle, abs=1e-6)
 
     def test_random_dense_against_eigensolver(self):
         rng = np.random.default_rng(5)
         a = rng.standard_normal((6, 4))
-        op = DenseOperator(a)
         oracle = float(np.linalg.eigvalsh(a.T @ a).max())
-        assert op.op_norm_sq() == pytest.approx(oracle, rel=1e-13)
-        assert op.power_norm_sq(iters=500) == pytest.approx(oracle, rel=1e-8)
+        assert DenseOperator(a).op_norm_sq() == pytest.approx(oracle, rel=1e-13)
 
     def test_convolution_against_fourier_oracle(self):
         """Circular convolution norm equals the largest squared DFT magnitude."""
@@ -148,11 +154,10 @@ class TestOpNormSq:
         padded[: kernel.size] = kernel
         oracle = float(np.max(np.abs(np.fft.fft(padded)) ** 2))
         assert op.op_norm_sq() == pytest.approx(oracle, rel=1e-14)
-        assert op.power_norm_sq(iters=2000) == pytest.approx(oracle, rel=1e-9)
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(kind=st.sampled_from(["conv1d", "dense"]), seed=st.integers(0, 2**16))
-    def test_closed_forms_match_power_iteration(self, kind, seed):
+    def test_closed_forms_match_the_eigensolver(self, kind, seed):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 12))
         if kind == "conv1d":
@@ -161,7 +166,30 @@ class TestOpNormSq:
             op = DenseOperator(rng.standard_normal((int(rng.integers(1, 12)), n)))
         oracle = float(np.linalg.eigvalsh(op.as_matrix().T @ op.as_matrix()).max())
         assert op.op_norm_sq() == pytest.approx(oracle, rel=1e-12, abs=1e-14)
-        assert op.op_norm_sq() == pytest.approx(op.power_norm_sq(iters=5000), rel=1e-6)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        rows=st.integers(1, 16),
+        cols=st.integers(1, 16),
+        scale=st.sampled_from([1e-3, 1.0, 1e3]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_any_other_operator_matches_the_eigensolver(self, rows, cols, scale, seed):
+        a = scale * np.random.default_rng(seed).standard_normal((rows, cols))
+        oracle = float(np.linalg.eigvalsh(a.T @ a).max())
+        assert _Wrapped(a).op_norm_sq() == pytest.approx(oracle, rel=1e-12)
+
+    def test_close_top_singular_values_give_the_exact_step(self):
+        """With sigma_2 / sigma_1 = 0.999 the default step is 1 / sigma_1^2, not a larger one."""
+        rng = np.random.default_rng(0)
+        n = 64
+        u, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        v, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        sigma = np.concatenate([[1.0, 0.999], np.linspace(0.5, 0.1, n - 2)])
+        op = _Wrapped((u * sigma) @ v.T)
+        tau, warn = _step_size(op, PnpConfig())
+        assert tau == pytest.approx(1.0 / sigma[0] ** 2, rel=1e-12)
+        assert not warn
 
     def test_computed_once(self, monkeypatch):
         op = DenseOperator(np.random.default_rng(2).standard_normal((5, 3)))
@@ -169,7 +197,7 @@ class TestOpNormSq:
         monkeypatch.setattr(op, "_norm_sq", lambda: pytest.fail("norm computed twice"))
         assert op.op_norm_sq() == first
 
-    def test_other_operators_fall_back_to_power_iteration(self):
+    def test_other_operators_fall_back_to_the_exact_norm(self):
         class Doubling(LinearOperator):
             in_dim = out_dim = 3
 
@@ -179,23 +207,10 @@ class TestOpNormSq:
             def _adjoint(self, y):
                 return 2.0 * y
 
-        assert Doubling().op_norm_sq() == Doubling().power_norm_sq()
-        assert Doubling().op_norm_sq() == pytest.approx(4.0, rel=1e-12)
+        assert Doubling().op_norm_sq() == 4.0
 
-    def test_zero_operator_short_circuits(self):
-        op = DenseOperator(np.zeros((3, 3)))
-        assert op.op_norm_sq() == 0.0
-        assert op.power_norm_sq() == 0.0
-
-    def test_rayleigh_history_nondecreasing(self):
-        rng = np.random.default_rng(1)
-        op = DenseOperator(rng.standard_normal((8, 8)))
-        _, history = op.power_norm_sq(iters=100, return_history=True)
-        assert np.all(np.diff(history) >= -1e-12 * np.abs(history[:-1]))
-
-    def test_iters_validated(self):
-        with pytest.raises(ValueError):
-            Identity(2).power_norm_sq(iters=0)
+    def test_zero_operator_is_zero(self):
+        assert DenseOperator(np.zeros((3, 3))).op_norm_sq() == 0.0
 
 
 class TestNormalResidual:
