@@ -84,9 +84,11 @@ class MmseDenoiser(Denoiser):
             raise ValueError(f"sigma must be positive and finite, got {sigma!r}")
         self.prior = prior
         self.sigma = float(sigma)
+        self._sigma_sq = self.sigma * self.sigma
+        if self._sigma_sq == np.inf:
+            raise ValueError(f"sigma must have a finite square, got {self.sigma!r}")
         self.dim = prior.dim
         self._smoothed = prior._smoothed(self.sigma)
-        self._sigma_sq = self.sigma * self.sigma
         if prior.n_components == 1:
             self._inv_t = 1.0 / self._smoothed[0][0]
             self._mean_over_t = prior.means[0] * self._inv_t
@@ -185,7 +187,14 @@ class ScaledDenoiser(Denoiser):
     then maps (m, n) stacks with ``m == delta.size``, row i at scale
     ``delta[i]``, which is how the batched solver runs a whole scale grid.
     The call checks that row count; ``_apply`` does not, so a caller of the
-    unchecked route checks it once with :meth:`check_rows`.
+    unchecked route checks it once with :meth:`check_rows`. ``_apply`` takes
+    an optional ``out`` array, into which its last operation writes the
+    result, bitwise the fresh one; the batched solver passes its iterate
+    buffer there.
+
+    Every scale's square and inverse square must be finite nonzero doubles
+    (about ``1e-154 < delta < 1e154``), so that ``1/delta^2`` and the gamma
+    rescale are; any other scale is rejected by value.
     """
 
     MODES = ("tweedie", "homogeneous")
@@ -200,6 +209,13 @@ class ScaledDenoiser(Denoiser):
         scales = np.asarray(delta, dtype=np.float64)
         if scales.ndim > 1 or scales.size < 1 or not np.all((scales > 0) & (scales < np.inf)):
             raise ValueError("delta must be positive and finite (a scalar or a nonempty 1-D vector)")
+        with np.errstate(over="ignore", divide="ignore"):
+            inverse = 1.0 / (scales * scales)
+        # A finite nonzero inverse square comes only from a finite nonzero square.
+        usable = (inverse > 0) & (inverse < np.inf)
+        if not np.all(usable):
+            bad = float(scales.flat[np.argmin(usable)])
+            raise ValueError(f"delta must have a finite nonzero square and inverse square, got {bad!r}")
         if mode not in self.MODES:
             raise ValueError(f"mode must be one of {self.MODES}, got {mode!r}")
         self.base = base
@@ -223,14 +239,16 @@ class ScaledDenoiser(Denoiser):
         self.check_rows(np.shape(y))
         return super().__call__(y)
 
-    def _apply(self, y):
+    def _apply(self, y, out=None):
+        """The unchecked map; its last ufunc writes into ``out`` when one is given."""
+        last = out if self._gamma is None else None
         if self.mode == "tweedie":
-            out = self._keep * y + self._u * self.base._apply(y)
+            result = np.add(self._keep * y, self._u * self.base._apply(y), out=last)
         else:
-            out = self.base._apply(self._scale * y) / self._scale
+            result = np.divide(self.base._apply(self._scale * y), self._scale, out=last)
         if self._gamma is not None:
-            out = self._gamma * out
-        return out
+            result = np.multiply(self._gamma, result, out=out)
+        return result
 
     def check_rows(self, shape) -> None:
         """Reject a stack of ``shape`` whose row count a per-row scale does not match."""
@@ -254,7 +272,8 @@ def homogeneous_scale(base: Denoiser, delta: float, gamma_rescale: bool = False)
     return ScaledDenoiser(base, delta, mode="homogeneous", gamma_rescale=gamma_rescale)
 
 
-# Floats per block of pairwise differences in estimate_lipschitz.
+# Floats per block in estimate_lipschitz: of pairwise differences, and of the
+# (K, rows) distances a K-component mixture denoiser forms on a block of rows.
 _PAIR_BLOCK_FLOATS = 1 << 16
 
 
@@ -269,14 +288,21 @@ def estimate_lipschitz(denoiser, points) -> float:
 
     Duplicate points are skipped; at least one distinct pair is required. For
     a plain affine denoiser the estimate is cross-checked against the spectral
-    norm of its matrix, which it can never exceed. Pairs are formed one block
-    of rows at a time, so memory grows with the cloud, not with its pairs.
+    norm of its matrix, which it can never exceed. The denoiser runs on
+    blocks of rows sized by the larger of the dimension and a mixture
+    denoiser's component count, and pairs are formed one block of rows at a
+    time, so memory grows with the cloud, not with its pairs or the prior's
+    components.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[0] < 2:
         raise ValueError("need at least two points")
-    outputs = np.asarray(denoiser(pts), dtype=np.float64)
     m, n = pts.shape
+    components = denoiser.prior.n_components if isinstance(denoiser, MmseDenoiser) else 1
+    rows = max(1, _PAIR_BLOCK_FLOATS // max(n, components))
+    outputs = np.empty_like(pts)
+    for start in range(0, m, rows):
+        outputs[start : start + rows] = denoiser(pts[start : start + rows])
     step = max(1, _PAIR_BLOCK_FLOATS // (m * n))
     estimate = None
     for start in range(0, m - 1, step):

@@ -187,6 +187,18 @@ def _build_solve(resolved: dict, prior: GmmPrior, sigma: float, delta) -> tuple:
         return op, scaled, PnpConfig(**resolved["solver"])
 
 
+def _finite(ys: np.ndarray) -> np.ndarray:
+    """A solve protocol's measurement stack, rejected if the config overflowed it.
+
+    An operator, prior or noise scale can each be finite and still overflow
+    the measurements; the protocols form them with overflow warnings off and
+    report the result here, before the solve starts.
+    """
+    if not np.all(np.isfinite(ys)):
+        raise ConfigError("measurements contain non-finite entries: the operator or the noise overflows")
+    return ys
+
+
 # -- protocols ---------------------------------------------------------------
 
 
@@ -254,9 +266,11 @@ def run_stability(config: dict | None = None):
         k_grid = real_array(resolved["k_grid"], "k_grid", rule=POSITIVE, cap=_grid_cap(prior.dim))
     op, scaled, cfg = _build_solve(resolved, prior, sigma, delta)
     clean, _ = prior.sample_pairs(sigma, 1, seed)
-    y = op.apply(clean[0])
     xi = np.random.default_rng([seed, 1]).standard_normal(op.out_dim)
-    res = pnp_pgd_batch(op, np.vstack([y, y + (sigma / k_grid)[:, None] * xi]), scaled, cfg)
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = op.apply(clean[0])
+        ys = np.vstack([y, y + (sigma / k_grid)[:, None] * xi])
+    res = pnp_pgd_batch(op, _finite(ys), scaled, cfg)
     distance = [np.linalg.norm(x - res.x_star[0]) for x in res.x_star[1:]]
     columns = {"distance_to_limit": distance, "converged": res.converged[1:]}
     return resolved, _records("stability", k_grid, columns, res.diverged[0] | res.diverged[1:])
@@ -282,8 +296,6 @@ def run_conv_reg(config: dict | None = None):
     op, scaled, cfg = _build_solve(resolved, prior, max(sigma, 1e-12), grid)
 
     clean, _ = prior.sample_pairs(max(sigma, 1e-12), 1, seed)
-    y0 = op.apply(clean[0])
-    norm_y0 = float(np.linalg.norm(y0))
     if resample:
         noise = np.stack(
             [
@@ -293,7 +305,11 @@ def run_conv_reg(config: dict | None = None):
         )
     else:
         noise = np.random.default_rng([seed, 1]).standard_normal(op.out_dim)
-    res = pnp_pgd_batch(op, y0 + (sigma / grid)[:, None] * noise, scaled, cfg)
+    with np.errstate(over="ignore", invalid="ignore"):
+        y0 = op.apply(clean[0])
+        ys = y0 + (sigma / grid)[:, None] * noise
+    res = pnp_pgd_batch(op, _finite(ys), scaled, cfg)
+    norm_y0 = float(np.linalg.norm(y0))
     x, diverged = res.x_star, res.diverged
     # The gap from each grid point to the next, where neither diverged.
     gaps = [

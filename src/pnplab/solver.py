@@ -218,6 +218,10 @@ def pnp_pgd_batch(
     divergence (recorded in ``diverged`` instead of raised) or at
     ``max_iters``. Histories are not recorded.
 
+    Each iteration forms the gradient step (``x - r`` when ``tau`` is 1,
+    which is bitwise ``x - 1.0 * r``) and has the denoiser write its result
+    straight into the block buffer, so no iterate is copied.
+
     The iterations run in blocks of ``_STOP_BLOCK``, whose iterates fill one
     buffer; one pass of row norms over the block then finds each row's first
     stopping iterate, and stopped rows leave the stack at the block's end, so
@@ -243,6 +247,8 @@ def pnp_pgd_batch(
     denoiser.check_rows(ys.shape)
     m = ys.shape[0]
     tau, warn = _step_size(op, config)
+    # x - 1.0 * r is bitwise x - r, so a unit step skips the multiply.
+    unit_step = tau == 1.0
 
     iterations = np.full(m, config.max_iters)
     converged = np.zeros(m, dtype=bool)
@@ -259,7 +265,8 @@ def pnp_pgd_batch(
         with np.errstate(over="ignore", invalid="ignore"):
             for j in range(size):
                 xj = block[j]
-                block[j + 1] = step._apply(xj - tau * op._normal_residual(xj, ya))
+                r = op._normal_residual(xj, ya)
+                step._apply(xj - r if unit_step else xj - tau * r, out=block[j + 1])
             # np.linalg.norm(axis=-1) bitwise, without its dispatch, in one
             # temporary array; a row with NaN or inf entries, or an
             # overflowing square, is not <= the bound.

@@ -49,6 +49,10 @@ class _Axis:
             hi = max(hi, lo * 1.0000001)
         if hi == lo:
             hi = lo + 1.0 if not log else lo * 10.0
+        if not hi > lo:
+            # lo + 1.0 rounds to lo for |lo| >= 2**53; a share of lo toward
+            # zero always separates them and cannot overflow.
+            lo, hi = sorted((lo, lo - lo * 2.0**-10))
         self.lo, self.hi, self.log = lo, hi, log
         self.px_lo, self.px_hi = px_lo, px_hi
 

@@ -193,6 +193,18 @@ class TestRun:
         assert manifest["resolved_spec"]["cloud_size"] == 64
         assert "started_at" in manifest and "finished_at" in manifest
 
+    def test_one_noise_level_far_from_zero_is_plotted(self, tmp_path):
+        """On a linear axis 1e16 + 1.0 rounds to 1e16; the plot must still widen."""
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"sigma_grid": [1e16], "cloud_size": 32}))
+        out = tmp_path / "out"
+        assert cli.main(["run", "lipschitz", "--config", str(config), "--out", str(out)]) == 0
+        assert "lipschitz,1e+16,lipschitz_max," in (out / "lipschitz.csv").read_text()
+        assert sorted(p.name for p in out.glob("*.svg")) == [
+            "lipschitz_lipschitz_max.svg",
+            "lipschitz_non_expansive.svg",
+        ]
+
     def test_one_component_delta_sweep_orders_strictly(self, tmp_path):
         """Under N(mu, v I), delta_opt^2 = s (v + sigma^2) / sigma^2.
 
@@ -374,6 +386,13 @@ _DIM_ONE = {
 }
 
 
+# A dense operator whose every product with a nonzero signal overflows.
+_OVERFLOWING = {
+    "prior": {"weights": [1.0], "means": [[0.5] * 8], "variances": [1.0]},
+    "operator": {"kind": "dense", "matrix": [[1e308] * 8] * 8},
+}
+
+
 class TestConfigErrorsAtTheBoundary:
     """Malformed input ends in one ``config error:`` line and exit 1, never a traceback."""
 
@@ -441,6 +460,16 @@ class TestConfigErrorsAtTheBoundary:
             ),
             ("lipschitz", {"sigma_grid": [0.1, np.inf]}, "sigma_grid must be positive and finite"),
             ("stability", {"delta": np.inf}, "delta must be positive and finite"),
+            # a scale whose square or inverse square is not a finite nonzero double
+            ("stability", {"delta": 1e-200}, "inverse square, got 1e-200"),
+            ("stability", {"delta": 1e-160}, "inverse square, got 1e-160"),
+            ("stability", {"delta": 1e160}, "inverse square, got 1e+160"),
+            ("conv-reg", {"delta_grid": [1e200, 1.0]}, "inverse square, got 1e+200"),
+            ("conv-reg", {"delta_grid": [1.0, 1e-200]}, "inverse square, got 1e-200"),
+            ("lipschitz", {"sigma_grid": [0.1, 1e200]}, "sigma must have a finite square, got 1e+200"),
+            ("stability", {"sigma": 1e160}, "sigma must have a finite square, got 1e+160"),
+            ("conv-reg", _OVERFLOWING, "measurements contain non-finite entries"),
+            ("stability", _OVERFLOWING, "measurements contain non-finite entries"),
             ("delta-sweep", {"samples": 200.7}, "'samples' must be a nonnegative integer, got 200.7"),
             ("delta-sweep", {"samples": True}, "'samples' must be a nonnegative integer, got True"),
             ("lipschitz", {"cloud_size": 64.5}, "'cloud_size' must be a nonnegative integer, got 64.5"),

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -63,6 +65,11 @@ class TestZoo:
             ShrinkageDenoiser("0.5", 2)
         with pytest.raises(ValueError, match="sigma must be positive and finite, got '0.2'"):
             MmseDenoiser(_single_gaussian(), "0.2")
+
+    def test_noise_level_whose_square_overflows_is_rejected_by_value(self):
+        with pytest.raises(ValueError, match=r"sigma must have a finite square, got 1e\+160"):
+            MmseDenoiser(_single_gaussian(), 1e160)
+        assert np.isfinite(MmseDenoiser(_single_gaussian(), 1e150)._sigma_sq)
 
     def test_booleans_are_not_numbers(self):
         with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\], got True"):
@@ -139,6 +146,15 @@ class TestTweedieScale:
         base = MmseDenoiser(prior, 0.5)
         y = np.array([1.7, -0.3])
         np.testing.assert_array_equal(tweedie_scale(base, 1.0)(y), base(y))
+
+    @pytest.mark.parametrize(
+        "delta, shown",
+        [(1e-200, "1e-200"), (1e-160, "1e-160"), (1e160, "1e+160"), ([1.0, 1e200, 1e-200], "1e+200")],
+    )
+    @pytest.mark.parametrize("mode", ["tweedie", "homogeneous"])
+    def test_scale_whose_square_leaves_the_doubles_is_rejected_by_value(self, delta, shown, mode):
+        with pytest.raises(ValueError, match=f"inverse square, got {re.escape(shown)}$"):
+            ScaledDenoiser(ShrinkageDenoiser(0.5, 2), delta, mode=mode, gamma_rescale=True)
 
     def test_shrinkage_substitution(self):
         # effective coefficient 1 - (1-alpha)/delta^2 = 0.75 at alpha=0.5, delta^2=2
@@ -328,6 +344,35 @@ class TestLipschitz:
         valid = d_in > 0
         want = float(np.max(d_out[valid] / d_in[valid]))
         assert estimate_lipschitz(d, pts) == pytest.approx(want, rel=1e-14)
+
+    def test_blocks_bound_the_distance_arrays_when_components_outnumber_dims(self, monkeypatch):
+        """With K > n the (K, rows) distances, not the (rows, n) cloud, size a block."""
+        import pnplab.denoisers
+
+        n, k, m = 2, 40, 500
+        rng = np.random.default_rng(4)
+        prior = GmmPrior(np.full(k, 1.0 / k), rng.uniform(-3.0, 3.0, (k, n)), np.full(k, 0.1))
+        d = MmseDenoiser(prior, 0.3)
+        pts = 2.0 * rng.standard_normal((m, n))
+        # The old path: the whole cloud in one denoiser call.
+        monkeypatch.setattr(pnplab.denoisers, "_PAIR_BLOCK_FLOATS", 1 << 40)
+        whole = estimate_lipschitz(d, pts)
+
+        monkeypatch.setattr(pnplab.denoisers, "_PAIR_BLOCK_FLOATS", 200)
+        sizes = []
+        half_sq_dists = GmmPrior._half_sq_dists
+
+        def spied(self, points):
+            out = half_sq_dists(self, points)
+            sizes.append(out.size)
+            return out
+
+        monkeypatch.setattr(GmmPrior, "_half_sq_dists", spied)
+        blocked = estimate_lipschitz(d, pts)
+        assert sizes and max(sizes) <= 200
+        assert sum(sizes) == k * m
+        # The distances' gemm rounds by block size, so the rows agree to round-off.
+        assert blocked == pytest.approx(whole, rel=1e-12)
 
     def test_nonexpansiveness_inherited_by_scaling(self):
         """If the base is non-expansive on a cloud, so is every scale >= 1."""

@@ -626,17 +626,23 @@ class TestStopBlocks:
 
     @pytest.mark.parametrize("stop", range(1, 2 * _STOP_BLOCK + 2))
     def test_one_row_reproduces_pnp_pgd_bitwise_at_each_stop(self, stop):
+        """A unit step skips the step multiply and any other step keeps it;
+        both stop where ``pnp_pgd`` does: at the cap ``stop`` or, past the
+        fixture's own convergence, there."""
         rng = np.random.default_rng(9)
         n = 12
         prior = GmmPrior([0.4, 0.6], rng.standard_normal((2, n)), [0.3, 0.5])
         op = Mask.random(n, 0.25, seed=2)
         y = op.apply(rng.standard_normal(n))
         scaled = tweedie_scale(MmseDenoiser(prior, 0.2), 1.7, gamma_rescale=True)
-        cfg = PnpConfig(tau=1.0, max_iters=stop, tol=1e-9)
-        serial = pnp_pgd(op, y, scaled, cfg)
-        batch = pnp_pgd_batch(op, y[None, :], scaled, cfg)
-        assert serial.iterations == batch.iterations[0] == stop
-        assert np.array_equal(batch.x_star[0], serial.x_star)
+        for tau in (1.0, 0.7):
+            converges_at = pnp_pgd(op, y, scaled, PnpConfig(tau=tau, max_iters=10_000)).iterations
+            cfg = PnpConfig(tau=tau, max_iters=stop, tol=1e-9)
+            serial = pnp_pgd(op, y, scaled, cfg)
+            batch = pnp_pgd_batch(op, y[None, :], scaled, cfg)
+            assert serial.iterations == batch.iterations[0] == min(stop, converges_at)
+            assert serial.converged == batch.converged[0] == (stop >= converges_at)
+            assert np.array_equal(batch.x_star[0], serial.x_star)
         # the same stop reached by convergence
         _assert_clock_rows_stop_as_before([(stop - 1, 0)], 2 * _STOP_BLOCK + 2)
 
@@ -679,6 +685,10 @@ class TestUncheckedRoutes:
         y = rng.standard_normal((m, n))
         assert np.array_equal(scaled._apply(y), scaled(y))
         assert np.array_equal(base._apply(y), base(y))
+        # the batched solver's route: the result written into its buffer
+        buf = np.full((m, n), np.nan)
+        assert scaled._apply(y, out=buf) is buf
+        assert np.array_equal(buf, scaled._apply(y))
 
     def test_one_component_mmse_equals_the_prior_route_bitwise(self):
         rng = np.random.default_rng(1)
