@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import denoisers as _zoo
-from .config import POSITIVE, real_array
+from .config import POSITIVE, ConfigError, real_array
 from .denoisers import Denoiser, MmseDenoiser
 from .prior import GmmPrior
 
@@ -182,6 +182,23 @@ def _delta_opt_of(a: np.ndarray, b: np.ndarray) -> DeltaOptEstimate:
     return _delta_opt_estimate(float(num), float(den), var)
 
 
+def _loss_scales(deltas: np.ndarray, name: str) -> np.ndarray:
+    """Positive ``deltas``, rejected by value where the loss's weights leave the doubles.
+
+    The loss at scale delta weighs a pass's moments by powers of
+    ``s = 1/delta^2 - 1`` up to ``s^2``, and its variance up to ``s^4``; a
+    scale whose ``delta^2`` or ``s^4`` is not a finite double (outside about
+    ``2.9e-39 < delta < 1.3e154``) is named in a :class:`ConfigError`.
+    """
+    with np.errstate(over="ignore", divide="ignore"):
+        square = deltas * deltas
+        usable = (square < np.inf) & (np.square(np.square(1.0 / square - 1.0)) < np.inf)
+    if not np.all(usable):
+        bad = float(deltas[np.argmin(usable)])
+        raise ConfigError(f"{name} holds {bad!r}, where delta^2 or (1/delta^2 - 1)^4 overflows")
+    return deltas
+
+
 @dataclass(frozen=True)
 class ResidualMoments:
     """Per-sample moments of one denoiser pass over a fixed sample set.
@@ -234,7 +251,10 @@ class ResidualMoments:
         return _one_pass([denoiser], _array_blocks(clean, noisy), len(noisy))[0]
 
     def _losses(self, deltas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Loss and standard error at each scale, elementwise, so one scale reads the same alone."""
+        """Loss and standard error at each scale, elementwise, so one scale reads the same alone.
+
+        Unchecked: the scales are those :func:`_loss_scales` accepts.
+        """
         s = 1.0 / (deltas * deltas) - 1.0
         w = (np.ones_like(s), 2.0 * s, s * s)
         value = sum(self.mean[i] * w[i] for i in range(3))
@@ -243,12 +263,12 @@ class ResidualMoments:
 
     def l2(self, delta: float) -> L2Estimate:
         """Loss of the residual-scaled denoiser at scale ``delta``."""
-        value, stderr = self._losses(np.array([delta], dtype=np.float64))
+        value, stderr = self._losses(_loss_scales(np.array([delta], dtype=np.float64), "delta"))
         return L2Estimate(float(value[0]), float(stderr[0]))
 
     def sweep(self, delta_grid) -> list[tuple[float, L2Estimate]]:
         """:meth:`l2` at each scale of a nonempty grid of positive finite scales."""
-        grid = real_array(delta_grid, "delta grid", rule=POSITIVE)
+        grid = _loss_scales(real_array(delta_grid, "delta grid", rule=POSITIVE), "delta grid")
         values, stderrs = self._losses(grid)
         return [(float(d), L2Estimate(float(v), float(e))) for d, v, e in zip(grid, values, stderrs)]
 

@@ -185,12 +185,12 @@ class ScaledDenoiser(Denoiser):
 
     ``delta`` may also be a 1-D vector with one scale per row; the wrapper
     then maps (m, n) stacks with ``m == delta.size``, row i at scale
-    ``delta[i]``, which is how the batched solver runs a whole scale grid.
-    The call checks that row count; ``_apply`` does not, so a caller of the
-    unchecked route checks it once with :meth:`check_rows`. ``_apply`` takes
-    an optional ``out`` array, into which its last operation writes the
-    result, bitwise the fresh one; the batched solver passes its iterate
-    buffer there.
+    ``delta[i]``, which is how the batched solver runs a whole scale grid,
+    every row on every iteration. The call checks that row count; ``_apply``
+    does not, so a caller of the unchecked route checks it once with
+    :meth:`check_rows`. ``_apply`` takes an optional ``out`` array, into
+    which its last operation writes the result, bitwise the fresh one; the
+    batched solver passes its iterate buffer there.
 
     Every scale's square and inverse square must be finite nonzero doubles
     (about ``1e-154 < delta < 1e154``), so that ``1/delta^2`` and the gamma
@@ -255,12 +255,6 @@ class ScaledDenoiser(Denoiser):
         if self._n_rows is not None and (len(shape) != 2 or shape[0] != self._n_rows):
             raise ValueError(f"expected a stack of {self._n_rows} rows, got shape {shape}")
 
-    def rows(self, index) -> "ScaledDenoiser":
-        """The same wrapper restricted to the rows ``index`` of a per-row scale."""
-        if self._n_rows is None:
-            return self
-        return ScaledDenoiser(self.base, self.delta[index], self.mode, self.gamma_rescale)
-
 
 def tweedie_scale(base: Denoiser, delta: float, gamma_rescale: bool = False) -> ScaledDenoiser:
     """Residual scaling ``y + (base(y) - y) / delta^2`` as a wrapper object."""
@@ -283,6 +277,18 @@ def _pair_distances(rows: np.ndarray, start: int, stop: int) -> np.ndarray:
     return np.sqrt(np.sum(diff * diff, axis=2))
 
 
+def _check_spread(points: np.ndarray, what: str) -> np.ndarray:
+    """``points``, rejected unless every squared pair distance is a finite double.
+
+    The bound ``n (2 max|x|)^2`` on those distances must be finite, so no
+    difference, square or sum of squares overflows.
+    """
+    reach = float(np.max(np.abs(points)))
+    if not points.shape[1] * (4.0 * reach * reach) < np.inf:
+        raise ValueError(f"{what} reach {reach:g}, so their squared pair distances overflow")
+    return points
+
+
 def estimate_lipschitz(denoiser, points) -> float:
     """Largest pairwise ratio ``|D(y1) - D(y2)| / |y1 - y2|`` over a point cloud.
 
@@ -292,17 +298,19 @@ def estimate_lipschitz(denoiser, points) -> float:
     blocks of rows sized by the larger of the dimension and a mixture
     denoiser's component count, and pairs are formed one block of rows at a
     time, so memory grows with the cloud, not with its pairs or the prior's
-    components.
+    components. Points or outputs whose squared pair distances may overflow
+    are rejected.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[0] < 2:
         raise ValueError("need at least two points")
-    m, n = pts.shape
+    m, n = _check_spread(pts, "points").shape
     components = denoiser.prior.n_components if isinstance(denoiser, MmseDenoiser) else 1
     rows = max(1, _PAIR_BLOCK_FLOATS // max(n, components))
     outputs = np.empty_like(pts)
     for start in range(0, m, rows):
         outputs[start : start + rows] = denoiser(pts[start : start + rows])
+    _check_spread(outputs, "outputs")
     step = max(1, _PAIR_BLOCK_FLOATS // (m * n))
     estimate = None
     for start in range(0, m - 1, step):

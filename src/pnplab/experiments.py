@@ -30,10 +30,10 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import svgplot
-from .analysis import _MAX_SAMPLE_FLOATS, _check_samples, _moments_on_prior
+from .analysis import _MAX_SAMPLE_FLOATS, _check_samples, _loss_scales, _moments_on_prior
 from .config import NONNEGATIVE, POSITIVE, UNIT, ConfigError, count, flag, real, real_array
 from .denoisers import MmseDenoiser, OutputShrink, ScaledDenoiser, denoiser_from_config
-from .denoisers import estimate_lipschitz
+from .denoisers import _check_spread, estimate_lipschitz
 from .linop import operator_from_config
 from .prior import GmmPrior
 from .solver import _STOP_BLOCK, PnpConfig, pnp_pgd_batch
@@ -154,12 +154,16 @@ def _reading(what: str):
 _MAX_GRID_POINTS = 1 << 16
 
 
-def _grid_cap(dim: int) -> int:
-    """Most grid points a batched solve on ``dim``-vectors records and holds within the float cap.
+def _grid_cap(prior: GmmPrior) -> int:
+    """Most grid points a batched solve on ``prior`` records and holds within the float cap.
 
-    Its block buffer holds ``_STOP_BLOCK + 1`` iterates per grid point.
+    Its block buffer holds ``_STOP_BLOCK + 1`` iterates per grid point, and
+    each iteration's denoiser forms (K, m) distances and responsibilities
+    over the whole stack, so a grid point is sized by the larger of the dim
+    and the component count K, as :func:`_moments_on_prior` sizes its rows.
     """
-    return min(_MAX_GRID_POINTS, _MAX_SAMPLE_FLOATS // ((_STOP_BLOCK + 1) * dim))
+    width = max(prior.dim, prior.n_components)
+    return min(_MAX_GRID_POINTS, _MAX_SAMPLE_FLOATS // ((_STOP_BLOCK + 1) * width))
 
 
 def _build_solve(resolved: dict, prior: GmmPrior, sigma: float, delta) -> tuple:
@@ -224,6 +228,7 @@ def run_delta_sweep_experiment(config: dict | None = None):
         # One curve point per scale and ratio.
         cap = _MAX_GRID_POINTS // ratios.size
         grid = real_array(resolved["delta_grid"], "delta_grid", rule=POSITIVE, cap=cap)
+        grid = _loss_scales(grid, "delta_grid")
         seed = count(resolved["seed"], "seed")
         denoisers = [MmseDenoiser(prior, ratio * sigma) for ratio in ratios]
 
@@ -263,7 +268,7 @@ def run_stability(config: dict | None = None):
         sigma = real(resolved["sigma"], "sigma", POSITIVE)
         delta = real(resolved["delta"], "delta")
         seed = count(resolved["seed"], "seed")
-        k_grid = real_array(resolved["k_grid"], "k_grid", rule=POSITIVE, cap=_grid_cap(prior.dim))
+        k_grid = real_array(resolved["k_grid"], "k_grid", rule=POSITIVE, cap=_grid_cap(prior))
     op, scaled, cfg = _build_solve(resolved, prior, sigma, delta)
     clean, _ = prior.sample_pairs(sigma, 1, seed)
     xi = np.random.default_rng([seed, 1]).standard_normal(op.out_dim)
@@ -290,7 +295,7 @@ def run_conv_reg(config: dict | None = None):
     with _reading("conv-reg config"):
         prior = GmmPrior.from_config(resolved["prior"])
         sigma = real(resolved["sigma"], "sigma", NONNEGATIVE)
-        grid = real_array(resolved["delta_grid"], "delta_grid", rule=POSITIVE, cap=_grid_cap(prior.dim))
+        grid = real_array(resolved["delta_grid"], "delta_grid", rule=POSITIVE, cap=_grid_cap(prior))
         seed = count(resolved["seed"], "seed")
         resample = flag(resolved["resample_noise_per_delta"], "resample_noise_per_delta")
     op, scaled, cfg = _build_solve(resolved, prior, max(sigma, 1e-12), grid)
@@ -349,6 +354,8 @@ def run_lipschitz_table(config: dict | None = None):
     lips = []
     for index, (sigma, denoiser) in enumerate(zip(sigma_grid, denoisers)):
         _, noisy = prior.sample_pairs(sigma, cloud_size, np.random.SeedSequence([seed, index]))
+        with _reading(f"lipschitz cloud at sigma {float(sigma)!r}"):
+            _check_spread(noisy, "its points")
         lips.append(estimate_lipschitz(denoiser, noisy))
     columns = {"lipschitz_max": lips, "non_expansive": [lip <= 1.0 + 1e-9 for lip in lips]}
     return resolved, _records("lipschitz", sigma_grid, columns)

@@ -13,9 +13,9 @@ the operator, the base denoiser and the start and differ in the data and the
 scale. It checks its inputs once and then runs the unchecked routes: the
 operator's ``_normal_residual`` (one operation for a mask or the identity)
 and the denoiser's ``_apply``. It tests for a stop once per block of
-iterations rather than once per iteration, freezes each row where
-:func:`pnp_pgd` would have stopped on it, and returns bitwise the iterates of
-a loop that tests every iteration.
+iterations rather than once per iteration, runs the whole stack until its
+last row stops, records each row where :func:`pnp_pgd` would have stopped on
+it, and returns bitwise the iterates of a loop that tests every iteration.
 """
 
 from __future__ import annotations
@@ -214,24 +214,23 @@ def pnp_pgd_batch(
     :class:`ScaledDenoiser`). The stack, the dimensions and a per-row scale's
     row count are checked once here, ``||A^T A||`` is taken once for the
     batch, and the loop runs the operator's and the denoiser's unchecked
-    routes. Each row stops where the serial solve would: at convergence, at
-    divergence (recorded in ``diverged`` instead of raised) or at
-    ``max_iters``. Histories are not recorded.
+    routes. Each row is recorded where the serial solve would stop: at
+    convergence, at divergence (recorded in ``diverged`` instead of raised)
+    or at ``max_iters``. Histories are not recorded.
 
     Each iteration forms the gradient step (``x - r`` when ``tau`` is 1,
     which is bitwise ``x - 1.0 * r``) and has the denoiser write its result
     straight into the block buffer, so no iterate is copied.
 
-    The iterations run in blocks of ``_STOP_BLOCK``, whose iterates fill one
-    buffer; one pass of row norms over the block then finds each row's first
-    stopping iterate, and stopped rows leave the stack at the block's end, so
-    the denoiser only sees the rows still running. Iterates a row computes
-    after it stopped are thrown away, and so are any overflow or invalid-value
-    warnings, which a row that stops on them records as a divergence. A row
-    left running alone is rerun alone from the iteration the last other row
-    stopped at. So every row's iterates are bitwise those of a loop that tests
-    every iteration and retires stopped rows at once, matrix products
-    included.
+    Every iteration runs the whole stack. The iterations run in blocks of
+    ``_STOP_BLOCK``, whose iterates fill one buffer; one pass of row norms
+    over the block then finds each running row's first stopping iterate and
+    records the row there, and the loop ends once every row has stopped.
+    Iterates a row computes after it stopped are thrown away, and so are any
+    overflow or invalid-value warnings, which a row that stops on them
+    records as a divergence. So every row's iterates are bitwise those of the
+    whole stack run with a stop test after every iteration, matrix products
+    included, and a one-row stack's are those of :func:`pnp_pgd`.
     """
     ys = np.asarray(ys, dtype=np.float64)
     if ys.ndim != 2 or ys.shape[0] < 1 or ys.shape[1] != op.out_dim:
@@ -251,22 +250,20 @@ def pnp_pgd_batch(
     unit_step = tau == 1.0
 
     iterations = np.full(m, config.max_iters)
-    converged = np.zeros(m, dtype=bool)
     diverged = np.zeros(m, dtype=bool)
+    running = np.ones(m, dtype=bool)
     x = np.zeros((m, op.in_dim))
-    # buf[0] holds the running rows' iterate before a block, buf[j] the j-th after it.
+    # buf[0] holds the stack's iterate before a block, buf[j] the j-th after it.
     buf = np.zeros((_STOP_BLOCK + 1, m, op.in_dim))
-    active = np.arange(m)
-    ya, step = ys, denoiser
     start = 0
     while start < config.max_iters:
         size = min(_STOP_BLOCK, config.max_iters - start)
-        block = buf[: size + 1, : active.size]
+        block = buf[: size + 1]
         with np.errstate(over="ignore", invalid="ignore"):
             for j in range(size):
                 xj = block[j]
-                r = op._normal_residual(xj, ya)
-                step._apply(xj - r if unit_step else xj - tau * r, out=block[j + 1])
+                r = op._normal_residual(xj, ys)
+                denoiser._apply(xj - r if unit_step else xj - tau * r, out=block[j + 1])
             # np.linalg.norm(axis=-1) bitwise, without its dispatch, in one
             # temporary array; a row with NaN or inf entries, or an
             # overflowing square, is not <= the bound.
@@ -276,45 +273,26 @@ def pnp_pgd_batch(
             residual = np.sqrt(np.add.reduce(np.square(squares, out=squares), axis=-1))
             bad = ~(norms <= _DIVERGENCE_NORM)
             done = bad | (residual <= config.tol * (1.0 + norms))
-        stopping = done.any(axis=0)
-        if not stopping.any():
-            buf[0, : active.size] = block[size]
-            start += size
-            continue
-        # Iterations each row runs in the block: to its first stopping iterate,
-        # or all of them and one more for a row that runs on.
-        ends = np.where(stopping, done.argmax(axis=0) + 1, size + 1)
-        resume = size
-        if ends.size > 1:
-            last = ends.argmax()
-            before = ends[np.arange(ends.size) != last].max()
-            if before < ends[last]:
-                # Retiring rows every iteration, the last row would run alone
-                # once the others stopped, and a one-row stack takes other BLAS
-                # kernels (gemv for gemm) that round differently; so it is
-                # rerun alone from there.
-                resume = before
-                ends[last] = size + 1
-        cols = np.flatnonzero(ends <= size)
-        rows = active[cols]
-        bad_rows = bad[ends[cols] - 1, cols]
-        iterations[rows] = start + ends[cols]
-        diverged[rows] = bad_rows
-        converged[rows] = ~bad_rows
-        # A diverged row keeps its last finite iterate, the one before.
-        x[rows] = block[ends[cols] - bad_rows, cols]
-        keep = ends > size
-        active = active[keep]
-        if active.size == 0:
-            break
-        buf[0, : active.size] = block[resume, keep]
-        ya, step = ys[active], denoiser.rows(active)
-        start += resume
-    x[active] = buf[0, : active.size]
+        stopping = done.any(axis=0) & running
+        if stopping.any():
+            rows = np.flatnonzero(stopping)
+            ends = done[:, rows].argmax(axis=0) + 1
+            bad_rows = bad[ends - 1, rows]
+            iterations[rows] = start + ends
+            diverged[rows] = bad_rows
+            # A diverged row keeps its last finite iterate, the one before.
+            x[rows] = block[ends - bad_rows, rows]
+            running &= ~stopping
+            if not running.any():
+                break
+        buf[0] = block[size]
+        start += size
+    # Rows still running ran to the cap; every other row converged or diverged.
+    x[running] = buf[0, running]
     return BatchResult(
         x_star=x,
         iterations=iterations,
-        converged=converged,
+        converged=~running & ~diverged,
         diverged=diverged,
         step_size_warning=warn,
     )

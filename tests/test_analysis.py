@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -414,6 +416,27 @@ class TestResidualMoments:
             moments.sweep([1.0, 0.0])
         with pytest.raises(ValueError):
             ResidualMoments.from_samples(ShrinkageDenoiser(0.5, 4), clean[:1], noisy[:1])
+
+    @pytest.mark.parametrize("delta", [1e-200, 1e-100, 1e-50, 1e-39, 1e155, 1e200])
+    def test_scale_whose_loss_weights_overflow_is_rejected_by_value(self, delta):
+        """The loss weighs its moments by up to (1/delta^2 - 1)^2 and its
+        variance by up to (1/delta^2 - 1)^4, and needs a finite delta^2."""
+        prior = _single_gaussian(4)
+        clean, noisy = prior.sample_pairs(0.1, 10, 0)
+        moments = ResidualMoments.from_samples(ShrinkageDenoiser(0.5, 4), clean, noisy)
+        with pytest.raises(ValueError, match=re.escape(f"holds {delta!r}, where delta")):
+            moments.sweep([1.0, delta])
+        with pytest.raises(ValueError, match=re.escape(f"holds {delta!r}, where delta")):
+            moments.l2(delta)
+
+    @pytest.mark.parametrize("delta", [3e-39, 1e-30, 1e150, 1e154])
+    def test_scales_just_inside_the_range_give_finite_losses(self, delta):
+        prior = _single_gaussian(4)
+        clean, noisy = prior.sample_pairs(0.1, 10, 0)
+        moments = ResidualMoments.from_samples(ShrinkageDenoiser(0.5, 4), clean, noisy)
+        (_, est), = moments.sweep([delta])
+        assert np.isfinite(est.value) and np.isfinite(est.stderr)
+        assert est == moments.l2(delta)
 
 
 class TestRowBlocks:

@@ -386,6 +386,13 @@ _DIM_ONE = {
 }
 
 
+# More components than dims: 2000 components on dim 8.
+_MANY_COMPONENTS = {
+    "prior": {"weights": [1 / 2000] * 2000, "means": [[0.0] * 8] * 2000, "variances": [1.0] * 2000},
+    "operator": {"kind": "identity", "dim": 8},
+}
+
+
 # A dense operator whose every product with a nonzero signal overflows.
 _OVERFLOWING = {
     "prior": {"weights": [1.0], "means": [[0.5] * 8], "variances": [1.0]},
@@ -468,6 +475,17 @@ class TestConfigErrorsAtTheBoundary:
             ("conv-reg", {"delta_grid": [1.0, 1e-200]}, "inverse square, got 1e-200"),
             ("lipschitz", {"sigma_grid": [0.1, 1e200]}, "sigma must have a finite square, got 1e+200"),
             ("stability", {"sigma": 1e160}, "sigma must have a finite square, got 1e+160"),
+            # a delta-sweep scale whose loss weights overflow, rejected before the pass
+            *[
+                ("delta-sweep", {"samples": 200, "delta_grid": grid}, f"delta_grid holds {grid[0]!r}, where")
+                for grid in ([1e-200, 1.0], [1e-100, 1.0], [1e-50, 1.0], [1e200, 1.0])
+            ],
+            # a Lipschitz cloud whose squared pair distances overflow
+            (
+                "lipschitz",
+                {"sigma_grid": [1e154]},
+                "bad lipschitz cloud at sigma 1e+154: its points reach",
+            ),
             ("conv-reg", _OVERFLOWING, "measurements contain non-finite entries"),
             ("stability", _OVERFLOWING, "measurements contain non-finite entries"),
             ("delta-sweep", {"samples": 200.7}, "'samples' must be a nonnegative integer, got 200.7"),
@@ -695,6 +713,9 @@ class TestConfigErrorsAtTheBoundary:
                 {"delta_grid": [1.0] * 7281},
                 "pnp_pgd_batch",
             ),
+            # With more components than dims the cap follows K: 2**25 // (9 * 2000) points.
+            ("conv-reg", _MANY_COMPONENTS, {"delta_grid": [1.0] * 1864}, "pnp_pgd_batch"),
+            ("stability", _MANY_COMPONENTS, {"k_grid": [1] * 1864}, "pnp_pgd_batch"),
             # At dim 1 the float cap is far off; a run records at most 2**16 grid points.
             ("conv-reg", _DIM_ONE, {"delta_grid": [1.0] * 2**16}, "pnp_pgd_batch"),
             ("stability", _DIM_ONE, {"k_grid": [1] * 2**16}, "pnp_pgd_batch"),
@@ -707,6 +728,8 @@ class TestConfigErrorsAtTheBoundary:
             "conv-reg",
             "stability",
             "conv-reg-n512",
+            "conv-reg-k2000",
+            "stability-k2000",
             "conv-reg-points",
             "stability-points",
             "delta-sweep-points",
@@ -805,12 +828,19 @@ def _benchmark_workloads():
     return module
 
 
-@pytest.mark.parametrize("workload", ["solve-short", "solve-long", "mc-sweep"])
+@pytest.mark.parametrize("workload", ["solve-short", "solve-long", "mc-sweep", "wide-prior"])
 def test_default_runs_match_the_benchmark_references(tmp_path, capsys, workload):
-    """The benchmark's own invocation and rule: same rows, flags exact, values within 1e-6."""
+    """The benchmark's own invocation and rule: same rows, flags exact, values within 1e-6.
+
+    wide-prior runs on the config the benchmark generates from the seed.
+    """
     workloads = _benchmark_workloads()
     w = workloads.WORKLOADS[workload]
-    argv = workloads.command(w, workloads.REFERENCE_SEED, str(tmp_path), None)
+    config_path = None
+    if w.generated_config:
+        config_path = str(tmp_path / "config.json")
+        workloads.write_json(config_path, workloads.wide_prior_config(workloads.REFERENCE_SEED))
+    argv = workloads.command(w, workloads.REFERENCE_SEED, str(tmp_path), config_path)
     assert cli.main(argv) == 0
     csv_bytes = (tmp_path / w.csv_name).read_bytes()
     assert workloads.check_output(w, workloads.REFERENCE_SEED, capsys.readouterr().out, csv_bytes) is None

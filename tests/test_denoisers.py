@@ -212,13 +212,6 @@ class TestPerRowScale:
             want = ScaledDenoiser(base, delta, mode=mode, gamma_rescale=gamma)(ys[row])
             np.testing.assert_array_equal(out[row], want)
 
-    def test_rows_restricts_the_scales(self):
-        sd = ScaledDenoiser(ShrinkageDenoiser(0.5, 2), np.array([1.0, 2.0, 4.0]))
-        sub = sd.rows(np.array([0, 2]))
-        np.testing.assert_array_equal(sub.delta, [1.0, 4.0])
-        scalar = tweedie_scale(ShrinkageDenoiser(0.5, 2), 2.0)
-        assert scalar.rows(np.array([0])) is scalar
-
     def test_row_count_and_sign_checked(self):
         sd = ScaledDenoiser(ShrinkageDenoiser(0.5, 2), np.array([1.0, 2.0]))
         with pytest.raises(ValueError, match="2 rows"):
@@ -302,6 +295,17 @@ class TestLipschitz:
         slope = 4.0 / (4.0 + sigma**2)
         assert est <= slope + 1e-9
         assert est == pytest.approx(slope, rel=1e-10)
+
+    def test_points_whose_squared_distances_may_overflow_are_rejected(self):
+        pts = np.random.default_rng(4).standard_normal((6, 2))
+        for scale in (1e154, np.inf):
+            with pytest.raises(ValueError, match="points reach .* squared pair distances overflow"):
+                estimate_lipschitz(ShrinkageDenoiser(1.0, 2), scale * pts)
+        affine = AffineDenoiser(np.eye(2), np.full(2, 1e160))
+        with pytest.raises(ValueError, match="outputs reach 1e\\+160"):
+            estimate_lipschitz(affine, pts)
+        # within the bound the estimate is the exact slope, with no warning
+        assert estimate_lipschitz(ShrinkageDenoiser(0.5, 2), 1e150 * pts) == pytest.approx(0.5, rel=1e-12)
 
     def test_affine_cross_check_against_spectral_norm(self):
         rng = np.random.default_rng(3)

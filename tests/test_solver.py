@@ -516,32 +516,32 @@ def _assert_clock_rows_stop_as_before(stops, max_iters):
     return batch
 
 
-def _retiring_oracle(op, ys, denoiser, tau, config):
-    """The batched loop with a stop test after every iteration, retiring stopped
-    rows at once: (x_star, iterations, converged, diverged)."""
+def _whole_stack_oracle(op, ys, denoiser, tau, config):
+    """The batched loop over the whole stack with a stop test after every
+    iteration, each row recorded at its first stop: (x_star, iterations,
+    converged, diverged)."""
     m = ys.shape[0]
     iterations = np.full(m, config.max_iters)
     converged = np.zeros(m, dtype=bool)
     diverged = np.zeros(m, dtype=bool)
+    running = np.ones(m, dtype=bool)
     x = np.zeros((m, op.in_dim))
-    active = np.arange(m)
-    xa, ya, step = x.copy(), ys, denoiser
+    xs = x.copy()
     for i in range(config.max_iters):
-        x_next = step(xa - tau * op._adjoint(op._apply(xa) - ya))
+        x_next = denoiser(xs - tau * op._adjoint(op._apply(xs) - ys))
         norms = np.sqrt(np.add.reduce(np.square(x_next), axis=1))
         bad = ~(norms <= _DIVERGENCE_NORM)
-        residual = np.sqrt(np.add.reduce(np.square(x_next - xa), axis=1))
-        done = bad | (residual <= config.tol * (1.0 + norms))
-        rows = active[done]
-        iterations[rows] = i + 1
-        diverged[rows] = bad[done]
-        converged[rows] = ~bad[done]
-        x[rows] = np.where(bad[done, None], xa[done], x_next[done])
-        active, xa = active[~done], x_next[~done]
-        if active.size == 0:
+        residual = np.sqrt(np.add.reduce(np.square(x_next - xs), axis=1))
+        done = running & (bad | (residual <= config.tol * (1.0 + norms)))
+        iterations[done] = i + 1
+        diverged[done] = bad[done]
+        converged[done] = ~bad[done]
+        x[done] = np.where(bad[done, None], xs[done], x_next[done])
+        running &= ~done
+        if not running.any():
             break
-        ya, step = ys[active], denoiser.rows(active)
-    x[active] = xa
+        xs = x_next
+    x[running] = xs[running]
     return x, iterations, converged, diverged
 
 
@@ -551,8 +551,9 @@ class TestStopBlocks:
     @pytest.mark.parametrize("kind", ["mask", "conv1d", "dense"])
     def test_a_row_left_alone_runs_alone(self, kind):
         """Under homogeneous scaling of an affine base, a quarter of these stacks
-        end with one row whose one-row matrix products round differently from
-        those of a stack of several rows."""
+        end with one row left running after the others stopped; it stays in
+        the whole stack, whose matrix products round differently from those
+        of a one-row stack, to the last iterate."""
         for seed in range(40):
             rng = np.random.default_rng(seed)
             n = int(rng.integers(2, 9))
@@ -562,7 +563,7 @@ class TestStopBlocks:
             ys = 2.0 * rng.standard_normal((4, op.out_dim))
             cfg = PnpConfig(tau=1.0 / op.op_norm_sq(), max_iters=150, tol=1e-9)
             batch = pnp_pgd_batch(op, ys, scaled, cfg)
-            x_star, iterations, _, _ = _retiring_oracle(op, ys, scaled, cfg.tau, cfg)
+            x_star, iterations, _, _ = _whole_stack_oracle(op, ys, scaled, cfg.tau, cfg)
             np.testing.assert_array_equal(batch.iterations, iterations)
             assert np.array_equal(batch.x_star, x_star)
 
@@ -579,8 +580,9 @@ class TestStopBlocks:
     def test_equals_a_stop_test_after_every_iteration_bitwise(
         self, kind, base_kind, mode, norm, max_iters, rows, seed
     ):
-        """Matrix products included: a row left alone runs in a one-row stack,
-        as it does when rows are retired after every iteration."""
+        """Matrix products included: every row runs in the whole stack until
+        the last row stops, as it does under a stop test after every
+        iteration."""
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 9))
         op = _operator(kind, n, rng)
@@ -593,7 +595,7 @@ class TestStopBlocks:
         cfg = PnpConfig(tau=1.0 / op.op_norm_sq(), max_iters=max_iters, tol=1e-9)
         batch = pnp_pgd_batch(op, ys, scaled, cfg)
         with np.errstate(over="ignore", invalid="ignore"):
-            x_star, iterations, converged, diverged = _retiring_oracle(op, ys, scaled, cfg.tau, cfg)
+            x_star, iterations, converged, diverged = _whole_stack_oracle(op, ys, scaled, cfg.tau, cfg)
         np.testing.assert_array_equal(batch.iterations, iterations)
         np.testing.assert_array_equal(batch.converged, converged)
         np.testing.assert_array_equal(batch.diverged, diverged)
@@ -653,6 +655,54 @@ class TestStopBlocks:
         assert list(batch.iterations) == [1, 6]
         assert list(batch.diverged) == [True, False]
         assert np.array_equal(batch.x_star[0], np.zeros(3))
+
+
+class TestClosedFormReferee:
+    """Under one Gaussian N(mu, vI), a mask, Tweedie scaling of the MMSE base
+    and tau = 1 the fixed point is known coordinate by coordinate. With
+    s = v / (v + sigma^2) and u = 1 / delta^2, an observed entry is
+    (1 - u + us) y + u (1 - s) mu, divided by 1 + u under the gamma rescale,
+    and an unobserved one is mu, or (1 - s) / (2 - s) mu under the rescale."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(2, 10),
+        v=st.floats(0.2, 2.0),
+        sigma=st.floats(0.5, 1.5),
+        gamma=st.booleans(),
+        deltas=st.lists(st.floats(1.0, 2.0), min_size=1, max_size=6),
+        tol=st.sampled_from([1e-8, 1e-10, 1e-12]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_batch_reaches_the_closed_form_fixed_point(self, n, v, sigma, gamma, deltas, tol, seed):
+        rng = np.random.default_rng(seed)
+        mu = 2.0 * rng.standard_normal(n)
+        observed = rng.random(n) < 0.5
+        observed[0], observed[-1] = True, False
+        deltas = np.asarray(deltas)
+        ys = np.where(observed, 3.0 * rng.standard_normal((deltas.size, n)), 0.0)
+        base = MmseDenoiser(GmmPrior([1.0], [mu], [v]), sigma)
+        scaled = ScaledDenoiser(base, deltas, mode="tweedie", gamma_rescale=gamma)
+        batch = pnp_pgd_batch(Mask(observed), ys, scaled, PnpConfig(tau=1.0, max_iters=5000, tol=tol))
+        assert batch.converged.all()
+
+        s = v / (v + sigma**2)
+        u = 1.0 / deltas[:, None] ** 2
+        g = 1.0 / (1.0 + u) if gamma else 1.0
+        fixed = np.where(
+            observed,
+            g * ((1.0 - u + u * s) * ys + u * (1.0 - s) * mu),
+            ((1.0 - s) / (2.0 - s) if gamma else 1.0) * mu,
+        )
+        # Observed entries are fixed after one iteration; unobserved ones
+        # contract by rate = g (1 - u (1 - s)), so the last step's residual,
+        # at most tol (1 + |x|), bounds the distance to the fixed point by
+        # rate / (1 - rate) times itself.
+        rate = (g * (1.0 - u * (1.0 - s)))[:, 0]
+        x = batch.x_star
+        bound = tol * (1.0 + np.linalg.norm(x, axis=1)) * rate / (1.0 - rate)
+        gap = np.linalg.norm(x - fixed, axis=1)
+        assert np.all(gap <= 1.01 * bound + 1e-13 * (1.0 + np.linalg.norm(fixed, axis=1)))
 
 
 class TestUncheckedRoutes:
