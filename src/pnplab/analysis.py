@@ -15,14 +15,18 @@ Every estimate runs one block loop, :func:`_one_pass`: it traverses a sample
 set once, in blocks of rows sized to a fixed element budget, and evaluates
 every denoiser of the comparison on each block, so temporaries stay
 cache-sized. Sample sets drawn here come from :meth:`GmmPrior.pair_blocks`,
-so the noisy rows are drawn block by block and never held whole. MMSE
-denoisers over one prior share each block's distances to its components.
+so the noisy rows are drawn block by block and never held whole, and the next
+block is drawn on a worker thread while the pass evaluates the current one;
+the pass closes the draw when it ends, so an error in a denoiser stops the
+worker too. MMSE denoisers over one prior share each block's distances to
+its components.
 The per-sample arrays still cover every sample, and every mean, standard
 error and ratio is taken over all of them.
 """
 
 from __future__ import annotations
 
+from contextlib import closing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -96,8 +100,9 @@ class SandwichReport:
 # A pass holds every denoiser's per-sample moments at once, so its block
 # temporaries are kept small enough that its peak memory does not grow. On a
 # prior a block's rows are sized by the larger of n and K, which bounds both
-# the (rows, n) sample blocks and the (K, rows) distance and responsibility
-# temporaries.
+# the (rows, n) sample blocks, two of which are live at once (the one under
+# evaluation and the next, being drawn), and the (K, rows) distance and
+# responsibility temporaries.
 _BLOCK_FLOATS = 1 << 15
 
 
@@ -326,8 +331,9 @@ def _one_pass(denoisers: list, blocks, samples: int) -> list[ResidualMoments]:
 def _moments_on_prior(denoisers: list, prior: GmmPrior, sigma: float, samples: int, seed: int):
     """:func:`_one_pass` of ``denoisers`` over ``samples`` pairs drawn from ``prior`` at ``sigma``."""
     _check_samples(samples, prior.dim)
-    blocks = prior.pair_blocks(sigma, samples, seed, _block_rows(max(prior.dim, prior.n_components)))
-    return _one_pass(denoisers, blocks, samples)
+    rows = _block_rows(max(prior.dim, prior.n_components))
+    with closing(prior.pair_blocks(sigma, samples, seed, rows)) as blocks:
+        return _one_pass(denoisers, blocks, samples)
 
 
 def estimate_delta_opt(

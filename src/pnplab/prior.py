@@ -22,10 +22,16 @@ Gaussian's ``(mu - y) / t`` with no distance formed.
 
 :meth:`GmmPrior.pair_blocks` draws a (clean, noisy) sample set and hands the
 noisy rows out block by block, so a Monte-Carlo pass never holds them whole.
+The seeded stream is serial (the labels, then every clean row, then each
+block's noise), so it cannot be split; instead, while its caller evaluates
+one block, a worker thread draws the next into the other of two buffers.
 """
 
 from __future__ import annotations
 
+import contextvars
+import queue
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +55,47 @@ def _as_points(y, dim: int):
             raise ValueError(f"points have dim {y.shape[1]}, expected {dim}")
         return y, False
     raise ValueError(f"points must be 1-D or 2-D, got shape {y.shape}")
+
+
+def _drawn_ahead(draw, starts, buffers):
+    """Yield ``draw(start, buffer)`` for each of ``starts``, one block ahead on a worker thread.
+
+    The buffers go round a ring: the worker takes a free one, draws into it
+    and hands the block back, and the caller frees a block's buffer when it
+    asks for the next block. With one start, the block is drawn inline.
+    """
+    if len(starts) == 1:
+        yield draw(starts[0], buffers[0])
+        return
+    free, filled = queue.SimpleQueue(), queue.SimpleQueue()
+    for buffer in buffers:
+        free.put(buffer)
+
+    def work():
+        try:
+            for start in starts:
+                buffer = free.get()
+                if buffer is None:  # the caller stopped early
+                    return
+                filled.put((buffer, draw(start, buffer)))
+        except Exception as exc:
+            filled.put((None, exc))
+
+    # A daemon, so that a generator left unclosed at exit does not hold the interpreter.
+    worker = threading.Thread(
+        target=contextvars.copy_context().run, args=(work,), name="pair_blocks", daemon=True
+    )
+    worker.start()
+    try:
+        for _ in starts:
+            buffer, drawn = filled.get()
+            if buffer is None:
+                raise drawn
+            yield drawn
+            free.put(buffer)
+    finally:
+        free.put(None)
+        worker.join()
 
 
 @dataclass(frozen=True)
@@ -242,13 +289,21 @@ class GmmPrior:
     def pair_blocks(self, sigma: float, count: int, seed, rows: int):
         """Draw ``count`` (clean, noisy) pairs, noisy = clean + sigma * xi, in blocks of rows.
 
-        Returns an iterator of ``(rows, clean_block, noisy_block)``: a slice
+        Returns a generator of ``(rows, clean_block, noisy_block)``: a slice
         of the sample index and that slice's (clean, noisy) rows, at most
         ``rows`` of them. The component labels and every clean row's standard
         normal draw come first; each block's clean rows are then scaled and
-        shifted onto their components, and its noisy rows drawn into one
-        reused buffer, so each noisy block is valid only until the next one
-        is drawn. The stream is that of :meth:`sample_pairs` for any ``rows``.
+        shifted onto their components, and its noisy rows drawn into one of
+        two reused buffers, so each noisy block is valid only until the next
+        one is requested. The stream is that of :meth:`sample_pairs` for any
+        ``rows``.
+
+        With more than one block, the next block is drawn on a worker thread,
+        in a copy of the context of the first request (so numpy's
+        ``errstate`` holds there), while the caller holds the current one. An
+        error raised in the draw reaches the caller at its next request, and
+        closing the generator, or running it out, stops and joins the worker.
+        A one-block draw runs inline and starts no thread.
         """
         if not sigma > 0:
             raise ValueError("sigma must be positive")
@@ -260,21 +315,21 @@ class GmmPrior:
         comps = rng.choice(self.n_components, size=count, p=self.weights)
         clean = rng.standard_normal((count, self.dim))
         scales = np.sqrt(self.variances[comps])[:, None]
-        buffer = np.empty((min(rows, count), self.dim))
+        starts = range(0, count, rows)
 
-        def blocks():
-            for start in range(0, count, rows):
-                index = slice(start, min(start + rows, count))
-                block = clean[index]
-                block *= scales[index]
-                block += self.means[comps[index]]
-                noisy = buffer[: len(block)]
-                rng.standard_normal(out=noisy)
-                noisy *= sigma
-                noisy += block
-                yield index, block, noisy
+        def draw(start, buffer):
+            index = slice(start, min(start + rows, count))
+            block = clean[index]
+            block *= scales[index]
+            block += self.means[comps[index]]
+            noisy = buffer[: len(block)]
+            rng.standard_normal(out=noisy)
+            noisy *= sigma
+            noisy += block
+            return index, block, noisy
 
-        return blocks()
+        buffers = [np.empty((min(rows, count), self.dim)) for _ in range(min(len(starts), 2))]
+        return _drawn_ahead(draw, starts, buffers)
 
     def sample_pairs(self, sigma: float, count: int, seed):
         """Draw ``count`` (clean, noisy) pairs, noisy = clean + sigma * xi.

@@ -1,10 +1,16 @@
 import math
+import queue
+import sys
+import threading
+from contextlib import closing
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pnplab.analysis import estimate_l2
+from pnplab.experiments import run_conv_reg, run_lipschitz_table
 from pnplab.prior import GmmPrior
 
 
@@ -264,6 +270,143 @@ class TestSampling:
     def test_pair_blocks_rows_validated(self):
         with pytest.raises(ValueError, match="rows"):
             _standard_normal_1d().pair_blocks(0.1, 10, 0, 0)
+
+
+def _three_component_4d():
+    return GmmPrior([0.2, 0.5, 0.3], np.arange(12.0).reshape(3, 4) - 5.0, [0.5, 2.0, 0.1])
+
+
+class TestDrawAhead:
+    """A multi-block ``pair_blocks`` draws the next block on a worker thread."""
+
+    def test_closing_after_the_first_block_joins_the_worker(self):
+        before = threading.active_count()
+        blocks = _three_component_4d().pair_blocks(0.3, 50, 9, 7)
+        next(blocks)
+        assert threading.active_count() == before + 1
+        blocks.close()
+        assert threading.active_count() == before
+
+    def test_a_raising_denoiser_stops_the_worker(self):
+        class Boom(Exception):
+            pass
+
+        def denoiser(y):
+            raise Boom
+
+        # 128-row blocks at n = 256, so 300 samples are three blocks
+        prior = GmmPrior([1.0], np.zeros((1, 256)), [1.0])
+        before = threading.active_count()
+        # ``info`` keeps the traceback, and with it the pass's frames, alive
+        with pytest.raises(Boom) as info:
+            estimate_l2(denoiser, prior, 0.3, 300, 0)
+        assert info.type is Boom and threading.active_count() == before
+
+    def test_an_error_in_the_draw_reaches_the_caller(self, monkeypatch):
+        class DrawError(Exception):
+            pass
+
+        real_default_rng = np.random.default_rng
+        raised_on = []
+
+        class FailingSecondBlock:
+            """The real generator, except that its second noise draw raises."""
+
+            def __init__(self, seed):
+                self._rng, self._noise_draws = real_default_rng(seed), 0
+
+            def choice(self, *args, **kwargs):
+                return self._rng.choice(*args, **kwargs)
+
+            def standard_normal(self, *args, out=None):
+                if out is not None:
+                    self._noise_draws += 1
+                    if self._noise_draws == 2:
+                        raised_on.append(threading.current_thread())
+                        raise DrawError
+                return self._rng.standard_normal(*args, out=out)
+
+        monkeypatch.setattr("pnplab.prior.np.random.default_rng", FailingSecondBlock)
+        before = threading.active_count()
+        blocks = _three_component_4d().pair_blocks(0.3, 50, 9, 7)
+        next(blocks)
+        with pytest.raises(DrawError):
+            next(blocks)
+        assert raised_on and raised_on[0] is not threading.current_thread()
+        assert threading.active_count() == before
+
+    def test_a_held_block_is_unchanged_once_the_next_is_drawn(self, monkeypatch):
+        handed_back, freed = threading.Semaphore(0), []
+
+        class SpyQueue(queue.SimpleQueue):
+            """Records the buffers handed to the worker and counts the blocks it hands back."""
+
+            def put(self, item, *args, **kwargs):
+                super().put(item, *args, **kwargs)
+                if isinstance(item, tuple):
+                    handed_back.release()
+                elif item is not None:
+                    freed.append(item)
+
+        prior = _three_component_4d()
+        _, want_noisy = prior.sample_pairs(0.3, 50, 9)
+        monkeypatch.setattr("pnplab.prior.queue.SimpleQueue", SpyQueue)
+        with closing(prior.pair_blocks(0.3, 50, 9, 7)) as blocks:
+            index, _, noisy = next(blocks)
+            # the first block and the second, drawn into the other buffer
+            assert handed_back.acquire(timeout=30) and handed_back.acquire(timeout=30)
+            np.testing.assert_array_equal(noisy, want_noisy[index])
+            # only the two fresh buffers went out: the held one goes back on the next request
+            assert len(freed) == 2
+            index, _, noisy = next(blocks)
+            assert len(freed) == 3 and freed[2] is freed[0]
+            np.testing.assert_array_equal(noisy, want_noisy[index])
+
+    def test_the_worker_draws_in_the_callers_errstate(self):
+        """The overflow is ignored on the worker too, not raised as a RuntimeWarning."""
+        with np.errstate(over="ignore"):
+            blocks = list(_three_component_4d().pair_blocks(1e308, 50, 0, 7))
+        assert len(blocks) == 8
+        assert any(np.isinf(noisy).any() for _, _, noisy in blocks)
+
+    def test_concurrent_draws_under_fast_switching_keep_their_streams(self):
+        prior = _three_component_4d()
+        seeds = range(4)
+        want = {seed: prior.sample_pairs(0.3, 60, seed)[1] for seed in seeds}
+        got = {}
+
+        def drain(seed):
+            got[seed] = np.concatenate([noisy.copy() for _, _, noisy in prior.pair_blocks(0.3, 60, seed, 3)])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=drain, args=(seed,)) for seed in seeds]
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        for seed in seeds:
+            np.testing.assert_array_equal(got[seed], want[seed])
+
+    def test_one_block_draws_start_no_thread(self, monkeypatch):
+        started = []
+        real_start = threading.Thread.start
+
+        def spy(thread):
+            started.append(thread)
+            real_start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", spy)
+        _three_component_4d().sample_pairs(0.3, 5000, 0)
+        run_lipschitz_table()
+        run_conv_reg({"delta_grid": [1.0, 2.0], "solver": {"max_iters": 5}})
+        assert started == []
+        list(_three_component_4d().pair_blocks(0.3, 50, 9, 7))
+        assert len(started) == 1
 
 
 def _row_major_score(prior, points, sigma):
