@@ -70,10 +70,9 @@ class MmseDenoiser(Denoiser):
     imperfectly trained one.
 
     The solvers' hot path: the noise-level constants are computed once, and
-    ``_apply`` runs the prior's unchecked score route, bitwise equal to
-    :meth:`GmmPrior.mmse_denoise`. With one component that route is the
-    Gaussian's ``mu / t - y / t``, and ``mu / t`` (formed as
-    ``mu * (1 / t)``, the same product) is kept too. A Monte-Carlo pass that
+    ``_apply`` runs the prior's unchecked direct route, bitwise equal to
+    :meth:`GmmPrior.posterior_mean`; the score route,
+    :meth:`GmmPrior.mmse_denoise`, is its oracle. A Monte-Carlo pass that
     runs several of these over one prior passes ``half_sq``, the prior's
     (K, m) half squared distances to the rows of ``y``
     (``GmmPrior._half_sq_dists``), formed once for all of them.
@@ -84,25 +83,13 @@ class MmseDenoiser(Denoiser):
             raise ValueError(f"sigma must be positive and finite, got {sigma!r}")
         self.prior = prior
         self.sigma = float(sigma)
-        self._sigma_sq = self.sigma * self.sigma
-        if self._sigma_sq == np.inf:
+        if self.sigma * self.sigma == np.inf:
             raise ValueError(f"sigma must have a finite square, got {self.sigma!r}")
         self.dim = prior.dim
-        self._smoothed = prior._smoothed(self.sigma)
-        if prior.n_components == 1:
-            self._inv_t = 1.0 / self._smoothed[0][0]
-            self._mean_over_t = prior.means[0] * self._inv_t
-        else:
-            self._mean_over_t = None
+        self._constants = prior._posterior_constants(self.sigma)
 
     def _apply(self, y, half_sq=None):
-        if self._mean_over_t is None:
-            out = self.prior._score(y, *self._smoothed, half_sq)
-        else:
-            out = self._mean_over_t - y * self._inv_t
-        out *= self._sigma_sq
-        out += y
-        return out
+        return self.prior._posterior_mean(y, *self._constants, half_sq)
 
 
 class ShrinkageDenoiser(Denoiser):

@@ -10,15 +10,17 @@ the test suite holds against each other.
 
 Each public method checks ``sigma`` and its points once, then runs one
 unchecked private route on an (m, n) batch with the per-noise-level
-constants from ``_smoothed``; :class:`~pnplab.denoisers.MmseDenoiser` computes
-those once and calls the route directly. Every route builds on one distance
-kernel, ``_half_sq_dists``, the only place ``|y - mu_k|^2`` is formed. It is
-laid out component-major, (K, m), so the softmax reduces over the contiguous
-axis, and it expands the squared distance about the mean of the component
-means, so that it stays accurate for a mixture far from the origin. Callers
-that evaluate several noise levels on the same points pass the distances in
-once. With one component the responsibilities are ones, and the score is the
-Gaussian's ``(mu - y) / t`` with no distance formed.
+constants from ``_smoothed``. The posterior mean's route, ``_posterior_mean``,
+is the hot path: :class:`~pnplab.denoisers.MmseDenoiser` computes its
+constants (``_posterior_constants``) once and calls it directly, and the
+score route is its oracle. Every route builds on one distance kernel,
+``_half_sq_dists``, the only place ``|y - mu_k|^2`` is formed. It is laid out
+component-major, (K, m), so the softmax reduces over the contiguous axis, and
+it expands the squared distance about the mean of the component means, so
+that it stays accurate for a mixture far from the origin. Callers that
+evaluate several noise levels on the same points pass the distances in once.
+With one component the responsibilities are ones and no distance is formed,
+and the posterior mean is the Gaussian's ``rho * y + (1 - rho) * mu``.
 
 :meth:`GmmPrior.pair_blocks` draws a (clean, noisy) sample set and hands the
 noisy rows out block by block, so a Monte-Carlo pass never holds them whole.
@@ -172,6 +174,12 @@ class GmmPrior:
         t = self.variances + sigma * sigma
         return t, self._log_weights - 0.5 * self.dim * (_LOG_2PI + np.log(t))
 
+    def _posterior_constants(self, sigma: float) -> tuple:
+        """``_smoothed``'s ``(t, log_norm)``, Wiener weights ``rho = v / t``, and ``(1 - rho) mu``."""
+        t, log_norm = self._smoothed(sigma)
+        rho = self.variances / t
+        return t, log_norm, rho, (1.0 - rho)[:, None] * self.means
+
     def _half_sq_dists(self, points) -> np.ndarray:
         """(K, m) array of ``|y - mu_k|^2 / 2``, clamped at 0.
 
@@ -212,13 +220,26 @@ class GmmPrior:
         in when several noise levels share the points; with one component
         none are needed.
         """
-        if self.n_components == 1:
-            inv_t = 1.0 / t[0]
-            return self.means[0] * inv_t - points * inv_t
         r = self._responsibilities(points, t, log_norm, half_sq)
         r /= t[:, None]
         out = r.T @ self.means
         out -= points * r.sum(axis=0)[:, None]
+        return out
+
+    def _posterior_mean(self, points, t, log_norm, rho, shrunk, half_sq=None) -> np.ndarray:
+        """(m, n) posterior mean ``sum_k r_k (rho_k y + (1 - rho_k) mu_k)``.
+
+        ``rho`` and ``shrunk`` are from ``_posterior_constants``, and
+        ``half_sq`` is as for ``_score``. The sums over K run elementwise, so
+        a row's output does not depend on the stack's height. With one
+        component it is ``rho y + (1 - rho) mu``, bitwise the general formula
+        with unit responsibilities.
+        """
+        if self.n_components == 1:
+            return points * rho[0] + shrunk[0]
+        r = self._responsibilities(points, t, log_norm, half_sq)
+        out = r.T @ shrunk
+        out += points * (r * rho[:, None]).sum(axis=0)[:, None]
         return out
 
     def log_density(self, y, sigma: float = 0.0):
@@ -258,7 +279,11 @@ class GmmPrior:
     # -- denoising ---------------------------------------------------------
 
     def mmse_denoise(self, y, sigma: float):
-        """Posterior mean via the score route: ``y + sigma^2 * score(y, sigma)``."""
+        """Posterior mean via the score route, ``y + sigma^2 * score(y, sigma)``.
+
+        Kept as the oracle of :meth:`posterior_mean`, with which it agrees to
+        round-off while ``sigma^2`` is not far above the variances.
+        """
         if not sigma > 0:
             raise ValueError("sigma must be positive")
         points, single = _as_points(y, self.dim)
@@ -271,17 +296,16 @@ class GmmPrior:
         """Posterior mean by direct mixture algebra, independent of the score.
 
         Each component contributes its Wiener-shrunk estimate
-        ``mu_k + v_k / (v_k + sigma^2) * (y - mu_k)`` weighted by the
-        responsibilities. Agrees with :meth:`mmse_denoise` to round-off; the
-        two are kept as separate code paths on purpose.
+        ``rho_k y + (1 - rho_k) mu_k``, ``rho_k = v_k / (v_k + sigma^2)``,
+        weighted by the responsibilities. It keeps its digits when
+        ``sigma^2 >> v_k``, where the score route cancels. This is the route
+        :class:`~pnplab.denoisers.MmseDenoiser` runs; :meth:`mmse_denoise`
+        agrees with it to round-off and is kept as its oracle.
         """
         if not sigma > 0:
             raise ValueError("sigma must be positive")
         points, single = _as_points(y, self.dim)
-        t, log_norm = self._smoothed(sigma)
-        rho = self.variances / t
-        r = self._responsibilities(points, t, log_norm)
-        out = (r * (1.0 - rho)[:, None]).T @ self.means + points * (rho @ r)[:, None]
+        out = self._posterior_mean(points, *self._posterior_constants(sigma))
         return out[0] if single else out
 
     # -- sampling ----------------------------------------------------------

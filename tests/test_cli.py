@@ -88,9 +88,9 @@ class TestDeltaOpt:
     )
     def test_out_of_range_sigma_or_samples_exits_one(self, tmp_path, capsys, sigma, samples):
         path = _delta_opt_config(tmp_path, {"kind": "shrinkage", "alpha": 0.5, "dim": 4}, sigma)
-        config = json.loads(open(path).read())
+        config = json.loads(Path(path).read_text())
         config["samples"] = samples
-        open(path, "w").write(json.dumps(config))
+        Path(path).write_text(json.dumps(config))
         code = cli.main(["delta-opt", "--config", path, "--out", str(tmp_path)])
         err = capsys.readouterr().err
         assert code == 1
@@ -145,9 +145,9 @@ class TestDeltaOpt:
 
     def test_misspelt_field_exits_one_before_sampling(self, tmp_path, capsys, monkeypatch):
         path = _delta_opt_config(tmp_path, {"kind": "exact_mmse"})
-        config = json.loads(open(path).read())
+        config = json.loads(Path(path).read_text())
         config["sample"] = 50
-        open(path, "w").write(json.dumps(config))
+        Path(path).write_text(json.dumps(config))
 
         def no_sampling(*args, **kwargs):
             raise AssertionError("sampled before the field check")
@@ -557,9 +557,9 @@ class TestConfigErrorsAtTheBoundary:
         elif source == "PNPLAB_SEED":
             monkeypatch.setenv("PNPLAB_SEED", "-1")
         else:
-            config = json.loads(open(path).read())
+            config = json.loads(Path(path).read_text())
             config["seed"] = -1
-            open(path, "w").write(json.dumps(config))
+            Path(path).write_text(json.dumps(config))
         code = cli.main(argv)
         err = capsys.readouterr().err
         assert code == 1

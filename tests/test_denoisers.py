@@ -69,7 +69,7 @@ class TestZoo:
     def test_noise_level_whose_square_overflows_is_rejected_by_value(self):
         with pytest.raises(ValueError, match=r"sigma must have a finite square, got 1e\+160"):
             MmseDenoiser(_single_gaussian(), 1e160)
-        assert np.isfinite(MmseDenoiser(_single_gaussian(), 1e150)._sigma_sq)
+        assert np.all(np.isfinite(MmseDenoiser(_single_gaussian(), 1e150)(np.ones(2))))
 
     def test_booleans_are_not_numbers(self):
         with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\], got True"):
@@ -110,29 +110,104 @@ class TestZoo:
             Bare()._apply(np.zeros((1, 2)))
 
 
+def _random_prior(rng, k, n, offset=1.0):
+    weights = rng.uniform(0.5, 1.5, k)
+    return GmmPrior(weights / weights.sum(), offset * rng.standard_normal((k, n)), rng.uniform(0.05, 2.0, k))
+
+
+def _longdouble_posterior_mean(prior, y, sigma):
+    """``sum_k r_k (rho_k y + (1 - rho_k) mu_k)`` in long double, from the uncentred distances.
+
+    ``log 2 pi``, the same for every component, drops out of the softmax and is left out.
+    """
+    ld = np.longdouble
+    weights, means, variances = (np.asarray(a, dtype=ld) for a in (prior.weights, prior.means, prior.variances))
+    y = np.asarray(y, dtype=ld)
+    t = variances + ld(sigma) * ld(sigma)
+    diff = y[:, None, :] - means[None, :, :]
+    logs = np.log(weights) - 0.5 * prior.dim * np.log(t) - 0.5 * np.sum(diff * diff, axis=2) / t
+    r = np.exp(logs - logs.max(axis=1, keepdims=True))
+    r /= r.sum(axis=1, keepdims=True)
+    rho = variances / t
+    per_component = rho[:, None] * y[:, None, :] + (1 - rho)[:, None] * means
+    return np.sum(r[:, :, None] * per_component, axis=1)
+
+
+_HOT_PATH_DRAWS = dict(
+    k=st.integers(1, 5),
+    n=st.integers(1, 64),
+    m=st.integers(1, 6),
+    offset=st.sampled_from([0.0, 1.0, 30.0, 1e3]),
+    sigma=st.floats(0.01, 3.0),
+    seed=st.integers(0, 2**16),
+)
+
+
 class TestMmseHotPath:
     @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(
-        k=st.integers(1, 5),
-        n=st.integers(1, 64),
-        m=st.integers(1, 6),
-        offset=st.sampled_from([0.0, 1.0, 30.0, 1e3]),
-        sigma=st.floats(0.01, 3.0),
-        seed=st.integers(0, 2**16),
-    )
-    def test_bitwise_equal_to_the_prior_score_route(self, k, n, m, offset, sigma, seed):
+    @given(**_HOT_PATH_DRAWS)
+    def test_bitwise_equal_to_the_prior_posterior_mean(self, k, n, m, offset, sigma, seed):
         rng = np.random.default_rng(seed)
-        weights = rng.uniform(0.5, 1.5, k)
-        prior = GmmPrior(
-            weights / weights.sum(), offset * rng.standard_normal((k, n)), rng.uniform(0.05, 2.0, k)
-        )
+        prior = _random_prior(rng, k, n, offset)
         d = MmseDenoiser(prior, sigma)
         ys = (offset + 1.0) * rng.standard_normal((m, n))
-        np.testing.assert_array_equal(d(ys), prior.mmse_denoise(ys, sigma))
+        want = prior.posterior_mean(ys, sigma)
+        np.testing.assert_array_equal(d(ys), want)
+        np.testing.assert_array_equal(d._apply(ys), want)
+        half_sq = prior._half_sq_dists(ys)
+        np.testing.assert_array_equal(d(ys, half_sq), want)
+        np.testing.assert_array_equal(d._apply(ys, half_sq), want)
         single = d(ys[0])
         assert single.shape == (n,)
-        np.testing.assert_array_equal(single, prior.mmse_denoise(ys[0], sigma))
+        np.testing.assert_array_equal(single, prior.posterior_mean(ys[0], sigma))
+        np.testing.assert_array_equal(d(ys[0], prior._half_sq_dists(ys[:1])), single)
 
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(**_HOT_PATH_DRAWS)
+    def test_the_score_route_agrees_within_round_off(self, k, n, m, offset, sigma, seed):
+        rng = np.random.default_rng(seed)
+        prior = _random_prior(rng, k, n, offset)
+        ys = (offset + 1.0) * rng.standard_normal((m, n))
+        got = MmseDenoiser(prior, sigma)(ys)
+        want = prior.mmse_denoise(ys, sigma)
+        # Relative to the size of the score route's terms, y and sigma^2 times the score's two terms.
+        t_min = float(np.min(prior.variances)) + sigma * sigma
+        y_size = np.linalg.norm(ys, axis=1)
+        score_size = (y_size + np.max(np.linalg.norm(prior.means, axis=1))) / t_min
+        assert np.all(np.linalg.norm(got - want, axis=1) <= 1e-12 * (y_size + sigma * sigma * score_size))
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(n=st.integers(1, 8), m=st.integers(1, 6), sigma=st.floats(0.01, 1e3), seed=st.integers(0, 2**16))
+    def test_one_component_is_the_general_formula_on_unit_responsibilities(self, n, m, sigma, seed):
+        rng = np.random.default_rng(seed)
+        prior = _random_prior(rng, 1, n)
+        ys = (1.0 + sigma) * rng.standard_normal((m, n))
+        t, log_norm, rho, shrunk = prior._posterior_constants(sigma)
+        r = np.ones((1, m))
+        general = r.T @ shrunk + ys * (r * rho[:, None]).sum(axis=0)[:, None]
+        np.testing.assert_array_equal(prior._posterior_mean(ys, t, log_norm, rho, shrunk), general)
+
+    @pytest.mark.skipif(
+        np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps, reason="long double is no wider than float64"
+    )
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        k=st.integers(1, 4),
+        n=st.integers(1, 6),
+        m=st.integers(1, 4),
+        log_sigma=st.floats(-3.0, 150.0),
+        seed=st.integers(0, 2**16),
+    )
+    def test_accurate_against_a_long_double_reference(self, k, n, m, log_sigma, seed):
+        """No cancellation when sigma^2 >> v: the error stays at round-off of the output and the means."""
+        rng = np.random.default_rng(seed)
+        prior = _random_prior(rng, k, n)
+        sigma = 10.0**log_sigma
+        ys = (1.0 + sigma) * rng.standard_normal((m, n))
+        ref = _longdouble_posterior_mean(prior, ys, sigma)
+        error = np.linalg.norm((MmseDenoiser(prior, sigma)(ys) - ref).astype(np.float64), axis=1)
+        size = np.linalg.norm(ref.astype(np.float64), axis=1) + np.max(np.linalg.norm(prior.means, axis=1))
+        assert np.all(error <= 1e-12 * size)
 
     @pytest.mark.parametrize("sigma", [0.0, -1.0, float("nan"), float("inf")])
     def test_sigma_must_be_positive_and_finite(self, sigma):

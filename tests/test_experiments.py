@@ -437,6 +437,12 @@ class TestLipschitzTable:
             values.append(rec.metrics["lipschitz_max"])
         assert all(a > b for a, b in zip(values, values[1:]))
 
+    def test_slope_keeps_its_digits_when_sigma_dwarfs_the_variance(self):
+        """On the default prior (v = 1) the slope is 1 / (1 + sigma^2): the score route's round-off swamped it."""
+        _, records = run_lipschitz_table({"sigma_grid": [1e6, 1e8]})
+        for rec, rel in zip(records, (1e-9, 1e-6)):
+            assert rec.metrics["lipschitz_max"] == pytest.approx(1.0 / (1.0 + rec.key**2), rel=rel, abs=0.0)
+
     def test_multimodal_prior_can_exceed_one(self):
         config = {
             "prior": {"weights": [0.5, 0.5], "means": [[-1.0], [1.0]], "variances": [0.05, 0.05]},
@@ -513,11 +519,11 @@ class TestArtifacts:
         _, records = run_lipschitz_table()
         first = write_plots("lipschitz", records, tmp_path)
         assert first
-        blobs = [open(p, "rb").read() for p in first]
+        blobs = [Path(p).read_bytes() for p in first]
         again = write_plots("lipschitz", records, tmp_path)
         for path, blob in zip(again, blobs):
-            assert open(path, "rb").read() == blob
-        assert all(open(p, "rb").read().startswith(b"<svg") for p in first)
+            assert Path(path).read_bytes() == blob
+        assert all(Path(p).read_bytes().startswith(b"<svg") for p in first)
 
     def test_every_default_delta_sweep_plot_draws_a_line(self, tmp_path):
         """The ordering flag sits at key 0, which a log axis cannot place: it gets no plot."""
@@ -525,7 +531,7 @@ class TestArtifacts:
         paths = write_plots("delta-sweep", records, tmp_path)
         assert paths
         for path in paths:
-            assert "<polyline" in open(path, encoding="utf-8").read()
+            assert "<polyline" in Path(path).read_text(encoding="utf-8")
 
     def test_run_experiment_dispatch(self):
         with pytest.raises(ConfigError, match="valid names"):

@@ -657,6 +657,16 @@ class TestStopBlocks:
         assert np.array_equal(batch.x_star[0], np.zeros(3))
 
 
+def _closed_form_fixed_point(observed, ys, mu, s, u, gamma):
+    """The fixed point of :class:`TestClosedFormReferee`'s docstring, entry by entry."""
+    g = 1.0 / (1.0 + u) if gamma else 1.0
+    return np.where(
+        observed,
+        g * ((1.0 - u + u * s) * ys + u * (1.0 - s) * mu),
+        ((1.0 - s) / (2.0 - s) if gamma else 1.0) * mu,
+    )
+
+
 class TestClosedFormReferee:
     """Under one Gaussian N(mu, vI), a mask, Tweedie scaling of the MMSE base
     and tau = 1 the fixed point is known coordinate by coordinate. With
@@ -689,11 +699,7 @@ class TestClosedFormReferee:
         s = v / (v + sigma**2)
         u = 1.0 / deltas[:, None] ** 2
         g = 1.0 / (1.0 + u) if gamma else 1.0
-        fixed = np.where(
-            observed,
-            g * ((1.0 - u + u * s) * ys + u * (1.0 - s) * mu),
-            ((1.0 - s) / (2.0 - s) if gamma else 1.0) * mu,
-        )
+        fixed = _closed_form_fixed_point(observed, ys, mu, s, u, gamma)
         # Observed entries are fixed after one iteration; unobserved ones
         # contract by rate = g (1 - u (1 - s)), so the last step's residual,
         # at most tol (1 + |x|), bounds the distance to the fixed point by
@@ -703,6 +709,36 @@ class TestClosedFormReferee:
         bound = tol * (1.0 + np.linalg.norm(x, axis=1)) * rate / (1.0 - rate)
         gap = np.linalg.norm(x - fixed, axis=1)
         assert np.all(gap <= 1.01 * bound + 1e-13 * (1.0 + np.linalg.norm(fixed, axis=1)))
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(2, 10),
+        v=st.floats(0.2, 2.0),
+        sigma=st.floats(0.05, 1.5),
+        gamma=st.booleans(),
+        log_delta=st.floats(0.0, 3.0),
+        seed=st.integers(0, 2**16),
+    )
+    def test_linear_oracle_reaches_the_closed_form(self, n, v, sigma, gamma, log_delta, seed):
+        """The MMSE base of one Gaussian is the affine map ``s y + (1 - s) mu``, so the dense oracle applies."""
+        rng = np.random.default_rng(seed)
+        mu = 2.0 * rng.standard_normal(n)
+        observed = rng.random(n) < 0.5
+        observed[0], observed[-1] = True, False
+        y = np.where(observed, 3.0 * rng.standard_normal(n), 0.0)
+        s = v / (v + sigma**2)
+        mmse = MmseDenoiser(GmmPrior([1.0], [mu], [v]), sigma)
+        affine = AffineDenoiser(s * np.eye(n), (1.0 - s) * mu)
+        probes = 3.0 * rng.standard_normal((8, n))
+        want = mmse(probes)
+        assert np.all(np.linalg.norm(affine(probes) - want, axis=1) <= 1e-15 * np.linalg.norm(want, axis=1))
+
+        delta = 10.0**log_delta
+        scaled = ScaledDenoiser(affine, delta, mode="tweedie", gamma_rescale=gamma)
+        x = linear_fixed_point_oracle(Mask(observed), y, scaled, PnpConfig(tau=1.0))
+        fixed = _closed_form_fixed_point(observed, y, mu, s, 1.0 / delta**2, gamma)
+        # The dense solve loses digits as the unobserved entries' rate nears 1, about 1 - (1 - s) / delta^2.
+        assert np.linalg.norm(x - fixed) <= 1e-11 * delta**2 * np.linalg.norm(fixed)
 
 
 class TestUncheckedRoutes:
@@ -740,11 +776,11 @@ class TestUncheckedRoutes:
         assert scaled._apply(y, out=buf) is buf
         assert np.array_equal(buf, scaled._apply(y))
 
-    def test_one_component_mmse_equals_the_prior_route_bitwise(self):
+    def test_one_component_mmse_equals_the_prior_posterior_mean_bitwise(self):
         rng = np.random.default_rng(1)
         prior = GmmPrior([1.0], [rng.standard_normal(6)], [0.7])
         y = 3.0 * rng.standard_normal((20, 6))
-        assert np.array_equal(MmseDenoiser(prior, 0.4)._apply(y), prior.mmse_denoise(y, 0.4))
+        assert np.array_equal(MmseDenoiser(prior, 0.4)._apply(y), prior.posterior_mean(y, 0.4))
 
     def test_subclass_defining_only_call_runs_in_the_batch(self):
         class Halving(Denoiser):
