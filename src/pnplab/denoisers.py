@@ -12,6 +12,8 @@ All denoisers are immutable callables on 1-D vectors or (m, n) batches.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 from .config import count, is_number, real_array, require
@@ -86,7 +88,11 @@ class MmseDenoiser(Denoiser):
         if self.sigma * self.sigma == np.inf:
             raise ValueError(f"sigma must have a finite square, got {self.sigma!r}")
         self.dim = prior.dim
-        self._constants = prior._posterior_constants(self.sigma)
+        t, log_norm, rho, shrunk = prior._posterior_constants(self.sigma)
+        if rho.size == 1:
+            # Indexed once here: each call then multiplies by a 0-d factor and adds an (n,) row.
+            rho, shrunk = rho.reshape(()), shrunk[0]
+        self._constants = (t, log_norm, rho, shrunk)
 
     def _apply(self, y, half_sq=None):
         return self.prior._posterior_mean(y, *self._constants, half_sq)
@@ -98,8 +104,8 @@ class ShrinkageDenoiser(Denoiser):
     def __init__(self, alpha: float, dim: int):
         if not is_number(alpha) or not 0.0 < alpha <= 1.0:
             raise ValueError(f"alpha must lie in (0, 1], got {alpha!r}")
-        if dim < 1:
-            raise ValueError("dim must be >= 1")
+        if not (is_number(dim) and isinstance(dim, numbers.Integral) and dim >= 1):
+            raise ValueError(f"dim must be an integer >= 1, got {dim!r}")
         self.alpha = float(alpha)
         self.dim = int(dim)
 
@@ -137,20 +143,30 @@ class OutputShrink(Denoiser):
     """
 
     def __init__(self, base: Denoiser, alpha: float):
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError("alpha must lie in (0, 1]")
+        if not is_number(alpha) or not 0.0 < alpha <= 1.0:
+            raise ValueError(f"alpha must lie in (0, 1], got {alpha!r}")
         self.base = base
         self.alpha = float(alpha)
         self.dim = base.dim
+        # A 0-d operand, which the multiply takes without converting a Python float.
+        self._alpha = np.array(self.alpha)
 
     def _apply(self, y):
-        return self.alpha * self.base._apply(y)
+        return self._alpha * self.base._apply(y)
 
 
 def gamma_factor(delta: float) -> float:
     """The admissibility rescale ``delta^2 / (1 + delta^2)``, in (0, 1)."""
     d2 = delta * delta
     return d2 / (1.0 + d2)
+
+
+def _spread(value, shape) -> np.ndarray:
+    """``value`` (a float, or an (m, 1) column) spread over a new read-only float64 array of ``shape``."""
+    out = np.empty(shape)
+    out[...] = value
+    out.setflags(write=False)
+    return out
 
 
 class ScaledDenoiser(Denoiser):
@@ -178,6 +194,15 @@ class ScaledDenoiser(Denoiser):
     :meth:`check_rows`. ``_apply`` takes an optional ``out`` array, into
     which its last operation writes the result, bitwise the fresh one; the
     batched solver passes its iterate buffer there.
+
+    The coefficients ``_apply`` multiplies by are built once, here, in the
+    form its ufuncs take fastest: ``u = 1/delta^2`` and ``1 - u`` (tweedie
+    mode), ``delta`` (homogeneous mode) and the gamma rescale. With one
+    scale each is a 0-d float64 array; with a scale per row each is a
+    contiguous (m, n) stack, row i filled with row i's value, which costs
+    m n floats per coefficient but spares every call the broadcast of an
+    (m, 1) column. The values, and so the outputs, are those of the scales
+    themselves.
 
     Every scale's square and inverse square must be finite nonzero doubles
     (about ``1e-154 < delta < 1e154``), so that ``1/delta^2`` and the gamma
@@ -212,15 +237,23 @@ class ScaledDenoiser(Denoiser):
         if scales.ndim == 0:
             self.delta = float(scales)
             self._n_rows = None
-            self._scale = self.delta
+            scale = self.delta
+            shape = ()
         else:
             self.delta = scales.copy()
             self.delta.setflags(write=False)
             self._n_rows = scales.size
-            self._scale = self.delta[:, None]
-        self._u = 1.0 / (self._scale * self._scale)
-        self._keep = 1.0 - self._u
-        self._gamma = gamma_factor(self._scale) if self.gamma_rescale else None
+            scale = self.delta[:, None]
+            shape = (scales.size, self.dim)
+        self._tweedie = mode == "tweedie"
+        self._keep = self._u = self._scale = self._gamma = None
+        if self._tweedie:
+            u = 1.0 / (scale * scale)
+            self._keep, self._u = _spread(1.0 - u, shape), _spread(u, shape)
+        else:
+            self._scale = _spread(scale, shape)
+        if self.gamma_rescale:
+            self._gamma = _spread(gamma_factor(scale), shape)
 
     def __call__(self, y) -> np.ndarray:
         self.check_rows(np.shape(y))
@@ -229,7 +262,7 @@ class ScaledDenoiser(Denoiser):
     def _apply(self, y, out=None):
         """The unchecked map; its last ufunc writes into ``out`` when one is given."""
         last = out if self._gamma is None else None
-        if self.mode == "tweedie":
+        if self._tweedie:
             result = np.add(self._keep * y, self._u * self.base._apply(y), out=last)
         else:
             result = np.divide(self.base._apply(self._scale * y), self._scale, out=last)
@@ -276,24 +309,33 @@ def _check_spread(points: np.ndarray, what: str) -> np.ndarray:
     return points
 
 
+def _components(denoiser) -> int:
+    """Component count K of the mixture denoiser at the end of ``denoiser``'s ``base`` chain, else 1."""
+    while not isinstance(denoiser, MmseDenoiser):
+        denoiser = getattr(denoiser, "base", None)
+        if denoiser is None:
+            return 1
+    return denoiser.prior.n_components
+
+
 def estimate_lipschitz(denoiser, points) -> float:
     """Largest pairwise ratio ``|D(y1) - D(y2)| / |y1 - y2|`` over a point cloud.
 
     Duplicate points are skipped; at least one distinct pair is required. For
     a plain affine denoiser the estimate is cross-checked against the spectral
     norm of its matrix, which it can never exceed. The denoiser runs on
-    blocks of rows sized by the larger of the dimension and a mixture
-    denoiser's component count, and pairs are formed one block of rows at a
-    time, so memory grows with the cloud, not with its pairs or the prior's
-    components. Points or outputs whose squared pair distances may overflow
-    are rejected.
+    blocks of rows sized by the larger of the dimension and the component
+    count of a mixture denoiser, found through the ``base`` chain of any
+    wrappers, and pairs are formed one block of rows at a time, so memory
+    grows with the cloud, not with its pairs or the prior's components.
+    Points or outputs whose squared pair distances may overflow are
+    rejected.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[0] < 2:
         raise ValueError("need at least two points")
     m, n = _check_spread(pts, "points").shape
-    components = denoiser.prior.n_components if isinstance(denoiser, MmseDenoiser) else 1
-    rows = max(1, _PAIR_BLOCK_FLOATS // max(n, components))
+    rows = max(1, _PAIR_BLOCK_FLOATS // max(n, _components(denoiser)))
     outputs = np.empty_like(pts)
     for start in range(0, m, rows):
         outputs[start : start + rows] = denoiser(pts[start : start + rows])

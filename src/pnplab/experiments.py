@@ -36,7 +36,7 @@ from .denoisers import MmseDenoiser, OutputShrink, ScaledDenoiser, denoiser_from
 from .denoisers import _check_spread, estimate_lipschitz
 from .linop import operator_from_config
 from .prior import GmmPrior
-from .solver import _STOP_BLOCK, PnpConfig, pnp_pgd_batch
+from .solver import _SOLVE_STACKS, PnpConfig, pnp_pgd_batch
 
 __all__ = [
     "ConfigError",
@@ -157,13 +157,13 @@ _MAX_GRID_POINTS = 1 << 16
 def _grid_cap(prior: GmmPrior) -> int:
     """Most grid points a batched solve on ``prior`` records and holds within the float cap.
 
-    Its block buffer holds ``_STOP_BLOCK + 1`` iterates per grid point, and
+    The solve holds ``_SOLVE_STACKS`` arrays of one row per grid point, and
     each iteration's denoiser forms (K, m) distances and responsibilities
     over the whole stack, so a grid point is sized by the larger of the dim
     and the component count K, as :func:`_moments_on_prior` sizes its rows.
     """
     width = max(prior.dim, prior.n_components)
-    return min(_MAX_GRID_POINTS, _MAX_SAMPLE_FLOATS // ((_STOP_BLOCK + 1) * width))
+    return min(_MAX_GRID_POINTS, _MAX_SAMPLE_FLOATS // (_SOLVE_STACKS * width))
 
 
 def _build_solve(resolved: dict, prior: GmmPrior, sigma: float, delta) -> tuple:

@@ -138,6 +138,8 @@ class Mask(LinearOperator):
             raise ValueError("mask must be a nonempty 1-D boolean vector")
         self.mask = _frozen(mask)
         self.in_dim = self.out_dim = int(mask.size)
+        # np.where takes a 0-d zero without converting a Python float on each call.
+        self._zero = np.zeros(())
 
     def _apply(self, x):
         return np.where(self.mask, x, 0.0)
@@ -146,7 +148,7 @@ class Mask(LinearOperator):
         return np.where(self.mask, y, 0.0)
 
     def _normal_residual(self, x, y):
-        return np.where(self.mask, x - y, 0.0)
+        return np.where(self.mask, x - y, self._zero)
 
     def _norm_sq(self):
         return 1.0 if self.mask.any() else 0.0

@@ -142,7 +142,7 @@ class GmmPrior:
             ("_log_weights", np.log(w)),
             ("_centre", centre),
             ("_centred_means", centred),
-            ("_centred_half_sq", 0.5 * np.sum(centred * centred, axis=1)),
+            ("_centred_half_sq", 0.5 * np.sum(centred * centred, axis=1)[:, None]),
         ):
             arr = arr.copy()
             arr.setflags(write=False)
@@ -191,7 +191,7 @@ class GmmPrior:
         y = points - self._centre
         half = self._centred_means @ y.T
         half_y_sq = 0.5 * np.einsum("ij,ij->i", y, y)
-        np.subtract(self._centred_half_sq[:, None] + half_y_sq, half, out=half)
+        np.subtract(self._centred_half_sq + half_y_sq, half, out=half)
         return np.maximum(half, 0.0, out=half)
 
     def _component_logpdf(self, points, t, log_norm, half_sq=None) -> np.ndarray:
@@ -208,9 +208,9 @@ class GmmPrior:
         if self.n_components == 1:
             return np.ones((1, points.shape[0]))
         r = self._component_logpdf(points, t, log_norm, half_sq)
-        r -= r.max(axis=0)
+        r -= np.maximum.reduce(r, axis=0)
         np.exp(r, out=r)
-        r /= r.sum(axis=0)
+        r /= np.add.reduce(r, axis=0)
         return r
 
     def _score(self, points, t, log_norm, half_sq=None) -> np.ndarray:
@@ -233,13 +233,17 @@ class GmmPrior:
         ``half_sq`` is as for ``_score``. The sums over K run elementwise, so
         a row's output does not depend on the stack's height. With one
         component it is ``rho y + (1 - rho) mu``, bitwise the general formula
-        with unit responsibilities.
+        with unit responsibilities; there ``rho`` may also come indexed, as a
+        0-d array, and ``shrunk`` as an (n,) row, which the ufuncs take
+        without broadcasting a length-one axis.
         """
-        if self.n_components == 1:
-            return points * rho[0] + shrunk[0]
+        if rho.size == 1:
+            out = points * rho
+            out += shrunk
+            return out
         r = self._responsibilities(points, t, log_norm, half_sq)
         out = r.T @ shrunk
-        out += points * (r * rho[:, None]).sum(axis=0)[:, None]
+        out += points * np.add.reduce(r * rho[:, None], axis=0)[:, None]
         return out
 
     def log_density(self, y, sigma: float = 0.0):

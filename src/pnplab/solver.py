@@ -48,10 +48,17 @@ __all__ = [
 _DIVERGENCE_NORM = 1e12
 
 # Iterations per stop test in pnp_pgd_batch. A longer block makes fewer stop
-# tests but holds more memory: its buffer and the stop test's temporary array
-# take 2 * _STOP_BLOCK + 1 stacks of iterates. On the default stacks 16 or 32
-# saved under a tenth of the solve time over 8, and 128 slowed conv-reg.
+# tests but holds more memory (see _SOLVE_STACKS). On the default stacks 16 or
+# 32 saved under a tenth of the solve time over 8, and 128 slowed conv-reg.
 _STOP_BLOCK = 8
+
+# (m, n) arrays a batched solve of m rows holds at once, at most: the block
+# buffer (_STOP_BLOCK + 1 iterates), the stop test's squares (_STOP_BLOCK),
+# the measurements, the recorded iterates and the gradient step, a per-row
+# scale's three coefficient stacks (see ScaledDenoiser), and six for an
+# iteration's temporaries, where a mixture denoiser's (K, m) arrays count as
+# stacks too.
+_SOLVE_STACKS = (_STOP_BLOCK + 1) + _STOP_BLOCK + 3 + 3 + 6
 
 
 class DivergenceError(RuntimeError):
@@ -218,9 +225,15 @@ def pnp_pgd_batch(
     convergence, at divergence (recorded in ``diverged`` instead of raised)
     or at ``max_iters``. Histories are not recorded.
 
-    Each iteration forms the gradient step (``x - r`` when ``tau`` is 1,
-    which is bitwise ``x - 1.0 * r``) and has the denoiser write its result
-    straight into the block buffer, so no iterate is copied.
+    Each iteration writes the gradient step into one buffer (``x - r`` when
+    ``tau`` is 1, which is bitwise ``x - 1.0 * r``; otherwise ``tau`` is a
+    0-d array) and has the denoiser write its result straight into the block
+    buffer, so no iterate is copied. The whole loop runs under one
+    ``np.errstate``, entered once per solve. Every operand the iteration
+    passes to numpy is built before it: the denoiser's coefficients are 0-d
+    arrays for one scale and contiguous (m, n) stacks for a scale per row
+    (see :class:`ScaledDenoiser`). The solve holds ``_SOLVE_STACKS`` (m, n)
+    arrays at its peak.
 
     Every iteration runs the whole stack. The iterations run in blocks of
     ``_STOP_BLOCK``, whose iterates fill one buffer; one pass of row norms
@@ -244,49 +257,59 @@ def pnp_pgd_batch(
             f"denoiser dim {denoiser.dim} does not match operator in_dim {op.in_dim}"
         )
     denoiser.check_rows(ys.shape)
-    m = ys.shape[0]
+    m, n = ys.shape[0], op.in_dim
     tau, warn = _step_size(op, config)
     # x - 1.0 * r is bitwise x - r, so a unit step skips the multiply.
     unit_step = tau == 1.0
+    tau = np.array(tau)
 
     iterations = np.full(m, config.max_iters)
     diverged = np.zeros(m, dtype=bool)
     running = np.ones(m, dtype=bool)
-    x = np.zeros((m, op.in_dim))
+    x = np.zeros((m, n))
     # buf[0] holds the stack's iterate before a block, buf[j] the j-th after it.
-    buf = np.zeros((_STOP_BLOCK + 1, m, op.in_dim))
+    buf = np.zeros((_STOP_BLOCK + 1, m, n))
+    # The gradient step, and the stop test's squares, reused by every block.
+    step = np.empty((m, n))
+    squares = np.empty((_STOP_BLOCK, m, n))
+    # The buffer's slots as views, taken once, and the routes the loop calls.
+    slots = list(buf)
+    normal_residual = op._normal_residual
+    denoise = denoiser._apply
     start = 0
-    while start < config.max_iters:
-        size = min(_STOP_BLOCK, config.max_iters - start)
-        block = buf[: size + 1]
-        with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        while start < config.max_iters:
+            size = min(_STOP_BLOCK, config.max_iters - start)
+            block = buf[: size + 1]
             for j in range(size):
-                xj = block[j]
-                r = op._normal_residual(xj, ys)
-                denoiser._apply(xj - r if unit_step else xj - tau * r, out=block[j + 1])
-            # np.linalg.norm(axis=-1) bitwise, without its dispatch, in one
-            # temporary array; a row with NaN or inf entries, or an
-            # overflowing square, is not <= the bound.
-            squares = np.square(block[1:])
-            norms = np.sqrt(np.add.reduce(squares, axis=-1))
-            np.subtract(block[1:], block[:-1], out=squares)
-            residual = np.sqrt(np.add.reduce(np.square(squares, out=squares), axis=-1))
+                xj = slots[j]
+                if unit_step:
+                    np.subtract(xj, normal_residual(xj, ys), step)
+                else:
+                    np.subtract(xj, np.multiply(tau, normal_residual(xj, ys), step), step)
+                denoise(step, out=slots[j + 1])
+            # np.linalg.norm(axis=-1) bitwise, without its dispatch; a row
+            # with NaN or inf entries, or an overflowing square, is not <= the bound.
+            sq = np.square(block[1:], out=squares[:size])
+            norms = np.sqrt(np.add.reduce(sq, axis=-1))
+            np.subtract(block[1:], block[:-1], out=sq)
+            residual = np.sqrt(np.add.reduce(np.square(sq, out=sq), axis=-1))
             bad = ~(norms <= _DIVERGENCE_NORM)
             done = bad | (residual <= config.tol * (1.0 + norms))
-        stopping = done.any(axis=0) & running
-        if stopping.any():
-            rows = np.flatnonzero(stopping)
-            ends = done[:, rows].argmax(axis=0) + 1
-            bad_rows = bad[ends - 1, rows]
-            iterations[rows] = start + ends
-            diverged[rows] = bad_rows
-            # A diverged row keeps its last finite iterate, the one before.
-            x[rows] = block[ends - bad_rows, rows]
-            running &= ~stopping
-            if not running.any():
-                break
-        buf[0] = block[size]
-        start += size
+            stopping = done.any(axis=0) & running
+            if stopping.any():
+                rows = np.flatnonzero(stopping)
+                ends = done[:, rows].argmax(axis=0) + 1
+                bad_rows = bad[ends - 1, rows]
+                iterations[rows] = start + ends
+                diverged[rows] = bad_rows
+                # A diverged row keeps its last finite iterate, the one before.
+                x[rows] = block[ends - bad_rows, rows]
+                running &= ~stopping
+                if not running.any():
+                    break
+            buf[0] = block[size]
+            start += size
     # Rows still running ran to the cap; every other row converged or diverged.
     x[running] = buf[0, running]
     return BatchResult(

@@ -700,22 +700,22 @@ class TestConfigErrorsAtTheBoundary:
         [
             # Three moments per sample and ratio: 2**25 // (3 * 20000) ratios.
             ("delta-sweep", {}, {"mismatch_ratios": [1.0] * 559}, "_moments_on_prior"),
-            # A solve's block buffer holds 9 iterates per grid point: 2**25 // (9 * 64) points.
-            ("conv-reg", {}, {"delta_grid": [1.0] * 58254}, "pnp_pgd_batch"),
-            ("stability", {}, {"k_grid": [1] * 58254}, "pnp_pgd_batch"),
-            # The cap follows the prior's dim: 2**25 // (9 * 512) points.
+            # A solve holds 29 arrays of one row per grid point: 2**25 // (29 * 64) points.
+            ("conv-reg", {}, {"delta_grid": [1.0] * 18078}, "pnp_pgd_batch"),
+            ("stability", {}, {"k_grid": [1] * 18078}, "pnp_pgd_batch"),
+            # The cap follows the prior's dim: 2**25 // (29 * 512) points.
             (
                 "conv-reg",
                 {
                     "prior": {"weights": [1.0], "means": [[0.0] * 512], "variances": [1.0]},
                     "operator": {"kind": "identity", "dim": 512},
                 },
-                {"delta_grid": [1.0] * 7281},
+                {"delta_grid": [1.0] * 2259},
                 "pnp_pgd_batch",
             ),
-            # With more components than dims the cap follows K: 2**25 // (9 * 2000) points.
-            ("conv-reg", _MANY_COMPONENTS, {"delta_grid": [1.0] * 1864}, "pnp_pgd_batch"),
-            ("stability", _MANY_COMPONENTS, {"k_grid": [1] * 1864}, "pnp_pgd_batch"),
+            # With more components than dims the cap follows K: 2**25 // (29 * 2000) points.
+            ("conv-reg", _MANY_COMPONENTS, {"delta_grid": [1.0] * 578}, "pnp_pgd_batch"),
+            ("stability", _MANY_COMPONENTS, {"k_grid": [1] * 578}, "pnp_pgd_batch"),
             # At dim 1 the float cap is far off; a run records at most 2**16 grid points.
             ("conv-reg", _DIM_ONE, {"delta_grid": [1.0] * 2**16}, "pnp_pgd_batch"),
             ("stability", _DIM_ONE, {"k_grid": [1] * 2**16}, "pnp_pgd_batch"),

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -54,6 +55,9 @@ class TestZoo:
             ShrinkageDenoiser(0.0, 2)
         with pytest.raises(ValueError):
             ShrinkageDenoiser(1.1, 2)
+        for alpha in (0.0, 1.5, float("nan")):
+            with pytest.raises(ValueError, match=re.escape(f"alpha must lie in (0, 1], got {alpha!r}")):
+                OutputShrink(ShrinkageDenoiser(0.5, 2), alpha)
 
     def test_output_shrink_composes(self):
         base = AffineDenoiser(np.eye(2), np.array([1.0, 1.0]))
@@ -63,8 +67,18 @@ class TestZoo:
     def test_strings_are_not_numbers(self):
         with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\], got '0.5'"):
             ShrinkageDenoiser("0.5", 2)
+        with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\], got '0.5'"):
+            OutputShrink(ShrinkageDenoiser(0.5, 2), "0.5")
+        with pytest.raises(ValueError, match="dim must be an integer >= 1, got '2'"):
+            ShrinkageDenoiser(0.5, "2")
         with pytest.raises(ValueError, match="sigma must be positive and finite, got '0.2'"):
             MmseDenoiser(_single_gaussian(), "0.2")
+
+    @pytest.mark.parametrize("dim", [0, -1, 2.0, 2.5])
+    def test_dim_must_be_a_positive_integer(self, dim):
+        with pytest.raises(ValueError, match=re.escape(f"dim must be an integer >= 1, got {dim!r}")):
+            ShrinkageDenoiser(0.5, dim)
+        assert ShrinkageDenoiser(0.5, np.int64(3)).dim == 3
 
     def test_noise_level_whose_square_overflows_is_rejected_by_value(self):
         with pytest.raises(ValueError, match=r"sigma must have a finite square, got 1e\+160"):
@@ -74,6 +88,10 @@ class TestZoo:
     def test_booleans_are_not_numbers(self):
         with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\], got True"):
             ShrinkageDenoiser(True, 2)
+        with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\], got True"):
+            OutputShrink(ShrinkageDenoiser(0.5, 2), True)
+        with pytest.raises(ValueError, match="dim must be an integer >= 1, got True"):
+            ShrinkageDenoiser(0.5, True)
         with pytest.raises(ValueError, match="sigma must be positive and finite, got True"):
             MmseDenoiser(_single_gaussian(), True)
 
@@ -452,6 +470,31 @@ class TestLipschitz:
         assert sum(sizes) == k * m
         # The distances' gemm rounds by block size, so the rows agree to round-off.
         assert blocked == pytest.approx(whole, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "wrap",
+        [
+            lambda d: tweedie_scale(d, 2.0),
+            lambda d: OutputShrink(d, 0.9),
+            lambda d: homogeneous_scale(OutputShrink(d, 0.9), 2.0, gamma_rescale=True),
+        ],
+        ids=["tweedie", "output-shrink", "both"],
+    )
+    def test_a_wrapped_mixture_runs_in_blocks_sized_by_its_components(self, wrap):
+        """Blocks follow K through the ``base`` chain: at K = 2000, n = 4 and 1000 points the
+        whole-cloud (K, m) arrays peak at 32 MB; blocks of 2**16 floats keep it at 1.5 MB."""
+        n, k, m = 4, 2000, 1000
+        rng = np.random.default_rng(5)
+        prior = GmmPrior(np.full(k, 1.0 / k), rng.uniform(-3.0, 3.0, (k, n)), np.full(k, 0.1))
+        d = wrap(MmseDenoiser(prior, 0.3))
+        pts = 2.0 * rng.standard_normal((m, n))
+        tracemalloc.start()
+        try:
+            estimate_lipschitz(d, pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
     def test_nonexpansiveness_inherited_by_scaling(self):
         """If the base is non-expansive on a cloud, so is every scale >= 1."""

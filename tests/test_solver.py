@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,10 +15,12 @@ from pnplab.denoisers import (
     homogeneous_scale,
     tweedie_scale,
 )
-from pnplab.linop import Convolve1d, DenseOperator, Identity, Mask
+from pnplab.experiments import resolve_config
+from pnplab.linop import Convolve1d, DenseOperator, Identity, Mask, operator_from_config
 from pnplab.prior import GmmPrior
 from pnplab.solver import (
     _DIVERGENCE_NORM,
+    _SOLVE_STACKS,
     _STOP_BLOCK,
     DivergenceError,
     NoUniqueFixedPointError,
@@ -739,6 +743,75 @@ class TestClosedFormReferee:
         fixed = _closed_form_fixed_point(observed, y, mu, s, 1.0 / delta**2, gamma)
         # The dense solve loses digits as the unobserved entries' rate nears 1, about 1 - (1 - s) / delta^2.
         assert np.linalg.norm(x - fixed) <= 1e-11 * delta**2 * np.linalg.norm(fixed)
+
+    def test_fixed_points_approach_the_limit_at_rate_sigma_over_delta(self):
+        """conv-reg's default operator, noise and scale grid under N(sin pattern, I) at sigma = 0.1.
+
+        As delta grows the observed entries tend to the clean measurements and
+        the unobserved ones stay at (1 - s) / (2 - s) mu, so the gamma-rescaled
+        fixed point x_delta tends to that limit x+ as the noise sigma / delta
+        added to the data vanishes: |x_delta - x+| / |x+| is 0.496 at delta = 1,
+        1.125e-4 at delta = 1000, and delta / sigma times it lies in
+        1.107-1.125 from delta = 30 up.
+        """
+        resolved = resolve_config("conv-reg")
+        op = operator_from_config(resolved["operator"])
+        n, sigma, v = op.in_dim, 0.1, 1.0
+        mu = np.sin(2.0 * np.pi * np.arange(n) / n)
+        prior = GmmPrior([1.0], [mu], [v])
+        clean, _ = prior.sample_pairs(sigma, 1, resolved["seed"])
+        noise = np.random.default_rng([resolved["seed"], 1]).standard_normal(n)
+        y0 = op.apply(clean[0])
+        s = v / (v + sigma**2)
+        affine = AffineDenoiser(s * np.eye(n), (1.0 - s) * mu)
+        limit = np.where(op.mask, y0, (1.0 - s) / (2.0 - s) * mu)
+        grid = np.asarray(resolved["delta_grid"])
+        rel = []
+        for delta in grid:
+            scaled = tweedie_scale(affine, delta, gamma_rescale=True)
+            x = linear_fixed_point_oracle(op, y0 + sigma / delta * noise, scaled, PnpConfig(tau=1.0))
+            rel.append(np.linalg.norm(x - limit) / np.linalg.norm(limit))
+        rel = np.array(rel)
+        assert rel[0] == pytest.approx(0.4963, abs=1e-4)
+        assert rel[-1] == pytest.approx(1.1246e-4, rel=1e-3)
+        band = grid * rel / sigma
+        assert np.all((band[grid >= 30.0] > 1.10) & (band[grid >= 30.0] < 1.13))
+        # Until then the bias of the scale-1 denoiser dominates and the ratio falls.
+        assert np.all(np.diff(band[grid < 30.0]) < 0.0)
+
+
+class TestSolveMemory:
+    @pytest.mark.parametrize(
+        "k, n, mode, gamma, per_row, shrink",
+        [
+            (3, 64, "tweedie", True, True, False),  # conv-reg's shape
+            (1, 64, "tweedie", False, False, True),  # stability's shape
+            (64, 64, "homogeneous", True, True, False),
+            (128, 16, "tweedie", True, True, True),  # more components than dims
+        ],
+    )
+    def test_one_solve_stays_within_its_counted_stacks(self, k, n, mode, gamma, per_row, shrink):
+        """The scaled denoiser's construction and one solve of m rows peak within
+        ``_SOLVE_STACKS`` (m, max(n, K)) float arrays, plus a fixed slack for
+        small arrays and numpy's iteration buffers."""
+        rng = np.random.default_rng(k)
+        m, slack = 256, 256 * 1024
+        prior = GmmPrior(np.full(k, 1.0 / k), rng.standard_normal((k, n)), np.full(k, 0.5))
+        base = MmseDenoiser(prior, 0.3)
+        if shrink:
+            base = OutputShrink(base, 0.99)
+        op = Mask(rng.random(n) < 0.8)
+        ys = rng.standard_normal((m, n))
+        deltas = rng.uniform(1.0, 3.0, m) if per_row else 1.5
+        config = PnpConfig(tau=1.0, max_iters=2 * _STOP_BLOCK + 3, tol=1e-30)
+        tracemalloc.start()
+        try:
+            scaled = ScaledDenoiser(base, deltas, mode=mode, gamma_rescale=gamma)
+            pnp_pgd_batch(op, ys, scaled, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= _SOLVE_STACKS * m * max(n, k) * 8 + slack
 
 
 class TestUncheckedRoutes:
