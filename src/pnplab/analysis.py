@@ -12,14 +12,16 @@ at every scale, and the optimal scale, are closed forms in those statistics,
 so a whole scale grid costs one pass plus O(1) per scale.
 
 Every estimate runs one block loop, :func:`_one_pass`: it traverses a sample
-set once, in blocks of rows sized to a fixed element budget, and evaluates
-every denoiser of the comparison on each block, so temporaries stay
-cache-sized. Sample sets drawn here come from :meth:`GmmPrior.pair_blocks`,
-so the noisy rows are drawn block by block and never held whole, and the next
-block is drawn on a worker thread while the pass evaluates the current one;
-the pass closes the draw when it ends, so an error in a denoiser stops the
-worker too. MMSE denoisers over one prior share each block's distances to
-its components.
+set once, in blocks of rows, and evaluates every denoiser of the comparison
+on each block. A block holds about ``denoisers._BLOCK_FLOATS`` floats, a row
+costing the widest of the denoisers' row widths, ``max(n, K)`` for one over a
+K-component mixture (``denoisers._row_width``), so temporaries stay
+cache-sized whichever prior the samples come from. Sample sets drawn here
+come from :meth:`GmmPrior.pair_blocks`, so the noisy rows are drawn block by
+block and never held whole, and the next block is drawn on a worker thread
+while the pass evaluates the current one; the pass closes the draw when it
+ends, so an error in a denoiser stops the worker too. MMSE denoisers over
+one prior share each block's distances to its components.
 The per-sample arrays still cover every sample, and every mean, standard
 error and ratio is taken over all of them.
 """
@@ -96,24 +98,8 @@ class SandwichReport:
     passed: bool
 
 
-# Floats per block of a denoiser pass: 128 rows at n = 256, 4096 rows at n = 8.
-# A pass holds every denoiser's per-sample moments at once, so its block
-# temporaries are kept small enough that its peak memory does not grow. On a
-# prior a block's rows are sized by the larger of n and K, which bounds both
-# the (rows, n) sample blocks, two of which are live at once (the one under
-# evaluation and the next, being drawn), and the (K, rows) distance and
-# responsibility temporaries.
-_BLOCK_FLOATS = 1 << 15
-
-
-def _block_rows(dim: int) -> int:
-    """Rows of a block holding about ``_BLOCK_FLOATS`` floats."""
-    return max(1, _BLOCK_FLOATS // max(dim, 1))
-
-
-def _array_blocks(clean: np.ndarray, noisy: np.ndarray):
+def _array_blocks(clean: np.ndarray, noisy: np.ndarray, step: int):
     """Consecutive ``(rows, clean, noisy)`` blocks of two (m, n) arrays, as ``pair_blocks`` yields them."""
-    step = _block_rows(noisy.shape[1])
     for start in range(0, len(noisy), step):
         rows = slice(start, min(start + step, len(noisy)))
         yield rows, clean[rows], noisy[rows]
@@ -253,7 +239,8 @@ class ResidualMoments:
                 f"got shapes {clean.shape} and {noisy.shape}"
             )
         _check_samples(len(noisy))
-        return _one_pass([denoiser], _array_blocks(clean, noisy), len(noisy))[0]
+        blocks = _array_blocks(clean, noisy, _zoo._block_rows([denoiser], dim))
+        return _one_pass([denoiser], blocks, len(noisy))[0]
 
     def _losses(self, deltas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Loss and standard error at each scale, elementwise, so one scale reads the same alone.
@@ -296,16 +283,19 @@ def _one_pass(denoisers: list, blocks, samples: int) -> list[ResidualMoments]:
     """Traverse ``blocks`` once and return the :class:`ResidualMoments` of each denoiser.
 
     ``blocks`` yields ``(rows, clean, noisy)`` triples covering ``samples``
-    rows. On each block, the MMSE denoisers over one mixture prior of more
+    rows, each of at most ``denoisers._block_rows(denoisers, n)`` rows, so
+    that the widest denoiser's (K, rows) temporaries stay within one block
+    budget. On each block, the MMSE denoisers over one mixture prior of more
     than one component share the block's distances to its components, formed
     once, and their residual is formed in place of their fresh output. Every
     other denoiser is called on the block, and its output, which may be the
     block itself or an array the denoiser keeps, is only read.
     """
     # The class is looked up on its module, so that rebinding the name
-    # ``analysis.MmseDenoiser`` does not change which denoisers share distances.
+    # ``analysis.MmseDenoiser`` does not change which denoisers share distances;
+    # an MMSE denoiser's row width at dim 1 is its component count.
     keys = [
-        id(d.prior) if isinstance(d, _zoo.MmseDenoiser) and d.prior.n_components > 1 else None
+        id(d.prior) if isinstance(d, _zoo.MmseDenoiser) and _zoo._row_width(d, 1) > 1 else None
         for d in denoisers
     ]
     mixtures = {key: d.prior for key, d in zip(keys, denoisers) if key is not None}
@@ -331,7 +321,7 @@ def _one_pass(denoisers: list, blocks, samples: int) -> list[ResidualMoments]:
 def _moments_on_prior(denoisers: list, prior: GmmPrior, sigma: float, samples: int, seed: int):
     """:func:`_one_pass` of ``denoisers`` over ``samples`` pairs drawn from ``prior`` at ``sigma``."""
     _check_samples(samples, prior.dim)
-    rows = _block_rows(max(prior.dim, prior.n_components))
+    rows = _zoo._block_rows(denoisers, prior.dim)
     with closing(prior.pair_blocks(sigma, samples, seed, rows)) as blocks:
         return _one_pass(denoisers, blocks, samples)
 

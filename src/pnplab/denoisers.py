@@ -286,9 +286,30 @@ def homogeneous_scale(base: Denoiser, delta: float, gamma_rescale: bool = False)
     return ScaledDenoiser(base, delta, mode="homogeneous", gamma_rescale=gamma_rescale)
 
 
-# Floats per block in estimate_lipschitz: of pairwise differences, and of the
-# (K, rows) distances a K-component mixture denoiser forms on a block of rows.
-_PAIR_BLOCK_FLOATS = 1 << 16
+# Floats per block of rows that a Monte-Carlo pass or estimate_lipschitz runs
+# its denoisers on, and per block of estimate_lipschitz's pair differences:
+# 128 rows at n = 256, 4096 rows at n = 8. A row of work costs _row_width
+# floats, which bounds both the (rows, n) blocks and the (K, rows) distance and
+# responsibility temporaries of a K-component mixture denoiser.
+_BLOCK_FLOATS = 1 << 15
+
+
+def _row_width(denoiser, dim: int) -> int:
+    """Floats one row of ``dim`` costs ``denoiser``: ``max(dim, K)``.
+
+    K is the component count of the mixture denoiser at the end of
+    ``denoiser``'s ``base`` chain, and 1 if there is none.
+    """
+    while not isinstance(denoiser, MmseDenoiser):
+        denoiser = getattr(denoiser, "base", None)
+        if denoiser is None:
+            return max(dim, 1)
+    return max(dim, denoiser.prior.n_components)
+
+
+def _block_rows(denoisers, dim: int) -> int:
+    """Rows of a block of about ``_BLOCK_FLOATS`` floats, a row as wide as the widest of ``denoisers``."""
+    return max(1, _BLOCK_FLOATS // max(_row_width(d, dim) for d in denoisers))
 
 
 def _pair_distances(rows: np.ndarray, start: int, stop: int) -> np.ndarray:
@@ -309,25 +330,16 @@ def _check_spread(points: np.ndarray, what: str) -> np.ndarray:
     return points
 
 
-def _components(denoiser) -> int:
-    """Component count K of the mixture denoiser at the end of ``denoiser``'s ``base`` chain, else 1."""
-    while not isinstance(denoiser, MmseDenoiser):
-        denoiser = getattr(denoiser, "base", None)
-        if denoiser is None:
-            return 1
-    return denoiser.prior.n_components
-
-
 def estimate_lipschitz(denoiser, points) -> float:
     """Largest pairwise ratio ``|D(y1) - D(y2)| / |y1 - y2|`` over a point cloud.
 
     Duplicate points are skipped; at least one distinct pair is required. For
     a plain affine denoiser the estimate is cross-checked against the spectral
     norm of its matrix, which it can never exceed. The denoiser runs on
-    blocks of rows sized by the larger of the dimension and the component
-    count of a mixture denoiser, found through the ``base`` chain of any
-    wrappers, and pairs are formed one block of rows at a time, so memory
-    grows with the cloud, not with its pairs or the prior's components.
+    blocks of rows sized by its row width (:func:`_row_width`, which finds a
+    mixture's component count through the ``base`` chain of any wrappers),
+    and pairs are formed one block of rows at a time, so memory grows with
+    the cloud, not with its pairs or the prior's components.
     Points or outputs whose squared pair distances may overflow are
     rejected.
     """
@@ -335,12 +347,12 @@ def estimate_lipschitz(denoiser, points) -> float:
     if pts.ndim != 2 or pts.shape[0] < 2:
         raise ValueError("need at least two points")
     m, n = _check_spread(pts, "points").shape
-    rows = max(1, _PAIR_BLOCK_FLOATS // max(n, _components(denoiser)))
+    rows = _block_rows([denoiser], n)
     outputs = np.empty_like(pts)
     for start in range(0, m, rows):
         outputs[start : start + rows] = denoiser(pts[start : start + rows])
     _check_spread(outputs, "outputs")
-    step = max(1, _PAIR_BLOCK_FLOATS // (m * n))
+    step = max(1, _BLOCK_FLOATS // (m * n))
     estimate = None
     for start in range(0, m - 1, step):
         stop = min(start + step, m - 1)

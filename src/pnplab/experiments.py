@@ -33,7 +33,7 @@ from . import svgplot
 from .analysis import _MAX_SAMPLE_FLOATS, _check_samples, _loss_scales, _moments_on_prior
 from .config import NONNEGATIVE, POSITIVE, UNIT, ConfigError, count, flag, real, real_array
 from .denoisers import MmseDenoiser, OutputShrink, ScaledDenoiser, denoiser_from_config
-from .denoisers import _check_spread, estimate_lipschitz
+from .denoisers import _check_spread, _row_width, estimate_lipschitz
 from .linop import operator_from_config
 from .prior import GmmPrior
 from .solver import _SOLVE_STACKS, PnpConfig, pnp_pgd_batch
@@ -154,23 +154,25 @@ def _reading(what: str):
 _MAX_GRID_POINTS = 1 << 16
 
 
-def _grid_cap(prior: GmmPrior) -> int:
-    """Most grid points a batched solve on ``prior`` records and holds within the float cap.
+def _grid_cap(op, base) -> int:
+    """Most grid points a batched solve of ``op`` and ``base`` records and holds within the float cap.
 
-    The solve holds ``_SOLVE_STACKS`` arrays of one row per grid point, and
-    each iteration's denoiser forms (K, m) distances and responsibilities
-    over the whole stack, so a grid point is sized by the larger of the dim
-    and the component count K, as :func:`_moments_on_prior` sizes its rows.
+    The solve holds ``_SOLVE_STACKS`` arrays of one row per grid point: the
+    measurements and their residuals are ``op.out_dim`` wide, the iterates
+    the prior's dim, and each iteration's mixture denoiser forms (K, m)
+    distances and responsibilities over the whole stack, so a grid point is
+    sized by the larger of ``op.out_dim`` and the base's row width.
     """
-    width = max(prior.dim, prior.n_components)
+    width = max(op.out_dim, _row_width(base, op.in_dim))
     return min(_MAX_GRID_POINTS, _MAX_SAMPLE_FLOATS // (_SOLVE_STACKS * width))
 
 
-def _build_solve(resolved: dict, prior: GmmPrior, sigma: float, delta) -> tuple:
-    """Operator, scaled denoiser and solver config of a solve protocol on ``prior``.
+def _build_solve(resolved: dict, prior: GmmPrior, sigma: float) -> tuple:
+    """Operator, base denoiser and solver config of a solve protocol on ``prior``.
 
-    ``delta`` is one scale or one per grid point; everything the batched
-    solve needs is validated here, before it starts.
+    The protocol caps its grid with :func:`_grid_cap` of the operator and
+    the base, then wraps the base with :func:`_scaled`; everything the
+    batched solve needs is validated before it starts.
     """
     with _reading("solve config"):
         spec = resolved["operator"]
@@ -186,9 +188,14 @@ def _build_solve(resolved: dict, prior: GmmPrior, sigma: float, delta) -> tuple:
         eps = real(resolved.get("contract_eps", 0.0), "contract_eps", UNIT)
         if eps > 0.0:
             base = OutputShrink(base, 1.0 - eps)
+        return op, base, PnpConfig(**resolved["solver"])
+
+
+def _scaled(resolved: dict, base, delta) -> ScaledDenoiser:
+    """``base`` scaled as a solve protocol's config asks, at one scale or one per grid point."""
+    with _reading("solve config"):
         gamma_rescale = flag(resolved["gamma_rescale"], "gamma_rescale")
-        scaled = ScaledDenoiser(base, delta, mode=resolved["mode"], gamma_rescale=gamma_rescale)
-        return op, scaled, PnpConfig(**resolved["solver"])
+        return ScaledDenoiser(base, delta, mode=resolved["mode"], gamma_rescale=gamma_rescale)
 
 
 def _finite(ys: np.ndarray) -> np.ndarray:
@@ -222,8 +229,8 @@ def run_delta_sweep_experiment(config: dict | None = None):
         sigma = real(resolved["sigma"], "sigma", POSITIVE)
         samples = count(resolved["samples"], "samples")
         _check_samples(samples, prior.dim)
-        # The pass keeps three moments per sample for each ratio.
-        cap = _MAX_SAMPLE_FLOATS // (3 * samples)
+        # Each ratio's denoiser keeps a (K, n) constant, and the pass three moments per sample.
+        cap = _MAX_SAMPLE_FLOATS // (3 * samples + prior.means.size)
         ratios = real_array(resolved["mismatch_ratios"], "mismatch_ratios", rule=POSITIVE, cap=cap)
         # One curve point per scale and ratio.
         cap = _MAX_GRID_POINTS // ratios.size
@@ -268,8 +275,10 @@ def run_stability(config: dict | None = None):
         sigma = real(resolved["sigma"], "sigma", POSITIVE)
         delta = real(resolved["delta"], "delta")
         seed = count(resolved["seed"], "seed")
-        k_grid = real_array(resolved["k_grid"], "k_grid", rule=POSITIVE, cap=_grid_cap(prior))
-    op, scaled, cfg = _build_solve(resolved, prior, sigma, delta)
+    op, base, cfg = _build_solve(resolved, prior, sigma)
+    with _reading("stability config"):
+        k_grid = real_array(resolved["k_grid"], "k_grid", rule=POSITIVE, cap=_grid_cap(op, base))
+    scaled = _scaled(resolved, base, delta)
     clean, _ = prior.sample_pairs(sigma, 1, seed)
     xi = np.random.default_rng([seed, 1]).standard_normal(op.out_dim)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -295,10 +304,12 @@ def run_conv_reg(config: dict | None = None):
     with _reading("conv-reg config"):
         prior = GmmPrior.from_config(resolved["prior"])
         sigma = real(resolved["sigma"], "sigma", NONNEGATIVE)
-        grid = real_array(resolved["delta_grid"], "delta_grid", rule=POSITIVE, cap=_grid_cap(prior))
         seed = count(resolved["seed"], "seed")
         resample = flag(resolved["resample_noise_per_delta"], "resample_noise_per_delta")
-    op, scaled, cfg = _build_solve(resolved, prior, max(sigma, 1e-12), grid)
+    op, base, cfg = _build_solve(resolved, prior, max(sigma, 1e-12))
+    with _reading("conv-reg config"):
+        grid = real_array(resolved["delta_grid"], "delta_grid", rule=POSITIVE, cap=_grid_cap(op, base))
+    scaled = _scaled(resolved, base, grid)
 
     clean, _ = prior.sample_pairs(max(sigma, 1e-12), 1, seed)
     if resample:
@@ -344,7 +355,9 @@ def run_lipschitz_table(config: dict | None = None):
     resolved = resolve_config("lipschitz", config)
     with _reading("lipschitz config"):
         prior = GmmPrior.from_config(resolved["prior"])
-        sigma_grid = real_array(resolved["sigma_grid"], "sigma_grid", rule=POSITIVE, cap=_MAX_GRID_POINTS)
+        # Each noise level's denoiser keeps a (K, n) constant.
+        cap = min(_MAX_GRID_POINTS, _MAX_SAMPLE_FLOATS // prior.means.size)
+        sigma_grid = real_array(resolved["sigma_grid"], "sigma_grid", rule=POSITIVE, cap=cap)
         cloud_size = count(resolved["cloud_size"], "cloud_size")
         seed = count(resolved["seed"], "seed")
         denoisers = [MmseDenoiser(prior, sigma) for sigma in sigma_grid]

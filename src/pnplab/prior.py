@@ -213,14 +213,9 @@ class GmmPrior:
         r /= np.add.reduce(r, axis=0)
         return r
 
-    def _score(self, points, t, log_norm, half_sq=None) -> np.ndarray:
-        """(m, n) gradient of the smoothed log-density.
-
-        ``half_sq``, the (K, m) distances of ``_half_sq_dists``, may be passed
-        in when several noise levels share the points; with one component
-        none are needed.
-        """
-        r = self._responsibilities(points, t, log_norm, half_sq)
+    def _score(self, points, t, log_norm) -> np.ndarray:
+        """(m, n) gradient of the smoothed log-density."""
+        r = self._responsibilities(points, t, log_norm)
         r /= t[:, None]
         out = r.T @ self.means
         out -= points * r.sum(axis=0)[:, None]
@@ -230,12 +225,14 @@ class GmmPrior:
         """(m, n) posterior mean ``sum_k r_k (rho_k y + (1 - rho_k) mu_k)``.
 
         ``rho`` and ``shrunk`` are from ``_posterior_constants``, and
-        ``half_sq`` is as for ``_score``. The sums over K run elementwise, so
-        a row's output does not depend on the stack's height. With one
-        component it is ``rho y + (1 - rho) mu``, bitwise the general formula
-        with unit responsibilities; there ``rho`` may also come indexed, as a
-        0-d array, and ``shrunk`` as an (n,) row, which the ufuncs take
-        without broadcasting a length-one axis.
+        ``half_sq``, the (K, m) distances of ``_half_sq_dists``, may be passed
+        in when several noise levels share the points; with one component
+        none are needed. The sums over K run elementwise, so a row's output
+        does not depend on the stack's height. With one component it is
+        ``rho y + (1 - rho) mu``, bitwise the general formula with unit
+        responsibilities; there ``rho`` may also come indexed, as a 0-d
+        array, and ``shrunk`` as an (n,) row, which the ufuncs take without
+        broadcasting a length-one axis.
         """
         if rho.size == 1:
             out = points * rho

@@ -52,12 +52,13 @@ _DIVERGENCE_NORM = 1e12
 # 32 saved under a tenth of the solve time over 8, and 128 slowed conv-reg.
 _STOP_BLOCK = 8
 
-# (m, n) arrays a batched solve of m rows holds at once, at most: the block
-# buffer (_STOP_BLOCK + 1 iterates), the stop test's squares (_STOP_BLOCK),
-# the measurements, the recorded iterates and the gradient step, a per-row
-# scale's three coefficient stacks (see ScaledDenoiser), and six for an
-# iteration's temporaries, where a mixture denoiser's (K, m) arrays count as
-# stacks too.
+# Stacks of m rows a batched solve holds at once, at most: the block buffer
+# (_STOP_BLOCK + 1 iterates), the stop test's squares (_STOP_BLOCK), the
+# measurements, the recorded iterates and the gradient step, a per-row scale's
+# three coefficient stacks (see ScaledDenoiser), and six for an iteration's
+# temporaries. Iterates are n wide, measurements and their residuals out_dim,
+# and a mixture denoiser's distances and responsibilities K, so each stack is
+# counted at the widest of the three (experiments._grid_cap).
 _SOLVE_STACKS = (_STOP_BLOCK + 1) + _STOP_BLOCK + 3 + 3 + 6
 
 
@@ -232,8 +233,9 @@ def pnp_pgd_batch(
     ``np.errstate``, entered once per solve. Every operand the iteration
     passes to numpy is built before it: the denoiser's coefficients are 0-d
     arrays for one scale and contiguous (m, n) stacks for a scale per row
-    (see :class:`ScaledDenoiser`). The solve holds ``_SOLVE_STACKS`` (m, n)
-    arrays at its peak.
+    (see :class:`ScaledDenoiser`). The solve holds ``_SOLVE_STACKS`` stacks
+    of m rows at its peak, each as wide as the widest of n, the operator's
+    ``out_dim`` and a mixture denoiser's component count K.
 
     Every iteration runs the whole stack. The iterations run in blocks of
     ``_STOP_BLOCK``, whose iterates fill one buffer; one pass of row norms

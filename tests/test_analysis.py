@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pnplab.analysis
+import pnplab.denoisers
 from pnplab.analysis import (
     DegenerateDenoiserError,
     ResidualMoments,
@@ -450,7 +452,7 @@ class TestRowBlocks:
         clean, noisy = prior.sample_pairs(0.1, m, m)
         whole = ResidualMoments.from_samples(d, clean, noisy)
         whole_l2 = _l2_on_samples(d, clean, noisy)
-        monkeypatch.setattr(pnplab.analysis, "_BLOCK_FLOATS", self.BLOCK_ROWS * self.DIM)
+        monkeypatch.setattr(pnplab.denoisers, "_BLOCK_FLOATS", self.BLOCK_ROWS * self.DIM)
         calls = []
 
         def counted(y):
@@ -484,7 +486,7 @@ class TestOnePass:
             MmseDenoiser(_single_gaussian(4), sigma),
             lambda y: y,
         ]
-        monkeypatch.setattr(pnplab.analysis, "_BLOCK_FLOATS", self.BLOCK_ROWS * 4)
+        monkeypatch.setattr(pnplab.denoisers, "_BLOCK_FLOATS", self.BLOCK_ROWS * 4)
         formed = []
         half_sq_dists = GmmPrior._half_sq_dists
 
@@ -513,7 +515,7 @@ class TestOnePass:
         n, k, samples, sigma = 2, 40, 500, 0.3
         rng = np.random.default_rng(4)
         prior = GmmPrior(np.full(k, 1.0 / k), rng.uniform(-3.0, 3.0, (k, n)), np.full(k, 0.1))
-        monkeypatch.setattr(pnplab.analysis, "_BLOCK_FLOATS", 200)
+        monkeypatch.setattr(pnplab.denoisers, "_BLOCK_FLOATS", 200)
         sizes = []
         half_sq_dists = GmmPrior._half_sq_dists
 
@@ -530,6 +532,28 @@ class TestOnePass:
         clean, noisy = prior.sample_pairs(sigma, samples, 9)
         want = ResidualMoments.from_samples(MmseDenoiser(prior, sigma), clean, noisy)
         np.testing.assert_allclose(got.aa, want.aa, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("route", ["from-samples", "wider-than-sampled"])
+    def test_blocks_follow_the_widest_denoiser_not_the_samples(self, route):
+        """A mixture denoiser of K = 2000 on n = 4 samples from one Gaussian: rows
+        sized by n alone give (K, rows) arrays of 395 MB traced over 20000 samples;
+        rows sized by the widest denoiser keep the pass within a few MB."""
+        n, k, samples, sigma = 4, 2000, 20000, 0.3
+        rng = np.random.default_rng(6)
+        wide = GmmPrior(np.full(k, 1.0 / k), rng.uniform(-3.0, 3.0, (k, n)), np.full(k, 0.1))
+        sampled = _single_gaussian(n)
+        denoisers = [ShrinkageDenoiser(0.5, n), MmseDenoiser(wide, sigma)]
+        clean, noisy = sampled.sample_pairs(sigma, samples, 1)
+        tracemalloc.start()
+        try:
+            if route == "from-samples":
+                ResidualMoments.from_samples(denoisers[1], clean, noisy)
+            else:
+                _moments_on_prior(denoisers, sampled, sigma, samples, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 class TestOptimalScaleReferee:

@@ -393,6 +393,16 @@ _MANY_COMPONENTS = {
 }
 
 
+# A tall dense operator: 512 measurements of a dim-64 signal.
+_TALL_DENSE = {"operator": {"kind": "dense", "matrix": [[0.1] * 64] * 512}}
+
+
+# Means of 2**14 floats, which every mixture denoiser keeps a copy of: 32 components on dim 512.
+_WIDE_MEANS = {
+    "prior": {"weights": [1 / 32] * 32, "means": [[0.0] * 512] * 32, "variances": [1.0] * 32},
+}
+
+
 # A dense operator whose every product with a nonzero signal overflows.
 _OVERFLOWING = {
     "prior": {"weights": [1.0], "means": [[0.5] * 8], "variances": [1.0]},
@@ -719,9 +729,15 @@ class TestConfigErrorsAtTheBoundary:
             # At dim 1 the float cap is far off; a run records at most 2**16 grid points.
             ("conv-reg", _DIM_ONE, {"delta_grid": [1.0] * 2**16}, "pnp_pgd_batch"),
             ("stability", _DIM_ONE, {"k_grid": [1] * 2**16}, "pnp_pgd_batch"),
+            # Measurements are out_dim wide: 2**25 // (29 * 512) points for a 512 x 64 matrix.
+            ("conv-reg", _TALL_DENSE, {"delta_grid": [1.0] * 2259}, "pnp_pgd_batch"),
             # One curve point per scale and ratio: 2**16 // 4 scales with the four default ratios.
             ("delta-sweep", {}, {"delta_grid": [1.0] * 2**14}, "_moments_on_prior"),
             ("lipschitz", {}, {"sigma_grid": [0.1] * 2**16}, "estimate_lipschitz"),
+            # Each ratio's denoiser keeps a (K, n) constant: 2**25 // (3 * 20000 + 32 * 512) ratios.
+            ("delta-sweep", _WIDE_MEANS, {"mismatch_ratios": [1.0] * 439}, "MmseDenoiser"),
+            # So does each noise level's: 2**25 // (32 * 512) levels.
+            ("lipschitz", _WIDE_MEANS, {"sigma_grid": [0.1] * 2048}, "MmseDenoiser"),
         ],
         ids=[
             "delta-sweep",
@@ -732,8 +748,11 @@ class TestConfigErrorsAtTheBoundary:
             "stability-k2000",
             "conv-reg-points",
             "stability-points",
+            "conv-reg-tall-dense",
             "delta-sweep-points",
             "lipschitz-points",
+            "delta-sweep-wide-means",
+            "lipschitz-wide-means",
         ],
     )
     def test_grids_are_capped_before_anything_is_allocated(

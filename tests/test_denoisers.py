@@ -429,7 +429,7 @@ class TestLipschitz:
         import pnplab.denoisers
 
         # 36 floats per block: 3 rows of pairs at m = 6, n = 2.
-        monkeypatch.setattr(pnplab.denoisers, "_PAIR_BLOCK_FLOATS", 36)
+        monkeypatch.setattr(pnplab.denoisers, "_BLOCK_FLOATS", 36)
         d = MmseDenoiser(GmmPrior([0.5, 0.5], [[-1.0, 0.0], [1.0, 0.5]], [0.1, 0.3]), 0.2)
         pts = np.random.default_rng(m).standard_normal((m, 2))
         if m > 2:
@@ -452,10 +452,10 @@ class TestLipschitz:
         d = MmseDenoiser(prior, 0.3)
         pts = 2.0 * rng.standard_normal((m, n))
         # The old path: the whole cloud in one denoiser call.
-        monkeypatch.setattr(pnplab.denoisers, "_PAIR_BLOCK_FLOATS", 1 << 40)
+        monkeypatch.setattr(pnplab.denoisers, "_BLOCK_FLOATS", 1 << 40)
         whole = estimate_lipschitz(d, pts)
 
-        monkeypatch.setattr(pnplab.denoisers, "_PAIR_BLOCK_FLOATS", 200)
+        monkeypatch.setattr(pnplab.denoisers, "_BLOCK_FLOATS", 200)
         sizes = []
         half_sq_dists = GmmPrior._half_sq_dists
 
@@ -482,7 +482,7 @@ class TestLipschitz:
     )
     def test_a_wrapped_mixture_runs_in_blocks_sized_by_its_components(self, wrap):
         """Blocks follow K through the ``base`` chain: at K = 2000, n = 4 and 1000 points the
-        whole-cloud (K, m) arrays peak at 32 MB; blocks of 2**16 floats keep it at 1.5 MB."""
+        whole-cloud (K, m) arrays peak at 32 MB; blocks of 2**15 floats keep it under 1 MB."""
         n, k, m = 4, 2000, 1000
         rng = np.random.default_rng(5)
         prior = GmmPrior(np.full(k, 1.0 / k), rng.uniform(-3.0, 3.0, (k, n)), np.full(k, 0.1))

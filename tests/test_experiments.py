@@ -234,7 +234,8 @@ class TestStability:
         config["denoiser"]["offset"] = [-1.1 * y - np.sign(xi)]
         resolved, records = run_stability(config)
 
-        op, scaled, cfg = experiments._build_solve(resolved, prior, sigma, 1.0)
+        op, base, cfg = experiments._build_solve(resolved, prior, sigma)
+        scaled = experiments._scaled(resolved, base, 1.0)
         ys = np.array([[y], [y + sigma * xi], [y + sigma / 2 * xi]])
         assert list(pnp_pgd_batch(op, ys, scaled, cfg).diverged) == [True, False, False]
         assert [r.key for r in records] == [1.0, 2.0]

@@ -782,26 +782,31 @@ class TestClosedFormReferee:
 
 class TestSolveMemory:
     @pytest.mark.parametrize(
-        "k, n, mode, gamma, per_row, shrink",
+        "k, n, mode, gamma, per_row, shrink, out_dim",
         [
-            (3, 64, "tweedie", True, True, False),  # conv-reg's shape
-            (1, 64, "tweedie", False, False, True),  # stability's shape
-            (64, 64, "homogeneous", True, True, False),
-            (128, 16, "tweedie", True, True, True),  # more components than dims
+            (3, 64, "tweedie", True, True, False, None),  # conv-reg's shape
+            (1, 64, "tweedie", False, False, True, None),  # stability's shape
+            (64, 64, "homogeneous", True, True, False, None),
+            (128, 16, "tweedie", True, True, True, None),  # more components than dims
+            (3, 64, "tweedie", True, True, False, 512),  # a tall dense operator
         ],
     )
-    def test_one_solve_stays_within_its_counted_stacks(self, k, n, mode, gamma, per_row, shrink):
+    def test_one_solve_stays_within_its_counted_stacks(self, k, n, mode, gamma, per_row, shrink, out_dim):
         """The scaled denoiser's construction and one solve of m rows peak within
-        ``_SOLVE_STACKS`` (m, max(n, K)) float arrays, plus a fixed slack for
-        small arrays and numpy's iteration buffers."""
+        ``_SOLVE_STACKS`` (m, max(n, K, out_dim)) float arrays, plus a fixed
+        slack for small arrays and numpy's iteration buffers."""
         rng = np.random.default_rng(k)
         m, slack = 256, 256 * 1024
         prior = GmmPrior(np.full(k, 1.0 / k), rng.standard_normal((k, n)), np.full(k, 0.5))
         base = MmseDenoiser(prior, 0.3)
         if shrink:
             base = OutputShrink(base, 0.99)
-        op = Mask(rng.random(n) < 0.8)
-        ys = rng.standard_normal((m, n))
+        if out_dim is None:
+            op = Mask(rng.random(n) < 0.8)
+        else:
+            # Orthonormal columns, so the step tau = 1 stays non-expansive.
+            op = DenseOperator(np.linalg.qr(rng.standard_normal((out_dim, n)))[0])
+        ys = rng.standard_normal((m, op.out_dim))
         deltas = rng.uniform(1.0, 3.0, m) if per_row else 1.5
         config = PnpConfig(tau=1.0, max_iters=2 * _STOP_BLOCK + 3, tol=1e-30)
         tracemalloc.start()
@@ -811,7 +816,7 @@ class TestSolveMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= _SOLVE_STACKS * m * max(n, k) * 8 + slack
+        assert peak <= _SOLVE_STACKS * m * max(n, k, op.out_dim) * 8 + slack
 
 
 class TestUncheckedRoutes:
