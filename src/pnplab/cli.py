@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import platform
 import sys
 import tempfile
 import time
@@ -77,11 +78,24 @@ def _now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
+def _environment() -> dict:
+    """The numpy, Python and BLAS versions and the CPUs this process may run on."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    affinity = getattr(os, "sched_getaffinity", None)
+    return {
+        "numpy": np.__version__,
+        "python": platform.python_version(),
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "cpu_count": len(affinity(0)) if affinity else os.cpu_count(),
+    }
+
+
 def _write_artifacts(args, name: str, records, resolved: dict, started: str, **extra) -> str:
     """Write ``<name>.csv`` and then ``<name>_manifest.json`` into ``args.out``; returns the CSV path.
 
     The manifest is written last and moved into place whole, so its presence
-    marks a complete set of artifacts.
+    marks a complete set of artifacts. Its ``environment`` block holds the
+    facts that change the run's speed but not its output (``_environment``).
     """
     csv_path = os.path.join(args.out, f"{name}.csv")
     write_records_csv(csv_path, records, resolved["seed"])
@@ -93,6 +107,7 @@ def _write_artifacts(args, name: str, records, resolved: dict, started: str, **e
         "tool_version": __version__,
         "started_at": started,
         "finished_at": _now(),
+        "environment": _environment(),
         **extra,
     }
     fd, tmp = tempfile.mkstemp(prefix=".manifest", dir=args.out)

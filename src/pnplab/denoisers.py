@@ -17,7 +17,7 @@ import numbers
 import numpy as np
 
 from .config import count, is_number, real_array, require
-from .prior import GmmPrior
+from .prior import GmmPrior, _check_sigma
 
 __all__ = [
     "Denoiser",
@@ -85,8 +85,7 @@ class MmseDenoiser(Denoiser):
             raise ValueError(f"sigma must be positive and finite, got {sigma!r}")
         self.prior = prior
         self.sigma = float(sigma)
-        if self.sigma * self.sigma == np.inf:
-            raise ValueError(f"sigma must have a finite square, got {self.sigma!r}")
+        _check_sigma(self.sigma, positive=True)
         self.dim = prior.dim
         t, log_norm, rho, shrunk = prior._posterior_constants(self.sigma)
         if rho.size == 1:

@@ -24,14 +24,21 @@ and the posterior mean is the Gaussian's ``rho * y + (1 - rho) * mu``.
 
 :meth:`GmmPrior.pair_blocks` draws a (clean, noisy) sample set and hands the
 noisy rows out block by block, so a Monte-Carlo pass never holds them whole.
-The seeded stream is serial (the labels, then every clean row, then each
-block's noise), so it cannot be split; instead, while its caller evaluates
-one block, a worker thread draws the next into the other of two buffers.
+The seeded stream is serial: the labels, then every clean row, then each
+block's noise. While its caller evaluates one block, a worker thread draws
+the next into the other of two buffers. A clean draw of ``_SPLIT_NORMALS``
+values or more is also split in two, on two threads, and stays bitwise the
+serial stream (``_standard_normals``): each normal takes one or more raw
+draws, so a copy of the generator advanced by the first half's count starts
+at or before the midpoint, its ziggurat decode falls into step with the true
+stream within a few values, and the midpoint is then found in it by value.
+Smaller clean draws stay one call on the caller's thread.
 """
 
 from __future__ import annotations
 
 import contextvars
+import copy
 import queue
 import threading
 from dataclasses import dataclass
@@ -43,6 +50,69 @@ from .config import real_array, require
 __all__ = ["GmmPrior"]
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
+# A clean draw of at least this many normals is split across two threads;
+# below it the thread and the re-decoded overlap cost more than they save.
+_SPLIT_NORMALS = 1 << 18
+# How many of the first half's last values locate the midpoint in the second.
+_SYNC = 8
+
+
+def _check_sigma(sigma, positive: bool = False) -> None:
+    """Reject a noise level that is negative (or zero, if ``positive``), NaN, or whose square overflows."""
+    if not (sigma > 0 if positive else sigma >= 0):
+        raise ValueError(f"sigma must be {'positive' if positive else 'nonnegative'}")
+    if float(sigma) * float(sigma) == np.inf:
+        raise ValueError(f"sigma must have a finite square, got {float(sigma)!r}")
+
+
+def _standard_normals(rng, count: int, dim: int) -> np.ndarray:
+    """``rng.standard_normal((count, dim))``, bitwise, drawn on two threads when it is large.
+
+    Below ``_SPLIT_NORMALS`` values it is that one call. Above it, the caller
+    draws the first half while a thread draws the second from a copy of the
+    bit generator advanced by the first half's count. Every ziggurat normal
+    takes at least one raw draw, so the copy starts at or before the true
+    midpoint, and once its decode falls into step with the true stream it
+    repeats the first half's last values. Found there, in the second half's
+    first eighth, they mark the midpoint: the synced values are moved down in
+    place, the copy draws the last few, and ``rng`` takes over its state, so
+    ``rng`` ends where the serial draw would leave it. If they are not found,
+    the second half is drawn again from ``rng``, which stands at the midpoint.
+    An error on the thread reaches the caller after the join. A bit generator
+    that cannot ``advance`` (MT19937, SFC64) draws serially.
+    """
+    if count * dim < _SPLIT_NORMALS or not hasattr(rng.bit_generator, "advance"):
+        return rng.standard_normal((count, dim))
+    out = np.empty((count, dim))
+    flat = out.reshape(-1)
+    head, tail = flat[: flat.size // 2], flat[flat.size // 2 :]
+    ahead = np.random.Generator(copy.deepcopy(rng.bit_generator).advance(head.size))
+    failed = []
+
+    def work():
+        try:
+            ahead.standard_normal(out=tail)
+        except Exception as exc:
+            failed.append(exc)
+
+    worker = threading.Thread(target=work, name="pair_blocks.clean")
+    worker.start()
+    try:
+        rng.standard_normal(out=head)
+    finally:
+        worker.join()
+    if failed:
+        raise failed[0]
+    window = head[-_SYNC:]
+    for end in np.flatnonzero(tail[: tail.size // 8] == window[-1]) + 1:
+        if end >= _SYNC and np.array_equal(tail[end - _SYNC : end], window):
+            # One dimension, moving down: numpy copies within the array, with no temporary.
+            tail[: tail.size - end] = tail[end:]
+            ahead.standard_normal(out=tail[tail.size - end :])
+            rng.bit_generator.state = ahead.bit_generator.state
+            return out
+    rng.standard_normal(out=tail)
+    return out
 
 
 def _as_points(y, dim: int):
@@ -249,8 +319,7 @@ class GmmPrior:
         ``sigma = 0`` gives the prior itself. Evaluated with log-sum-exp so
         points far from every component stay finite.
         """
-        if not sigma >= 0:
-            raise ValueError("sigma must be nonnegative")
+        _check_sigma(sigma)
         points, single = _as_points(y, self.dim)
         logs = self._component_logpdf(points, *self._smoothed(sigma))
         top = logs.max(axis=0)
@@ -263,16 +332,14 @@ class GmmPrior:
         Computed as a log-space softmax; when every component underflows the
         max-shift leaves a hard assignment to the nearest component.
         """
-        if not sigma >= 0:
-            raise ValueError("sigma must be nonnegative")
+        _check_sigma(sigma)
         points, single = _as_points(y, self.dim)
         r = self._responsibilities(points, *self._smoothed(sigma)).T
         return r[0] if single else r
 
     def score(self, y, sigma: float = 0.0):
         """Gradient of the smoothed log-density with respect to ``y``."""
-        if not sigma >= 0:
-            raise ValueError("sigma must be nonnegative")
+        _check_sigma(sigma)
         points, single = _as_points(y, self.dim)
         out = self._score(points, *self._smoothed(sigma))
         return out[0] if single else out
@@ -285,8 +352,7 @@ class GmmPrior:
         Kept as the oracle of :meth:`posterior_mean`, with which it agrees to
         round-off while ``sigma^2`` is not far above the variances.
         """
-        if not sigma > 0:
-            raise ValueError("sigma must be positive")
+        _check_sigma(sigma, positive=True)
         points, single = _as_points(y, self.dim)
         out = self.score(points, sigma)
         out *= sigma * sigma
@@ -303,8 +369,7 @@ class GmmPrior:
         :class:`~pnplab.denoisers.MmseDenoiser` runs; :meth:`mmse_denoise`
         agrees with it to round-off and is kept as its oracle.
         """
-        if not sigma > 0:
-            raise ValueError("sigma must be positive")
+        _check_sigma(sigma, positive=True)
         points, single = _as_points(y, self.dim)
         out = self._posterior_mean(points, *self._posterior_constants(sigma))
         return out[0] if single else out
@@ -323,12 +388,20 @@ class GmmPrior:
         one is requested. The stream is that of :meth:`sample_pairs` for any
         ``rows``.
 
+        The clean draw is made when this is called. From ``_SPLIT_NORMALS``
+        values up it is split in two: this thread draws the first half while
+        a second draws the rest from an advanced copy of the generator, and
+        the second half is then aligned with the serial stream by value (see
+        ``_standard_normals``), so the samples are bitwise those of one
+        ``standard_normal`` call. Smaller draws, such as a solve's one clean
+        row or a Lipschitz cloud, stay that one call on this thread.
+
         With more than one block, the next block is drawn on a worker thread,
         in a copy of the context of the first request (so numpy's
         ``errstate`` holds there), while the caller holds the current one. An
         error raised in the draw reaches the caller at its next request, and
         closing the generator, or running it out, stops and joins the worker.
-        A one-block draw runs inline and starts no thread.
+        A one-block draw runs inline and starts no thread past the clean draw.
         """
         if not sigma > 0:
             raise ValueError("sigma must be positive")
@@ -338,15 +411,15 @@ class GmmPrior:
             raise ValueError("rows must be >= 1")
         rng = np.random.default_rng(seed)
         comps = rng.choice(self.n_components, size=count, p=self.weights)
-        clean = rng.standard_normal((count, self.dim))
-        scales = np.sqrt(self.variances[comps])[:, None]
+        clean = _standard_normals(rng, count, self.dim)
+        scales = np.sqrt(self.variances)
         starts = range(0, count, rows)
 
         def draw(start, buffer):
             index = slice(start, min(start + rows, count))
-            block = clean[index]
-            block *= scales[index]
-            block += self.means[comps[index]]
+            labels, block = comps[index], clean[index]
+            block *= scales[labels, None]
+            block += self.means[labels]
             noisy = buffer[: len(block)]
             rng.standard_normal(out=noisy)
             noisy *= sigma

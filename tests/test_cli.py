@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from pnplab import cli
+from pnplab import prior as prior_module
 from pnplab.prior import GmmPrior
 
 
@@ -161,6 +162,31 @@ class TestDeltaOpt:
         assert captured.out == ""
         assert not (tmp_path / "out").exists()
 
+    def test_a_split_clean_draw_writes_the_serial_runs_bytes(self, tmp_path, capsys, monkeypatch):
+        """8192 samples at n = 64 are 2^19 clean normals, drawn on two threads; then on one."""
+        rng = np.random.default_rng(8)
+        config = {
+            "prior": {
+                "weights": [0.125] * 8,
+                "means": (0.5 * rng.standard_normal((8, 64))).tolist(),
+                "variances": rng.uniform(0.2, 0.6, 8).tolist(),
+            },
+            "denoiser": {"kind": "mismatched_mmse", "sigma_train": 0.3},
+            "sigma": 0.2,
+            "samples": 8192,
+        }
+        assert 8192 * 64 >= prior_module._SPLIT_NORMALS
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        runs = []
+        for split in (True, False):
+            if not split:
+                monkeypatch.setattr(prior_module, "_SPLIT_NORMALS", 8192 * 64 + 1)
+            out = tmp_path / f"split-{split}"
+            assert cli.main(["delta-opt", "--config", str(path), "--out", str(out), "--seed", "3"]) == 0
+            runs.append((capsys.readouterr().out, (out / "delta-opt.csv").read_bytes()))
+        assert runs[0] == runs[1]
+
     def test_malformed_json_diagnosed_with_position(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text('{"prior": [1,\n  "oops"')
@@ -192,6 +218,11 @@ class TestRun:
         assert manifest["command"] == "run lipschitz"
         assert manifest["resolved_spec"]["cloud_size"] == 64
         assert "started_at" in manifest and "finished_at" in manifest
+        environment = manifest["environment"]
+        assert environment["numpy"] == np.__version__
+        assert environment["python"] == ".".join(map(str, sys.version_info[:3]))
+        assert set(environment["blas"]) == {"name", "version"}
+        assert isinstance(environment["cpu_count"], int) and environment["cpu_count"] >= 1
 
     def test_one_noise_level_far_from_zero_is_plotted(self, tmp_path):
         """On a linear axis 1e16 + 1.0 rounds to 1e16; the plot must still widen."""

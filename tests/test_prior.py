@@ -2,6 +2,7 @@ import math
 import queue
 import sys
 import threading
+import warnings
 from contextlib import closing
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pnplab import prior as prior_module
 from pnplab.analysis import estimate_l2
 from pnplab.experiments import run_conv_reg, run_lipschitz_table
 from pnplab.prior import GmmPrior
@@ -188,6 +190,44 @@ class TestDenoising:
         with pytest.raises(ValueError, match="positive"):
             prior.sample_pairs(float("nan"), 3, 0)
 
+    def test_a_sigma_whose_square_overflows_is_rejected_by_every_method(self):
+        prior, y = _symmetric_bimodal(), np.array([[0.3], [5.0]])
+        for method in (
+            prior.log_density, prior.responsibilities, prior.score, prior.mmse_denoise, prior.posterior_mean
+        ):
+            for sigma, shown in ((1.5e154, r"1\.5e\+154"), (np.inf, "inf")):
+                with pytest.raises(ValueError, match=f"sigma must have a finite square, got {shown}"):
+                    method(y, sigma)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert np.all(np.isfinite(method(y, 1e154)))
+
+
+class _CountingGenerator(np.random.Generator):
+    draws = 0
+
+    def standard_normal(self, *args, **kwargs):
+        self.draws += 1
+        return super().standard_normal(*args, **kwargs)
+
+
+def _split_clean_draws(monkeypatch, stray=False):
+    """Split every clean draw of 64 normals or more; returns the speculative generators made.
+
+    Each counts its draws: 2 is a split that synced (its half, then the last
+    few values), and 1 one that fell back to the serial draw. A ``stray``
+    speculative generator draws from an unrelated stream, so it never syncs.
+    """
+    made = []
+
+    def ahead(bits):
+        made.append(_CountingGenerator(np.random.PCG64(123) if stray else bits))
+        return made[-1]
+
+    monkeypatch.setattr(prior_module, "_SPLIT_NORMALS", 64)
+    monkeypatch.setattr(prior_module.np.random, "Generator", ahead)
+    return made
+
 
 class TestSampling:
     def test_same_seed_bitwise_identical(self):
@@ -215,8 +255,12 @@ class TestSampling:
         with pytest.raises(ValueError):
             _standard_normal_1d().sample_pairs(0.1, 0, 0)
 
-    @pytest.mark.parametrize("seed", [7, np.random.SeedSequence([3, 1])])
-    def test_bitwise_equal_to_the_out_of_place_draw(self, seed):
+    @pytest.mark.parametrize(
+        "seed, split",
+        [(seed, split) for split in (False, True) for seed in (7, np.random.SeedSequence([3, 1]))],
+        ids=["7", "seed1", "7-split", "seed1-split"],
+    )
+    def test_bitwise_equal_to_the_out_of_place_draw(self, seed, split, monkeypatch):
         rng = np.random.default_rng(5)
         prior = GmmPrior([0.2, 0.5, 0.3], rng.standard_normal((3, 6)), [0.5, 1.5, 0.1])
         sigma, count = 0.3, 400
@@ -226,7 +270,9 @@ class TestSampling:
             want_rng.standard_normal((count, 6))
         )
         want_noisy = want_clean + sigma * want_rng.standard_normal((count, 6))
+        made = _split_clean_draws(monkeypatch) if split else []
         clean, noisy = prior.sample_pairs(sigma, count, seed)
+        assert [g.draws for g in made] == ([2] if split else [])
         np.testing.assert_array_equal(clean, want_clean)
         np.testing.assert_array_equal(noisy, want_noisy)
 
@@ -238,34 +284,56 @@ class TestSampling:
         rows=st.integers(1, 400),
         k=st.integers(1, 4),
         seed=st.integers(0, 2**16),
+        split=st.booleans(),
     )
-    def test_pair_blocks_concatenate_to_sample_pairs(self, count, dim, rows, k, seed):
+    def test_pair_blocks_concatenate_to_sample_pairs(self, count, dim, rows, k, seed, split):
+        """Also with the clean draw split, which syncs or falls back, against the serial draw."""
         rng = np.random.default_rng(seed)
         weights = rng.uniform(0.5, 1.5, k)
         prior = GmmPrior(weights / weights.sum(), rng.standard_normal((k, dim)), rng.uniform(0.1, 2.0, k))
         want_clean, want_noisy = prior.sample_pairs(0.3, count, seed)
+        seed = np.random.SeedSequence(seed) if split and count % 2 else seed
         starts, cleans, noisies = [], [], []
-        for index, clean, noisy in prior.pair_blocks(0.3, count, seed, rows):
-            assert 1 <= len(clean) == len(noisy) == index.stop - index.start <= rows
-            starts.append(index.start)
-            cleans.append(clean.copy())
-            noisies.append(noisy.copy())  # the noisy buffer is reused
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            if split:
+                _split_clean_draws(monkeypatch)
+            for index, clean, noisy in prior.pair_blocks(0.3, count, seed, rows):
+                assert 1 <= len(clean) == len(noisy) == index.stop - index.start <= rows
+                starts.append(index.start)
+                cleans.append(clean.copy())
+                noisies.append(noisy.copy())  # the noisy buffer is reused
         assert starts == list(range(0, count, rows))
         np.testing.assert_array_equal(np.concatenate(cleans), want_clean)
         np.testing.assert_array_equal(np.concatenate(noisies), want_noisy)
 
-    @pytest.mark.parametrize("rows", [1, 7, 1000])
-    def test_the_stream_is_labels_then_clean_draws_then_noise(self, rows):
-        """Bitwise the stream drawn whole: each clean row ``z * sqrt(v_k) + mu_k``, then the noise."""
+    @pytest.mark.parametrize(
+        "rows, split",
+        [(rows, split) for split in (False, True) for rows in (1, 7, 1000)],
+        ids=["1", "7", "1000", "1-split", "7-split", "1000-split"],
+    )
+    def test_the_stream_is_labels_then_clean_draws_then_noise(self, rows, split, monkeypatch):
+        """Bitwise the stream drawn whole: each clean row ``z * sqrt(v_k) + mu_k``, then the noise.
+
+        Split, the clean draw is 8000 normals in two halves of 4000, from an
+        int seed and from a ``SeedSequence``.
+        """
         prior = GmmPrior([0.2, 0.5, 0.3], np.arange(12.0).reshape(3, 4) - 5.0, [0.5, 2.0, 0.1])
-        rng = np.random.default_rng(9)
-        comps = rng.choice(3, size=50, p=prior.weights)
-        clean = rng.standard_normal((50, 4)) * np.sqrt(prior.variances[comps])[:, None]
-        clean += prior.means[comps]
-        noisy = rng.standard_normal((50, 4)) * 0.3 + clean
-        for index, got_clean, got_noisy in prior.pair_blocks(0.3, 50, 9, rows):
-            np.testing.assert_array_equal(got_clean, clean[index])
-            np.testing.assert_array_equal(got_noisy, noisy[index])
+        count = 2000 if split else 50
+        seeds = (9, np.random.SeedSequence(9)) if split else (9,)
+        made = _split_clean_draws(monkeypatch) if split else []
+        for seed in seeds:
+            rng = np.random.default_rng(seed)
+            comps = rng.choice(3, size=count, p=prior.weights)
+            clean = rng.standard_normal((count, 4)) * np.sqrt(prior.variances[comps])[:, None]
+            clean += prior.means[comps]
+            noisy = rng.standard_normal((count, 4)) * 0.3 + clean
+            starts = []
+            for index, got_clean, got_noisy in prior.pair_blocks(0.3, count, seed, rows):
+                starts.append(index.start)
+                np.testing.assert_array_equal(got_clean, clean[index])
+                np.testing.assert_array_equal(got_noisy, noisy[index])
+            assert starts == list(range(0, count, rows))
+        assert [g.draws for g in made] == ([2, 2] if split else [])
 
     def test_pair_blocks_rows_validated(self):
         with pytest.raises(ValueError, match="rows"):
@@ -369,28 +437,33 @@ class TestDrawAhead:
         assert len(blocks) == 8
         assert any(np.isinf(noisy).any() for _, _, noisy in blocks)
 
-    def test_concurrent_draws_under_fast_switching_keep_their_streams(self):
+    def test_concurrent_draws_under_fast_switching_keep_their_streams(self, monkeypatch):
+        """Then again with each caller's clean draw of 8000 normals split across two threads."""
         prior = _three_component_4d()
         seeds = range(4)
-        want = {seed: prior.sample_pairs(0.3, 60, seed)[1] for seed in seeds}
-        got = {}
+        for count, rows in ((60, 3), (2000, 100)):
+            want = {seed: prior.sample_pairs(0.3, count, seed)[1] for seed in seeds}
+            got = {}
+            if count == 2000:
+                monkeypatch.setattr(prior_module, "_SPLIT_NORMALS", 64)
 
-        def drain(seed):
-            got[seed] = np.concatenate([noisy.copy() for _, _, noisy in prior.pair_blocks(0.3, 60, seed, 3)])
+            def drain(seed):
+                blocks = prior.pair_blocks(0.3, count, seed, rows)
+                got[seed] = np.concatenate([noisy.copy() for _, _, noisy in blocks])
 
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            callers = [threading.Thread(target=drain, args=(seed,)) for seed in seeds]
-            for caller in callers:
-                caller.start()
-            for caller in callers:
-                caller.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(caller.is_alive() for caller in callers)
-        for seed in seeds:
-            np.testing.assert_array_equal(got[seed], want[seed])
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                callers = [threading.Thread(target=drain, args=(seed,)) for seed in seeds]
+                for caller in callers:
+                    caller.start()
+                for caller in callers:
+                    caller.join(timeout=60)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(caller.is_alive() for caller in callers)
+            for seed in seeds:
+                np.testing.assert_array_equal(got[seed], want[seed])
 
     def test_one_block_draws_start_no_thread(self, monkeypatch):
         started = []
@@ -407,6 +480,56 @@ class TestDrawAhead:
         assert started == []
         list(_three_component_4d().pair_blocks(0.3, 50, 9, 7))
         assert len(started) == 1
+
+
+class TestSplitCleanDraw:
+    """The paths of a split clean draw that the stream referees above do not reach."""
+
+    def test_no_sync_point_falls_back_to_the_serial_draw(self, monkeypatch):
+        prior = _three_component_4d()
+        want_clean, want_noisy = prior.sample_pairs(0.3, 2000, 9)
+        made = _split_clean_draws(monkeypatch, stray=True)
+        before = threading.active_count()
+        clean, noisy = prior.sample_pairs(0.3, 2000, 9)
+        assert [g.draws for g in made] == [1] and threading.active_count() == before
+        np.testing.assert_array_equal(clean, want_clean)
+        np.testing.assert_array_equal(noisy, want_noisy)
+
+    @pytest.mark.parametrize("bits", [np.random.PCG64, np.random.Philox, np.random.MT19937])
+    def test_a_callers_generator_of_any_kind_is_left_where_the_serial_draw_leaves_it(self, bits, monkeypatch):
+        """PCG64 syncs; MT19937 cannot ``advance``, and Philox's counts blocks of four, so it falls back."""
+        prior = _three_component_4d()
+        serial = np.random.Generator(bits(5))
+        want_clean, want_noisy = prior.sample_pairs(0.3, 2000, serial)
+        monkeypatch.setattr(prior_module, "_SPLIT_NORMALS", 64)
+        rng = np.random.Generator(bits(5))
+        clean, noisy = prior.sample_pairs(0.3, 2000, rng)
+        np.testing.assert_array_equal(clean, want_clean)
+        np.testing.assert_array_equal(noisy, want_noisy)
+        np.testing.assert_array_equal(rng.random(4), serial.random(4))
+
+    def test_an_error_on_the_speculative_thread_reaches_the_caller(self, monkeypatch):
+        class AheadError(Exception):
+            pass
+
+        raised_on = []
+
+        class FailingGenerator:
+            def __init__(self, bits):
+                pass
+
+            def standard_normal(self, *args, **kwargs):
+                raised_on.append(threading.current_thread())
+                raise AheadError
+
+        monkeypatch.setattr(prior_module, "_SPLIT_NORMALS", 64)
+        monkeypatch.setattr(prior_module.np.random, "Generator", FailingGenerator)
+        before = threading.active_count()
+        with pytest.raises(AheadError) as info:
+            _three_component_4d().pair_blocks(0.3, 2000, 9, 7)
+        assert info.type is AheadError
+        assert raised_on and raised_on[0] is not threading.current_thread()
+        assert threading.active_count() == before
 
 
 def _row_major_score(prior, points, sigma):
