@@ -3,7 +3,8 @@
 Subcommands: ``delta-opt`` (optimal-scale estimate plus the sandwich check),
 ``run <experiment>`` (CSV/SVG artifacts plus a manifest), and ``selftest``
 (fast oracle suite). Exit codes: 0 success, 1 usage, config or I/O error,
-2 degenerate denoiser, 3 selftest failure.
+2 degenerate denoiser, 3 selftest failure. A command raises its errors, and
+:func:`main` alone turns each into its exit code and one line on stderr.
 """
 
 from __future__ import annotations
@@ -21,9 +22,9 @@ import numpy as np
 
 from . import __version__
 from .analysis import DegenerateDenoiserError, _check_samples, verify_sandwich
-from .config import POSITIVE, ConfigError, count, real
+from .config import ConfigError, count
 from .denoisers import AffineDenoiser, denoiser_from_config, tweedie_scale
-from .experiments import _check_fields, _reading, _records, run_experiment
+from .experiments import _check_fields, _noise_level, _reading, _records, run_experiment
 from .experiments import write_plots, write_records_csv
 from .linop import Convolve1d, DenseOperator, Identity, Mask
 from .prior import GmmPrior
@@ -62,16 +63,11 @@ def _resolve_seed(flag_seed, config: dict) -> int:
         return count(int(value) if source == _ENV_SEED else value, "seed")
 
 
-def _prepare_out_dir(out: str) -> bool:
-    """Create ``out`` and probe it with a temporary file; on failure say why and return False."""
-    try:
-        os.makedirs(out, exist_ok=True)
-        with tempfile.NamedTemporaryFile(prefix=".probe", dir=out):
-            pass
-    except OSError as exc:
-        print(f"output error: {exc}", file=sys.stderr)
-        return False
-    return True
+def _prepare_out_dir(out: str) -> None:
+    """Create ``out`` and probe it with a temporary file, so that an unwritable one fails before any work."""
+    os.makedirs(out, exist_ok=True)
+    with tempfile.NamedTemporaryFile(prefix=".probe", dir=out):
+        pass
 
 
 def _now() -> str:
@@ -129,17 +125,12 @@ def _cmd_delta_opt(args) -> int:
     started = _now()
     with _reading("delta-opt config"):
         prior = GmmPrior.from_config(config["prior"])
-        sigma = real(config["sigma"], "sigma", POSITIVE)
+        sigma = _noise_level(config["sigma"])
         samples = count(config.get("samples", 100000), "samples")
         _check_samples(samples, prior.dim)
         denoiser = denoiser_from_config(config["denoiser"], prior=prior, sigma=sigma)
-    if not _prepare_out_dir(args.out):
-        return 1
-    try:
-        report = verify_sandwich(denoiser, prior, sigma, samples, seed)
-    except DegenerateDenoiserError as exc:
-        print(f"degenerate denoiser: {exc}", file=sys.stderr)
-        return 2
+    _prepare_out_dir(args.out)
+    report = verify_sandwich(denoiser, prior, sigma, samples, seed)
     opt = report.delta_opt
     print(f"delta_opt_sq = {opt.delta_opt_sq!r}")
     print(f"stderr_delta_opt_sq = {opt.stderr_delta_opt_sq!r}")
@@ -164,8 +155,7 @@ def _cmd_delta_opt(args) -> int:
 def _cmd_run(args) -> int:
     config = _load_json(args.config) if args.config else {}
     config["seed"] = _resolve_seed(args.seed, config)
-    if not _prepare_out_dir(args.out):
-        return 1
+    _prepare_out_dir(args.out)
     started = _now()
     t0 = time.perf_counter()
     resolved, records = run_experiment(args.experiment, config)
@@ -305,6 +295,12 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return 1
+    except DegenerateDenoiserError as exc:
+        print(f"degenerate denoiser: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -35,7 +35,7 @@ from .config import NONNEGATIVE, POSITIVE, UNIT, ConfigError, count, flag, real,
 from .denoisers import MmseDenoiser, OutputShrink, ScaledDenoiser, denoiser_from_config
 from .denoisers import _check_spread, _row_width, estimate_lipschitz
 from .linop import operator_from_config
-from .prior import GmmPrior
+from .prior import GmmPrior, _check_sigma
 from .solver import _SOLVE_STACKS, PnpConfig, pnp_pgd_batch
 
 __all__ = [
@@ -150,6 +150,13 @@ def _reading(what: str):
         raise ConfigError(f"bad {what}: {detail}") from exc
 
 
+def _noise_level(value, rule=POSITIVE) -> float:
+    """A config's ``sigma``, checked against ``rule`` and for a finite square, whatever its denoiser."""
+    sigma = real(value, "sigma", rule)
+    _check_sigma(sigma)
+    return sigma
+
+
 # Most grid points a run records: each is a record, a CSV row and an SVG point.
 _MAX_GRID_POINTS = 1 << 16
 
@@ -198,15 +205,20 @@ def _scaled(resolved: dict, base, delta) -> ScaledDenoiser:
         return ScaledDenoiser(base, delta, mode=resolved["mode"], gamma_rescale=gamma_rescale)
 
 
-def _finite(ys: np.ndarray) -> np.ndarray:
-    """A solve protocol's measurement stack, rejected if the config overflowed it.
+def _finite(ys: np.ndarray, op) -> np.ndarray:
+    """A solve protocol's measurement stack, rejected if the config overflowed it or ``op``'s norm.
 
     An operator, prior or noise scale can each be finite and still overflow
     the measurements; the protocols form them with overflow warnings off and
-    report the result here, before the solve starts.
+    report the result here, before the solve starts. An operator whose
+    ``||A^T A||`` overflows certifies no step, and is rejected next.
     """
     if not np.all(np.isfinite(ys)):
         raise ConfigError("measurements contain non-finite entries: the operator or the noise overflows")
+    with np.errstate(over="ignore"):
+        norm_sq = op.op_norm_sq()
+    if not norm_sq < np.inf:
+        raise ConfigError(f"the operator's norm ||A^T A|| is not finite, got {norm_sq!r}")
     return ys
 
 
@@ -226,7 +238,7 @@ def run_delta_sweep_experiment(config: dict | None = None):
     resolved = resolve_config("delta-sweep", config)
     with _reading("delta-sweep config"):
         prior = GmmPrior.from_config(resolved["prior"])
-        sigma = real(resolved["sigma"], "sigma", POSITIVE)
+        sigma = _noise_level(resolved["sigma"])
         samples = count(resolved["samples"], "samples")
         _check_samples(samples, prior.dim)
         # Each ratio's denoiser keeps a (K, n) constant, and the pass three moments per sample.
@@ -272,7 +284,7 @@ def run_stability(config: dict | None = None):
     resolved = resolve_config("stability", config)
     with _reading("stability config"):
         prior = GmmPrior.from_config(resolved["prior"])
-        sigma = real(resolved["sigma"], "sigma", POSITIVE)
+        sigma = _noise_level(resolved["sigma"])
         delta = real(resolved["delta"], "delta")
         seed = count(resolved["seed"], "seed")
     op, base, cfg = _build_solve(resolved, prior, sigma)
@@ -284,7 +296,7 @@ def run_stability(config: dict | None = None):
     with np.errstate(over="ignore", invalid="ignore"):
         y = op.apply(clean[0])
         ys = np.vstack([y, y + (sigma / k_grid)[:, None] * xi])
-    res = pnp_pgd_batch(op, _finite(ys), scaled, cfg)
+    res = pnp_pgd_batch(op, _finite(ys, op), scaled, cfg)
     distance = [np.linalg.norm(x - res.x_star[0]) for x in res.x_star[1:]]
     columns = {"distance_to_limit": distance, "converged": res.converged[1:]}
     return resolved, _records("stability", k_grid, columns, res.diverged[0] | res.diverged[1:])
@@ -303,7 +315,7 @@ def run_conv_reg(config: dict | None = None):
     resolved = resolve_config("conv-reg", config)
     with _reading("conv-reg config"):
         prior = GmmPrior.from_config(resolved["prior"])
-        sigma = real(resolved["sigma"], "sigma", NONNEGATIVE)
+        sigma = _noise_level(resolved["sigma"], NONNEGATIVE)
         seed = count(resolved["seed"], "seed")
         resample = flag(resolved["resample_noise_per_delta"], "resample_noise_per_delta")
     op, base, cfg = _build_solve(resolved, prior, max(sigma, 1e-12))
@@ -324,7 +336,7 @@ def run_conv_reg(config: dict | None = None):
     with np.errstate(over="ignore", invalid="ignore"):
         y0 = op.apply(clean[0])
         ys = y0 + (sigma / grid)[:, None] * noise
-    res = pnp_pgd_batch(op, _finite(ys), scaled, cfg)
+    res = pnp_pgd_batch(op, _finite(ys, op), scaled, cfg)
     norm_y0 = float(np.linalg.norm(y0))
     x, diverged = res.x_star, res.diverged
     # The gap from each grid point to the next, where neither diverged.
@@ -359,10 +371,11 @@ def run_lipschitz_table(config: dict | None = None):
         cap = min(_MAX_GRID_POINTS, _MAX_SAMPLE_FLOATS // prior.means.size)
         sigma_grid = real_array(resolved["sigma_grid"], "sigma_grid", rule=POSITIVE, cap=cap)
         cloud_size = count(resolved["cloud_size"], "cloud_size")
+        if not 2 <= cloud_size <= _MAX_CLOUD_SIZE:
+            raise ConfigError(f"cloud_size must lie between 2 and {_MAX_CLOUD_SIZE}")
+        _check_samples(cloud_size, prior.dim)
         seed = count(resolved["seed"], "seed")
         denoisers = [MmseDenoiser(prior, sigma) for sigma in sigma_grid]
-    if not 2 <= cloud_size <= _MAX_CLOUD_SIZE:
-        raise ConfigError(f"cloud_size must lie between 2 and {_MAX_CLOUD_SIZE}")
 
     lips = []
     for index, (sigma, denoiser) in enumerate(zip(sigma_grid, denoisers)):

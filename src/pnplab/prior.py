@@ -32,15 +32,16 @@ serial stream (``_standard_normals``): each normal takes one or more raw
 draws, so a copy of the generator advanced by the first half's count starts
 at or before the midpoint, its ziggurat decode falls into step with the true
 stream within a few values, and the midpoint is then found in it by value.
-Smaller clean draws stay one call on the caller's thread.
+Smaller clean draws stay one call on the caller's thread. Both workers are
+one-thread ``concurrent.futures`` pools from ``_worker_pool``, which hand
+back each call's result or its error, and are imported only when a draw
+first needs one.
 """
 
 from __future__ import annotations
 
 import contextvars
 import copy
-import queue
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,7 +70,7 @@ def _standard_normals(rng, count: int, dim: int) -> np.ndarray:
     """``rng.standard_normal((count, dim))``, bitwise, drawn on two threads when it is large.
 
     Below ``_SPLIT_NORMALS`` values it is that one call. Above it, the caller
-    draws the first half while a thread draws the second from a copy of the
+    draws the first half while a worker draws the second from a copy of the
     bit generator advanced by the first half's count. Every ziggurat normal
     takes at least one raw draw, so the copy starts at or before the true
     midpoint, and once its decode falls into step with the true stream it
@@ -78,8 +79,8 @@ def _standard_normals(rng, count: int, dim: int) -> np.ndarray:
     place, the copy draws the last few, and ``rng`` takes over its state, so
     ``rng`` ends where the serial draw would leave it. If they are not found,
     the second half is drawn again from ``rng``, which stands at the midpoint.
-    An error on the thread reaches the caller after the join. A bit generator
-    that cannot ``advance`` (MT19937, SFC64) draws serially.
+    An error on the worker reaches the caller once the worker is joined. A bit
+    generator that cannot ``advance`` (MT19937, SFC64) draws serially.
     """
     if count * dim < _SPLIT_NORMALS or not hasattr(rng.bit_generator, "advance"):
         return rng.standard_normal((count, dim))
@@ -87,22 +88,10 @@ def _standard_normals(rng, count: int, dim: int) -> np.ndarray:
     flat = out.reshape(-1)
     head, tail = flat[: flat.size // 2], flat[flat.size // 2 :]
     ahead = np.random.Generator(copy.deepcopy(rng.bit_generator).advance(head.size))
-    failed = []
-
-    def work():
-        try:
-            ahead.standard_normal(out=tail)
-        except Exception as exc:
-            failed.append(exc)
-
-    worker = threading.Thread(target=work, name="pair_blocks.clean")
-    worker.start()
-    try:
+    with _worker_pool("pair_blocks.clean") as pool:
+        drawn = pool.submit(ahead.standard_normal, out=tail)
         rng.standard_normal(out=head)
-    finally:
-        worker.join()
-    if failed:
-        raise failed[0]
+    drawn.result()
     window = head[-_SYNC:]
     for end in np.flatnonzero(tail[: tail.size // 8] == window[-1]) + 1:
         if end >= _SYNC and np.array_equal(tail[end - _SYNC : end], window):
@@ -129,45 +118,42 @@ def _as_points(y, dim: int):
     raise ValueError(f"points must be 1-D or 2-D, got shape {y.shape}")
 
 
+def _worker_pool(name: str):
+    """A one-thread pool that runs a call beside the caller and hands back its result or error.
+
+    ``concurrent.futures`` is imported here, not with the module: it loads
+    ``logging``, which a process that never draws on a worker does not need.
+    """
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(max_workers=1, thread_name_prefix=name)
+
+
 def _drawn_ahead(draw, starts, buffers):
     """Yield ``draw(start, buffer)`` for each of ``starts``, one block ahead on a worker thread.
 
-    The buffers go round a ring: the worker takes a free one, draws into it
-    and hands the block back, and the caller frees a block's buffer when it
-    asks for the next block. With one start, the block is drawn inline.
+    Block i goes into ``buffers[i % 2]``. The next block is queued before
+    the wait on the current one, so that the worker goes straight on to it;
+    queued after the wait, it would idle for one round trip on every block.
+    Its buffer held the block before the current one, which the caller gave
+    up by asking for more. The worker never waits on the caller, so a
+    generator left open at exit does not hold the interpreter. With one
+    start, the block is drawn inline.
     """
     if len(starts) == 1:
         yield draw(starts[0], buffers[0])
         return
-    free, filled = queue.SimpleQueue(), queue.SimpleQueue()
-    for buffer in buffers:
-        free.put(buffer)
-
-    def work():
-        try:
-            for start in starts:
-                buffer = free.get()
-                if buffer is None:  # the caller stopped early
-                    return
-                filled.put((buffer, draw(start, buffer)))
-        except Exception as exc:
-            filled.put((None, exc))
-
-    # A daemon, so that a generator left unclosed at exit does not hold the interpreter.
-    worker = threading.Thread(
-        target=contextvars.copy_context().run, args=(work,), name="pair_blocks", daemon=True
-    )
-    worker.start()
+    run = contextvars.copy_context().run
+    pool = _worker_pool("pair_blocks")
     try:
-        for _ in starts:
-            buffer, drawn = filled.get()
-            if buffer is None:
-                raise drawn
-            yield drawn
-            free.put(buffer)
+        drawn = pool.submit(run, draw, starts[0], buffers[0])
+        for i, start in enumerate(starts[1:], 1):
+            ahead = pool.submit(run, draw, start, buffers[i % 2])
+            yield drawn.result()
+            drawn = ahead
+        yield drawn.result()
     finally:
-        free.put(None)
-        worker.join()
+        pool.shutdown(cancel_futures=True)
 
 
 @dataclass(frozen=True)
@@ -203,8 +189,12 @@ class GmmPrior:
             raise ValueError("variances must be positive, one per component")
         if not (np.all(np.isfinite(w)) and np.all(np.isfinite(mu)) and np.all(np.isfinite(v))):
             raise ValueError("prior parameters must be finite")
-        centre = mu.mean(axis=0)
-        centred = mu - centre
+        with np.errstate(over="ignore", invalid="ignore"):
+            centre = mu.mean(axis=0)
+            centred = mu - centre
+            half_sq = 0.5 * np.sum(centred * centred, axis=1)[:, None]
+        if not np.all(np.isfinite(half_sq)):
+            raise ValueError("means are too large: their squared distances from their mean overflow")
         for name, arr in (
             ("weights", w),
             ("means", mu),
@@ -212,7 +202,7 @@ class GmmPrior:
             ("_log_weights", np.log(w)),
             ("_centre", centre),
             ("_centred_means", centred),
-            ("_centred_half_sq", 0.5 * np.sum(centred * centred, axis=1)[:, None]),
+            ("_centred_half_sq", half_sq),
         ):
             arr = arr.copy()
             arr.setflags(write=False)
@@ -388,20 +378,23 @@ class GmmPrior:
         one is requested. The stream is that of :meth:`sample_pairs` for any
         ``rows``.
 
-        The clean draw is made when this is called. From ``_SPLIT_NORMALS``
-        values up it is split in two: this thread draws the first half while
-        a second draws the rest from an advanced copy of the generator, and
-        the second half is then aligned with the serial stream by value (see
-        ``_standard_normals``), so the samples are bitwise those of one
-        ``standard_normal`` call. Smaller draws, such as a solve's one clean
-        row or a Lipschitz cloud, stay that one call on this thread.
+        The clean draw is made when this is called, and its worker joined
+        before this returns. From ``_SPLIT_NORMALS`` values up it is split in
+        two: this thread draws the first half while a worker draws the rest
+        from an advanced copy of the generator, and the second half is then
+        aligned with the serial stream by value (see ``_standard_normals``),
+        so the samples are bitwise those of one ``standard_normal`` call.
+        Smaller draws, such as a solve's one clean row or a Lipschitz cloud,
+        stay that one call on this thread.
 
         With more than one block, the next block is drawn on a worker thread,
         in a copy of the context of the first request (so numpy's
         ``errstate`` holds there), while the caller holds the current one. An
-        error raised in the draw reaches the caller at its next request, and
-        closing the generator, or running it out, stops and joins the worker.
-        A one-block draw runs inline and starts no thread past the clean draw.
+        error raised in the draw reaches the caller, with its own type, at its
+        next request. Closing the generator, or running it out, cancels the
+        queued draw and joins the worker; one left open at exit does not hold
+        the interpreter, since the worker never waits on the caller. A
+        one-block draw runs inline and starts no thread past the clean draw.
         """
         if not sigma > 0:
             raise ValueError("sigma must be positive")

@@ -49,6 +49,14 @@ class TestDeltaOpt:
         code = cli.main(["delta-opt", "--config", path, "--out", str(tmp_path)])
         assert code == 2
         assert "degenerate denoiser" in capsys.readouterr().err
+        # A noise level whose square underflows leaves every MMSE denoiser the identity.
+        config = tmp_path / "sweep.json"
+        config.write_text(json.dumps({"sigma": 1e-300}))
+        code = cli.main(["run", "delta-sweep", "--config", str(config), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("degenerate denoiser: ") and err.count("\n") == 1
+        assert not (tmp_path / "out" / "delta-sweep.csv").exists()
 
     def test_expanding_denoiser_exits_two_without_writing(self, tmp_path, capsys):
         config = {
@@ -85,6 +93,7 @@ class TestDeltaOpt:
             (0.1, 200.7),
             (0.1, True),
             (True, 20000),
+            (1e200, 20000),
         ],
     )
     def test_out_of_range_sigma_or_samples_exits_one(self, tmp_path, capsys, sigma, samples):
@@ -133,6 +142,20 @@ class TestDeltaOpt:
         assert code == 1
         assert err.startswith("config error: ") and err.count("\n") == 1
         assert "prior has dim 4" in err
+
+    def test_means_whose_squares_overflow_exit_one_naming_them(self, tmp_path, capsys):
+        path = _delta_opt_config(tmp_path, {"kind": "exact_mmse"})
+        config = json.loads(Path(path).read_text())
+        config["prior"]["means"] = [[1e300] * 4, [-1e300] * 4, [0.0] * 4]
+        Path(path).write_text(json.dumps(config))
+        code = cli.main(["delta-opt", "--config", path, "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == (
+            "config error: bad delta-opt config: "
+            "means are too large: their squared distances from their mean overflow\n"
+        )
+        assert not (tmp_path / "out").exists()
 
     def test_unwritable_out_dir_exits_one_before_compute(self, tmp_path, capsys):
         path = _delta_opt_config(tmp_path, {"kind": "exact_mmse"})
@@ -297,6 +320,13 @@ class TestRun:
         code = cli.main(["run", "lipschitz", "--out", str(blocker / "sub")])
         assert code == 1
         assert "output error" in capsys.readouterr().err
+        # A directory where the CSV goes passes the probe and fails at the write.
+        (tmp_path / "out" / "lipschitz.csv").mkdir(parents=True)
+        code = cli.main(["run", "lipschitz", "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("output error: ") and err.count("\n") == 1
+        assert "lipschitz.csv" in err
 
     def test_workers_do_not_change_csv_bytes(self, tmp_path):
         config = tmp_path / "cfg.json"
@@ -434,10 +464,24 @@ _WIDE_MEANS = {
 }
 
 
+# A one-component prior on dim 4096.
+_DIM_4096 = {"prior": {"weights": [1.0], "means": [[0.0] * 4096], "variances": [1.0]}}
+
+
 # A dense operator whose every product with a nonzero signal overflows.
 _OVERFLOWING = {
     "prior": {"weights": [1.0], "means": [[0.5] * 8], "variances": [1.0]},
     "operator": {"kind": "dense", "matrix": [[1e308] * 8] * 8},
+}
+
+
+# A shrinkage denoiser, which takes no noise level of its own.
+_SHRINK = {"kind": "shrinkage", "alpha": 0.5}
+
+
+# Two components at +-1e300 on dim 64.
+_FAR_APART = {
+    "prior": {"weights": [0.5, 0.5], "means": [[1e300] * 64, [-1e300] * 64], "variances": [1.0, 1.0]},
 }
 
 
@@ -570,6 +614,33 @@ class TestConfigErrorsAtTheBoundary:
                 "conv-reg",
                 {"resample_noise_per_delta": 0},
                 "'resample_noise_per_delta' must be true or false, got 0",
+            ),
+            # every config noise level has a finite square, whatever the denoiser
+            ("stability", {"sigma": 1e200, "denoiser": _SHRINK}, "sigma must have a finite square, got 1e+200"),
+            ("conv-reg", {"sigma": 1e200, "denoiser": _SHRINK}, "sigma must have a finite square, got 1e+200"),
+            (
+                "delta-sweep",
+                {"sigma": 1e200, "mismatch_ratios": [1e-100]},
+                "sigma must have a finite square, got 1e+200",
+            ),
+            # means whose squared distances from their mean overflow
+            ("conv-reg", _FAR_APART, "means are too large: their squared distances from their mean overflow"),
+            ("lipschitz", _FAR_APART, "means are too large: their squared distances from their mean overflow"),
+            # an operator whose ||A^T A|| overflows, though its measurements do not
+            (
+                "conv-reg",
+                {"operator": {"kind": "conv1d", "dim": 64, "kernel": [1e300, 1e300]}},
+                "the operator's norm ||A^T A|| is not finite, got inf",
+            ),
+            (
+                "stability",
+                {"operator": {"kind": "conv1d", "dim": 64, "kernel": [1e300, 1e300]}},
+                "the operator's norm ||A^T A|| is not finite, got inf",
+            ),
+            (
+                "conv-reg",
+                {**_OVERFLOWING, "operator": {"kind": "dense", "matrix": [[1e200] * 8] * 8}},
+                "the operator's norm ||A^T A|| is not finite, got inf",
             ),
         ],
     )
@@ -769,6 +840,8 @@ class TestConfigErrorsAtTheBoundary:
             ("delta-sweep", _WIDE_MEANS, {"mismatch_ratios": [1.0] * 439}, "MmseDenoiser"),
             # So does each noise level's: 2**25 // (32 * 512) levels.
             ("lipschitz", _WIDE_MEANS, {"sigma_grid": [0.1] * 2048}, "MmseDenoiser"),
+            # A cloud of dim-4096 points obeys the samples' float cap: 2**25 // 4096 points.
+            ("lipschitz", _DIM_4096, {"cloud_size": 8192}, "MmseDenoiser"),
         ],
         ids=[
             "delta-sweep",
@@ -784,6 +857,7 @@ class TestConfigErrorsAtTheBoundary:
             "lipschitz-points",
             "delta-sweep-wide-means",
             "lipschitz-wide-means",
+            "lipschitz-cloud-n4096",
         ],
     )
     def test_grids_are_capped_before_anything_is_allocated(
@@ -802,9 +876,14 @@ class TestConfigErrorsAtTheBoundary:
         (key, values), = at_cap.items()
         with pytest.raises(Reached):
             pnplab.experiments.run_experiment(experiment, {**fields, key: values})
-        over = {**fields, key: values + values[:1]}
-        err = self._run(tmp_path, capsys, config=over, experiment=experiment)
-        assert f"{key} holds {len(values) + 1} values, more than its cap of {len(values)}" in err
+        if isinstance(values, int):
+            # A count is capped together with the dim it multiplies.
+            over, needle = values + 1, f"samples x dim = {values + 1} x "
+        else:
+            over = values + values[:1]
+            needle = f"{key} holds {len(values) + 1} values, more than its cap of {len(values)}"
+        err = self._run(tmp_path, capsys, config={**fields, key: over}, experiment=experiment)
+        assert needle in err
         assert not list((tmp_path / "out").glob("*"))
 
     def test_unknown_experiment(self, tmp_path, capsys):

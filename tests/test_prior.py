@@ -1,9 +1,11 @@
 import math
-import queue
+import os
+import subprocess
 import sys
 import threading
 import warnings
 from contextlib import closing
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -45,6 +47,15 @@ class TestValidation:
     def test_means_shape_checked(self):
         with pytest.raises(ValueError):
             GmmPrior([0.5, 0.5], [[0.0]], [1.0, 1.0])
+
+    def test_means_whose_centred_squares_overflow_are_rejected_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="squared distances from their mean overflow"):
+                GmmPrior([0.5, 0.5], [[1e300, -1e300], [-1e300, 1e300]], [1.0, 1.0])
+            # far from the origin, but close together
+            for means in ([[1e300], [1e300]], [[1e160], [1e160 + 1e150]]):
+                assert GmmPrior([0.5, 0.5], means, [1.0, 1.0]).n_components == 2
 
     def test_from_config_names_missing_field(self):
         with pytest.raises(ValueError, match="variances"):
@@ -344,6 +355,12 @@ def _three_component_4d():
     return GmmPrior([0.2, 0.5, 0.3], np.arange(12.0).reshape(3, 4) - 5.0, [0.5, 2.0, 0.1])
 
 
+def _python(script: str) -> subprocess.CompletedProcess:
+    """Run ``script`` in a fresh interpreter that imports this pnplab; fail after 60 s."""
+    env = {**os.environ, "PYTHONPATH": str(Path(prior_module.__file__).parents[1])}
+    return subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+
+
 class TestDrawAhead:
     """A multi-block ``pair_blocks`` draws the next block on a worker thread."""
 
@@ -404,31 +421,52 @@ class TestDrawAhead:
         assert threading.active_count() == before
 
     def test_a_held_block_is_unchanged_once_the_next_is_drawn(self, monkeypatch):
-        handed_back, freed = threading.Semaphore(0), []
+        drawn, buffers = threading.Semaphore(0), []
+        real_pool = prior_module._worker_pool
 
-        class SpyQueue(queue.SimpleQueue):
-            """Records the buffers handed to the worker and counts the blocks it hands back."""
+        def spy_pool(name):
+            """The real pool, recording the buffer of each block it is handed and counting those drawn."""
+            pool = real_pool(name)
+            submit = pool.submit
 
-            def put(self, item, *args, **kwargs):
-                super().put(item, *args, **kwargs)
-                if isinstance(item, tuple):
-                    handed_back.release()
-                elif item is not None:
-                    freed.append(item)
+            def spy_submit(run, draw, start, buffer):
+                buffers.append(buffer)
+                future = submit(run, draw, start, buffer)
+                future.add_done_callback(lambda _: drawn.release())
+                return future
+
+            pool.submit = spy_submit
+            return pool
 
         prior = _three_component_4d()
         _, want_noisy = prior.sample_pairs(0.3, 50, 9)
-        monkeypatch.setattr("pnplab.prior.queue.SimpleQueue", SpyQueue)
+        monkeypatch.setattr(prior_module, "_worker_pool", spy_pool)
         with closing(prior.pair_blocks(0.3, 50, 9, 7)) as blocks:
             index, _, noisy = next(blocks)
             # the first block and the second, drawn into the other buffer
-            assert handed_back.acquire(timeout=30) and handed_back.acquire(timeout=30)
+            assert drawn.acquire(timeout=30) and drawn.acquire(timeout=30)
             np.testing.assert_array_equal(noisy, want_noisy[index])
-            # only the two fresh buffers went out: the held one goes back on the next request
-            assert len(freed) == 2
+            # only two blocks went out: the third is queued on the next request
+            assert len(buffers) == 2 and not np.shares_memory(buffers[0], buffers[1])
             index, _, noisy = next(blocks)
-            assert len(freed) == 3 and freed[2] is freed[0]
+            assert len(buffers) == 3 and np.shares_memory(buffers[2], buffers[0])
             np.testing.assert_array_equal(noisy, want_noisy[index])
+
+    def test_an_open_generator_does_not_hold_the_interpreter_at_exit(self):
+        """A script that takes one block of several and exits without closing the generator."""
+        script = (
+            "from pnplab.prior import GmmPrior\n"
+            "blocks = GmmPrior([1.0], [[0.0] * 4], [1.0]).pair_blocks(0.3, 5000, 0, 10)\n"
+            "next(blocks)\n"
+        )
+        done = _python(script)
+        assert done.returncode == 0, done.stderr
+
+    def test_importing_the_cli_loads_no_thread_pool(self):
+        """``concurrent.futures`` loads ``logging``; a process that never draws on a worker skips both."""
+        script = "import sys, pnplab.cli; print('concurrent.futures' in sys.modules)"
+        done = _python(script)
+        assert done.stdout == "False\n", done.stderr
 
     def test_the_worker_draws_in_the_callers_errstate(self):
         """The overflow is ignored on the worker too, not raised as a RuntimeWarning."""
