@@ -109,12 +109,13 @@ def _array_blocks(clean: np.ndarray, noisy: np.ndarray, step: int):
 _MAX_SAMPLE_FLOATS = 1 << 25
 
 
-def _check_samples(samples: int, dim: int = 1):
+def _check_samples(samples: int, dim: int = 1, name: str = "samples"):
+    """Reject fewer than 2 points of ``dim`` floats, or more than the float cap; ``name`` is the count's field."""
     if samples < 2:
-        raise ValueError("samples must be >= 2")
+        raise ValueError(f"{name} must be >= 2")
     if samples * dim > _MAX_SAMPLE_FLOATS:
         raise ValueError(
-            f"samples x dim = {samples} x {dim} exceeds the cap of {_MAX_SAMPLE_FLOATS} floats"
+            f"{name} x dim = {samples} x {dim} exceeds the cap of {_MAX_SAMPLE_FLOATS} floats"
         )
 
 

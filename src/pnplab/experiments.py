@@ -30,7 +30,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import svgplot
-from .analysis import _MAX_SAMPLE_FLOATS, _check_samples, _loss_scales, _moments_on_prior
+from .analysis import _MAX_SAMPLE_FLOATS, _check_samples, _loss_scales, _moments_on_prior, _row_dot
 from .config import NONNEGATIVE, POSITIVE, UNIT, ConfigError, count, flag, real, real_array
 from .denoisers import MmseDenoiser, OutputShrink, ScaledDenoiser, denoiser_from_config
 from .denoisers import _check_spread, _row_width, estimate_lipschitz
@@ -211,14 +211,19 @@ def _finite(ys: np.ndarray, op) -> np.ndarray:
     An operator, prior or noise scale can each be finite and still overflow
     the measurements; the protocols form them with overflow warnings off and
     report the result here, before the solve starts. An operator whose
-    ``||A^T A||`` overflows certifies no step, and is rejected next.
+    ``||A^T A||`` overflows certifies no step, and is rejected next. Last,
+    finite measurements whose squared row norms overflow have no norm for
+    the recorded metrics, and are rejected too.
     """
     if not np.all(np.isfinite(ys)):
         raise ConfigError("measurements contain non-finite entries: the operator or the noise overflows")
     with np.errstate(over="ignore"):
         norm_sq = op.op_norm_sq()
+        sq_norms = _row_dot(ys, ys)
     if not norm_sq < np.inf:
         raise ConfigError(f"the operator's norm ||A^T A|| is not finite, got {norm_sq!r}")
+    if not np.all(sq_norms < np.inf):
+        raise ConfigError("measurements are too large: their squared norms overflow")
     return ys
 
 
@@ -373,7 +378,7 @@ def run_lipschitz_table(config: dict | None = None):
         cloud_size = count(resolved["cloud_size"], "cloud_size")
         if not 2 <= cloud_size <= _MAX_CLOUD_SIZE:
             raise ConfigError(f"cloud_size must lie between 2 and {_MAX_CLOUD_SIZE}")
-        _check_samples(cloud_size, prior.dim)
+        _check_samples(cloud_size, prior.dim, "cloud_size")
         seed = count(resolved["seed"], "seed")
         denoisers = [MmseDenoiser(prior, sigma) for sigma in sigma_grid]
 
@@ -479,8 +484,8 @@ def write_records_csv(path, records: list[ExperimentRecord], seed: int) -> None:
 
     Output is byte-deterministic for a fixed record list: rows are sorted
     stably by key, floats use round-trip-exact decimals, lines end with LF,
-    and the runtime column is pinned to zero (measured runtimes live on the
-    in-memory records and in the run manifest, never in the CSV).
+    and the runtime column is pinned to zero (the run's measured time lives
+    in its manifest, never in the CSV).
     """
     rows = ["experiment,key,metric,value,runtime_ms,seed"]
     for rec in sorted(records, key=lambda r: r.key):

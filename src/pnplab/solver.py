@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import is_number
-from .denoisers import AffineDenoiser, ScaledDenoiser, gamma_factor
+from .denoisers import _BLOCK_FLOATS, AffineDenoiser, ScaledDenoiser, gamma_factor
 from .linop import LinearOperator, as_signal
 
 __all__ = [
@@ -47,9 +47,14 @@ __all__ = [
 # maps (e.g. homogeneous scaling of the wrong base) must be recorded, not crash.
 _DIVERGENCE_NORM = 1e12
 
-# Iterations per stop test in pnp_pgd_batch. A longer block makes fewer stop
-# tests but holds more memory (see _SOLVE_STACKS). On the default stacks 16 or
-# 32 saved under a tenth of the solve time over 8, and 128 slowed conv-reg.
+# Fewest iterations per stop test in pnp_pgd_batch. A block grows with the
+# iterations a solve has run, to an eighth of them, so a solve runs at most
+# max(_STOP_BLOCK - 1, iterations / 8) iterations past its last stop. The
+# block's iterates and their squares, 2 m n floats per iteration, stay within
+# the _BLOCK_FLOATS budget that sizes every Monte-Carlo and Lipschitz block:
+# at most 25 iterations on stability's 10 x 64 stack, and _STOP_BLOCK on any
+# stack of m n >= 2048, conv-reg's 32 x 64 among them. Fixed blocks of 128
+# slowed conv-reg.
 _STOP_BLOCK = 8
 
 # Stacks of m rows a batched solve holds at once, at most: the block buffer
@@ -58,8 +63,26 @@ _STOP_BLOCK = 8
 # three coefficient stacks (see ScaledDenoiser), and six for an iteration's
 # temporaries. Iterates are n wide, measurements and their residuals out_dim,
 # and a mixture denoiser's distances and responsibilities K, so each stack is
-# counted at the widest of the three (experiments._grid_cap).
+# counted at the widest of the three (experiments._grid_cap). A block grown
+# past _STOP_BLOCK keeps its iterates after the first, and their squares,
+# within _BLOCK_FLOATS floats in place of those 2 * _STOP_BLOCK stacks.
 _SOLVE_STACKS = (_STOP_BLOCK + 1) + _STOP_BLOCK + 3 + 3 + 6
+
+
+def _block_cap(m: int, n: int, max_iters: int) -> int:
+    """Most iterations of one stop block of an (m, n) stack: its iterates and
+    squares within ``_BLOCK_FLOATS`` floats and the cap, never under ``_STOP_BLOCK``."""
+    return max(_STOP_BLOCK, min(max_iters, _BLOCK_FLOATS // (2 * m * n)))
+
+
+def _stop_blocks(cap: int, max_iters: int):
+    """``(start, size)`` of each block of a solve: ``_STOP_BLOCK`` iterations, or
+    an eighth of those already run if more, at most ``cap``, up to ``max_iters``."""
+    start = 0
+    while start < max_iters:
+        size = min(cap, max(_STOP_BLOCK, start // 8), max_iters - start)
+        yield start, size
+        start += size
 
 
 class DivergenceError(RuntimeError):
@@ -83,7 +106,8 @@ class PnpConfig:
     convergence certificate needs ``tau <= 1 / ||A^T A||``. ``tol`` is the
     relative successive-iterate threshold, and ``max_iters`` caps the run
     (experiment parity uses 300; library callers may raise it). Booleans and
-    strings are rejected for all three.
+    strings are rejected for all three. ``tau`` and ``tol`` are stored as
+    Python floats; an integer beyond the float range is rejected.
     """
 
     tau: float | None = None
@@ -91,14 +115,23 @@ class PnpConfig:
     tol: float = 1e-9
 
     def __post_init__(self):
-        if self.tau is not None and (not is_number(self.tau) or not 0 < self.tau < np.inf):
-            raise ValueError(f"tau must be positive and finite, got {self.tau!r}")
-        if not is_number(self.tol) or not 0 < self.tol < np.inf:
-            raise ValueError(f"tol must be positive and finite, got {self.tol!r}")
+        if self.tau is not None:
+            self.tau = _positive_float(self.tau, "tau")
+        self.tol = _positive_float(self.tol, "tol")
         if isinstance(self.max_iters, bool) or not isinstance(self.max_iters, numbers.Integral):
             raise TypeError(f"max_iters must be an integer, got {self.max_iters!r}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
+
+
+def _positive_float(value, name: str) -> float:
+    """``value`` as a float, or a ValueError naming ``name`` unless it is a positive finite number."""
+    if not is_number(value) or not 0 < value < np.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} is too large for a float") from None
 
 
 @dataclass
@@ -233,19 +266,23 @@ def pnp_pgd_batch(
     ``np.errstate``, entered once per solve. Every operand the iteration
     passes to numpy is built before it: the denoiser's coefficients are 0-d
     arrays for one scale and contiguous (m, n) stacks for a scale per row
-    (see :class:`ScaledDenoiser`). The solve holds ``_SOLVE_STACKS`` stacks
-    of m rows at its peak, each as wide as the widest of n, the operator's
-    ``out_dim`` and a mixture denoiser's component count K.
+    (see :class:`ScaledDenoiser`). At its peak the solve holds at most
+    ``_SOLVE_STACKS`` stacks of m rows, each as wide as the widest of n, the
+    operator's ``out_dim`` and a mixture denoiser's component count K, or
+    ``_BLOCK_FLOATS`` floats of block iterates and squares plus the
+    ``_SOLVE_STACKS - 2 * _STOP_BLOCK`` other stacks, whichever is larger.
 
     Every iteration runs the whole stack. The iterations run in blocks of
-    ``_STOP_BLOCK``, whose iterates fill one buffer; one pass of row norms
-    over the block then finds each running row's first stopping iterate and
-    records the row there, and the loop ends once every row has stopped.
-    Iterates a row computes after it stopped are thrown away, and so are any
-    overflow or invalid-value warnings, which a row that stops on them
-    records as a divergence. So every row's iterates are bitwise those of the
-    whole stack run with a stop test after every iteration, matrix products
-    included, and a one-row stack's are those of :func:`pnp_pgd`.
+    ``_STOP_BLOCK``, growing to an eighth of the iterations run as far as
+    the block's iterates and squares fit ``_BLOCK_FLOATS`` (see
+    :func:`_stop_blocks`). A block's iterates fill one buffer; one pass of
+    row norms over the block then finds each running row's first stopping
+    iterate and records the row there, and the loop ends once every row has
+    stopped. Iterates a row computes after it stopped are thrown away, and
+    so are any overflow or invalid-value warnings, which a row that stops on
+    them records as a divergence. So every row's iterates are bitwise those
+    of the whole stack run with a stop test after every iteration, matrix
+    products included, and a one-row stack's are those of :func:`pnp_pgd`.
     """
     ys = np.asarray(ys, dtype=np.float64)
     if ys.ndim != 2 or ys.shape[0] < 1 or ys.shape[1] != op.out_dim:
@@ -269,19 +306,18 @@ def pnp_pgd_batch(
     diverged = np.zeros(m, dtype=bool)
     running = np.ones(m, dtype=bool)
     x = np.zeros((m, n))
+    cap = _block_cap(m, n, config.max_iters)
     # buf[0] holds the stack's iterate before a block, buf[j] the j-th after it.
-    buf = np.zeros((_STOP_BLOCK + 1, m, n))
+    buf = np.zeros((cap + 1, m, n))
     # The gradient step, and the stop test's squares, reused by every block.
     step = np.empty((m, n))
-    squares = np.empty((_STOP_BLOCK, m, n))
+    squares = np.empty((cap, m, n))
     # The buffer's slots as views, taken once, and the routes the loop calls.
     slots = list(buf)
     normal_residual = op._normal_residual
     denoise = denoiser._apply
-    start = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        while start < config.max_iters:
-            size = min(_STOP_BLOCK, config.max_iters - start)
+        for start, size in _stop_blocks(cap, config.max_iters):
             block = buf[: size + 1]
             for j in range(size):
                 xj = slots[j]
@@ -311,7 +347,6 @@ def pnp_pgd_batch(
                 if not running.any():
                     break
             buf[0] = block[size]
-            start += size
     # Rows still running ran to the cap; every other row converged or diverged.
     x[running] = buf[0, running]
     return BatchResult(

@@ -1,6 +1,8 @@
 import importlib.util
 import json
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -9,6 +11,7 @@ import pytest
 
 from pnplab import cli
 from pnplab import prior as prior_module
+from pnplab.experiments import resolve_config
 from pnplab.prior import GmmPrior
 
 
@@ -328,6 +331,31 @@ class TestRun:
         assert err.startswith("output error: ") and err.count("\n") == 1
         assert "lipschitz.csv" in err
 
+    def test_default_artifacts_identical_across_blas_threads(self, tmp_path):
+        """The four default runs, twice at one OpenBLAS thread and twice at two,
+        each set in a fresh process, write the same CSV and SVG bytes."""
+        root = Path(__file__).resolve().parents[1]
+        script = (
+            "import sys\nfrom pnplab import cli\n"
+            "sys.exit(max(cli.main(['run', name, '--out', sys.argv[1]]) for name in sys.argv[2:]))"
+        )
+        procs = {}
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
+            env["PYTHONPATH"] = os.pathsep.join(p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+            for run in ("a", "b"):
+                out = tmp_path / f"threads{threads}{run}"
+                argv = [sys.executable, "-c", script, str(out), "delta-sweep", "stability", "conv-reg", "lipschitz"]
+                procs[out] = subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+        artifacts = []
+        for out, proc in procs.items():
+            _, err = proc.communicate(timeout=300)
+            assert proc.returncode == 0, err.decode()
+            files = sorted(p for p in out.iterdir() if p.suffix in (".csv", ".svg"))
+            artifacts.append({p.name: p.read_bytes() for p in files})
+        assert len(artifacts[0]) == 15
+        assert all(a == artifacts[0] for a in artifacts[1:])
+
     def test_workers_do_not_change_csv_bytes(self, tmp_path):
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"delta_grid": [1.0, 10.0, 100.0]}))
@@ -422,6 +450,20 @@ class TestRun:
         assert cli.main(["run", "conv-reg", "--config", str(config), "--out", str(out)]) == 0
         assert b"diverged" in (out / "conv-reg.csv").read_bytes()
 
+    @pytest.mark.parametrize(
+        "experiment, grid",
+        [("stability", {"k_grid": [1, 2]}), ("conv-reg", {"delta_grid": [1.0, 10.0]})],
+    )
+    def test_integer_step_past_int64_runs(self, tmp_path, capsys, experiment, grid):
+        """A step of 2**64, read as a float, diverges at once on every grid point."""
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**grid, "solver": {"tau": 2**64}}))
+        argv = ["run", experiment, "--config", str(path), "--out", str(tmp_path / "out")]
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().err == ""
+        rows = (tmp_path / "out" / f"{experiment}.csv").read_text().splitlines()[1:]
+        assert rows and all(",diverged,1.0," in row for row in rows)
+
     def test_seed_priority_flag_over_config_over_env(self, tmp_path, monkeypatch):
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"sigma_grid": [0.1], "cloud_size": 32}))
@@ -472,6 +514,13 @@ _DIM_4096 = {"prior": {"weights": [1.0], "means": [[0.0] * 4096], "variances": [
 _OVERFLOWING = {
     "prior": {"weights": [1.0], "means": [[0.5] * 8], "variances": [1.0]},
     "operator": {"kind": "dense", "matrix": [[1e308] * 8] * 8},
+}
+
+
+# conv-reg's prior with variances of 1.7e308: finite measurements whose squared norms overflow.
+_HUGE_VARIANCES = {
+    "prior": {**resolve_config("conv-reg")["prior"], "variances": [1.7e308] * 3},
+    "denoiser": {"kind": "mismatched_mmse", "sigma_train": 0.2},
 }
 
 
@@ -642,6 +691,15 @@ class TestConfigErrorsAtTheBoundary:
                 {**_OVERFLOWING, "operator": {"kind": "dense", "matrix": [[1e200] * 8] * 8}},
                 "the operator's norm ||A^T A|| is not finite, got inf",
             ),
+            # finite measurements whose squared norms overflow
+            ("conv-reg", _HUGE_VARIANCES, "measurements are too large: their squared norms overflow"),
+            (
+                "stability",
+                {"prior": {"weights": [1.0], "means": [[0.0] * 64], "variances": [1.7e308]}},
+                "measurements are too large: their squared norms overflow",
+            ),
+            # The float cap names the count it caps.
+            ("lipschitz", {**_DIM_4096, "cloud_size": 10000}, "cloud_size x dim = 10000 x 4096 exceeds"),
         ],
     )
     def test_malformed_field_values(self, tmp_path, capsys, experiment, config, needle):
@@ -701,6 +759,11 @@ class TestConfigErrorsAtTheBoundary:
             ("stability", {"solver": {"tol": True}}, "tol must be positive and finite, got True"),
             ("stability", {"contract_eps": False}, "'contract_eps' must be a number, got False"),
             ("conv-reg", {"solver": {"record_history": False}}, "'record_history'"),
+            # A JSON integer too large for a float is named like any other bad value.
+            ("stability", {"solver": {"tau": 10**400}}, "bad solve config: tau is too large for a float"),
+            ("conv-reg", {"solver": {"tau": 10**400}}, "bad solve config: tau is too large for a float"),
+            ("stability", {"solver": {"tol": 10**400}}, "bad solve config: tol is too large for a float"),
+            ("conv-reg", {"solver": {"tol": 10**400}}, "bad solve config: tol is too large for a float"),
         ],
     )
     def test_malformed_solver_fields(self, tmp_path, capsys, experiment, config, needle):
@@ -878,7 +941,7 @@ class TestConfigErrorsAtTheBoundary:
             pnplab.experiments.run_experiment(experiment, {**fields, key: values})
         if isinstance(values, int):
             # A count is capped together with the dim it multiplies.
-            over, needle = values + 1, f"samples x dim = {values + 1} x "
+            over, needle = values + 1, f"{key} x dim = {values + 1} x "
         else:
             over = values + values[:1]
             needle = f"{key} holds {len(values) + 1} values, more than its cap of {len(values)}"

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pnplab.solver
 from pnplab.denoisers import (
+    _BLOCK_FLOATS,
     AffineDenoiser,
     Denoiser,
     MmseDenoiser,
@@ -25,6 +27,8 @@ from pnplab.solver import (
     DivergenceError,
     NoUniqueFixedPointError,
     PnpConfig,
+    _block_cap,
+    _stop_blocks,
     averagedness_theta,
     compose_averaged,
     linear_fixed_point_oracle,
@@ -199,6 +203,19 @@ class TestPnpPgd:
     def test_non_finite_step_or_tolerance_rejected(self, fields):
         with pytest.raises(ValueError, match="positive and finite"):
             PnpConfig(**fields)
+
+    def test_step_and_tolerance_stored_as_floats(self):
+        """A JSON integer reaches the solver as a float, even one past int64."""
+        cfg = PnpConfig(tau=2**64, tol=1)
+        assert type(cfg.tau) is float and cfg.tau == 2.0**64
+        assert type(cfg.tol) is float and cfg.tol == 1.0
+        res = pnp_pgd_batch(Identity(2), np.ones((1, 2)), tweedie_scale(ShrinkageDenoiser(0.5, 2), 1.0), cfg)
+        assert res.diverged[0] and res.step_size_warning
+
+    @pytest.mark.parametrize("field", ["tau", "tol"])
+    def test_integers_past_the_float_range_rejected(self, field):
+        with pytest.raises(ValueError, match=f"^{field} is too large for a float$"):
+            PnpConfig(**{field: 10**400})
 
     def test_boolean_max_iters_rejected(self):
         with pytest.raises(TypeError, match="max_iters"):
@@ -550,7 +567,8 @@ def _whole_stack_oracle(op, ys, denoiser, tau, config):
 
 
 class TestStopBlocks:
-    """The stop test runs once per block of ``_STOP_BLOCK`` iterations."""
+    """The stop test runs once per block of ``_STOP_BLOCK`` iterations, or of an
+    eighth of the iterations run, as far as the block fits its float budget."""
 
     @pytest.mark.parametrize("kind", ["mask", "conv1d", "dense"])
     def test_a_row_left_alone_runs_alone(self, kind):
@@ -659,6 +677,98 @@ class TestStopBlocks:
         assert list(batch.iterations) == [1, 6]
         assert list(batch.diverged) == [True, False]
         assert np.array_equal(batch.x_star[0], np.zeros(3))
+
+    @pytest.mark.parametrize(
+        "m, n, max_iters, cap",
+        [
+            (32, 64, 300, 8),  # conv-reg's stack: the fixed blocks of 8
+            (10, 64, 20000, 25),  # stability's stack
+            (1, 12, 400, 400),  # a one-row stack: its blocks fit whatever the cap
+            (1, 3, 5, _STOP_BLOCK),  # never under _STOP_BLOCK
+            (29, 64, 10**6, _STOP_BLOCK),  # past m n = 1820 no larger block fits
+            (4, 3, 10**6, 1365),
+            (10**4, 10**4, 10**6, _STOP_BLOCK),
+        ],
+    )
+    def test_schedule_fits_the_budget_and_bounds_the_overshoot(self, m, n, max_iters, cap):
+        assert _block_cap(m, n, max_iters) == cap
+        # A grown block's iterates after the first, and their squares, fit the budget.
+        assert cap == _STOP_BLOCK or 2 * cap * m * n <= _BLOCK_FLOATS
+        starts, sizes = zip(*_stop_blocks(cap, min(max_iters, 50_000)))
+        assert starts[0] == 0 and sum(sizes) == min(max_iters, 50_000)
+        assert np.array_equal(np.cumsum(sizes)[:-1], starts[1:])
+        for start, size in zip(starts, sizes):
+            # A row stopping at the block's first iteration waits size - 1 more.
+            assert 1 <= size <= cap and size - 1 <= max(_STOP_BLOCK - 1, start // 8)
+
+    @pytest.mark.parametrize(
+        "m, max_iters, last_stop, stop_tests, iterations",
+        [(10, 20000, 2095, 94, 2104), (32, 300, 300, 38, 300)],
+        ids=["stability", "conv-reg"],
+    )
+    def test_default_solves_stop_tests(self, m, max_iters, last_stop, stop_tests, iterations):
+        """The default stability solve's last row stops at iteration 2095: 94
+        stop tests over 2104 batched iterations, where fixed blocks of 8 made
+        262 over 2096. conv-reg's 300-iteration solve keeps its 38."""
+        blocks = []
+        for start, size in _stop_blocks(_block_cap(m, 64, max_iters), max_iters):
+            blocks.append(size)
+            if start + size >= last_stop:
+                break
+        assert (len(blocks), sum(blocks)) == (stop_tests, iterations)
+
+    @pytest.mark.parametrize("max_iters", [175, 400])
+    def test_rows_stop_in_grown_and_capped_blocks(self, monkeypatch, max_iters):
+        """A budget of 20 iterations for this 14-row stack: blocks of 8 up to
+        iteration 72, then 9, 10, ... 18, then 20 from iteration 162 on."""
+        monkeypatch.setattr(pnplab.solver, "_BLOCK_FLOATS", 2 * 20 * 14 * 3)
+        assert _block_cap(14, 3, max_iters) == 20
+        assert [size for start, size in _stop_blocks(20, 202) if start >= 64] == [
+            8, 9, 10, 11, 12, 14, 16, 18, 20, 20,
+        ]
+        # Stops at both ends of the last block of 8, of grown blocks and of capped ones.
+        converging = [(s - 1, 0) for s in (72, 73, 81, 90, 91, 128, 162, 163, 182, 183, 201)]
+        diverging = [(500, d) for d in (80, 144, 174)]
+        batch = _assert_clock_rows_stop_as_before(converging + diverging, max_iters)
+        expected = np.minimum([72, 73, 81, 90, 91, 128, 162, 163, 182, 183, 201, 80, 144, 174], max_iters)
+        np.testing.assert_array_equal(batch.iterations, expected)
+
+    def test_rows_stop_in_blocks_grown_under_the_real_budget(self):
+        """Four rows of 3 fit blocks of up to 1365 iterations, so the blocks grow to
+        an eighth of the iterations run, and the cap cuts the last one."""
+        batch = _assert_clock_rows_stop_as_before([(71, 0), (150, 0), (500, 300), (379, 0)], 397)
+        assert list(batch.iterations) == [72, 151, 300, 380]
+
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(
+        max_iters=st.integers(60, 300),
+        stops=st.lists(
+            st.tuples(st.integers(0, 300), st.integers(0, 300)), min_size=1, max_size=4
+        ),
+    )
+    def test_random_late_stops_in_small_blocks(self, max_iters, stops):
+        """Blocks capped at 12 iterations from iteration 96 on."""
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(pnplab.solver, "_BLOCK_FLOATS", 2 * 12 * len(stops) * 3)
+            _assert_clock_rows_stop_as_before(stops, max_iters)
+
+    @pytest.mark.parametrize("stop", [65, 72, 73, 81, 82, 91, 128, 163, 334, 400])
+    def test_one_row_reproduces_pnp_pgd_bitwise_past_iteration_64(self, stop):
+        """The fixture converges at iteration 334, in a grown block."""
+        rng = np.random.default_rng(9)
+        n = 12
+        prior = GmmPrior([0.4, 0.6], rng.standard_normal((2, n)), [0.3, 0.5])
+        op = Mask.random(n, 0.25, seed=2)
+        y = op.apply(rng.standard_normal(n))
+        scaled = tweedie_scale(MmseDenoiser(prior, 0.2), 5.0, gamma_rescale=True)
+        for tau in (1.0, 0.7):
+            cfg = PnpConfig(tau=tau, max_iters=stop, tol=1e-9)
+            serial = pnp_pgd(op, y, scaled, cfg)
+            batch = pnp_pgd_batch(op, y[None, :], scaled, cfg)
+            assert serial.iterations == batch.iterations[0] == min(stop, 334)
+            assert serial.converged == batch.converged[0] == (stop >= 334)
+            assert np.array_equal(batch.x_star[0], serial.x_star)
+        _assert_clock_rows_stop_as_before([(stop - 1, 0)], 400)
 
 
 def _closed_form_fixed_point(observed, ys, mu, s, u, gamma):
@@ -789,12 +899,14 @@ class TestSolveMemory:
             (64, 64, "homogeneous", True, True, False, None),
             (128, 16, "tweedie", True, True, True, None),  # more components than dims
             (3, 64, "tweedie", True, True, False, 512),  # a tall dense operator
+            (3, 4, "tweedie", True, True, False, None),  # a block buffer of 16 iterations
         ],
     )
     def test_one_solve_stays_within_its_counted_stacks(self, k, n, mode, gamma, per_row, shrink, out_dim):
         """The scaled denoiser's construction and one solve of m rows peak within
-        ``_SOLVE_STACKS`` (m, max(n, K, out_dim)) float arrays, plus a fixed
-        slack for small arrays and numpy's iteration buffers."""
+        ``_SOLVE_STACKS`` (m, max(n, K, out_dim)) float arrays, or a grown
+        block's ``_BLOCK_FLOATS`` and the other stacks, whichever is larger,
+        plus a fixed slack for small arrays and numpy's iteration buffers."""
         rng = np.random.default_rng(k)
         m, slack = 256, 256 * 1024
         prior = GmmPrior(np.full(k, 1.0 / k), rng.standard_normal((k, n)), np.full(k, 0.5))
@@ -816,7 +928,9 @@ class TestSolveMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= _SOLVE_STACKS * m * max(n, k, op.out_dim) * 8 + slack
+        stack = m * max(n, k, op.out_dim)
+        fixed = (_SOLVE_STACKS - 2 * _STOP_BLOCK) * stack
+        assert peak <= max(_SOLVE_STACKS * stack, _BLOCK_FLOATS + fixed) * 8 + slack
 
 
 class TestUncheckedRoutes:
