@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import denoisers as _zoo
-from .config import POSITIVE, ConfigError, real_array
+from .config import POSITIVE, real_array
 from .denoisers import Denoiser, MmseDenoiser
 from .prior import GmmPrior
 
@@ -180,14 +180,14 @@ def _loss_scales(deltas: np.ndarray, name: str) -> np.ndarray:
     The loss at scale delta weighs a pass's moments by powers of
     ``s = 1/delta^2 - 1`` up to ``s^2``, and its variance up to ``s^4``; a
     scale whose ``delta^2`` or ``s^4`` is not a finite double (outside about
-    ``2.9e-39 < delta < 1.3e154``) is named in a :class:`ConfigError`.
+    ``2.9e-39 < delta < 1.3e154``) is named in a ``ValueError``.
     """
     with np.errstate(over="ignore", divide="ignore"):
         square = deltas * deltas
         usable = (square < np.inf) & (np.square(np.square(1.0 / square - 1.0)) < np.inf)
     if not np.all(usable):
         bad = float(deltas[np.argmin(usable)])
-        raise ConfigError(f"{name} holds {bad!r}, where delta^2 or (1/delta^2 - 1)^4 overflows")
+        raise ValueError(f"{name} holds {bad!r}, where delta^2 or (1/delta^2 - 1)^4 overflows")
     return deltas
 
 

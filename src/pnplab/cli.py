@@ -22,12 +22,12 @@ import numpy as np
 
 from . import __version__
 from .analysis import DegenerateDenoiserError, _check_samples, verify_sandwich
-from .config import ConfigError, count
+from .config import POSITIVE, ConfigError, count
 from .denoisers import AffineDenoiser, denoiser_from_config, tweedie_scale
-from .experiments import _check_fields, _noise_level, _reading, _records, run_experiment
+from .experiments import _check_fields, _reading, _records, run_experiment
 from .experiments import write_plots, write_records_csv
 from .linop import Convolve1d, DenseOperator, Identity, Mask
-from .prior import GmmPrior
+from .prior import GmmPrior, _check_sigma
 from .solver import PnpConfig, averagedness_theta, compose_averaged
 from .solver import linear_fixed_point_oracle, pnp_pgd
 
@@ -125,7 +125,7 @@ def _cmd_delta_opt(args) -> int:
     started = _now()
     with _reading("delta-opt config"):
         prior = GmmPrior.from_config(config["prior"])
-        sigma = _noise_level(config["sigma"])
+        sigma = _check_sigma(config["sigma"], POSITIVE)
         samples = count(config.get("samples", 100000), "samples")
         _check_samples(samples, prior.dim)
         denoiser = denoiser_from_config(config["denoiser"], prior=prior, sigma=sigma)

@@ -1,23 +1,21 @@
-"""Typed readers for the fields of a JSON config.
+"""Typed readers for every scalar and array argument in the library.
 
-Every field a config supplies is read by one of these: a real number, a
-count, a flag, an array of reals and an array of flags. Each reader checks
-the value's type and any rule its caller names, and returns it converted.
-A JSON boolean is not a number and a string is neither a number nor a flag,
-so both are rejected where a number or a flag is meant. Each message names
-the field and the bad value, as a :class:`ConfigError`.
+Every field a config supplies, and every scalar a constructor, operator or
+sampler takes, is read by one of these: a real number, a count, a flag, an
+array of reals and an array of flags. Each reader checks the value's type
+and any rule its caller names, and returns it converted. A boolean is not a
+number and a string is neither a number nor a flag, so both are rejected
+where a number or a flag is meant. Each message names the argument and the
+bad value, as a ``ValueError``; the experiments report one met while reading
+a config as a :class:`ConfigError`, the class the command line turns into a
+``config error:`` line.
 
 An array reader takes a size cap, which a caller derives from the memory the
 field sizes, so that an oversized grid is rejected before anything is
 allocated for it.
 
-A scalar that a library constructor checks itself (a denoiser's ``alpha`` and
-``sigma_train``, the solver's ``tau``, ``tol`` and ``max_iters``) is passed to
-that constructor unread; it rejects booleans and strings with :func:`is_number`
-and names the parameter in its own words.
-
-The module imports nothing from pnplab, so the prior, operator and denoiser
-modules read their own config blocks with it.
+The module imports nothing from pnplab, so every other module reads its
+arguments and config blocks with it.
 """
 
 from __future__ import annotations
@@ -35,6 +33,8 @@ class ConfigError(ValueError):
 POSITIVE = ("be positive and finite", lambda x: (x > 0.0) & (x < np.inf))
 NONNEGATIVE = ("be nonnegative and finite", lambda x: (x >= 0.0) & (x < np.inf))
 UNIT = ("lie in [0, 1)", lambda x: (x >= 0.0) & (x < 1.0))
+FACTOR = ("lie in (0, 1]", lambda x: (x > 0.0) & (x <= 1.0))
+FRACTION = ("lie in [0, 1]", lambda x: (x >= 0.0) & (x <= 1.0))
 
 
 def is_number(value) -> bool:
@@ -53,26 +53,32 @@ def require(config: dict, *keys: str, where: str):
 def real(value, name: str, rule=None) -> float:
     """The number ``name`` as a float, checked against ``rule`` if one is given."""
     if not is_number(value):
-        raise ConfigError(f"{name!r} must be a number, got {value!r}")
+        raise ValueError(f"{name!r} must be a number, got {value!r}")
     if rule is not None and not rule[1](value):
-        raise ConfigError(f"{name!r} must {rule[0]}, got {value!r}")
+        raise ValueError(f"{name!r} must {rule[0]}, got {value!r}")
     try:
         return float(value)
     except OverflowError:
-        raise ConfigError(f"{name!r} is too large for a float") from None
+        raise ValueError(f"{name!r} is too large for a float") from None
 
 
-def count(value, name: str) -> int:
-    """The count or seed ``name``: a nonnegative integer, not a boolean or a float."""
+def count(value, name: str, rule=None) -> int:
+    """The count or seed ``name``: a nonnegative integer, not a boolean or a float.
+
+    It is checked against ``rule`` if one is given; a count that must be at
+    least 1 names :data:`POSITIVE`.
+    """
     if not (is_number(value) and isinstance(value, numbers.Integral) and value >= 0):
-        raise ConfigError(f"{name!r} must be a nonnegative integer, got {value!r}")
+        raise ValueError(f"{name!r} must be a nonnegative integer, got {value!r}")
+    if rule is not None and not rule[1](value):
+        raise ValueError(f"{name!r} must {rule[0]}, got {value!r}")
     return int(value)
 
 
 def flag(value, name: str) -> bool:
     """The switch ``name``: a JSON boolean, not a string or a number."""
     if not isinstance(value, bool):
-        raise ConfigError(f"{name!r} must be true or false, got {value!r}")
+        raise ValueError(f"{name!r} must be true or false, got {value!r}")
     return value
 
 
@@ -83,14 +89,14 @@ def _items(value, name: str, ndim: int, cap, what: str, wanted) -> np.ndarray:
     """
     items = np.asarray(value, dtype=object)
     if items.ndim != ndim or items.size == 0:
-        raise ConfigError(f"{name} must be a nonempty {ndim}-D array of {what}, got shape {items.shape}")
+        raise ValueError(f"{name} must be a nonempty {ndim}-D array of {what}, got shape {items.shape}")
     if cap is not None and items.size > cap:
-        raise ConfigError(f"{name} holds {items.size} values, more than its cap of {cap}")
+        raise ValueError(f"{name} holds {items.size} values, more than its cap of {cap}")
     examples = dict(zip(map(type, items.flat), items.flat))
     bad = {kind for kind, item in examples.items() if not wanted(item)}
     if bad:
         first = next(item for item in items.flat if type(item) in bad)
-        raise ConfigError(f"{name} must hold only {what}, got {first!r}")
+        raise ValueError(f"{name} must hold only {what}, got {first!r}")
     return items
 
 
@@ -100,10 +106,10 @@ def real_array(value, name: str, ndim: int = 1, rule=None, cap: int | None = Non
     try:
         values = items.astype(np.float64)
     except OverflowError:
-        raise ConfigError(f"{name} holds a number too large for a float") from None
+        raise ValueError(f"{name} holds a number too large for a float") from None
     if rule is not None and not np.all(rule[1](values)):
         first = float(values.flat[np.argmin(rule[1](values))])
-        raise ConfigError(f"every value of {name} must {rule[0]}, got {first!r}")
+        raise ValueError(f"every value of {name} must {rule[0]}, got {first!r}")
     return values
 
 

@@ -12,11 +12,9 @@ All denoisers are immutable callables on 1-D vectors or (m, n) batches.
 
 from __future__ import annotations
 
-import numbers
-
 import numpy as np
 
-from .config import count, is_number, real_array, require
+from .config import FACTOR, POSITIVE, count, real, real_array, require
 from .prior import GmmPrior, _check_sigma
 
 __all__ = [
@@ -81,11 +79,8 @@ class MmseDenoiser(Denoiser):
     """
 
     def __init__(self, prior: GmmPrior, sigma: float):
-        if not is_number(sigma) or not 0.0 < sigma < np.inf:
-            raise ValueError(f"sigma must be positive and finite, got {sigma!r}")
         self.prior = prior
-        self.sigma = float(sigma)
-        _check_sigma(self.sigma, positive=True)
+        self.sigma = _check_sigma(sigma, POSITIVE)
         self.dim = prior.dim
         t, log_norm, rho, shrunk = prior._posterior_constants(self.sigma)
         if rho.size == 1:
@@ -101,12 +96,8 @@ class ShrinkageDenoiser(Denoiser):
     """Multiply by a constant ``alpha`` in (0, 1]; ``alpha = 1`` is the identity."""
 
     def __init__(self, alpha: float, dim: int):
-        if not is_number(alpha) or not 0.0 < alpha <= 1.0:
-            raise ValueError(f"alpha must lie in (0, 1], got {alpha!r}")
-        if not (is_number(dim) and isinstance(dim, numbers.Integral) and dim >= 1):
-            raise ValueError(f"dim must be an integer >= 1, got {dim!r}")
-        self.alpha = float(alpha)
-        self.dim = int(dim)
+        self.dim = count(dim, "dim", POSITIVE)
+        self.alpha = real(alpha, "alpha", FACTOR)
 
     def _apply(self, y):
         return self.alpha * y
@@ -142,10 +133,8 @@ class OutputShrink(Denoiser):
     """
 
     def __init__(self, base: Denoiser, alpha: float):
-        if not is_number(alpha) or not 0.0 < alpha <= 1.0:
-            raise ValueError(f"alpha must lie in (0, 1], got {alpha!r}")
         self.base = base
-        self.alpha = float(alpha)
+        self.alpha = real(alpha, "alpha", FACTOR)
         self.dim = base.dim
         # A 0-d operand, which the multiply takes without converting a Python float.
         self._alpha = np.array(self.alpha)
@@ -203,7 +192,10 @@ class ScaledDenoiser(Denoiser):
     (m, 1) column. The values, and so the outputs, are those of the scales
     themselves.
 
-    Every scale's square and inverse square must be finite nonzero doubles
+    A ``delta`` given as a list, tuple or array is read with
+    :func:`~pnplab.config.real_array`, any other with
+    :func:`~pnplab.config.real`, both positive and finite. Every
+    scale's square and inverse square must also be finite nonzero doubles
     (about ``1e-154 < delta < 1e154``), so that ``1/delta^2`` and the gamma
     rescale are; any other scale is rejected by value.
     """
@@ -217,9 +209,8 @@ class ScaledDenoiser(Denoiser):
         mode: str = "tweedie",
         gamma_rescale: bool = False,
     ):
-        scales = np.asarray(delta, dtype=np.float64)
-        if scales.ndim > 1 or scales.size < 1 or not np.all((scales > 0) & (scales < np.inf)):
-            raise ValueError("delta must be positive and finite (a scalar or a nonempty 1-D vector)")
+        read = real_array if isinstance(delta, (list, tuple, np.ndarray)) else real
+        scales = np.asarray(read(delta, "delta", rule=POSITIVE))
         with np.errstate(over="ignore", divide="ignore"):
             inverse = 1.0 / (scales * scales)
         # A finite nonzero inverse square comes only from a finite nonzero square.
@@ -383,8 +374,8 @@ def denoiser_from_config(config: dict, prior: GmmPrior | None = None, sigma: flo
     ``mismatched_mmse`` reads its own ``sigma_train``. ``shrinkage`` needs
     ``alpha`` (and ``dim`` unless a prior provides it); ``affine`` needs
     ``matrix`` and ``offset``. Given a prior, a denoiser of another dim is
-    rejected. ``sigma_train`` and ``alpha`` are checked, booleans and
-    strings included, by the denoiser they build.
+    rejected. ``sigma_train``, ``alpha`` and ``dim`` are read by the
+    denoiser they build.
     """
     kind = config.get("kind")
     if kind == "exact_mmse":
@@ -399,7 +390,7 @@ def denoiser_from_config(config: dict, prior: GmmPrior | None = None, sigma: flo
         alpha = require(config, "alpha", where="denoiser")
         explicit = prior is None or "dim" in config
         dim = require(config, "dim", where="denoiser") if explicit else prior.dim
-        denoiser = ShrinkageDenoiser(alpha, count(dim, "dim"))
+        denoiser = ShrinkageDenoiser(alpha, dim)
     elif kind == "affine":
         matrix, offset = require(config, "matrix", "offset", where="denoiser")
         denoiser = AffineDenoiser(real_array(matrix, "matrix", ndim=2), real_array(offset, "offset"))

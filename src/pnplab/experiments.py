@@ -31,7 +31,7 @@ import numpy as np
 
 from . import svgplot
 from .analysis import _MAX_SAMPLE_FLOATS, _check_samples, _loss_scales, _moments_on_prior, _row_dot
-from .config import NONNEGATIVE, POSITIVE, UNIT, ConfigError, count, flag, real, real_array
+from .config import POSITIVE, UNIT, ConfigError, count, flag, real, real_array
 from .denoisers import MmseDenoiser, OutputShrink, ScaledDenoiser, denoiser_from_config
 from .denoisers import _check_spread, _row_width, estimate_lipschitz
 from .linop import operator_from_config
@@ -150,13 +150,6 @@ def _reading(what: str):
         raise ConfigError(f"bad {what}: {detail}") from exc
 
 
-def _noise_level(value, rule=POSITIVE) -> float:
-    """A config's ``sigma``, checked against ``rule`` and for a finite square, whatever its denoiser."""
-    sigma = real(value, "sigma", rule)
-    _check_sigma(sigma)
-    return sigma
-
-
 # Most grid points a run records: each is a record, a CSV row and an SVG point.
 _MAX_GRID_POINTS = 1 << 16
 
@@ -243,7 +236,7 @@ def run_delta_sweep_experiment(config: dict | None = None):
     resolved = resolve_config("delta-sweep", config)
     with _reading("delta-sweep config"):
         prior = GmmPrior.from_config(resolved["prior"])
-        sigma = _noise_level(resolved["sigma"])
+        sigma = _check_sigma(resolved["sigma"], POSITIVE)
         samples = count(resolved["samples"], "samples")
         _check_samples(samples, prior.dim)
         # Each ratio's denoiser keeps a (K, n) constant, and the pass three moments per sample.
@@ -289,7 +282,7 @@ def run_stability(config: dict | None = None):
     resolved = resolve_config("stability", config)
     with _reading("stability config"):
         prior = GmmPrior.from_config(resolved["prior"])
-        sigma = _noise_level(resolved["sigma"])
+        sigma = _check_sigma(resolved["sigma"], POSITIVE)
         delta = real(resolved["delta"], "delta")
         seed = count(resolved["seed"], "seed")
     op, base, cfg = _build_solve(resolved, prior, sigma)
@@ -320,7 +313,7 @@ def run_conv_reg(config: dict | None = None):
     resolved = resolve_config("conv-reg", config)
     with _reading("conv-reg config"):
         prior = GmmPrior.from_config(resolved["prior"])
-        sigma = _noise_level(resolved["sigma"], NONNEGATIVE)
+        sigma = _check_sigma(resolved["sigma"])
         seed = count(resolved["seed"], "seed")
         resample = flag(resolved["resample_noise_per_delta"], "resample_noise_per_delta")
     op, base, cfg = _build_solve(resolved, prior, max(sigma, 1e-12))

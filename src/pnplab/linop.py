@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .config import count, flag_array, real, real_array, require
+from .config import FRACTION, POSITIVE, count, flag_array, real, real_array, require
 
 __all__ = [
     "as_signal",
@@ -84,8 +84,7 @@ class LinearOperator:
 
     def gradient_step(self, y: np.ndarray, tau: float, x: np.ndarray) -> np.ndarray:
         """One explicit step on the quadratic data term: ``x - tau * A^T (A x - y)``."""
-        if tau <= 0:
-            raise ValueError("tau must be positive")
+        tau = real(tau, "tau", POSITIVE)
         x = as_signal(x, self.in_dim)
         y = as_signal(y, self.out_dim)
         return x - tau * self._normal_residual(x, y)
@@ -108,9 +107,7 @@ class Identity(LinearOperator):
     """The identity map on vectors of a fixed length."""
 
     def __init__(self, dim: int):
-        if dim < 1:
-            raise ValueError("dim must be >= 1")
-        self.in_dim = self.out_dim = int(dim)
+        self.in_dim = self.out_dim = count(dim, "dim", POSITIVE)
 
     def _apply(self, x):
         return x.copy()
@@ -156,8 +153,8 @@ class Mask(LinearOperator):
     @classmethod
     def random(cls, dim: int, mask_fraction: float, seed: int = 0) -> "Mask":
         """Mask with ``round(mask_fraction * dim)`` seeded random entries hidden."""
-        if not 0.0 <= mask_fraction <= 1.0:
-            raise ValueError("mask_fraction must lie in [0, 1]")
+        dim = count(dim, "dim", POSITIVE)
+        mask_fraction = real(mask_fraction, "mask_fraction", FRACTION)
         n_masked = int(round(mask_fraction * dim))
         rng = np.random.default_rng(seed)
         hidden = rng.choice(dim, size=n_masked, replace=False)
@@ -175,10 +172,11 @@ class Convolve1d(LinearOperator):
 
     def __init__(self, kernel, dim: int):
         kernel = as_signal(kernel)
+        dim = count(dim, "dim", POSITIVE)
         if dim < kernel.size:
             raise ValueError("dim must be >= kernel length")
         self.kernel = _frozen(kernel)
-        self.in_dim = self.out_dim = int(dim)
+        self.in_dim = self.out_dim = dim
         padded = np.zeros(dim)
         padded[: kernel.size] = kernel
         self._kernel_f = np.fft.rfft(padded)
@@ -230,16 +228,17 @@ def operator_from_config(config: dict) -> LinearOperator:
     """
     kind = config.get("kind")
     if kind == "identity":
-        return Identity(count(require(config, "dim", where="operator"), "dim"))
+        return Identity(require(config, "dim", where="operator"))
     if kind == "mask":
         if "mask" in config:
             return Mask(flag_array(config["mask"], "mask"))
         dim, fraction = require(config, "dim", "mask_fraction", where="operator")
         seed = count(config.get("seed", 0), "seed")
-        return Mask.random(count(dim, "dim"), real(fraction, "mask_fraction"), seed=seed)
+        # Read as a float first, so that an integer past the float range is named as one.
+        return Mask.random(dim, real(fraction, "mask_fraction"), seed=seed)
     if kind == "conv1d":
         kernel, dim = require(config, "kernel", "dim", where="operator")
-        return Convolve1d(real_array(kernel, "kernel"), count(dim, "dim"))
+        return Convolve1d(real_array(kernel, "kernel"), dim)
     if kind == "dense":
         matrix = require(config, "matrix", where="operator")
         return DenseOperator(real_array(matrix, "matrix", ndim=2))

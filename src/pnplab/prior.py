@@ -46,7 +46,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import real_array, require
+from .config import NONNEGATIVE, POSITIVE, real, real_array, require
+from .config import count as _count
 
 __all__ = ["GmmPrior"]
 
@@ -58,12 +59,12 @@ _SPLIT_NORMALS = 1 << 18
 _SYNC = 8
 
 
-def _check_sigma(sigma, positive: bool = False) -> None:
-    """Reject a noise level that is negative (or zero, if ``positive``), NaN, or whose square overflows."""
-    if not (sigma > 0 if positive else sigma >= 0):
-        raise ValueError(f"sigma must be {'positive' if positive else 'nonnegative'}")
-    if float(sigma) * float(sigma) == np.inf:
-        raise ValueError(f"sigma must have a finite square, got {float(sigma)!r}")
+def _check_sigma(sigma, rule=NONNEGATIVE) -> float:
+    """The noise level ``sigma`` read as a float under ``rule``, rejected if its square overflows."""
+    sigma = real(sigma, "sigma", rule)
+    if sigma * sigma == np.inf:
+        raise ValueError(f"sigma must have a finite square, got {sigma!r}")
+    return sigma
 
 
 def _standard_normals(rng, count: int, dim: int) -> np.ndarray:
@@ -191,6 +192,8 @@ class GmmPrior:
             raise ValueError("prior parameters must be finite")
         with np.errstate(over="ignore", invalid="ignore"):
             centre = mu.mean(axis=0)
+            # Near the float maximum the sum overflows; the mean offset from mu[0] does not.
+            centre = np.where(np.isfinite(centre), centre, mu[0] + (mu - mu[0]).mean(axis=0))
             centred = mu - centre
             half_sq = 0.5 * np.sum(centred * centred, axis=1)[:, None]
         if not np.all(np.isfinite(half_sq)):
@@ -309,7 +312,7 @@ class GmmPrior:
         ``sigma = 0`` gives the prior itself. Evaluated with log-sum-exp so
         points far from every component stay finite.
         """
-        _check_sigma(sigma)
+        sigma = _check_sigma(sigma)
         points, single = _as_points(y, self.dim)
         logs = self._component_logpdf(points, *self._smoothed(sigma))
         top = logs.max(axis=0)
@@ -322,14 +325,14 @@ class GmmPrior:
         Computed as a log-space softmax; when every component underflows the
         max-shift leaves a hard assignment to the nearest component.
         """
-        _check_sigma(sigma)
+        sigma = _check_sigma(sigma)
         points, single = _as_points(y, self.dim)
         r = self._responsibilities(points, *self._smoothed(sigma)).T
         return r[0] if single else r
 
     def score(self, y, sigma: float = 0.0):
         """Gradient of the smoothed log-density with respect to ``y``."""
-        _check_sigma(sigma)
+        sigma = _check_sigma(sigma)
         points, single = _as_points(y, self.dim)
         out = self._score(points, *self._smoothed(sigma))
         return out[0] if single else out
@@ -342,7 +345,7 @@ class GmmPrior:
         Kept as the oracle of :meth:`posterior_mean`, with which it agrees to
         round-off while ``sigma^2`` is not far above the variances.
         """
-        _check_sigma(sigma, positive=True)
+        sigma = _check_sigma(sigma, POSITIVE)
         points, single = _as_points(y, self.dim)
         out = self.score(points, sigma)
         out *= sigma * sigma
@@ -359,7 +362,7 @@ class GmmPrior:
         :class:`~pnplab.denoisers.MmseDenoiser` runs; :meth:`mmse_denoise`
         agrees with it to round-off and is kept as its oracle.
         """
-        _check_sigma(sigma, positive=True)
+        sigma = _check_sigma(sigma, POSITIVE)
         points, single = _as_points(y, self.dim)
         out = self._posterior_mean(points, *self._posterior_constants(sigma))
         return out[0] if single else out
@@ -396,12 +399,9 @@ class GmmPrior:
         the interpreter, since the worker never waits on the caller. A
         one-block draw runs inline and starts no thread past the clean draw.
         """
-        if not sigma > 0:
-            raise ValueError("sigma must be positive")
-        if count < 1:
-            raise ValueError("count must be >= 1")
-        if rows < 1:
-            raise ValueError("rows must be >= 1")
+        sigma = real(sigma, "sigma", POSITIVE)
+        count = _count(count, "count", POSITIVE)
+        rows = _count(rows, "rows", POSITIVE)
         rng = np.random.default_rng(seed)
         comps = rng.choice(self.n_components, size=count, p=self.weights)
         clean = _standard_normals(rng, count, self.dim)

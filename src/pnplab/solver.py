@@ -20,12 +20,11 @@ it, and returns bitwise the iterates of a loop that tests every iteration.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .config import is_number
+from .config import POSITIVE, count, real
 from .denoisers import _BLOCK_FLOATS, AffineDenoiser, ScaledDenoiser, gamma_factor
 from .linop import LinearOperator, as_signal
 
@@ -105,9 +104,10 @@ class PnpConfig:
     ``1 / ||A^T A||``, estimated from the operator at solve time. The
     convergence certificate needs ``tau <= 1 / ||A^T A||``. ``tol`` is the
     relative successive-iterate threshold, and ``max_iters`` caps the run
-    (experiment parity uses 300; library callers may raise it). Booleans and
-    strings are rejected for all three. ``tau`` and ``tol`` are stored as
-    Python floats; an integer beyond the float range is rejected.
+    (experiment parity uses 300; library callers may raise it). All three
+    are read by :mod:`pnplab.config`'s readers, so booleans and strings are
+    rejected; ``tau`` and ``tol`` are stored as Python floats, and an integer
+    beyond the float range is rejected.
     """
 
     tau: float | None = None
@@ -116,22 +116,9 @@ class PnpConfig:
 
     def __post_init__(self):
         if self.tau is not None:
-            self.tau = _positive_float(self.tau, "tau")
-        self.tol = _positive_float(self.tol, "tol")
-        if isinstance(self.max_iters, bool) or not isinstance(self.max_iters, numbers.Integral):
-            raise TypeError(f"max_iters must be an integer, got {self.max_iters!r}")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-
-
-def _positive_float(value, name: str) -> float:
-    """``value`` as a float, or a ValueError naming ``name`` unless it is a positive finite number."""
-    if not is_number(value) or not 0 < value < np.inf:
-        raise ValueError(f"{name} must be positive and finite, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        raise ValueError(f"{name} is too large for a float") from None
+            self.tau = real(self.tau, "tau", POSITIVE)
+        self.tol = real(self.tol, "tol", POSITIVE)
+        self.max_iters = count(self.max_iters, "max_iters", POSITIVE)
 
 
 @dataclass

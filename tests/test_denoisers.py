@@ -56,7 +56,7 @@ class TestZoo:
         with pytest.raises(ValueError):
             ShrinkageDenoiser(1.1, 2)
         for alpha in (0.0, 1.5, float("nan")):
-            with pytest.raises(ValueError, match=re.escape(f"alpha must lie in (0, 1], got {alpha!r}")):
+            with pytest.raises(ValueError, match=re.escape(f"'alpha' must lie in (0, 1], got {alpha!r}")):
                 OutputShrink(ShrinkageDenoiser(0.5, 2), alpha)
 
     def test_output_shrink_composes(self):
@@ -65,18 +65,23 @@ class TestZoo:
         np.testing.assert_allclose(d(np.array([1.0, 3.0])), [1.0, 2.0])
 
     def test_strings_are_not_numbers(self):
-        with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\], got '0.5'"):
+        with pytest.raises(ValueError, match="'alpha' must be a number, got '0.5'"):
             ShrinkageDenoiser("0.5", 2)
-        with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\], got '0.5'"):
+        with pytest.raises(ValueError, match="'alpha' must be a number, got '0.5'"):
             OutputShrink(ShrinkageDenoiser(0.5, 2), "0.5")
-        with pytest.raises(ValueError, match="dim must be an integer >= 1, got '2'"):
+        with pytest.raises(ValueError, match="'dim' must be a nonnegative integer, got '2'"):
             ShrinkageDenoiser(0.5, "2")
-        with pytest.raises(ValueError, match="sigma must be positive and finite, got '0.2'"):
+        with pytest.raises(ValueError, match="'sigma' must be a number, got '0.2'"):
             MmseDenoiser(_single_gaussian(), "0.2")
 
-    @pytest.mark.parametrize("dim", [0, -1, 2.0, 2.5])
-    def test_dim_must_be_a_positive_integer(self, dim):
-        with pytest.raises(ValueError, match=re.escape(f"dim must be an integer >= 1, got {dim!r}")):
+    @pytest.mark.parametrize(
+        "dim, rule",
+        [(0, "be positive and finite"), (-1, "be a nonnegative integer")]
+        + [(2.0, "be a nonnegative integer"), (2.5, "be a nonnegative integer")],
+        ids=["0", "-1", "2.0", "2.5"],
+    )
+    def test_dim_must_be_a_positive_integer(self, dim, rule):
+        with pytest.raises(ValueError, match=re.escape(f"'dim' must {rule}, got {dim!r}")):
             ShrinkageDenoiser(0.5, dim)
         assert ShrinkageDenoiser(0.5, np.int64(3)).dim == 3
 
@@ -86,13 +91,13 @@ class TestZoo:
         assert np.all(np.isfinite(MmseDenoiser(_single_gaussian(), 1e150)(np.ones(2))))
 
     def test_booleans_are_not_numbers(self):
-        with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\], got True"):
+        with pytest.raises(ValueError, match="'alpha' must be a number, got True"):
             ShrinkageDenoiser(True, 2)
-        with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\], got True"):
+        with pytest.raises(ValueError, match="'alpha' must be a number, got True"):
             OutputShrink(ShrinkageDenoiser(0.5, 2), True)
-        with pytest.raises(ValueError, match="dim must be an integer >= 1, got True"):
+        with pytest.raises(ValueError, match="'dim' must be a nonnegative integer, got True"):
             ShrinkageDenoiser(0.5, True)
-        with pytest.raises(ValueError, match="sigma must be positive and finite, got True"):
+        with pytest.raises(ValueError, match="'sigma' must be a number, got True"):
             MmseDenoiser(_single_gaussian(), True)
 
     @pytest.mark.parametrize(
@@ -313,6 +318,22 @@ class TestPerRowScale:
             sd(np.zeros(2))
         with pytest.raises(ValueError, match="positive"):
             ScaledDenoiser(ShrinkageDenoiser(0.5, 2), np.array([1.0, -2.0]))
+
+    @pytest.mark.parametrize(
+        "delta, message",
+        [
+            ([[1.0, 2.0]], "delta must be a nonempty 1-D array of numbers, got shape (1, 2)"),
+            ([], "delta must be a nonempty 1-D array of numbers, got shape (0,)"),
+            ([[1.0, 2.0], [3.0]], "delta must hold only numbers, got [1.0, 2.0]"),
+            (np.array(2.0), "delta must be a nonempty 1-D array of numbers, got shape ()"),
+            ((1.0, True), "delta must hold only numbers, got True"),
+        ],
+        ids=["2-D", "empty", "ragged", "0-d array", "boolean"],
+    )
+    def test_a_list_tuple_or_array_of_scales_is_read_as_a_vector(self, delta, message):
+        with pytest.raises(ValueError) as info:
+            ScaledDenoiser(ShrinkageDenoiser(0.5, 2), delta)
+        assert str(info.value) == message
 
 
 class TestHomogeneousScale:

@@ -57,6 +57,14 @@ class TestValidation:
             for means in ([[1e300], [1e300]], [[1e160], [1e160 + 1e150]]):
                 assert GmmPrior([0.5, 0.5], means, [1.0, 1.0]).n_components == 2
 
+    def test_zero_spread_means_near_the_float_maximum_are_accepted(self):
+        # The means' sum overflows, but every centred distance is 0.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            prior = GmmPrior([0.5, 0.5], [[1.5e308], [1.5e308]], [1.0, 1.0])
+            assert prior._centre.tolist() == [1.5e308] and not prior._centred_half_sq.any()
+            assert prior.posterior_mean(np.array([1.5e308]), 0.1).tolist() == [1.5e308]
+
     def test_from_config_names_missing_field(self):
         with pytest.raises(ValueError, match="variances"):
             GmmPrior.from_config({"weights": [1.0], "means": [[0.0]]})
@@ -203,12 +211,17 @@ class TestDenoising:
 
     def test_a_sigma_whose_square_overflows_is_rejected_by_every_method(self):
         prior, y = _symmetric_bimodal(), np.array([[0.3], [5.0]])
-        for method in (
-            prior.log_density, prior.responsibilities, prior.score, prior.mmse_denoise, prior.posterior_mean
+        for method, rule in (
+            (prior.log_density, "nonnegative"),
+            (prior.responsibilities, "nonnegative"),
+            (prior.score, "nonnegative"),
+            (prior.mmse_denoise, "positive"),
+            (prior.posterior_mean, "positive"),
         ):
-            for sigma, shown in ((1.5e154, r"1\.5e\+154"), (np.inf, "inf")):
-                with pytest.raises(ValueError, match=f"sigma must have a finite square, got {shown}"):
-                    method(y, sigma)
+            with pytest.raises(ValueError, match=r"sigma must have a finite square, got 1\.5e\+154"):
+                method(y, 1.5e154)
+            with pytest.raises(ValueError, match=f"'sigma' must be {rule} and finite, got inf"):
+                method(y, np.inf)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 assert np.all(np.isfinite(method(y, 1e154)))

@@ -214,19 +214,21 @@ class TestPnpPgd:
 
     @pytest.mark.parametrize("field", ["tau", "tol"])
     def test_integers_past_the_float_range_rejected(self, field):
-        with pytest.raises(ValueError, match=f"^{field} is too large for a float$"):
+        with pytest.raises(ValueError, match=f"^'{field}' is too large for a float$"):
             PnpConfig(**{field: 10**400})
 
     def test_boolean_max_iters_rejected(self):
-        with pytest.raises(TypeError, match="max_iters"):
-            PnpConfig(max_iters=True)
+        for bad in (True, 2.5):
+            with pytest.raises(ValueError, match=f"^'max_iters' must be a nonnegative integer, got {bad}$") as info:
+                PnpConfig(max_iters=bad)
+            assert type(info.value) is ValueError
 
     @pytest.mark.parametrize(
         "fields, message",
         [
-            ({"tau": "1.0"}, "tau must be positive and finite, got '1.0'"),
-            ({"tol": "1e-9"}, "tol must be positive and finite, got '1e-9'"),
-            ({"tau": [1.0]}, r"tau must be positive and finite, got \[1.0\]"),
+            ({"tau": "1.0"}, "'tau' must be a number, got '1.0'"),
+            ({"tol": "1e-9"}, "'tol' must be a number, got '1e-9'"),
+            ({"tau": [1.0]}, r"'tau' must be a number, got \[1.0\]"),
         ],
     )
     def test_strings_are_not_numbers(self, fields, message):
