@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import denoisers as _zoo
-from .config import POSITIVE, real_array
+from .config import POSITIVE, ConfigError, real_array
 from .denoisers import Denoiser, MmseDenoiser
 from .prior import GmmPrior
 
@@ -320,11 +320,24 @@ def _one_pass(denoisers: list, blocks, samples: int) -> list[ResidualMoments]:
 
 
 def _moments_on_prior(denoisers: list, prior: GmmPrior, sigma: float, samples: int, seed: int):
-    """:func:`_one_pass` of ``denoisers`` over ``samples`` pairs drawn from ``prior`` at ``sigma``."""
+    """:func:`_one_pass` of ``denoisers`` over ``samples`` pairs drawn from ``prior`` at ``sigma``.
+
+    The pass runs with overflow warnings off. A component whose log-density
+    term overflows at a sample only loses its responsibility there, but a
+    prior or denoiser that overflows the moments themselves is rejected with
+    a :class:`~pnplab.config.ConfigError`, checked once, on their means and
+    covariances, after the pass.
+    """
     _check_samples(samples, prior.dim)
     rows = _zoo._block_rows(denoisers, prior.dim)
-    with closing(prior.pair_blocks(sigma, samples, seed, rows)) as blocks:
-        return _one_pass(denoisers, blocks, samples)
+    blocks = prior.pair_blocks(sigma, samples, seed, rows)
+    with np.errstate(over="ignore", invalid="ignore"), closing(blocks):
+        passes = _one_pass(denoisers, blocks, samples)
+    if not all(np.all(np.isfinite(m.mean)) and np.all(np.isfinite(m.cov)) for m in passes):
+        raise ConfigError(
+            "the Monte-Carlo moments are not finite: the prior or the denoiser overflows at the samples"
+        )
+    return passes
 
 
 def estimate_delta_opt(

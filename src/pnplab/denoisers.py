@@ -55,6 +55,15 @@ class Denoiser:
             raise NotImplementedError(f"{type(self).__name__} defines neither __call__ nor _apply")
         return self(y, *args)
 
+    def _diagonal(self):
+        """``(a, b)`` when ``_apply`` is the elementwise affine map ``a * y + b``, else None.
+
+        ``a`` and ``b`` are floats, 0-d arrays or (n,) rows, so the map is the
+        same on a stack of any height. A :class:`ScaledDenoiser` over a base
+        with such a pair folds the whole chain into one pair of its own.
+        """
+        return None
+
     def _check(self, y) -> np.ndarray:
         y = np.asarray(y, dtype=np.float64)
         if y.shape[-1:] != (self.dim,) or y.ndim not in (1, 2):
@@ -91,6 +100,10 @@ class MmseDenoiser(Denoiser):
     def _apply(self, y, half_sq=None):
         return self.prior._posterior_mean(y, *self._constants, half_sq)
 
+    def _diagonal(self):
+        """One Gaussian's ``(rho, (1 - rho) mu)``; a mixture of more is not affine."""
+        return self._constants[2:] if self.prior.n_components == 1 else None
+
 
 class ShrinkageDenoiser(Denoiser):
     """Multiply by a constant ``alpha`` in (0, 1]; ``alpha = 1`` is the identity."""
@@ -101,6 +114,9 @@ class ShrinkageDenoiser(Denoiser):
 
     def _apply(self, y):
         return self.alpha * y
+
+    def _diagonal(self):
+        return self.alpha, 0.0
 
 
 class AffineDenoiser(Denoiser):
@@ -142,6 +158,10 @@ class OutputShrink(Denoiser):
     def _apply(self, y):
         return self._alpha * self.base._apply(y)
 
+    def _diagonal(self):
+        pair = self.base._diagonal()
+        return None if pair is None else (self._alpha * pair[0], self._alpha * pair[1])
+
 
 def gamma_factor(delta: float) -> float:
     """The admissibility rescale ``delta^2 / (1 + delta^2)``, in (0, 1)."""
@@ -150,7 +170,8 @@ def gamma_factor(delta: float) -> float:
 
 
 def _spread(value, shape) -> np.ndarray:
-    """``value`` (a float, or an (m, 1) column) spread over a new read-only float64 array of ``shape``."""
+    """``value`` (a float, an (n,) row, an (m, 1) column or an (m, n) stack) spread over a new
+    read-only float64 array of ``shape``."""
     out = np.empty(shape)
     out[...] = value
     out.setflags(write=False)
@@ -191,6 +212,19 @@ class ScaledDenoiser(Denoiser):
     m n floats per coefficient but spares every call the broadcast of an
     (m, 1) column. The values, and so the outputs, are those of the scales
     themselves.
+
+    A base whose map is elementwise affine, ``a * y + b``, makes the
+    wrapper affine too, and it is folded here into one pair: ``coef = (1 -
+    u) + u a`` and ``off = u b`` (tweedie mode), ``coef = a`` and ``off = b
+    / delta`` (homogeneous mode), both times the gamma rescale. ``_apply``
+    is then one multiply and one add. The bases that fold are a
+    one-component :class:`MmseDenoiser`, a :class:`ShrinkageDenoiser`, an
+    :class:`OutputShrink` of either and a one-scale wrapper of any of them;
+    the result equals the interpolation or the argument scaling above to
+    round-off, not bitwise. A scale per row then holds only the two stacks
+    ``coef`` and ``off``. Mixtures of more components,
+    :class:`AffineDenoiser` (a full matrix) and any other base run the
+    formulas above as written.
 
     A ``delta`` given as a list, tuple or array is read with
     :func:`~pnplab.config.real_array`, any other with
@@ -237,20 +271,37 @@ class ScaledDenoiser(Denoiser):
             shape = (scales.size, self.dim)
         self._tweedie = mode == "tweedie"
         self._keep = self._u = self._scale = self._gamma = None
-        if self._tweedie:
-            u = 1.0 / (scale * scale)
-            self._keep, self._u = _spread(1.0 - u, shape), _spread(u, shape)
+        self._coef = self._off = None
+        u = 1.0 / (scale * scale) if self._tweedie else None
+        pair = base._diagonal()
+        if pair is None:
+            if self._tweedie:
+                self._keep, self._u = _spread(1.0 - u, shape), _spread(u, shape)
+            else:
+                self._scale = _spread(scale, shape)
+            if self.gamma_rescale:
+                self._gamma = _spread(gamma_factor(scale), shape)
         else:
-            self._scale = _spread(scale, shape)
-        if self.gamma_rescale:
-            self._gamma = _spread(gamma_factor(scale), shape)
+            a, b = pair
+            # An overflowing offset leaves non-finite outputs, which a solve records as a divergence.
+            with np.errstate(over="ignore"):
+                coef, off = ((1.0 - u) + u * a, u * b) if self._tweedie else (a, b / scale)
+                if self.gamma_rescale:
+                    g = gamma_factor(scale)
+                    coef, off = g * coef, g * off
+            self._coef = _spread(coef, np.broadcast_shapes(shape, np.shape(coef)))
+            self._off = _spread(off, np.broadcast_shapes(shape, np.shape(off)))
 
     def __call__(self, y) -> np.ndarray:
         self.check_rows(np.shape(y))
         return super().__call__(y)
 
     def _apply(self, y, out=None):
-        """The unchecked map; its last ufunc writes into ``out`` when one is given."""
+        """The unchecked map; its result is written into ``out`` when one is given."""
+        if self._coef is not None:
+            result = np.multiply(self._coef, y, out=out)
+            result += self._off
+            return result
         last = out if self._gamma is None else None
         if self._tweedie:
             result = np.add(self._keep * y, self._u * self.base._apply(y), out=last)
@@ -259,6 +310,10 @@ class ScaledDenoiser(Denoiser):
         if self._gamma is not None:
             result = np.multiply(self._gamma, result, out=out)
         return result
+
+    def _diagonal(self):
+        """The folded pair, with one scale; a scale per row ties the map to a stack height."""
+        return (self._coef, self._off) if self._n_rows is None and self._coef is not None else None
 
     def check_rows(self, shape) -> None:
         """Reject a stack of ``shape`` whose row count a per-row scale does not match."""

@@ -59,10 +59,11 @@ _STOP_BLOCK = 8
 # Stacks of m rows a batched solve holds at once, at most: the block buffer
 # (_STOP_BLOCK + 1 iterates), the stop test's squares (_STOP_BLOCK), the
 # measurements, the recorded iterates and the gradient step, a per-row scale's
-# three coefficient stacks (see ScaledDenoiser), and six for an iteration's
-# temporaries. Iterates are n wide, measurements and their residuals out_dim,
-# and a mixture denoiser's distances and responsibilities K, so each stack is
-# counted at the widest of the three (experiments._grid_cap). A block grown
+# coefficient stacks (three, or two folded; see ScaledDenoiser), and six for
+# an iteration's temporaries. Iterates are n wide, measurements and their
+# residuals out_dim, and a mixture denoiser's distances and responsibilities
+# K, so each stack is counted at the widest of the three
+# (experiments._grid_cap). A block grown
 # past _STOP_BLOCK keeps its iterates after the first, and their squares,
 # within _BLOCK_FLOATS floats in place of those 2 * _STOP_BLOCK stacks.
 _SOLVE_STACKS = (_STOP_BLOCK + 1) + _STOP_BLOCK + 3 + 3 + 6
@@ -252,8 +253,8 @@ def pnp_pgd_batch(
     buffer, so no iterate is copied. The whole loop runs under one
     ``np.errstate``, entered once per solve. Every operand the iteration
     passes to numpy is built before it: the denoiser's coefficients are 0-d
-    arrays for one scale and contiguous (m, n) stacks for a scale per row
-    (see :class:`ScaledDenoiser`). At its peak the solve holds at most
+    arrays or (n,) rows for one scale and contiguous (m, n) stacks for a
+    scale per row (see :class:`ScaledDenoiser`). At its peak the solve holds at most
     ``_SOLVE_STACKS`` stacks of m rows, each as wide as the widest of n, the
     operator's ``out_dim`` and a mixture denoiser's component count K, or
     ``_BLOCK_FLOATS`` floats of block iterates and squares plus the

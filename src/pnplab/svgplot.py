@@ -20,10 +20,14 @@ def _fmt(v: float) -> str:
     return f"{v:.6g}"
 
 
+# The largest power of ten that is a finite double.
+_MAX_DECADE = 308
+
+
 def _ticks(lo: float, hi: float, log: bool) -> list[float]:
     if log:
         lo_e = math.floor(math.log10(lo))
-        hi_e = math.ceil(math.log10(hi))
+        hi_e = min(math.ceil(math.log10(hi)), _MAX_DECADE)
         ticks = [10.0**e for e in range(lo_e, hi_e + 1)]
         return [t for t in ticks if lo / 1.0001 <= t <= hi * 1.0001] or [lo, hi]
     if hi == lo:
@@ -36,7 +40,8 @@ def _ticks(lo: float, hi: float, log: bool) -> list[float]:
     first = math.ceil(lo / step) * step
     ticks = []
     t = first
-    while t <= hi + step * 1e-9:
+    # Below the float spacing of t a step leaves it unchanged, which ends the axis.
+    while t <= hi + step * 1e-9 and (not ticks or t > ticks[-1]):
         ticks.append(t)
         t += step
     return ticks or [lo, hi]

@@ -259,6 +259,16 @@ class TestRun:
             "lipschitz_non_expansive.svg",
         ]
 
+    def test_a_scale_near_the_float_maximum_is_plotted_on_a_log_axis(self, tmp_path, capsys):
+        """The k axis runs to 1.7e308, whose decade 10**309 is no double: the plot ends at 1e308."""
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"k_grid": [1.7e308, 2.0]}))
+        out = tmp_path / "out"
+        assert cli.main(["run", "stability", "--config", str(config), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        svg = (out / "stability_distance_to_limit.svg").read_text()
+        assert ">1e+308</text>" in svg and "inf" not in svg
+
     def test_one_component_delta_sweep_orders_strictly(self, tmp_path):
         """Under N(mu, v I), delta_opt^2 = s (v + sigma^2) / sigma^2.
 
@@ -521,6 +531,13 @@ _HUGE_VARIANCES = {
 }
 
 
+# delta-sweep's prior with one variance of 1.7e308: its log-density terms overflow at its samples.
+_OVERFLOWING_COMPONENT = {
+    "prior": {**resolve_config("delta-sweep")["prior"], "variances": [1.7e308, 0.25, 0.25]},
+    "samples": 200,
+}
+
+
 # A shrinkage denoiser, which takes no noise level of its own.
 _SHRINK = {"kind": "shrinkage", "alpha": 0.5}
 
@@ -693,6 +710,8 @@ class TestConfigErrorsAtTheBoundary:
             ),
             # The float cap names the count it caps.
             ("lipschitz", {**_DIM_4096, "cloud_size": 10000}, "cloud_size x dim = 10000 x 4096 exceeds"),
+            # a prior whose Monte-Carlo moments overflow, rejected once, after the pass
+            ("delta-sweep", _OVERFLOWING_COMPONENT, "the Monte-Carlo moments are not finite"),
         ],
     )
     def test_malformed_field_values(self, tmp_path, capsys, experiment, config, needle):
@@ -729,6 +748,19 @@ class TestConfigErrorsAtTheBoundary:
         assert err.startswith(f"config error: bad {source}: ") and err.count("\n") == 1
         assert "'seed' must be a nonnegative integer, got -1" in err
         assert not (tmp_path / "out").exists()
+
+    def test_delta_opt_rejects_a_prior_whose_moments_overflow(self, tmp_path, capsys):
+        path = _delta_opt_config(tmp_path, {"kind": "exact_mmse"})
+        config = {**json.loads(Path(path).read_text()), **_OVERFLOWING_COMPONENT}
+        Path(path).write_text(json.dumps(config))
+        code = cli.main(["delta-opt", "--config", path, "--out", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == (
+            "config error: the Monte-Carlo moments are not finite: "
+            "the prior or the denoiser overflows at the samples\n"
+        )
+        assert not (tmp_path / "out" / "delta-opt.csv").exists()
 
     def test_zero_noise_level_still_runs_conv_reg(self, tmp_path):
         config = {"sigma": 0.0, "delta_grid": [1.0, 10.0], "solver": {"max_iters": 20}}

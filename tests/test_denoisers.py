@@ -267,8 +267,12 @@ class TestTweedieScale:
             np.testing.assert_allclose(tweedie_scale(base, delta)(y), y, atol=1e-15)
 
     def test_interpolation_identity_exact(self):
-        """The wrapper is literally the identity/base interpolation."""
-        prior = _single_gaussian(3)
+        """Over a base that is not elementwise affine the wrapper is literally the identity/base interpolation.
+
+        A one-Gaussian base folds into one multiply-add, equal to the
+        interpolation to round-off (``TestFoldedAffineChains``).
+        """
+        prior = GmmPrior([0.5, 0.5], [[-1.0, 0.5, 0.0], [1.0, 0.0, 2.0]], [0.2, 0.4])
         base = MmseDenoiser(prior, 0.3)
         rng = np.random.default_rng(2)
         for delta in (1.2, 2.0, 7.0):
@@ -302,13 +306,23 @@ class TestPerRowScale:
     @pytest.mark.parametrize("gamma", [False, True])
     def test_each_row_equals_its_scalar_wrapper(self, mode, gamma):
         prior = GmmPrior([0.5, 0.5], [[-1.0, 0.5, 0.0], [1.0, 0.0, 2.0]], [0.2, 0.4])
-        base = MmseDenoiser(prior, 0.3)
+        one = GmmPrior([1.0], [[-1.0, 0.5, 2.0]], [0.3])
+        # A mixture runs the formulas as written; the rest fold into one multiply-add.
+        bases = [
+            MmseDenoiser(prior, 0.3),
+            MmseDenoiser(one, 0.3),
+            ShrinkageDenoiser(0.6, 3),
+            OutputShrink(MmseDenoiser(one, 0.3), 0.9),
+            OutputShrink(ShrinkageDenoiser(0.6, 3), 0.9),
+            ScaledDenoiser(MmseDenoiser(one, 0.3), 1.4, mode=mode, gamma_rescale=gamma),
+        ]
         deltas = np.array([0.7, 1.0, 3.0, 40.0])
         ys = np.random.default_rng(5).standard_normal((deltas.size, 3))
-        out = ScaledDenoiser(base, deltas, mode=mode, gamma_rescale=gamma)(ys)
-        for row, delta in enumerate(deltas):
-            want = ScaledDenoiser(base, delta, mode=mode, gamma_rescale=gamma)(ys[row])
-            np.testing.assert_array_equal(out[row], want)
+        for base in bases:
+            out = ScaledDenoiser(base, deltas, mode=mode, gamma_rescale=gamma)(ys)
+            for row, delta in enumerate(deltas):
+                want = ScaledDenoiser(base, delta, mode=mode, gamma_rescale=gamma)(ys[row])
+                np.testing.assert_array_equal(out[row], want)
 
     def test_row_count_and_sign_checked(self):
         sd = ScaledDenoiser(ShrinkageDenoiser(0.5, 2), np.array([1.0, 2.0]))
@@ -334,6 +348,101 @@ class TestPerRowScale:
         with pytest.raises(ValueError) as info:
             ScaledDenoiser(ShrinkageDenoiser(0.5, 2), delta)
         assert str(info.value) == message
+
+
+def _unfolded(d, y):
+    """``d`` on the (m, n) stack ``y`` through the wrappers' formulas, never a folded pair."""
+    if isinstance(d, ShrinkageDenoiser):
+        return d.alpha * y
+    if isinstance(d, OutputShrink):
+        return d.alpha * _unfolded(d.base, y)
+    if not isinstance(d, ScaledDenoiser):
+        return d._apply(y)
+    scale = d.delta if np.ndim(d.delta) == 0 else d.delta[:, None]
+    if d.mode == "tweedie":
+        u = 1.0 / (scale * scale)
+        out = (1.0 - u) * y + u * _unfolded(d.base, y)
+    else:
+        out = _unfolded(d.base, scale * y) / scale
+    return gamma_factor(scale) * out if d.gamma_rescale else out
+
+
+def _term_size(d, y):
+    """Elementwise sum of the magnitudes of the terms ``_unfolded`` adds, at every level of ``d``."""
+    if isinstance(d, MmseDenoiser):
+        rho, shrunk = d._diagonal()
+        return np.abs(rho * y) + np.abs(shrunk)
+    if isinstance(d, ShrinkageDenoiser):
+        return np.abs(d.alpha * y)
+    if isinstance(d, OutputShrink):
+        return d.alpha * _term_size(d.base, y)
+    scale = d.delta if np.ndim(d.delta) == 0 else d.delta[:, None]
+    if d.mode == "tweedie":
+        u = 1.0 / (scale * scale)
+        size = np.abs((1.0 - u) * y) + u * _term_size(d.base, y)
+    else:
+        size = _term_size(d.base, scale * y) / scale
+    return gamma_factor(scale) * size if d.gamma_rescale else size
+
+
+_AFFINE_CHAINS = {
+    "mmse": lambda prior: MmseDenoiser(prior, 0.4),
+    "shrinkage": lambda prior: ShrinkageDenoiser(0.7, prior.dim),
+    "output-shrink-mmse": lambda prior: OutputShrink(MmseDenoiser(prior, 0.4), 0.999),
+    "output-shrink-shrinkage": lambda prior: OutputShrink(ShrinkageDenoiser(0.7, prior.dim), 0.5),
+    "nested-mmse": lambda prior: ScaledDenoiser(MmseDenoiser(prior, 0.4), 1.09, gamma_rescale=True),
+    "nested-shrinkage": lambda prior: ScaledDenoiser(ShrinkageDenoiser(0.7, prior.dim), 2.5, mode="homogeneous"),
+    "nested-output-shrink": lambda prior: ScaledDenoiser(OutputShrink(MmseDenoiser(prior, 0.4), 0.9), 0.8),
+}
+
+
+class TestFoldedAffineChains:
+    """A scaled elementwise-affine chain runs as one multiply-add, equal to its formulas to round-off."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        chain=st.sampled_from(sorted(_AFFINE_CHAINS)),
+        mode=st.sampled_from(ScaledDenoiser.MODES),
+        gamma=st.booleans(),
+        per_row=st.booleans(),
+        n=st.integers(1, 8),
+        m=st.integers(1, 5),
+        log_delta=st.floats(-1.5, 2.0),
+        offset=st.sampled_from([0.0, 1.0, 30.0, 1e3]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_equals_the_unfolded_formula(self, chain, mode, gamma, per_row, n, m, log_delta, offset, seed):
+        rng = np.random.default_rng(seed)
+        prior = GmmPrior([1.0], offset * rng.standard_normal((1, n)), [rng.uniform(0.05, 2.0)])
+        base = _AFFINE_CHAINS[chain](prior)
+        delta = 10.0 ** (log_delta + rng.uniform(-0.5, 0.5, m)) if per_row else 10.0**log_delta
+        d = ScaledDenoiser(base, delta, mode=mode, gamma_rescale=gamma)
+        assert d._coef is not None
+        ys = (offset + 1.0) * rng.standard_normal((m, n))
+        got = d(ys)
+        want = _unfolded(d, ys)
+        tol = 8 * np.finfo(float).eps * _term_size(d, ys)
+        assert np.all(np.abs(got - want) <= tol)
+        out = np.empty_like(ys)
+        assert d._apply(ys, out=out) is out
+        np.testing.assert_array_equal(out, got)
+
+    def test_bases_that_are_not_elementwise_affine_do_not_fold(self):
+        mixture = GmmPrior([0.5, 0.5], [[-1.0, 0.5], [1.0, 0.0]], [0.2, 0.4])
+        affine = AffineDenoiser([[0.5, 0.1], [0.0, 0.5]], [1.0, 0.0])
+        for base in (MmseDenoiser(mixture, 0.3), affine, OutputShrink(affine, 0.9)):
+            assert base._diagonal() is None
+            assert ScaledDenoiser(base, 2.0)._coef is None
+        # A scale per row ties the wrapper to a stack height, so a wrapper over it does not fold either.
+        per_row = ScaledDenoiser(ShrinkageDenoiser(0.5, 2), [1.0, 2.0])
+        assert per_row._coef is not None and per_row._diagonal() is None
+        assert ScaledDenoiser(per_row, 2.0)._coef is None
+
+    def test_a_folded_per_row_scale_holds_two_contiguous_read_only_stacks(self):
+        d = ScaledDenoiser(MmseDenoiser(_single_gaussian(3), 0.3), [1.0, 2.0, 4.0, 8.0], gamma_rescale=True)
+        for stack in (d._coef, d._off):
+            assert stack.shape == (4, 3) and stack.flags.c_contiguous and not stack.flags.writeable
+        assert d._keep is d._u is d._scale is d._gamma is None
 
 
 class TestHomogeneousScale:
