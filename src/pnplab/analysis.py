@@ -36,6 +36,7 @@ import numpy as np
 from . import denoisers as _zoo
 from .config import POSITIVE, ConfigError, real_array
 from .denoisers import Denoiser, MmseDenoiser
+from .linop import _row_dot
 from .prior import GmmPrior
 
 __all__ = [
@@ -117,11 +118,6 @@ def _check_samples(samples: int, dim: int = 1, name: str = "samples"):
         raise ValueError(
             f"{name} x dim = {samples} x {dim} exceeds the cap of {_MAX_SAMPLE_FLOATS} floats"
         )
-
-
-def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per-row inner products of two (m, n) arrays, without an (m, n) temporary."""
-    return np.einsum("ij,ij->i", a, b)
 
 
 def _l2_on_samples(denoiser, clean: np.ndarray, noisy: np.ndarray) -> L2Estimate:

@@ -30,11 +30,11 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import svgplot
-from .analysis import _MAX_SAMPLE_FLOATS, _check_samples, _loss_scales, _moments_on_prior, _row_dot
+from .analysis import _MAX_SAMPLE_FLOATS, _check_samples, _loss_scales, _moments_on_prior
 from .config import POSITIVE, UNIT, ConfigError, count, flag, real, real_array
 from .denoisers import MmseDenoiser, OutputShrink, ScaledDenoiser, denoiser_from_config
 from .denoisers import _check_spread, _row_width, estimate_lipschitz
-from .linop import operator_from_config
+from .linop import _row_dot, operator_from_config
 from .prior import GmmPrior, _check_sigma
 from .solver import _SOLVE_STACKS, PnpConfig, pnp_pgd_batch
 

@@ -6,8 +6,9 @@ construction and safe for concurrent read-only use.
 The public methods validate their input. Each operator also has unchecked
 ``_apply``/``_adjoint`` methods acting on the last axis, so one call maps an
 (m, n) stack of signals, and an unchecked ``_normal_residual`` for the
-gradient of the data term, which a mask or the identity forms in one
-operation; the batched solver calls those after validating its inputs once.
+gradient of the data term, which a mask or the identity writes into a given
+buffer with one or two ufunc calls; the batched solver calls those after
+validating its inputs once.
 
 ``op_norm_sq`` is exact and computed once per operator: in closed form for
 the identity, a mask and a circular convolution, and as the largest squared
@@ -45,6 +46,12 @@ def as_signal(x, dim: int | None = None) -> np.ndarray:
     return x
 
 
+def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Inner products along the last axis of two same-shape arrays, in one pass
+    and without a temporary of their shape."""
+    return np.einsum("...i,...i->...", a, b)
+
+
 def _frozen(a: np.ndarray) -> np.ndarray:
     a = np.array(a, dtype=np.float64 if a.dtype != bool else bool, copy=True)
     a.setflags(write=False)
@@ -78,8 +85,13 @@ class LinearOperator:
     def _adjoint(self, y: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def _normal_residual(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Unchecked ``A^T (A x - y)`` on the last axis, the gradient of the data term."""
+    def _normal_residual(self, x: np.ndarray, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Unchecked ``A^T (A x - y)`` on the last axis, the gradient of the data term.
+
+        A subclass may write the result into ``out``, an array of ``x``'s
+        shape, and return it; this fallback ignores ``out``, so callers use
+        the returned array.
+        """
         return self._adjoint(self._apply(x) - y)
 
     def gradient_step(self, y: np.ndarray, tau: float, x: np.ndarray) -> np.ndarray:
@@ -115,8 +127,8 @@ class Identity(LinearOperator):
     def _adjoint(self, y):
         return y.copy()
 
-    def _normal_residual(self, x, y):
-        return x - y
+    def _normal_residual(self, x, y, out=None):
+        return np.subtract(x, y, out)
 
     def _norm_sq(self):
         return 1.0
@@ -135,8 +147,8 @@ class Mask(LinearOperator):
             raise ValueError("mask must be a nonempty 1-D boolean vector")
         self.mask = _frozen(mask)
         self.in_dim = self.out_dim = int(mask.size)
-        # np.where takes a 0-d zero without converting a Python float on each call.
-        self._zero = np.zeros(())
+        # The mask as 0/1 floats: a multiply by it hides entries without np.where's dispatch.
+        self.keep = _frozen(mask.astype(np.float64))
 
     def _apply(self, x):
         return np.where(self.mask, x, 0.0)
@@ -144,8 +156,10 @@ class Mask(LinearOperator):
     def _adjoint(self, y):
         return np.where(self.mask, y, 0.0)
 
-    def _normal_residual(self, x, y):
-        return np.where(self.mask, x - y, self._zero)
+    def _normal_residual(self, x, y, out=None):
+        # A hidden entry is (x - y) * 0.0, so -0.0 where x < y; it equals 0.0.
+        out = np.subtract(x, y, out)
+        return np.multiply(out, self.keep, out)
 
     def _norm_sq(self):
         return 1.0 if self.mask.any() else 0.0

@@ -11,11 +11,13 @@ the iterative path is tested against.
 the reference. :func:`pnp_pgd_batch` runs a stack of problems that share
 the operator, the base denoiser and the start and differ in the data and the
 scale. It checks its inputs once and then runs the unchecked routes: the
-operator's ``_normal_residual`` (one operation for a mask or the identity)
-and the denoiser's ``_apply``. It tests for a stop once per block of
-iterations rather than once per iteration, runs the whole stack until its
-last row stops, records each row where :func:`pnp_pgd` would have stopped on
-it, and returns bitwise the iterates of a loop that tests every iteration.
+operator's ``_normal_residual``, which a mask or the identity writes into
+the gradient step's buffer, and the denoiser's ``_apply``. It tests for a
+stop once per block of iterations rather than once per iteration, runs the
+whole stack until its last row stops and records each row where
+:func:`pnp_pgd` would have stopped on it. Its stop norms are row dots, one
+pass over the block each, and round differently from ``np.linalg.norm``;
+its iterates are bitwise those of a loop that tests every iteration.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 
 from .config import POSITIVE, count, real
 from .denoisers import _BLOCK_FLOATS, AffineDenoiser, ScaledDenoiser, gamma_factor
-from .linop import LinearOperator, as_signal
+from .linop import LinearOperator, _row_dot, as_signal
 
 __all__ = [
     "PnpConfig",
@@ -49,7 +51,7 @@ _DIVERGENCE_NORM = 1e12
 # Fewest iterations per stop test in pnp_pgd_batch. A block grows with the
 # iterations a solve has run, to an eighth of them, so a solve runs at most
 # max(_STOP_BLOCK - 1, iterations / 8) iterations past its last stop. The
-# block's iterates and their squares, 2 m n floats per iteration, stay within
+# block's iterates and their differences, 2 m n floats per iteration, stay within
 # the _BLOCK_FLOATS budget that sizes every Monte-Carlo and Lipschitz block:
 # at most 25 iterations on stability's 10 x 64 stack, and _STOP_BLOCK on any
 # stack of m n >= 2048, conv-reg's 32 x 64 among them. Fixed blocks of 128
@@ -57,21 +59,23 @@ _DIVERGENCE_NORM = 1e12
 _STOP_BLOCK = 8
 
 # Stacks of m rows a batched solve holds at once, at most: the block buffer
-# (_STOP_BLOCK + 1 iterates), the stop test's squares (_STOP_BLOCK), the
-# measurements, the recorded iterates and the gradient step, a per-row scale's
-# coefficient stacks (three, or two folded; see ScaledDenoiser), and six for
-# an iteration's temporaries. Iterates are n wide, measurements and their
+# (_STOP_BLOCK + 1 iterates), the stop test's successive differences
+# (_STOP_BLOCK), the measurements, the recorded iterates and the gradient
+# step, whose buffer also takes the data term's gradient from a mask or the
+# identity, a per-row scale's coefficient stacks (three, or two folded; see
+# ScaledDenoiser), and six for an iteration's temporaries, to which a mask
+# or the identity adds none. Iterates are n wide, measurements and their
 # residuals out_dim, and a mixture denoiser's distances and responsibilities
 # K, so each stack is counted at the widest of the three
-# (experiments._grid_cap). A block grown
-# past _STOP_BLOCK keeps its iterates after the first, and their squares,
-# within _BLOCK_FLOATS floats in place of those 2 * _STOP_BLOCK stacks.
+# (experiments._grid_cap). A block grown past _STOP_BLOCK keeps its iterates
+# after the first, and their differences, within _BLOCK_FLOATS floats in
+# place of those 2 * _STOP_BLOCK stacks.
 _SOLVE_STACKS = (_STOP_BLOCK + 1) + _STOP_BLOCK + 3 + 3 + 6
 
 
 def _block_cap(m: int, n: int, max_iters: int) -> int:
     """Most iterations of one stop block of an (m, n) stack: its iterates and
-    squares within ``_BLOCK_FLOATS`` floats and the cap, never under ``_STOP_BLOCK``."""
+    differences within ``_BLOCK_FLOATS`` floats and the cap, never under ``_STOP_BLOCK``."""
     return max(_STOP_BLOCK, min(max_iters, _BLOCK_FLOATS // (2 * m * n)))
 
 
@@ -247,30 +251,35 @@ def pnp_pgd_batch(
     convergence, at divergence (recorded in ``diverged`` instead of raised)
     or at ``max_iters``. Histories are not recorded.
 
-    Each iteration writes the gradient step into one buffer (``x - r`` when
-    ``tau`` is 1, which is bitwise ``x - 1.0 * r``; otherwise ``tau`` is a
-    0-d array) and has the denoiser write its result straight into the block
-    buffer, so no iterate is copied. The whole loop runs under one
-    ``np.errstate``, entered once per solve. Every operand the iteration
-    passes to numpy is built before it: the denoiser's coefficients are 0-d
-    arrays or (n,) rows for one scale and contiguous (m, n) stacks for a
-    scale per row (see :class:`ScaledDenoiser`). At its peak the solve holds at most
+    Each iteration writes the gradient step into one buffer, which first
+    takes the data term's gradient ``r`` when the operator writes it in
+    place (a mask or the identity), then ``x - r`` when ``tau`` is 1, which
+    is bitwise ``x - 1.0 * r`` (otherwise ``tau`` is a 0-d array), and has
+    the denoiser write its result straight into the block buffer, so no
+    iterate is copied and a masked iteration is its ufunc calls only. The
+    whole loop runs under one ``np.errstate``, entered once per solve.
+    Every operand the iteration passes to numpy is built before it: the
+    denoiser's coefficients are 0-d arrays or (n,) rows for one scale and
+    contiguous (m, n) stacks for a scale per row (see
+    :class:`ScaledDenoiser`). At its peak the solve holds at most
     ``_SOLVE_STACKS`` stacks of m rows, each as wide as the widest of n, the
     operator's ``out_dim`` and a mixture denoiser's component count K, or
-    ``_BLOCK_FLOATS`` floats of block iterates and squares plus the
+    ``_BLOCK_FLOATS`` floats of block iterates and differences plus the
     ``_SOLVE_STACKS - 2 * _STOP_BLOCK`` other stacks, whichever is larger.
 
     Every iteration runs the whole stack. The iterations run in blocks of
     ``_STOP_BLOCK``, growing to an eighth of the iterations run as far as
-    the block's iterates and squares fit ``_BLOCK_FLOATS`` (see
-    :func:`_stop_blocks`). A block's iterates fill one buffer; one pass of
-    row norms over the block then finds each running row's first stopping
-    iterate and records the row there, and the loop ends once every row has
-    stopped. Iterates a row computes after it stopped are thrown away, and
-    so are any overflow or invalid-value warnings, which a row that stops on
-    them records as a divergence. So every row's iterates are bitwise those
-    of the whole stack run with a stop test after every iteration, matrix
-    products included, and a one-row stack's are those of :func:`pnp_pgd`.
+    the block's iterates and differences fit ``_BLOCK_FLOATS`` (see
+    :func:`_stop_blocks`). A block's iterates fill one buffer; row-dot norms
+    of its iterates and of their successive differences, each one pass over
+    the block, then find each running row's first stopping iterate and
+    record the row there, and the loop ends once every row has stopped.
+    Iterates a row computes after it stopped are thrown away, and so are
+    any overflow or invalid-value warnings, which a row that stops on them
+    records as a divergence. So every row's iterates are bitwise those of
+    the whole stack run with a stop test after every iteration, matrix
+    products included, and a one-row stack's are those of :func:`pnp_pgd`;
+    only the stop norms' rounding differs from ``np.linalg.norm``.
     """
     ys = np.asarray(ys, dtype=np.float64)
     if ys.ndim != 2 or ys.shape[0] < 1 or ys.shape[1] != op.out_dim:
@@ -297,9 +306,11 @@ def pnp_pgd_batch(
     cap = _block_cap(m, n, config.max_iters)
     # buf[0] holds the stack's iterate before a block, buf[j] the j-th after it.
     buf = np.zeros((cap + 1, m, n))
-    # The gradient step, and the stop test's squares, reused by every block.
+    # The gradient step, whose buffer first takes the data term's gradient
+    # from an operator that writes it in place, and the stop test's
+    # successive differences, reused by every iteration and block.
     step = np.empty((m, n))
-    squares = np.empty((cap, m, n))
+    diffs = np.empty((cap, m, n))
     # The buffer's slots as views, taken once, and the routes the loop calls.
     slots = list(buf)
     normal_residual = op._normal_residual
@@ -310,16 +321,16 @@ def pnp_pgd_batch(
             for j in range(size):
                 xj = slots[j]
                 if unit_step:
-                    np.subtract(xj, normal_residual(xj, ys), step)
+                    np.subtract(xj, normal_residual(xj, ys, step), step)
                 else:
-                    np.subtract(xj, np.multiply(tau, normal_residual(xj, ys), step), step)
+                    np.subtract(xj, np.multiply(tau, normal_residual(xj, ys, step), step), step)
                 denoise(step, out=slots[j + 1])
-            # np.linalg.norm(axis=-1) bitwise, without its dispatch; a row
-            # with NaN or inf entries, or an overflowing square, is not <= the bound.
-            sq = np.square(block[1:], out=squares[:size])
-            norms = np.sqrt(np.add.reduce(sq, axis=-1))
-            np.subtract(block[1:], block[:-1], out=sq)
-            residual = np.sqrt(np.add.reduce(np.square(sq, out=sq), axis=-1))
+            # Row-dot norms, one pass each over the block; a row with NaN or
+            # inf entries, or an overflowing square, is not <= the bound.
+            after = block[1:]
+            norms = np.sqrt(_row_dot(after, after))
+            diff = np.subtract(after, block[:-1], out=diffs[:size])
+            residual = np.sqrt(_row_dot(diff, diff))
             bad = ~(norms <= _DIVERGENCE_NORM)
             done = bad | (residual <= config.tol * (1.0 + norms))
             stopping = done.any(axis=0) & running

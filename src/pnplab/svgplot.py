@@ -8,6 +8,7 @@ library: fixed canvas, fixed palette, fixed number formatting, no metadata.
 from __future__ import annotations
 
 import math
+import sys
 
 __all__ = ["line_plot"]
 
@@ -20,8 +21,9 @@ def _fmt(v: float) -> str:
     return f"{v:.6g}"
 
 
-# The largest power of ten that is a finite double.
+# The largest power of ten that is a finite double, and the largest double.
 _MAX_DECADE = 308
+_MAX_FLOAT = sys.float_info.max
 
 
 def _ticks(lo: float, hi: float, log: bool) -> list[float]:
@@ -32,16 +34,19 @@ def _ticks(lo: float, hi: float, log: bool) -> list[float]:
         return [t for t in ticks if lo / 1.0001 <= t <= hi * 1.0001] or [lo, hi]
     if hi == lo:
         return [lo]
-    step = 10.0 ** math.floor(math.log10((hi - lo) / 4))
+    # Half the span, bitwise (hi - lo) / 2 on normal floats, cannot overflow.
+    half = hi / 2 - lo / 2
+    step = 10.0 ** math.floor(math.log10(half / 2))
     for mult in (1.0, 2.0, 5.0, 10.0):
-        if (hi - lo) / (step * mult) <= 5:
+        if half / (step * mult) <= 2.5:
             step *= mult
             break
     first = math.ceil(lo / step) * step
+    top = min(hi + step * 1e-9, _MAX_FLOAT)
     ticks = []
     t = first
     # Below the float spacing of t a step leaves it unchanged, which ends the axis.
-    while t <= hi + step * 1e-9 and (not ticks or t > ticks[-1]):
+    while t <= top and (not ticks or t > ticks[-1]):
         ticks.append(t)
         t += step
     return ticks or [lo, hi]
@@ -58,6 +63,8 @@ class _Axis:
             # lo + 1.0 rounds to lo for |lo| >= 2**53; a share of lo toward
             # zero always separates them and cannot overflow.
             lo, hi = sorted((lo, lo - lo * 2.0**-10))
+        # Padding may carry an end past the float maximum, or be infinite.
+        lo, hi = max(lo, -_MAX_FLOAT), min(hi, _MAX_FLOAT)
         self.lo, self.hi, self.log = lo, hi, log
         self.px_lo, self.px_hi = px_lo, px_hi
 
@@ -67,7 +74,8 @@ class _Axis:
                 math.log10(self.hi) - math.log10(self.lo)
             )
         else:
-            frac = (v - self.lo) / (self.hi - self.lo)
+            # Halves, so that neither difference overflows.
+            frac = (v / 2 - self.lo / 2) / (self.hi / 2 - self.lo / 2)
         return self.px_lo + frac * (self.px_hi - self.px_lo)
 
 

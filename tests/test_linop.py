@@ -9,6 +9,7 @@ from pnplab.linop import (
     Identity,
     LinearOperator,
     Mask,
+    _row_dot,
     as_signal,
     operator_from_config,
 )
@@ -224,6 +225,37 @@ class TestNormalResidual:
             y = rng.standard_normal((rows, op.out_dim))
             want = LinearOperator._normal_residual(op, x, y)
             assert np.array_equal(op._normal_residual(x, y), want)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**16), rows=st.integers(1, 5))
+    def test_a_given_buffer_holds_the_fresh_result(self, seed, rows):
+        """Written into a buffer of stale NaNs or not, the gradient equals the
+        fresh one and the generic adjoint route. array_equal counts -0.0 as
+        0.0: a mask's hidden entry is (x - y) * 0.0, which may be -0.0 where
+        the generic route gives 0.0."""
+        rng = np.random.default_rng(seed)
+        fully_masked = Mask(np.zeros(5, dtype=bool))
+        for op in _zoo(rng) + [fully_masked]:
+            x = rng.standard_normal((rows, op.in_dim))
+            y = rng.standard_normal((rows, op.out_dim))
+            buf = np.full_like(x, np.nan)
+            got = op._normal_residual(x, y, out=buf)
+            assert np.array_equal(got, op._normal_residual(x, y))
+            assert np.array_equal(got, LinearOperator._normal_residual(op, x, y))
+            if isinstance(op, (Identity, Mask)):
+                assert got is buf
+
+
+class TestRowDot:
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 5), (10, 64), (32, 64), (257, 3)])
+    def test_equals_the_two_axis_form_bitwise(self, shape):
+        rng = np.random.default_rng(shape[0])
+        a, b = rng.standard_normal((2,) + shape)
+        assert np.array_equal(_row_dot(a, b), np.einsum("ij,ij->i", a, b))
+        # Leading axes: a stack of such arrays gives each one's row dots.
+        stack = rng.standard_normal((4,) + shape)
+        want = np.stack([np.einsum("ij,ij->i", s, s) for s in stack])
+        assert np.array_equal(_row_dot(stack, stack), want)
 
 
 class TestGradientStep:

@@ -88,3 +88,17 @@ def test_a_log_axis_near_the_float_maximum_ends_at_the_largest_decade(tmp_path):
     path = tmp_path / "plot.svg"
     line_plot(path, {"s": ([2.0, 1.7e308], [1.0, 2.0])}, log_x=True)
     assert ">1e+308</text>" in path.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("axis", ["x", "y"])
+def test_a_span_past_the_float_maximum_is_plotted(tmp_path, axis):
+    """``hi - lo`` overflows here, and so does the y axis's padding; halves do not."""
+    assert _ticks(-1.7e308, 1.7e308, False) == [-1e308, 0.0, 1e308]
+    wide, narrow = [-1.7e308, 1.7e308], [1.0, 2.0]
+    path = tmp_path / "plot.svg"
+    line_plot(path, {"a": (wide, narrow) if axis == "x" else (narrow, wide)})
+    svg = path.read_text(encoding="utf-8")
+    assert ">-1e+308</text>" in svg and ">1e+308</text>" in svg
+    assert "nan" not in svg and "inf" not in svg
+    points = re.search(r'<polyline points="([^"]+)"', svg).group(1)
+    assert all(math.isfinite(float(c)) for c in points.replace(",", " ").split())
