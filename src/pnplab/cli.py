@@ -195,6 +195,9 @@ def _selftest_checks():
             GmmPrior([1.0], [[0.0, 0.0]], [1.0]),
             GmmPrior([0.5, 0.5], [[-2.0], [2.0]], [0.25, 0.25]),
             GmmPrior([0.3, 0.3, 0.4], rng.standard_normal((3, 4)), [0.5, 1.0, 0.25]),
+            # Well separated: most points' posteriors sit on one component, where the
+            # posterior mean takes its one-component route and the score stays dense.
+            GmmPrior([0.3, 0.3, 0.4], [[-10.0, 0.0], [10.0, 0.0], [0.0, 10.0]], [0.25, 0.25, 0.25]),
         ]
         worst = 0.0
         for prior in priors:

@@ -22,6 +22,21 @@ evaluate several noise levels on the same points pass the distances in once.
 With one component the responsibilities are ones and no distance is formed,
 and the posterior mean is the Gaussian's ``rho * y + (1 - rho) * mu``.
 
+The posterior mean applies that formula row by row wherever a row's
+posterior sits on one component: every other component's log-term lies at
+least ``G = 53 ln 2 + ln K`` below the row's best. Each other component then
+weighs at most ``2^-53 / K`` of the best, so together they weigh less than
+``2^-53``, half an ulp of 1: the softmax's normaliser rounds to 1 and the
+best component's responsibility is exactly 1. Such a *concentrated* row's
+mean is ``m_k = rho_k y + (1 - rho_k) mu_k`` for its component k, and it
+lies within ``2^-53 max_j |m_j - m_k|`` of the mixture's weighted sum of
+the components' estimates ``m_j``. A block whose rows are all concentrated
+skips the exponentials, the normalisation, the (m x K)(K x n) mixing gemm
+and the rho-weighted reduce. Any other block runs them and then overwrites
+its concentrated rows, so each row's output depends on that row alone. ``G``
+follows from K; it is not a setting. The score, the responsibilities and
+:meth:`GmmPrior.mmse_denoise` stay dense, as the oracle.
+
 :meth:`GmmPrior.pair_blocks` draws a (clean, noisy) sample set and hands the
 noisy rows out block by block, so a Monte-Carlo pass never holds them whole.
 The seeded stream is serial: the labels, then every clean row, then each
@@ -42,6 +57,7 @@ from __future__ import annotations
 
 import contextvars
 import copy
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -157,6 +173,22 @@ def _drawn_ahead(draw, starts, buffers):
         pool.shutdown(cancel_futures=True)
 
 
+def _softmax(logs) -> tuple[np.ndarray, np.ndarray]:
+    """The (K, m) component log-terms ``logs``, already less their column maxima, softmaxed in
+    place, and the (m,) sums of their exponentials that normalised them."""
+    np.exp(logs, out=logs)
+    total = np.add.reduce(logs, axis=0)
+    logs /= total
+    return logs, total
+
+
+def _mixture_mean(points, r, rho, shrunk) -> np.ndarray:
+    """(m, n) ``sum_k r_k (rho_k y + (1 - rho_k) mu_k)`` of the (K, m) responsibilities ``r``."""
+    out = r.T @ shrunk
+    out += points * np.add.reduce(r * rho[:, None], axis=0)[:, None]
+    return out
+
+
 @dataclass(frozen=True)
 class GmmPrior:
     """Finite Gaussian mixture with isotropic per-component covariance.
@@ -206,10 +238,14 @@ class GmmPrior:
             ("_centre", centre),
             ("_centred_means", centred),
             ("_centred_half_sq", half_sq),
+            ("_component_index", np.arange(float(w.size))),
         ):
             arr = arr.copy()
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        # A row's posterior sits on one component when every other lies at
+        # least this gap below it (see _posterior_mean).
+        object.__setattr__(self, "_gap", 53.0 * math.log(2.0) + math.log(w.size))
 
     @property
     def n_components(self) -> int:
@@ -272,9 +308,7 @@ class GmmPrior:
             return np.ones((1, points.shape[0]))
         r = self._component_logpdf(points, t, log_norm, half_sq)
         r -= np.maximum.reduce(r, axis=0)
-        np.exp(r, out=r)
-        r /= np.add.reduce(r, axis=0)
-        return r
+        return _softmax(r)[0]
 
     def _score(self, points, t, log_norm) -> np.ndarray:
         """(m, n) gradient of the smoothed log-density."""
@@ -290,20 +324,59 @@ class GmmPrior:
         ``rho`` and ``shrunk`` are from ``_posterior_constants``, and
         ``half_sq``, the (K, m) distances of ``_half_sq_dists``, may be passed
         in when several noise levels share the points; with one component
-        none are needed. The sums over K run elementwise, so a row's output
-        does not depend on the stack's height. With one component it is
-        ``rho y + (1 - rho) mu``, bitwise the general formula with unit
-        responsibilities; there ``rho`` may also come indexed, as a 0-d
-        array, and ``shrunk`` as an (n,) row, which the ufuncs take without
-        broadcasting a length-one axis.
+        none are needed. A row's output depends on that row's values alone,
+        and is the same in any stack of two rows or more; a one-row stack's
+        matrix products (the distances' cross terms and the dense mixing
+        product) go through gemv, which may round them differently from
+        gemm. With one component it is ``rho y + (1 - rho) mu``, bitwise
+        the general formula with unit responsibilities; there ``rho`` may
+        also come indexed, as a 0-d array, and ``shrunk`` as an (n,) row,
+        which the ufuncs take without broadcasting a length-one axis.
+
+        With more, a row whose other components' log-terms all lie at least
+        ``_gap`` (``G = 53 ln 2 + ln K``) below its best is concentrated and
+        gets its one component's ``m_k = rho_k y + (1 - rho_k) mu_k``. The
+        gap makes each of the K - 1 others weigh at most ``e^-G = 2^-53 / K``
+        of the best, so together they weigh less than half an ulp of 1 and
+        the dense softmax would give the best a responsibility of exactly
+        1. The output lies within ``2^-53 max_j |m_j - m_k|`` of the
+        mixture's ``sum_j r_j m_j``, and equals the dense formula's output
+        when the other weights underflow to 0. A row with a NaN log-term, or
+        with none finite, is never concentrated. A block of concentrated
+        rows runs no exponential, no normalisation, no mixing gemm and no
+        rho-weighted reduce; any other block runs the dense formula
+        (``_mixture_mean``) on every row and then writes its concentrated
+        rows over it. Only rows whose exponentials sum to exactly 1 are
+        tested for that, since every concentrated row's do.
         """
         if rho.size == 1:
             out = points * rho
             out += shrunk
             return out
-        r = self._responsibilities(points, t, log_norm, half_sq)
-        out = r.T @ shrunk
-        out += points * np.add.reduce(r * rho[:, None], axis=0)[:, None]
+        logs = self._component_logpdf(points, t, log_norm, half_sq)
+        logs -= np.maximum.reduce(logs, axis=0)
+        # A row has at most K - 1 components this far below its best (none if
+        # its best is NaN or -inf), so the count reaches (K - 1) m only when
+        # every row is concentrated.
+        far = logs <= -self._gap
+        others = far.shape[0] - 1
+        if np.count_nonzero(far) == others * far.shape[1]:
+            return self._one_component_rows(points, far, rho, shrunk)
+        r, total = _softmax(logs)
+        out = _mixture_mean(points, r, rho, shrunk)
+        # A concentrated row's exponentials sum to exactly 1, so only those rows are counted.
+        exact = total == 1.0
+        if np.count_nonzero(exact):
+            rows = np.flatnonzero(exact)
+            rows = rows[np.add.reduce(far[:, rows], axis=0) == others]
+            out[rows] = self._one_component_rows(points[rows], far[:, rows], rho, shrunk)
+        return out
+
+    def _one_component_rows(self, points, far, rho, shrunk) -> np.ndarray:
+        """``rho_k y + (1 - rho_k) mu_k`` on each row, for the one component ``k`` its column of ``far`` leaves out."""
+        k = (self._component_index @ ~far).astype(np.intp)
+        out = points * rho[k][:, None]
+        out += shrunk[k]
         return out
 
     def log_density(self, y, sigma: float = 0.0):

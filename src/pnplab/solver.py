@@ -64,10 +64,13 @@ _STOP_BLOCK = 8
 # step, whose buffer also takes the data term's gradient from a mask or the
 # identity, a per-row scale's coefficient stacks (three, or two folded; see
 # ScaledDenoiser), and six for an iteration's temporaries, to which a mask
-# or the identity adds none. Iterates are n wide, measurements and their
-# residuals out_dim, and a mixture denoiser's distances and responsibilities
-# K, so each stack is counted at the widest of the three
-# (experiments._grid_cap). A block grown past _STOP_BLOCK keeps its iterates
+# or the identity adds none. The stop test runs after those temporaries are
+# freed, over chunks of at most n iterations: its norms, residuals and
+# thresholds take at most four (chunk, m) arrays at once, each at most one
+# stack, and with its byte masks they stay within the six. Iterates are n
+# wide, measurements and their residuals out_dim, and a mixture denoiser's
+# distances and responsibilities K, so each stack is counted at the widest
+# of the three (experiments._grid_cap). A block grown past _STOP_BLOCK keeps its iterates
 # after the first, and their differences, within _BLOCK_FLOATS floats in
 # place of those 2 * _STOP_BLOCK stacks.
 _SOLVE_STACKS = (_STOP_BLOCK + 1) + _STOP_BLOCK + 3 + 3 + 6
@@ -266,14 +269,18 @@ def pnp_pgd_batch(
     operator's ``out_dim`` and a mixture denoiser's component count K, or
     ``_BLOCK_FLOATS`` floats of block iterates and differences plus the
     ``_SOLVE_STACKS - 2 * _STOP_BLOCK`` other stacks, whichever is larger.
+    That count holds on any stack, however narrow: the stop test's (chunk,
+    m) arrays, at most one stack each, stand in for an iteration's freed
+    temporaries.
 
     Every iteration runs the whole stack. The iterations run in blocks of
     ``_STOP_BLOCK``, growing to an eighth of the iterations run as far as
     the block's iterates and differences fit ``_BLOCK_FLOATS`` (see
     :func:`_stop_blocks`). A block's iterates fill one buffer; row-dot norms
     of its iterates and of their successive differences, each one pass over
-    the block, then find each running row's first stopping iterate and
-    record the row there, and the loop ends once every row has stopped.
+    the block in chunks of at most n iterations, then find each running
+    row's first stopping iterate and record the row there, and the loop
+    ends once every row has stopped.
     Iterates a row computes after it stopped are thrown away, and so are
     any overflow or invalid-value warnings, which a row that stops on them
     records as a divergence. So every row's iterates are bitwise those of
@@ -307,10 +314,13 @@ def pnp_pgd_batch(
     # buf[0] holds the stack's iterate before a block, buf[j] the j-th after it.
     buf = np.zeros((cap + 1, m, n))
     # The gradient step, whose buffer first takes the data term's gradient
-    # from an operator that writes it in place, and the stop test's
-    # successive differences, reused by every iteration and block.
+    # from an operator that writes it in place, and the successive
+    # differences of one stop-test chunk, reused by every iteration and block.
+    # A chunk is at most n iterations, so each of the test's (chunk, m)
+    # arrays is at most one stack.
+    chunk = min(cap, n)
     step = np.empty((m, n))
-    diffs = np.empty((cap, m, n))
+    diffs = np.empty((chunk, m, n))
     # The buffer's slots as views, taken once, and the routes the loop calls.
     slots = list(buf)
     normal_residual = op._normal_residual
@@ -325,26 +335,30 @@ def pnp_pgd_batch(
                 else:
                     np.subtract(xj, np.multiply(tau, normal_residual(xj, ys, step), step), step)
                 denoise(step, out=slots[j + 1])
-            # Row-dot norms, one pass each over the block; a row with NaN or
-            # inf entries, or an overflowing square, is not <= the bound.
-            after = block[1:]
-            norms = np.sqrt(_row_dot(after, after))
-            diff = np.subtract(after, block[:-1], out=diffs[:size])
-            residual = np.sqrt(_row_dot(diff, diff))
-            bad = ~(norms <= _DIVERGENCE_NORM)
-            done = bad | (residual <= config.tol * (1.0 + norms))
-            stopping = done.any(axis=0) & running
-            if stopping.any():
-                rows = np.flatnonzero(stopping)
-                ends = done[:, rows].argmax(axis=0) + 1
-                bad_rows = bad[ends - 1, rows]
-                iterations[rows] = start + ends
-                diverged[rows] = bad_rows
-                # A diverged row keeps its last finite iterate, the one before.
-                x[rows] = block[ends - bad_rows, rows]
-                running &= ~stopping
-                if not running.any():
-                    break
+            ended = False
+            for lo in range(0, size, chunk):
+                # Row-dot norms, one pass each over the chunk; a row with NaN
+                # or inf entries, or an overflowing square, is not <= the bound.
+                hi = min(lo + chunk, size)
+                after = block[lo + 1 : hi + 1]
+                norms = np.sqrt(_row_dot(after, after))
+                diff = np.subtract(after, block[lo:hi], out=diffs[: hi - lo])
+                residual = np.sqrt(_row_dot(diff, diff))
+                bad = ~(norms <= _DIVERGENCE_NORM)
+                done = bad | (residual <= config.tol * (1.0 + norms))
+                stopping = done.any(axis=0) & running
+                if stopping.any():
+                    rows = np.flatnonzero(stopping)
+                    ends = done[:, rows].argmax(axis=0) + 1
+                    bad_rows = bad[ends - 1, rows]
+                    iterations[rows] = start + lo + ends
+                    diverged[rows] = bad_rows
+                    # A diverged row keeps its last finite iterate, the one before.
+                    x[rows] = block[lo + ends - bad_rows, rows]
+                    running &= ~stopping
+                    ended = not running.any()
+            if ended:
+                break
             buf[0] = block[size]
     # Rows still running ran to the cap; every other row converged or diverged.
     x[running] = buf[0, running]

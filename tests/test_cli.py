@@ -1105,3 +1105,17 @@ class TestSelftest:
         assert code == 3
         assert "FAIL tweedie-consistency" in captured.out
         assert "tweedie-consistency" in captured.err
+
+    def test_a_skewed_concentrated_route_fails_tweedie_check(self, capsys, monkeypatch):
+        """The check's well-separated mixture holds the posterior mean's one-component rows to the score."""
+        original = GmmPrior._one_component_rows
+
+        def skewed(self, points, far, rho, shrunk):
+            return original(self, points, far, rho, shrunk) * (1.0 + 1e-9)
+
+        monkeypatch.setattr(GmmPrior, "_one_component_rows", skewed)
+        code = cli.main(["selftest"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert "FAIL tweedie-consistency" in captured.out
+        assert "tweedie-consistency" in captured.err

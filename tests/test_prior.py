@@ -6,6 +6,7 @@ import threading
 import warnings
 from contextlib import closing
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,7 +15,8 @@ from hypothesis import strategies as st
 
 from pnplab import prior as prior_module
 from pnplab.analysis import estimate_l2
-from pnplab.experiments import run_conv_reg, run_lipschitz_table
+from pnplab.denoisers import MmseDenoiser
+from pnplab.experiments import resolve_config, run_conv_reg, run_lipschitz_table
 from pnplab.prior import GmmPrior
 
 
@@ -692,3 +694,209 @@ class TestOneComponent:
         denoised = prior.mmse_denoise(y, 0.2)
         assert np.all(np.isfinite(denoised))
         np.testing.assert_allclose(denoised, (0.4 * y + 0.04 * prior.means[0]) / 0.44, rtol=1e-15)
+
+
+def _dense_posterior_mean(prior, points, t, log_norm, rho, shrunk, half_sq=None):
+    """The dense mixture formula, kept as the oracle of ``_posterior_mean``'s concentrated route."""
+    r = prior._responsibilities(points, t, log_norm, half_sq)
+    out = r.T @ shrunk
+    out += points * np.add.reduce(r * rho[:, None], axis=0)[:, None]
+    return out
+
+
+def _concentrated(prior, points, t, log_norm, half_sq=None):
+    """The rows whose other log-terms all lie at least ``53 ln 2 + ln K`` below their best."""
+    logs = prior._component_logpdf(points, t, log_norm, half_sq)
+    gap = 53.0 * math.log(2.0) + math.log(prior.n_components)
+    return np.sum(logs - logs.max(axis=0) <= -gap, axis=0) == prior.n_components - 1
+
+
+def _dense_route_rows(prior, points, *constants):
+    """``_posterior_mean`` with its dense helper patched to give NaN, and the rows that came out NaN."""
+    calls = []
+
+    def nan_mean(points, r, rho, shrunk):
+        calls.append(points.shape[0])
+        return np.full((points.shape[0], shrunk.shape[1]), np.nan)
+
+    with mock.patch.object(prior_module, "_mixture_mean", nan_mean):
+        out = prior._posterior_mean(points, *constants)
+    return np.isnan(out).any(axis=1), calls
+
+
+def _row_scale(points, rho, shrunk):
+    """Each row's largest component estimate term, ``max_j |rho_j y_i| + |(1 - rho_j) mu_j,i|``."""
+    return np.max(np.abs(rho[:, None, None] * points[None]) + np.abs(shrunk[:, None, :]), axis=(0, 2))
+
+
+class TestConcentratedRoute:
+    """A row whose posterior sits on one component gets that component's estimate."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        k=st.integers(2, 6),
+        n=st.integers(1, 8),
+        m=st.integers(2, 12),
+        layout=st.sampled_from(["concentrated", "mixed", "dense"]),
+        nats=st.floats(0.0, 1.0),
+        sigma=st.floats(0.05, 1.0),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matches_the_dense_formula(self, k, n, m, layout, nats, sigma, seed):
+        """Components spaced ``sep`` apart on the first axis, rows at their means (concentrated
+        when the spacing is wide) or halfway between two (never concentrated)."""
+        rng = np.random.default_rng(seed)
+        gap = 53.0 * math.log(2.0) + math.log(k)
+        weights = rng.uniform(0.5, 1.5, k)
+        # Equal variances in a mixed block, so that a row halfway between two means is a near tie.
+        variances = rng.uniform(0.05, 1.0) * rng.uniform(1.0, 1.0 if layout == "mixed" else 1.2, k)
+        t = variances + sigma * sigma
+        # The nearest other component lies about ``target`` nats below a row's own, give or
+        # take the weights' and normalisers' 2 nats and the other axes' spread.
+        target = (gap + 8.0 + 760.0 * nats) if layout != "dense" else 0.5 + (gap - 14.0) / 1.2 * nats
+        sep = math.sqrt(2.0 * t.max() * target)
+        means = 0.1 * rng.standard_normal((k, n))
+        means[:, 0] = sep * np.arange(k) + rng.uniform(-50.0, 50.0)
+        prior = GmmPrior(weights / weights.sum(), means, variances)
+        labels = rng.integers(0, k, m)
+        points = means[labels] + 1e-3 * np.sqrt(t.min()) * rng.standard_normal((m, n))
+        expected = np.full(m, layout != "dense")
+        if layout == "mixed":
+            halfway = np.arange(m) % 2 == 1
+            neighbours = np.where(labels < k - 1, labels + 1, labels - 1)
+            points[halfway] = 0.5 * (means[labels] + means[neighbours])[halfway]
+            expected[halfway] = False
+        constants = prior._posterior_constants(sigma)
+        t, log_norm, rho, shrunk = constants
+        assert np.array_equal(_concentrated(prior, points, t, log_norm), expected)
+        dense_rows, _ = _dense_route_rows(prior, points, *constants)
+        assert np.array_equal(dense_rows, ~expected)
+
+        got = prior._posterior_mean(points, *constants)
+        want = _dense_posterior_mean(prior, points, *constants)
+        scale = _row_scale(points, rho, shrunk)
+        assert np.all(np.max(np.abs(got - want), axis=1) <= 2.0**-52 * scale)
+        # A concentrated row gives alone what it gives inside the block, bitwise. (Alone,
+        # a row's distances and a dense row's mixing product go through gemv, which may
+        # round them differently from gemm, and a near tie amplifies that.)
+        for i in np.flatnonzero(expected):
+            alone = prior._posterior_mean(points[i : i + 1], *constants)[0]
+            assert np.array_equal(alone, got[i])
+            assert np.array_equal(alone, points[i] * rho[labels[i]] + shrunk[labels[i]])
+
+    def test_tied_duplicate_components_stay_dense(self):
+        """Two copies of a component tie at every point, however far the third lies."""
+        prior = GmmPrior([0.3, 0.3, 0.4], [[0.0, 0.0], [0.0, 0.0], [100.0, 0.0]], [0.5, 0.5, 0.5])
+        points = np.array([[0.0, 0.0], [0.1, -0.2], [-3.0, 1.0]])
+        constants = prior._posterior_constants(0.3)
+        dense_rows, calls = _dense_route_rows(prior, points, *constants)
+        assert dense_rows.all() and calls == [3]
+        np.testing.assert_array_equal(
+            prior._posterior_mean(points, *constants), _dense_posterior_mean(prior, points, *constants)
+        )
+
+    @pytest.mark.parametrize("k", [2, 5])
+    def test_a_gap_one_ulp_either_side_of_the_threshold(self, k):
+        """With unit ``t`` and zero log normalisers the shifted log-terms are ``-half_sq`` exactly."""
+        rng = np.random.default_rng(k)
+        prior = GmmPrior(np.full(k, 1.0 / k), rng.standard_normal((k, 3)), rng.uniform(0.2, 0.8, k))
+        _, _, rho, shrunk = prior._posterior_constants(0.5)
+        t, log_norm = np.ones(k), np.zeros(k)
+        gap = prior._gap
+        assert gap == 53.0 * math.log(2.0) + math.log(k)
+        below, above = np.nextafter(gap, 0.0), np.nextafter(gap, np.inf)
+        # Row 0 is best at component 0 and has its nearest other one ulp inside the gap,
+        # row 1 exactly at it and row 2 one ulp beyond it.
+        half_sq = np.full((k, 3), 2.0 * gap)
+        half_sq[0] = 0.0
+        half_sq[1] = [below, gap, above]
+        points = rng.standard_normal((3, 3))
+        constants = (t, log_norm, rho, shrunk, half_sq)
+        assert np.array_equal(_concentrated(prior, points, *constants[:2], half_sq), [False, True, True])
+        dense_rows, _ = _dense_route_rows(prior, points, *constants)
+        assert np.array_equal(dense_rows, [True, False, False])
+        got = prior._posterior_mean(points, *constants)
+        want = _dense_posterior_mean(prior, points, *constants)
+        assert np.all(np.max(np.abs(got - want), axis=1) <= 2.0**-52 * _row_scale(points, rho, shrunk))
+        np.testing.assert_array_equal(got[1:], points[1:] * rho[0] + shrunk[0])
+
+    def test_rows_so_far_away_that_the_gap_rounds_off_their_best(self):
+        """Log-terms near -1e20, where ``best - G`` rounds to ``best``: the shifted terms still decide."""
+        prior = GmmPrior([0.5, 0.5], [[-1.0, 0.0], [1.0, 0.0]], [0.3, 0.6])
+        _, _, rho, shrunk = prior._posterior_constants(0.4)
+        t, log_norm = np.ones(2), np.zeros(2)
+        assert -1e20 - prior._gap == -1e20
+        # Row 0: component 1 lies 1e6 below (concentrated). Row 1: the two round to one
+        # value (a tie, dense). Row 2: component 0 lies 2^20 below (concentrated).
+        half_sq = np.array([[1e20, 1e20, 1e20 + 2.0**20], [1e20 + 1e6, 1e20 + 1.0, 1e20]])
+        points = np.array([[0.5, 1.0], [-2.0, 0.25], [3.0, -1.0]])
+        constants = (t, log_norm, rho, shrunk, half_sq)
+        dense_rows, _ = _dense_route_rows(prior, points, *constants)
+        assert np.array_equal(dense_rows, [False, True, False])
+        np.testing.assert_array_equal(
+            prior._posterior_mean(points, *constants), _dense_posterior_mean(prior, points, *constants)
+        )
+
+    def test_infinite_and_nan_log_terms_match_the_dense_formula(self):
+        """Under ``errstate(ignore)``: a -inf term only loses its weight, a NaN or all--inf row stays dense."""
+        prior = GmmPrior([0.25, 0.25, 0.5], [[0.0], [1.0], [2.0]], [0.2, 0.4, 0.6])
+        _, _, rho, shrunk = prior._posterior_constants(0.3)
+        t, log_norm = np.ones(3), np.zeros(3)
+        half_sq = np.array(
+            [
+                [0.0, np.inf, np.nan, np.inf, 0.0],
+                [np.inf, 0.0, 0.0, np.inf, 1.0],
+                [np.inf, np.inf, 0.0, np.inf, 2.0],
+            ]
+        )
+        points = np.array([[0.5], [-1.0], [2.0], [3.0], [np.nan]])
+        constants = (t, log_norm, rho, shrunk, half_sq)
+        with np.errstate(all="ignore"):
+            got = prior._posterior_mean(points, *constants)
+            want = _dense_posterior_mean(prior, points, *constants)
+            dense_rows, _ = _dense_route_rows(prior, points, *constants)
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(got[:2, 0], [0.5 * rho[0] + shrunk[0, 0], -1.0 * rho[1] + shrunk[1, 0]])
+        assert np.all(np.isnan(got[2:]))
+        assert np.array_equal(dense_rows, [False, False, True, True, True])
+
+    def test_one_component_is_unchanged(self):
+        """One component never reaches the dense helper and keeps ``rho y + (1 - rho) mu``."""
+        prior = GmmPrior([1.0], [[0.5, -1.0, 2.0]], [0.4])
+        points = np.random.default_rng(3).standard_normal((7, 3))
+        with mock.patch.object(prior_module, "_mixture_mean", side_effect=AssertionError):
+            got = prior.posterior_mean(points, 0.2)
+        t, log_norm, rho, shrunk = prior._posterior_constants(0.2)
+        np.testing.assert_array_equal(got, points * rho + shrunk)
+
+
+class TestConcentratedTraffic:
+    """Which route the benchmarked protocols' priors take, seen through the dense helper."""
+
+    def test_a_wide_prior_block_takes_the_concentrated_route(self):
+        # Built as the wide-prior benchmark builds its prior: K = 64 components in n = 256.
+        rng = np.random.default_rng([0, 64, 256])
+        k, n = 64, 256
+        weights = rng.uniform(0.5, 1.5, k)
+        prior = GmmPrior(weights / weights.sum(), 0.5 * rng.standard_normal((k, n)), rng.uniform(0.2, 0.6, k))
+        _, noisy = prior.sample_pairs(0.2, 128, 0)
+        half_sq = prior._half_sq_dists(noisy)
+        for sigma in (0.2, 0.3):
+            denoiser = MmseDenoiser(prior, sigma)
+            dense_rows, calls = _dense_route_rows(prior, noisy, *denoiser._constants, half_sq)
+            assert calls == [] and not dense_rows.any()
+            want = _dense_posterior_mean(prior, noisy, *denoiser._constants, half_sq)
+            scale = _row_scale(noisy, *denoiser._constants[2:])
+            got = denoiser._apply(noisy, half_sq)
+            assert np.all(np.max(np.abs(got - want), axis=1) <= 2.0**-52 * scale)
+
+    def test_the_default_delta_sweep_prior_takes_the_dense_route(self):
+        resolved = resolve_config("delta-sweep")
+        prior = GmmPrior.from_config(resolved["prior"])
+        sigma = resolved["sigma"]
+        assert sigma == 0.1
+        _, noisy = prior.sample_pairs(sigma, 4096, 0)
+        for ratio in resolved["mismatch_ratios"]:
+            constants = MmseDenoiser(prior, ratio * sigma)._constants
+            dense_rows, calls = _dense_route_rows(prior, noisy, *constants)
+            assert calls == [4096] and dense_rows.all()

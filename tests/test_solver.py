@@ -625,6 +625,27 @@ class TestStopBlocks:
         np.testing.assert_array_equal(batch.diverged, diverged)
         assert np.array_equal(batch.x_star, x_star)
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_a_narrow_stack_tests_its_blocks_in_chunks_bitwise(self, n):
+        """Every block here is longer than n iterations, so each stop test runs over
+        several chunks, and rows converge in many of them. (The clock rows, three
+        wide, also stop by divergence at every offset of a block.)"""
+        rng = np.random.default_rng(n)
+        m = 40
+        base = MmseDenoiser(GmmPrior([0.5, 0.5], rng.standard_normal((2, n)), [0.3, 0.6]), 0.2)
+        scaled = ScaledDenoiser(base, np.geomspace(0.5, 40.0, m), mode="tweedie")
+        op = Mask(np.arange(n) > 0)
+        ys = 2.0 * rng.standard_normal((m, n))
+        cfg = PnpConfig(tau=1.0, max_iters=3000, tol=1e-12)
+        batch = pnp_pgd_batch(op, ys, scaled, cfg)
+        with np.errstate(over="ignore", invalid="ignore"):
+            x_star, iterations, converged, diverged = _whole_stack_oracle(op, ys, scaled, 1.0, cfg)
+        np.testing.assert_array_equal(batch.iterations, iterations)
+        np.testing.assert_array_equal(batch.converged, converged)
+        np.testing.assert_array_equal(batch.diverged, diverged)
+        assert np.array_equal(batch.x_star, x_star)
+        assert len(np.unique(iterations[converged])) >= 10
+
     @pytest.mark.parametrize(
         "max_iters", [1, _STOP_BLOCK - 1, _STOP_BLOCK, _STOP_BLOCK + 1, 2 * _STOP_BLOCK + 3, 60]
     )
@@ -923,16 +944,39 @@ class TestSolveMemory:
         ys = rng.standard_normal((m, op.out_dim))
         deltas = rng.uniform(1.0, 3.0, m) if per_row else 1.5
         config = PnpConfig(tau=1.0, max_iters=2 * _STOP_BLOCK + 3, tol=1e-30)
-        tracemalloc.start()
-        try:
-            scaled = ScaledDenoiser(base, deltas, mode=mode, gamma_rescale=gamma)
-            pnp_pgd_batch(op, ys, scaled, config)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        stack = m * max(n, k, op.out_dim)
-        fixed = (_SOLVE_STACKS - 2 * _STOP_BLOCK) * stack
-        assert peak <= max(_SOLVE_STACKS * stack, _BLOCK_FLOATS + fixed) * 8 + slack
+        peak = _solve_peak(op, ys, base, deltas, mode, gamma, config)
+        assert peak <= _counted_bytes(m * max(n, k, op.out_dim)) + slack
+
+    @pytest.mark.parametrize("n, m", [(1, 256), (1, 1024), (2, 256)])
+    def test_a_narrow_stack_stays_within_its_counted_stacks_without_slack(self, n, m):
+        """2000 iterations that never meet ``tol``, so the blocks grow to ``_BLOCK_FLOATS``:
+        the stop test, chunked to at most n iterations, keeps the peak within the count
+        itself on stacks one or two wide, where (size, m) arrays would pass it."""
+        rng = np.random.default_rng(n)
+        base = MmseDenoiser(GmmPrior([1.0], rng.standard_normal((1, n)), [0.5]), 0.3)
+        ys = rng.standard_normal((m, n))
+        config = PnpConfig(tau=1.0, max_iters=2000, tol=1e-30)
+        assert _block_cap(m, n, config.max_iters) > max(n, _STOP_BLOCK)
+        peak = _solve_peak(Mask(np.ones(n, dtype=bool)), ys, base, rng.uniform(1.0, 3.0, m), "tweedie", True, config)
+        assert peak <= _counted_bytes(m * n)
+
+
+def _solve_peak(op, ys, base, deltas, mode, gamma, config) -> int:
+    """Traced peak bytes of scaling ``base`` and one batched solve of ``ys``."""
+    tracemalloc.start()
+    try:
+        scaled = ScaledDenoiser(base, deltas, mode=mode, gamma_rescale=gamma)
+        pnp_pgd_batch(op, ys, scaled, config)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _counted_bytes(stack: int) -> int:
+    """The solve's documented peak: ``_SOLVE_STACKS`` stacks of ``stack`` floats, or a grown
+    block's ``_BLOCK_FLOATS`` and the other stacks, whichever is larger."""
+    fixed = (_SOLVE_STACKS - 2 * _STOP_BLOCK) * stack
+    return max(_SOLVE_STACKS * stack, _BLOCK_FLOATS + fixed) * 8
 
 
 class TestUncheckedRoutes:
