@@ -59,8 +59,9 @@ class Denoiser:
         """``(a, b)`` when ``_apply`` is the elementwise affine map ``a * y + b``, else None.
 
         ``a`` and ``b`` are floats, 0-d arrays or (n,) rows, so the map is the
-        same on a stack of any height. A :class:`ScaledDenoiser` over a base
-        with such a pair folds the whole chain into one pair of its own.
+        same on a stack of any height. A scaling wrapper over a base with
+        such a pair folds the whole chain into one pair of its own (see
+        :class:`_OutputMap`).
         """
         return None
 
@@ -141,7 +142,84 @@ class AffineDenoiser(Denoiser):
         return y @ self.matrix.T + self.offset
 
 
-class OutputShrink(Denoiser):
+def gamma_factor(delta: float) -> float:
+    """The admissibility rescale ``delta^2 / (1 + delta^2)``, in (0, 1)."""
+    d2 = delta * delta
+    return d2 / (1.0 + d2)
+
+
+def _spread(value, shape):
+    """``value`` (a float, an (n,) row, an (m, 1) column or an (m, n) stack) spread over a new
+    read-only float64 array of ``shape`` broadcast with its own; None stays None."""
+    if value is None:
+        return None
+    out = np.empty(np.broadcast_shapes(shape, np.shape(value)))
+    out[...] = value
+    out.setflags(write=False)
+    return out
+
+
+class _OutputMap(Denoiser):
+    """``keep * y + weight * base(inner * y)``, with coefficients fixed when it is built.
+
+    ``keep`` and ``inner`` may be None, for no identity term and no argument
+    scaling. Each coefficient is a float, or an (m, 1) column for a map of
+    ``rows`` = m rows, row i at row i's value. The scaling wrappers only choose
+    them; this class forms their output, in ``_apply``, which takes an optional
+    ``out`` array that its last operation writes the result into, bitwise
+    the fresh one. The base term is formed first, so ``out`` may alias ``y``.
+
+    The coefficients are stored in the form the ufuncs take fastest: a 0-d
+    float64 array for one map on every row, and a contiguous (m, n) stack for
+    ``rows`` = m, which costs m n floats per coefficient but spares every call
+    the broadcast of a column. Their values, and so the outputs, are those of
+    the coefficients given.
+
+    A base whose map is elementwise affine, ``_diagonal() = (a, b)``, makes
+    the whole map ``(keep + weight * inner * a) * y + weight * b``, which is
+    folded here into that one pair, so ``_apply`` is one multiply and one
+    add; it equals the map as written to round-off, not bitwise. Either way
+    the wrapper holds at most two coefficients: ``_pair``, or those of
+    ``_keep``, ``_weight`` and ``_inner`` that are not None.
+    """
+
+    def __init__(self, base: Denoiser, weight, keep=None, inner=None, rows=None):
+        self.base = base
+        self.dim = base.dim
+        self._n_rows = rows
+        shape = () if rows is None else (rows, self.dim)
+        self._pair = None
+        pair = base._diagonal()
+        if pair is not None:
+            a, b = pair
+            # An overflowing offset leaves non-finite outputs, which a solve records as a divergence.
+            with np.errstate(over="ignore"):
+                coef = weight * a if inner is None else weight * inner * a
+                self._pair = (_spread(coef if keep is None else keep + coef, shape), _spread(weight * b, shape))
+            keep = weight = inner = None
+        self._keep, self._weight, self._inner = (_spread(v, shape) for v in (keep, weight, inner))
+
+    def _apply(self, y, out=None):
+        """The unchecked map; its result is written into ``out`` when one is given."""
+        if self._pair is not None:
+            coef, off = self._pair
+            result = np.multiply(coef, y, out=out)
+            result += off
+            return result
+        term = self.base._apply(y if self._inner is None else self._inner * y)
+        if self._keep is None:
+            return np.multiply(self._weight, term, out=out)
+        term = self._weight * term
+        result = np.multiply(self._keep, y, out=out)
+        result += term
+        return result
+
+    def _diagonal(self):
+        """The folded pair, on every row alike; a map of ``rows`` rows is tied to a stack height."""
+        return self._pair if self._n_rows is None else None
+
+
+class OutputShrink(_OutputMap):
     """Compose a base denoiser with output shrinkage: ``y -> alpha * base(y)``.
 
     Used to force strict contraction (alpha < 1) where a stability run needs
@@ -149,36 +227,11 @@ class OutputShrink(Denoiser):
     """
 
     def __init__(self, base: Denoiser, alpha: float):
-        self.base = base
         self.alpha = real(alpha, "alpha", FACTOR)
-        self.dim = base.dim
-        # A 0-d operand, which the multiply takes without converting a Python float.
-        self._alpha = np.array(self.alpha)
-
-    def _apply(self, y):
-        return self._alpha * self.base._apply(y)
-
-    def _diagonal(self):
-        pair = self.base._diagonal()
-        return None if pair is None else (self._alpha * pair[0], self._alpha * pair[1])
+        super().__init__(base, self.alpha)
 
 
-def gamma_factor(delta: float) -> float:
-    """The admissibility rescale ``delta^2 / (1 + delta^2)``, in (0, 1)."""
-    d2 = delta * delta
-    return d2 / (1.0 + d2)
-
-
-def _spread(value, shape) -> np.ndarray:
-    """``value`` (a float, an (n,) row, an (m, 1) column or an (m, n) stack) spread over a new
-    read-only float64 array of ``shape``."""
-    out = np.empty(shape)
-    out[...] = value
-    out.setflags(write=False)
-    return out
-
-
-class ScaledDenoiser(Denoiser):
+class ScaledDenoiser(_OutputMap):
     """A base denoiser modulated by a positive scale ``delta``.
 
     mode ``"tweedie"``
@@ -192,39 +245,26 @@ class ScaledDenoiser(Denoiser):
         them.
 
     ``gamma_rescale`` additionally multiplies the output by
-    ``delta^2 / (1 + delta^2)``, making the family strictly contractive when
-    the base is non-expansive.
+    ``g = delta^2 / (1 + delta^2)``, making the family strictly contractive
+    when the base is non-expansive.
+
+    Both modes are one :class:`_OutputMap`, ``keep * y + weight * base(inner
+    * y)``: tweedie mode takes ``keep = g (1 - u)`` and ``weight = g u``, and
+    homogeneous mode ``weight = g / delta`` and ``inner = delta``, with ``g =
+    1`` when the rescale is off. Tweedie mode without the rescale is the
+    interpolation above bitwise; the other maps equal their formulas to
+    round-off. Over an elementwise-affine base (a one-component
+    :class:`MmseDenoiser`, a :class:`ShrinkageDenoiser`, or an
+    :class:`OutputShrink` or one-scale wrapper of either) the map folds into
+    one multiply-add; mixtures of more components, :class:`AffineDenoiser`
+    (a full matrix) and any other base are evaluated as written.
 
     ``delta`` may also be a 1-D vector with one scale per row; the wrapper
     then maps (m, n) stacks with ``m == delta.size``, row i at scale
     ``delta[i]``, which is how the batched solver runs a whole scale grid,
-    every row on every iteration. The call checks that row count; ``_apply``
-    does not, so a caller of the unchecked route checks it once with
-    :meth:`check_rows`. ``_apply`` takes an optional ``out`` array, into
-    which its last operation writes the result, bitwise the fresh one; the
-    batched solver passes its iterate buffer there.
-
-    The coefficients ``_apply`` multiplies by are built once, here, in the
-    form its ufuncs take fastest: ``u = 1/delta^2`` and ``1 - u`` (tweedie
-    mode), ``delta`` (homogeneous mode) and the gamma rescale. With one
-    scale each is a 0-d float64 array; with a scale per row each is a
-    contiguous (m, n) stack, row i filled with row i's value, which costs
-    m n floats per coefficient but spares every call the broadcast of an
-    (m, 1) column. The values, and so the outputs, are those of the scales
-    themselves.
-
-    A base whose map is elementwise affine, ``a * y + b``, makes the
-    wrapper affine too, and it is folded here into one pair: ``coef = (1 -
-    u) + u a`` and ``off = u b`` (tweedie mode), ``coef = a`` and ``off = b
-    / delta`` (homogeneous mode), both times the gamma rescale. ``_apply``
-    is then one multiply and one add. The bases that fold are a
-    one-component :class:`MmseDenoiser`, a :class:`ShrinkageDenoiser`, an
-    :class:`OutputShrink` of either and a one-scale wrapper of any of them;
-    the result equals the interpolation or the argument scaling above to
-    round-off, not bitwise. A scale per row then holds only the two stacks
-    ``coef`` and ``off``. Mixtures of more components,
-    :class:`AffineDenoiser` (a full matrix) and any other base run the
-    formulas above as written.
+    every row on every iteration, and holds its two coefficients as (m, n)
+    stacks. The call checks that row count; ``_apply`` does not, so a caller
+    of the unchecked route checks it once with :meth:`check_rows`.
 
     A ``delta`` given as a list, tuple or array is read with
     :func:`~pnplab.config.real_array`, any other with
@@ -254,66 +294,25 @@ class ScaledDenoiser(Denoiser):
             raise ValueError(f"delta must have a finite nonzero square and inverse square, got {bad!r}")
         if mode not in self.MODES:
             raise ValueError(f"mode must be one of {self.MODES}, got {mode!r}")
-        self.base = base
         self.mode = mode
         self.gamma_rescale = bool(gamma_rescale)
-        self.dim = base.dim
         if scales.ndim == 0:
             self.delta = float(scales)
-            self._n_rows = None
-            scale = self.delta
-            shape = ()
+            rows, scale = None, self.delta
         else:
             self.delta = scales.copy()
             self.delta.setflags(write=False)
-            self._n_rows = scales.size
-            scale = self.delta[:, None]
-            shape = (scales.size, self.dim)
-        self._tweedie = mode == "tweedie"
-        self._keep = self._u = self._scale = self._gamma = None
-        self._coef = self._off = None
-        u = 1.0 / (scale * scale) if self._tweedie else None
-        pair = base._diagonal()
-        if pair is None:
-            if self._tweedie:
-                self._keep, self._u = _spread(1.0 - u, shape), _spread(u, shape)
-            else:
-                self._scale = _spread(scale, shape)
-            if self.gamma_rescale:
-                self._gamma = _spread(gamma_factor(scale), shape)
+            rows, scale = scales.size, self.delta[:, None]
+        g = gamma_factor(scale) if self.gamma_rescale else 1.0
+        if mode == "tweedie":
+            u = 1.0 / (scale * scale)
+            super().__init__(base, g * u, keep=g * (1.0 - u), rows=rows)
         else:
-            a, b = pair
-            # An overflowing offset leaves non-finite outputs, which a solve records as a divergence.
-            with np.errstate(over="ignore"):
-                coef, off = ((1.0 - u) + u * a, u * b) if self._tweedie else (a, b / scale)
-                if self.gamma_rescale:
-                    g = gamma_factor(scale)
-                    coef, off = g * coef, g * off
-            self._coef = _spread(coef, np.broadcast_shapes(shape, np.shape(coef)))
-            self._off = _spread(off, np.broadcast_shapes(shape, np.shape(off)))
+            super().__init__(base, g / scale, inner=scale, rows=rows)
 
     def __call__(self, y) -> np.ndarray:
         self.check_rows(np.shape(y))
         return super().__call__(y)
-
-    def _apply(self, y, out=None):
-        """The unchecked map; its result is written into ``out`` when one is given."""
-        if self._coef is not None:
-            result = np.multiply(self._coef, y, out=out)
-            result += self._off
-            return result
-        last = out if self._gamma is None else None
-        if self._tweedie:
-            result = np.add(self._keep * y, self._u * self.base._apply(y), out=last)
-        else:
-            result = np.divide(self.base._apply(self._scale * y), self._scale, out=last)
-        if self._gamma is not None:
-            result = np.multiply(self._gamma, result, out=out)
-        return result
-
-    def _diagonal(self):
-        """The folded pair, with one scale; a scale per row ties the map to a stack height."""
-        return (self._coef, self._off) if self._n_rows is None and self._coef is not None else None
 
     def check_rows(self, shape) -> None:
         """Reject a stack of ``shape`` whose row count a per-row scale does not match."""

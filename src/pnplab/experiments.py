@@ -392,6 +392,8 @@ class _Protocol(NamedTuple):
     xlabel: str
     log_x: bool
     defaults: dict
+    # Plots of the metrics whose records are keyed by another quantity, and that quantity's label.
+    other_xlabels: dict = {}
 
 
 _PROTOCOLS = {
@@ -407,6 +409,7 @@ _PROTOCOLS = {
             "samples": 20000,
             "seed": 0,
         },
+        {"delta_opt_sq": "mismatch ratio", "delta_opt_sq_stderr": "mismatch ratio"},
     ),
     "stability": _Protocol(
         run_stability,
@@ -520,7 +523,7 @@ def write_plots(name: str, records: list[ExperimentRecord], out_dir) -> list[str
             out,
             series,
             title=f"{name}: {base}",
-            xlabel=protocol.xlabel,
+            xlabel=protocol.other_xlabels.get(base, protocol.xlabel),
             ylabel=base,
             log_x=protocol.log_x,
             log_y=log_y,

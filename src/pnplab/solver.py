@@ -62,9 +62,9 @@ _STOP_BLOCK = 8
 # (_STOP_BLOCK + 1 iterates), the stop test's successive differences
 # (_STOP_BLOCK), the measurements, the recorded iterates and the gradient
 # step, whose buffer also takes the data term's gradient from a mask or the
-# identity, a per-row scale's coefficient stacks (three, or two folded; see
-# ScaledDenoiser), and six for an iteration's temporaries, to which a mask
-# or the identity adds none. The stop test runs after those temporaries are
+# identity, a per-row scale's two coefficient stacks (see ScaledDenoiser),
+# one spare, and six for an iteration's temporaries, to which a mask or the
+# identity adds none. The stop test runs after those temporaries are
 # freed, over chunks of at most n iterations: its norms, residuals and
 # thresholds take at most four (chunk, m) arrays at once, each at most one
 # stack, and with its byte masks they stay within the six. Iterates are n
@@ -73,7 +73,7 @@ _STOP_BLOCK = 8
 # of the three (experiments._grid_cap). A block grown past _STOP_BLOCK keeps its iterates
 # after the first, and their differences, within _BLOCK_FLOATS floats in
 # place of those 2 * _STOP_BLOCK stacks.
-_SOLVE_STACKS = (_STOP_BLOCK + 1) + _STOP_BLOCK + 3 + 3 + 6
+_SOLVE_STACKS = (_STOP_BLOCK + 1) + _STOP_BLOCK + 3 + 2 + 1 + 6
 
 
 def _block_cap(m: int, n: int, max_iters: int) -> int:

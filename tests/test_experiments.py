@@ -1,3 +1,4 @@
+import re
 import struct
 import tempfile
 from pathlib import Path
@@ -533,6 +534,20 @@ class TestArtifacts:
         assert paths
         for path in paths:
             assert "<polyline" in Path(path).read_text(encoding="utf-8")
+
+    def test_delta_sweep_optimal_scale_plots_are_labelled_by_the_mismatch_ratio(self, tmp_path):
+        """``delta_opt_sq`` and its stderr are keyed by the ratio; the loss curves by the scale."""
+        _, records = run_delta_sweep_experiment({"samples": 500, "delta_grid": [1.0, 2.0]})
+        labels = {}
+        for path in write_plots("delta-sweep", records, tmp_path):
+            text = Path(path).read_text(encoding="utf-8")
+            labels[Path(path).stem] = re.search(r'font-size="13">([^<]*)</text>', text).group(1)
+        assert labels == {
+            "delta-sweep_delta_opt_sq": "mismatch ratio",
+            "delta-sweep_delta_opt_sq_stderr": "mismatch ratio",
+            "delta-sweep_l2": "scale delta",
+            "delta-sweep_l2_stderr": "scale delta",
+        }
 
     def test_run_experiment_dispatch(self):
         with pytest.raises(ConfigError, match="valid names"):

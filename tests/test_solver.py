@@ -960,6 +960,39 @@ class TestSolveMemory:
         peak = _solve_peak(Mask(np.ones(n, dtype=bool)), ys, base, rng.uniform(1.0, 3.0, m), "tweedie", True, config)
         assert peak <= _counted_bytes(m * n)
 
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        m=st.integers(1, 2**15),
+        n=st.integers(1, 64),
+        k=st.sampled_from([1, 3]),
+        kind=st.sampled_from(["mask", "identity", "dense"]),
+        mode=st.sampled_from(ScaledDenoiser.MODES),
+        gamma=st.booleans(),
+        per_row=st.booleans(),
+        max_iters=st.integers(1, 60),
+        seed=st.integers(0, 2**16),
+    )
+    def test_any_drawn_solve_stays_within_its_counted_stacks(
+        self, m, n, k, kind, mode, gamma, per_row, max_iters, seed
+    ):
+        """The documented peak, with one slack for small arrays and numpy's iteration
+        buffers, holds for any stack: narrow or wide, few or many rows, a mixture or one
+        Gaussian, every operator kind, both modes, and one scale or a scale per row."""
+        rng = np.random.default_rng(seed)
+        m = min(m, max(1, 2**15 // n))
+        prior = GmmPrior(np.full(k, 1.0 / k), rng.standard_normal((k, n)), rng.uniform(0.2, 1.0, k))
+        if kind == "mask":
+            op = Mask((np.arange(n) == 0) | (rng.random(n) < 0.8))
+        elif kind == "identity":
+            op = Identity(n)
+        else:
+            op = DenseOperator(rng.standard_normal((int(rng.integers(1, 2 * n + 1)), n)))
+        ys = rng.standard_normal((m, op.out_dim))
+        deltas = rng.uniform(1.0, 3.0, m) if per_row else float(rng.uniform(1.0, 3.0))
+        config = PnpConfig(max_iters=max_iters, tol=1e-30)
+        peak = _solve_peak(op, ys, MmseDenoiser(prior, 0.3), deltas, mode, gamma, config)
+        assert peak <= _counted_bytes(m * max(n, k, op.out_dim)) + 256 * 1024
+
 
 def _solve_peak(op, ys, base, deltas, mode, gamma, config) -> int:
     """Traced peak bytes of scaling ``base`` and one batched solve of ``ys``."""
