@@ -55,6 +55,9 @@ class Denoiser:
             raise NotImplementedError(f"{type(self).__name__} defines neither __call__ nor _apply")
         return self(y, *args)
 
+    def check_rows(self, shape) -> None:
+        """Reject a stack of ``shape`` whose row count this denoiser is not built for; none here."""
+
     def _diagonal(self):
         """``(a, b)`` when ``_apply`` is the elementwise affine map ``a * y + b``, else None.
 
@@ -168,6 +171,8 @@ class _OutputMap(Denoiser):
     them; this class forms their output, in ``_apply``, which takes an optional
     ``out`` array that its last operation writes the result into, bitwise
     the fresh one. The base term is formed first, so ``out`` may alias ``y``.
+    The call checks a stack's row count against ``rows`` and then against
+    the base's (:meth:`check_rows`); ``_apply`` checks nothing.
 
     The coefficients are stored in the form the ufuncs take fastest: a 0-d
     float64 array for one map on every row, and a contiguous (m, n) stack for
@@ -198,6 +203,16 @@ class _OutputMap(Denoiser):
                 self._pair = (_spread(coef if keep is None else keep + coef, shape), _spread(weight * b, shape))
             keep = weight = inner = None
         self._keep, self._weight, self._inner = (_spread(v, shape) for v in (keep, weight, inner))
+
+    def __call__(self, y) -> np.ndarray:
+        self.check_rows(np.shape(y))
+        return super().__call__(y)
+
+    def check_rows(self, shape) -> None:
+        """Reject a stack of ``shape`` whose row count this map's, or its base's, does not match."""
+        if self._n_rows is not None and (len(shape) != 2 or shape[0] != self._n_rows):
+            raise ValueError(f"expected a stack of {self._n_rows} rows, got shape {shape}")
+        self.base.check_rows(shape)
 
     def _apply(self, y, out=None):
         """The unchecked map; its result is written into ``out`` when one is given."""
@@ -309,15 +324,6 @@ class ScaledDenoiser(_OutputMap):
             super().__init__(base, g * u, keep=g * (1.0 - u), rows=rows)
         else:
             super().__init__(base, g / scale, inner=scale, rows=rows)
-
-    def __call__(self, y) -> np.ndarray:
-        self.check_rows(np.shape(y))
-        return super().__call__(y)
-
-    def check_rows(self, shape) -> None:
-        """Reject a stack of ``shape`` whose row count a per-row scale does not match."""
-        if self._n_rows is not None and (len(shape) != 2 or shape[0] != self._n_rows):
-            raise ValueError(f"expected a stack of {self._n_rows} rows, got shape {shape}")
 
 
 def tweedie_scale(base: Denoiser, delta: float, gamma_rescale: bool = False) -> ScaledDenoiser:

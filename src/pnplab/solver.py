@@ -64,7 +64,9 @@ _STOP_BLOCK = 8
 # step, whose buffer also takes the data term's gradient from a mask or the
 # identity, a per-row scale's two coefficient stacks (see ScaledDenoiser),
 # one spare, and six for an iteration's temporaries, to which a mask or the
-# identity adds none. The stop test runs after those temporaries are
+# identity adds none. The spare holds no array: it keeps the count at 29,
+# and so every grid cap the count sets (experiments._grid_cap, the
+# 18078-point cap that tests/test_cli.py pins among them), where it is. The stop test runs after those temporaries are
 # freed, over chunks of at most n iterations: its norms, residuals and
 # thresholds take at most four (chunk, m) arrays at once, each at most one
 # stack, and with its byte masks they stay within the six. Iterates are n

@@ -401,7 +401,7 @@ def _affine(prior, rng):
 
 
 # Bases of a scaling wrapper, each built from a one-Gaussian prior and a generator.
-# The first seven are elementwise affine, so the wrapper folds; the rest do not.
+# The first seven, _FOLDING, are elementwise affine, so the wrapper folds; the rest do not.
 _CHAINS = {
     "mmse": lambda prior, rng: MmseDenoiser(prior, 0.4),
     "shrinkage": lambda prior, rng: ShrinkageDenoiser(0.7, prior.dim),
@@ -414,6 +414,15 @@ _CHAINS = {
     "affine": _affine,
     "output-shrink-mixture": lambda prior, rng: OutputShrink(_mixture_mmse(prior, rng), 0.9),
     "output-shrink-affine": lambda prior, rng: OutputShrink(_affine(prior, rng), 0.95),
+}
+_FOLDING = {
+    "mmse",
+    "shrinkage",
+    "output-shrink-mmse",
+    "output-shrink-shrinkage",
+    "nested-mmse",
+    "nested-shrinkage",
+    "nested-output-shrink",
 }
 
 
@@ -440,7 +449,7 @@ class TestFoldedAffineChains:
         base = _CHAINS[chain](prior, rng)
         delta = 10.0 ** (log_delta + rng.uniform(-0.5, 0.5, m)) if per_row else 10.0**log_delta
         d = ScaledDenoiser(base, delta, mode=mode, gamma_rescale=gamma)
-        assert (d._pair is not None) == (base._diagonal() is not None)
+        assert (d._pair is not None) == (base._diagonal() is not None) == (chain in _FOLDING)
         ys = (offset + 1.0) * rng.standard_normal((m, n))
         got = d(ys)
         want = _unfolded(d, ys)

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -1071,3 +1072,29 @@ class TestUncheckedRoutes:
             per_row(np.zeros((3, 3)))
         with pytest.raises(ValueError, match=r"expected a stack of 2 rows, got shape \(3, 3\)"):
             pnp_pgd_batch(Identity(3), np.zeros((3, 3)), per_row, PnpConfig(tau=1.0))
+
+    @pytest.mark.parametrize("shape", [(3, 3), (1, 3), (3,)])
+    def test_a_wrapper_over_a_per_row_scale_checks_its_rows(self, shape):
+        shrunk = OutputShrink(ScaledDenoiser(ShrinkageDenoiser(0.5, 3), np.array([1.0, 2.0])), 0.9)
+        message = rf"expected a stack of 2 rows, got shape {re.escape(str(shape))}"
+        with pytest.raises(ValueError, match=message):
+            shrunk(np.zeros(shape))
+        with pytest.raises(ValueError, match=message):
+            ScaledDenoiser(shrunk, 2.0)(np.zeros(shape))
+        if len(shape) == 2:
+            with pytest.raises(ValueError, match=message):
+                pnp_pgd_batch(Identity(3), np.zeros(shape), shrunk, PnpConfig(tau=1.0))
+
+    def test_a_wrapper_over_a_per_row_scale_runs_each_row_at_its_scale(self):
+        rng = np.random.default_rng(7)
+        prior = GmmPrior([0.5, 0.5], rng.standard_normal((2, 3)), [0.4, 0.6])
+        deltas = np.array([0.8, 1.5, 3.0])
+        ys = rng.standard_normal((3, 3))
+        cfg = PnpConfig(tau=1.0, max_iters=80, tol=1e-10)
+        shrunk = OutputShrink(ScaledDenoiser(MmseDenoiser(prior, 0.3), deltas, gamma_rescale=True), 0.9)
+        batch = pnp_pgd_batch(Identity(3), ys, shrunk, cfg)
+        for i, delta in enumerate(deltas):
+            one = OutputShrink(ScaledDenoiser(MmseDenoiser(prior, 0.3), delta, gamma_rescale=True), 0.9)
+            row = pnp_pgd_batch(Identity(3), ys[i : i + 1], one, cfg)
+            assert batch.iterations[i] == row.iterations[0] and batch.converged[i] == row.converged[0]
+            np.testing.assert_allclose(batch.x_star[i], row.x_star[0], rtol=1e-12, atol=1e-14)
