@@ -287,6 +287,13 @@ def _one_pass(denoisers: list, blocks, samples: int) -> list[ResidualMoments]:
     once, and their residual is formed in place of their fresh output. Every
     other denoiser is called on the block, and its output, which may be the
     block itself or an array the denoiser keeps, is only read.
+
+    Beyond the blocks it is given, the pass holds the three moments per
+    sample of each denoiser, one block of shared distances per mixture
+    prior, and at most nine more blocks of ``_BLOCK_FLOATS`` floats: the
+    last denoiser's output, error and residual, and the temporaries of the
+    one it evaluates next. So its peak grows with the samples and the
+    denoisers, not with the components.
     """
     # The class is looked up on its module, so that rebinding the name
     # ``analysis.MmseDenoiser`` does not change which denoisers share distances;

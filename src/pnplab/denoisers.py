@@ -389,9 +389,11 @@ def estimate_lipschitz(denoiser, points) -> float:
     blocks of rows sized by its row width (:func:`_row_width`, which finds a
     mixture's component count through the ``base`` chain of any wrappers),
     and pairs are formed one block of rows at a time, so memory grows with
-    the cloud, not with its pairs or the prior's components.
-    Points or outputs whose squared pair distances may overflow are
-    rejected.
+    the cloud, not with its pairs or the prior's components: beyond the
+    points it holds the (m, n) outputs, at most ``2 max(_BLOCK_FLOATS, m n)``
+    floats of one block's pair differences and their squares, and four
+    blocks of ``_BLOCK_FLOATS`` floats. Points or outputs whose squared pair
+    distances may overflow are rejected.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[0] < 2:

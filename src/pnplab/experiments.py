@@ -6,10 +6,12 @@ convergent regularisation, and a noise-level table of Lipschitz estimates.
 
 Every run is a pure function of its resolved config. Its prior, operator and
 denoiser are built and cross-checked before any work starts; a bad config
-raises :class:`ConfigError`. The solve protocols run their whole grid as one
-batched fixed-point stack (:func:`~pnplab.solver.pnp_pgd_batch`), and the
-scale sweep derives every grid loss from one streamed pass over one shared
-sample set that evaluates every mismatch ratio's denoiser.
+raises :class:`ConfigError`. The solve protocols share one driver,
+:func:`_solve_grid`, which builds and caps their setup and runs their whole
+grid as one batched fixed-point stack (:func:`~pnplab.solver.pnp_pgd_batch`);
+each protocol keeps its own fields, rows and metrics. The scale sweep
+derives every grid loss from one streamed pass over one shared sample set
+that evaluates every mismatch ratio's denoiser.
 
 Every CSV row, here and in the CLI's ``delta-opt``, is built by one record
 builder, :func:`_records`, from a protocol's keys and one column of values
@@ -154,25 +156,23 @@ def _reading(what: str):
 _MAX_GRID_POINTS = 1 << 16
 
 
-def _grid_cap(op, base) -> int:
-    """Most grid points a batched solve of ``op`` and ``base`` records and holds within the float cap.
+def _solve_grid(resolved: dict, name: str, prior, sigma, seed, field, rows, delta=None) -> tuple:
+    """Read, cap and solve a solve protocol's grid as one batch; returns ``(op, grid, y, result)``.
 
-    The solve holds ``_SOLVE_STACKS`` arrays of one row per grid point: the
-    measurements and their residuals are ``op.out_dim`` wide, the iterates
-    the prior's dim, and each iteration's mixture denoiser forms (K, m)
-    distances and responsibilities over the whole stack, so a grid point is
-    sized by the larger of ``op.out_dim`` and the base's row width.
-    """
-    width = max(op.out_dim, _row_width(base, op.in_dim))
-    return min(_MAX_GRID_POINTS, _MAX_SAMPLE_FLOATS // (_SOLVE_STACKS * width))
-
-
-def _build_solve(resolved: dict, prior: GmmPrior, sigma: float) -> tuple:
-    """Operator, base denoiser and solver config of a solve protocol on ``prior``.
-
-    The protocol caps its grid with :func:`_grid_cap` of the operator and
-    the base, then wraps the base with :func:`_scaled`; everything the
-    batched solve needs is validated before it starts.
+    The operator, the base denoiser (shrunk by ``contract_eps``) and the
+    solver config are read first, then the grid ``field``, capped so that
+    the solve's ``_SOLVE_STACKS`` arrays of one row per grid point fit the
+    float cap: the measurements and their residuals are ``op.out_dim`` wide,
+    the iterates the prior's dim, and a mixture denoiser's (K, m) distances
+    and responsibilities K, so a grid point is sized by the widest. The base
+    is scaled at ``delta``, or at the grid itself when ``delta`` is None.
+    The clean measurement ``y`` comes from one prior sample at ``sigma``,
+    and ``rows(y, xi, grid)`` forms the stack from it and the ``[seed, 1]``
+    noise ``xi`` with overflow warnings off. An operator, prior or noise
+    scale can each be finite and still overflow the measurements, an
+    operator's ``||A^T A||`` can overflow and certify no step, and finite
+    measurements can have squared row norms that overflow and leave the
+    recorded metrics no norm; each is rejected before the solve starts.
     """
     with _reading("solve config"):
         spec = resolved["operator"]
@@ -188,26 +188,21 @@ def _build_solve(resolved: dict, prior: GmmPrior, sigma: float) -> tuple:
         eps = real(resolved.get("contract_eps", 0.0), "contract_eps", UNIT)
         if eps > 0.0:
             base = OutputShrink(base, 1.0 - eps)
-        return op, base, PnpConfig(**resolved["solver"])
-
-
-def _scaled(resolved: dict, base, delta) -> ScaledDenoiser:
-    """``base`` scaled as a solve protocol's config asks, at one scale or one per grid point."""
+        cfg = PnpConfig(**resolved["solver"])
+    with _reading(f"{name} config"):
+        width = max(op.out_dim, _row_width(base, op.in_dim))
+        cap = min(_MAX_GRID_POINTS, _MAX_SAMPLE_FLOATS // (_SOLVE_STACKS * width))
+        grid = real_array(resolved[field], field, rule=POSITIVE, cap=cap)
     with _reading("solve config"):
         gamma_rescale = flag(resolved["gamma_rescale"], "gamma_rescale")
-        return ScaledDenoiser(base, delta, mode=resolved["mode"], gamma_rescale=gamma_rescale)
+        scale = grid if delta is None else delta
+        scaled = ScaledDenoiser(base, scale, mode=resolved["mode"], gamma_rescale=gamma_rescale)
 
-
-def _finite(ys: np.ndarray, op) -> np.ndarray:
-    """A solve protocol's measurement stack, rejected if the config overflowed it or ``op``'s norm.
-
-    An operator, prior or noise scale can each be finite and still overflow
-    the measurements; the protocols form them with overflow warnings off and
-    report the result here, before the solve starts. An operator whose
-    ``||A^T A||`` overflows certifies no step, and is rejected next. Last,
-    finite measurements whose squared row norms overflow have no norm for
-    the recorded metrics, and are rejected too.
-    """
+    clean, _ = prior.sample_pairs(sigma, 1, seed)
+    xi = np.random.default_rng([seed, 1]).standard_normal(op.out_dim)
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = op.apply(clean[0])
+        ys = rows(y, xi, grid)
     if not np.all(np.isfinite(ys)):
         raise ConfigError("measurements contain non-finite entries: the operator or the noise overflows")
     with np.errstate(over="ignore"):
@@ -217,7 +212,7 @@ def _finite(ys: np.ndarray, op) -> np.ndarray:
         raise ConfigError(f"the operator's norm ||A^T A|| is not finite, got {norm_sq!r}")
     if not np.all(sq_norms < np.inf):
         raise ConfigError("measurements are too large: their squared norms overflow")
-    return ys
+    return op, grid, y, pnp_pgd_batch(op, ys, scaled, cfg)
 
 
 # -- protocols ---------------------------------------------------------------
@@ -285,16 +280,11 @@ def run_stability(config: dict | None = None):
         sigma = _check_sigma(resolved["sigma"], POSITIVE)
         delta = real(resolved["delta"], "delta")
         seed = count(resolved["seed"], "seed")
-    op, base, cfg = _build_solve(resolved, prior, sigma)
-    with _reading("stability config"):
-        k_grid = real_array(resolved["k_grid"], "k_grid", rule=POSITIVE, cap=_grid_cap(op, base))
-    scaled = _scaled(resolved, base, delta)
-    clean, _ = prior.sample_pairs(sigma, 1, seed)
-    xi = np.random.default_rng([seed, 1]).standard_normal(op.out_dim)
-    with np.errstate(over="ignore", invalid="ignore"):
-        y = op.apply(clean[0])
-        ys = np.vstack([y, y + (sigma / k_grid)[:, None] * xi])
-    res = pnp_pgd_batch(op, _finite(ys, op), scaled, cfg)
+
+    def rows(y, xi, k_grid):
+        return np.vstack([y, y + (sigma / k_grid)[:, None] * xi])
+
+    _, k_grid, _, res = _solve_grid(resolved, "stability", prior, sigma, seed, "k_grid", rows, delta)
     distance = [np.linalg.norm(x - res.x_star[0]) for x in res.x_star[1:]]
     columns = {"distance_to_limit": distance, "converged": res.converged[1:]}
     return resolved, _records("stability", k_grid, columns, res.diverged[0] | res.diverged[1:])
@@ -316,25 +306,15 @@ def run_conv_reg(config: dict | None = None):
         sigma = _check_sigma(resolved["sigma"])
         seed = count(resolved["seed"], "seed")
         resample = flag(resolved["resample_noise_per_delta"], "resample_noise_per_delta")
-    op, base, cfg = _build_solve(resolved, prior, max(sigma, 1e-12))
-    with _reading("conv-reg config"):
-        grid = real_array(resolved["delta_grid"], "delta_grid", rule=POSITIVE, cap=_grid_cap(op, base))
-    scaled = _scaled(resolved, base, grid)
 
-    clean, _ = prior.sample_pairs(max(sigma, 1e-12), 1, seed)
-    if resample:
-        noise = np.stack(
-            [
-                np.random.default_rng([seed, 2, i]).standard_normal(op.out_dim)
-                for i in range(grid.size)
-            ]
-        )
-    else:
-        noise = np.random.default_rng([seed, 1]).standard_normal(op.out_dim)
-    with np.errstate(over="ignore", invalid="ignore"):
-        y0 = op.apply(clean[0])
-        ys = y0 + (sigma / grid)[:, None] * noise
-    res = pnp_pgd_batch(op, _finite(ys, op), scaled, cfg)
+    def rows(y0, xi, grid):
+        if resample:
+            xi = np.stack(
+                [np.random.default_rng([seed, 2, i]).standard_normal(y0.size) for i in range(grid.size)]
+            )
+        return y0 + (sigma / grid)[:, None] * xi
+
+    op, grid, y0, res = _solve_grid(resolved, "conv-reg", prior, max(sigma, 1e-12), seed, "delta_grid", rows)
     norm_y0 = float(np.linalg.norm(y0))
     x, diverged = res.x_star, res.diverged
     # The gap from each grid point to the next, where neither diverged.

@@ -63,19 +63,18 @@ _STOP_BLOCK = 8
 # (_STOP_BLOCK), the measurements, the recorded iterates and the gradient
 # step, whose buffer also takes the data term's gradient from a mask or the
 # identity, a per-row scale's two coefficient stacks (see ScaledDenoiser),
-# one spare, and six for an iteration's temporaries, to which a mask or the
-# identity adds none. The spare holds no array: it keeps the count at 29,
-# and so every grid cap the count sets (experiments._grid_cap, the
-# 18078-point cap that tests/test_cli.py pins among them), where it is. The stop test runs after those temporaries are
-# freed, over chunks of at most n iterations: its norms, residuals and
-# thresholds take at most four (chunk, m) arrays at once, each at most one
-# stack, and with its byte masks they stay within the six. Iterates are n
-# wide, measurements and their residuals out_dim, and a mixture denoiser's
-# distances and responsibilities K, so each stack is counted at the widest
-# of the three (experiments._grid_cap). A block grown past _STOP_BLOCK keeps its iterates
-# after the first, and their differences, within _BLOCK_FLOATS floats in
-# place of those 2 * _STOP_BLOCK stacks.
-_SOLVE_STACKS = (_STOP_BLOCK + 1) + _STOP_BLOCK + 3 + 2 + 1 + 6
+# and six for an iteration's temporaries, to which a mask or the identity
+# adds none. The stop test runs after those temporaries are freed, over
+# chunks of at most n iterations: its norms, residuals and thresholds take
+# at most four (chunk, m) arrays at once, each at most one stack, and with
+# its byte masks they stay within the six. Iterates are n wide, measurements
+# and their residuals out_dim, and a mixture denoiser's distances and
+# responsibilities K, so each stack is counted at the widest of the three,
+# as the solve protocols cap their grids (experiments._solve_grid). A block
+# grown past _STOP_BLOCK keeps its iterates after the first, and their
+# differences, within _BLOCK_FLOATS floats in place of those 2 * _STOP_BLOCK
+# stacks.
+_SOLVE_STACKS = (_STOP_BLOCK + 1) + _STOP_BLOCK + 3 + 2 + 6
 
 
 def _block_cap(m: int, n: int, max_iters: int) -> int:
@@ -199,7 +198,8 @@ def pnp_pgd(
     successive-iterate residual fell below ``tol * (1 + |x|)``. A step size
     above ``1 / ||A^T A||`` voids the convergence certificate and is recorded
     as ``step_size_warning`` rather than raised. Iterates whose norm exceeds
-    1e12 raise :class:`DivergenceError` carrying the iteration index.
+    1e12, or overflows, raise :class:`DivergenceError` carrying the iteration
+    index.
     """
     y = as_signal(y, op.out_dim)
     if x0 is None:
@@ -216,8 +216,10 @@ def pnp_pgd(
     converged = False
     for i in range(config.max_iters):
         x_next = denoiser(op.gradient_step(y, tau, x))
-        if not np.all(np.isfinite(x_next)) or np.linalg.norm(x_next) > _DIVERGENCE_NORM:
-            raise DivergenceError(i + 1)
+        # Finite entries whose norm overflows diverge too, as in pnp_pgd_batch.
+        with np.errstate(over="ignore"):
+            if not np.all(np.isfinite(x_next)) or np.linalg.norm(x_next) > _DIVERGENCE_NORM:
+                raise DivergenceError(i + 1)
         residual = float(np.linalg.norm(x_next - x))
         residuals.append(residual)
         x = x_next

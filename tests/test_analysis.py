@@ -11,19 +11,25 @@ import pnplab.denoisers
 from pnplab.analysis import (
     DegenerateDenoiserError,
     ResidualMoments,
+    _array_blocks,
     _delta_opt_of,
     _l2_on_samples,
     _moments_on_prior,
+    _one_pass,
     delta_sweep,
     estimate_delta_opt,
     estimate_l2,
     verify_sandwich,
 )
 from pnplab.denoisers import (
+    _BLOCK_FLOATS,
     AffineDenoiser,
     Denoiser,
     MmseDenoiser,
+    OutputShrink,
     ShrinkageDenoiser,
+    _block_rows,
+    homogeneous_scale,
     tweedie_scale,
 )
 from pnplab.prior import GmmPrior
@@ -554,6 +560,58 @@ class TestOnePass:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20
+
+
+def _zoo_member(kind, prior, n):
+    if kind == "shrinkage":
+        return ShrinkageDenoiser(0.5, n)
+    if kind == "affine":
+        return AffineDenoiser(0.5 * np.eye(n), np.ones(n))
+    mmse = MmseDenoiser(prior, 0.3)
+    if kind == "tweedie":
+        return tweedie_scale(mmse, 1.7, gamma_rescale=True)
+    if kind == "homogeneous":
+        return homogeneous_scale(mmse, 1.7)
+    if kind == "output-shrink":
+        return OutputShrink(mmse, 0.9)
+    return mmse
+
+
+class TestPassMemory:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        m=st.integers(2, 8192),
+        n=st.integers(1, 16),
+        k=st.integers(1, 256),
+        kinds=st.lists(
+            st.sampled_from(["mmse", "tweedie", "homogeneous", "output-shrink", "shrinkage", "affine"]),
+            min_size=1,
+            max_size=3,
+        ),
+        seed=st.integers(0, 2**16),
+    )
+    def test_any_drawn_pass_stays_within_its_documented_blocks(self, m, n, k, kinds, seed):
+        """``_one_pass``'s documented peak, with one slack for small arrays, holds for any
+        samples, dims, component counts and mix of denoisers, over one mixture prior or two:
+        three moments per sample and denoiser, one block per shared prior and nine more."""
+        rng = np.random.default_rng(seed)
+        priors = [
+            GmmPrior(np.full(k, 1.0 / k), rng.standard_normal((k, n)), rng.uniform(0.2, 1.0, k))
+            for _ in range(2)
+        ]
+        denoisers = [_zoo_member(kind, priors[i % 2], n) for i, kind in enumerate(kinds)]
+        shared = {id(d.prior) for d in denoisers if type(d) is MmseDenoiser and k > 1}
+        clean = rng.standard_normal((m, n))
+        noisy = clean + 0.3 * rng.standard_normal((m, n))
+        blocks = _array_blocks(clean, noisy, _block_rows(denoisers, n))
+        tracemalloc.start()
+        try:
+            _one_pass(denoisers, blocks, m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        counted = 3 * m * len(denoisers) + (len(shared) + 9) * _BLOCK_FLOATS
+        assert peak <= 8 * counted + 64 * 1024
 
 
 class TestOptimalScaleReferee:

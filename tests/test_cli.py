@@ -1,13 +1,20 @@
+import contextlib
+import copy
 import importlib.util
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pnplab import cli
 from pnplab import prior as prior_module
@@ -900,27 +907,27 @@ class TestConfigErrorsAtTheBoundary:
         [
             # Three moments per sample and ratio: 2**25 // (3 * 20000) ratios.
             ("delta-sweep", {}, {"mismatch_ratios": [1.0] * 559}, "_moments_on_prior"),
-            # A solve holds 29 arrays of one row per grid point: 2**25 // (29 * 64) points.
-            ("conv-reg", {}, {"delta_grid": [1.0] * 18078}, "pnp_pgd_batch"),
-            ("stability", {}, {"k_grid": [1] * 18078}, "pnp_pgd_batch"),
-            # The cap follows the prior's dim: 2**25 // (29 * 512) points.
+            # A solve holds 28 arrays of one row per grid point: 2**25 // (28 * 64) points.
+            ("conv-reg", {}, {"delta_grid": [1.0] * 18724}, "pnp_pgd_batch"),
+            ("stability", {}, {"k_grid": [1] * 18724}, "pnp_pgd_batch"),
+            # The cap follows the prior's dim: 2**25 // (28 * 512) points.
             (
                 "conv-reg",
                 {
                     "prior": {"weights": [1.0], "means": [[0.0] * 512], "variances": [1.0]},
                     "operator": {"kind": "identity", "dim": 512},
                 },
-                {"delta_grid": [1.0] * 2259},
+                {"delta_grid": [1.0] * 2340},
                 "pnp_pgd_batch",
             ),
-            # With more components than dims the cap follows K: 2**25 // (29 * 2000) points.
-            ("conv-reg", _MANY_COMPONENTS, {"delta_grid": [1.0] * 578}, "pnp_pgd_batch"),
-            ("stability", _MANY_COMPONENTS, {"k_grid": [1] * 578}, "pnp_pgd_batch"),
+            # With more components than dims the cap follows K: 2**25 // (28 * 2000) points.
+            ("conv-reg", _MANY_COMPONENTS, {"delta_grid": [1.0] * 599}, "pnp_pgd_batch"),
+            ("stability", _MANY_COMPONENTS, {"k_grid": [1] * 599}, "pnp_pgd_batch"),
             # At dim 1 the float cap is far off; a run records at most 2**16 grid points.
             ("conv-reg", _DIM_ONE, {"delta_grid": [1.0] * 2**16}, "pnp_pgd_batch"),
             ("stability", _DIM_ONE, {"k_grid": [1] * 2**16}, "pnp_pgd_batch"),
-            # Measurements are out_dim wide: 2**25 // (29 * 512) points for a 512 x 64 matrix.
-            ("conv-reg", _TALL_DENSE, {"delta_grid": [1.0] * 2259}, "pnp_pgd_batch"),
+            # Measurements are out_dim wide: 2**25 // (28 * 512) points for a 512 x 64 matrix.
+            ("conv-reg", _TALL_DENSE, {"delta_grid": [1.0] * 2340}, "pnp_pgd_batch"),
             # One curve point per scale and ratio: 2**16 // 4 scales with the four default ratios.
             ("delta-sweep", {}, {"delta_grid": [1.0] * 2**14}, "_moments_on_prior"),
             ("lipschitz", {}, {"sigma_grid": [0.1] * 2**16}, "estimate_lipschitz"),
@@ -1119,3 +1126,83 @@ class TestSelftest:
         assert code == 3
         assert "FAIL tweedie-consistency" in captured.out
         assert "tweedie-consistency" in captured.err
+
+
+def _fuzz_prior(n, k):
+    rng = np.random.default_rng([n, k])
+    return {"weights": [1.0 / k] * k, "means": rng.standard_normal((k, n)).tolist(), "variances": [0.25] * k}
+
+
+# The default configs of the four protocols and a delta-opt config, shrunk so that a run takes
+# milliseconds: small dims and grids, few samples and iterations.
+_FUZZ_BASES = {
+    "delta-sweep": {
+        "prior": _fuzz_prior(4, 3),
+        "mismatch_ratios": [1.0, 2.0],
+        "delta_grid": [0.7, 2.0, 20.0],
+        "samples": 64,
+    },
+    "stability": {
+        "prior": _fuzz_prior(8, 1),
+        "operator": {"kind": "mask", "dim": 8, "mask_fraction": 0.2, "seed": 0},
+        "k_grid": [1, 4],
+        "solver": {"tau": 1.0, "max_iters": 200, "tol": 1e-11},
+    },
+    "conv-reg": {
+        "prior": _fuzz_prior(8, 3),
+        "operator": {"kind": "mask", "dim": 8, "mask_fraction": 0.2, "seed": 0},
+        "delta_grid": [1.0, 30.0, 1000.0],
+        "solver": {"tau": 1.0, "max_iters": 50, "tol": 1e-9},
+    },
+    "lipschitz": {"prior": _fuzz_prior(4, 1), "sigma_grid": [0.05, 0.2], "cloud_size": 16},
+}
+_FUZZ_CONFIGS = {name: resolve_config(name, fields) for name, fields in _FUZZ_BASES.items()}
+_FUZZ_CONFIGS["delta-opt"] = {
+    "prior": _fuzz_prior(4, 3),
+    "denoiser": {"kind": "mismatched_mmse", "sigma_train": 0.3},
+    "sigma": 0.2,
+    "samples": 64,
+    "seed": 0,
+}
+_HOSTILE = [0, 1, -1, 1e-300, 5e-324, 1e160, 1.7e308, -1.7e308, 2**64, True, False, "1", None, [], [[1.0, [2.0]]]]
+
+
+def _paths(node, prefix=()):
+    """Every position below ``node``: each dict value and each list item, at any depth."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _paths(value, prefix + (key,))
+
+
+class TestConfigFuzz:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        name=st.sampled_from(sorted(_FUZZ_CONFIGS)),
+        data=st.data(),
+    )
+    def test_hostile_values_exit_with_a_code_and_one_line(self, name, data):
+        """One or two positions of a shrunk config set to hostile values: ``cli.main`` returns
+        0, 1, 2 or 3, a non-zero exit prints exactly one stderr line, no warning is emitted
+        and no exception escapes."""
+        config = copy.deepcopy(_FUZZ_CONFIGS[name])
+        for _ in range(data.draw(st.integers(1, 2), label="edits")):
+            path = data.draw(st.sampled_from(list(_paths(config))), label="path")
+            parent = config
+            for key in path[:-1]:
+                parent = parent[key]
+            parent[path[-1]] = copy.deepcopy(data.draw(st.sampled_from(_HOSTILE), label="value"))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "config.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(config, fh)
+            argv = ["delta-opt"] if name == "delta-opt" else ["run", name]
+            err = io.StringIO()
+            with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
+                warnings.simplefilter("always")
+                with contextlib.redirect_stdout(io.StringIO()):
+                    code = cli.main(argv + ["--config", path, "--out", os.path.join(tmp, "out")])
+        assert code in (0, 1, 2, 3)
+        if code:
+            assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
+        assert not caught, [str(w.message) for w in caught]

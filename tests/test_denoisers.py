@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pnplab.denoisers import (
+    _BLOCK_FLOATS,
     AffineDenoiser,
     Denoiser,
     MmseDenoiser,
@@ -661,6 +662,38 @@ class TestLipschitz:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        m=st.integers(2, 1024),
+        n=st.integers(1, 16),
+        k=st.integers(1, 256),
+        kind=st.sampled_from(["mmse", "tweedie", "homogeneous", "output-shrink", "shrinkage", "affine"]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_any_drawn_estimate_stays_within_its_documented_floats(self, m, n, k, kind, seed):
+        """The documented peak, with one slack for small arrays, holds for any cloud,
+        dim, component count and denoiser: the outputs, two arrays of the larger of
+        a block and the cloud, and four blocks."""
+        rng = np.random.default_rng(seed)
+        prior = GmmPrior(np.full(k, 1.0 / k), rng.standard_normal((k, n)), rng.uniform(0.2, 1.0, k))
+        d = {
+            "mmse": lambda: MmseDenoiser(prior, 0.3),
+            "tweedie": lambda: tweedie_scale(MmseDenoiser(prior, 0.3), 1.7, gamma_rescale=True),
+            "homogeneous": lambda: homogeneous_scale(MmseDenoiser(prior, 0.3), 1.7),
+            "output-shrink": lambda: OutputShrink(MmseDenoiser(prior, 0.3), 0.9),
+            "shrinkage": lambda: ShrinkageDenoiser(0.5, n),
+            "affine": lambda: AffineDenoiser(0.5 * np.eye(n), np.ones(n)),
+        }[kind]()
+        pts = 2.0 * rng.standard_normal((m, n))
+        tracemalloc.start()
+        try:
+            estimate_lipschitz(d, pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        counted = m * n + 2 * max(_BLOCK_FLOATS, m * n) + 4 * _BLOCK_FLOATS
+        assert peak <= 8 * counted + 64 * 1024
 
     def test_nonexpansiveness_inherited_by_scaling(self):
         """If the base is non-expansive on a cloud, so is every scale >= 1."""

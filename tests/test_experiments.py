@@ -8,8 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pnplab import experiments
-from pnplab.denoisers import AffineDenoiser, homogeneous_scale, tweedie_scale
+from pnplab.denoisers import AffineDenoiser, ScaledDenoiser, homogeneous_scale, tweedie_scale
 from pnplab.experiments import (
     ConfigError,
     ExperimentRecord,
@@ -235,8 +234,10 @@ class TestStability:
         config["denoiser"]["offset"] = [-1.1 * y - np.sign(xi)]
         resolved, records = run_stability(config)
 
-        op, base, cfg = experiments._build_solve(resolved, prior, sigma)
-        scaled = experiments._scaled(resolved, base, 1.0)
+        op = operator_from_config(resolved["operator"])
+        base = AffineDenoiser(resolved["denoiser"]["matrix"], resolved["denoiser"]["offset"])
+        scaled = ScaledDenoiser(base, 1.0, mode=resolved["mode"], gamma_rescale=resolved["gamma_rescale"])
+        cfg = PnpConfig(**resolved["solver"])
         ys = np.array([[y], [y + sigma * xi], [y + sigma / 2 * xi]])
         assert list(pnp_pgd_batch(op, ys, scaled, cfg).diverged) == [True, False, False]
         assert [r.key for r in records] == [1.0, 2.0]

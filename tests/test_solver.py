@@ -45,6 +45,15 @@ def _random_nonexpansive_affine(rng, n, norm=0.9):
     return AffineDenoiser(w, rng.standard_normal(n))
 
 
+class _Huge(Denoiser):
+    """Sends every signal to entries of 1e200: finite, but with an overflowing norm."""
+
+    dim = 3
+
+    def _apply(self, y):
+        return np.full_like(y, 1e200)
+
+
 class TestAveragedness:
     def test_delta_one(self):
         assert averagedness_theta(1.0) == pytest.approx(1.0)
@@ -164,6 +173,13 @@ class TestPnpPgd:
         with pytest.raises(DivergenceError) as err:
             pnp_pgd(op, y, sd, PnpConfig(tau=1.0, max_iters=100), x0=np.array([5.0, 5.0]))
         assert err.value.iteration >= 1
+        # finite entries of 1e200, whose norm overflows, diverge at once and with no
+        # overflow warning, at the iteration the batch records
+        sd = tweedie_scale(_Huge(), 1.0)
+        with pytest.raises(DivergenceError) as err:
+            pnp_pgd(Identity(3), np.zeros(3), sd, PnpConfig(tau=1.0))
+        batch = pnp_pgd_batch(Identity(3), np.zeros((1, 3)), sd, PnpConfig(tau=1.0))
+        assert err.value.iteration == batch.iterations[0] == 1 and batch.diverged[0]
 
     def test_history_switch(self):
         op = Identity(2)
