@@ -296,10 +296,9 @@ def _one_pass(denoisers: list, blocks, samples: int) -> list[ResidualMoments]:
     denoisers, not with the components.
     """
     # The class is looked up on its module, so that rebinding the name
-    # ``analysis.MmseDenoiser`` does not change which denoisers share distances;
-    # an MMSE denoiser's row width at dim 1 is its component count.
+    # ``analysis.MmseDenoiser`` does not change which denoisers share distances.
     keys = [
-        id(d.prior) if isinstance(d, _zoo.MmseDenoiser) and _zoo._row_width(d, 1) > 1 else None
+        id(d.prior) if isinstance(d, _zoo.MmseDenoiser) and d.prior.n_components > 1 else None
         for d in denoisers
     ]
     mixtures = {key: d.prior for key, d in zip(keys, denoisers) if key is not None}

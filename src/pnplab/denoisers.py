@@ -36,17 +36,19 @@ class Denoiser:
     """Base class: a map from noisy signals to estimates on a fixed dimension.
 
     ``__call__`` is the one checked entry point: it takes a 1-D vector or an
-    (m, n) batch, checks it, and runs ``_apply`` on it as an (m, n) stack of
-    float64 rows, returning the result in the input's shape. ``_apply`` is
-    the unchecked route, which callers that validated their stack once (the
-    batched solver) run in their loops, so both routes give bitwise the same
-    output. A subclass that defines only ``__call__`` still works there:
-    ``_apply`` then falls back to the call.
+    (m, n) batch, checks its row count (:meth:`check_rows`) and its shape,
+    and runs ``_apply`` on it as an (m, n) stack of float64 rows, returning
+    the result in the input's shape. ``_apply`` is the unchecked route,
+    which callers that validated their stack once (the batched solver) run
+    in their loops, so both routes give bitwise the same output. A subclass
+    that defines only ``__call__`` still works there: ``_apply`` then falls
+    back to the call.
     """
 
     dim: int
 
     def __call__(self, y, *args) -> np.ndarray:
+        self.check_rows(np.shape(y))
         y = self._check(y)
         return self._apply(y.reshape(-1, self.dim), *args).reshape(y.shape)
 
@@ -56,7 +58,7 @@ class Denoiser:
         return self(y, *args)
 
     def check_rows(self, shape) -> None:
-        """Reject a stack of ``shape`` whose row count this denoiser is not built for; none here."""
+        """Reject a stack of ``shape`` whose row count this denoiser is not built for; any stack here."""
 
     def _diagonal(self):
         """``(a, b)`` when ``_apply`` is the elementwise affine map ``a * y + b``, else None.
@@ -203,10 +205,6 @@ class _OutputMap(Denoiser):
                 self._pair = (_spread(coef if keep is None else keep + coef, shape), _spread(weight * b, shape))
             keep = weight = inner = None
         self._keep, self._weight, self._inner = (_spread(v, shape) for v in (keep, weight, inner))
-
-    def __call__(self, y) -> np.ndarray:
-        self.check_rows(np.shape(y))
-        return super().__call__(y)
 
     def check_rows(self, shape) -> None:
         """Reject a stack of ``shape`` whose row count this map's, or its base's, does not match."""

@@ -64,6 +64,7 @@ import numpy as np
 
 from .config import NONNEGATIVE, POSITIVE, real, real_array, require
 from .config import count as _count
+from .linop import _row_dot
 
 __all__ = ["GmmPrior"]
 
@@ -289,7 +290,7 @@ class GmmPrior:
         """
         y = points - self._centre
         half = self._centred_means @ y.T
-        half_y_sq = 0.5 * np.einsum("ij,ij->i", y, y)
+        half_y_sq = 0.5 * _row_dot(y, y)
         np.subtract(self._centred_half_sq + half_y_sq, half, out=half)
         return np.maximum(half, 0.0, out=half)
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import POSITIVE, count, real
-from .denoisers import _BLOCK_FLOATS, AffineDenoiser, ScaledDenoiser, gamma_factor
+from .denoisers import _BLOCK_FLOATS, AffineDenoiser, ScaledDenoiser, _OutputMap, gamma_factor
 from .linop import LinearOperator, _row_dot, as_signal
 
 __all__ = [
@@ -250,13 +250,15 @@ def pnp_pgd_batch(
 ) -> BatchResult:
     """Run :func:`pnp_pgd` from the zero start on every row of an (m, out_dim) stack.
 
-    ``denoiser`` carries either one scale for all rows or one per row (see
-    :class:`ScaledDenoiser`). The stack, the dimensions and a per-row scale's
-    row count are checked once here, ``||A^T A||`` is taken once for the
-    batch, and the loop runs the operator's and the denoiser's unchecked
-    routes. Each row is recorded where the serial solve would stop: at
-    convergence, at divergence (recorded in ``diverged`` instead of raised)
-    or at ``max_iters``. Histories are not recorded.
+    ``denoiser`` is a :class:`ScaledDenoiser` or an :class:`OutputShrink`,
+    whose ``_apply`` writes into the block buffer; it carries either one
+    scale for all rows or one per row (see :class:`ScaledDenoiser`). Its
+    kind, the stack, the dimensions and a per-row scale's row count are
+    checked once here, ``||A^T A||`` is taken once for the batch, and the
+    loop runs the operator's and the denoiser's unchecked routes. Each row
+    is recorded where the serial solve would stop: at convergence, at
+    divergence (recorded in ``diverged`` instead of raised) or at
+    ``max_iters``. Histories are not recorded.
 
     Each iteration writes the gradient step into one buffer, which first
     takes the data term's gradient ``r`` when the operator writes it in
@@ -302,6 +304,11 @@ def pnp_pgd_batch(
     if denoiser.dim != op.in_dim:
         raise ValueError(
             f"denoiser dim {denoiser.dim} does not match operator in_dim {op.in_dim}"
+        )
+    if not isinstance(denoiser, _OutputMap):
+        raise ValueError(
+            f"expected a ScaledDenoiser or OutputShrink, got {type(denoiser).__name__}; "
+            "wrap it, for example with tweedie_scale(d, 1.0)"
         )
     denoiser.check_rows(ys.shape)
     m, n = ys.shape[0], op.in_dim

@@ -3,6 +3,9 @@
 Byte-for-byte reproducible output is a hard requirement for the experiment
 artifacts, so plots are emitted directly rather than through a plotting
 library: fixed canvas, fixed palette, fixed number formatting, no metadata.
+Every element but the ``<svg>`` opener is written by one element writer,
+``_tag``, which escapes its text, so a file is well-formed XML whatever its
+labels hold.
 """
 
 from __future__ import annotations
@@ -15,10 +18,6 @@ __all__ = ["line_plot"]
 _WIDTH, _HEIGHT = 640, 420
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 70, 20, 40, 50
 _PALETTE = ["#1f77b4", "#2ca02c", "#d62728", "#ff7f0e", "#9467bd", "#8c564b"]
-
-
-def _fmt(v: float) -> str:
-    return f"{v:.6g}"
 
 
 # The largest power of ten that is a finite double, and the largest double.
@@ -79,6 +78,25 @@ class _Axis:
         return self.px_lo + frac * (self.px_hi - self.px_lo)
 
 
+def _tag(name: str, text: str | None = None, **attrs) -> str:
+    """One SVG element, its attributes in the order given, an underscore in a name written as a hyphen.
+
+    An element with no text self-closes; ``&``, ``<`` and ``>`` in its text are escaped.
+    """
+    head = "<" + name + "".join(f' {key.replace("_", "-")}="{value}"' for key, value in attrs.items())
+    if text is None:
+        return head + "/>"
+    if "&" in text or "<" in text or ">" in text:
+        text = text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    return f"{head}>{text}</{name}>"
+
+
+def _text(text: str, size: int, transform: str | None = None, **place) -> str:
+    """A sans-serif text element of ``size``: the ``place`` attributes, the font, then any ``transform``."""
+    tail = {} if transform is None else {"transform": transform}
+    return _tag("text", text, **place, font_family="sans-serif", font_size=size, **tail)
+
+
 def line_plot(
     path,
     series: dict[str, tuple[list[float], list[float]]],
@@ -117,60 +135,33 @@ def line_plot(
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
         f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
-        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
-        f'<text x="{_WIDTH // 2}" y="24" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="15">{title}</text>',
+        _tag("rect", width=_WIDTH, height=_HEIGHT, fill="white"),
+        _text(title, 15, x=_WIDTH // 2, y=24, text_anchor="middle"),
+        # axes frame
+        _tag("rect", x=_MARGIN_L, y=_MARGIN_T, width=_WIDTH - _MARGIN_L - _MARGIN_R,
+             height=_HEIGHT - _MARGIN_T - _MARGIN_B, fill="none", stroke="black"),
     ]
-    # axes frame
-    parts.append(
-        f'<rect x="{_MARGIN_L}" y="{_MARGIN_T}" width="{_WIDTH - _MARGIN_L - _MARGIN_R}" '
-        f'height="{_HEIGHT - _MARGIN_T - _MARGIN_B}" fill="none" stroke="black"/>'
-    )
+    bottom = _HEIGHT - _MARGIN_B
     for t in _ticks(x_axis.lo, x_axis.hi, log_x):
-        px = x_axis.to_px(t)
-        parts.append(
-            f'<line x1="{px:.2f}" y1="{_HEIGHT - _MARGIN_B}" x2="{px:.2f}" '
-            f'y2="{_HEIGHT - _MARGIN_B + 5}" stroke="black"/>'
-        )
-        parts.append(
-            f'<text x="{px:.2f}" y="{_HEIGHT - _MARGIN_B + 18}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11">{_fmt(t)}</text>'
-        )
+        px = f"{x_axis.to_px(t):.2f}"
+        parts.append(_tag("line", x1=px, y1=bottom, x2=px, y2=bottom + 5, stroke="black"))
+        parts.append(_text(f"{t:.6g}", 11, x=px, y=bottom + 18, text_anchor="middle"))
     for t in _ticks(y_axis.lo, y_axis.hi, log_y):
         py = y_axis.to_px(t)
-        parts.append(
-            f'<line x1="{_MARGIN_L - 5}" y1="{py:.2f}" x2="{_MARGIN_L}" '
-            f'y2="{py:.2f}" stroke="black"/>'
-        )
-        parts.append(
-            f'<text x="{_MARGIN_L - 8}" y="{py + 4:.2f}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11">{_fmt(t)}</text>'
-        )
-    parts.append(
-        f'<text x="{_WIDTH // 2}" y="{_HEIGHT - 12}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="13">{xlabel}</text>'
-    )
-    parts.append(
-        f'<text x="16" y="{_HEIGHT // 2}" text-anchor="middle" font-family="sans-serif" '
-        f'font-size="13" transform="rotate(-90 16 {_HEIGHT // 2})">{ylabel}</text>'
-    )
+        at = f"{py:.2f}"
+        parts.append(_tag("line", x1=_MARGIN_L - 5, y1=at, x2=_MARGIN_L, y2=at, stroke="black"))
+        parts.append(_text(f"{t:.6g}", 11, x=_MARGIN_L - 8, y=f"{py + 4:.2f}", text_anchor="end"))
+    parts.append(_text(xlabel, 13, x=_WIDTH // 2, y=_HEIGHT - 12, text_anchor="middle"))
+    rotate = f"rotate(-90 16 {_HEIGHT // 2})"
+    parts.append(_text(ylabel, 13, rotate, x=16, y=_HEIGHT // 2, text_anchor="middle"))
+    lx = _WIDTH - _MARGIN_R - 140
     for idx, (name, (xs, ys)) in enumerate(sorted(cleaned.items())):
         color = _PALETTE[idx % len(_PALETTE)]
-        coords = " ".join(
-            f"{x_axis.to_px(x):.2f},{y_axis.to_px(y):.2f}" for x, y in zip(xs, ys)
-        )
-        parts.append(
-            f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="1.5"/>'
-        )
+        coords = " ".join(f"{x_axis.to_px(x):.2f},{y_axis.to_px(y):.2f}" for x, y in zip(xs, ys))
+        parts.append(_tag("polyline", points=coords, fill="none", stroke=color, stroke_width=1.5))
         ly = _MARGIN_T + 16 + 16 * idx
-        parts.append(
-            f'<line x1="{_WIDTH - _MARGIN_R - 140}" y1="{ly - 4}" '
-            f'x2="{_WIDTH - _MARGIN_R - 120}" y2="{ly - 4}" stroke="{color}" stroke-width="1.5"/>'
-        )
-        parts.append(
-            f'<text x="{_WIDTH - _MARGIN_R - 115}" y="{ly}" font-family="sans-serif" '
-            f'font-size="11">{name}</text>'
-        )
+        parts.append(_tag("line", x1=lx, y1=ly - 4, x2=lx + 20, y2=ly - 4, stroke=color, stroke_width=1.5))
+        parts.append(_text(name, 11, x=lx + 25, y=ly))
     parts.append("</svg>")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(parts) + "\n")

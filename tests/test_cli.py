@@ -10,6 +10,7 @@ import sys
 import tempfile
 import warnings
 from pathlib import Path
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -369,6 +370,11 @@ class TestRun:
             artifacts.append({p.name: p.read_bytes() for p in files})
         assert len(artifacts[0]) == 15
         assert all(a == artifacts[0] for a in artifacts[1:])
+        # Every plot is well-formed XML.
+        for files in artifacts:
+            for name, data in files.items():
+                if name.endswith(".svg"):
+                    ElementTree.fromstring(data)
 
     def test_workers_do_not_change_csv_bytes(self, tmp_path):
         config = tmp_path / "cfg.json"

@@ -439,6 +439,25 @@ class TestBatch:
         with pytest.raises(ValueError, match="denoiser dim"):
             pnp_pgd_batch(Identity(4), np.zeros((2, 4)), scaled, cfg)
 
+    @pytest.mark.parametrize(
+        "plain",
+        [
+            MmseDenoiser(GmmPrior([0.5, 0.5], np.eye(2, 3), [0.3, 0.6]), 0.2),
+            ShrinkageDenoiser(0.5, 3),
+            AffineDenoiser(0.5 * np.eye(3), np.ones(3)),
+        ],
+        ids=["mmse", "shrinkage", "affine"],
+    )
+    def test_a_plain_denoiser_is_rejected_with_a_hint_to_wrap_it(self, plain):
+        """The serial solve runs a plain denoiser; the batch asks for an output map."""
+        cfg = PnpConfig(tau=1.0)
+        assert pnp_pgd(Identity(3), np.ones(3), plain, cfg).converged
+        message = rf"{type(plain).__name__}.*tweedie_scale\(d, 1\.0\)"
+        with pytest.raises(ValueError, match=message):
+            pnp_pgd_batch(Identity(3), np.ones((2, 3)), plain, cfg)
+        batch = pnp_pgd_batch(Identity(3), np.ones((2, 3)), tweedie_scale(plain, 1.0), cfg)
+        assert batch.converged.all()
+
 
 class _TaggedRows(Denoiser):
     """``v -> v / 2 + c`` row by row, except on rows whose first entry is a tag:

@@ -1,7 +1,9 @@
+import hashlib
 import math
 import re
 import subprocess
 import sys
+from xml.etree import ElementTree
 
 import pytest
 
@@ -102,3 +104,54 @@ def test_a_span_past_the_float_maximum_is_plotted(tmp_path, axis):
     assert "nan" not in svg and "inf" not in svg
     points = re.search(r'<polyline points="([^"]+)"', svg).group(1)
     assert all(math.isfinite(float(c)) for c in points.replace(",", " ").split())
+
+
+def test_text_with_markup_characters_is_escaped_and_reads_back(tmp_path):
+    """Labels and titles holding ``<``, ``&`` and ``>`` give a well-formed file whose texts read back."""
+    path = tmp_path / "plot.svg"
+    label, title, xlabel, ylabel = "a<b & c", "x < y", "k > 0 & k < 9", "<mse>"
+    line_plot(path, {label: ([1.0, 2.0], [1.0, 3.0])}, title=title, xlabel=xlabel, ylabel=ylabel)
+    root = ElementTree.parse(path).getroot()
+    texts = [el.text for el in root.iter("{http://www.w3.org/2000/svg}text")]
+    assert texts[0] == title and texts[-3:] == [xlabel, ylabel, label]
+
+
+_SEVEN = {f"s{i}": ([1.0, 2.0, 3.0], [float(i), i + 0.5, i * 2.0]) for i in range(7)}
+_LOG_LOG = {
+    "a": ([0.1, 1.0, 10.0, 100.0], [1e-3, 1e-2, 1e-1, 1.0]),
+    "b": ([0.1, 1.0, 10.0, 100.0], [2e-3, 3e-2, 5e-1, 2.0]),
+    "c": ([1.0, 10.0], [1e-4, 1e-5]),
+    "d": ([0.5, 5.0, 50.0], [7.0, 3.0, 0.25]),
+}
+
+# SHA-256 of line_plot's output on fixed inputs. Plots are byte-reproducible
+# artifacts, so a change to how elements are written must keep these bytes.
+_PINNED = {
+    "log-log-four-series": (
+        _LOG_LOG,
+        {"title": "log/log", "xlabel": "delta", "ylabel": "mse", "log_x": True, "log_y": True},
+        "2a08b7ded918c9f3ecf16c04c507ecc4fe4e2b13823c7efa02e6219b60891817",
+    ),
+    "linear-one-point-at-1e16": (
+        {"s": ([1e16], [1e16])},
+        {"title": "one point"},
+        "8b86ab30dd68ff7fbb7fa13cd8dfdf5067dc5a8879a3a9e0adcaf15cffa55259",
+    ),
+    "empty-log-axis": (
+        {},
+        {"title": "empty", "log_x": True},
+        "10fd53e5245cbad816dd597b0fbf578f2aa1cac0b03b72fc054ac87bbfe4c4b9",
+    ),
+    "seven-series-cycle-the-palette": (
+        _SEVEN,
+        {"title": "seven series", "xlabel": "k", "ylabel": "value"},
+        "420b21cca19001556750b6b675228c9ba54dd2a3223240084b381d1cbfd4cad7",
+    ),
+}
+
+
+@pytest.mark.parametrize("series, kwargs, digest", list(_PINNED.values()), ids=list(_PINNED))
+def test_pinned_plots_keep_their_bytes(tmp_path, series, kwargs, digest):
+    path = tmp_path / "plot.svg"
+    line_plot(path, series, **kwargs)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
