@@ -284,7 +284,9 @@ def _one_pass(denoisers: list, blocks, samples: int) -> list[ResidualMoments]:
     that the widest denoiser's (K, rows) temporaries stay within one block
     budget. On each block, the MMSE denoisers over one mixture prior of more
     than one component share the block's distances to its components, formed
-    once, and their residual is formed in place of their fresh output. Every
+    once and passed by name to their unchecked ``_apply`` (the blocks are
+    (rows, n) float64 arrays, already checked), and their residual is formed
+    in place of their fresh output. Every
     other denoiser is called on the block, and its output, which may be the
     block itself or an array the denoiser keeps, is only read.
 
@@ -307,7 +309,7 @@ def _one_pass(denoisers: list, blocks, samples: int) -> list[ResidualMoments]:
         dists = {key: prior._half_sq_dists(noisy) for key, prior in mixtures.items()}
         for d, key, (aa, ar, rr) in zip(denoisers, keys, stats):
             if key is not None:
-                out = d(noisy, dists[key])
+                out = d._apply(noisy, half_sq=dists[key])
                 error = out - clean
                 residual = out
                 residual -= noisy

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .config import FACTOR, POSITIVE, count, real, real_array, require
-from .prior import GmmPrior, _check_sigma
+from .prior import GmmPrior, _Basin, _check_sigma
 
 __all__ = [
     "Denoiser",
@@ -47,15 +47,15 @@ class Denoiser:
 
     dim: int
 
-    def __call__(self, y, *args) -> np.ndarray:
+    def __call__(self, y) -> np.ndarray:
         self.check_rows(np.shape(y))
         y = self._check(y)
-        return self._apply(y.reshape(-1, self.dim), *args).reshape(y.shape)
+        return self._apply(y.reshape(-1, self.dim)).reshape(y.shape)
 
-    def _apply(self, y, *args) -> np.ndarray:
+    def _apply(self, y) -> np.ndarray:
         if type(self).__call__ is Denoiser.__call__:
             raise NotImplementedError(f"{type(self).__name__} defines neither __call__ nor _apply")
-        return self(y, *args)
+        return self(y)
 
     def check_rows(self, shape) -> None:
         """Reject a stack of ``shape`` whose row count this denoiser is not built for; any stack here."""
@@ -90,7 +90,9 @@ class MmseDenoiser(Denoiser):
     :meth:`GmmPrior.mmse_denoise`, is its oracle. A Monte-Carlo pass that
     runs several of these over one prior passes ``half_sq``, the prior's
     (K, m) half squared distances to the rows of ``y``
-    (``GmmPrior._half_sq_dists``), formed once for all of them.
+    (``GmmPrior._half_sq_dists``), formed once for all of them, and a
+    batched solve passes its ``basin`` (see :func:`_solve_basin`); both go
+    by keyword, and the checked call takes the points only.
     """
 
     def __init__(self, prior: GmmPrior, sigma: float):
@@ -103,8 +105,8 @@ class MmseDenoiser(Denoiser):
             rho, shrunk = rho.reshape(()), shrunk[0]
         self._constants = (t, log_norm, rho, shrunk)
 
-    def _apply(self, y, half_sq=None):
-        return self.prior._posterior_mean(y, *self._constants, half_sq)
+    def _apply(self, y, half_sq=None, basin=None):
+        return self.prior._posterior_mean(y, *self._constants, half_sq, basin)
 
     def _diagonal(self):
         """One Gaussian's ``(rho, (1 - rho) mu)``; a mixture of more is not affine."""
@@ -212,14 +214,18 @@ class _OutputMap(Denoiser):
             raise ValueError(f"expected a stack of {self._n_rows} rows, got shape {shape}")
         self.base.check_rows(shape)
 
-    def _apply(self, y, out=None):
-        """The unchecked map; its result is written into ``out`` when one is given."""
+    def _apply(self, y, out=None, basin=None):
+        """The unchecked map; its result is written into ``out`` when one is given.
+
+        A solve's ``basin`` (see :func:`_solve_basin`) is passed on to the base by keyword.
+        """
         if self._pair is not None:
             coef, off = self._pair
             result = np.multiply(coef, y, out=out)
             result += off
             return result
-        term = self.base._apply(y if self._inner is None else self._inner * y)
+        x = y if self._inner is None else self._inner * y
+        term = self.base._apply(x) if basin is None else self.base._apply(x, basin=basin)
         if self._keep is None:
             return np.multiply(self._weight, term, out=out)
         term = self._weight * term
@@ -332,6 +338,18 @@ def tweedie_scale(base: Denoiser, delta: float, gamma_rescale: bool = False) -> 
 def homogeneous_scale(base: Denoiser, delta: float, gamma_rescale: bool = False) -> ScaledDenoiser:
     """Argument/output scaling ``base(delta * y) / delta`` as a wrapper object."""
     return ScaledDenoiser(base, delta, mode="homogeneous", gamma_rescale=gamma_rescale)
+
+
+def _solve_basin(denoiser):
+    """A new basin (``prior._Basin``) for one batched solve of ``denoiser``, or None.
+
+    Only a chain of output maps that folds nowhere and ends at a mixture
+    denoiser of more than one component gets one; each map passes it on to
+    its base by keyword, down to the prior's posterior mean.
+    """
+    while isinstance(denoiser, _OutputMap) and denoiser._pair is None:
+        denoiser = denoiser.base
+    return _Basin() if isinstance(denoiser, MmseDenoiser) and denoiser.prior.n_components > 1 else None
 
 
 # Floats per block of rows that a Monte-Carlo pass or estimate_lipschitz runs

@@ -20,7 +20,8 @@ it expands the squared distance about the mean of the component means, so
 that it stays accurate for a mixture far from the origin. Callers that
 evaluate several noise levels on the same points pass the distances in once.
 With one component the responsibilities are ones and no distance is formed,
-and the posterior mean is the Gaussian's ``rho * y + (1 - rho) * mu``.
+and the posterior mean is the Gaussian's ``rho * y + (1 - rho) * mu``
+(``_component_rows``, the one place that formula is written).
 
 The posterior mean applies that formula row by row wherever a row's
 posterior sits on one component: every other component's log-term lies at
@@ -36,6 +37,21 @@ and the rho-weighted reduce. Any other block runs them and then overwrites
 its concentrated rows, so each row's output depends on that row alone. ``G``
 follows from K; it is not a setting. The score, the responsibilities and
 :meth:`GmmPrior.mmse_denoise` stay dense, as the oracle.
+
+A batched solve skips even the distances while its stack provably stays on
+its components. :func:`~pnplab.solver.pnp_pgd_batch` creates one
+``_Basin`` per solve over a mixture and passes it down, by keyword, to
+``_posterior_mean``. When the full route finds a whole stack concentrated,
+``_certify`` keeps a copy of it (the anchor), each row's ``rho_k`` and
+``(1 - rho_k) mu_k`` and a radius per row: by a Lipschitz bound on the
+log-terms' gaps, less a rounding margin that grows with their size, every
+row within its radius of the anchor is concentrated on the same component
+in the computed log-terms. A later call whose every row lies within its
+radius returns those rows' formula, bitwise the full route's output, with
+no distance formed; any other call drops the anchor and runs the full
+route, and after misses in a row the basin certifies again only after a
+growing wait, at most ``_BACKOFF`` calls. Nothing else forms a basin, and
+none is kept on the prior or on a denoiser.
 
 :meth:`GmmPrior.pair_blocks` draws a (clean, noisy) sample set and hands the
 noisy rows out block by block, so a Monte-Carlo pass never holds them whole.
@@ -69,11 +85,16 @@ from .linop import _row_dot
 __all__ = ["GmmPrior"]
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
+_EPS = float(np.finfo(np.float64).eps)
 # A clean draw of at least this many normals is split across two threads;
 # below it the thread and the re-decoded overlap cost more than they save.
 _SPLIT_NORMALS = 1 << 18
 # How many of the first half's last values locate the midpoint in the second.
 _SYNC = 8
+# Most calls a solve's basin passes up certifying after misses (see _Basin):
+# a stack that leaves its radius on every call pays one certification, and
+# one radius test that misses, per this many calls.
+_BACKOFF = 32
 
 
 def _check_sigma(sigma, rule=NONNEGATIVE) -> float:
@@ -188,6 +209,57 @@ def _mixture_mean(points, r, rho, shrunk) -> np.ndarray:
     out = r.T @ shrunk
     out += points * np.add.reduce(r * rho[:, None], axis=0)[:, None]
     return out
+
+
+def _component_rows(points, rho_k, shrunk_k) -> np.ndarray:
+    """``rho_k y + (1 - rho_k) mu_k`` of one component per row, or of one for all rows.
+
+    ``rho_k`` is an (m, 1) column or a 0-d array, and ``shrunk_k`` an (m, n)
+    stack or an (n,) row, so a row's output does not depend on how its
+    component's constants were gathered.
+    """
+    out = points * rho_k
+    out += shrunk_k
+    return out
+
+
+class _Basin:
+    """One batched solve's certified stack, which lets a call skip the distances.
+
+    ``held`` is None or ``(anchor, radius_sq, rho_k, shrunk_k)``: a copy of
+    the last stack whose every row the full route found concentrated, each
+    on its component k, a squared radius per row (see
+    ``GmmPrior._certify``), and each row's ``rho_k``, an (m, 1) column, and
+    ``(1 - rho_k) mu_k``, an (m, n) stack. A call whose every row lies
+    within its radius of the anchor is concentrated on the same components,
+    so its output is those rows' one-component formula. Any other call drops
+    them and runs the full route, which certifies a new anchor when it finds
+    the whole stack concentrated and ``wait`` is 0. After ``misses`` misses
+    in a row the basin passes up the next ``min(2^misses, _BACKOFF) - 1``
+    calls before it certifies again, so a stack that keeps leaving its
+    radius pays one certification and one missed test per ``min(2^misses,
+    _BACKOFF)`` calls; a hit resets the count. The solver creates one per
+    solve and passes it down to the prior; nothing else holds one.
+    """
+
+    __slots__ = ("held", "misses", "wait")
+
+    def __init__(self):
+        self.held, self.misses, self.wait = None, 0, 0
+
+    def held_rows(self, points):
+        """``(rho_k, shrunk_k)`` if every row of ``points`` lies within its radius of the
+        anchor, else None; a miss drops the held rows, and every call that is not a
+        hit counts the wait down. A NaN or inf row is never within its radius."""
+        if self.held is not None:
+            step = points - self.held[0]
+            if np.all(_row_dot(step, step) <= self.held[1]):
+                self.misses = 0
+                return self.held[2:]
+            self.held, self.misses = None, self.misses + 1
+            self.wait = min(1 << self.misses, _BACKOFF)
+        self.wait = max(self.wait - 1, 0)
+        return None
 
 
 @dataclass(frozen=True)
@@ -319,7 +391,7 @@ class GmmPrior:
         out -= points * r.sum(axis=0)[:, None]
         return out
 
-    def _posterior_mean(self, points, t, log_norm, rho, shrunk, half_sq=None) -> np.ndarray:
+    def _posterior_mean(self, points, t, log_norm, rho, shrunk, half_sq=None, basin=None) -> np.ndarray:
         """(m, n) posterior mean ``sum_k r_k (rho_k y + (1 - rho_k) mu_k)``.
 
         ``rho`` and ``shrunk`` are from ``_posterior_constants``, and
@@ -349,11 +421,22 @@ class GmmPrior:
         (``_mixture_mean``) on every row and then writes its concentrated
         rows over it. Only rows whose exponentials sum to exactly 1 are
         tested for that, since every concentrated row's do.
+
+        ``basin`` is a batched solve's ``_Basin``, passed down by keyword
+        from :func:`~pnplab.solver.pnp_pgd_batch`; no other caller gives one.
+        A call whose every row lies within its certified radius of the
+        basin's anchor returns the anchor's one-component rows on it without
+        forming a distance, bitwise what the full route returns (see
+        ``_certify``). Any other call runs the full route, and a stack it
+        finds wholly concentrated becomes the new anchor, unless the basin is
+        backing off after misses.
         """
         if rho.size == 1:
-            out = points * rho
-            out += shrunk
-            return out
+            return _component_rows(points, rho, shrunk)
+        if basin is not None:
+            held = basin.held_rows(points)
+            if held is not None:
+                return _component_rows(points, *held)
         logs = self._component_logpdf(points, t, log_norm, half_sq)
         logs -= np.maximum.reduce(logs, axis=0)
         # A row has at most K - 1 components this far below its best (none if
@@ -362,7 +445,9 @@ class GmmPrior:
         far = logs <= -self._gap
         others = far.shape[0] - 1
         if np.count_nonzero(far) == others * far.shape[1]:
-            return self._one_component_rows(points, far, rho, shrunk)
+            if basin is None or basin.wait:
+                return self._one_component_rows(points, far, rho, shrunk)
+            return self._certify(basin, points, logs, far, t, log_norm, rho, shrunk)
         r, total = _softmax(logs)
         out = _mixture_mean(points, r, rho, shrunk)
         # A concentrated row's exponentials sum to exactly 1, so only those rows are counted.
@@ -376,9 +461,74 @@ class GmmPrior:
     def _one_component_rows(self, points, far, rho, shrunk) -> np.ndarray:
         """``rho_k y + (1 - rho_k) mu_k`` on each row, for the one component ``k`` its column of ``far`` leaves out."""
         k = (self._component_index @ ~far).astype(np.intp)
-        out = points * rho[k][:, None]
-        out += shrunk[k]
-        return out
+        return _component_rows(points, rho[k][:, None], shrunk[k])
+
+    def _certify(self, basin, points, logs, far, t, log_norm, rho, shrunk) -> np.ndarray:
+        """Anchor ``basin`` at a stack whose every row is concentrated, and return its output.
+
+        ``logs`` are the stack's (K, m) log-terms less their column maxima,
+        which are overwritten, and ``far`` those at least ``G`` below; the
+        distances are formed again here, bitwise those of the route. Each
+        row z, on its component k, gets the radius
+
+            r = min(1, min_{j != k} (g_j - G - e_j) / (D_k / t_k + D_j / t_j + 1 / (2 t_k))),
+
+        where ``g_j = -logs_j`` is its computed gap to component j,
+        ``D_i`` bounds ``|z - mu_i|`` and ``e_j`` is a rounding margin. Within
+        it the full route would find every row concentrated on the same k:
+
+        - Let ``L_i(y) = log_norm_i - |y - mu_i|^2 / (2 t_i)`` in exact
+          arithmetic, with ``mu_i = c + (mu_i - c)`` from the stored centred
+          means. For ``|Delta| <= r <= 1`` the gap ``L_k - L_j`` at ``z +
+          Delta`` is at least its value at z less ``|Delta| (D_k / t_k + D_j
+          / t_j) + |Delta|^2 / (2 t_k)``, and ``|Delta|^2 <= |Delta|``; so it
+          stays ``G + e_j`` or more.
+        - The computed half squared distances, expanded about the centre c
+          (``_half_sq_dists``), differ from the exact ones by less than
+          ``(n + 5) eps (|mu_i - c|^2 + |y - c|^2) / 2``, a dot product's
+          ``n eps`` and a few roundings of terms no larger. So with ``A =
+          max_i |mu_i - c|^2 / 2 + (|z - c| + 1)^2 / 2``, which bounds those
+          terms at z and anywhere within the radius, and ``E = 4 (n + 8)
+          eps``, each distance errs by less than ``E A / 4``. Near a mean
+          that error is relatively large: the computed ``D = sqrt(2 h)``
+          are raised by ``sqrt(2 E A)``, since ``sqrt(2 (h + E A)) <=
+          sqrt(2 h) + sqrt(2 E A)``.
+        - A log-term's division and subtraction round by ``eps`` of ``A /
+          t_min`` and of ``max |log_norm|`` more. Summed over the two
+          components and the two points, with the rounding of ``g_j``
+          itself, of the radius and of the test ``|y - z|^2 <= r^2``, all
+          relative to ``g_j`` or ``G``, the error stays below ``e_j = E (8 A
+          / t_min + 2 max |log_norm| + 2 g_j + G)``. So the margin grows
+          with the log-terms' size, wherever the stack lies.
+        - Computed log-terms at least ``G`` apart give a shifted term at or
+          below ``-G``, since rounding keeps order, so the full route takes
+          its all-concentrated branch with the same k and returns
+          ``_component_rows`` of the same constants: a call within the radius
+          is bitwise that route.
+
+        A row whose room is not positive gets radius 0, and one whose room is
+        NaN never passes the test.
+        """
+        unit = 4.0 * (points.shape[1] + 8) * _EPS
+        # A, which bounds |mu_i - c|^2 / 2 and |y - c|^2 / 2 for every y within 1 of a row.
+        reach = np.sqrt(_row_dot(points - self._centre, points - self._centre)) * (1.0 + unit) + 1.0
+        size = 0.5 * reach * reach + float(np.max(self._centred_half_sq)) * (1.0 + unit)
+        # The one component each column of far leaves out.
+        k = np.argmax(~far, axis=0)
+        # Each component's D_i / t_i, then each other one's slope D_k / t_k + D_j / t_j + 1 / (2 t_k).
+        slope = self._half_sq_dists(points)
+        np.sqrt(np.multiply(slope, 2.0, out=slope), out=slope)
+        slope += np.sqrt(2.0 * unit * size)
+        slope /= t[:, None]
+        slope += slope[k, np.arange(k.size)] + 0.5 / t[k]
+        # The room g_j - G - e_j, with e_j = E (8 A / t_min + 2 max |log_norm| + 2 g_j + G).
+        margin = unit * (8.0 * size / float(np.min(t)) + 2.0 * float(np.max(np.abs(log_norm))))
+        room = np.multiply(logs, -(1.0 - 2.0 * unit), out=logs)
+        room -= (1.0 + unit) * self._gap + margin
+        room /= slope
+        radius = np.maximum(np.min(room, axis=0, where=far, initial=1.0), 0.0)
+        basin.held = (points.copy(), radius * radius, rho[k][:, None], shrunk[k])
+        return _component_rows(points, *basin.held[2:])
 
     def log_density(self, y, sigma: float = 0.0):
         """Log-density of the noise-smoothed mixture at noise level ``sigma``.

@@ -17,17 +17,21 @@ stop once per block of iterations rather than once per iteration, runs the
 whole stack until its last row stops and records each row where
 :func:`pnp_pgd` would have stopped on it. Its stop norms are row dots, one
 pass over the block each, and round differently from ``np.linalg.norm``;
-its iterates are bitwise those of a loop that tests every iteration.
+its iterates are bitwise those of a loop that tests every iteration. Over a
+mixture prior it also holds a per-solve basin (``prior._Basin``), which lets
+the posterior mean skip its distances while every row provably stays on its
+component, with outputs bitwise those of the full route.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .config import POSITIVE, count, real
-from .denoisers import _BLOCK_FLOATS, AffineDenoiser, ScaledDenoiser, _OutputMap, gamma_factor
+from .denoisers import _BLOCK_FLOATS, AffineDenoiser, ScaledDenoiser, _OutputMap, _solve_basin, gamma_factor
 from .linop import LinearOperator, _row_dot, as_signal
 
 __all__ = [
@@ -63,8 +67,11 @@ _STOP_BLOCK = 8
 # (_STOP_BLOCK), the measurements, the recorded iterates and the gradient
 # step, whose buffer also takes the data term's gradient from a mask or the
 # identity, a per-row scale's two coefficient stacks (see ScaledDenoiser),
-# and six for an iteration's temporaries, to which a mask or the identity
-# adds none. The stop test runs after those temporaries are freed, over
+# six for an iteration's temporaries, to which a mask or the identity
+# adds none, and three for the solve's basin over a mixture (see
+# prior._Basin): its anchor, its held (1 - rho_k) mu_k rows, and its rho_k and
+# squared radii, 2 m floats, at most one stack since its mixture has K >= 2
+# components. The stop test runs after those temporaries are freed, over
 # chunks of at most n iterations: its norms, residuals and thresholds take
 # at most four (chunk, m) arrays at once, each at most one stack, and with
 # its byte masks they stay within the six. Iterates are n wide, measurements
@@ -74,7 +81,7 @@ _STOP_BLOCK = 8
 # grown past _STOP_BLOCK keeps its iterates after the first, and their
 # differences, within _BLOCK_FLOATS floats in place of those 2 * _STOP_BLOCK
 # stacks.
-_SOLVE_STACKS = (_STOP_BLOCK + 1) + _STOP_BLOCK + 3 + 2 + 6
+_SOLVE_STACKS = (_STOP_BLOCK + 1) + _STOP_BLOCK + 3 + 2 + 6 + 3
 
 
 def _block_cap(m: int, n: int, max_iters: int) -> int:
@@ -293,6 +300,21 @@ def pnp_pgd_batch(
     the whole stack run with a stop test after every iteration, matrix
     products included, and a one-row stack's are those of :func:`pnp_pgd`;
     only the stop norms' rounding differs from ``np.linalg.norm``.
+
+    A chain that folds nowhere and ends at a mixture :class:`~pnplab.denoisers.MmseDenoiser`
+    of more than one component gets one basin for the solve
+    (``denoisers._solve_basin``), passed to ``_apply`` by keyword on every
+    iteration and dropped with the solve. After a call that finds every
+    row's posterior concentrated on one component, the basin holds that
+    stack (the anchor), each row's component constants and a radius per
+    row from a Lipschitz bound on the log-terms' gaps, less a rounding
+    margin (``GmmPrior._certify``). While every row stays within its radius
+    of the anchor, a call forms no distance and returns the one-component
+    formula, bitwise the full route's output, so the iterates are bitwise
+    those of a solve without a basin. The default conv-reg solve forms
+    distances on 1 of its 300 calls. Folded one-Gaussian chains
+    (stability), :func:`pnp_pgd`, the Monte-Carlo pass and
+    ``estimate_lipschitz`` form no basin.
     """
     ys = np.asarray(ys, dtype=np.float64)
     if ys.ndim != 2 or ys.shape[0] < 1 or ys.shape[1] != op.out_dim:
@@ -335,7 +357,8 @@ def pnp_pgd_batch(
     # The buffer's slots as views, taken once, and the routes the loop calls.
     slots = list(buf)
     normal_residual = op._normal_residual
-    denoise = denoiser._apply
+    basin = _solve_basin(denoiser)
+    denoise = denoiser._apply if basin is None else partial(denoiser._apply, basin=basin)
     with np.errstate(over="ignore", invalid="ignore"):
         for start, size in _stop_blocks(cap, config.max_iters):
             block = buf[: size + 1]

@@ -179,12 +179,13 @@ class TestMmseHotPath:
         np.testing.assert_array_equal(d(ys), want)
         np.testing.assert_array_equal(d._apply(ys), want)
         half_sq = prior._half_sq_dists(ys)
-        np.testing.assert_array_equal(d(ys, half_sq), want)
+        # The checked call takes the points only; shared distances go to the unchecked route by name.
+        np.testing.assert_array_equal(d._apply(ys, half_sq=half_sq), want)
         np.testing.assert_array_equal(d._apply(ys, half_sq), want)
         single = d(ys[0])
         assert single.shape == (n,)
         np.testing.assert_array_equal(single, prior.posterior_mean(ys[0], sigma))
-        np.testing.assert_array_equal(d(ys[0], prior._half_sq_dists(ys[:1])), single)
+        np.testing.assert_array_equal(d._apply(ys[:1], half_sq=prior._half_sq_dists(ys[:1]))[0], single)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(**_HOT_PATH_DRAWS)
@@ -240,6 +241,13 @@ class TestMmseHotPath:
 
 
 class TestTweedieScale:
+    def test_the_checked_call_takes_the_points_only(self):
+        """A second positional argument is an error, not a buffer the result is written into."""
+        buf = np.zeros((2, 3))
+        with pytest.raises(TypeError):
+            tweedie_scale(ShrinkageDenoiser(0.5, 3), 2.0)(np.ones((2, 3)), buf)
+        assert not buf.any()
+
     def test_delta_one_reproduces_base_exactly(self):
         prior = _single_gaussian()
         base = MmseDenoiser(prior, 0.5)

@@ -429,6 +429,50 @@ class TestDeltaSweepExperiment:
         assert best == pytest.approx(nearest)
 
 
+class TestAffineRegimeReferees:
+    """The default stability and lipschitz runs, held to the closed forms of their affine denoisers."""
+
+    def test_each_lipschitz_max_is_the_wiener_slope(self):
+        """One Gaussian with v = 1: the MMSE map is affine with slope v / (v + sigma^2)."""
+        _, records = run_lipschitz_table()
+        for rec in records:
+            slope = 1.0 / (1.0 + rec.key**2)
+            assert abs(rec.metrics["lipschitz_max"] - slope) <= 1e-15 * slope
+
+    def test_stability_distance_times_k_is_constant(self):
+        """The reconstruction map of an affine iteration is affine, so distance_to_limit is C / k."""
+        _, records = run_stability()
+        scaled = np.array([rec.key * rec.metrics["distance_to_limit"] for rec in records])
+        assert np.all(np.abs(scaled - scaled[0]) <= 1e-12 * scaled[0])
+
+    def test_stability_iterates_lie_within_the_tolerance_bound_of_the_oracle(self, monkeypatch):
+        """The default chain folds into ``x -> a x + b``, so each row's fixed point is one
+        linear solve. A contraction by q that stops at a step of at most ``tol (1 + |x|)``
+        lies within ``q / (1 - q)`` of that step from it; the rows sit at 0.993-0.99999 of
+        this bound, so 0.1 % covers the stop test's and the solve's rounding, and one
+        iteration fewer than recorded (1 / q - 1 = 0.93 % further) fails it."""
+        import pnplab.experiments
+
+        solves = []
+
+        def recording(*args):
+            solves.append((args, pnp_pgd_batch(*args)))
+            return solves[-1][1]
+
+        monkeypatch.setattr(pnplab.experiments, "pnp_pgd_batch", recording)
+        run_stability()
+        ((op, ys, scaled, cfg), result), = solves
+        coef, offset = scaled._pair
+        n = op.in_dim
+        folded = tweedie_scale(AffineDenoiser(coef * np.eye(n), np.broadcast_to(offset, (n,))), 1.0)
+        a_matrix = op.as_matrix()
+        q = np.linalg.norm(folded.base.matrix @ (np.eye(n) - cfg.tau * a_matrix.T @ a_matrix), 2)
+        assert 0.0 < q < 1.0 and result.converged.all()
+        for y, x in zip(ys, result.x_star):
+            error = np.linalg.norm(x - linear_fixed_point_oracle(op, y, folded, cfg))
+            assert error <= cfg.tol * (1.0 + np.linalg.norm(x)) * q / (1.0 - q) * (1.0 + 1e-3)
+
+
 class TestLipschitzTable:
     def test_single_gaussian_matches_wiener_slope_and_decreases(self):
         _, records = run_lipschitz_table()

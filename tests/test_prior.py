@@ -900,3 +900,131 @@ class TestConcentratedTraffic:
             constants = MmseDenoiser(prior, ratio * sigma)._constants
             dense_rows, calls = _dense_route_rows(prior, noisy, *constants)
             assert calls == [4096] and dense_rows.all()
+
+
+def _edge_point(prior, t, log_norm, a, b, excess):
+    """A point between means ``a`` and ``b`` whose computed gap from component ``a`` to its
+    nearest other exceeds ``53 ln 2 + ln K`` by about ``excess`` nats, found by bisection;
+    None if the segment does not cross that level."""
+
+    def surplus(s):
+        point = prior.means[a] + s * (prior.means[b] - prior.means[a])
+        logs = prior._component_logpdf(np.vstack([point, point]), t, log_norm)[:, 0]
+        return logs[a] - np.max(np.delete(logs, a)) - prior._gap - excess, point
+
+    lo, hi = 0.0, 1.0
+    if not (surplus(lo)[0] >= 0.0 and surplus(hi)[0] < 0.0):
+        return None
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if surplus(mid)[0] >= 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return surplus(lo)[1]
+
+
+def _separated_prior(rng, k, n, offset):
+    """``k`` components spaced on the first axis a few to about 70 nats past the
+    concentration gap apart, beyond what the weights and normalisers can take back
+    at noise levels up to 1, the whole mixture shifted ``offset`` from the origin."""
+    variances = rng.uniform(0.05, 1.0, k)
+    weights = rng.uniform(0.5, 1.5, k)
+    gap = 53.0 * math.log(2.0) + math.log(k)
+    spread = math.log(3.0) + 0.5 * n * math.log((variances.max() + 1.0) / variances.min())
+    sep = math.sqrt(2.0 * (variances.max() + 1.0) * (gap + spread + rng.uniform(2.0, 70.0)))
+    means = 0.1 * rng.standard_normal((k, n))
+    means[:, 0] += sep * np.arange(k)
+    direction = rng.standard_normal(n)
+    means += offset * direction / np.linalg.norm(direction)
+    return GmmPrior(weights / weights.sum(), means, variances)
+
+
+class TestBasin:
+    """A batched solve's basin skips the distances only where the full route gives the same bits."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        k=st.integers(2, 5),
+        n=st.integers(1, 8),
+        m=st.integers(2, 6),
+        log_offset=st.floats(-1.0, 6.0),
+        log_step=st.floats(-4.0, math.log10(3.0)),
+        log_excess=st.floats(-9.0, -3.0),
+        walk=st.sampled_from(["wander", "cross", "edge", "nonfinite"]),
+        sigma=st.floats(0.05, 1.0),
+        seed=st.integers(0, 2**16),
+    )
+    def test_a_call_with_a_basin_is_bitwise_the_call_without(
+        self, k, n, m, log_offset, log_step, log_excess, walk, sigma, seed
+    ):
+        """Random walks of stacks from rows at their components' means: wandering by steps
+        of 1e-4 to 3, crossing to the next component, starting from a row whose gap clears
+        ``G`` by 1e-9 to 1e-3 nats, or meeting NaN and inf rows, on mixtures up to 1e6 from
+        the origin. Every call with the walk's basin is bitwise the call without one."""
+        rng = np.random.default_rng(seed)
+        prior = _separated_prior(rng, k, n, 10.0**log_offset)
+        constants = prior._posterior_constants(sigma)
+        t, log_norm = constants[:2]
+        labels = rng.integers(0, k, m)
+        stack = prior.means[labels] + 0.01 * np.sqrt(t.min()) * rng.standard_normal((m, n))
+        if walk == "edge":
+            a = labels[0]
+            point = _edge_point(prior, t, log_norm, a, a + 1 if a < k - 1 else a - 1, 10.0**log_excess)
+            if point is not None:
+                stack[0] = point
+        targets = prior.means[(labels + 1) % k]
+        basin = prior_module._Basin()
+        for i in range(24):
+            call = stack
+            if walk == "nonfinite" and i % 3 == 2:
+                call = stack.copy()
+                call[rng.integers(m), rng.integers(n)] = rng.choice([np.nan, np.inf, -np.inf])
+            with np.errstate(invalid="ignore", over="ignore"):
+                got = prior._posterior_mean(call, *constants, basin=basin)
+                want = prior._posterior_mean(call, *constants)
+            np.testing.assert_array_equal(got, want)
+            if i % 4 == 3:
+                continue  # the same stack again
+            move = 10.0**log_step * rng.uniform() * rng.standard_normal((m, n)) / math.sqrt(n)
+            if walk == "cross":
+                move += 0.2 * (targets - stack)
+            stack = stack + move
+
+    def test_a_walk_inside_its_radius_forms_no_distance(self, monkeypatch):
+        """Rows drifting by 1e-3 around well-separated means: one certification, which forms
+        the distances twice (for the route and for the radii), then hits."""
+        rng = np.random.default_rng(5)
+        prior = _separated_prior(rng, 3, 8, 0.0)
+        constants = prior._posterior_constants(0.3)
+        stack = prior.means[rng.integers(0, 3, 6)]
+        formed = []
+        half_sq_dists = GmmPrior._half_sq_dists
+        monkeypatch.setattr(GmmPrior, "_half_sq_dists", lambda self, p: formed.append(1) or half_sq_dists(self, p))
+        basin = prior_module._Basin()
+        for _ in range(50):
+            stack = stack + 1e-3 * rng.standard_normal(stack.shape)
+            got = prior._posterior_mean(stack, *constants, basin=basin)
+            formed_before = len(formed)
+            np.testing.assert_array_equal(got, prior._posterior_mean(stack, *constants))
+            assert len(formed) == formed_before + 1
+        assert len(formed) == 50 + 2
+
+    def test_a_stack_that_leaves_its_radius_on_every_call_backs_off(self, monkeypatch):
+        """Two concentrated stacks far apart, in turn: after each miss the basin waits
+        twice as long, up to ``_BACKOFF`` calls, before it certifies again."""
+        rng = np.random.default_rng(6)
+        prior = _separated_prior(rng, 3, 4, 0.0)
+        constants = prior._posterior_constants(0.3)
+        labels = rng.integers(0, 3, 4)
+        stacks = [prior.means[labels], prior.means[(labels + 1) % 3]]
+        certified = []
+        certify = GmmPrior._certify
+        monkeypatch.setattr(GmmPrior, "_certify", lambda self, *a: certified.append(i) or certify(self, *a))
+        basin = prior_module._Basin()
+        for i in range(300):
+            got = prior._posterior_mean(stacks[i % 2], *constants, basin=basin)
+            np.testing.assert_array_equal(got, prior._posterior_mean(stacks[i % 2], *constants))
+        # Waits of 1, 3, 7, 15 and 31 calls after the misses, then _BACKOFF - 1 = 31 each.
+        assert prior_module._BACKOFF == 32
+        assert certified == [0, 2, 6, 14, 30] + list(range(62, 300, 32))

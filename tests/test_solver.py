@@ -1,5 +1,8 @@
+import importlib.util
 import re
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +21,7 @@ from pnplab.denoisers import (
     homogeneous_scale,
     tweedie_scale,
 )
-from pnplab.experiments import resolve_config
+from pnplab.experiments import resolve_config, run_experiment
 from pnplab.linop import Convolve1d, DenseOperator, Identity, Mask, operator_from_config
 from pnplab.prior import GmmPrior
 from pnplab.solver import (
@@ -983,6 +986,23 @@ class TestSolveMemory:
         peak = _solve_peak(op, ys, base, deltas, mode, gamma, config)
         assert peak <= _counted_bytes(m * max(n, k, op.out_dim)) + slack
 
+    @pytest.mark.parametrize("k, n, m", [(3, 64, 256), (64, 64, 256), (2, 1, 4096), (3, 3, 4096)])
+    def test_a_solve_that_certifies_a_basin_stays_within_its_counted_stacks(self, monkeypatch, k, n, m):
+        """Rows drawn from a well-separated mixture, so the solve certifies a basin and holds
+        its anchor, component rows, rho_k and radii: three of the counted stacks."""
+        certified = []
+        certify = GmmPrior._certify
+        monkeypatch.setattr(GmmPrior, "_certify", lambda self, *a: certified.append(1) or certify(self, *a))
+        rng = np.random.default_rng(k)
+        means = 4.0 * rng.standard_normal((k, n))
+        means[:, 0] += 20.0 * np.arange(k)
+        prior = GmmPrior(np.full(k, 1.0 / k), means, np.full(k, 0.5))
+        ys = prior.sample_pairs(0.3, m, 1)[1]
+        config = PnpConfig(tau=1.0, max_iters=2 * _STOP_BLOCK + 3, tol=1e-30)
+        peak = _solve_peak(Identity(n), ys, MmseDenoiser(prior, 0.3), rng.uniform(1.0, 3.0, m), "tweedie", True, config)
+        assert certified
+        assert peak <= _counted_bytes(m * max(n, k)) + 256 * 1024
+
     @pytest.mark.parametrize("n, m", [(1, 256), (1, 1024), (2, 256)])
     def test_a_narrow_stack_stays_within_its_counted_stacks_without_slack(self, n, m):
         """2000 iterations that never meet ``tol``, so the blocks grow to ``_BLOCK_FLOATS``:
@@ -1133,3 +1153,95 @@ class TestUncheckedRoutes:
             row = pnp_pgd_batch(Identity(3), ys[i : i + 1], one, cfg)
             assert batch.iterations[i] == row.iterations[0] and batch.converged[i] == row.converged[0]
             np.testing.assert_allclose(batch.x_star[i], row.x_star[0], rtol=1e-12, atol=1e-14)
+
+
+def _wide_prior():
+    """The benchmark's wide-prior mixture, K = 64 in n = 256, from ``perfbench/workloads.py``."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up while the class is built
+    spec.loader.exec_module(module)
+    return module.wide_prior_config(0)["prior"]
+
+
+def _mixing_stability():
+    """ROADMAP item 4b's stability config: conv-reg's prior with its means scaled by 0.1,
+    whose posterior mixes at the fixed point."""
+    prior = resolve_config("conv-reg")["prior"]
+    return {"prior": {**prior, "means": (0.1 * np.asarray(prior["means"])).tolist()}}
+
+
+class TestBasinSolves:
+    """A batched solve over a mixture skips the distances while its rows stay on their components."""
+
+    @staticmethod
+    def _solve(monkeypatch, experiment, config):
+        """The protocol's one batched solve: its arguments, its result, and the calls that certified a basin."""
+        import pnplab.experiments
+
+        solves, certified = [], []
+        certify = GmmPrior._certify
+        monkeypatch.setattr(GmmPrior, "_certify", lambda self, *a: certified.append(1) or certify(self, *a))
+
+        def recording(*args):
+            solves.append((args, pnp_pgd_batch(*args)))
+            return solves[-1][1]
+
+        monkeypatch.setattr(pnplab.experiments, "pnp_pgd_batch", recording)
+        run_experiment(experiment, config)
+        ((args, result),) = solves
+        return args, result, len(certified)
+
+    @pytest.mark.parametrize(
+        "experiment, config, certifies",
+        [
+            ("conv-reg", {}, True),
+            ("conv-reg", {"prior": "wide", "operator": {"kind": "mask", "dim": 256, "mask_fraction": 0.2}}, True),
+            ("stability", "mixing", False),
+        ],
+        ids=["conv-reg", "conv-reg-wide-prior", "stability-mixing"],
+    )
+    def test_a_solve_is_bitwise_the_solve_without_a_basin(self, monkeypatch, experiment, config, certifies):
+        if config == "mixing":
+            config = _mixing_stability()
+        elif config.get("prior") == "wide":
+            config = {**config, "prior": _wide_prior()}
+        args, result, certified = self._solve(monkeypatch, experiment, config)
+        assert (certified > 0) == certifies
+        monkeypatch.setattr(pnplab.solver, "_solve_basin", lambda denoiser: None)
+        without = pnp_pgd_batch(*args)
+        for field in ("x_star", "iterations", "converged", "diverged"):
+            assert np.array_equal(getattr(result, field), getattr(without, field))
+
+    def test_the_default_solves_form_distances_on_few_calls(self, monkeypatch):
+        """Tier-1 guard for the skip: conv-reg's 300 calls form distances on at most 3, and
+        stability's folded one-Gaussian chain never reaches the prior."""
+        calls = {"mean": 0, "dists": 0}
+        posterior_mean, half_sq_dists = GmmPrior._posterior_mean, GmmPrior._half_sq_dists
+
+        def counted(name, route):
+            def spied(self, *args, **kwargs):
+                calls[name] += 1
+                return route(self, *args, **kwargs)
+
+            return spied
+
+        monkeypatch.setattr(GmmPrior, "_posterior_mean", counted("mean", posterior_mean))
+        monkeypatch.setattr(GmmPrior, "_half_sq_dists", counted("dists", half_sq_dists))
+        run_experiment("conv-reg", {})
+        assert calls["mean"] == 300 and calls["dists"] <= 3
+        calls.update(mean=0, dists=0)
+        run_experiment("stability", {})
+        assert calls == {"mean": 0, "dists": 0}
+
+    def test_the_basin_lives_in_the_solve_only(self):
+        """Nothing the caller keeps, the denoiser chain or the prior, holds a basin afterwards."""
+        resolved = resolve_config("conv-reg")
+        prior = GmmPrior.from_config(resolved["prior"])
+        base = MmseDenoiser(prior, 0.1)
+        scaled = ScaledDenoiser(OutputShrink(base, 0.99), np.array([1.5, 2.0, 4.0]), gamma_rescale=True)
+        ys = prior.sample_pairs(0.1, 3, 0)[1]
+        pnp_pgd_batch(Identity(64), ys, scaled, PnpConfig(tau=1.0, max_iters=40))
+        for holder in (scaled, scaled.base, base, prior):
+            assert not any(isinstance(v, pnplab.prior._Basin) for v in vars(holder).values())
