@@ -8,7 +8,9 @@ The public methods validate their input. Each operator also has unchecked
 (m, n) stack of signals, and an unchecked ``_normal_residual`` for the
 gradient of the data term, which a mask or the identity writes into a given
 buffer with one or two ufunc calls; the batched solver calls those after
-validating its inputs once.
+validating its inputs once. A mask and the identity also give the diagonal
+of ``A^T A`` (``_gram_diagonal``), which lets the batched solver fold the
+gradient step into an elementwise-affine denoiser.
 
 ``op_norm_sq`` is exact and computed once per operator: in closed form for
 the identity, a mask and a circular convolution, and as the largest squared
@@ -94,6 +96,14 @@ class LinearOperator:
         """
         return self._adjoint(self._apply(x) - y)
 
+    def _gram_diagonal(self):
+        """``A^T A``'s diagonal, a float or an (n,) row, when ``A^T A`` is diagonal, else None.
+
+        The batched solver folds a gradient step over such an operator into
+        an elementwise-affine denoiser (see :func:`~pnplab.solver.pnp_pgd_batch`).
+        """
+        return None
+
     def gradient_step(self, y: np.ndarray, tau: float, x: np.ndarray) -> np.ndarray:
         """One explicit step on the quadratic data term: ``x - tau * A^T (A x - y)``."""
         tau = real(tau, "tau", POSITIVE)
@@ -130,6 +140,9 @@ class Identity(LinearOperator):
     def _normal_residual(self, x, y, out=None):
         return np.subtract(x, y, out)
 
+    def _gram_diagonal(self):
+        return 1.0
+
     def _norm_sq(self):
         return 1.0
 
@@ -160,6 +173,9 @@ class Mask(LinearOperator):
         # A hidden entry is (x - y) * 0.0, so -0.0 where x < y; it equals 0.0.
         out = np.subtract(x, y, out)
         return np.multiply(out, self.keep, out)
+
+    def _gram_diagonal(self):
+        return self.keep
 
     def _norm_sq(self):
         return 1.0 if self.mask.any() else 0.0

@@ -12,15 +12,20 @@ the reference. :func:`pnp_pgd_batch` runs a stack of problems that share
 the operator, the base denoiser and the start and differ in the data and the
 scale. It checks its inputs once and then runs the unchecked routes: the
 operator's ``_normal_residual``, which a mask or the identity writes into
-the gradient step's buffer, and the denoiser's ``_apply``. It tests for a
-stop once per block of iterations rather than once per iteration, runs the
-whole stack until its last row stops and records each row where
-:func:`pnp_pgd` would have stopped on it. Its stop norms are row dots, one
-pass over the block each, and round differently from ``np.linalg.norm``;
-its iterates are bitwise those of a loop that tests every iteration. Over a
-mixture prior it also holds a per-solve basin (``prior._Basin``), which lets
-the posterior mean skip its distances while every row provably stays on its
-component, with outputs bitwise those of the full route.
+the gradient step's buffer, and the denoiser's ``_apply``. Where ``A^T A``
+is diagonal (a mask or the identity) and the denoiser folds into one
+multiply-add, it folds the gradient step in too, so an iteration is one
+multiply and one add, equal to the unfused iteration to round-off and
+bitwise on the coordinates a mask hides. It tests for a stop once per block
+of iterations rather than once per iteration, runs the whole stack until
+its last row stops and records each row where :func:`pnp_pgd` would have
+stopped on it. Its stop norms are row dots, one pass over the block each,
+and round differently from ``np.linalg.norm``; its iterates are bitwise
+those of a loop that tests every iteration, and those of :func:`pnp_pgd`
+wherever the step is not fused. Over a mixture prior it also holds a
+per-solve basin (``prior._Basin``), which lets the posterior mean skip its
+distances while every row provably stays on its component, with outputs
+bitwise those of the full route.
 """
 
 from __future__ import annotations
@@ -68,7 +73,8 @@ _STOP_BLOCK = 8
 # step, whose buffer also takes the data term's gradient from a mask or the
 # identity, a per-row scale's two coefficient stacks (see ScaledDenoiser),
 # six for an iteration's temporaries, to which a mask or the identity
-# adds none, and three for the solve's basin over a mixture (see
+# adds none (a fused solve holds its gain and shift stacks in place of these
+# and the step's buffer), and three for the solve's basin over a mixture (see
 # prior._Basin): its anchor, its held (1 - rho_k) mu_k rows, and its rho_k and
 # squared radii, 2 m floats, at most one stack since its mixture has K >= 2
 # components. The stop test runs after those temporaries are freed, over
@@ -286,6 +292,23 @@ def pnp_pgd_batch(
     m) arrays, at most one stack each, stand in for an iteration's freed
     temporaries.
 
+    A solve whose operator has a diagonal ``A^T A = diag(d)``
+    (``_gram_diagonal``: a mask's 0/1 row, or 1 for the identity) and whose
+    denoiser folds into one pair ``(coef, off)`` (``_OutputMap._pair``, one
+    scale or a scale per row) fuses the two: it builds the contiguous (m, n)
+    stacks ``gain = coef (1 - tau d)`` and ``shift = coef (tau d ys) + off``
+    once, in place of the step buffer and an iteration's temporaries, and
+    each iteration is one multiply into the block buffer and one add. On a
+    hidden coordinate (d = 0) this is ``coef x + off``, bitwise the unfused
+    iteration. On an observed one
+    it is ``coef (1 - tau) x + (coef tau y + off)``, which equals
+    ``coef (x - tau (x - y)) + off`` to round-off, as the denoiser's own
+    fold does; at ``tau`` = 1 it is exactly ``coef y + off``, which the
+    unfused route also gives wherever ``x - (x - y)`` rounds to ``y``, as
+    on every iterate of the default stability solve. Every other solve
+    (another operator, or a chain that does not fold) runs the unfused
+    iteration.
+
     Every iteration runs the whole stack. The iterations run in blocks of
     ``_STOP_BLOCK``, growing to an eighth of the iterations run as far as
     the block's iterates and differences fit ``_BLOCK_FLOATS`` (see
@@ -298,8 +321,10 @@ def pnp_pgd_batch(
     any overflow or invalid-value warnings, which a row that stops on them
     records as a divergence. So every row's iterates are bitwise those of
     the whole stack run with a stop test after every iteration, matrix
-    products included, and a one-row stack's are those of :func:`pnp_pgd`;
-    only the stop norms' rounding differs from ``np.linalg.norm``.
+    products included, and a one-row stack's are those of :func:`pnp_pgd`
+    when the step is not fused; a fused one's are so on the hidden
+    coordinates and equal them to round-off elsewhere. Only the stop norms'
+    rounding differs from ``np.linalg.norm``.
 
     A chain that folds nowhere and ends at a mixture :class:`~pnplab.denoisers.MmseDenoiser`
     of more than one component gets one basin for the solve
@@ -335,9 +360,8 @@ def pnp_pgd_batch(
     denoiser.check_rows(ys.shape)
     m, n = ys.shape[0], op.in_dim
     tau, warn = _step_size(op, config)
-    # x - 1.0 * r is bitwise x - r, so a unit step skips the multiply.
-    unit_step = tau == 1.0
-    tau = np.array(tau)
+    gram = op._gram_diagonal()
+    fused = gram is not None and denoiser._pair is not None
 
     iterations = np.full(m, config.max_iters)
     diverged = np.zeros(m, dtype=bool)
@@ -346,29 +370,47 @@ def pnp_pgd_batch(
     cap = _block_cap(m, n, config.max_iters)
     # buf[0] holds the stack's iterate before a block, buf[j] the j-th after it.
     buf = np.zeros((cap + 1, m, n))
-    # The gradient step, whose buffer first takes the data term's gradient
-    # from an operator that writes it in place, and the successive
-    # differences of one stop-test chunk, reused by every iteration and block.
-    # A chunk is at most n iterations, so each of the test's (chunk, m)
+    # The successive differences of one stop-test chunk, reused by every
+    # block. A chunk is at most n iterations, so each of the test's (chunk, m)
     # arrays is at most one stack.
     chunk = min(cap, n)
-    step = np.empty((m, n))
     diffs = np.empty((chunk, m, n))
-    # The buffer's slots as views, taken once, and the routes the loop calls.
+    # The buffer's slots as views, taken once.
     slots = list(buf)
-    normal_residual = op._normal_residual
-    basin = _solve_basin(denoiser)
-    denoise = denoiser._apply if basin is None else partial(denoiser._apply, basin=basin)
     with np.errstate(over="ignore", invalid="ignore"):
+        if fused:
+            # coef (x - tau d (x - y)) + off as gain x + shift; an overflowing
+            # shift leaves non-finite iterates, recorded as a divergence.
+            coef, off = denoiser._pair
+            tau_d = tau * gram
+            gain = np.multiply(coef, 1.0 - tau_d, out=np.empty((m, n)))
+            shift = coef * (tau_d * ys) + off
+        else:
+            # The gradient step, whose buffer first takes the data term's
+            # gradient from an operator that writes it in place, and the
+            # routes the loop calls. x - 1.0 * r is bitwise x - r, so a unit
+            # step skips the multiply.
+            unit_step = tau == 1.0
+            tau = np.array(tau)
+            step = np.empty((m, n))
+            normal_residual = op._normal_residual
+            basin = _solve_basin(denoiser)
+            denoise = denoiser._apply if basin is None else partial(denoiser._apply, basin=basin)
         for start, size in _stop_blocks(cap, config.max_iters):
             block = buf[: size + 1]
-            for j in range(size):
-                xj = slots[j]
-                if unit_step:
-                    np.subtract(xj, normal_residual(xj, ys, step), step)
-                else:
-                    np.subtract(xj, np.multiply(tau, normal_residual(xj, ys, step), step), step)
-                denoise(step, out=slots[j + 1])
+            if fused:
+                for j in range(size):
+                    out = slots[j + 1]
+                    np.multiply(gain, slots[j], out=out)
+                    out += shift
+            else:
+                for j in range(size):
+                    xj = slots[j]
+                    if unit_step:
+                        np.subtract(xj, normal_residual(xj, ys, step), step)
+                    else:
+                        np.subtract(xj, np.multiply(tau, normal_residual(xj, ys, step), step), step)
+                    denoise(step, out=slots[j + 1])
             ended = False
             for lo in range(0, size, chunk):
                 # Row-dot norms, one pass each over the chunk; a row with NaN

@@ -1055,6 +1055,22 @@ def test_readme_json_configs_run(tmp_path, capsys, block):
     assert capsys.readouterr().err == ""
 
 
+def test_readme_solve_memory_counts_are_the_solvers():
+    """The README's count of a batched solve's arrays, and the grid caps it gives, are
+    ``solver._SOLVE_STACKS``'s."""
+    from pnplab.solver import _SOLVE_STACKS, _STOP_BLOCK
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    prose = " ".join(readme.split())
+    assert re.findall(r"A batched solve holds (\d+) arrays", prose) == [str(_SOLVE_STACKS)]
+    assert re.findall(r"(\d+) of those arrays", prose) == [str(_SOLVE_STACKS - 2 * _STOP_BLOCK)]
+    rows = [line for line in readme.splitlines() if re.match(r"\| `(delta_grid|k_grid)` \| (conv-reg|stability) \|", line)]
+    assert len(rows) == 2
+    assert [re.findall(r"2\^25 / \((\d+) ×", row) for row in rows] == [[str(_SOLVE_STACKS)]] * 2
+    at_64 = min(2**16, 2**25 // (_SOLVE_STACKS * 64))
+    assert re.findall(r"\((\d+) at dim 64\)", readme) == [str(at_64)]
+
+
 def _benchmark_workloads():
     """The benchmark's workload table and output check, loaded from ``perfbench/workloads.py``."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"

@@ -429,8 +429,25 @@ class TestDeltaSweepExperiment:
         assert best == pytest.approx(nearest)
 
 
+def _recorded_solve(monkeypatch, run):
+    """``run()``'s one batched solve: its ``(op, ys, denoiser, config)`` and its result."""
+    import pnplab.experiments
+
+    solves = []
+
+    def recording(*args):
+        solves.append((args, pnp_pgd_batch(*args)))
+        return solves[-1][1]
+
+    monkeypatch.setattr(pnplab.experiments, "pnp_pgd_batch", recording)
+    run()
+    (solve,) = solves
+    return solve
+
+
 class TestAffineRegimeReferees:
-    """The default stability and lipschitz runs, held to the closed forms of their affine denoisers."""
+    """The default stability, conv-reg and lipschitz runs, held to the closed forms of their
+    affine (or, for conv-reg, locally affine) denoisers."""
 
     def test_each_lipschitz_max_is_the_wiener_slope(self):
         """One Gaussian with v = 1: the MMSE map is affine with slope v / (v + sigma^2)."""
@@ -451,17 +468,7 @@ class TestAffineRegimeReferees:
         lies within ``q / (1 - q)`` of that step from it; the rows sit at 0.993-0.99999 of
         this bound, so 0.1 % covers the stop test's and the solve's rounding, and one
         iteration fewer than recorded (1 / q - 1 = 0.93 % further) fails it."""
-        import pnplab.experiments
-
-        solves = []
-
-        def recording(*args):
-            solves.append((args, pnp_pgd_batch(*args)))
-            return solves[-1][1]
-
-        monkeypatch.setattr(pnplab.experiments, "pnp_pgd_batch", recording)
-        run_stability()
-        ((op, ys, scaled, cfg), result), = solves
+        (op, ys, scaled, cfg), result = _recorded_solve(monkeypatch, run_stability)
         coef, offset = scaled._pair
         n = op.in_dim
         folded = tweedie_scale(AffineDenoiser(coef * np.eye(n), np.broadcast_to(offset, (n,))), 1.0)
@@ -471,6 +478,36 @@ class TestAffineRegimeReferees:
         for y, x in zip(ys, result.x_star):
             error = np.linalg.norm(x - linear_fixed_point_oracle(op, y, folded, cfg))
             assert error <= cfg.tol * (1.0 + np.linalg.norm(x)) * q / (1.0 - q) * (1.0 + 1e-3)
+
+    def test_conv_reg_iterates_follow_the_closed_form(self, monkeypatch):
+        """Every default row sits on one component k of the mixture, where the gamma-rescaled
+        tweedie map is ``c z + b`` with ``u = 1 / delta^2``, ``g = delta^2 / (1 + delta^2)``,
+        ``c = g (1 - u + u rho_k)`` and ``b = g u (1 - rho_k) mu_k``. With tau = 1 and a mask
+        the step z is y on the observed coordinates and x on the hidden ones, so x* is
+        ``c y + b`` there and ``b / (1 - c)`` here, which is ``(1 - rho_k) mu_k / (2 - rho_k)``
+        at every delta, as ``1 - c = (2 - rho_k) / (1 + delta^2)``. From the zero start the
+        observed coordinates are exact after one iteration and the hidden ones are
+        ``x* (1 - c^t)`` after t. ``1 - c`` and ``1 - c^t`` are formed without cancellation:
+        c rounds to within 1e-10 of 1 at delta = 1000."""
+        (op, ys, scaled, cfg), result = _recorded_solve(monkeypatch, run_conv_reg)
+        prior, sigma = scaled.base.prior, scaled.base.sigma
+        observed = op.mask
+        rho = prior.variances / (prior.variances + sigma * sigma)
+        assert cfg.tau == 1.0 and scaled.mode == "tweedie" and scaled.gamma_rescale
+        for y, x, t, delta in zip(ys, result.x_star, result.iterations, scaled.delta):
+            at_x = prior.responsibilities(np.where(observed, y, x), sigma)
+            k = int(np.argmax(at_x))
+            u, g = 1.0 / delta**2, delta**2 / (1.0 + delta**2)
+            c, b = g * (1.0 - u + u * rho[k]), g * u * (1.0 - rho[k]) * prior.means[k]
+            one_minus_c = (2.0 - rho[k]) / (1.0 + delta**2)
+            hidden = (1.0 - rho[k]) * prior.means[k] / (2.0 - rho[k])
+            np.testing.assert_allclose(b / one_minus_c, hidden, rtol=1e-15, atol=0.0)
+            x_star = np.where(observed, c * y + b, hidden)
+            # The same component, concentrated, at the recorded iterate's step and at x*'s.
+            at_star = prior.responsibilities(np.where(observed, y, x_star), sigma)
+            assert np.argmax(at_star) == k and max(np.sort(at_x)[-2], np.sort(at_star)[-2]) < 1e-20
+            predicted = np.where(observed, x_star, hidden * -np.expm1(t * np.log1p(-one_minus_c)))
+            assert np.max(np.abs(x - predicted)) <= 1e-14 * np.max(np.abs(predicted))
 
 
 class TestLipschitzTable:

@@ -18,6 +18,7 @@ from pnplab.denoisers import (
     OutputShrink,
     ScaledDenoiser,
     ShrinkageDenoiser,
+    _OutputMap,
     homogeneous_scale,
     tweedie_scale,
 )
@@ -460,6 +461,90 @@ class TestBatch:
             pnp_pgd_batch(Identity(3), np.ones((2, 3)), plain, cfg)
         batch = pnp_pgd_batch(Identity(3), np.ones((2, 3)), tweedie_scale(plain, 1.0), cfg)
         assert batch.converged.all()
+
+
+def _counted(calls, name, route):
+    """``route`` wrapped to count its calls in ``calls[name]``, for patching onto a class."""
+
+    def spied(*args, **kwargs):
+        calls[name] += 1
+        return route(*args, **kwargs)
+
+    return spied
+
+
+class TestFusedStep:
+    """Over a mask or the identity a folded chain takes the gradient step into its
+    multiply-add: one multiply and one add per iteration, equal to :func:`pnp_pgd` to
+    round-off and bitwise on the hidden coordinates."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        kind=st.sampled_from(["mask", "identity", "all-hidden"]),
+        tau=st.sampled_from([None, 1.0, "fraction", "overflow"]),
+        base_kind=st.sampled_from(["mmse", "shrinkage"]),
+        mode=st.sampled_from(ScaledDenoiser.MODES),
+        gamma=st.booleans(),
+        per_row=st.booleans(),
+        shrink=st.booleans(),
+        log_scale=st.floats(-2.0, 3.0),
+        seed=st.integers(0, 2**16),
+    )
+    def test_a_fused_solve_equals_the_serial_solve(
+        self, kind, tau, base_kind, mode, gamma, per_row, shrink, log_scale, seed
+    ):
+        """``tau = "overflow"`` is the largest double, far above the certificate, so the
+        shift ``coef tau d y + off`` overflows on any observed entry past 1 in magnitude
+        and the row diverges at its first iteration, as the serial solve does."""
+        rng = np.random.default_rng(seed)
+        n, m = int(rng.integers(1, 17)), int(rng.integers(1, 5))
+        scale = 10.0**log_scale
+        if kind == "identity":
+            op = Identity(n)
+        else:
+            op = Mask(rng.random(n) < (0.7 if kind == "mask" else 0.0))
+        if base_kind == "mmse":
+            prior = GmmPrior([1.0], scale * rng.standard_normal((1, n)), [scale**2 * rng.uniform(0.1, 1.0)])
+            base = MmseDenoiser(prior, scale * rng.uniform(0.05, 1.0))
+        else:
+            base = ShrinkageDenoiser(rng.uniform(0.3, 1.0), n)
+        if shrink:
+            base = OutputShrink(base, 0.9)
+        deltas = rng.uniform(0.5, 5.0, m) if per_row else float(rng.uniform(0.5, 5.0))
+        if tau == "fraction":
+            tau = float(rng.uniform(0.1, 1.0))
+        elif tau == "overflow":
+            tau = float(np.finfo(float).max)
+        cfg = PnpConfig(tau=tau, max_iters=150, tol=1e-10)
+        ys = scale * rng.standard_normal((m, n))
+        scaled = ScaledDenoiser(base, deltas, mode=mode, gamma_rescale=gamma)
+        assert op._gram_diagonal() is not None and scaled._pair is not None
+        batch = pnp_pgd_batch(op, ys, scaled, cfg)
+        hidden = np.broadcast_to(op._gram_diagonal(), (n,)) == 0.0
+        # The serial gradient step warns where the overflowing step overflows.
+        with np.errstate(over="ignore", invalid="ignore"):
+            serial = _serial_rows(op, ys, base, np.broadcast_to(deltas, (m,)), mode, gamma, cfg)
+        for row, (iterations, converged, diverged, x_star) in enumerate(serial):
+            assert batch.iterations[row] == iterations
+            assert batch.converged[row] == converged
+            assert batch.diverged[row] == diverged
+            if x_star is not None:
+                fused = batch.x_star[row]
+                assert np.array_equal(fused[hidden], x_star[hidden])
+                assert np.max(np.abs(fused - x_star)) <= 1e-13 * np.max(np.abs(x_star))
+
+    def test_the_default_stability_loop_runs_neither_the_step_nor_the_denoiser(self, monkeypatch):
+        """Tier-1 guard for the fold: stability's folded one-Gaussian chain over a mask calls
+        neither route, and conv-reg's K = 3 chain, which does not fold, calls both on each of
+        its 300 iterations."""
+        calls = {"step": 0, "denoiser": 0}
+        monkeypatch.setattr(Mask, "_normal_residual", _counted(calls, "step", Mask._normal_residual))
+        monkeypatch.setattr(_OutputMap, "_apply", _counted(calls, "denoiser", _OutputMap._apply))
+        run_experiment("conv-reg", {})
+        assert calls == {"step": 300, "denoiser": 300}
+        calls.update(step=0, denoiser=0)
+        run_experiment("stability", {})
+        assert calls == {"step": 0, "denoiser": 0}
 
 
 class _TaggedRows(Denoiser):
@@ -1016,6 +1101,27 @@ class TestSolveMemory:
         peak = _solve_peak(Mask(np.ones(n, dtype=bool)), ys, base, rng.uniform(1.0, 3.0, m), "tweedie", True, config)
         assert peak <= _counted_bytes(m * n)
 
+    @pytest.mark.parametrize(
+        "m, per_row, kind",
+        [(10, False, "mask"), (1, False, "mask"), (256, True, "mask"), (256, False, "identity")],
+        ids=["stability-shape", "one-row", "per-row-scale", "identity"],
+    )
+    @pytest.mark.parametrize("max_iters", [2 * _STOP_BLOCK + 3, 2000])
+    def test_a_fused_solve_stays_within_its_counted_stacks_without_slack(self, m, per_row, kind, max_iters):
+        """Stability's chain (one Gaussian, ``OutputShrink``, tweedie scale), whose gradient
+        step folds into its multiply-add: the gain and shift stacks take the place of the
+        step buffer and an iteration's temporaries, in short solves and in 2000 iterations
+        whose blocks grow to ``_BLOCK_FLOATS``."""
+        rng = np.random.default_rng(m)
+        n = 64
+        base = OutputShrink(MmseDenoiser(GmmPrior([1.0], rng.standard_normal((1, n)), [1.0]), 0.1), 0.999)
+        op = Mask(rng.random(n) < 0.8) if kind == "mask" else Identity(n)
+        deltas = rng.uniform(1.0, 3.0, m) if per_row else 1.09
+        config = PnpConfig(tau=1.0, max_iters=max_iters, tol=1e-30)
+        assert ScaledDenoiser(base, deltas)._pair is not None
+        peak = _solve_peak(op, rng.standard_normal((m, n)), base, deltas, "tweedie", False, config)
+        assert peak <= _counted_bytes(m * n)
+
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(
         m=st.integers(1, 2**15),
@@ -1218,17 +1324,8 @@ class TestBasinSolves:
         """Tier-1 guard for the skip: conv-reg's 300 calls form distances on at most 3, and
         stability's folded one-Gaussian chain never reaches the prior."""
         calls = {"mean": 0, "dists": 0}
-        posterior_mean, half_sq_dists = GmmPrior._posterior_mean, GmmPrior._half_sq_dists
-
-        def counted(name, route):
-            def spied(self, *args, **kwargs):
-                calls[name] += 1
-                return route(self, *args, **kwargs)
-
-            return spied
-
-        monkeypatch.setattr(GmmPrior, "_posterior_mean", counted("mean", posterior_mean))
-        monkeypatch.setattr(GmmPrior, "_half_sq_dists", counted("dists", half_sq_dists))
+        monkeypatch.setattr(GmmPrior, "_posterior_mean", _counted(calls, "mean", GmmPrior._posterior_mean))
+        monkeypatch.setattr(GmmPrior, "_half_sq_dists", _counted(calls, "dists", GmmPrior._half_sq_dists))
         run_experiment("conv-reg", {})
         assert calls["mean"] == 300 and calls["dists"] <= 3
         calls.update(mean=0, dists=0)
