@@ -6,11 +6,10 @@ construction and safe for concurrent read-only use.
 The public methods validate their input. Each operator also has unchecked
 ``_apply``/``_adjoint`` methods acting on the last axis, so one call maps an
 (m, n) stack of signals, and an unchecked ``_normal_residual`` for the
-gradient of the data term, which a mask or the identity writes into a given
-buffer with one or two ufunc calls; the batched solver calls those after
-validating its inputs once. A mask and the identity also give the diagonal
-of ``A^T A`` (``_gram_diagonal``), which lets the batched solver fold the
-gradient step into an elementwise-affine denoiser.
+gradient of the data term; the batched solver calls those after validating
+its inputs once. The identity is a mask that hides nothing, and a mask's
+``A = A^T = A^T A = diag(keep)``, a 0/1 row the batched solver reads to
+write the gradient step itself.
 
 ``op_norm_sq`` is exact and computed once per operator: in closed form for
 the identity, a mask and a circular convolution, and as the largest squared
@@ -87,22 +86,9 @@ class LinearOperator:
     def _adjoint(self, y: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def _normal_residual(self, x: np.ndarray, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Unchecked ``A^T (A x - y)`` on the last axis, the gradient of the data term.
-
-        A subclass may write the result into ``out``, an array of ``x``'s
-        shape, and return it; this fallback ignores ``out``, so callers use
-        the returned array.
-        """
+    def _normal_residual(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Unchecked ``A^T (A x - y)`` on the last axis, the gradient of the data term."""
         return self._adjoint(self._apply(x) - y)
-
-    def _gram_diagonal(self):
-        """``A^T A``'s diagonal, a float or an (n,) row, when ``A^T A`` is diagonal, else None.
-
-        The batched solver folds a gradient step over such an operator into
-        an elementwise-affine denoiser (see :func:`~pnplab.solver.pnp_pgd_batch`).
-        """
-        return None
 
     def gradient_step(self, y: np.ndarray, tau: float, x: np.ndarray) -> np.ndarray:
         """One explicit step on the quadratic data term: ``x - tau * A^T (A x - y)``."""
@@ -125,28 +111,6 @@ class LinearOperator:
         return np.ascontiguousarray(self._apply(np.eye(self.in_dim)).T)
 
 
-class Identity(LinearOperator):
-    """The identity map on vectors of a fixed length."""
-
-    def __init__(self, dim: int):
-        self.in_dim = self.out_dim = count(dim, "dim", POSITIVE)
-
-    def _apply(self, x):
-        return x.copy()
-
-    def _adjoint(self, y):
-        return y.copy()
-
-    def _normal_residual(self, x, y, out=None):
-        return np.subtract(x, y, out)
-
-    def _gram_diagonal(self):
-        return 1.0
-
-    def _norm_sq(self):
-        return 1.0
-
-
 class Mask(LinearOperator):
     """Coordinate projection: observed entries pass through, masked ones are zeroed.
 
@@ -160,7 +124,8 @@ class Mask(LinearOperator):
             raise ValueError("mask must be a nonempty 1-D boolean vector")
         self.mask = _frozen(mask)
         self.in_dim = self.out_dim = int(mask.size)
-        # The mask as 0/1 floats: a multiply by it hides entries without np.where's dispatch.
+        # The mask as 0/1 floats, A = A^T = A^T A = diag(keep): the batched
+        # solver's gradient step multiplies by it in place of np.where.
         self.keep = _frozen(mask.astype(np.float64))
 
     def _apply(self, x):
@@ -169,19 +134,11 @@ class Mask(LinearOperator):
     def _adjoint(self, y):
         return np.where(self.mask, y, 0.0)
 
-    def _normal_residual(self, x, y, out=None):
-        # A hidden entry is (x - y) * 0.0, so -0.0 where x < y; it equals 0.0.
-        out = np.subtract(x, y, out)
-        return np.multiply(out, self.keep, out)
-
-    def _gram_diagonal(self):
-        return self.keep
-
     def _norm_sq(self):
         return 1.0 if self.mask.any() else 0.0
 
-    @classmethod
-    def random(cls, dim: int, mask_fraction: float, seed: int = 0) -> "Mask":
+    @staticmethod
+    def random(dim: int, mask_fraction: float, seed: int = 0) -> "Mask":
         """Mask with ``round(mask_fraction * dim)`` seeded random entries hidden."""
         dim = count(dim, "dim", POSITIVE)
         mask_fraction = real(mask_fraction, "mask_fraction", FRACTION)
@@ -190,7 +147,14 @@ class Mask(LinearOperator):
         hidden = rng.choice(dim, size=n_masked, replace=False)
         mask = np.ones(dim, dtype=bool)
         mask[hidden] = False
-        return cls(mask)
+        return Mask(mask)
+
+
+class Identity(Mask):
+    """The identity map on vectors of a fixed length: a mask that hides nothing."""
+
+    def __init__(self, dim: int):
+        super().__init__(np.ones(count(dim, "dim", POSITIVE), dtype=bool))
 
 
 class Convolve1d(LinearOperator):

@@ -10,19 +10,20 @@ the iterative path is tested against.
 :func:`pnp_pgd` runs one problem through the checked public routes and is
 the reference. :func:`pnp_pgd_batch` runs a stack of problems that share
 the operator, the base denoiser and the start and differ in the data and the
-scale. It checks its inputs once and then runs the unchecked routes: the
-operator's ``_normal_residual``, which a mask or the identity writes into
-the gradient step's buffer, and the denoiser's ``_apply``. Where ``A^T A``
-is diagonal (a mask or the identity) and the denoiser folds into one
-multiply-add, it folds the gradient step in too, so an iteration is one
-multiply and one add, equal to the unfused iteration to round-off and
-bitwise on the coordinates a mask hides. It tests for a stop once per block
-of iterations rather than once per iteration, runs the whole stack until
-its last row stops and records each row where :func:`pnp_pgd` would have
+scale. It checks its inputs once and then runs the unchecked routes: over a
+mask (the identity among them, a mask that hides nothing) it writes the
+gradient step ``x - (x - y) tau keep`` itself, over any other operator it
+takes the operator's ``_normal_residual``, and it calls the denoiser's
+``_apply``. Over a mask whose denoiser folds into one multiply-add, it
+folds the gradient step in too, so an iteration is one multiply and one
+add, equal to the unfused iteration to round-off and bitwise on the
+coordinates the mask hides. It tests for a stop once per block of
+iterations rather than once per iteration, runs the whole stack until its
+last row stops and records each row where :func:`pnp_pgd` would have
 stopped on it. Its stop norms are row dots, one pass over the block each,
 and round differently from ``np.linalg.norm``; its iterates are bitwise
 those of a loop that tests every iteration, and those of :func:`pnp_pgd`
-wherever the step is not fused. Over a mixture prior it also holds a
+wherever the step is not fused, up to the sign of a zero. Over a mixture prior it also holds a
 per-solve basin (``prior._Basin``), which lets the posterior mean skip its
 distances while every row provably stays on its component, with outputs
 bitwise those of the full route.
@@ -37,7 +38,7 @@ import numpy as np
 
 from .config import POSITIVE, count, real
 from .denoisers import _BLOCK_FLOATS, AffineDenoiser, ScaledDenoiser, _OutputMap, _solve_basin, gamma_factor
-from .linop import LinearOperator, _row_dot, as_signal
+from .linop import LinearOperator, Mask, _row_dot, as_signal
 
 __all__ = [
     "PnpConfig",
@@ -70,11 +71,11 @@ _STOP_BLOCK = 8
 # Stacks of m rows a batched solve holds at once, at most: the block buffer
 # (_STOP_BLOCK + 1 iterates), the stop test's successive differences
 # (_STOP_BLOCK), the measurements, the recorded iterates and the gradient
-# step, whose buffer also takes the data term's gradient from a mask or the
-# identity, a per-row scale's two coefficient stacks (see ScaledDenoiser),
-# six for an iteration's temporaries, to which a mask or the identity
-# adds none (a fused solve holds its gain and shift stacks in place of these
-# and the step's buffer), and three for the solve's basin over a mixture (see
+# step, which a masked step writes with three in-place ufuncs, a per-row
+# scale's two coefficient stacks (see ScaledDenoiser), six for an
+# iteration's temporaries, to which a masked step adds none (a fused solve
+# holds its gain and shift stacks in place of these and the step's
+# buffer), and three for the solve's basin over a mixture (see
 # prior._Basin): its anchor, its held (1 - rho_k) mu_k rows, and its rho_k and
 # squared radii, 2 m floats, at most one stack since its mixture has K >= 2
 # components. The stop test runs after those temporaries are freed, over
@@ -228,9 +229,9 @@ def pnp_pgd(
     residuals: list[float] = []
     converged = False
     for i in range(config.max_iters):
-        x_next = denoiser(op.gradient_step(y, tau, x))
-        # Finite entries whose norm overflows diverge too, as in pnp_pgd_batch.
-        with np.errstate(over="ignore"):
+        # An overflowing step, iterate or norm diverges without a warning, as in pnp_pgd_batch.
+        with np.errstate(over="ignore", invalid="ignore"):
+            x_next = denoiser(op.gradient_step(y, tau, x))
             if not np.all(np.isfinite(x_next)) or np.linalg.norm(x_next) > _DIVERGENCE_NORM:
                 raise DivergenceError(i + 1)
         residual = float(np.linalg.norm(x_next - x))
@@ -273,13 +274,14 @@ def pnp_pgd_batch(
     divergence (recorded in ``diverged`` instead of raised) or at
     ``max_iters``. Histories are not recorded.
 
-    Each iteration writes the gradient step into one buffer, which first
-    takes the data term's gradient ``r`` when the operator writes it in
-    place (a mask or the identity), then ``x - r`` when ``tau`` is 1, which
-    is bitwise ``x - 1.0 * r`` (otherwise ``tau`` is a 0-d array), and has
-    the denoiser write its result straight into the block buffer, so no
-    iterate is copied and a masked iteration is its ufunc calls only. The
-    whole loop runs under one ``np.errstate``, entered once per solve.
+    Each iteration writes the gradient step into one buffer: over a mask,
+    ``x - y``, times the (n,) row ``tau keep``, then subtracted from ``x``,
+    three in-place ufuncs for every ``tau`` (at ``tau`` = 1 the row is
+    ``keep``); over any other operator, ``tau`` times the operator's
+    ``_normal_residual``, then subtracted from ``x``. The denoiser writes
+    its result straight into the block buffer, so no iterate is copied and
+    a masked iteration is its ufunc calls only. The whole loop runs under
+    one ``np.errstate``, entered once per solve.
     Every operand the iteration passes to numpy is built before it: the
     denoiser's coefficients are 0-d arrays or (n,) rows for one scale and
     contiguous (m, n) stacks for a scale per row (see
@@ -292,16 +294,15 @@ def pnp_pgd_batch(
     m) arrays, at most one stack each, stand in for an iteration's freed
     temporaries.
 
-    A solve whose operator has a diagonal ``A^T A = diag(d)``
-    (``_gram_diagonal``: a mask's 0/1 row, or 1 for the identity) and whose
-    denoiser folds into one pair ``(coef, off)`` (``_OutputMap._pair``, one
-    scale or a scale per row) fuses the two: it builds the contiguous (m, n)
-    stacks ``gain = coef (1 - tau d)`` and ``shift = coef (tau d ys) + off``
-    once, in place of the step buffer and an iteration's temporaries, and
-    each iteration is one multiply into the block buffer and one add. On a
-    hidden coordinate (d = 0) this is ``coef x + off``, bitwise the unfused
-    iteration. On an observed one
-    it is ``coef (1 - tau) x + (coef tau y + off)``, which equals
+    A solve over a mask, whose ``A^T A = diag(d)`` with ``d`` its 0/1 row
+    ``keep``, and whose denoiser folds into one pair ``(coef, off)``
+    (``_OutputMap._pair``, one scale or a scale per row) fuses the two: it
+    builds the contiguous (m, n) stacks ``gain = coef (1 - tau d)`` and
+    ``shift = coef (tau d ys) + off`` once, in place of the step buffer and
+    an iteration's temporaries, and each iteration is one multiply into the
+    block buffer and one add. On a hidden coordinate (d = 0) this is ``coef
+    x + off``, bitwise the unfused iteration. On an observed one it is
+    ``coef (1 - tau) x + (coef tau y + off)``, which equals
     ``coef (x - tau (x - y)) + off`` to round-off, as the denoiser's own
     fold does; at ``tau`` = 1 it is exactly ``coef y + off``, which the
     unfused route also gives wherever ``x - (x - y)`` rounds to ``y``, as
@@ -322,9 +323,11 @@ def pnp_pgd_batch(
     records as a divergence. So every row's iterates are bitwise those of
     the whole stack run with a stop test after every iteration, matrix
     products included, and a one-row stack's are those of :func:`pnp_pgd`
-    when the step is not fused; a fused one's are so on the hidden
-    coordinates and equal them to round-off elsewhere. Only the stop norms'
-    rounding differs from ``np.linalg.norm``.
+    when the step is not fused, up to the sign of a zero (the serial step
+    over a mask takes ``+0.0`` where the batched one takes ``(x - y) 0``); a
+    fused one's are so on the hidden coordinates and equal them to
+    round-off elsewhere. Only the stop norms' rounding differs from
+    ``np.linalg.norm``.
 
     A chain that folds nowhere and ends at a mixture :class:`~pnplab.denoisers.MmseDenoiser`
     of more than one component gets one basin for the solve
@@ -360,8 +363,9 @@ def pnp_pgd_batch(
     denoiser.check_rows(ys.shape)
     m, n = ys.shape[0], op.in_dim
     tau, warn = _step_size(op, config)
-    gram = op._gram_diagonal()
-    fused = gram is not None and denoiser._pair is not None
+    # A mask's A = A^T = A^T A = diag(keep), so its step is x - (x - y) tau keep.
+    tau_d = tau * op.keep if isinstance(op, Mask) else None
+    fused = tau_d is not None and denoiser._pair is not None
 
     iterations = np.full(m, config.max_iters)
     diverged = np.zeros(m, dtype=bool)
@@ -382,18 +386,10 @@ def pnp_pgd_batch(
             # coef (x - tau d (x - y)) + off as gain x + shift; an overflowing
             # shift leaves non-finite iterates, recorded as a divergence.
             coef, off = denoiser._pair
-            tau_d = tau * gram
             gain = np.multiply(coef, 1.0 - tau_d, out=np.empty((m, n)))
             shift = coef * (tau_d * ys) + off
         else:
-            # The gradient step, whose buffer first takes the data term's
-            # gradient from an operator that writes it in place, and the
-            # routes the loop calls. x - 1.0 * r is bitwise x - r, so a unit
-            # step skips the multiply.
-            unit_step = tau == 1.0
-            tau = np.array(tau)
             step = np.empty((m, n))
-            normal_residual = op._normal_residual
             basin = _solve_basin(denoiser)
             denoise = denoiser._apply if basin is None else partial(denoiser._apply, basin=basin)
         for start, size in _stop_blocks(cap, config.max_iters):
@@ -406,10 +402,11 @@ def pnp_pgd_batch(
             else:
                 for j in range(size):
                     xj = slots[j]
-                    if unit_step:
-                        np.subtract(xj, normal_residual(xj, ys, step), step)
+                    if tau_d is None:
+                        np.multiply(tau, op._normal_residual(xj, ys), step)
                     else:
-                        np.subtract(xj, np.multiply(tau, normal_residual(xj, ys, step), step), step)
+                        np.multiply(np.subtract(xj, ys, step), tau_d, step)
+                    np.subtract(xj, step, step)
                     denoise(step, out=slots[j + 1])
             ended = False
             for lo in range(0, size, chunk):

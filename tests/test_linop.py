@@ -214,36 +214,33 @@ class TestOpNormSq:
         assert DenseOperator(np.zeros((3, 3))).op_norm_sq() == 0.0
 
 
-class TestNormalResidual:
-    @settings(max_examples=40, deadline=None, derandomize=True)
-    @given(seed=st.integers(0, 2**16), rows=st.integers(1, 5))
-    def test_equals_the_adjoint_of_the_residual_bitwise(self, seed, rows):
-        rng = np.random.default_rng(seed)
-        fully_masked = Mask(np.zeros(5, dtype=bool))
-        for op in _zoo(rng) + [fully_masked]:
-            x = rng.standard_normal((rows, op.in_dim))
-            y = rng.standard_normal((rows, op.out_dim))
-            want = LinearOperator._normal_residual(op, x, y)
-            assert np.array_equal(op._normal_residual(x, y), want)
+class TestMaskContract:
+    """A mask is ``diag(keep)`` with ``keep`` in {0, 1}, and the identity is the mask
+    that hides nothing: the fact the batched solver's gradient step relies on."""
 
-    @settings(max_examples=40, deadline=None, derandomize=True)
-    @given(seed=st.integers(0, 2**16), rows=st.integers(1, 5))
-    def test_a_given_buffer_holds_the_fresh_result(self, seed, rows):
-        """Written into a buffer of stale NaNs or not, the gradient equals the
-        fresh one and the generic adjoint route. array_equal counts -0.0 as
-        0.0: a mask's hidden entry is (x - y) * 0.0, which may be -0.0 where
-        the generic route gives 0.0."""
-        rng = np.random.default_rng(seed)
-        fully_masked = Mask(np.zeros(5, dtype=bool))
-        for op in _zoo(rng) + [fully_masked]:
-            x = rng.standard_normal((rows, op.in_dim))
-            y = rng.standard_normal((rows, op.out_dim))
-            buf = np.full_like(x, np.nan)
-            got = op._normal_residual(x, y, out=buf)
-            assert np.array_equal(got, op._normal_residual(x, y))
-            assert np.array_equal(got, LinearOperator._normal_residual(op, x, y))
-            if isinstance(op, (Identity, Mask)):
-                assert got is buf
+    @pytest.mark.parametrize(
+        "op",
+        [Mask(np.random.default_rng(seed).random(7) < 0.6) for seed in range(4)]
+        + [Mask(np.zeros(5, dtype=bool)), Mask.random(9, 0.4, seed=3), Identity(1), Identity(6)],
+        ids=["mask0", "mask1", "mask2", "mask3", "all-hidden", "random", "identity1", "identity6"],
+    )
+    def test_apply_and_adjoint_multiply_by_keep(self, op):
+        rng = np.random.default_rng(op.in_dim)
+        keep = op.keep
+        assert set(np.unique(keep)) <= {0.0, 1.0}
+        for rows in [(op.in_dim,), (3, op.in_dim)]:
+            x, y = rng.standard_normal(rows), rng.standard_normal(rows)
+            assert np.array_equal(op._apply(x), keep * x)
+            assert np.array_equal(op._adjoint(y), keep * y)
+        assert np.array_equal(op.as_matrix(), np.diag(keep))
+        assert op.op_norm_sq() == (1.0 if keep.any() else 0.0)
+        if isinstance(op, Identity):
+            assert isinstance(op, Mask) and np.all(keep == 1.0)
+            assert np.array_equal(op.as_matrix(), np.eye(op.in_dim))
+
+    def test_random_masks_are_masks(self):
+        assert type(Mask.random(6, 0.5, seed=1)) is Mask
+        assert type(Identity.random(6, 0.5, seed=1)) is Mask
 
 
 class TestRowDot:

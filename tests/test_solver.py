@@ -23,7 +23,7 @@ from pnplab.denoisers import (
     tweedie_scale,
 )
 from pnplab.experiments import resolve_config, run_experiment
-from pnplab.linop import Convolve1d, DenseOperator, Identity, Mask, operator_from_config
+from pnplab.linop import Convolve1d, DenseOperator, Identity, LinearOperator, Mask, operator_from_config
 from pnplab.prior import GmmPrior
 from pnplab.solver import (
     _DIVERGENCE_NORM,
@@ -183,6 +183,18 @@ class TestPnpPgd:
         with pytest.raises(DivergenceError) as err:
             pnp_pgd(Identity(3), np.zeros(3), sd, PnpConfig(tau=1.0))
         batch = pnp_pgd_batch(Identity(3), np.zeros((1, 3)), sd, PnpConfig(tau=1.0))
+        assert err.value.iteration == batch.iterations[0] == 1 and batch.diverged[0]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("op", [Identity(3), Mask([True, False, True])], ids=["identity", "mask"])
+    def test_an_overflowing_step_diverges_without_a_warning(self, op):
+        """A step whose product with the residual overflows is a divergence at the first
+        iteration, as the batch records it, not an overflow warning."""
+        sd = tweedie_scale(ShrinkageDenoiser(0.5, 3), 2.0)
+        cfg = PnpConfig(tau=1.7e308)
+        with pytest.raises(DivergenceError) as err:
+            pnp_pgd(op, np.full(3, 2.0), sd, cfg)
+        batch = pnp_pgd_batch(op, np.full((1, 3), 2.0), sd, cfg)
         assert err.value.iteration == batch.iterations[0] == 1 and batch.diverged[0]
 
     def test_history_switch(self):
@@ -518,12 +530,11 @@ class TestFusedStep:
         cfg = PnpConfig(tau=tau, max_iters=150, tol=1e-10)
         ys = scale * rng.standard_normal((m, n))
         scaled = ScaledDenoiser(base, deltas, mode=mode, gamma_rescale=gamma)
-        assert op._gram_diagonal() is not None and scaled._pair is not None
+        assert isinstance(op, Mask) and scaled._pair is not None
         batch = pnp_pgd_batch(op, ys, scaled, cfg)
-        hidden = np.broadcast_to(op._gram_diagonal(), (n,)) == 0.0
-        # The serial gradient step warns where the overflowing step overflows.
-        with np.errstate(over="ignore", invalid="ignore"):
-            serial = _serial_rows(op, ys, base, np.broadcast_to(deltas, (m,)), mode, gamma, cfg)
+        hidden = op.keep == 0.0
+        # No errstate here: the serial solve reports an overflowing step without a warning.
+        serial = _serial_rows(op, ys, base, np.broadcast_to(deltas, (m,)), mode, gamma, cfg)
         for row, (iterations, converged, diverged, x_star) in enumerate(serial):
             assert batch.iterations[row] == iterations
             assert batch.converged[row] == converged
@@ -535,16 +546,26 @@ class TestFusedStep:
 
     def test_the_default_stability_loop_runs_neither_the_step_nor_the_denoiser(self, monkeypatch):
         """Tier-1 guard for the fold: stability's folded one-Gaussian chain over a mask calls
-        neither route, and conv-reg's K = 3 chain, which does not fold, calls both on each of
-        its 300 iterations."""
+        neither route, and conv-reg's K = 3 chain, which does not fold, calls the denoiser on
+        each of its 300 iterations and writes its masked step itself. A convolution's solve
+        takes the operator's gradient once per iteration, so the spy sees that route."""
         calls = {"step": 0, "denoiser": 0}
-        monkeypatch.setattr(Mask, "_normal_residual", _counted(calls, "step", Mask._normal_residual))
+        monkeypatch.setattr(
+            LinearOperator, "_normal_residual", _counted(calls, "step", LinearOperator._normal_residual)
+        )
         monkeypatch.setattr(_OutputMap, "_apply", _counted(calls, "denoiser", _OutputMap._apply))
         run_experiment("conv-reg", {})
-        assert calls == {"step": 300, "denoiser": 300}
+        assert calls == {"step": 0, "denoiser": 300}
         calls.update(step=0, denoiser=0)
         run_experiment("stability", {})
         assert calls == {"step": 0, "denoiser": 0}
+        calls.update(step=0, denoiser=0)
+        op = Convolve1d(np.array([0.5, 0.3]), 4)
+        cfg = PnpConfig(max_iters=5, tol=1e-300)
+        ys = np.random.default_rng(0).standard_normal((2, 4))
+        batch = pnp_pgd_batch(op, ys, tweedie_scale(ShrinkageDenoiser(0.5, 4), 2.0), cfg)
+        assert list(batch.iterations) == [5, 5]
+        assert calls["step"] == 5
 
 
 class _TaggedRows(Denoiser):
@@ -723,14 +744,17 @@ class TestStopBlocks:
         norm=st.sampled_from([0.5, 0.95, 4.0]),
         max_iters=st.integers(1, 150),
         rows=st.integers(1, 8),
+        step=st.one_of(st.just(1.0), st.floats(0.1, 1.0, exclude_min=True, exclude_max=True)),
         seed=st.integers(0, 2**16),
     )
     def test_equals_a_stop_test_after_every_iteration_bitwise(
-        self, kind, base_kind, mode, norm, max_iters, rows, seed
+        self, kind, base_kind, mode, norm, max_iters, rows, step, seed
     ):
         """Matrix products included: every row runs in the whole stack until
         the last row stops, as it does under a stop test after every
-        iteration."""
+        iteration. ``step`` is the step's fraction of the certified
+        ``1 / ||A^T A||``, so a mask or the identity also runs steps other than
+        1 against the textbook ``x - tau A^T (A x - y)``."""
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 9))
         op = _operator(kind, n, rng)
@@ -740,7 +764,7 @@ class TestStopBlocks:
             base = MmseDenoiser(GmmPrior([0.5, 0.5], rng.standard_normal((2, n)), [0.3, 0.6]), 0.2)
         scaled = ScaledDenoiser(base, rng.uniform(0.5, 30.0, rows), mode=mode)
         ys = 2.0 * rng.standard_normal((rows, op.out_dim))
-        cfg = PnpConfig(tau=1.0 / op.op_norm_sq(), max_iters=max_iters, tol=1e-9)
+        cfg = PnpConfig(tau=step / op.op_norm_sq(), max_iters=max_iters, tol=1e-9)
         batch = pnp_pgd_batch(op, ys, scaled, cfg)
         with np.errstate(over="ignore", invalid="ignore"):
             x_star, iterations, converged, diverged = _whole_stack_oracle(op, ys, scaled, cfg.tau, cfg)
