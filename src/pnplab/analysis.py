@@ -288,7 +288,8 @@ def _one_pass(denoisers: list, blocks, samples: int) -> list[ResidualMoments]:
     (rows, n) float64 arrays, already checked), and their residual is formed
     in place of their fresh output. Every
     other denoiser is called on the block, and its output, which may be the
-    block itself or an array the denoiser keeps, is only read.
+    block itself or an array the denoiser keeps, is only read; an output of
+    any other shape than the block's is rejected, not broadcast.
 
     Beyond the blocks it is given, the pass holds the three moments per
     sample of each denoiser, one block of shared distances per mixture
@@ -315,6 +316,8 @@ def _one_pass(denoisers: list, blocks, samples: int) -> list[ResidualMoments]:
                 residual -= noisy
             else:
                 out = np.asarray(d(noisy), dtype=np.float64)
+                if out.shape != noisy.shape:
+                    raise ValueError(f"a denoiser returned shape {out.shape} for a block of shape {noisy.shape}")
                 error = out - clean
                 residual = out - noisy
             aa[rows] = _row_dot(error, error)

@@ -63,10 +63,11 @@ class Denoiser:
     def _diagonal(self):
         """``(a, b)`` when ``_apply`` is the elementwise affine map ``a * y + b``, else None.
 
-        ``a`` and ``b`` are floats, 0-d arrays or (n,) rows, so the map is the
-        same on a stack of any height. A scaling wrapper over a base with
-        such a pair folds the whole chain into one pair of its own (see
-        :class:`_OutputMap`).
+        ``a`` and ``b`` are floats, 0-d arrays or (n,) rows, or (m, n) stacks
+        for a map tied to m rows. A scaling wrapper over a base with such a
+        pair forms its own from it (see :class:`_OutputMap`). Only the batched
+        solve folds a chain into its pair, over a mask; every ``_apply`` runs
+        its own formula.
         """
         return None
 
@@ -156,11 +157,11 @@ def gamma_factor(delta: float) -> float:
 
 
 def _spread(value, shape):
-    """``value`` (a float, an (n,) row, an (m, 1) column or an (m, n) stack) spread over a new
-    read-only float64 array of ``shape`` broadcast with its own; None stays None."""
+    """``value``, a float or an (m, 1) column, spread over a new read-only float64 array of
+    ``shape``, () or (m, n); None stays None."""
     if value is None:
         return None
-    out = np.empty(np.broadcast_shapes(shape, np.shape(value)))
+    out = np.empty(shape)
     out[...] = value
     out.setflags(write=False)
     return out
@@ -172,11 +173,12 @@ class _OutputMap(Denoiser):
     ``keep`` and ``inner`` may be None, for no identity term and no argument
     scaling. Each coefficient is a float, or an (m, 1) column for a map of
     ``rows`` = m rows, row i at row i's value. The scaling wrappers only choose
-    them; this class forms their output, in ``_apply``, which takes an optional
-    ``out`` array that its last operation writes the result into, bitwise
-    the fresh one. The base term is formed first, so ``out`` may alias ``y``.
-    The call checks a stack's row count against ``rows`` and then against
-    the base's (:meth:`check_rows`); ``_apply`` checks nothing.
+    them; this class forms their output, in ``_apply``, which evaluates that
+    formula over any base and takes an optional ``out`` array that its last
+    operation writes the result into, bitwise the fresh one. The base term is
+    formed first, so ``out`` may alias ``y``. The call checks a stack's row
+    count against ``rows`` and then against the base's (:meth:`check_rows`);
+    ``_apply`` checks nothing.
 
     The coefficients are stored in the form the ufuncs take fastest: a 0-d
     float64 array for one map on every row, and a contiguous (m, n) stack for
@@ -184,12 +186,10 @@ class _OutputMap(Denoiser):
     the broadcast of a column. Their values, and so the outputs, are those of
     the coefficients given.
 
-    A base whose map is elementwise affine, ``_diagonal() = (a, b)``, makes
-    the whole map ``(keep + weight * inner * a) * y + weight * b``, which is
-    folded here into that one pair, so ``_apply`` is one multiply and one
-    add; it equals the map as written to round-off, not bitwise. Either way
-    the wrapper holds at most two coefficients: ``_pair``, or those of
-    ``_keep``, ``_weight`` and ``_inner`` that are not None.
+    Over a base whose map is elementwise affine, ``_diagonal() = (a, b)``, the
+    whole map is ``(keep + weight * inner * a) * y + weight * b``.
+    :meth:`_diagonal` forms that pair when it is asked, for the batched solve
+    over a mask to fold; it equals the map as written to round-off, not bitwise.
     """
 
     def __init__(self, base: Denoiser, weight, keep=None, inner=None, rows=None):
@@ -197,15 +197,6 @@ class _OutputMap(Denoiser):
         self.dim = base.dim
         self._n_rows = rows
         shape = () if rows is None else (rows, self.dim)
-        self._pair = None
-        pair = base._diagonal()
-        if pair is not None:
-            a, b = pair
-            # An overflowing offset leaves non-finite outputs, which a solve records as a divergence.
-            with np.errstate(over="ignore"):
-                coef = weight * a if inner is None else weight * inner * a
-                self._pair = (_spread(coef if keep is None else keep + coef, shape), _spread(weight * b, shape))
-            keep = weight = inner = None
         self._keep, self._weight, self._inner = (_spread(v, shape) for v in (keep, weight, inner))
 
     def check_rows(self, shape) -> None:
@@ -219,11 +210,6 @@ class _OutputMap(Denoiser):
 
         A solve's ``basin`` (see :func:`_solve_basin`) is passed on to the base by keyword.
         """
-        if self._pair is not None:
-            coef, off = self._pair
-            result = np.multiply(coef, y, out=out)
-            result += off
-            return result
         x = y if self._inner is None else self._inner * y
         term = self.base._apply(x) if basin is None else self.base._apply(x, basin=basin)
         if self._keep is None:
@@ -234,8 +220,18 @@ class _OutputMap(Denoiser):
         return result
 
     def _diagonal(self):
-        """The folded pair, on every row alike; a map of ``rows`` rows is tied to a stack height."""
-        return self._pair if self._n_rows is None else None
+        """``(keep + weight * inner * a, weight * b)`` from the base's pair ``(a, b)``, or None.
+
+        Formed on each call, at any row count: over a map of m rows the pair
+        is two (m, n) stacks. An overflowing coefficient is left infinite,
+        with numpy's warning unless the caller silences it.
+        """
+        pair = self.base._diagonal()
+        if pair is None:
+            return None
+        a, b = pair
+        coef = self._weight * a if self._inner is None else self._weight * self._inner * a
+        return (coef if self._keep is None else self._keep + coef), self._weight * b
 
 
 class OutputShrink(_OutputMap):
@@ -270,13 +266,15 @@ class ScaledDenoiser(_OutputMap):
     Both modes are one :class:`_OutputMap`, ``keep * y + weight * base(inner
     * y)``: tweedie mode takes ``keep = g (1 - u)`` and ``weight = g u``, and
     homogeneous mode ``weight = g / delta`` and ``inner = delta``, with ``g =
-    1`` when the rescale is off. Tweedie mode without the rescale is the
-    interpolation above bitwise; the other maps equal their formulas to
+    1`` when the rescale is off. The call and ``_apply`` evaluate that
+    formula over any base: tweedie mode without the rescale is the
+    interpolation above bitwise, and the other maps equal their formulas to
     round-off. Over an elementwise-affine base (a one-component
-    :class:`MmseDenoiser`, a :class:`ShrinkageDenoiser`, or an
-    :class:`OutputShrink` or one-scale wrapper of either) the map folds into
-    one multiply-add; mixtures of more components, :class:`AffineDenoiser`
-    (a full matrix) and any other base are evaluated as written.
+    :class:`MmseDenoiser`, a :class:`ShrinkageDenoiser`, or any wrapper of
+    either, with one scale or one per row) the map also has a pair
+    (:meth:`_diagonal`), which only :func:`~pnplab.solver.pnp_pgd_batch`
+    folds, over a mask, into one multiply-add with its gradient step; mixtures of more components,
+    :class:`AffineDenoiser` (a full matrix) and any other base have none.
 
     ``delta`` may also be a 1-D vector with one scale per row; the wrapper
     then maps (m, n) stacks with ``m == delta.size``, row i at scale
@@ -340,16 +338,22 @@ def homogeneous_scale(base: Denoiser, delta: float, gamma_rescale: bool = False)
     return ScaledDenoiser(base, delta, mode="homogeneous", gamma_rescale=gamma_rescale)
 
 
+def _innermost(denoiser):
+    """The base at the end of ``denoiser``'s chain of output maps, or ``denoiser`` if it is none."""
+    while isinstance(denoiser, _OutputMap):
+        denoiser = denoiser.base
+    return denoiser
+
+
 def _solve_basin(denoiser):
     """A new basin (``prior._Basin``) for one batched solve of ``denoiser``, or None.
 
-    Only a chain of output maps that folds nowhere and ends at a mixture
-    denoiser of more than one component gets one; each map passes it on to
-    its base by keyword, down to the prior's posterior mean.
+    Only a chain of output maps that ends at a mixture denoiser of more than
+    one component gets one (such a chain has no pair); each map passes it on
+    to its base by keyword, down to the prior's posterior mean.
     """
-    while isinstance(denoiser, _OutputMap) and denoiser._pair is None:
-        denoiser = denoiser.base
-    return _Basin() if isinstance(denoiser, MmseDenoiser) and denoiser.prior.n_components > 1 else None
+    base = _innermost(denoiser)
+    return _Basin() if isinstance(base, MmseDenoiser) and base.prior.n_components > 1 else None
 
 
 # Floats per block of rows that a Monte-Carlo pass or estimate_lipschitz runs
@@ -364,13 +368,10 @@ def _row_width(denoiser, dim: int) -> int:
     """Floats one row of ``dim`` costs ``denoiser``: ``max(dim, K)``.
 
     K is the component count of the mixture denoiser at the end of
-    ``denoiser``'s ``base`` chain, and 1 if there is none.
+    ``denoiser``'s chain of output maps (:func:`_innermost`), and 1 if there is none.
     """
-    while not isinstance(denoiser, MmseDenoiser):
-        denoiser = getattr(denoiser, "base", None)
-        if denoiser is None:
-            return max(dim, 1)
-    return max(dim, denoiser.prior.n_components)
+    base = _innermost(denoiser)
+    return max(dim, base.prior.n_components if isinstance(base, MmseDenoiser) else 1)
 
 
 def _block_rows(denoisers, dim: int) -> int:
@@ -401,9 +402,14 @@ def estimate_lipschitz(denoiser, points) -> float:
 
     Duplicate points are skipped; at least one distinct pair is required. For
     a plain affine denoiser the estimate is cross-checked against the spectral
-    norm of its matrix, which it can never exceed. The denoiser runs on
+    norm of its matrix, which it can never exceed by more than its rounding:
+    an output of ``W y + b`` is rounded by at most ``(n + 1) eps / 2`` times
+    ``|W| |y| + |b|`` entrywise, so a pair's ratio by about twice that over
+    that pair's own distance. Each pair's ratio, less its own allowance, is
+    held to the norm, so a near-duplicate pair loosens no other pair's
+    check. The denoiser runs on
     blocks of rows sized by its row width (:func:`_row_width`, which finds a
-    mixture's component count through the ``base`` chain of any wrappers),
+    mixture's component count through its chain of output maps),
     and pairs are formed one block of rows at a time, so memory grows with
     the cloud, not with its pairs or the prior's components: beyond the
     points it holds the (m, n) outputs, at most ``2 max(_BLOCK_FLOATS, m n)``
@@ -420,8 +426,17 @@ def estimate_lipschitz(denoiser, points) -> float:
     for start in range(0, m, rows):
         outputs[start : start + rows] = denoiser(pts[start : start + rows])
     _check_spread(outputs, "outputs")
+    affine = isinstance(denoiser, AffineDenoiser)
+    if affine:
+        # An output rounds by at most (n + 1) eps / 2 (|W| |y| + |b|), whose norm is at most
+        # `largest`, so a pair's output distance by (n + 1) eps largest; the distances and
+        # their ratio round by about (n + 4) eps / 2 of the ratio. Each allowance is doubled.
+        exact = float(np.linalg.norm(denoiser.matrix, 2))
+        largest = float(np.linalg.norm(denoiser.matrix)) * float(np.max(np.linalg.norm(pts, axis=1)))
+        largest += float(np.linalg.norm(denoiser.offset))
+        margin = 2.0 * (n + 4) * 2.0**-52 * largest
     step = max(1, _BLOCK_FLOATS // (m * n))
-    estimate = None
+    estimate, floor, paired = 0.0, 0.0, False
     for start in range(0, m - 1, step):
         stop = min(start + step, m - 1)
         # Each row i of the block against every later point j > i.
@@ -430,18 +445,18 @@ def estimate_lipschitz(denoiser, points) -> float:
         dist_out = _pair_distances(outputs, start, stop)[later]
         valid = dist_in > 0.0
         if np.any(valid):
-            block_max = np.max(dist_out[valid] / dist_in[valid])
-            estimate = block_max if estimate is None else np.maximum(estimate, block_max)
-    if estimate is None:
+            paired = True
+            estimate = max(estimate, float(np.max(dist_out[valid] / dist_in[valid])))
+            if affine:
+                # Each pair's ratio less its own rounding allowance.
+                floor = max(floor, float(np.max((dist_out[valid] - margin) / dist_in[valid])))
+    if not paired:
         raise ValueError("all point pairs are duplicates; no valid pair")
-    estimate = float(estimate)
-    if isinstance(denoiser, AffineDenoiser):
-        exact = float(np.linalg.norm(denoiser.matrix, 2))
-        if estimate > exact + 1e-8:
-            raise RuntimeError(
-                f"pairwise Lipschitz estimate {estimate} exceeds the exact "
-                f"spectral norm {exact} of the affine map"
-            )
+    if affine and floor > exact * (1.0 + 2.0 * (n + 4) * 2.0**-52):
+        raise RuntimeError(
+            f"pairwise Lipschitz estimate {estimate} exceeds the exact "
+            f"spectral norm {exact} of the affine map"
+        )
     return estimate
 
 

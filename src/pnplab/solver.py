@@ -13,20 +13,20 @@ the operator, the base denoiser and the start and differ in the data and the
 scale. It checks its inputs once and then runs the unchecked routes: over a
 mask (the identity among them, a mask that hides nothing) it writes the
 gradient step ``x - (x - y) tau keep`` itself, over any other operator it
-takes the operator's ``_normal_residual``, and it calls the denoiser's
-``_apply``. Over a mask whose denoiser folds into one multiply-add, it
-folds the gradient step in too, so an iteration is one multiply and one
-add, equal to the unfused iteration to round-off and bitwise on the
-coordinates the mask hides. It tests for a stop once per block of
-iterations rather than once per iteration, runs the whole stack until its
-last row stops and records each row where :func:`pnp_pgd` would have
-stopped on it. Its stop norms are row dots, one pass over the block each,
-and round differently from ``np.linalg.norm``; its iterates are bitwise
-those of a loop that tests every iteration, and those of :func:`pnp_pgd`
-wherever the step is not fused, up to the sign of a zero. Over a mixture prior it also holds a
-per-solve basin (``prior._Basin``), which lets the posterior mean skip its
-distances while every row provably stays on its component, with outputs
-bitwise those of the full route.
+takes the operator's ``_normal_residual``. It is the one place that folds:
+over a mask, a denoiser chain with a pair ``(coef, off)``
+(``Denoiser._diagonal``) is fused with the step, so an iteration is one
+multiply and one add; every other solve runs the chain's ``_apply`` after
+the step. It tests for a stop once per block of at most n iterations
+rather than once per iteration, runs the whole stack until its last row
+stops and records each row where :func:`pnp_pgd` would have stopped on it.
+Its stop norms are row dots, one pass over the block each, and round
+differently from ``np.linalg.norm``; its iterates are bitwise those of a
+loop that tests every iteration, and those of :func:`pnp_pgd` wherever the
+solve is not fused, up to the sign of a zero. Over a mixture prior it also
+holds a per-solve basin (``prior._Basin``), which lets the posterior mean
+skip its distances while every row provably stays on its component, with
+outputs bitwise those of the full route.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from functools import partial
 import numpy as np
 
 from .config import POSITIVE, count, real
-from .denoisers import _BLOCK_FLOATS, AffineDenoiser, ScaledDenoiser, _OutputMap, _solve_basin, gamma_factor
+from .denoisers import _BLOCK_FLOATS, AffineDenoiser, Denoiser, ScaledDenoiser, _OutputMap, _solve_basin, gamma_factor
 from .linop import LinearOperator, Mask, _row_dot, as_signal
 
 __all__ = [
@@ -58,14 +58,15 @@ __all__ = [
 # maps (e.g. homogeneous scaling of the wrong base) must be recorded, not crash.
 _DIVERGENCE_NORM = 1e12
 
-# Fewest iterations per stop test in pnp_pgd_batch. A block grows with the
-# iterations a solve has run, to an eighth of them, so a solve runs at most
-# max(_STOP_BLOCK - 1, iterations / 8) iterations past its last stop. The
-# block's iterates and their differences, 2 m n floats per iteration, stay within
-# the _BLOCK_FLOATS budget that sizes every Monte-Carlo and Lipschitz block:
-# at most 25 iterations on stability's 10 x 64 stack, and _STOP_BLOCK on any
-# stack of m n >= 2048, conv-reg's 32 x 64 among them. Fixed blocks of 128
-# slowed conv-reg.
+# Fewest iterations per stop test in pnp_pgd_batch, or n if fewer. A block
+# grows with the iterations a solve has run, to an eighth of them, so a solve
+# runs at most max(_STOP_BLOCK - 1, iterations / 8) iterations past its last
+# stop. A block is at most n iterations, and the block's iterates and their
+# differences, 2 m n floats per iteration, stay within the _BLOCK_FLOATS
+# budget that sizes every Monte-Carlo and Lipschitz block: at most 25
+# iterations on stability's 10 x 64 stack, and _STOP_BLOCK on any stack of
+# m n >= 2048, conv-reg's 32 x 64 among them. Fixed blocks of 128 slowed
+# conv-reg.
 _STOP_BLOCK = 8
 
 # Stacks of m rows a batched solve holds at once, at most: the block buffer
@@ -73,28 +74,30 @@ _STOP_BLOCK = 8
 # (_STOP_BLOCK), the measurements, the recorded iterates and the gradient
 # step, which a masked step writes with three in-place ufuncs, a per-row
 # scale's two coefficient stacks (see ScaledDenoiser), six for an
-# iteration's temporaries, to which a masked step adds none (a fused solve
-# holds its gain and shift stacks in place of these and the step's
-# buffer), and three for the solve's basin over a mixture (see
-# prior._Basin): its anchor, its held (1 - rho_k) mu_k rows, and its rho_k and
-# squared radii, 2 m floats, at most one stack since its mixture has K >= 2
-# components. The stop test runs after those temporaries are freed, over
-# chunks of at most n iterations: its norms, residuals and thresholds take
-# at most four (chunk, m) arrays at once, each at most one stack, and with
-# its byte masks they stay within the six. Iterates are n wide, measurements
-# and their residuals out_dim, and a mixture denoiser's distances and
-# responsibilities K, so each stack is counted at the widest of the three,
-# as the solve protocols cap their grids (experiments._solve_grid). A block
-# grown past _STOP_BLOCK keeps its iterates after the first, and their
-# differences, within _BLOCK_FLOATS floats in place of those 2 * _STOP_BLOCK
-# stacks.
+# iteration's temporaries, to which a masked step adds none, and three for
+# either the solve's basin over a mixture (see prior._Basin: its anchor, its
+# held (1 - rho_k) mu_k rows, and its rho_k and squared radii, 2 m floats, at
+# most one stack since its mixture has K >= 2 components) or a folding
+# chain's pair (coef, off), at most two stacks; a chain has one or the other.
+# Only a solve over a mask forms the pair, and only while it builds its gain
+# and shift stacks, which it then holds in place of the step's buffer and an
+# iteration's temporaries. The stop test runs
+# after those temporaries are freed, over a block of at most n iterations:
+# its norms, residuals and thresholds take at most four (block, m) arrays at
+# once, each at most one stack, and with its byte masks they stay within the
+# six. Iterates are n wide, measurements and their residuals out_dim, and a
+# mixture denoiser's distances and responsibilities K, so each stack is
+# counted at the widest of the three, as the solve protocols cap their grids
+# (experiments._solve_grid). A block grown past _STOP_BLOCK keeps its
+# iterates after the first, and their differences, within _BLOCK_FLOATS
+# floats in place of those 2 * _STOP_BLOCK stacks.
 _SOLVE_STACKS = (_STOP_BLOCK + 1) + _STOP_BLOCK + 3 + 2 + 6 + 3
 
 
 def _block_cap(m: int, n: int, max_iters: int) -> int:
-    """Most iterations of one stop block of an (m, n) stack: its iterates and
-    differences within ``_BLOCK_FLOATS`` floats and the cap, never under ``_STOP_BLOCK``."""
-    return max(_STOP_BLOCK, min(max_iters, _BLOCK_FLOATS // (2 * m * n)))
+    """Most iterations of one stop block of an (m, n) stack: at most n and ``max_iters``, its
+    iterates and differences within ``_BLOCK_FLOATS`` floats, never under ``min(_STOP_BLOCK, n)``."""
+    return max(min(_STOP_BLOCK, n), min(n, max_iters, _BLOCK_FLOATS // (2 * m * n)))
 
 
 def _stop_blocks(cap: int, max_iters: int):
@@ -259,78 +262,73 @@ def _step_size(op: LinearOperator, config: PnpConfig) -> tuple[float, bool]:
 def pnp_pgd_batch(
     op: LinearOperator,
     ys: np.ndarray,
-    denoiser: ScaledDenoiser,
+    denoiser: Denoiser,
     config: PnpConfig,
 ) -> BatchResult:
     """Run :func:`pnp_pgd` from the zero start on every row of an (m, out_dim) stack.
 
-    ``denoiser`` is a :class:`ScaledDenoiser` or an :class:`OutputShrink`,
-    whose ``_apply`` writes into the block buffer; it carries either one
-    scale for all rows or one per row (see :class:`ScaledDenoiser`). Its
-    kind, the stack, the dimensions and a per-row scale's row count are
-    checked once here, ``||A^T A||`` is taken once for the batch, and the
-    loop runs the operator's and the denoiser's unchecked routes. Each row
-    is recorded where the serial solve would stop: at convergence, at
-    divergence (recorded in ``diverged`` instead of raised) or at
-    ``max_iters``. Histories are not recorded.
+    ``denoiser`` is any :class:`~pnplab.denoisers.Denoiser`: a
+    :class:`ScaledDenoiser` or an :class:`OutputShrink`, with one scale for
+    all rows or one per row (see :class:`ScaledDenoiser`), or a plain base,
+    which runs as the output map ``1 * base(y)``. The stack, the dimensions
+    and a per-row scale's row count are checked once here, ``||A^T A||`` is
+    taken once for the batch, and the loop runs the operator's and the
+    denoiser's unchecked routes. Each row is recorded where the serial solve
+    would stop: at convergence, at divergence (recorded in ``diverged``
+    instead of raised) or at ``max_iters``. Histories are not recorded.
 
-    Each iteration writes the gradient step into one buffer: over a mask,
-    ``x - y``, times the (n,) row ``tau keep``, then subtracted from ``x``,
-    three in-place ufuncs for every ``tau`` (at ``tau`` = 1 the row is
-    ``keep``); over any other operator, ``tau`` times the operator's
-    ``_normal_residual``, then subtracted from ``x``. The denoiser writes
-    its result straight into the block buffer, so no iterate is copied and
-    a masked iteration is its ufunc calls only. The whole loop runs under
-    one ``np.errstate``, entered once per solve.
-    Every operand the iteration passes to numpy is built before it: the
-    denoiser's coefficients are 0-d arrays or (n,) rows for one scale and
-    contiguous (m, n) stacks for a scale per row (see
-    :class:`ScaledDenoiser`). At its peak the solve holds at most
-    ``_SOLVE_STACKS`` stacks of m rows, each as wide as the widest of n, the
-    operator's ``out_dim`` and a mixture denoiser's component count K, or
-    ``_BLOCK_FLOATS`` floats of block iterates and differences plus the
-    ``_SOLVE_STACKS - 2 * _STOP_BLOCK`` other stacks, whichever is larger.
-    That count holds on any stack, however narrow: the stop test's (chunk,
-    m) arrays, at most one stack each, stand in for an iteration's freed
-    temporaries.
+    Over a mask the denoiser's pair ``(coef, off)``
+    (``Denoiser._diagonal``) is formed once, and the iteration takes one of
+    two paths:
 
-    A solve over a mask, whose ``A^T A = diag(d)`` with ``d`` its 0/1 row
-    ``keep``, and whose denoiser folds into one pair ``(coef, off)``
-    (``_OutputMap._pair``, one scale or a scale per row) fuses the two: it
-    builds the contiguous (m, n) stacks ``gain = coef (1 - tau d)`` and
-    ``shift = coef (tau d ys) + off`` once, in place of the step buffer and
-    an iteration's temporaries, and each iteration is one multiply into the
-    block buffer and one add. On a hidden coordinate (d = 0) this is ``coef
-    x + off``, bitwise the unfused iteration. On an observed one it is
-    ``coef (1 - tau) x + (coef tau y + off)``, which equals
-    ``coef (x - tau (x - y)) + off`` to round-off, as the denoiser's own
-    fold does; at ``tau`` = 1 it is exactly ``coef y + off``, which the
-    unfused route also gives wherever ``x - (x - y)`` rounds to ``y``, as
-    on every iterate of the default stability solve. Every other solve
-    (another operator, or a chain that does not fold) runs the unfused
-    iteration.
+    - over a mask, whose ``A^T A = diag(d)`` with ``d`` its 0/1 row
+      ``keep``, a chain with a pair is fused with the step: the contiguous
+      (m, n) stacks ``gain = coef (1 - tau d)`` and ``shift = coef (tau d
+      ys) + off`` are built once, in place of the step buffer and an
+      iteration's temporaries, and each iteration is one multiply into the
+      block buffer and one add. On a hidden coordinate (d = 0) this is
+      ``coef x + off``. On an observed one it is ``coef (1 - tau) x + (coef
+      tau y + off)``, which equals the map as written to round-off; at
+      ``tau`` = 1 it is exactly ``coef y + off``. The pair itself is not
+      kept;
+    - any other solve, a chain with no pair or an operator that is not a
+      mask, runs the chain's ``_apply`` after the step, writing into the
+      block buffer, so no iterate is copied.
+
+    The step is written into one buffer: over a mask, ``x - y``, times the
+    (n,) row ``tau keep``, then subtracted from ``x``, three in-place ufuncs
+    for every ``tau``; over any other operator, ``tau`` times the
+    operator's ``_normal_residual``, then subtracted from ``x``. The whole
+    loop runs under one ``np.errstate``, entered once per solve, and every
+    operand the iteration passes to numpy is built before it. At its peak
+    the solve holds at most ``_SOLVE_STACKS`` stacks of m rows, each as wide
+    as the widest of n, the operator's ``out_dim`` and a mixture denoiser's
+    component count K, or ``_BLOCK_FLOATS`` floats of block iterates and
+    differences plus the ``_SOLVE_STACKS - 2 * _STOP_BLOCK`` other stacks,
+    whichever is larger. That count holds on any stack, however narrow: a
+    block is at most n iterations, so the stop test's (block, m) arrays, at
+    most one stack each, stand in for an iteration's freed temporaries.
 
     Every iteration runs the whole stack. The iterations run in blocks of
-    ``_STOP_BLOCK``, growing to an eighth of the iterations run as far as
-    the block's iterates and differences fit ``_BLOCK_FLOATS`` (see
-    :func:`_stop_blocks`). A block's iterates fill one buffer; row-dot norms
-    of its iterates and of their successive differences, each one pass over
-    the block in chunks of at most n iterations, then find each running
-    row's first stopping iterate and record the row there, and the loop
-    ends once every row has stopped.
+    ``_STOP_BLOCK``, or n if fewer, growing to an eighth of the iterations
+    run as far as n and the block's iterates and differences in
+    ``_BLOCK_FLOATS`` allow (see :func:`_stop_blocks`). A block's iterates
+    fill one buffer; row-dot norms of its iterates and of their successive
+    differences, one pass over the block each, then find each running row's
+    first stopping iterate and record the row there, and the loop ends after
+    the first block in which every row has stopped.
     Iterates a row computes after it stopped are thrown away, and so are
     any overflow or invalid-value warnings, which a row that stops on them
     records as a divergence. So every row's iterates are bitwise those of
     the whole stack run with a stop test after every iteration, matrix
     products included, and a one-row stack's are those of :func:`pnp_pgd`
-    when the step is not fused, up to the sign of a zero (the serial step
-    over a mask takes ``+0.0`` where the batched one takes ``(x - y) 0``); a
-    fused one's are so on the hidden coordinates and equal them to
-    round-off elsewhere. Only the stop norms' rounding differs from
-    ``np.linalg.norm``.
+    wherever the solve is not fused, up to the sign of a zero (the serial
+    step over a mask takes ``+0.0`` where the batched one takes ``(x - y)
+    0``); a fused solve's equal them to round-off. Only the stop norms'
+    rounding differs from ``np.linalg.norm``.
 
-    A chain that folds nowhere and ends at a mixture :class:`~pnplab.denoisers.MmseDenoiser`
-    of more than one component gets one basin for the solve
+    A chain that ends at a mixture :class:`~pnplab.denoisers.MmseDenoiser`
+    of more than one component has no pair and gets one basin for the solve
     (``denoisers._solve_basin``), passed to ``_apply`` by keyword on every
     iteration and dropped with the solve. After a call that finds every
     row's posterior concentrated on one component, the basin holds that
@@ -356,44 +354,39 @@ def pnp_pgd_batch(
             f"denoiser dim {denoiser.dim} does not match operator in_dim {op.in_dim}"
         )
     if not isinstance(denoiser, _OutputMap):
-        raise ValueError(
-            f"expected a ScaledDenoiser or OutputShrink, got {type(denoiser).__name__}; "
-            "wrap it, for example with tweedie_scale(d, 1.0)"
-        )
+        denoiser = _OutputMap(denoiser, 1.0)
     denoiser.check_rows(ys.shape)
     m, n = ys.shape[0], op.in_dim
     tau, warn = _step_size(op, config)
     # A mask's A = A^T = A^T A = diag(keep), so its step is x - (x - y) tau keep.
     tau_d = tau * op.keep if isinstance(op, Mask) else None
-    fused = tau_d is not None and denoiser._pair is not None
 
     iterations = np.full(m, config.max_iters)
     diverged = np.zeros(m, dtype=bool)
     running = np.ones(m, dtype=bool)
     x = np.zeros((m, n))
     cap = _block_cap(m, n, config.max_iters)
-    # buf[0] holds the stack's iterate before a block, buf[j] the j-th after it.
+    # buf[0] holds the stack's iterate before a block, buf[j] the j-th after
+    # it; diffs holds a block's successive differences.
     buf = np.zeros((cap + 1, m, n))
-    # The successive differences of one stop-test chunk, reused by every
-    # block. A chunk is at most n iterations, so each of the test's (chunk, m)
-    # arrays is at most one stack.
-    chunk = min(cap, n)
-    diffs = np.empty((chunk, m, n))
+    diffs = np.empty((cap, m, n))
     # The buffer's slots as views, taken once.
     slots = list(buf)
     with np.errstate(over="ignore", invalid="ignore"):
+        # An overflowing coefficient or shift leaves non-finite iterates, recorded as a divergence.
+        pair = None if tau_d is None else denoiser._diagonal()
+        fused = pair is not None
         if fused:
-            # coef (x - tau d (x - y)) + off as gain x + shift; an overflowing
-            # shift leaves non-finite iterates, recorded as a divergence.
-            coef, off = denoiser._pair
+            # coef (x - tau d (x - y)) + off as gain x + shift; the pair is not kept.
+            coef, off = pair
             gain = np.multiply(coef, 1.0 - tau_d, out=np.empty((m, n)))
             shift = coef * (tau_d * ys) + off
+            del pair, coef, off
         else:
-            step = np.empty((m, n))
             basin = _solve_basin(denoiser)
             denoise = denoiser._apply if basin is None else partial(denoiser._apply, basin=basin)
+            step = np.empty((m, n))
         for start, size in _stop_blocks(cap, config.max_iters):
-            block = buf[: size + 1]
             if fused:
                 for j in range(size):
                     out = slots[j + 1]
@@ -401,38 +394,34 @@ def pnp_pgd_batch(
                     out += shift
             else:
                 for j in range(size):
-                    xj = slots[j]
+                    xj, out = slots[j], slots[j + 1]
                     if tau_d is None:
                         np.multiply(tau, op._normal_residual(xj, ys), step)
                     else:
                         np.multiply(np.subtract(xj, ys, step), tau_d, step)
                     np.subtract(xj, step, step)
-                    denoise(step, out=slots[j + 1])
-            ended = False
-            for lo in range(0, size, chunk):
-                # Row-dot norms, one pass each over the chunk; a row with NaN
-                # or inf entries, or an overflowing square, is not <= the bound.
-                hi = min(lo + chunk, size)
-                after = block[lo + 1 : hi + 1]
-                norms = np.sqrt(_row_dot(after, after))
-                diff = np.subtract(after, block[lo:hi], out=diffs[: hi - lo])
-                residual = np.sqrt(_row_dot(diff, diff))
-                bad = ~(norms <= _DIVERGENCE_NORM)
-                done = bad | (residual <= config.tol * (1.0 + norms))
-                stopping = done.any(axis=0) & running
-                if stopping.any():
-                    rows = np.flatnonzero(stopping)
-                    ends = done[:, rows].argmax(axis=0) + 1
-                    bad_rows = bad[ends - 1, rows]
-                    iterations[rows] = start + lo + ends
-                    diverged[rows] = bad_rows
-                    # A diverged row keeps its last finite iterate, the one before.
-                    x[rows] = block[lo + ends - bad_rows, rows]
-                    running &= ~stopping
-                    ended = not running.any()
-            if ended:
-                break
-            buf[0] = block[size]
+                    denoise(step, out=out)
+            # Row-dot norms, one pass each over the block; a row with NaN or
+            # inf entries, or an overflowing square, is not <= the bound.
+            after = buf[1 : size + 1]
+            norms = np.sqrt(_row_dot(after, after))
+            diff = np.subtract(after, buf[:size], out=diffs[:size])
+            residual = np.sqrt(_row_dot(diff, diff))
+            bad = ~(norms <= _DIVERGENCE_NORM)
+            done = bad | (residual <= config.tol * (1.0 + norms))
+            stopping = done.any(axis=0) & running
+            if stopping.any():
+                rows = np.flatnonzero(stopping)
+                ends = done[:, rows].argmax(axis=0) + 1
+                bad_rows = bad[ends - 1, rows]
+                iterations[rows] = start + ends
+                diverged[rows] = bad_rows
+                # A diverged row keeps its last finite iterate, the one before.
+                x[rows] = buf[ends - bad_rows, rows]
+                running &= ~stopping
+                if not running.any():
+                    break
+            buf[0] = buf[size]
     # Rows still running ran to the cap; every other row converged or diverged.
     x[running] = buf[0, running]
     return BatchResult(

@@ -478,6 +478,17 @@ class TestRowBlocks:
 class TestOnePass:
     BLOCK_ROWS = 7
 
+    def test_an_output_of_another_shape_than_the_block_is_rejected(self):
+        """A plain callable's output is not broadcast against the block: one row, or a
+        stack of one row, for a block of 100 names both shapes."""
+        prior = GmmPrior([1.0], [[0.0, 0.0, 0.0]], [1.0])
+        clean, noisy = prior.sample_pairs(0.1, 100, 0)
+        message = r"a denoiser returned shape \({}\) for a block of shape \(100, 3\)"
+        with pytest.raises(ValueError, match=message.format("3,")):
+            ResidualMoments.from_samples(lambda y: y[0], clean, noisy)
+        with pytest.raises(ValueError, match=message.format("1, 3")):
+            estimate_l2(lambda y: y[:1], prior, 0.1, 100, 0)
+
     @pytest.mark.parametrize("samples", [2, 7, 50, 301])
     def test_multi_denoiser_pass_equals_per_denoiser_passes(self, monkeypatch, samples):
         prior = _hetero_prior()

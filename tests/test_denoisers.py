@@ -276,20 +276,25 @@ class TestTweedieScale:
             np.testing.assert_allclose(tweedie_scale(base, delta)(y), y, atol=1e-15)
 
     def test_interpolation_identity_exact(self):
-        """Over a base that is not elementwise affine the wrapper is literally the identity/base interpolation.
-
-        A one-Gaussian base folds into one multiply-add, equal to the
-        interpolation to round-off (``TestFoldedAffineChains``).
-        """
+        """Over any base the wrapper is literally the identity/base interpolation, an
+        elementwise-affine one included: only the batched solve folds it
+        (``TestFoldedAffineChains``)."""
         prior = GmmPrior([0.5, 0.5], [[-1.0, 0.5, 0.0], [1.0, 0.0, 2.0]], [0.2, 0.4])
-        base = MmseDenoiser(prior, 0.3)
+        one = GmmPrior([1.0], [[-1.0, 0.5, 2.0]], [0.3])
+        bases = [
+            MmseDenoiser(prior, 0.3),
+            MmseDenoiser(one, 0.3),
+            ShrinkageDenoiser(0.6, 3),
+            OutputShrink(MmseDenoiser(one, 0.3), 0.9),
+        ]
         rng = np.random.default_rng(2)
-        for delta in (1.2, 2.0, 7.0):
-            u = 1.0 / delta**2
-            y = rng.standard_normal(3)
-            np.testing.assert_array_equal(
-                tweedie_scale(base, delta)(y), (1.0 - u) * y + u * base(y)
-            )
+        for base in bases:
+            for delta in (1.2, 2.0, 7.0):
+                u = 1.0 / delta**2
+                y = rng.standard_normal(3)
+                np.testing.assert_array_equal(
+                    tweedie_scale(base, delta)(y), (1.0 - u) * y + u * base(y)
+                )
 
     def test_residual_shrinks_exactly_with_delta_sq(self):
         prior = _single_gaussian(4)
@@ -316,7 +321,7 @@ class TestPerRowScale:
     def test_each_row_equals_its_scalar_wrapper(self, mode, gamma):
         prior = GmmPrior([0.5, 0.5], [[-1.0, 0.5, 0.0], [1.0, 0.0, 2.0]], [0.2, 0.4])
         one = GmmPrior([1.0], [[-1.0, 0.5, 2.0]], [0.3])
-        # A mixture runs the formulas as written; the rest fold into one multiply-add.
+        # A mixture has no pair; the rest have one, which only the batched solve folds.
         bases = [
             MmseDenoiser(prior, 0.3),
             MmseDenoiser(one, 0.3),
@@ -436,8 +441,9 @@ _FOLDING = {
 
 
 class TestFoldedAffineChains:
-    """A scaled elementwise-affine chain runs as one multiply-add, and every scaled map equals its
-    formulas to round-off; only tweedie mode without the rescale over an unfolded base is bitwise
+    """A scaled elementwise-affine chain has a pair ``(coef, off)``, the map as one multiply-add,
+    at any row count; the map and its pair equal the formulas to round-off, and only tweedie
+    mode without the rescale is the formula bitwise
     (``TestTweedieScale.test_interpolation_identity_exact``)."""
 
     @settings(max_examples=300, deadline=None, derandomize=True)
@@ -458,12 +464,16 @@ class TestFoldedAffineChains:
         base = _CHAINS[chain](prior, rng)
         delta = 10.0 ** (log_delta + rng.uniform(-0.5, 0.5, m)) if per_row else 10.0**log_delta
         d = ScaledDenoiser(base, delta, mode=mode, gamma_rescale=gamma)
-        assert (d._pair is not None) == (base._diagonal() is not None) == (chain in _FOLDING)
+        pair = d._diagonal()
+        assert (pair is not None) == (base._diagonal() is not None) == (chain in _FOLDING)
         ys = (offset + 1.0) * rng.standard_normal((m, n))
         got = d(ys)
         want = _unfolded(d, ys)
         tol = 8 * np.finfo(float).eps * _term_size(d, ys)
         assert np.all(np.abs(got - want) <= tol)
+        if pair is not None:
+            coef, off = pair
+            assert np.all(np.abs(coef * ys + off - want) <= tol)
         out = np.empty_like(ys)
         assert d._apply(ys, out=out) is out
         np.testing.assert_array_equal(out, got)
@@ -477,17 +487,35 @@ class TestFoldedAffineChains:
         affine = AffineDenoiser([[0.5, 0.1], [0.0, 0.5]], [1.0, 0.0])
         for base in (MmseDenoiser(mixture, 0.3), affine, OutputShrink(affine, 0.9)):
             assert base._diagonal() is None
-            assert ScaledDenoiser(base, 2.0)._pair is None
-        # A scale per row ties the wrapper to a stack height, so a wrapper over it does not fold either.
-        per_row = ScaledDenoiser(ShrinkageDenoiser(0.5, 2), [1.0, 2.0])
-        assert per_row._pair is not None and per_row._diagonal() is None
-        assert ScaledDenoiser(per_row, 2.0)._pair is None
+            assert ScaledDenoiser(base, 2.0)._diagonal() is None
 
-    def test_a_folded_per_row_scale_holds_two_contiguous_read_only_stacks(self):
+    def test_a_map_over_a_per_row_scale_folds_row_by_row(self):
+        """A scale per row folds into two (m, n) stacks, and so does a map over it: row i of
+        the pair is bitwise the pair of the same chain at row i's one scale."""
+        deltas = [1.0, 2.0, 5.0]
+        per_row = ScaledDenoiser(ShrinkageDenoiser(0.5, 2), deltas, gamma_rescale=True)
+        def one_scale(s):
+            return ScaledDenoiser(ShrinkageDenoiser(0.5, 2), s, gamma_rescale=True)
+
+        def over(d):
+            return ScaledDenoiser(OutputShrink(d, 0.9), 2.0, mode="homogeneous")
+
+        for chain, at in [(per_row, one_scale), (over(per_row), lambda s: over(one_scale(s)))]:
+            coef, off = chain._diagonal()
+            assert np.shape(coef) == (3, 2)
+            for i, delta in enumerate(deltas):
+                one_coef, one_off = at(delta)._diagonal()
+                np.testing.assert_array_equal(coef[i], np.broadcast_to(one_coef, (2,)))
+                np.testing.assert_array_equal(np.broadcast_to(off, (3, 2))[i], np.broadcast_to(one_off, (2,)))
+
+    def test_a_per_row_scale_holds_two_contiguous_read_only_stacks(self):
+        """Its ``keep`` and ``weight`` are (m, n) stacks whatever the base; no pair is kept,
+        and the one :meth:`_diagonal` forms is two (m, n) stacks."""
         d = ScaledDenoiser(MmseDenoiser(_single_gaussian(3), 0.3), [1.0, 2.0, 4.0, 8.0], gamma_rescale=True)
-        for stack in d._pair:
+        for stack in (d._keep, d._weight):
             assert stack.shape == (4, 3) and stack.flags.c_contiguous and not stack.flags.writeable
-        assert d._keep is d._weight is d._inner is None
+        assert d._inner is None and not hasattr(d, "_pair")
+        assert [np.shape(stack) for stack in d._diagonal()] == [(4, 3), (4, 3)]
 
 
 class TestHomogeneousScale:
@@ -582,6 +610,30 @@ class TestLipschitz:
         est = estimate_lipschitz(d, rng.standard_normal((30, 4)))
         exact = float(np.linalg.svd(w, compute_uv=False)[0])
         assert est <= exact + 1e-8
+
+    def test_affine_cross_check_allows_the_rounding_of_outputs_far_from_the_origin(self):
+        """Points at 1e6, 1e-6 apart: each output rounds by about 1e-10, a 1e-4 share of the
+        output differences, which the check allows over the closest pair's distance."""
+        pts = 1e6 + 1e-6 * np.random.default_rng(0).standard_normal((50, 4))
+        est = estimate_lipschitz(AffineDenoiser(0.9 * np.eye(4), np.zeros(4)), pts)
+        assert est == pytest.approx(0.9, rel=1e-3)
+
+    @pytest.mark.parametrize("near_duplicate", [False, True])
+    def test_affine_cross_check_still_catches_a_steeper_map(self, near_duplicate):
+        """A subclass whose outputs are twice its matrix's: the estimate, 1.8, exceeds the
+        norm 0.9 by far more than the outputs' rounding allows. A pair 1e-14 apart, whose
+        own allowance is about 2.6 times its distance, excuses no other pair."""
+
+        class Steep(AffineDenoiser):
+            def _apply(self, y):
+                return 2.0 * super()._apply(y)
+
+        pts = np.random.default_rng(1).standard_normal((30, 4))
+        if near_duplicate:
+            pts = np.vstack([pts, pts[0] + np.array([1e-14, 0.0, 0.0, 0.0])])
+            assert 0.0 < np.linalg.norm(pts[-1] - pts[0]) < 2e-14
+        with pytest.raises(RuntimeError, match="estimate 1.8.* exceeds the exact spectral norm 0.9"):
+            estimate_lipschitz(Steep(0.9 * np.eye(4), np.ones(4)), pts)
 
     def test_affine_cross_check_with_close_top_singular_values(self):
         d = AffineDenoiser(np.diag([1.0, 1.0 - 1e-6]), np.zeros(2))

@@ -463,13 +463,13 @@ class TestAffineRegimeReferees:
         assert np.all(np.abs(scaled - scaled[0]) <= 1e-12 * scaled[0])
 
     def test_stability_iterates_lie_within_the_tolerance_bound_of_the_oracle(self, monkeypatch):
-        """The default chain folds into ``x -> a x + b``, so each row's fixed point is one
-        linear solve. A contraction by q that stops at a step of at most ``tol (1 + |x|)``
+        """The default chain's pair (``_diagonal()``) is ``x -> a x + b``, the map the solve
+        folds, so each row's fixed point is one linear solve. A contraction by q that stops at a step of at most ``tol (1 + |x|)``
         lies within ``q / (1 - q)`` of that step from it; the rows sit at 0.993-0.99999 of
         this bound, so 0.1 % covers the stop test's and the solve's rounding, and one
         iteration fewer than recorded (1 / q - 1 = 0.93 % further) fails it."""
         (op, ys, scaled, cfg), result = _recorded_solve(monkeypatch, run_stability)
-        coef, offset = scaled._pair
+        coef, offset = scaled._diagonal()
         n = op.in_dim
         folded = tweedie_scale(AffineDenoiser(coef * np.eye(n), np.broadcast_to(offset, (n,))), 1.0)
         a_matrix = op.as_matrix()

@@ -389,10 +389,10 @@ def _operator(kind, n, rng):
 
 
 class TestBatch:
-    @settings(max_examples=30, deadline=None, derandomize=True)
+    @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
         kind=st.sampled_from(["identity", "mask", "conv1d", "dense"]),
-        base_kind=st.sampled_from(["affine", "mmse"]),
+        base_kind=st.sampled_from(["affine", "mmse", "mmse1", "shrinkage"]),
         mode=st.sampled_from(["tweedie", "homogeneous"]),
         gamma=st.booleans(),
         norm=st.sampled_from([0.5, 0.95, 1.5, 4.0]),
@@ -403,17 +403,27 @@ class TestBatch:
     def test_batch_equals_serial(
         self, kind, base_kind, mode, gamma, norm, tau_factor, deltas, seed
     ):
+        """One Gaussian and shrinkage have a pair, which the batch folds over a mask; every
+        other solve runs the chain as written, bitwise the serial rows up to the sign of a zero."""
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 9))
         op = _operator(kind, n, rng)
         if base_kind == "affine":
             base = _random_nonexpansive_affine(rng, n, norm=norm)
+        elif base_kind == "shrinkage":
+            base = ShrinkageDenoiser(min(norm, 1.0), n)
         else:
-            prior = GmmPrior([0.5, 0.5], rng.standard_normal((2, n)), [0.3, 0.6])
+            k = 2 if base_kind == "mmse" else 1
+            prior = GmmPrior(np.full(k, 1.0 / k), rng.standard_normal((k, n)), [0.3, 0.6][:k])
             base = MmseDenoiser(prior, 0.2)
         ys = 2.0 * rng.standard_normal((len(deltas), op.out_dim))
         cfg = PnpConfig(tau=tau_factor / op.op_norm_sq(), max_iters=120, tol=1e-9)
-        _assert_batch_matches_serial(op, ys, base, deltas, mode, gamma, cfg)
+        batch = _assert_batch_matches_serial(op, ys, base, deltas, mode, gamma, cfg)
+        if kind == "conv1d" and base_kind in ("mmse1", "shrinkage"):
+            serial = _serial_rows(op, ys, base, deltas, mode, gamma, cfg)
+            for row, (_, _, _, x_star) in enumerate(serial):
+                if x_star is not None:
+                    assert np.array_equal(batch.x_star[row], x_star)
 
     def test_stack_mixes_diverging_capped_and_converging_rows(self):
         n = 4
@@ -464,15 +474,24 @@ class TestBatch:
         ],
         ids=["mmse", "shrinkage", "affine"],
     )
-    def test_a_plain_denoiser_is_rejected_with_a_hint_to_wrap_it(self, plain):
-        """The serial solve runs a plain denoiser; the batch asks for an output map."""
-        cfg = PnpConfig(tau=1.0)
-        assert pnp_pgd(Identity(3), np.ones(3), plain, cfg).converged
-        message = rf"{type(plain).__name__}.*tweedie_scale\(d, 1\.0\)"
-        with pytest.raises(ValueError, match=message):
-            pnp_pgd_batch(Identity(3), np.ones((2, 3)), plain, cfg)
-        batch = pnp_pgd_batch(Identity(3), np.ones((2, 3)), tweedie_scale(plain, 1.0), cfg)
-        assert batch.converged.all()
+    @pytest.mark.parametrize("kind", ["mask", "dense"])
+    def test_a_plain_base_equals_pnp_pgd_row_by_row(self, plain, kind):
+        """A plain base runs as ``1 * base(y)``: a one-row batch stops where :func:`pnp_pgd`
+        stops with the base itself, bitwise unless the base has a pair over a mask, which the
+        solve folds, and then to round-off."""
+        rng = np.random.default_rng(0)
+        op = Mask(np.array([True, False, True])) if kind == "mask" else DenseOperator(rng.standard_normal((4, 3)))
+        ys = 2.0 * rng.standard_normal((3, op.out_dim))
+        cfg = PnpConfig(max_iters=2000, tol=1e-10)
+        for y in ys:
+            batch = pnp_pgd_batch(op, y[None, :], plain, cfg)
+            serial = pnp_pgd(op, y, plain, cfg)
+            assert serial.converged
+            assert (batch.iterations[0], batch.converged[0]) == (serial.iterations, serial.converged)
+            if plain._diagonal() is None or kind == "dense":
+                assert np.array_equal(batch.x_star[0], serial.x_star)
+            else:
+                assert np.max(np.abs(batch.x_star[0] - serial.x_star)) <= 1e-13 * np.max(np.abs(serial.x_star))
 
 
 def _counted(calls, name, route):
@@ -486,9 +505,10 @@ def _counted(calls, name, route):
 
 
 class TestFusedStep:
-    """Over a mask or the identity a folded chain takes the gradient step into its
-    multiply-add: one multiply and one add per iteration, equal to :func:`pnp_pgd` to
-    round-off and bitwise on the hidden coordinates."""
+    """Over a mask or the identity a chain with a pair takes the gradient step into its
+    multiply-add: one multiply and one add per iteration, equal to :func:`pnp_pgd`, which
+    runs the maps as written, to round-off, and bitwise ``x <- coef x + off`` on the
+    hidden coordinates."""
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(
@@ -530,7 +550,9 @@ class TestFusedStep:
         cfg = PnpConfig(tau=tau, max_iters=150, tol=1e-10)
         ys = scale * rng.standard_normal((m, n))
         scaled = ScaledDenoiser(base, deltas, mode=mode, gamma_rescale=gamma)
-        assert isinstance(op, Mask) and scaled._pair is not None
+        pair = scaled._diagonal()
+        assert isinstance(op, Mask) and pair is not None
+        coef, off = (np.broadcast_to(v, (m, n)) for v in pair)
         batch = pnp_pgd_batch(op, ys, scaled, cfg)
         hidden = op.keep == 0.0
         # No errstate here: the serial solve reports an overflowing step without a warning.
@@ -541,8 +563,11 @@ class TestFusedStep:
             assert batch.diverged[row] == diverged
             if x_star is not None:
                 fused = batch.x_star[row]
-                assert np.array_equal(fused[hidden], x_star[hidden])
                 assert np.max(np.abs(fused - x_star)) <= 1e-13 * np.max(np.abs(x_star))
+                folded = np.zeros(n)
+                for _ in range(iterations):
+                    folded = coef[row] * folded + off[row]
+                assert np.array_equal(fused[hidden], folded[hidden])
 
     def test_the_default_stability_loop_runs_neither_the_step_nor_the_denoiser(self, monkeypatch):
         """Tier-1 guard for the fold: stability's folded one-Gaussian chain over a mask calls
@@ -633,8 +658,13 @@ class TestStopTest:
         assert np.all(np.isfinite(batch.x_star))
 
 
+# The clock's width: a block is at most n iterations, so its few rows need this many
+# entries for their blocks to grow past _STOP_BLOCK and reach their cap.
+_CLOCK_DIM = 32
+
+
 class _Clock(Denoiser):
-    """A test denoiser on 3-vectors whose rows stop at iterations set by their data.
+    """A test denoiser on vectors of ``_CLOCK_DIM`` whose rows stop at iterations set by their data.
 
     Entry 0 counts: each call raises it by one, up to entry 1, so under a mask
     that observes entries 1 and 2 with ``tau = 1`` a row whose data holds ``s``
@@ -642,10 +672,12 @@ class _Clock(Denoiser):
     makes the row jump to entries of 1e13, past the divergence bound, at
     iteration ``d`` unless it converged first. A row that has jumped is
     multiplied by 1e150 on every later call, so its squares overflow one
-    iteration after it diverged and its entries two iterations after.
+    iteration after it diverged and its entries two iterations after. The
+    entries past the third are copied, and the mask hides them, so they stay
+    zero until the row jumps.
     """
 
-    dim = 3
+    dim = _CLOCK_DIM
 
     def __call__(self, y):
         y = self._check(y)
@@ -657,12 +689,17 @@ class _Clock(Denoiser):
         return out
 
 
-_CLOCK_OP = Mask(np.array([False, True, True]))
+_CLOCK_OP = Mask(np.isin(np.arange(_CLOCK_DIM), (1, 2)))
+
+
+def _clock_point(count, s, d):
+    """The clock's iterate holding ``count``, ``s`` and ``d`` in its first three entries."""
+    return np.pad(np.array([count, s, d], dtype=float), (0, _CLOCK_DIM - 3))
 
 
 def _assert_clock_rows_stop_as_before(stops, max_iters):
     """Rows given as (s, d) pairs stop as under the old stop test and as the serial solve."""
-    ys = np.array([[0.0, s, d] for s, d in stops])
+    ys = np.array([_clock_point(0.0, s, d) for s, d in stops])
     m = ys.shape[0]
     cfg = PnpConfig(tau=1.0, max_iters=max_iters, tol=1e-9)
     denoiser = ScaledDenoiser(_Clock(), np.ones(m))
@@ -679,7 +716,7 @@ def _assert_clock_rows_stop_as_before(stops, max_iters):
         assert (batch.iterations[row], batch.converged[row], batch.diverged[row]) == (its, conv, div)
         if div:
             # the last finite iterate: d - 1 iterations of counting from zero
-            x_star = np.array([min(d - 1, s), s, d]) if d > 1 else np.zeros(3)
+            x_star = _clock_point(min(d - 1, s), s, d) if d > 1 else np.zeros(_CLOCK_DIM)
         assert np.array_equal(batch.x_star[row], x_star)
     return batch
 
@@ -774,10 +811,9 @@ class TestStopBlocks:
         assert np.array_equal(batch.x_star, x_star)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_a_narrow_stack_tests_its_blocks_in_chunks_bitwise(self, n):
-        """Every block here is longer than n iterations, so each stop test runs over
-        several chunks, and rows converge in many of them. (The clock rows, three
-        wide, also stop by divergence at every offset of a block.)"""
+    def test_a_narrow_stack_stops_in_blocks_of_n_bitwise(self, n):
+        """A block is at most n iterations, so these stacks run blocks of one to three
+        iterations, and rows converge in many of them."""
         rng = np.random.default_rng(n)
         m = 40
         base = MmseDenoiser(GmmPrior([0.5, 0.5], rng.standard_normal((2, n)), [0.3, 0.6]), 0.2)
@@ -847,24 +883,27 @@ class TestStopBlocks:
         batch = _assert_clock_rows_stop_as_before([(40, 1), (5, 0)], 50)
         assert list(batch.iterations) == [1, 6]
         assert list(batch.diverged) == [True, False]
-        assert np.array_equal(batch.x_star[0], np.zeros(3))
+        assert np.array_equal(batch.x_star[0], np.zeros(_CLOCK_DIM))
 
     @pytest.mark.parametrize(
         "m, n, max_iters, cap",
         [
             (32, 64, 300, 8),  # conv-reg's stack: the fixed blocks of 8
             (10, 64, 20000, 25),  # stability's stack
-            (1, 12, 400, 400),  # a one-row stack: its blocks fit whatever the cap
-            (1, 3, 5, _STOP_BLOCK),  # never under _STOP_BLOCK
+            (1, 12, 400, 12),  # a one-row stack: n caps its blocks
+            (1, 3, 5, 3),  # never over n, so here under _STOP_BLOCK
             (29, 64, 10**6, _STOP_BLOCK),  # past m n = 1820 no larger block fits
-            (4, 3, 10**6, 1365),
+            (4, _CLOCK_DIM, 10**6, _CLOCK_DIM),  # the clock's rows: n cuts the budget's 128
+            (4, 100, 10**6, 40),  # the budget cuts n
             (10**4, 10**4, 10**6, _STOP_BLOCK),
         ],
     )
     def test_schedule_fits_the_budget_and_bounds_the_overshoot(self, m, n, max_iters, cap):
         assert _block_cap(m, n, max_iters) == cap
+        # A block is at most n iterations, so each of the stop test's (block, m) arrays is one stack at most.
+        assert cap <= n
         # A grown block's iterates after the first, and their squares, fit the budget.
-        assert cap == _STOP_BLOCK or 2 * cap * m * n <= _BLOCK_FLOATS
+        assert cap == min(_STOP_BLOCK, n) or 2 * cap * m * n <= _BLOCK_FLOATS
         starts, sizes = zip(*_stop_blocks(cap, min(max_iters, 50_000)))
         assert starts[0] == 0 and sum(sizes) == min(max_iters, 50_000)
         assert np.array_equal(np.cumsum(sizes)[:-1], starts[1:])
@@ -892,8 +931,8 @@ class TestStopBlocks:
     def test_rows_stop_in_grown_and_capped_blocks(self, monkeypatch, max_iters):
         """A budget of 20 iterations for this 14-row stack: blocks of 8 up to
         iteration 72, then 9, 10, ... 18, then 20 from iteration 162 on."""
-        monkeypatch.setattr(pnplab.solver, "_BLOCK_FLOATS", 2 * 20 * 14 * 3)
-        assert _block_cap(14, 3, max_iters) == 20
+        monkeypatch.setattr(pnplab.solver, "_BLOCK_FLOATS", 2 * 20 * 14 * _CLOCK_DIM)
+        assert _block_cap(14, _CLOCK_DIM, max_iters) == 20
         assert [size for start, size in _stop_blocks(20, 202) if start >= 64] == [
             8, 9, 10, 11, 12, 14, 16, 18, 20, 20,
         ]
@@ -905,8 +944,11 @@ class TestStopBlocks:
         np.testing.assert_array_equal(batch.iterations, expected)
 
     def test_rows_stop_in_blocks_grown_under_the_real_budget(self):
-        """Four rows of 3 fit blocks of up to 1365 iterations, so the blocks grow to
-        an eighth of the iterations run, and the cap cuts the last one."""
+        """Four clock rows fit blocks of up to 128 iterations and n = 32 cuts that, so the
+        blocks grow to an eighth of the iterations run, are held at 32 from iteration 257
+        on, and ``max_iters`` cuts the last one."""
+        assert _block_cap(4, _CLOCK_DIM, 397) == _CLOCK_DIM < _BLOCK_FLOATS // (2 * 4 * _CLOCK_DIM)
+        assert [size for start, size in _stop_blocks(_CLOCK_DIM, 397)][-3:] == [32, 32, 12]
         batch = _assert_clock_rows_stop_as_before([(71, 0), (150, 0), (500, 300), (379, 0)], 397)
         assert list(batch.iterations) == [72, 151, 300, 380]
 
@@ -920,7 +962,7 @@ class TestStopBlocks:
     def test_random_late_stops_in_small_blocks(self, max_iters, stops):
         """Blocks capped at 12 iterations from iteration 96 on."""
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(pnplab.solver, "_BLOCK_FLOATS", 2 * 12 * len(stops) * 3)
+            patch.setattr(pnplab.solver, "_BLOCK_FLOATS", 2 * 12 * len(stops) * _CLOCK_DIM)
             _assert_clock_rows_stop_as_before(stops, max_iters)
 
     @pytest.mark.parametrize("stop", [65, 72, 73, 81, 82, 91, 128, 163, 334, 400])
@@ -1070,7 +1112,7 @@ class TestSolveMemory:
             (64, 64, "homogeneous", True, True, False, None),
             (128, 16, "tweedie", True, True, True, None),  # more components than dims
             (3, 64, "tweedie", True, True, False, 512),  # a tall dense operator
-            (3, 4, "tweedie", True, True, False, None),  # a block buffer of 16 iterations
+            (3, 4, "tweedie", True, True, False, None),  # n = 4 cuts the blocks under _STOP_BLOCK
         ],
     )
     def test_one_solve_stays_within_its_counted_stacks(self, k, n, mode, gamma, per_row, shrink, out_dim):
@@ -1114,14 +1156,15 @@ class TestSolveMemory:
 
     @pytest.mark.parametrize("n, m", [(1, 256), (1, 1024), (2, 256)])
     def test_a_narrow_stack_stays_within_its_counted_stacks_without_slack(self, n, m):
-        """2000 iterations that never meet ``tol``, so the blocks grow to ``_BLOCK_FLOATS``:
-        the stop test, chunked to at most n iterations, keeps the peak within the count
-        itself on stacks one or two wide, where (size, m) arrays would pass it."""
+        """2000 iterations that never meet ``tol``, on stacks one or two wide, where
+        ``_BLOCK_FLOATS`` would fit longer blocks: a block is at most n iterations, so the
+        stop test's (size, m) arrays stay within a stack each and the peak within the count
+        itself, where blocks grown to the budget would pass it."""
         rng = np.random.default_rng(n)
         base = MmseDenoiser(GmmPrior([1.0], rng.standard_normal((1, n)), [0.5]), 0.3)
         ys = rng.standard_normal((m, n))
         config = PnpConfig(tau=1.0, max_iters=2000, tol=1e-30)
-        assert _block_cap(m, n, config.max_iters) > max(n, _STOP_BLOCK)
+        assert _block_cap(m, n, config.max_iters) == n < _BLOCK_FLOATS // (2 * m * n)
         peak = _solve_peak(Mask(np.ones(n, dtype=bool)), ys, base, rng.uniform(1.0, 3.0, m), "tweedie", True, config)
         assert peak <= _counted_bytes(m * n)
 
@@ -1142,7 +1185,7 @@ class TestSolveMemory:
         op = Mask(rng.random(n) < 0.8) if kind == "mask" else Identity(n)
         deltas = rng.uniform(1.0, 3.0, m) if per_row else 1.09
         config = PnpConfig(tau=1.0, max_iters=max_iters, tol=1e-30)
-        assert ScaledDenoiser(base, deltas)._pair is not None
+        assert ScaledDenoiser(base, deltas)._diagonal() is not None
         peak = _solve_peak(op, rng.standard_normal((m, n)), base, deltas, "tweedie", False, config)
         assert peak <= _counted_bytes(m * n)
 
@@ -1270,19 +1313,28 @@ class TestUncheckedRoutes:
             with pytest.raises(ValueError, match=message):
                 pnp_pgd_batch(Identity(3), np.zeros(shape), shrunk, PnpConfig(tau=1.0))
 
-    def test_a_wrapper_over_a_per_row_scale_runs_each_row_at_its_scale(self):
+    @pytest.mark.parametrize("k", [2, 1], ids=["mixture", "one-gaussian"])
+    @pytest.mark.parametrize("kind", ["identity", "conv1d"])
+    def test_a_wrapper_over_a_per_row_scale_runs_each_row_at_its_scale(self, k, kind):
+        """Over one Gaussian the chain has a pair of (m, n) stacks, which the batch folds with
+        the step over the identity; over a convolution every chain runs as written, so each
+        row is bitwise its one-row solve."""
         rng = np.random.default_rng(7)
-        prior = GmmPrior([0.5, 0.5], rng.standard_normal((2, 3)), [0.4, 0.6])
+        prior = GmmPrior(np.full(k, 1.0 / k), rng.standard_normal((k, 3)), [0.4, 0.6][:k])
+        op = Identity(3) if kind == "identity" else Convolve1d(np.array([0.6, 0.3]), 3)
         deltas = np.array([0.8, 1.5, 3.0])
         ys = rng.standard_normal((3, 3))
         cfg = PnpConfig(tau=1.0, max_iters=80, tol=1e-10)
         shrunk = OutputShrink(ScaledDenoiser(MmseDenoiser(prior, 0.3), deltas, gamma_rescale=True), 0.9)
-        batch = pnp_pgd_batch(Identity(3), ys, shrunk, cfg)
+        assert (shrunk._diagonal() is None) == (k > 1)
+        batch = pnp_pgd_batch(op, ys, shrunk, cfg)
         for i, delta in enumerate(deltas):
             one = OutputShrink(ScaledDenoiser(MmseDenoiser(prior, 0.3), delta, gamma_rescale=True), 0.9)
-            row = pnp_pgd_batch(Identity(3), ys[i : i + 1], one, cfg)
+            row = pnp_pgd_batch(op, ys[i : i + 1], one, cfg)
             assert batch.iterations[i] == row.iterations[0] and batch.converged[i] == row.converged[0]
             np.testing.assert_allclose(batch.x_star[i], row.x_star[0], rtol=1e-12, atol=1e-14)
+            if kind == "conv1d":
+                assert np.array_equal(batch.x_star[i], row.x_star[0])
 
 
 def _wide_prior():
