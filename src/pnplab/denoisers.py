@@ -339,10 +339,14 @@ def homogeneous_scale(base: Denoiser, delta: float, gamma_rescale: bool = False)
 
 
 def _innermost(denoiser):
-    """The base at the end of ``denoiser``'s chain of output maps, or ``denoiser`` if it is none."""
+    """The base at the end of ``denoiser``'s chain of output maps, or ``denoiser`` if it is none,
+    and the maps' argument factors (``inner``), outermost first."""
+    scales = []
     while isinstance(denoiser, _OutputMap):
+        if denoiser._inner is not None:
+            scales.append(denoiser._inner)
         denoiser = denoiser.base
-    return denoiser
+    return denoiser, scales
 
 
 def _solve_basin(denoiser):
@@ -350,10 +354,12 @@ def _solve_basin(denoiser):
 
     Only a chain of output maps that ends at a mixture denoiser of more than
     one component gets one (such a chain has no pair); each map passes it on
-    to its base by keyword, down to the prior's posterior mean.
+    to its base by keyword, down to the prior's posterior mean. The basin
+    keeps the maps' argument factors (``inner``), outermost first, which
+    carry a solve's denoiser inputs to the points the prior sees.
     """
-    base = _innermost(denoiser)
-    return _Basin() if isinstance(base, MmseDenoiser) and base.prior.n_components > 1 else None
+    base, scales = _innermost(denoiser)
+    return _Basin(scales) if isinstance(base, MmseDenoiser) and base.prior.n_components > 1 else None
 
 
 # Floats per block of rows that a Monte-Carlo pass or estimate_lipschitz runs
@@ -370,7 +376,7 @@ def _row_width(denoiser, dim: int) -> int:
     K is the component count of the mixture denoiser at the end of
     ``denoiser``'s chain of output maps (:func:`_innermost`), and 1 if there is none.
     """
-    base = _innermost(denoiser)
+    base = _innermost(denoiser)[0]
     return max(dim, base.prior.n_components if isinstance(base, MmseDenoiser) else 1)
 
 

@@ -46,12 +46,15 @@ its components. :func:`~pnplab.solver.pnp_pgd_batch` creates one
 ``(1 - rho_k) mu_k`` and a radius per row: by a Lipschitz bound on the
 log-terms' gaps, less a rounding margin that grows with their size, every
 row within its radius of the anchor is concentrated on the same component
-in the computed log-terms. A later call whose every row lies within its
-radius returns those rows' formula, bitwise the full route's output, with
-no distance formed; any other call drops the anchor and runs the full
-route, and after misses in a row the basin certifies again only after a
-growing wait, at most ``_BACKOFF`` calls. Nothing else forms a basin, and
-none is kept on the prior or on a denoiser.
+in the computed log-terms. While the basin holds, every call returns those
+rows' formula with no distance formed and no test; at the end of each stop
+block the solver tests the held calls' inputs together
+(``_Basin.first_miss``). Where every row of every one lies within its
+radius, their outputs are bitwise the full route's. At the first that does
+not, the basin drops the anchor and the solver runs the block again from
+that call on the full route; after misses in a row the basin certifies
+again only after a growing wait, at most ``_BACKOFF`` calls. Nothing else
+forms a basin, and none is kept on the prior or on a denoiser.
 
 :meth:`GmmPrior.pair_blocks` draws a (clean, noisy) sample set and hands the
 noisy rows out block by block, so a Monte-Carlo pass never holds them whole.
@@ -93,7 +96,7 @@ _SPLIT_NORMALS = 1 << 18
 _SYNC = 8
 # Most calls a solve's basin passes up certifying after misses (see _Basin):
 # a stack that leaves its radius on every call pays one certification, and
-# one radius test that misses, per this many calls.
+# runs the rest of one stop block twice, per this many calls.
 _BACKOFF = 32
 
 
@@ -224,42 +227,67 @@ def _component_rows(points, rho_k, shrunk_k) -> np.ndarray:
 
 
 class _Basin:
-    """One batched solve's certified stack, which lets a call skip the distances.
+    """One batched solve's certified stack, which lets its calls skip the distances.
 
     ``held`` is None or ``(anchor, radius_sq, rho_k, shrunk_k)``: a copy of
     the last stack whose every row the full route found concentrated, each
     on its component k, a squared radius per row (see
     ``GmmPrior._certify``), and each row's ``rho_k``, an (m, 1) column, and
-    ``(1 - rho_k) mu_k``, an (m, n) stack. A call whose every row lies
-    within its radius of the anchor is concentrated on the same components,
-    so its output is those rows' one-component formula. Any other call drops
-    them and runs the full route, which certifies a new anchor when it finds
-    the whole stack concentrated and ``wait`` is 0. After ``misses`` misses
-    in a row the basin passes up the next ``min(2^misses, _BACKOFF) - 1``
-    calls before it certifies again, so a stack that keeps leaving its
-    radius pays one certification and one missed test per ``min(2^misses,
-    _BACKOFF)`` calls; a hit resets the count. The solver creates one per
-    solve and passes it down to the prior; nothing else holds one.
+    ``(1 - rho_k) mu_k``, an (m, n) stack. While it holds, every call
+    returns those rows' one-component formula untested and counts itself in
+    ``pending``. A call whose every row lies within its radius of the anchor
+    is concentrated on the same components, so that formula is its output;
+    :meth:`first_miss` tests a stop block's pending calls at once, and the
+    solver runs the block again from the first that missed. Any call made
+    while nothing is held runs the full route, which certifies a new anchor
+    when it finds the whole stack concentrated and ``wait`` is 0. After
+    ``misses`` misses in a row the basin passes up the next ``min(2^misses,
+    _BACKOFF) - 1`` calls before it certifies again, so a stack that keeps
+    leaving its radius pays one certification, and runs the rest of one
+    stop block twice, per ``min(2^misses, _BACKOFF)`` calls; a hit resets
+    the count. ``scales`` are the factors by which the solve's chain of
+    output maps multiplies its input before the prior sees it, outermost
+    first. The solver creates one per solve and passes it down to the
+    prior; nothing else holds one.
     """
 
-    __slots__ = ("held", "misses", "wait")
+    __slots__ = ("held", "misses", "wait", "pending", "scales")
 
-    def __init__(self):
-        self.held, self.misses, self.wait = None, 0, 0
+    def __init__(self, scales=()):
+        self.held, self.misses, self.wait, self.pending, self.scales = None, 0, 0, 0, scales
 
-    def held_rows(self, points):
-        """``(rho_k, shrunk_k)`` if every row of ``points`` lies within its radius of the
-        anchor, else None; a miss drops the held rows, and every call that is not a
-        hit counts the wait down. A NaN or inf row is never within its radius."""
+    def held_rows(self):
+        """``(rho_k, shrunk_k)`` while a stack is held, the call then pending its test;
+        else None, and the call counts the wait down."""
         if self.held is not None:
-            step = points - self.held[0]
-            if np.all(_row_dot(step, step) <= self.held[1]):
-                self.misses = 0
-                return self.held[2:]
-            self.held, self.misses = None, self.misses + 1
-            self.wait = min(1 << self.misses, _BACKOFF)
+            self.pending += 1
+            return self.held[2:]
         self.wait = max(self.wait - 1, 0)
         return None
+
+    def first_miss(self, inputs) -> int:
+        """Index of the first of ``inputs``, a block's (size, m, n) denoiser inputs, whose
+        held call had a row outside its radius of the anchor, or ``size`` if none had.
+
+        The last ``pending`` inputs are the held calls', the only ones tested, in one
+        pass, and they are overwritten. A miss drops the held rows and sets the wait;
+        the calls from the missed one on are then to be made again, and the first of
+        them counts the wait down. A NaN or inf row is never within its radius.
+        """
+        size, pending, self.pending = len(inputs), self.pending, 0
+        if not pending:
+            return size
+        offsets = inputs[size - pending :]
+        for scale in self.scales:
+            np.multiply(scale, offsets, out=offsets)
+        offsets -= self.held[0]
+        inside = np.all(_row_dot(offsets, offsets) <= self.held[1], axis=1)
+        hits = pending if inside.all() else int(np.argmin(inside))
+        self.misses = 0 if hits else self.misses
+        if hits < pending:
+            # A hit before the miss has reset the count; the wait is 2^misses of the new count.
+            self.held, self.misses, self.wait = None, self.misses + 1, min(2 << self.misses, _BACKOFF)
+        return size - pending + hits
 
 
 @dataclass(frozen=True)
@@ -424,17 +452,18 @@ class GmmPrior:
 
         ``basin`` is a batched solve's ``_Basin``, passed down by keyword
         from :func:`~pnplab.solver.pnp_pgd_batch`; no other caller gives one.
-        A call whose every row lies within its certified radius of the
-        basin's anchor returns the anchor's one-component rows on it without
-        forming a distance, bitwise what the full route returns (see
-        ``_certify``). Any other call runs the full route, and a stack it
-        finds wholly concentrated becomes the new anchor, unless the basin is
-        backing off after misses.
+        While it holds an anchor, a call returns the anchor's one-component
+        rows on ``points`` without forming a distance or testing them; the
+        solver tests them at its stop block's end (``_Basin.first_miss``),
+        and where every row lies within its certified radius they are
+        bitwise what the full route returns (see ``_certify``). Any other
+        call runs the full route, and a stack it finds wholly concentrated
+        becomes the new anchor, unless the basin is backing off after misses.
         """
         if rho.size == 1:
             return _component_rows(points, rho, shrunk)
         if basin is not None:
-            held = basin.held_rows(points)
+            held = basin.held_rows()
             if held is not None:
                 return _component_rows(points, *held)
         logs = self._component_logpdf(points, t, log_norm, half_sq)

@@ -25,8 +25,8 @@ differently from ``np.linalg.norm``; its iterates are bitwise those of a
 loop that tests every iteration, and those of :func:`pnp_pgd` wherever the
 solve is not fused, up to the sign of a zero. Over a mixture prior it also
 holds a per-solve basin (``prior._Basin``), which lets the posterior mean
-skip its distances while every row provably stays on its component, with
-outputs bitwise those of the full route.
+skip its distances while every row provably stays on its component, proved
+by one test per stop block, with outputs bitwise those of the full route.
 """
 
 from __future__ import annotations
@@ -70,28 +70,31 @@ _DIVERGENCE_NORM = 1e12
 _STOP_BLOCK = 8
 
 # Stacks of m rows a batched solve holds at once, at most: the block buffer
-# (_STOP_BLOCK + 1 iterates), the stop test's successive differences
-# (_STOP_BLOCK), the measurements, the recorded iterates and the gradient
-# step, which a masked step writes with three in-place ufuncs, a per-row
-# scale's two coefficient stacks (see ScaledDenoiser), six for an
-# iteration's temporaries, to which a masked step adds none, and three for
-# either the solve's basin over a mixture (see prior._Basin: its anchor, its
-# held (1 - rho_k) mu_k rows, and its rho_k and squared radii, 2 m floats, at
+# (_STOP_BLOCK + 1 iterates), the differences buffer (_STOP_BLOCK), which
+# holds a block's denoiser inputs, each gradient step written in place with
+# three ufuncs, before the stop test writes its successive differences
+# there, the measurements, the recorded iterates, a per-row scale's two
+# coefficient stacks (see ScaledDenoiser), six for an iteration's
+# temporaries, to which a masked step adds none, and three for either the
+# solve's basin over a mixture (see prior._Basin: its anchor, its held
+# (1 - rho_k) mu_k rows, and its rho_k and squared radii, 2 m floats, at
 # most one stack since its mixture has K >= 2 components) or a folding
 # chain's pair (coef, off), at most two stacks; a chain has one or the other.
 # Only a solve over a mask forms the pair, and only while it builds its gain
-# and shift stacks, which it then holds in place of the step's buffer and an
-# iteration's temporaries. The stop test runs
-# after those temporaries are freed, over a block of at most n iterations:
-# its norms, residuals and thresholds take at most four (block, m) arrays at
-# once, each at most one stack, and with its byte masks they stay within the
-# six. Iterates are n wide, measurements and their residuals out_dim, and a
-# mixture denoiser's distances and responsibilities K, so each stack is
-# counted at the widest of the three, as the solve protocols cap their grids
+# and shift stacks, which it then holds in place of an iteration's
+# temporaries. The basin's test at a block's end works in place on the
+# block's inputs, with one (block, m) array of row dots, and the stop test
+# runs after an iteration's temporaries are freed, over a block of at most
+# n iterations: its norms, residuals and thresholds take at most four
+# (block, m) arrays at once, each at most one stack, and with its byte
+# masks they stay within the six. Iterates
+# are n wide, measurements and their residuals out_dim, and a mixture
+# denoiser's distances and responsibilities K, so each stack is counted at
+# the widest of the three, as the solve protocols cap their grids
 # (experiments._solve_grid). A block grown past _STOP_BLOCK keeps its
 # iterates after the first, and their differences, within _BLOCK_FLOATS
 # floats in place of those 2 * _STOP_BLOCK stacks.
-_SOLVE_STACKS = (_STOP_BLOCK + 1) + _STOP_BLOCK + 3 + 2 + 6 + 3
+_SOLVE_STACKS = (_STOP_BLOCK + 1) + _STOP_BLOCK + 2 + 2 + 6 + 3
 
 
 def _block_cap(m: int, n: int, max_iters: int) -> int:
@@ -284,8 +287,8 @@ def pnp_pgd_batch(
     - over a mask, whose ``A^T A = diag(d)`` with ``d`` its 0/1 row
       ``keep``, a chain with a pair is fused with the step: the contiguous
       (m, n) stacks ``gain = coef (1 - tau d)`` and ``shift = coef (tau d
-      ys) + off`` are built once, in place of the step buffer and an
-      iteration's temporaries, and each iteration is one multiply into the
+      ys) + off`` are built once, in place of an iteration's
+      temporaries, and each iteration is one multiply into the
       block buffer and one add. On a hidden coordinate (d = 0) this is
       ``coef x + off``. On an observed one it is ``coef (1 - tau) x + (coef
       tau y + off)``, which equals the map as written to round-off; at
@@ -295,9 +298,10 @@ def pnp_pgd_batch(
       mask, runs the chain's ``_apply`` after the step, writing into the
       block buffer, so no iterate is copied.
 
-    The step is written into one buffer: over a mask, ``x - y``, times the
-    (n,) row ``tau keep``, then subtracted from ``x``, three in-place ufuncs
-    for every ``tau``; over any other operator, ``tau`` times the
+    Each unfused iteration writes its step, the denoiser's input, into its
+    slot of the block's differences buffer: over a mask, ``x - y``, times
+    the (n,) row ``tau keep``, then subtracted from ``x``, three in-place
+    ufuncs for every ``tau``; over any other operator, ``tau`` times the
     operator's ``_normal_residual``, then subtracted from ``x``. The whole
     loop runs under one ``np.errstate``, entered once per solve, and every
     operand the iteration passes to numpy is built before it. At its peak
@@ -334,11 +338,17 @@ def pnp_pgd_batch(
     row's posterior concentrated on one component, the basin holds that
     stack (the anchor), each row's component constants and a radius per
     row from a Lipschitz bound on the log-terms' gaps, less a rounding
-    margin (``GmmPrior._certify``). While every row stays within its radius
-    of the anchor, a call forms no distance and returns the one-component
-    formula, bitwise the full route's output, so the iterates are bitwise
-    those of a solve without a basin. The default conv-reg solve forms
-    distances on 1 of its 300 calls. Folded one-Gaussian chains
+    margin (``GmmPrior._certify``). While the basin holds, a call forms no
+    distance, runs no test and returns the one-component formula. At the
+    block's end one vectorised test (``_Basin.first_miss``) checks the
+    held calls' stored inputs against the anchor: if every row of every
+    one lies within its radius, their outputs are bitwise the full route's.
+    Otherwise the basin records a miss at the first call with a row
+    outside, and the block runs again from that call, on the full route,
+    which may certify again; its held calls are then tested the same way.
+    So the iterates are bitwise those of a solve without a basin. The
+    default conv-reg solve forms distances on 1 of its 300 calls and tests
+    its basin once per stop block. Folded one-Gaussian chains
     (stability), :func:`pnp_pgd`, the Monte-Carlo pass and
     ``estimate_lipschitz`` form no basin.
     """
@@ -367,11 +377,11 @@ def pnp_pgd_batch(
     x = np.zeros((m, n))
     cap = _block_cap(m, n, config.max_iters)
     # buf[0] holds the stack's iterate before a block, buf[j] the j-th after
-    # it; diffs holds a block's successive differences.
+    # it; diffs holds a block's denoiser inputs, then its successive differences.
     buf = np.zeros((cap + 1, m, n))
     diffs = np.empty((cap, m, n))
-    # The buffer's slots as views, taken once.
-    slots = list(buf)
+    # The buffers' slots as views, taken once.
+    slots, steps = list(buf), list(diffs)
     with np.errstate(over="ignore", invalid="ignore"):
         # An overflowing coefficient or shift leaves non-finite iterates, recorded as a divergence.
         pair = None if tau_d is None else denoiser._diagonal()
@@ -385,7 +395,6 @@ def pnp_pgd_batch(
         else:
             basin = _solve_basin(denoiser)
             denoise = denoiser._apply if basin is None else partial(denoiser._apply, basin=basin)
-            step = np.empty((m, n))
         for start, size in _stop_blocks(cap, config.max_iters):
             if fused:
                 for j in range(size):
@@ -393,14 +402,18 @@ def pnp_pgd_batch(
                     np.multiply(gain, slots[j], out=out)
                     out += shift
             else:
-                for j in range(size):
-                    xj, out = slots[j], slots[j + 1]
-                    if tau_d is None:
-                        np.multiply(tau, op._normal_residual(xj, ys), step)
-                    else:
-                        np.multiply(np.subtract(xj, ys, step), tau_d, step)
-                    np.subtract(xj, step, step)
-                    denoise(step, out=out)
+                # The basin's held calls are tested at the block's end; from the first that missed, it runs again.
+                first = 0
+                while first < size:
+                    for j in range(first, size):
+                        xj, step = slots[j], steps[j]
+                        if tau_d is None:
+                            np.multiply(tau, op._normal_residual(xj, ys), step)
+                        else:
+                            np.multiply(np.subtract(xj, ys, step), tau_d, step)
+                        np.subtract(xj, step, step)
+                        denoise(step, out=slots[j + 1])
+                    first = size if basin is None else basin.first_miss(diffs[:size])
             # Row-dot norms, one pass each over the block; a row with NaN or
             # inf entries, or an overflowing square, is not <= the bound.
             after = buf[1 : size + 1]

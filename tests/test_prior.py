@@ -13,11 +13,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pnplab.solver
 from pnplab import prior as prior_module
 from pnplab.analysis import estimate_l2
-from pnplab.denoisers import MmseDenoiser
+from pnplab.denoisers import MmseDenoiser, OutputShrink, ScaledDenoiser
 from pnplab.experiments import resolve_config, run_conv_reg, run_lipschitz_table
+from pnplab.linop import Convolve1d, DenseOperator, Identity, Mask
 from pnplab.prior import GmmPrior
+from pnplab.solver import PnpConfig, pnp_pgd_batch
 
 
 def _standard_normal_1d():
@@ -940,6 +943,20 @@ def _separated_prior(rng, k, n, offset):
     return GmmPrior(weights / weights.sum(), means, variances)
 
 
+def _basin_block(prior, constants, basin, stacks):
+    """A stop block's calls on ``stacks`` with ``basin``, as the batched solve makes them:
+    every call, then one test of the held calls' inputs (``_Basin.first_miss``), and the
+    calls again from the first that missed, until a test passes. Returns the outputs and
+    each test's result."""
+    outputs, tests, first = [None] * len(stacks), [], 0
+    while first < len(stacks):
+        for j in range(first, len(stacks)):
+            outputs[j] = prior._posterior_mean(stacks[j], *constants, basin=basin)
+        first = basin.first_miss(np.array(stacks))
+        tests.append(first)
+    return outputs, tests
+
+
 class TestBasin:
     """A batched solve's basin skips the distances only where the full route gives the same bits."""
 
@@ -952,16 +969,19 @@ class TestBasin:
         log_step=st.floats(-4.0, math.log10(3.0)),
         log_excess=st.floats(-9.0, -3.0),
         walk=st.sampled_from(["wander", "cross", "edge", "nonfinite"]),
+        block=st.integers(1, 6),
         sigma=st.floats(0.05, 1.0),
         seed=st.integers(0, 2**16),
     )
     def test_a_call_with_a_basin_is_bitwise_the_call_without(
-        self, k, n, m, log_offset, log_step, log_excess, walk, sigma, seed
+        self, k, n, m, log_offset, log_step, log_excess, walk, block, sigma, seed
     ):
         """Random walks of stacks from rows at their components' means: wandering by steps
         of 1e-4 to 3, crossing to the next component, starting from a row whose gap clears
         ``G`` by 1e-9 to 1e-3 nats, or meeting NaN and inf rows, on mixtures up to 1e6 from
-        the origin. Every call with the walk's basin is bitwise the call without one."""
+        the origin, called in blocks of 1 to 6 with one test each. Every call whose block
+        passes the test, and every call made again after a miss, is bitwise the call without
+        a basin."""
         rng = np.random.default_rng(seed)
         prior = _separated_prior(rng, k, n, 10.0**log_offset)
         constants = prior._posterior_constants(sigma)
@@ -974,26 +994,31 @@ class TestBasin:
             if point is not None:
                 stack[0] = point
         targets = prior.means[(labels + 1) % k]
-        basin = prior_module._Basin()
+        calls = []
         for i in range(24):
             call = stack
             if walk == "nonfinite" and i % 3 == 2:
                 call = stack.copy()
                 call[rng.integers(m), rng.integers(n)] = rng.choice([np.nan, np.inf, -np.inf])
-            with np.errstate(invalid="ignore", over="ignore"):
-                got = prior._posterior_mean(call, *constants, basin=basin)
-                want = prior._posterior_mean(call, *constants)
-            np.testing.assert_array_equal(got, want)
+            calls.append(call)
             if i % 4 == 3:
                 continue  # the same stack again
             move = 10.0**log_step * rng.uniform() * rng.standard_normal((m, n)) / math.sqrt(n)
             if walk == "cross":
                 move += 0.2 * (targets - stack)
             stack = stack + move
+        basin = prior_module._Basin()
+        with np.errstate(invalid="ignore", over="ignore"):
+            for start in range(0, len(calls), block):
+                stacks = calls[start : start + block]
+                got, _ = _basin_block(prior, constants, basin, stacks)
+                for call, out in zip(stacks, got):
+                    np.testing.assert_array_equal(out, prior._posterior_mean(call, *constants))
 
     def test_a_walk_inside_its_radius_forms_no_distance(self, monkeypatch):
-        """Rows drifting by 1e-3 around well-separated means: one certification, which forms
-        the distances twice (for the route and for the radii), then hits."""
+        """Rows drifting by 1e-3 around well-separated means, in blocks of five calls: one
+        certification, which forms the distances twice (for the route and for the radii),
+        then hits that pass one test per block."""
         rng = np.random.default_rng(5)
         prior = _separated_prior(rng, 3, 8, 0.0)
         constants = prior._posterior_constants(0.3)
@@ -1002,17 +1027,23 @@ class TestBasin:
         half_sq_dists = GmmPrior._half_sq_dists
         monkeypatch.setattr(GmmPrior, "_half_sq_dists", lambda self, p: formed.append(1) or half_sq_dists(self, p))
         basin = prior_module._Basin()
-        for _ in range(50):
-            stack = stack + 1e-3 * rng.standard_normal(stack.shape)
-            got = prior._posterior_mean(stack, *constants, basin=basin)
+        for _ in range(10):
+            stacks = []
+            for _ in range(5):
+                stack = stack + 1e-3 * rng.standard_normal(stack.shape)
+                stacks.append(stack)
+            got, tests = _basin_block(prior, constants, basin, stacks)
+            assert tests == [5]
             formed_before = len(formed)
-            np.testing.assert_array_equal(got, prior._posterior_mean(stack, *constants))
-            assert len(formed) == formed_before + 1
+            for call, out in zip(stacks, got):
+                np.testing.assert_array_equal(out, prior._posterior_mean(call, *constants))
+            assert len(formed) == formed_before + 5
         assert len(formed) == 50 + 2
 
     def test_a_stack_that_leaves_its_radius_on_every_call_backs_off(self, monkeypatch):
-        """Two concentrated stacks far apart, in turn: after each miss the basin waits
-        twice as long, up to ``_BACKOFF`` calls, before it certifies again."""
+        """Two concentrated stacks far apart, in turn, one call per block: after each
+        recorded miss the basin waits twice as long, up to ``_BACKOFF`` calls, before it
+        certifies again."""
         rng = np.random.default_rng(6)
         prior = _separated_prior(rng, 3, 4, 0.0)
         constants = prior._posterior_constants(0.3)
@@ -1022,9 +1053,115 @@ class TestBasin:
         certify = GmmPrior._certify
         monkeypatch.setattr(GmmPrior, "_certify", lambda self, *a: certified.append(i) or certify(self, *a))
         basin = prior_module._Basin()
+        misses = []
         for i in range(300):
-            got = prior._posterior_mean(stacks[i % 2], *constants, basin=basin)
+            (got,), tests = _basin_block(prior, constants, basin, [stacks[i % 2]])
             np.testing.assert_array_equal(got, prior._posterior_mean(stacks[i % 2], *constants))
+            if tests[0] == 0:
+                misses.append(i)
         # Waits of 1, 3, 7, 15 and 31 calls after the misses, then _BACKOFF - 1 = 31 each.
         assert prior_module._BACKOFF == 32
         assert certified == [0, 2, 6, 14, 30] + list(range(62, 300, 32))
+        # Each certification's next call misses, and is tested once more after it runs again.
+        assert misses == [i + 1 for i in certified]
+
+    def test_a_block_runs_again_from_its_first_miss(self):
+        """A block of held calls that leaves its radius at its third call: the test passes the
+        first two, records one miss and returns 2, and the wait starts from the count the
+        hits reset."""
+        rng = np.random.default_rng(7)
+        prior = _separated_prior(rng, 3, 4, 0.0)
+        constants = prior._posterior_constants(0.3)
+        labels = rng.integers(0, 3, 4)
+        near, far = prior.means[labels], prior.means[(labels + 1) % 3]
+        basin = prior_module._Basin()
+        basin.misses = 3
+        prior._posterior_mean(near, *constants, basin=basin)
+        for call in (near, near, far, near):
+            prior._posterior_mean(call, *constants, basin=basin)
+        assert basin.pending == 4
+        assert basin.first_miss(np.array([near, near, near, far, near])) == 3
+        assert (basin.held, basin.misses, basin.wait, basin.pending) == (None, 1, 2, 0)
+
+    def test_a_solve_is_bitwise_the_solve_without_a_basin(self):
+        """Batched solves over separated mixtures (K 2 to 5, n 1 to 8), on every operator kind,
+        in both modes, with one scale or one per row, the gamma rescale on or off and an
+        optional ``OutputShrink``. The data put the first denoiser inputs near component
+        means, from which the stack wanders, or at a point whose gap clears ``G`` by 1e-9 to
+        1e-3 nats, or draw it across to the next component at a fraction of the step. Every
+        record is bitwise that of the solve with no basin, and over the examples the block
+        test both passes blocks of held calls and rolls blocks back."""
+        outcomes = set()
+        first_miss = prior_module._Basin.first_miss
+
+        def spy(basin, inputs):
+            pending = basin.pending
+            found = first_miss(basin, inputs)
+            if pending:
+                outcomes.add("verified" if found == len(inputs) else "rolled back")
+            return found
+
+        @settings(max_examples=150, deadline=None, derandomize=True)
+        @given(
+            k=st.integers(2, 5),
+            n=st.integers(1, 8),
+            m=st.integers(1, 5),
+            log_offset=st.floats(-1.0, 3.0),
+            log_noise=st.floats(-6.0, 0.0),
+            log_excess=st.floats(-9.0, -3.0),
+            walk=st.sampled_from(["wander", "cross", "edge"]),
+            kind=st.sampled_from(["mask", "identity", "all-hidden", "conv1d", "dense"]),
+            mode=st.sampled_from(ScaledDenoiser.MODES),
+            per_row=st.booleans(),
+            gamma=st.booleans(),
+            shrink=st.booleans(),
+            step=st.floats(0.05, 1.0),
+            max_iters=st.integers(1, 60),
+            tol=st.sampled_from([1e-30, 1e-7]),
+            seed=st.integers(0, 2**16),
+        )
+        def check(k, n, m, log_offset, log_noise, log_excess, walk, kind, mode, per_row, gamma, shrink, step,
+                  max_iters, tol, seed):
+            rng = np.random.default_rng(seed)
+            prior = _separated_prior(rng, k, n, 10.0**log_offset)
+            sigma = float(rng.uniform(0.05, 1.0))
+            t, log_norm = prior._posterior_constants(sigma)[:2]
+            labels = rng.integers(0, k, m)
+            targets = prior.means[labels] + 10.0**log_noise * np.sqrt(t.min()) * rng.standard_normal((m, n))
+            if walk == "edge":
+                a = labels[0]
+                point = _edge_point(prior, t, log_norm, a, a + 1 if a < k - 1 else a - 1, 10.0**log_excess)
+                if point is not None:
+                    targets[0] = point
+            elif walk == "cross":
+                targets = prior.means[(labels + 1) % k]
+            if kind == "mask":
+                op = Mask((np.arange(n) == 0) | (rng.random(n) < 0.7))
+            elif kind == "identity":
+                op = Identity(n)
+            elif kind == "all-hidden":
+                op = Mask(np.zeros(n, dtype=bool))
+            elif kind == "conv1d":
+                op = Convolve1d(rng.uniform(0.1, 1.0, min(3, n)), n)
+            else:
+                op = DenseOperator(rng.standard_normal((n + int(rng.integers(0, 3)), n)) / np.sqrt(n))
+            # The data term draws the iterates to the targets; a unit step puts the first input there
+            # over the identity and a mask's observed entries, a smaller one makes the way longer.
+            ys = op._apply(targets)
+            norm_sq = op.op_norm_sq()
+            tau = (1.0 if walk != "cross" else step) / (norm_sq if norm_sq > 0 else 1.0)
+            base = MmseDenoiser(prior, sigma)
+            if shrink:
+                base = OutputShrink(base, float(rng.uniform(0.9, 1.0)))
+            deltas = rng.uniform(1.0, 3.0, m) if per_row else float(rng.uniform(1.0, 3.0))
+            denoiser = ScaledDenoiser(base, deltas, mode=mode, gamma_rescale=gamma)
+            config = PnpConfig(tau=tau, max_iters=max_iters, tol=tol)
+            got = pnp_pgd_batch(op, ys, denoiser, config)
+            with mock.patch.object(pnplab.solver, "_solve_basin", lambda denoiser: None):
+                want = pnp_pgd_batch(op, ys, denoiser, config)
+            for field in ("x_star", "iterations", "converged", "diverged"):
+                assert np.array_equal(getattr(got, field), getattr(want, field))
+
+        with mock.patch.object(prior_module._Basin, "first_miss", spy):
+            check()
+        assert outcomes == {"verified", "rolled back"}

@@ -1176,8 +1176,8 @@ class TestSolveMemory:
     @pytest.mark.parametrize("max_iters", [2 * _STOP_BLOCK + 3, 2000])
     def test_a_fused_solve_stays_within_its_counted_stacks_without_slack(self, m, per_row, kind, max_iters):
         """Stability's chain (one Gaussian, ``OutputShrink``, tweedie scale), whose gradient
-        step folds into its multiply-add: the gain and shift stacks take the place of the
-        step buffer and an iteration's temporaries, in short solves and in 2000 iterations
+        step folds into its multiply-add: the gain and shift stacks take the place of an
+        iteration's temporaries, in short solves and in 2000 iterations
         whose blocks grow to ``_BLOCK_FLOATS``."""
         rng = np.random.default_rng(m)
         n = 64
@@ -1407,6 +1407,19 @@ class TestBasinSolves:
         calls.update(mean=0, dists=0)
         run_experiment("stability", {})
         assert calls == {"mean": 0, "dists": 0}
+
+    def test_the_default_solve_tests_its_basin_once_per_stop_block(self, monkeypatch):
+        """Tier-1 guard for the block test: conv-reg's 300 calls form distances on at most 3,
+        and its basin's radius test runs at most once per stop block, 38 of them, never once
+        per call."""
+        calls = {"mean": 0, "dists": 0, "tests": 0}
+        monkeypatch.setattr(GmmPrior, "_posterior_mean", _counted(calls, "mean", GmmPrior._posterior_mean))
+        monkeypatch.setattr(GmmPrior, "_half_sq_dists", _counted(calls, "dists", GmmPrior._half_sq_dists))
+        monkeypatch.setattr(pnplab.prior._Basin, "first_miss", _counted(calls, "tests", pnplab.prior._Basin.first_miss))
+        run_experiment("conv-reg", {})
+        blocks = len(list(_stop_blocks(_block_cap(32, 64, 300), 300)))
+        assert blocks == 38
+        assert calls["mean"] == 300 and calls["dists"] <= 3 and 0 < calls["tests"] <= blocks
 
     def test_the_basin_lives_in_the_solve_only(self):
         """Nothing the caller keeps, the denoiser chain or the prior, holds a basin afterwards."""
