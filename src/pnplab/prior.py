@@ -52,9 +52,9 @@ block the solver tests the held calls' inputs together
 (``_Basin.first_miss``). Where every row of every one lies within its
 radius, their outputs are bitwise the full route's. At the first that does
 not, the basin drops the anchor and the solver runs the block again from
-that call on the full route; after misses in a row the basin certifies
-again only after a growing wait, at most ``_BACKOFF`` calls. Nothing else
-forms a basin, and none is kept on the prior or on a denoiser.
+that call on the full route, which certifies nothing until the block ends,
+so a basin certifies at most once per stop block. Nothing else forms a
+basin, and none is kept on the prior or on a denoiser.
 
 :meth:`GmmPrior.pair_blocks` draws a (clean, noisy) sample set and hands the
 noisy rows out block by block, so a Monte-Carlo pass never holds them whole.
@@ -94,10 +94,6 @@ _EPS = float(np.finfo(np.float64).eps)
 _SPLIT_NORMALS = 1 << 18
 # How many of the first half's last values locate the midpoint in the second.
 _SYNC = 8
-# Most calls a solve's basin passes up certifying after misses (see _Basin):
-# a stack that leaves its radius on every call pays one certification, and
-# runs the rest of one stop block twice, per this many calls.
-_BACKOFF = 32
 
 
 def _check_sigma(sigma, rule=NONNEGATIVE) -> float:
@@ -240,29 +236,26 @@ class _Basin:
     :meth:`first_miss` tests a stop block's pending calls at once, and the
     solver runs the block again from the first that missed. Any call made
     while nothing is held runs the full route, which certifies a new anchor
-    when it finds the whole stack concentrated and ``wait`` is 0. After
-    ``misses`` misses in a row the basin passes up the next ``min(2^misses,
-    _BACKOFF) - 1`` calls before it certifies again, so a stack that keeps
-    leaving its radius pays one certification, and runs the rest of one
-    stop block twice, per ``min(2^misses, _BACKOFF)`` calls; a hit resets
-    the count. ``scales`` are the factors by which the solve's chain of
-    output maps multiplies its input before the prior sees it, outermost
-    first. The solver creates one per solve and passes it down to the
-    prior; nothing else holds one.
+    when it finds the whole stack concentrated, unless ``missed``: a miss
+    sets it, and the block's end clears it, so the calls run again from a
+    miss certify nothing and a stack that keeps leaving its radius pays at
+    most one certification, and runs the rest of one stop block twice, per
+    block. ``scales`` are the factors by which the solve's chain of output
+    maps multiplies its input before the prior sees it, outermost first.
+    The solver creates one per solve and passes it down to the prior;
+    nothing else holds one.
     """
 
-    __slots__ = ("held", "misses", "wait", "pending", "scales")
+    __slots__ = ("held", "missed", "pending", "scales")
 
     def __init__(self, scales=()):
-        self.held, self.misses, self.wait, self.pending, self.scales = None, 0, 0, 0, scales
+        self.held, self.missed, self.pending, self.scales = None, False, 0, scales
 
     def held_rows(self):
-        """``(rho_k, shrunk_k)`` while a stack is held, the call then pending its test;
-        else None, and the call counts the wait down."""
+        """``(rho_k, shrunk_k)`` while a stack is held, the call then pending its test; else None."""
         if self.held is not None:
             self.pending += 1
             return self.held[2:]
-        self.wait = max(self.wait - 1, 0)
         return None
 
     def first_miss(self, inputs) -> int:
@@ -270,24 +263,23 @@ class _Basin:
         held call had a row outside its radius of the anchor, or ``size`` if none had.
 
         The last ``pending`` inputs are the held calls', the only ones tested, in one
-        pass, and they are overwritten. A miss drops the held rows and sets the wait;
-        the calls from the missed one on are then to be made again, and the first of
-        them counts the wait down. A NaN or inf row is never within its radius.
+        pass, and they are overwritten. A miss drops the held rows and sets ``missed``;
+        the calls from the missed one on are then to be made again, with no
+        certification. Returning ``size`` ends the block and clears ``missed``. A NaN or
+        inf row is never within its radius.
         """
         size, pending, self.pending = len(inputs), self.pending, 0
-        if not pending:
-            return size
-        offsets = inputs[size - pending :]
-        for scale in self.scales:
-            np.multiply(scale, offsets, out=offsets)
-        offsets -= self.held[0]
-        inside = np.all(_row_dot(offsets, offsets) <= self.held[1], axis=1)
-        hits = pending if inside.all() else int(np.argmin(inside))
-        self.misses = 0 if hits else self.misses
-        if hits < pending:
-            # A hit before the miss has reset the count; the wait is 2^misses of the new count.
-            self.held, self.misses, self.wait = None, self.misses + 1, min(2 << self.misses, _BACKOFF)
-        return size - pending + hits
+        if pending:
+            offsets = inputs[size - pending :]
+            for scale in self.scales:
+                np.multiply(scale, offsets, out=offsets)
+            offsets -= self.held[0]
+            inside = np.all(_row_dot(offsets, offsets) <= self.held[1], axis=1)
+            if not inside.all():
+                self.held, self.missed = None, True
+                return size - pending + int(np.argmin(inside))
+        self.missed = False
+        return size
 
 
 @dataclass(frozen=True)
@@ -458,7 +450,8 @@ class GmmPrior:
         and where every row lies within its certified radius they are
         bitwise what the full route returns (see ``_certify``). Any other
         call runs the full route, and a stack it finds wholly concentrated
-        becomes the new anchor, unless the basin is backing off after misses.
+        becomes the new anchor, unless the call is run again after a miss in
+        the same stop block (``_Basin.missed``).
         """
         if rho.size == 1:
             return _component_rows(points, rho, shrunk)
@@ -474,7 +467,7 @@ class GmmPrior:
         far = logs <= -self._gap
         others = far.shape[0] - 1
         if np.count_nonzero(far) == others * far.shape[1]:
-            if basin is None or basin.wait:
+            if basin is None or basin.missed:
                 return self._one_component_rows(points, far, rho, shrunk)
             return self._certify(basin, points, logs, far, t, log_norm, rho, shrunk)
         r, total = _softmax(logs)
@@ -487,9 +480,13 @@ class GmmPrior:
             out[rows] = self._one_component_rows(points[rows], far[:, rows], rho, shrunk)
         return out
 
+    def _left_out(self, far) -> np.ndarray:
+        """The one component each column of ``far`` leaves out."""
+        return (self._component_index @ ~far).astype(np.intp)
+
     def _one_component_rows(self, points, far, rho, shrunk) -> np.ndarray:
         """``rho_k y + (1 - rho_k) mu_k`` on each row, for the one component ``k`` its column of ``far`` leaves out."""
-        k = (self._component_index @ ~far).astype(np.intp)
+        k = self._left_out(far)
         return _component_rows(points, rho[k][:, None], shrunk[k])
 
     def _certify(self, basin, points, logs, far, t, log_norm, rho, shrunk) -> np.ndarray:
@@ -542,8 +539,7 @@ class GmmPrior:
         # A, which bounds |mu_i - c|^2 / 2 and |y - c|^2 / 2 for every y within 1 of a row.
         reach = np.sqrt(_row_dot(points - self._centre, points - self._centre)) * (1.0 + unit) + 1.0
         size = 0.5 * reach * reach + float(np.max(self._centred_half_sq)) * (1.0 + unit)
-        # The one component each column of far leaves out.
-        k = np.argmax(~far, axis=0)
+        k = self._left_out(far)
         # Each component's D_i / t_i, then each other one's slope D_k / t_k + D_j / t_j + 1 / (2 t_k).
         slope = self._half_sq_dists(points)
         np.sqrt(np.multiply(slope, 2.0, out=slope), out=slope)

@@ -17,16 +17,18 @@ takes the operator's ``_normal_residual``. It is the one place that folds:
 over a mask, a denoiser chain with a pair ``(coef, off)``
 (``Denoiser._diagonal``) is fused with the step, so an iteration is one
 multiply and one add; every other solve runs the chain's ``_apply`` after
-the step. It tests for a stop once per block of at most n iterations
-rather than once per iteration, runs the whole stack until its last row
-stops and records each row where :func:`pnp_pgd` would have stopped on it.
+the step. It tests for a stop once per block of iterations rather than
+once per iteration, every block one size of at most n iterations, runs the
+whole stack until its last row stops and records each row where
+:func:`pnp_pgd` would have stopped on it.
 Its stop norms are row dots, one pass over the block each, and round
 differently from ``np.linalg.norm``; its iterates are bitwise those of a
 loop that tests every iteration, and those of :func:`pnp_pgd` wherever the
 solve is not fused, up to the sign of a zero. Over a mixture prior it also
 holds a per-solve basin (``prior._Basin``), which lets the posterior mean
 skip its distances while every row provably stays on its component, proved
-by one test per stop block, with outputs bitwise those of the full route.
+by one test per stop block and certified at most once per block, with
+outputs bitwise those of the full route.
 """
 
 from __future__ import annotations
@@ -58,15 +60,14 @@ __all__ = [
 # maps (e.g. homogeneous scaling of the wrong base) must be recorded, not crash.
 _DIVERGENCE_NORM = 1e12
 
-# Fewest iterations per stop test in pnp_pgd_batch, or n if fewer. A block
-# grows with the iterations a solve has run, to an eighth of them, so a solve
-# runs at most max(_STOP_BLOCK - 1, iterations / 8) iterations past its last
-# stop. A block is at most n iterations, and the block's iterates and their
-# differences, 2 m n floats per iteration, stay within the _BLOCK_FLOATS
-# budget that sizes every Monte-Carlo and Lipschitz block: at most 25
-# iterations on stability's 10 x 64 stack, and _STOP_BLOCK on any stack of
-# m n >= 2048, conv-reg's 32 x 64 among them. Fixed blocks of 128 slowed
-# conv-reg.
+# Fewest iterations per stop test in pnp_pgd_batch, or n if fewer. Every
+# block of a solve but a shorter last one is as long as the block's iterates
+# and their differences, 2 m n floats per iteration, fit the _BLOCK_FLOATS
+# budget that sizes every Monte-Carlo and Lipschitz block, but at most n and
+# never under this, so a solve runs at most one block less one iteration
+# past its last stop: blocks of 25 on stability's 10 x 64 stack, and of
+# _STOP_BLOCK on any stack of m n >= 2048, conv-reg's 32 x 64 among them.
+# Blocks of 128 slowed conv-reg.
 _STOP_BLOCK = 8
 
 # Stacks of m rows a batched solve holds at once, at most: the block buffer
@@ -91,26 +92,17 @@ _STOP_BLOCK = 8
 # are n wide, measurements and their residuals out_dim, and a mixture
 # denoiser's distances and responsibilities K, so each stack is counted at
 # the widest of the three, as the solve protocols cap their grids
-# (experiments._solve_grid). A block grown past _STOP_BLOCK keeps its
+# (experiments._solve_grid). A block longer than _STOP_BLOCK keeps its
 # iterates after the first, and their differences, within _BLOCK_FLOATS
 # floats in place of those 2 * _STOP_BLOCK stacks.
 _SOLVE_STACKS = (_STOP_BLOCK + 1) + _STOP_BLOCK + 2 + 2 + 6 + 3
 
 
 def _block_cap(m: int, n: int, max_iters: int) -> int:
-    """Most iterations of one stop block of an (m, n) stack: at most n and ``max_iters``, its
-    iterates and differences within ``_BLOCK_FLOATS`` floats, never under ``min(_STOP_BLOCK, n)``."""
+    """Iterations of every stop block of an (m, n) stack but a shorter last one: at most n and
+    ``max_iters``, its iterates and differences within ``_BLOCK_FLOATS`` floats, never under
+    ``min(_STOP_BLOCK, n)``."""
     return max(min(_STOP_BLOCK, n), min(n, max_iters, _BLOCK_FLOATS // (2 * m * n)))
-
-
-def _stop_blocks(cap: int, max_iters: int):
-    """``(start, size)`` of each block of a solve: ``_STOP_BLOCK`` iterations, or
-    an eighth of those already run if more, at most ``cap``, up to ``max_iters``."""
-    start = 0
-    while start < max_iters:
-        size = min(cap, max(_STOP_BLOCK, start // 8), max_iters - start)
-        yield start, size
-        start += size
 
 
 class DivergenceError(RuntimeError):
@@ -313,10 +305,11 @@ def pnp_pgd_batch(
     block is at most n iterations, so the stop test's (block, m) arrays, at
     most one stack each, stand in for an iteration's freed temporaries.
 
-    Every iteration runs the whole stack. The iterations run in blocks of
-    ``_STOP_BLOCK``, or n if fewer, growing to an eighth of the iterations
-    run as far as n and the block's iterates and differences in
-    ``_BLOCK_FLOATS`` allow (see :func:`_stop_blocks`). A block's iterates
+    Every iteration runs the whole stack, in stop blocks of one size (see
+    :func:`_block_cap`): as many iterations as n and the block's iterates
+    and differences in ``_BLOCK_FLOATS`` allow, but never under
+    ``_STOP_BLOCK``, or n if fewer; only the last block may be shorter. A
+    block's stop test gives the same records at any size. A block's iterates
     fill one buffer; row-dot norms of its iterates and of their successive
     differences, one pass over the block each, then find each running row's
     first stopping iterate and record the row there, and the loop ends after
@@ -343,10 +336,11 @@ def pnp_pgd_batch(
     block's end one vectorised test (``_Basin.first_miss``) checks the
     held calls' stored inputs against the anchor: if every row of every
     one lies within its radius, their outputs are bitwise the full route's.
-    Otherwise the basin records a miss at the first call with a row
-    outside, and the block runs again from that call, on the full route,
-    which may certify again; its held calls are then tested the same way.
-    So the iterates are bitwise those of a solve without a basin. The
+    Otherwise the basin drops its anchor at the first call with a row
+    outside, and the block runs again from that call on the full route,
+    which certifies nothing until the block ends; the next block may
+    certify again. So the basin certifies at most once per stop block, and
+    the iterates are bitwise those of a solve without a basin. The
     default conv-reg solve forms distances on 1 of its 300 calls and tests
     its basin once per stop block. Folded one-Gaussian chains
     (stability), :func:`pnp_pgd`, the Monte-Carlo pass and
@@ -395,7 +389,8 @@ def pnp_pgd_batch(
         else:
             basin = _solve_basin(denoiser)
             denoise = denoiser._apply if basin is None else partial(denoiser._apply, basin=basin)
-        for start, size in _stop_blocks(cap, config.max_iters):
+        for start in range(0, config.max_iters, cap):
+            size = min(cap, config.max_iters - start)
             if fused:
                 for j in range(size):
                     out = slots[j + 1]

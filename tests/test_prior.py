@@ -1040,48 +1040,55 @@ class TestBasin:
             assert len(formed) == formed_before + 5
         assert len(formed) == 50 + 2
 
-    def test_a_stack_that_leaves_its_radius_on_every_call_backs_off(self, monkeypatch):
-        """Two concentrated stacks far apart, in turn, one call per block: after each
-        recorded miss the basin waits twice as long, up to ``_BACKOFF`` calls, before it
-        certifies again."""
+    def test_a_stack_that_leaves_its_radius_on_every_call_certifies_once_per_block(self, monkeypatch):
+        """Two concentrated stacks far apart, in turn, in blocks of five calls: each block's
+        first call certifies, its second misses, and the block runs again from there on the
+        full route, which forms the distances on every call and certifies nothing, although
+        every stack it meets is concentrated. The next block certifies again."""
         rng = np.random.default_rng(6)
         prior = _separated_prior(rng, 3, 4, 0.0)
         constants = prior._posterior_constants(0.3)
         labels = rng.integers(0, 3, 4)
-        stacks = [prior.means[labels], prior.means[(labels + 1) % 3]]
-        certified = []
-        certify = GmmPrior._certify
-        monkeypatch.setattr(GmmPrior, "_certify", lambda self, *a: certified.append(i) or certify(self, *a))
+        stacks = [prior.means[labels], prior.means[(labels + 1) % 3]] * 2 + [prior.means[labels]]
+        events = []
+        certify, half_sq_dists = GmmPrior._certify, GmmPrior._half_sq_dists
+        monkeypatch.setattr(GmmPrior, "_certify", lambda self, *a: events.append("certify") or certify(self, *a))
+        monkeypatch.setattr(GmmPrior, "_half_sq_dists", lambda self, p: events.append("dists") or half_sq_dists(self, p))
         basin = prior_module._Basin()
-        misses = []
-        for i in range(300):
-            (got,), tests = _basin_block(prior, constants, basin, [stacks[i % 2]])
-            np.testing.assert_array_equal(got, prior._posterior_mean(stacks[i % 2], *constants))
-            if tests[0] == 0:
-                misses.append(i)
-        # Waits of 1, 3, 7, 15 and 31 calls after the misses, then _BACKOFF - 1 = 31 each.
-        assert prior_module._BACKOFF == 32
-        assert certified == [0, 2, 6, 14, 30] + list(range(62, 300, 32))
-        # Each certification's next call misses, and is tested once more after it runs again.
-        assert misses == [i + 1 for i in certified]
+        for _ in range(20):
+            events.clear()
+            got, tests = _basin_block(prior, constants, basin, stacks)
+            assert tests == [1, 5]
+            # The first call's route and radii, then the rerun's four calls.
+            assert events == ["dists", "certify", "dists"] + ["dists"] * 4
+            assert (basin.held, basin.missed, basin.pending) == (None, False, 0)
+            for call, out in zip(stacks, got):
+                np.testing.assert_array_equal(out, prior._posterior_mean(call, *constants))
 
     def test_a_block_runs_again_from_its_first_miss(self):
-        """A block of held calls that leaves its radius at its third call: the test passes the
-        first two, records one miss and returns 2, and the wait starts from the count the
-        hits reset."""
+        """A block of held calls that leaves its radius at its third: the test passes the
+        first two, drops the anchor and returns 3. The calls made again from there certify
+        nothing and leave no call pending, so the block's next test passes and clears the
+        miss, and the next block's first call certifies again."""
         rng = np.random.default_rng(7)
         prior = _separated_prior(rng, 3, 4, 0.0)
         constants = prior._posterior_constants(0.3)
         labels = rng.integers(0, 3, 4)
         near, far = prior.means[labels], prior.means[(labels + 1) % 3]
         basin = prior_module._Basin()
-        basin.misses = 3
         prior._posterior_mean(near, *constants, basin=basin)
         for call in (near, near, far, near):
             prior._posterior_mean(call, *constants, basin=basin)
         assert basin.pending == 4
         assert basin.first_miss(np.array([near, near, near, far, near])) == 3
-        assert (basin.held, basin.misses, basin.wait, basin.pending) == (None, 1, 2, 0)
+        assert (basin.held, basin.missed, basin.pending) == (None, True, 0)
+        for call in (far, near):
+            prior._posterior_mean(call, *constants, basin=basin)
+        assert (basin.held, basin.missed, basin.pending) == (None, True, 0)
+        assert basin.first_miss(np.array([near, near, near, far, near])) == 5
+        assert (basin.held, basin.missed) == (None, False)
+        prior._posterior_mean(far, *constants, basin=basin)
+        assert basin.held is not None and np.array_equal(basin.held[0], far)
 
     def test_a_solve_is_bitwise_the_solve_without_a_basin(self):
         """Batched solves over separated mixtures (K 2 to 5, n 1 to 8), on every operator kind,
@@ -1090,9 +1097,10 @@ class TestBasin:
         means, from which the stack wanders, or at a point whose gap clears ``G`` by 1e-9 to
         1e-3 nats, or draw it across to the next component at a fraction of the step. Every
         record is bitwise that of the solve with no basin, and over the examples the block
-        test both passes blocks of held calls and rolls blocks back."""
+        test both passes blocks of held calls and rolls blocks back, and a call run again
+        after a miss finds its stack concentrated and does not certify it."""
         outcomes = set()
-        first_miss = prior_module._Basin.first_miss
+        first_miss, posterior_mean = prior_module._Basin.first_miss, GmmPrior._posterior_mean
 
         def spy(basin, inputs):
             pending = basin.pending
@@ -1100,6 +1108,18 @@ class TestBasin:
             if pending:
                 outcomes.add("verified" if found == len(inputs) else "rolled back")
             return found
+
+        def mean_spy(prior, points, t, log_norm, rho, shrunk, half_sq=None, basin=None):
+            missed = basin is not None and basin.missed
+            out = posterior_mean(prior, points, t, log_norm, rho, shrunk, half_sq, basin)
+            if missed:
+                assert basin.held is None
+                # A fresh basin shows whether this stack would have been certified.
+                fresh = prior_module._Basin()
+                posterior_mean(prior, points, t, log_norm, rho, shrunk, half_sq, fresh)
+                if fresh.held is not None:
+                    outcomes.add("refused")
+            return out
 
         @settings(max_examples=150, deadline=None, derandomize=True)
         @given(
@@ -1163,5 +1183,6 @@ class TestBasin:
                 assert np.array_equal(getattr(got, field), getattr(want, field))
 
         with mock.patch.object(prior_module._Basin, "first_miss", spy):
-            check()
-        assert outcomes == {"verified", "rolled back"}
+            with mock.patch.object(GmmPrior, "_posterior_mean", mean_spy):
+                check()
+        assert outcomes == {"verified", "rolled back", "refused"}

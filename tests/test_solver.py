@@ -33,7 +33,6 @@ from pnplab.solver import (
     NoUniqueFixedPointError,
     PnpConfig,
     _block_cap,
-    _stop_blocks,
     averagedness_theta,
     compose_averaged,
     linear_fixed_point_oracle,
@@ -659,7 +658,7 @@ class TestStopTest:
 
 
 # The clock's width: a block is at most n iterations, so its few rows need this many
-# entries for their blocks to grow past _STOP_BLOCK and reach their cap.
+# entries for their blocks to run longer than _STOP_BLOCK.
 _CLOCK_DIM = 32
 
 
@@ -678,8 +677,11 @@ class _Clock(Denoiser):
     """
 
     dim = _CLOCK_DIM
+    # Calls made, one per batched iteration.
+    calls = 0
 
     def __call__(self, y):
+        self.calls += 1
         y = self._check(y)
         out = y.copy()
         out[:, 0] = np.minimum(y[:, 0] + 1.0, y[:, 1])
@@ -697,14 +699,17 @@ def _clock_point(count, s, d):
     return np.pad(np.array([count, s, d], dtype=float), (0, _CLOCK_DIM - 3))
 
 
-def _assert_clock_rows_stop_as_before(stops, max_iters):
-    """Rows given as (s, d) pairs stop as under the old stop test and as the serial solve."""
+def _assert_clock_rows_stop_as_before(stops, max_iters, ran=None):
+    """Rows given as (s, d) pairs stop as under the old stop test and as the serial solve;
+    the batched solve runs ``ran`` iterations, if given."""
     ys = np.array([_clock_point(0.0, s, d) for s, d in stops])
     m = ys.shape[0]
     cfg = PnpConfig(tau=1.0, max_iters=max_iters, tol=1e-9)
-    denoiser = ScaledDenoiser(_Clock(), np.ones(m))
+    clock = _Clock()
+    denoiser = ScaledDenoiser(clock, np.ones(m))
     # No errstate here: iterates computed after a row stopped must not warn.
     batch = pnp_pgd_batch(_CLOCK_OP, ys, denoiser, cfg)
+    assert ran is None or clock.calls == ran
     with np.errstate(over="ignore", invalid="ignore"):
         iterations, converged, diverged = _old_stop_oracle(_CLOCK_OP, ys, denoiser, 1.0, cfg)
     np.testing.assert_array_equal(batch.iterations, iterations)
@@ -751,8 +756,9 @@ def _whole_stack_oracle(op, ys, denoiser, tau, config):
 
 
 class TestStopBlocks:
-    """The stop test runs once per block of ``_STOP_BLOCK`` iterations, or of an
-    eighth of the iterations run, as far as the block fits its float budget."""
+    """The stop test runs once per block of ``_block_cap`` iterations, the most that n
+    and the float budget allow but never under ``_STOP_BLOCK``; only the last block of a
+    solve may be shorter."""
 
     @pytest.mark.parametrize("kind", ["mask", "conv1d", "dense"])
     def test_a_row_left_alone_runs_alone(self, kind):
@@ -902,55 +908,59 @@ class TestStopBlocks:
         assert _block_cap(m, n, max_iters) == cap
         # A block is at most n iterations, so each of the stop test's (block, m) arrays is one stack at most.
         assert cap <= n
-        # A grown block's iterates after the first, and their squares, fit the budget.
+        # A block longer than _STOP_BLOCK keeps its iterates after the first, and their differences, in the budget.
         assert cap == min(_STOP_BLOCK, n) or 2 * cap * m * n <= _BLOCK_FLOATS
-        starts, sizes = zip(*_stop_blocks(cap, min(max_iters, 50_000)))
-        assert starts[0] == 0 and sum(sizes) == min(max_iters, 50_000)
-        assert np.array_equal(np.cumsum(sizes)[:-1], starts[1:])
-        for start, size in zip(starts, sizes):
-            # A row stopping at the block's first iteration waits size - 1 more.
-            assert 1 <= size <= cap and size - 1 <= max(_STOP_BLOCK - 1, start // 8)
+        iterations = min(max_iters, 50_000)
+        sizes = [min(cap, iterations - start) for start in range(0, iterations, cap)]
+        assert set(sizes[:-1]) <= {cap} and 1 <= sizes[-1] <= cap and sum(sizes) == iterations
+        # A row that stops at iteration s leaves the solve running to its block's end, at most cap - 1 more.
+        stops = np.arange(1, iterations + 1)
+        ends = np.minimum(-(-stops // cap) * cap, iterations)
+        assert np.all(ends - stops <= cap - 1)
 
     @pytest.mark.parametrize(
-        "m, max_iters, last_stop, stop_tests, iterations",
-        [(10, 20000, 2095, 94, 2104), (32, 300, 300, 38, 300)],
+        "experiment, cap, stop_tests, iterations",
+        [("stability", 25, 84, 2100), ("conv-reg", _STOP_BLOCK, 38, 300)],
         ids=["stability", "conv-reg"],
     )
-    def test_default_solves_stop_tests(self, m, max_iters, last_stop, stop_tests, iterations):
-        """The default stability solve's last row stops at iteration 2095: 94
-        stop tests over 2104 batched iterations, where fixed blocks of 8 made
-        262 over 2096. conv-reg's 300-iteration solve keeps its 38."""
-        blocks = []
-        for start, size in _stop_blocks(_block_cap(m, 64, max_iters), max_iters):
-            blocks.append(size)
-            if start + size >= last_stop:
-                break
+    def test_default_solves_stop_tests(self, monkeypatch, experiment, cap, stop_tests, iterations):
+        """The default stability solve's last row stops at iteration 2095, in its 84th block
+        of 25: 84 stop tests over 2100 batched iterations, where fixed blocks of 8 made 262
+        over 2096. conv-reg's 300-iteration solve keeps its 38 blocks of 8, the last of 4."""
+        sizes = []
+        row_dot = pnplab.solver._row_dot
+        monkeypatch.setattr(pnplab.solver, "_row_dot", lambda a, b: sizes.append(len(a)) or row_dot(a, b))
+        run_experiment(experiment, {})
+        # A stop test takes two row dots over its block: the iterates' and their differences'.
+        blocks = sizes[::2]
+        assert sizes[1::2] == blocks
         assert (len(blocks), sum(blocks)) == (stop_tests, iterations)
+        assert set(blocks[:-1]) == {cap}
 
     @pytest.mark.parametrize("max_iters", [175, 400])
-    def test_rows_stop_in_grown_and_capped_blocks(self, monkeypatch, max_iters):
-        """A budget of 20 iterations for this 14-row stack: blocks of 8 up to
-        iteration 72, then 9, 10, ... 18, then 20 from iteration 162 on."""
+    def test_rows_stop_in_blocks_of_the_budgets_cap(self, monkeypatch, max_iters):
+        """A budget of 20 iterations for this 14-row stack: blocks of 20 from the first
+        iteration on, the last cut to 15 by ``max_iters`` = 175. The last row stops at
+        iteration 201 under a cap of 400, the first of its block, so the solve runs 19 more."""
         monkeypatch.setattr(pnplab.solver, "_BLOCK_FLOATS", 2 * 20 * 14 * _CLOCK_DIM)
         assert _block_cap(14, _CLOCK_DIM, max_iters) == 20
-        assert [size for start, size in _stop_blocks(20, 202) if start >= 64] == [
-            8, 9, 10, 11, 12, 14, 16, 18, 20, 20,
-        ]
-        # Stops at both ends of the last block of 8, of grown blocks and of capped ones.
-        converging = [(s - 1, 0) for s in (72, 73, 81, 90, 91, 128, 162, 163, 182, 183, 201)]
+        # Stops at both ends of the first block, of middle ones and of the last.
+        stops = (1, 20, 21, 40, 41, 90, 160, 161, 175, 180, 201)
+        converging = [(s - 1, 0) for s in stops]
         diverging = [(500, d) for d in (80, 144, 174)]
-        batch = _assert_clock_rows_stop_as_before(converging + diverging, max_iters)
-        expected = np.minimum([72, 73, 81, 90, 91, 128, 162, 163, 182, 183, 201, 80, 144, 174], max_iters)
+        batch = _assert_clock_rows_stop_as_before(converging + diverging, max_iters, ran=min(220, max_iters))
+        expected = np.minimum(stops + (80, 144, 174), max_iters)
         np.testing.assert_array_equal(batch.iterations, expected)
 
-    def test_rows_stop_in_blocks_grown_under_the_real_budget(self):
-        """Four clock rows fit blocks of up to 128 iterations and n = 32 cuts that, so the
-        blocks grow to an eighth of the iterations run, are held at 32 from iteration 257
-        on, and ``max_iters`` cuts the last one."""
+    def test_rows_stop_in_blocks_of_n_under_the_real_budget(self):
+        """Four clock rows fit blocks of up to 128 iterations and n = 32 cuts that, so every
+        block is 32 iterations but the last, which ``max_iters`` cuts to 13: the solve runs
+        to the end of the block in which its last row stops, the cut one included."""
         assert _block_cap(4, _CLOCK_DIM, 397) == _CLOCK_DIM < _BLOCK_FLOATS // (2 * 4 * _CLOCK_DIM)
-        assert [size for start, size in _stop_blocks(_CLOCK_DIM, 397)][-3:] == [32, 32, 12]
-        batch = _assert_clock_rows_stop_as_before([(71, 0), (150, 0), (500, 300), (379, 0)], 397)
+        batch = _assert_clock_rows_stop_as_before([(71, 0), (150, 0), (500, 300), (379, 0)], 397, ran=384)
         assert list(batch.iterations) == [72, 151, 300, 380]
+        batch = _assert_clock_rows_stop_as_before([(71, 0), (500, 300), (385, 0)], 397, ran=397)
+        assert list(batch.iterations) == [72, 300, 386]
 
     @settings(max_examples=15, deadline=None, derandomize=True)
     @given(
@@ -960,14 +970,14 @@ class TestStopBlocks:
         ),
     )
     def test_random_late_stops_in_small_blocks(self, max_iters, stops):
-        """Blocks capped at 12 iterations from iteration 96 on."""
+        """Blocks of 12 iterations, the budget's cap, from the first iteration on."""
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(pnplab.solver, "_BLOCK_FLOATS", 2 * 12 * len(stops) * _CLOCK_DIM)
             _assert_clock_rows_stop_as_before(stops, max_iters)
 
     @pytest.mark.parametrize("stop", [65, 72, 73, 81, 82, 91, 128, 163, 334, 400])
     def test_one_row_reproduces_pnp_pgd_bitwise_past_iteration_64(self, stop):
-        """The fixture converges at iteration 334, in a grown block."""
+        """The fixture converges at iteration 334, in a block of n = 12."""
         rng = np.random.default_rng(9)
         n = 12
         prior = GmmPrior([0.4, 0.6], rng.standard_normal((2, n)), [0.3, 0.5])
@@ -1117,7 +1127,7 @@ class TestSolveMemory:
     )
     def test_one_solve_stays_within_its_counted_stacks(self, k, n, mode, gamma, per_row, shrink, out_dim):
         """The scaled denoiser's construction and one solve of m rows peak within
-        ``_SOLVE_STACKS`` (m, max(n, K, out_dim)) float arrays, or a grown
+        ``_SOLVE_STACKS`` (m, max(n, K, out_dim)) float arrays, or a long
         block's ``_BLOCK_FLOATS`` and the other stacks, whichever is larger,
         plus a fixed slack for small arrays and numpy's iteration buffers."""
         rng = np.random.default_rng(k)
@@ -1159,7 +1169,7 @@ class TestSolveMemory:
         """2000 iterations that never meet ``tol``, on stacks one or two wide, where
         ``_BLOCK_FLOATS`` would fit longer blocks: a block is at most n iterations, so the
         stop test's (size, m) arrays stay within a stack each and the peak within the count
-        itself, where blocks grown to the budget would pass it."""
+        itself, where blocks as long as the budget allows would pass it."""
         rng = np.random.default_rng(n)
         base = MmseDenoiser(GmmPrior([1.0], rng.standard_normal((1, n)), [0.5]), 0.3)
         ys = rng.standard_normal((m, n))
@@ -1178,7 +1188,7 @@ class TestSolveMemory:
         """Stability's chain (one Gaussian, ``OutputShrink``, tweedie scale), whose gradient
         step folds into its multiply-add: the gain and shift stacks take the place of an
         iteration's temporaries, in short solves and in 2000 iterations
-        whose blocks grow to ``_BLOCK_FLOATS``."""
+        whose blocks fill ``_BLOCK_FLOATS``."""
         rng = np.random.default_rng(m)
         n = 64
         base = OutputShrink(MmseDenoiser(GmmPrior([1.0], rng.standard_normal((1, n)), [1.0]), 0.1), 0.999)
@@ -1235,7 +1245,7 @@ def _solve_peak(op, ys, base, deltas, mode, gamma, config) -> int:
 
 
 def _counted_bytes(stack: int) -> int:
-    """The solve's documented peak: ``_SOLVE_STACKS`` stacks of ``stack`` floats, or a grown
+    """The solve's documented peak: ``_SOLVE_STACKS`` stacks of ``stack`` floats, or a long
     block's ``_BLOCK_FLOATS`` and the other stacks, whichever is larger."""
     fixed = (_SOLVE_STACKS - 2 * _STOP_BLOCK) * stack
     return max(_SOLVE_STACKS * stack, _BLOCK_FLOATS + fixed) * 8
@@ -1417,7 +1427,7 @@ class TestBasinSolves:
         monkeypatch.setattr(GmmPrior, "_half_sq_dists", _counted(calls, "dists", GmmPrior._half_sq_dists))
         monkeypatch.setattr(pnplab.prior._Basin, "first_miss", _counted(calls, "tests", pnplab.prior._Basin.first_miss))
         run_experiment("conv-reg", {})
-        blocks = len(list(_stop_blocks(_block_cap(32, 64, 300), 300)))
+        blocks = len(range(0, 300, _block_cap(32, 64, 300)))
         assert blocks == 38
         assert calls["mean"] == 300 and calls["dists"] <= 3 and 0 < calls["tests"] <= blocks
 
