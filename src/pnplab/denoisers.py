@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .config import FACTOR, POSITIVE, count, real, real_array, require
-from .prior import GmmPrior, _Basin, _check_sigma
+from .prior import GmmPrior, _Basin, _check_sigma, _component_rows
 
 __all__ = [
     "Denoiser",
@@ -92,8 +92,10 @@ class MmseDenoiser(Denoiser):
     runs several of these over one prior passes ``half_sq``, the prior's
     (K, m) half squared distances to the rows of ``y``
     (``GmmPrior._half_sq_dists``), formed once for all of them, and a
-    batched solve passes its ``basin`` (see :func:`_solve_basin`); both go
-    by keyword, and the checked call takes the points only.
+    batched solve's innermost output map passes its ``basin`` (see
+    :func:`_solve_basin`) on the calls it makes while the basin holds
+    nothing, so that the prior may certify one; both go by keyword, and the
+    checked call takes the points only.
     """
 
     def __init__(self, prior: GmmPrior, sigma: float):
@@ -208,10 +210,18 @@ class _OutputMap(Denoiser):
     def _apply(self, y, out=None, basin=None):
         """The unchecked map; its result is written into ``out`` when one is given.
 
-        A solve's ``basin`` (see :func:`_solve_basin`) is passed on to the base by keyword.
+        A solve's ``basin`` (see :func:`_solve_basin`) is passed on to the base by keyword,
+        down to the chain's innermost map, which answers the basin's held rows itself: while
+        ``basin.held_rows()`` gives a component's ``(rho_k, (1 - rho_k) mu_k)`` stacks, its base
+        term is their ``_component_rows`` on ``inner * y``, bitwise what the base would return,
+        and the mixture denoiser is not called. Otherwise the base runs with the basin.
         """
         x = y if self._inner is None else self._inner * y
-        term = self.base._apply(x) if basin is None else self.base._apply(x, basin=basin)
+        held = None if basin is None or isinstance(self.base, _OutputMap) else basin.held_rows()
+        if held is not None:
+            term = _component_rows(x, *held)
+        else:
+            term = self.base._apply(x) if basin is None else self.base._apply(x, basin=basin)
         if self._keep is None:
             return np.multiply(self._weight, term, out=out)
         term = self._weight * term
@@ -354,7 +364,8 @@ def _solve_basin(denoiser):
 
     Only a chain of output maps that ends at a mixture denoiser of more than
     one component gets one (such a chain has no pair); each map passes it on
-    to its base by keyword, down to the prior's posterior mean. The basin
+    to its base by keyword, and the innermost map answers the held rows or
+    passes it on to the prior's posterior mean, which certifies. The basin
     keeps the maps' argument factors (``inner``), outermost first, which
     carry a solve's denoiser inputs to the points the prior sees.
     """

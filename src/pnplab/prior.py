@@ -40,14 +40,16 @@ follows from K; it is not a setting. The score, the responsibilities and
 
 A batched solve skips even the distances while its stack provably stays on
 its components. :func:`~pnplab.solver.pnp_pgd_batch` creates one
-``_Basin`` per solve over a mixture and passes it down, by keyword, to
-``_posterior_mean``. When the full route finds a whole stack concentrated,
-``_certify`` keeps a copy of it (the anchor), each row's ``rho_k`` and
-``(1 - rho_k) mu_k`` and a radius per row: by a Lipschitz bound on the
-log-terms' gaps, less a rounding margin that grows with their size, every
-row within its radius of the anchor is concentrated on the same component
-in the computed log-terms. While the basin holds, every call returns those
-rows' formula with no distance formed and no test; at the end of each stop
+``_Basin`` per solve over a mixture and passes it down, by keyword, through
+its chain of output maps. When the full route finds a whole stack
+concentrated, ``_certify`` keeps a copy of it (the anchor), each row's
+``rho_k`` and ``(1 - rho_k) mu_k`` as contiguous (m, n) stacks, and a radius
+per row: by a Lipschitz bound on the log-terms' gaps, less a rounding
+margin that grows with their size, every row within its radius of the
+anchor is concentrated on the same component in the computed log-terms.
+While the basin holds, the chain's innermost output map answers every call
+with those rows' formula (``_component_rows``), with no distance formed, no
+test and no call into this module's routes; at the end of each stop
 block the solver tests the held calls' inputs together
 (``_Basin.first_miss``). Where every row of every one lies within its
 radius, their outputs are bitwise the full route's. At the first that does
@@ -213,9 +215,10 @@ def _mixture_mean(points, r, rho, shrunk) -> np.ndarray:
 def _component_rows(points, rho_k, shrunk_k) -> np.ndarray:
     """``rho_k y + (1 - rho_k) mu_k`` of one component per row, or of one for all rows.
 
-    ``rho_k`` is an (m, 1) column or a 0-d array, and ``shrunk_k`` an (m, n)
-    stack or an (n,) row, so a row's output does not depend on how its
-    component's constants were gathered.
+    ``rho_k`` is an (m, n) stack, an (m, 1) column or a 0-d array, and
+    ``shrunk_k`` an (m, n) stack or an (n,) row, so a row's output does not
+    depend on how its component's constants were gathered. A basin's held
+    rows are two contiguous (m, n) stacks, which no ufunc broadcasts.
     """
     out = points * rho_k
     out += shrunk_k
@@ -228,13 +231,16 @@ class _Basin:
     ``held`` is None or ``(anchor, radius_sq, rho_k, shrunk_k)``: a copy of
     the last stack whose every row the full route found concentrated, each
     on its component k, a squared radius per row (see
-    ``GmmPrior._certify``), and each row's ``rho_k``, an (m, 1) column, and
-    ``(1 - rho_k) mu_k``, an (m, n) stack. While it holds, every call
-    returns those rows' one-component formula untested and counts itself in
-    ``pending``. A call whose every row lies within its radius of the anchor
-    is concentrated on the same components, so that formula is its output;
-    :meth:`first_miss` tests a stop block's pending calls at once, and the
-    solver runs the block again from the first that missed. Any call made
+    ``GmmPrior._certify``), and each row's ``rho_k`` and ``(1 - rho_k)
+    mu_k``, both C-contiguous (m, n) float64 stacks. While it holds, the
+    solve's innermost output map answers every call with those rows'
+    one-component formula (``_component_rows``), untested, and
+    :meth:`held_rows` counts the call in ``pending``; the mixture denoiser
+    and the prior are not called. A call whose every row lies within its
+    radius of the anchor is concentrated on the same components, so that
+    formula is its output; :meth:`first_miss` tests a stop block's pending
+    calls at once, and the solver runs the block again from the first that
+    missed. Any call made
     while nothing is held runs the full route, which certifies a new anchor
     when it finds the whole stack concentrated, unless ``missed``: a miss
     sets it, and the block's end clears it, so the calls run again from a
@@ -242,8 +248,8 @@ class _Basin:
     most one certification, and runs the rest of one stop block twice, per
     block. ``scales`` are the factors by which the solve's chain of output
     maps multiplies its input before the prior sees it, outermost first.
-    The solver creates one per solve and passes it down to the prior;
-    nothing else holds one.
+    The solver creates one per solve and passes it down its chain of output
+    maps; nothing else holds one.
     """
 
     __slots__ = ("held", "missed", "pending", "scales")
@@ -252,7 +258,8 @@ class _Basin:
         self.held, self.missed, self.pending, self.scales = None, False, 0, scales
 
     def held_rows(self):
-        """``(rho_k, shrunk_k)`` while a stack is held, the call then pending its test; else None."""
+        """The held ``(rho_k, shrunk_k)`` stacks while a stack is held, the call then pending
+        its test; else None."""
         if self.held is not None:
             self.pending += 1
             return self.held[2:]
@@ -443,22 +450,16 @@ class GmmPrior:
         tested for that, since every concentrated row's do.
 
         ``basin`` is a batched solve's ``_Basin``, passed down by keyword
-        from :func:`~pnplab.solver.pnp_pgd_batch`; no other caller gives one.
-        While it holds an anchor, a call returns the anchor's one-component
-        rows on ``points`` without forming a distance or testing them; the
-        solver tests them at its stop block's end (``_Basin.first_miss``),
-        and where every row lies within its certified radius they are
-        bitwise what the full route returns (see ``_certify``). Any other
-        call runs the full route, and a stack it finds wholly concentrated
-        becomes the new anchor, unless the call is run again after a miss in
-        the same stop block (``_Basin.missed``).
+        from :func:`~pnplab.solver.pnp_pgd_batch` through its chain of output
+        maps; no other caller gives one. It is given only to certify: while
+        the basin holds an anchor, the chain's innermost map answers the call
+        itself (``_OutputMap._apply``) and this route is not reached. A stack
+        this route finds wholly concentrated becomes the new anchor, unless
+        the call is run again after a miss in the same stop block
+        (``_Basin.missed``).
         """
         if rho.size == 1:
             return _component_rows(points, rho, shrunk)
-        if basin is not None:
-            held = basin.held_rows()
-            if held is not None:
-                return _component_rows(points, *held)
         logs = self._component_logpdf(points, t, log_norm, half_sq)
         logs -= np.maximum.reduce(logs, axis=0)
         # A row has at most K - 1 components this far below its best (none if
@@ -552,7 +553,9 @@ class GmmPrior:
         room -= (1.0 + unit) * self._gap + margin
         room /= slope
         radius = np.maximum(np.min(room, axis=0, where=far, initial=1.0), 0.0)
-        basin.held = (points.copy(), radius * radius, rho[k][:, None], shrunk[k])
+        # rho_k spread over a contiguous (m, n) stack, like (1 - rho_k) mu_k, so a held call broadcasts no column.
+        rho_k = np.repeat(rho[k][:, None], points.shape[1], axis=1)
+        basin.held = (points.copy(), radius * radius, rho_k, shrunk[k])
         return _component_rows(points, *basin.held[2:])
 
     def log_density(self, y, sigma: float = 0.0):

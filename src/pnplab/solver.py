@@ -12,8 +12,9 @@ the reference. :func:`pnp_pgd_batch` runs a stack of problems that share
 the operator, the base denoiser and the start and differ in the data and the
 scale. It checks its inputs once and then runs the unchecked routes: over a
 mask (the identity among them, a mask that hides nothing) it writes the
-gradient step ``x - (x - y) tau keep`` itself, over any other operator it
-takes the operator's ``_normal_residual``. It is the one place that folds:
+gradient step ``x - (x - y) tau keep`` itself, with ``tau keep`` spread once
+over a contiguous (m, n) stack; over any other operator it takes the
+operator's ``_normal_residual``. It is the one place that folds:
 over a mask, a denoiser chain with a pair ``(coef, off)``
 (``Denoiser._diagonal``) is fused with the step, so an iteration is one
 multiply and one add; every other solve runs the chain's ``_apply`` after
@@ -25,16 +26,17 @@ Its stop norms are row dots, one pass over the block each, and round
 differently from ``np.linalg.norm``; its iterates are bitwise those of a
 loop that tests every iteration, and those of :func:`pnp_pgd` wherever the
 solve is not fused, up to the sign of a zero. Over a mixture prior it also
-holds a per-solve basin (``prior._Basin``), which lets the posterior mean
-skip its distances while every row provably stays on its component, proved
-by one test per stop block and certified at most once per block, with
-outputs bitwise those of the full route.
+holds a per-solve basin (``prior._Basin``), which lets the chain's
+innermost output map answer a call with its rows' one-component formula,
+with no distance formed and no call into the prior, while every row
+provably stays on its component, proved by one test per stop block and
+certified at most once per block, with outputs bitwise those of the full
+route.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -75,12 +77,13 @@ _STOP_BLOCK = 8
 # holds a block's denoiser inputs, each gradient step written in place with
 # three ufuncs, before the stop test writes its successive differences
 # there, the measurements, the recorded iterates, a per-row scale's two
-# coefficient stacks (see ScaledDenoiser), six for an iteration's
-# temporaries, to which a masked step adds none, and three for either the
-# solve's basin over a mixture (see prior._Basin: its anchor, its held
-# (1 - rho_k) mu_k rows, and its rho_k and squared radii, 2 m floats, at
-# most one stack since its mixture has K >= 2 components) or a folding
-# chain's pair (coef, off), at most two stacks; a chain has one or the other.
+# coefficient stacks (see ScaledDenoiser), a mask's step factor tau keep
+# spread over one stack, six for an iteration's temporaries, to which a
+# masked step adds none, and four for either the solve's basin over a
+# mixture (see prior._Basin: its anchor, and its held rho_k and
+# (1 - rho_k) mu_k rows, each a stack, and its squared radii, m floats, at
+# most one stack) or a folding chain's pair (coef, off), at most two
+# stacks; a chain has one or the other.
 # Only a solve over a mask forms the pair, and only while it builds its gain
 # and shift stacks, which it then holds in place of an iteration's
 # temporaries. The basin's test at a block's end works in place on the
@@ -95,7 +98,7 @@ _STOP_BLOCK = 8
 # (experiments._solve_grid). A block longer than _STOP_BLOCK keeps its
 # iterates after the first, and their differences, within _BLOCK_FLOATS
 # floats in place of those 2 * _STOP_BLOCK stacks.
-_SOLVE_STACKS = (_STOP_BLOCK + 1) + _STOP_BLOCK + 2 + 2 + 6 + 3
+_SOLVE_STACKS = (_STOP_BLOCK + 1) + _STOP_BLOCK + 2 + 2 + 1 + 6 + 4
 
 
 def _block_cap(m: int, n: int, max_iters: int) -> int:
@@ -272,9 +275,11 @@ def pnp_pgd_batch(
     would stop: at convergence, at divergence (recorded in ``diverged``
     instead of raised) or at ``max_iters``. Histories are not recorded.
 
-    Over a mask the denoiser's pair ``(coef, off)``
-    (``Denoiser._diagonal``) is formed once, and the iteration takes one of
-    two paths:
+    Over a mask the step factor ``tau keep`` is spread once over a
+    contiguous (m, n) stack, which the unfused step and the fused ``gain``
+    and ``shift`` read with no broadcast. The denoiser's pair ``(coef,
+    off)`` (``Denoiser._diagonal``) is formed once, and the iteration takes
+    one of two paths:
 
     - over a mask, whose ``A^T A = diag(d)`` with ``d`` its 0/1 row
       ``keep``, a chain with a pair is fused with the step: the contiguous
@@ -292,7 +297,7 @@ def pnp_pgd_batch(
 
     Each unfused iteration writes its step, the denoiser's input, into its
     slot of the block's differences buffer: over a mask, ``x - y``, times
-    the (n,) row ``tau keep``, then subtracted from ``x``, three in-place
+    the (m, n) stack ``tau keep``, then subtracted from ``x``, three in-place
     ufuncs for every ``tau``; over any other operator, ``tau`` times the
     operator's ``_normal_residual``, then subtracted from ``x``. The whole
     loop runs under one ``np.errstate``, entered once per solve, and every
@@ -326,13 +331,16 @@ def pnp_pgd_batch(
 
     A chain that ends at a mixture :class:`~pnplab.denoisers.MmseDenoiser`
     of more than one component has no pair and gets one basin for the solve
-    (``denoisers._solve_basin``), passed to ``_apply`` by keyword on every
-    iteration and dropped with the solve. After a call that finds every
-    row's posterior concentrated on one component, the basin holds that
-    stack (the anchor), each row's component constants and a radius per
-    row from a Lipschitz bound on the log-terms' gaps, less a rounding
-    margin (``GmmPrior._certify``). While the basin holds, a call forms no
-    distance, runs no test and returns the one-component formula. At the
+    (``denoisers._solve_basin``), passed to ``_apply`` on every iteration,
+    ``denoiser._apply(step, slot, basin)``, and dropped with the solve. After
+    a call that finds every row's posterior concentrated on one component,
+    the basin holds that stack (the anchor), each row's component constants
+    as two contiguous (m, n) stacks and a radius per row from a Lipschitz
+    bound on the log-terms' gaps, less a rounding margin
+    (``GmmPrior._certify``). While the basin holds, the chain's innermost
+    output map answers each call from them (``_OutputMap._apply``): it forms
+    no distance, runs no test, calls neither the mixture denoiser nor the
+    prior and returns the one-component formula under its maps. At the
     block's end one vectorised test (``_Basin.first_miss``) checks the
     held calls' stored inputs against the anchor: if every row of every
     one lies within its radius, their outputs are bitwise the full route's.
@@ -341,8 +349,8 @@ def pnp_pgd_batch(
     which certifies nothing until the block ends; the next block may
     certify again. So the basin certifies at most once per stop block, and
     the iterates are bitwise those of a solve without a basin. The
-    default conv-reg solve forms distances on 1 of its 300 calls and tests
-    its basin once per stop block. Folded one-Gaussian chains
+    default conv-reg solve reaches the prior, and forms distances, on 1 of
+    its 300 calls and tests its basin once per stop block. Folded one-Gaussian chains
     (stability), :func:`pnp_pgd`, the Monte-Carlo pass and
     ``estimate_lipschitz`` form no basin.
     """
@@ -362,8 +370,9 @@ def pnp_pgd_batch(
     denoiser.check_rows(ys.shape)
     m, n = ys.shape[0], op.in_dim
     tau, warn = _step_size(op, config)
-    # A mask's A = A^T = A^T A = diag(keep), so its step is x - (x - y) tau keep.
-    tau_d = tau * op.keep if isinstance(op, Mask) else None
+    # A mask's A = A^T = A^T A = diag(keep), so its step is x - (x - y) tau keep,
+    # with tau keep spread over a contiguous (m, n) stack that no ufunc broadcasts.
+    tau_d = np.multiply(tau, op.keep, out=np.empty((m, n))) if isinstance(op, Mask) else None
 
     iterations = np.full(m, config.max_iters)
     diverged = np.zeros(m, dtype=bool)
@@ -388,7 +397,6 @@ def pnp_pgd_batch(
             del pair, coef, off
         else:
             basin = _solve_basin(denoiser)
-            denoise = denoiser._apply if basin is None else partial(denoiser._apply, basin=basin)
         for start in range(0, config.max_iters, cap):
             size = min(cap, config.max_iters - start)
             if fused:
@@ -407,7 +415,7 @@ def pnp_pgd_batch(
                         else:
                             np.multiply(np.subtract(xj, ys, step), tau_d, step)
                         np.subtract(xj, step, step)
-                        denoise(step, out=slots[j + 1])
+                        denoiser._apply(step, slots[j + 1], basin)
                     first = size if basin is None else basin.first_miss(diffs[:size])
             # Row-dot norms, one pass each over the block; a row with NaN or
             # inf entries, or an overflowing square, is not <= the bound.

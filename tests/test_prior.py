@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import pnplab.solver
 from pnplab import prior as prior_module
 from pnplab.analysis import estimate_l2
-from pnplab.denoisers import MmseDenoiser, OutputShrink, ScaledDenoiser
+from pnplab.denoisers import MmseDenoiser, OutputShrink, ScaledDenoiser, _OutputMap
 from pnplab.experiments import resolve_config, run_conv_reg, run_lipschitz_table
 from pnplab.linop import Convolve1d, DenseOperator, Identity, Mask
 from pnplab.prior import GmmPrior
@@ -943,15 +943,21 @@ def _separated_prior(rng, k, n, offset):
     return GmmPrior(weights / weights.sum(), means, variances)
 
 
-def _basin_block(prior, constants, basin, stacks):
-    """A stop block's calls on ``stacks`` with ``basin``, as the batched solve makes them:
-    every call, then one test of the held calls' inputs (``_Basin.first_miss``), and the
-    calls again from the first that missed, until a test passes. Returns the outputs and
-    each test's result."""
+def _solve_map(prior, sigma):
+    """The map a batched solve runs over a bare mixture denoiser, ``1 * MmseDenoiser(prior,
+    sigma)``: with a basin, it answers the held rows itself and calls the prior otherwise."""
+    return _OutputMap(MmseDenoiser(prior, sigma), 1.0)
+
+
+def _basin_block(mapped, basin, stacks):
+    """A stop block's calls of ``mapped`` (see ``_solve_map``) on ``stacks`` with ``basin``, as
+    the batched solve makes them: every call, then one test of the held calls' inputs
+    (``_Basin.first_miss``), and the calls again from the first that missed, until a test
+    passes. Returns the outputs and each test's result."""
     outputs, tests, first = [None] * len(stacks), [], 0
     while first < len(stacks):
         for j in range(first, len(stacks)):
-            outputs[j] = prior._posterior_mean(stacks[j], *constants, basin=basin)
+            outputs[j] = mapped._apply(stacks[j], None, basin)
         first = basin.first_miss(np.array(stacks))
         tests.append(first)
     return outputs, tests
@@ -1007,11 +1013,11 @@ class TestBasin:
             if walk == "cross":
                 move += 0.2 * (targets - stack)
             stack = stack + move
-        basin = prior_module._Basin()
+        basin, mapped = prior_module._Basin(), _solve_map(prior, sigma)
         with np.errstate(invalid="ignore", over="ignore"):
             for start in range(0, len(calls), block):
                 stacks = calls[start : start + block]
-                got, _ = _basin_block(prior, constants, basin, stacks)
+                got, _ = _basin_block(mapped, basin, stacks)
                 for call, out in zip(stacks, got):
                     np.testing.assert_array_equal(out, prior._posterior_mean(call, *constants))
 
@@ -1026,13 +1032,13 @@ class TestBasin:
         formed = []
         half_sq_dists = GmmPrior._half_sq_dists
         monkeypatch.setattr(GmmPrior, "_half_sq_dists", lambda self, p: formed.append(1) or half_sq_dists(self, p))
-        basin = prior_module._Basin()
+        basin, mapped = prior_module._Basin(), _solve_map(prior, 0.3)
         for _ in range(10):
             stacks = []
             for _ in range(5):
                 stack = stack + 1e-3 * rng.standard_normal(stack.shape)
                 stacks.append(stack)
-            got, tests = _basin_block(prior, constants, basin, stacks)
+            got, tests = _basin_block(mapped, basin, stacks)
             assert tests == [5]
             formed_before = len(formed)
             for call, out in zip(stacks, got):
@@ -1054,10 +1060,10 @@ class TestBasin:
         certify, half_sq_dists = GmmPrior._certify, GmmPrior._half_sq_dists
         monkeypatch.setattr(GmmPrior, "_certify", lambda self, *a: events.append("certify") or certify(self, *a))
         monkeypatch.setattr(GmmPrior, "_half_sq_dists", lambda self, p: events.append("dists") or half_sq_dists(self, p))
-        basin = prior_module._Basin()
+        basin, mapped = prior_module._Basin(), _solve_map(prior, 0.3)
         for _ in range(20):
             events.clear()
-            got, tests = _basin_block(prior, constants, basin, stacks)
+            got, tests = _basin_block(mapped, basin, stacks)
             assert tests == [1, 5]
             # The first call's route and radii, then the rerun's four calls.
             assert events == ["dists", "certify", "dists"] + ["dists"] * 4
@@ -1072,22 +1078,21 @@ class TestBasin:
         miss, and the next block's first call certifies again."""
         rng = np.random.default_rng(7)
         prior = _separated_prior(rng, 3, 4, 0.0)
-        constants = prior._posterior_constants(0.3)
         labels = rng.integers(0, 3, 4)
         near, far = prior.means[labels], prior.means[(labels + 1) % 3]
-        basin = prior_module._Basin()
-        prior._posterior_mean(near, *constants, basin=basin)
+        basin, mapped = prior_module._Basin(), _solve_map(prior, 0.3)
+        mapped._apply(near, None, basin)
         for call in (near, near, far, near):
-            prior._posterior_mean(call, *constants, basin=basin)
+            mapped._apply(call, None, basin)
         assert basin.pending == 4
         assert basin.first_miss(np.array([near, near, near, far, near])) == 3
         assert (basin.held, basin.missed, basin.pending) == (None, True, 0)
         for call in (far, near):
-            prior._posterior_mean(call, *constants, basin=basin)
+            mapped._apply(call, None, basin)
         assert (basin.held, basin.missed, basin.pending) == (None, True, 0)
         assert basin.first_miss(np.array([near, near, near, far, near])) == 5
         assert (basin.held, basin.missed) == (None, False)
-        prior._posterior_mean(far, *constants, basin=basin)
+        mapped._apply(far, None, basin)
         assert basin.held is not None and np.array_equal(basin.held[0], far)
 
     def test_a_solve_is_bitwise_the_solve_without_a_basin(self):

@@ -39,8 +39,10 @@ def test_draws_every_operator_base_outer_map_and_step(capsys):
         ("outer", solve_fingerprint.OUTER),
         ("step", solve_fingerprint.STEPS),
         ("rows", ("one", "per-row")),
-        ("mode", ("tweedie", "homogeneous")),
+        ("mode", solve_fingerprint.MODES),
         ("gamma", ("0", "1")),
     ]:
         for value in values:
             assert re.search(rf"\b{key}={re.escape(value)}\b", text), (key, value)
+    # A bare mixture, which the solve wraps in its own output map and holds a basin for.
+    assert re.search(r"\bbase=mmse3 shrink=0 mode=none gamma=0 rows=one outer=none\b", text)

@@ -1406,30 +1406,91 @@ class TestBasinSolves:
         for field in ("x_star", "iterations", "converged", "diverged"):
             assert np.array_equal(getattr(result, field), getattr(without, field))
 
-    def test_the_default_solves_form_distances_on_few_calls(self, monkeypatch):
-        """Tier-1 guard for the skip: conv-reg's 300 calls form distances on at most 3, and
-        stability's folded one-Gaussian chain never reaches the prior."""
-        calls = {"mean": 0, "dists": 0}
+    @staticmethod
+    def _count_routes(monkeypatch, calls):
+        """Count each call of the prior's posterior mean, of its distances and of the basin's
+        held answers in ``calls``."""
         monkeypatch.setattr(GmmPrior, "_posterior_mean", _counted(calls, "mean", GmmPrior._posterior_mean))
         monkeypatch.setattr(GmmPrior, "_half_sq_dists", _counted(calls, "dists", GmmPrior._half_sq_dists))
+        held_rows = pnplab.prior._Basin.held_rows
+
+        def counted_held(basin):
+            held = held_rows(basin)
+            calls["held"] += held is not None
+            return held
+
+        monkeypatch.setattr(pnplab.prior._Basin, "held_rows", counted_held)
+
+    def test_the_default_solves_form_distances_on_few_calls(self, monkeypatch):
+        """Tier-1 guard for the skip: conv-reg's 300 calls reach the prior, and form distances,
+        on at most 3; the output map answers at least 297 from the basin's held rows. Stability's
+        folded one-Gaussian chain never reaches the prior."""
+        calls = {"mean": 0, "dists": 0, "held": 0}
+        self._count_routes(monkeypatch, calls)
         run_experiment("conv-reg", {})
-        assert calls["mean"] == 300 and calls["dists"] <= 3
-        calls.update(mean=0, dists=0)
+        assert calls["mean"] <= 3 and calls["dists"] <= 3 and calls["held"] >= 297
+        assert calls["mean"] + calls["held"] == 300
+        calls.update(mean=0, dists=0, held=0)
         run_experiment("stability", {})
-        assert calls == {"mean": 0, "dists": 0}
+        assert calls == {"mean": 0, "dists": 0, "held": 0}
 
     def test_the_default_solve_tests_its_basin_once_per_stop_block(self, monkeypatch):
-        """Tier-1 guard for the block test: conv-reg's 300 calls form distances on at most 3,
-        and its basin's radius test runs at most once per stop block, 38 of them, never once
-        per call."""
-        calls = {"mean": 0, "dists": 0, "tests": 0}
-        monkeypatch.setattr(GmmPrior, "_posterior_mean", _counted(calls, "mean", GmmPrior._posterior_mean))
-        monkeypatch.setattr(GmmPrior, "_half_sq_dists", _counted(calls, "dists", GmmPrior._half_sq_dists))
+        """Tier-1 guard for the block test: conv-reg's 300 calls reach the prior, and form
+        distances, on at most 3, the held answers take the rest, and its basin's radius test
+        runs at most once per stop block, 38 of them, never once per call."""
+        calls = {"mean": 0, "dists": 0, "held": 0, "tests": 0}
+        self._count_routes(monkeypatch, calls)
         monkeypatch.setattr(pnplab.prior._Basin, "first_miss", _counted(calls, "tests", pnplab.prior._Basin.first_miss))
         run_experiment("conv-reg", {})
         blocks = len(range(0, 300, _block_cap(32, 64, 300)))
         assert blocks == 38
-        assert calls["mean"] == 300 and calls["dists"] <= 3 and 0 < calls["tests"] <= blocks
+        assert calls["mean"] <= 3 and calls["dists"] <= 3 and calls["held"] >= 297
+        assert 0 < calls["tests"] <= blocks
+
+    @pytest.mark.parametrize("rows", ["one", "per-row"])
+    @pytest.mark.parametrize("chain", ["shrink-under-scaled", "homogeneous", "outer-shrink", "outer-scaled", "bare"])
+    def test_held_rows_answered_at_the_innermost_map_are_bitwise(self, monkeypatch, chain, rows):
+        """conv-reg's mixture and mask under chains whose held rows the innermost output map
+        answers: an ``OutputShrink`` under a ``ScaledDenoiser``, homogeneous mode with its
+        ``inner`` factor, a map over the scaled one, and a bare mixture denoiser, which the
+        solve wraps in ``_OutputMap(base, 1.0)``, at one scale and one per row. The solve
+        answers most calls from the basin and is bitwise the solve without one."""
+        resolved = resolve_config("conv-reg")
+        prior = GmmPrior.from_config(resolved["prior"])
+        op = operator_from_config(resolved["operator"])
+        m = 6
+        deltas = np.linspace(1.2, 4.0, m) if rows == "per-row" else 1.7
+        base = MmseDenoiser(prior, 0.1)
+        denoiser = {
+            "shrink-under-scaled": lambda: ScaledDenoiser(OutputShrink(base, 0.99), deltas, gamma_rescale=True),
+            "homogeneous": lambda: ScaledDenoiser(base, deltas, mode="homogeneous", gamma_rescale=True),
+            "outer-shrink": lambda: OutputShrink(ScaledDenoiser(base, deltas), 0.95),
+            "outer-scaled": lambda: ScaledDenoiser(ScaledDenoiser(base, deltas, mode="homogeneous"), 1.5),
+            "bare": lambda: base,
+        }[chain]()
+        clean = prior.sample_pairs(0.1, m, 0)[0]
+        ys = clean * op.keep + 0.1 * np.random.default_rng(1).standard_normal((m, op.out_dim))
+        config = PnpConfig(max_iters=120, tol=1e-12)
+        calls = {"mean": 0, "dists": 0, "held": 0}
+        self._count_routes(monkeypatch, calls)
+        got = pnp_pgd_batch(op, ys, denoiser, config)
+        assert calls["held"] >= 60
+        monkeypatch.setattr(pnplab.solver, "_solve_basin", lambda denoiser: None)
+        want = pnp_pgd_batch(op, ys, denoiser, config)
+        for field in ("x_star", "iterations", "converged", "diverged"):
+            assert np.array_equal(getattr(got, field), getattr(want, field))
+
+    def test_a_certified_basin_holds_contiguous_stacks(self, monkeypatch):
+        """A certified basin's ``rho_k`` and ``(1 - rho_k) mu_k`` are C-contiguous (m, n)
+        float64 stacks, so a held call multiplies and adds with no row or column broadcast."""
+        basins = []
+        solve_basin = pnplab.solver._solve_basin
+        monkeypatch.setattr(pnplab.solver, "_solve_basin", lambda d: basins.append(solve_basin(d)) or basins[-1])
+        run_experiment("conv-reg", {})
+        (basin,) = basins
+        assert basin.held is not None
+        for stack in basin.held[2:]:
+            assert stack.shape == (32, 64) and stack.dtype == np.float64 and stack.flags.c_contiguous
 
     def test_the_basin_lives_in_the_solve_only(self):
         """Nothing the caller keeps, the denoiser chain or the prior, holds a basin afterwards."""

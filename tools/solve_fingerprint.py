@@ -18,11 +18,14 @@ Solve i draws from ``numpy.random.default_rng([SEED, i])``:
 - a chain over it: an optional ``OutputShrink``, a ``ScaledDenoiser`` in
   either mode, with or without the gamma rescale and with one scale or one
   per row, and optionally a map over that (an ``OutputShrink`` or a
-  one-scale ``ScaledDenoiser``);
+  one-scale ``ScaledDenoiser``); or, for about one solve in five, no chain
+  at all (``mode=none``), so the solve runs the bare base in the output map
+  it builds itself;
 - a step: the certified ``1 / ||A^T A||``, the unit step, or a fraction of
   the certified one.
 
-Every chain is an output map, which any version of ``pnp_pgd_batch`` accepts.
+A bare base's label reads ``shrink=0``, ``gamma=0``, ``rows=one`` and
+``outer=none``, whatever was drawn for them.
 """
 
 from __future__ import annotations
@@ -40,6 +43,9 @@ from pnplab.solver import PnpConfig, pnp_pgd_batch
 OPERATORS = ("mask", "identity", "all-hidden", "conv1d", "dense")
 BASES = ("mmse1", "shrinkage", "mmse3", "affine")
 OUTER = ("none", "output-shrink", "scaled")
+MODES = ScaledDenoiser.MODES + ("none",)
+# The share of solves that run a bare base, with no map over it.
+BARE = 0.2
 STEPS = ("certified", "unit", "fraction")
 
 
@@ -75,12 +81,15 @@ def solves(count: int, seed: int = 0):
         mode = ScaledDenoiser.MODES[rng.integers(2)]
         gamma, per_row, shrink = (bool(b) for b in rng.integers(0, 2, 3))
         outer, step = OUTER[rng.integers(len(OUTER))], STEPS[rng.integers(len(STEPS))]
+        if rng.random() < BARE:
+            mode, gamma, per_row, shrink, outer = "none", False, False, False, "none"
         op = _operator(op_kind, n, rng)
         denoiser = _base(base_kind, n, rng)
         if shrink:
             denoiser = OutputShrink(denoiser, 0.9)
-        deltas = rng.uniform(0.5, 5.0, m) if per_row else float(rng.uniform(0.5, 5.0))
-        denoiser = ScaledDenoiser(denoiser, deltas, mode=mode, gamma_rescale=gamma)
+        if mode != "none":
+            deltas = rng.uniform(0.5, 5.0, m) if per_row else float(rng.uniform(0.5, 5.0))
+            denoiser = ScaledDenoiser(denoiser, deltas, mode=mode, gamma_rescale=gamma)
         if outer == "output-shrink":
             denoiser = OutputShrink(denoiser, 0.95)
         elif outer == "scaled":
