@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .config import FACTOR, POSITIVE, count, real, real_array, require
-from .prior import GmmPrior, _Basin, _check_sigma, _component_rows
+from .prior import GmmPrior, _Basin, _check_sigma
 
 __all__ = [
     "Denoiser",
@@ -66,8 +66,9 @@ class Denoiser:
         ``a`` and ``b`` are floats, 0-d arrays or (n,) rows, or (m, n) stacks
         for a map tied to m rows. A scaling wrapper over a base with such a
         pair forms its own from it (see :class:`_OutputMap`). Only the batched
-        solve folds a chain into its pair, over a mask; every ``_apply`` runs
-        its own formula.
+        solve folds a chain into its pair, over a mask, and a chain over a
+        held basin into the pair over its constants; every ``_apply`` runs its
+        own formula.
         """
         return None
 
@@ -191,7 +192,8 @@ class _OutputMap(Denoiser):
     Over a base whose map is elementwise affine, ``_diagonal() = (a, b)``, the
     whole map is ``(keep + weight * inner * a) * y + weight * b``.
     :meth:`_diagonal` forms that pair when it is asked, for the batched solve
-    over a mask to fold; it equals the map as written to round-off, not bitwise.
+    to fold, and over a mixture the pair of a solve's held basin; it equals
+    the map as written to round-off, not bitwise.
     """
 
     def __init__(self, base: Denoiser, weight, keep=None, inner=None, rows=None):
@@ -211,17 +213,11 @@ class _OutputMap(Denoiser):
         """The unchecked map; its result is written into ``out`` when one is given.
 
         A solve's ``basin`` (see :func:`_solve_basin`) is passed on to the base by keyword,
-        down to the chain's innermost map, which answers the basin's held rows itself: while
-        ``basin.held_rows()`` gives a component's ``(rho_k, (1 - rho_k) mu_k)`` stacks, its base
-        term is their ``_component_rows`` on ``inner * y``, bitwise what the base would return,
-        and the mixture denoiser is not called. Otherwise the base runs with the basin.
+        down to the mixture denoiser, which may certify it. The solve calls this only while
+        the basin holds nothing; a held basin's calls run as the pair ``_diagonal(held)``.
         """
         x = y if self._inner is None else self._inner * y
-        held = None if basin is None or isinstance(self.base, _OutputMap) else basin.held_rows()
-        if held is not None:
-            term = _component_rows(x, *held)
-        else:
-            term = self.base._apply(x) if basin is None else self.base._apply(x, basin=basin)
+        term = self.base._apply(x) if basin is None else self.base._apply(x, basin=basin)
         if self._keep is None:
             return np.multiply(self._weight, term, out=out)
         term = self._weight * term
@@ -229,14 +225,16 @@ class _OutputMap(Denoiser):
         result += term
         return result
 
-    def _diagonal(self):
+    def _diagonal(self, held=None):
         """``(keep + weight * inner * a, weight * b)`` from the base's pair ``(a, b)``, or None.
 
+        ``held``, a solve's held ``(rho_k, (1 - rho_k) mu_k)`` (``prior._Basin``), stands in
+        for the pair of the chain's innermost base, a mixture denoiser, which has none.
         Formed on each call, at any row count: over a map of m rows the pair
-        is two (m, n) stacks. An overflowing coefficient is left infinite,
+        is at most two (m, n) stacks. An overflowing coefficient is left infinite,
         with numpy's warning unless the caller silences it.
         """
-        pair = self.base._diagonal()
+        pair = self.base._diagonal(held) if isinstance(self.base, _OutputMap) else held or self.base._diagonal()
         if pair is None:
             return None
         a, b = pair
@@ -364,8 +362,9 @@ def _solve_basin(denoiser):
 
     Only a chain of output maps that ends at a mixture denoiser of more than
     one component gets one (such a chain has no pair); each map passes it on
-    to its base by keyword, and the innermost map answers the held rows or
-    passes it on to the prior's posterior mean, which certifies. The basin
+    to its base by keyword, down to the prior's posterior mean, which
+    certifies, and while it holds the chain's pair over its constants
+    (``_OutputMap._diagonal(held)``) stands in for the chain. The basin
     keeps the maps' argument factors (``inner``), outermost first, which
     carry a solve's denoiser inputs to the points the prior sees.
     """

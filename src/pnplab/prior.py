@@ -43,20 +43,22 @@ its components. :func:`~pnplab.solver.pnp_pgd_batch` creates one
 ``_Basin`` per solve over a mixture and passes it down, by keyword, through
 its chain of output maps. When the full route finds a whole stack
 concentrated, ``_certify`` keeps a copy of it (the anchor), each row's
-``rho_k`` and ``(1 - rho_k) mu_k`` as contiguous (m, n) stacks, and a radius
-per row: by a Lipschitz bound on the log-terms' gaps, less a rounding
-margin that grows with their size, every row within its radius of the
-anchor is concentrated on the same component in the computed log-terms.
-While the basin holds, the chain's innermost output map answers every call
-with those rows' formula (``_component_rows``), with no distance formed, no
-test and no call into this module's routes; at the end of each stop
-block the solver tests the held calls' inputs together
+``rho_k`` as an (m, 1) column and ``(1 - rho_k) mu_k`` as a contiguous
+(m, n) stack, and a radius per row: by a Lipschitz bound on the log-terms'
+gaps, less a rounding margin that grows with their size, every row within
+its radius of the anchor is concentrated on the same component in the
+computed log-terms. While the basin holds, the denoiser is the elementwise
+affine map ``rho_k y + (1 - rho_k) mu_k`` under the chain's maps, so the
+solver folds the chain's pair over those constants into its step, with no
+distance formed, no test and no call into this module's routes; at the end
+of each stop block it tests the held calls' inputs together
 (``_Basin.first_miss``). Where every row of every one lies within its
-radius, their outputs are bitwise the full route's. At the first that does
-not, the basin drops the anchor and the solver runs the block again from
-that call on the full route, which certifies nothing until the block ends,
-so a basin certifies at most once per stop block. Nothing else forms a
-basin, and none is kept on the prior or on a denoiser.
+radius, the full route would have applied that same formula, so the held
+outputs equal its outputs to round-off. At the first that does not, the
+basin drops the anchor and the solver runs the block again from that call
+on the full route, which certifies nothing until the block ends, so a basin
+certifies at most once per stop block. Nothing else forms a basin, and none
+is kept on the prior or on a denoiser.
 
 :meth:`GmmPrior.pair_blocks` draws a (clean, noisy) sample set and hands the
 noisy rows out block by block, so a Monte-Carlo pass never holds them whole.
@@ -215,10 +217,9 @@ def _mixture_mean(points, r, rho, shrunk) -> np.ndarray:
 def _component_rows(points, rho_k, shrunk_k) -> np.ndarray:
     """``rho_k y + (1 - rho_k) mu_k`` of one component per row, or of one for all rows.
 
-    ``rho_k`` is an (m, n) stack, an (m, 1) column or a 0-d array, and
-    ``shrunk_k`` an (m, n) stack or an (n,) row, so a row's output does not
-    depend on how its component's constants were gathered. A basin's held
-    rows are two contiguous (m, n) stacks, which no ufunc broadcasts.
+    ``rho_k`` is an (m, 1) column or a 0-d array, and ``shrunk_k`` an
+    (m, n) stack or an (n,) row, so a row's output does not depend on how
+    its component's constants were gathered.
     """
     out = points * rho_k
     out += shrunk_k
@@ -231,62 +232,49 @@ class _Basin:
     ``held`` is None or ``(anchor, radius_sq, rho_k, shrunk_k)``: a copy of
     the last stack whose every row the full route found concentrated, each
     on its component k, a squared radius per row (see
-    ``GmmPrior._certify``), and each row's ``rho_k`` and ``(1 - rho_k)
-    mu_k``, both C-contiguous (m, n) float64 stacks. While it holds, the
-    solve's innermost output map answers every call with those rows'
-    one-component formula (``_component_rows``), untested, and
-    :meth:`held_rows` counts the call in ``pending``; the mixture denoiser
-    and the prior are not called. A call whose every row lies within its
-    radius of the anchor is concentrated on the same components, so that
-    formula is its output; :meth:`first_miss` tests a stop block's pending
-    calls at once, and the solver runs the block again from the first that
-    missed. Any call made
-    while nothing is held runs the full route, which certifies a new anchor
-    when it finds the whole stack concentrated, unless ``missed``: a miss
-    sets it, and the block's end clears it, so the calls run again from a
-    miss certify nothing and a stack that keeps leaving its radius pays at
-    most one certification, and runs the rest of one stop block twice, per
-    block. ``scales`` are the factors by which the solve's chain of output
-    maps multiplies its input before the prior sees it, outermost first.
-    The solver creates one per solve and passes it down its chain of output
+    ``GmmPrior._certify``), each row's ``rho_k`` as an (m, 1) column and its
+    ``(1 - rho_k) mu_k`` as a C-contiguous (m, n) stack. While it holds, the
+    solver runs the chain's pair over those constants, folded into its step,
+    untested; the mixture denoiser and the prior are not called. A call
+    whose every row lies within its radius of the anchor is concentrated on
+    the same components, so that formula is its output; :meth:`first_miss`
+    tests a stop block's held calls at once, and the solver runs the block
+    again from the first that missed. Any call made while nothing is held
+    runs the full route, which certifies a new anchor when it finds the
+    whole stack concentrated, unless ``missed``: a miss sets it, and the
+    block's end clears it, so the calls run again from a miss certify
+    nothing and a stack that keeps leaving its radius pays at most one
+    certification, and runs the rest of one stop block twice, per block.
+    ``scales`` are the factors by which the solve's chain of output maps
+    multiplies its input before the prior sees it, outermost first. The
+    solver creates one per solve and passes it down its chain of output
     maps; nothing else holds one.
     """
 
-    __slots__ = ("held", "missed", "pending", "scales")
+    __slots__ = ("held", "missed", "scales")
 
     def __init__(self, scales=()):
-        self.held, self.missed, self.pending, self.scales = None, False, 0, scales
-
-    def held_rows(self):
-        """The held ``(rho_k, shrunk_k)`` stacks while a stack is held, the call then pending
-        its test; else None."""
-        if self.held is not None:
-            self.pending += 1
-            return self.held[2:]
-        return None
+        self.held, self.missed, self.scales = None, False, scales
 
     def first_miss(self, inputs) -> int:
-        """Index of the first of ``inputs``, a block's (size, m, n) denoiser inputs, whose
-        held call had a row outside its radius of the anchor, or ``size`` if none had.
+        """Index of the first of ``inputs``, a stop block's held calls' (calls, m, n) denoiser
+        inputs, with a row outside its radius of the anchor, or ``len(inputs)`` if none has one.
 
-        The last ``pending`` inputs are the held calls', the only ones tested, in one
-        pass, and they are overwritten. A miss drops the held rows and sets ``missed``;
-        the calls from the missed one on are then to be made again, with no
-        certification. Returning ``size`` ends the block and clears ``missed``. A NaN or
-        inf row is never within its radius.
+        They are tested in one pass and overwritten. A miss drops the held rows and sets
+        ``missed``; the calls from the missed one on are then to be made again, with no
+        certification. Returning ``len(inputs)``, as with no held calls, ends the block and
+        clears ``missed``. A NaN or inf row is never within its radius.
         """
-        size, pending, self.pending = len(inputs), self.pending, 0
-        if pending:
-            offsets = inputs[size - pending :]
+        if len(inputs):
             for scale in self.scales:
-                np.multiply(scale, offsets, out=offsets)
-            offsets -= self.held[0]
-            inside = np.all(_row_dot(offsets, offsets) <= self.held[1], axis=1)
+                np.multiply(scale, inputs, out=inputs)
+            inputs -= self.held[0]
+            inside = np.all(_row_dot(inputs, inputs) <= self.held[1], axis=1)
             if not inside.all():
                 self.held, self.missed = None, True
-                return size - pending + int(np.argmin(inside))
+                return int(np.argmin(inside))
         self.missed = False
-        return size
+        return len(inputs)
 
 
 @dataclass(frozen=True)
@@ -452,8 +440,8 @@ class GmmPrior:
         ``basin`` is a batched solve's ``_Basin``, passed down by keyword
         from :func:`~pnplab.solver.pnp_pgd_batch` through its chain of output
         maps; no other caller gives one. It is given only to certify: while
-        the basin holds an anchor, the chain's innermost map answers the call
-        itself (``_OutputMap._apply``) and this route is not reached. A stack
+        the basin holds an anchor, the solver runs the chain's pair over the
+        held constants and this route is not reached. A stack
         this route finds wholly concentrated becomes the new anchor, unless
         the call is run again after a miss in the same stop block
         (``_Basin.missed``).
@@ -553,9 +541,7 @@ class GmmPrior:
         room -= (1.0 + unit) * self._gap + margin
         room /= slope
         radius = np.maximum(np.min(room, axis=0, where=far, initial=1.0), 0.0)
-        # rho_k spread over a contiguous (m, n) stack, like (1 - rho_k) mu_k, so a held call broadcasts no column.
-        rho_k = np.repeat(rho[k][:, None], points.shape[1], axis=1)
-        basin.held = (points.copy(), radius * radius, rho_k, shrunk[k])
+        basin.held = (points.copy(), radius * radius, rho[k][:, None], shrunk[k])
         return _component_rows(points, *basin.held[2:])
 
     def log_density(self, y, sigma: float = 0.0):

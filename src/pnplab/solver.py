@@ -26,12 +26,13 @@ Its stop norms are row dots, one pass over the block each, and round
 differently from ``np.linalg.norm``; its iterates are bitwise those of a
 loop that tests every iteration, and those of :func:`pnp_pgd` wherever the
 solve is not fused, up to the sign of a zero. Over a mixture prior it also
-holds a per-solve basin (``prior._Basin``), which lets the chain's
-innermost output map answer a call with its rows' one-component formula,
-with no distance formed and no call into the prior, while every row
-provably stays on its component, proved by one test per stop block and
-certified at most once per block, with outputs bitwise those of the full
-route.
+holds a per-solve basin (``prior._Basin``). While every row provably stays
+on one component, proved by one test per stop block and certified at most
+once per block, the chain is the elementwise affine map of those
+components' constants, and the solve folds its pair over them as it folds
+a permanent one: over a mask one multiply and one add, over any other
+operator those two after its step, with no distance formed and no call
+into the prior, equal to the full route to round-off.
 """
 
 from __future__ import annotations
@@ -79,15 +80,21 @@ _STOP_BLOCK = 8
 # there, the measurements, the recorded iterates, a per-row scale's two
 # coefficient stacks (see ScaledDenoiser), a mask's step factor tau keep
 # spread over one stack, six for an iteration's temporaries, to which a
-# masked step adds none, and four for either the solve's basin over a
-# mixture (see prior._Basin: its anchor, and its held rho_k and
-# (1 - rho_k) mu_k rows, each a stack, and its squared radii, m floats, at
-# most one stack) or a folding chain's pair (coef, off), at most two
-# stacks; a chain has one or the other.
-# Only a solve over a mask forms the pair, and only while it builds its gain
-# and shift stacks, which it then holds in place of an iteration's
-# temporaries. The basin's test at a block's end works in place on the
-# block's inputs, with one (block, m) array of row dots, and the stop test
+# masked step adds none, and three for either the solve's basin over a
+# mixture (see prior._Basin: its anchor and its held (1 - rho_k) mu_k, each
+# a stack, and its rho_k column and squared radii, 2 m floats, at most one
+# stack, since K >= 2 makes a mixture's stack at least two wide) or a
+# folding chain's pair (coef, off), at most two stacks; a chain has one or
+# the other. A pair, the chain's own or its pair over a held basin, is
+# formed over a mask only while the solve builds its gain and shift stacks;
+# those, or over any other operator the pair itself, are then held in place
+# of an iteration's temporaries: a fused iteration over a mask makes none,
+# and one over any other operator makes only its step's, at most four. A
+# block run again after a miss may still hold the dropped gain and shift
+# until its full route ends, in place of the basin's three freed stacks.
+# The held calls' inputs are formed, and the basin's test at
+# a block's end works, in place on the block's inputs, with one (block, m)
+# array of row dots, and the stop test
 # runs after an iteration's temporaries are freed, over a block of at most
 # n iterations: its norms, residuals and thresholds take at most four
 # (block, m) arrays at once, each at most one stack, and with its byte
@@ -98,7 +105,7 @@ _STOP_BLOCK = 8
 # (experiments._solve_grid). A block longer than _STOP_BLOCK keeps its
 # iterates after the first, and their differences, within _BLOCK_FLOATS
 # floats in place of those 2 * _STOP_BLOCK stacks.
-_SOLVE_STACKS = (_STOP_BLOCK + 1) + _STOP_BLOCK + 2 + 2 + 1 + 6 + 4
+_SOLVE_STACKS = (_STOP_BLOCK + 1) + _STOP_BLOCK + 2 + 2 + 1 + 6 + 3
 
 
 def _block_cap(m: int, n: int, max_iters: int) -> int:
@@ -279,12 +286,12 @@ def pnp_pgd_batch(
     contiguous (m, n) stack, which the unfused step and the fused ``gain``
     and ``shift`` read with no broadcast. The denoiser's pair ``(coef,
     off)`` (``Denoiser._diagonal``) is formed once, and the iteration takes
-    one of two paths:
+    one of two paths, or the fused one while a basin holds (below):
 
     - over a mask, whose ``A^T A = diag(d)`` with ``d`` its 0/1 row
       ``keep``, a chain with a pair is fused with the step: the contiguous
       (m, n) stacks ``gain = coef (1 - tau d)`` and ``shift = coef (tau d
-      ys) + off`` are built once, in place of an iteration's
+      ys) + off`` are built once (:func:`_fold`), in place of an iteration's
       temporaries, and each iteration is one multiply into the
       block buffer and one add. On a hidden coordinate (d = 0) this is
       ``coef x + off``. On an observed one it is ``coef (1 - tau) x + (coef
@@ -331,26 +338,34 @@ def pnp_pgd_batch(
 
     A chain that ends at a mixture :class:`~pnplab.denoisers.MmseDenoiser`
     of more than one component has no pair and gets one basin for the solve
-    (``denoisers._solve_basin``), passed to ``_apply`` on every iteration,
-    ``denoiser._apply(step, slot, basin)``, and dropped with the solve. After
-    a call that finds every row's posterior concentrated on one component,
-    the basin holds that stack (the anchor), each row's component constants
-    as two contiguous (m, n) stacks and a radius per row from a Lipschitz
-    bound on the log-terms' gaps, less a rounding margin
-    (``GmmPrior._certify``). While the basin holds, the chain's innermost
-    output map answers each call from them (``_OutputMap._apply``): it forms
-    no distance, runs no test, calls neither the mixture denoiser nor the
-    prior and returns the one-component formula under its maps. At the
-    block's end one vectorised test (``_Basin.first_miss``) checks the
-    held calls' stored inputs against the anchor: if every row of every
-    one lies within its radius, their outputs are bitwise the full route's.
-    Otherwise the basin drops its anchor at the first call with a row
-    outside, and the block runs again from that call on the full route,
-    which certifies nothing until the block ends; the next block may
-    certify again. So the basin certifies at most once per stop block, and
-    the iterates are bitwise those of a solve without a basin. The
-    default conv-reg solve reaches the prior, and forms distances, on 1 of
-    its 300 calls and tests its basin once per stop block. Folded one-Gaussian chains
+    (``denoisers._solve_basin``), passed to ``_apply`` on every call of the
+    full route, ``denoiser._apply(step, slot, basin)``, and dropped with the
+    solve. After a call that finds every row's posterior concentrated on one
+    component, the basin holds that stack (the anchor), each row's
+    component constants, ``rho_k`` as an (m, 1) column and ``(1 - rho_k)
+    mu_k`` as an (m, n) stack, and a radius per row from a Lipschitz bound
+    on the log-terms' gaps, less a rounding margin (``GmmPrior._certify``).
+    While the basin holds, the chain is the elementwise affine map of those
+    constants under its maps, and its pair over them,
+    ``denoiser._diagonal(held)``, is folded once as a permanent pair is
+    (:func:`_fold`): the held iterations run the fused loop, over a mask
+    ``gain x + shift`` and over any other operator ``coef step + off``
+    after the operator's step, forming no distance and calling neither the
+    mixture denoiser nor the prior. At the block's end the held calls'
+    inputs are formed over a mask in one vectorised pass, ``x - (x - y) tau
+    keep`` over the block's held iterates, bitwise the per-call steps, and
+    one vectorised test (``_Basin.first_miss``) checks them against the
+    anchor: if every row of every one lies within its radius, the full
+    route would have returned the same formula, so their outputs equal its
+    outputs to round-off. Otherwise the basin drops its anchor, and its
+    folded pair, at the first call with a row outside, and the block runs
+    again from that call on the full route, which certifies nothing until
+    the block ends; the next block may certify again. So the basin
+    certifies at most once per stop block, and the iterates equal those of
+    a solve without a basin to round-off, as a fused solve's equal the
+    unfused solve's. The default conv-reg solve reaches the prior, and
+    forms distances, on 1 of its 300 calls, runs the other 299 fused and
+    tests its basin once per stop block. Folded one-Gaussian chains
     (stability), :func:`pnp_pgd`, the Monte-Carlo pass and
     ``estimate_lipschitz`` form no basin.
     """
@@ -385,38 +400,48 @@ def pnp_pgd_batch(
     diffs = np.empty((cap, m, n))
     # The buffers' slots as views, taken once.
     slots, steps = list(buf), list(diffs)
+
+    def gradient_step(xs, step):
+        """The step from the iterates ``xs``, the denoiser's input, written into ``step``."""
+        if tau_d is None:
+            np.multiply(tau, op._normal_residual(xs, ys), step)
+        else:
+            np.multiply(np.subtract(xs, ys, step), tau_d, step)
+        return np.subtract(xs, step, step)
+
     with np.errstate(over="ignore", invalid="ignore"):
         # An overflowing coefficient or shift leaves non-finite iterates, recorded as a divergence.
-        pair = None if tau_d is None else denoiser._diagonal()
-        fused = pair is not None
-        if fused:
-            # coef (x - tau d (x - y)) + off as gain x + shift; the pair is not kept.
-            coef, off = pair
-            gain = np.multiply(coef, 1.0 - tau_d, out=np.empty((m, n)))
-            shift = coef * (tau_d * ys) + off
-            del pair, coef, off
-        else:
-            basin = _solve_basin(denoiser)
+        # fold: the (gain, shift) of the chain's pair, or of its pair over a held basin; None runs the full route.
+        fold = None if tau_d is None else _fold(denoiser._diagonal(), tau_d, ys)
+        basin = _solve_basin(denoiser)
         for start in range(0, config.max_iters, cap):
             size = min(cap, config.max_iters - start)
-            if fused:
-                for j in range(size):
-                    out = slots[j + 1]
-                    np.multiply(gain, slots[j], out=out)
-                    out += shift
-            else:
-                # The basin's held calls are tested at the block's end; from the first that missed, it runs again.
-                first = 0
-                while first < size:
-                    for j in range(first, size):
-                        xj, step = slots[j], steps[j]
-                        if tau_d is None:
-                            np.multiply(tau, op._normal_residual(xj, ys), step)
-                        else:
-                            np.multiply(np.subtract(xj, ys, step), tau_d, step)
-                        np.subtract(xj, step, step)
-                        denoiser._apply(step, slots[j + 1], basin)
-                    first = size if basin is None else basin.first_miss(diffs[:size])
+            # The basin's held calls are tested at the block's end; from the first that missed, it runs again.
+            first = 0
+            while first < size:
+                j = first
+                while fold is None and j < size:
+                    denoiser._apply(gradient_step(slots[j], steps[j]), slots[j + 1], basin)
+                    j += 1
+                    if basin is not None and basin.held is not None:
+                        fold = _fold(denoiser._diagonal(basin.held[2:]), tau_d, ys)
+                held_from, (gain, shift) = j, fold or (None, None)
+                if tau_d is None:
+                    for j in range(held_from, size):
+                        np.multiply(gain, gradient_step(slots[j], steps[j]), slots[j + 1])
+                        slots[j + 1] += shift
+                else:
+                    for j in range(held_from, size):
+                        out = slots[j + 1]
+                        np.multiply(gain, slots[j], out)
+                        out += shift
+                if basin is None:
+                    break
+                if tau_d is not None:
+                    # The held calls' inputs, one pass over the block each, bitwise the per-call steps.
+                    gradient_step(buf[held_from:size], diffs[held_from:size])
+                first = held_from + basin.first_miss(diffs[held_from:size])
+                fold = fold if basin.held else None
             # Row-dot norms, one pass each over the block; a row with NaN or
             # inf entries, or an overflowing square, is not <= the bound.
             after = buf[1 : size + 1]
@@ -447,6 +472,20 @@ def pnp_pgd_batch(
         diverged=diverged,
         step_size_warning=warn,
     )
+
+
+def _fold(pair, tau_d, ys):
+    """A denoiser's pair ``(coef, off)`` as the ``(gain, shift)`` that the fused loop multiplies
+    and adds, or None for no pair.
+
+    Over a mask, whose step factor ``tau_d`` is ``tau keep``, the step folds in: the
+    contiguous (m, n) stacks ``gain = coef (1 - tau_d)`` and ``shift = coef (tau_d ys) + off``
+    map an iterate. Over any other operator (``tau_d`` None) the pair itself maps its step.
+    """
+    if pair is None or tau_d is None:
+        return pair
+    coef, off = pair
+    return np.subtract(1.0, tau_d) * coef, np.multiply(tau_d, ys) * coef + off
 
 
 def scaled_affine_map(denoiser: ScaledDenoiser) -> tuple[np.ndarray, np.ndarray]:

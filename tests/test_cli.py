@@ -913,27 +913,27 @@ class TestConfigErrorsAtTheBoundary:
         [
             # Three moments per sample and ratio: 2**25 // (3 * 20000) ratios.
             ("delta-sweep", {}, {"mismatch_ratios": [1.0] * 559}, "_moments_on_prior"),
-            # A solve holds 32 arrays of one row per grid point: 2**25 // (32 * 64) points.
-            ("conv-reg", {}, {"delta_grid": [1.0] * 16384}, "pnp_pgd_batch"),
-            ("stability", {}, {"k_grid": [1] * 16384}, "pnp_pgd_batch"),
-            # The cap follows the prior's dim: 2**25 // (32 * 512) points.
+            # A solve holds 31 arrays of one row per grid point: 2**25 // (31 * 64) points.
+            ("conv-reg", {}, {"delta_grid": [1.0] * 16912}, "pnp_pgd_batch"),
+            ("stability", {}, {"k_grid": [1] * 16912}, "pnp_pgd_batch"),
+            # The cap follows the prior's dim: 2**25 // (31 * 512) points.
             (
                 "conv-reg",
                 {
                     "prior": {"weights": [1.0], "means": [[0.0] * 512], "variances": [1.0]},
                     "operator": {"kind": "identity", "dim": 512},
                 },
-                {"delta_grid": [1.0] * 2048},
+                {"delta_grid": [1.0] * 2114},
                 "pnp_pgd_batch",
             ),
-            # With more components than dims the cap follows K: 2**25 // (32 * 2000) points.
-            ("conv-reg", _MANY_COMPONENTS, {"delta_grid": [1.0] * 524}, "pnp_pgd_batch"),
-            ("stability", _MANY_COMPONENTS, {"k_grid": [1] * 524}, "pnp_pgd_batch"),
+            # With more components than dims the cap follows K: 2**25 // (31 * 2000) points.
+            ("conv-reg", _MANY_COMPONENTS, {"delta_grid": [1.0] * 541}, "pnp_pgd_batch"),
+            ("stability", _MANY_COMPONENTS, {"k_grid": [1] * 541}, "pnp_pgd_batch"),
             # At dim 1 the float cap is far off; a run records at most 2**16 grid points.
             ("conv-reg", _DIM_ONE, {"delta_grid": [1.0] * 2**16}, "pnp_pgd_batch"),
             ("stability", _DIM_ONE, {"k_grid": [1] * 2**16}, "pnp_pgd_batch"),
-            # Measurements are out_dim wide: 2**25 // (32 * 512) points for a 512 x 64 matrix.
-            ("conv-reg", _TALL_DENSE, {"delta_grid": [1.0] * 2048}, "pnp_pgd_batch"),
+            # Measurements are out_dim wide: 2**25 // (31 * 512) points for a 512 x 64 matrix.
+            ("conv-reg", _TALL_DENSE, {"delta_grid": [1.0] * 2114}, "pnp_pgd_batch"),
             # One curve point per scale and ratio: 2**16 // 4 scales with the four default ratios.
             ("delta-sweep", {}, {"delta_grid": [1.0] * 2**14}, "_moments_on_prior"),
             ("lipschitz", {}, {"sigma_grid": [0.1] * 2**16}, "estimate_lipschitz"),

@@ -3,6 +3,7 @@ import re
 import sys
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -570,16 +571,18 @@ class TestFusedStep:
 
     def test_the_default_stability_loop_runs_neither_the_step_nor_the_denoiser(self, monkeypatch):
         """Tier-1 guard for the fold: stability's folded one-Gaussian chain over a mask calls
-        neither route, and conv-reg's K = 3 chain, which does not fold, calls the denoiser on
-        each of its 300 iterations and writes its masked step itself. A convolution's solve
-        takes the operator's gradient once per iteration, so the spy sees that route."""
+        neither route. conv-reg's K = 3 chain has no pair of its own: it calls the denoiser,
+        after a masked step it writes itself, only until its basin holds, on at most 3 of its
+        300 iterations, and folds the pair over the held constants into the rest. A
+        convolution's solve takes the operator's gradient once per iteration, so the spy sees
+        that route."""
         calls = {"step": 0, "denoiser": 0}
         monkeypatch.setattr(
             LinearOperator, "_normal_residual", _counted(calls, "step", LinearOperator._normal_residual)
         )
         monkeypatch.setattr(_OutputMap, "_apply", _counted(calls, "denoiser", _OutputMap._apply))
         run_experiment("conv-reg", {})
-        assert calls == {"step": 0, "denoiser": 300}
+        assert calls["step"] == 0 and 0 < calls["denoiser"] <= 3
         calls.update(step=0, denoiser=0)
         run_experiment("stability", {})
         assert calls == {"step": 0, "denoiser": 0}
@@ -797,7 +800,8 @@ class TestStopBlocks:
         the last row stops, as it does under a stop test after every
         iteration. ``step`` is the step's fraction of the certified
         ``1 / ||A^T A||``, so a mask or the identity also runs steps other than
-        1 against the textbook ``x - tau A^T (A x - y)``."""
+        1 against the textbook ``x - tau A^T (A x - y)``. The mixture draws run
+        with no basin."""
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 9))
         op = _operator(kind, n, rng)
@@ -808,7 +812,10 @@ class TestStopBlocks:
         scaled = ScaledDenoiser(base, rng.uniform(0.5, 30.0, rows), mode=mode)
         ys = 2.0 * rng.standard_normal((rows, op.out_dim))
         cfg = PnpConfig(tau=step / op.op_norm_sq(), max_iters=max_iters, tol=1e-9)
-        batch = pnp_pgd_batch(op, ys, scaled, cfg)
+        # This referees the stop test, so a mixture's solve holds no basin, whose fold equals
+        # the full route only to round-off (see TestBasinSolves).
+        with mock.patch.object(pnplab.solver, "_solve_basin", lambda denoiser: None):
+            batch = pnp_pgd_batch(op, ys, scaled, cfg)
         with np.errstate(over="ignore", invalid="ignore"):
             x_star, iterations, converged, diverged = _whole_stack_oracle(op, ys, scaled, cfg.tau, cfg)
         np.testing.assert_array_equal(batch.iterations, iterations)
@@ -1364,8 +1371,14 @@ def _mixing_stability():
     return {"prior": {**prior, "means": (0.1 * np.asarray(prior["means"])).tolist()}}
 
 
+# A held fused solve's x_star against the solve without a basin, relative to the iterates' size.
+_HELD_ROUND_OFF = 1e-13
+
+
 class TestBasinSolves:
-    """A batched solve over a mixture skips the distances while its rows stay on their components."""
+    """A batched solve over a mixture skips the distances while its rows stay on their
+    components, and folds the chain's pair over their constants into its step, as it folds a
+    one-Gaussian chain's pair."""
 
     @staticmethod
     def _solve(monkeypatch, experiment, config):
@@ -1385,80 +1398,146 @@ class TestBasinSolves:
         ((args, result),) = solves
         return args, result, len(certified)
 
-    @pytest.mark.parametrize(
-        "experiment, config, certifies",
-        [
-            ("conv-reg", {}, True),
-            ("conv-reg", {"prior": "wide", "operator": {"kind": "mask", "dim": 256, "mask_fraction": 0.2}}, True),
-            ("stability", "mixing", False),
-        ],
-        ids=["conv-reg", "conv-reg-wide-prior", "stability-mixing"],
-    )
-    def test_a_solve_is_bitwise_the_solve_without_a_basin(self, monkeypatch, experiment, config, certifies):
-        if config == "mixing":
-            config = _mixing_stability()
-        elif config.get("prior") == "wide":
-            config = {**config, "prior": _wide_prior()}
-        args, result, certified = self._solve(monkeypatch, experiment, config)
-        assert (certified > 0) == certifies
+    @staticmethod
+    def _held_solve(op, ys, denoiser, config):
+        """``pnp_pgd_batch`` with its basin, and its route in order: each pair it folded (over a
+        mask the chain's own, None for a mixture, comes first) and each block test's held
+        inputs, copied, and result."""
+        route = []
+        fold, first_miss = pnplab.solver._fold, pnplab.prior._Basin.first_miss
+
+        def folded(pair, *args):
+            route.append(("fold", pair))
+            return fold(pair, *args)
+
+        def tested(basin, inputs):
+            held = inputs.copy()
+            route.append(("test", held, first_miss(basin, inputs)))
+            return route[-1][2]
+
+        with mock.patch.object(pnplab.solver, "_fold", folded):
+            with mock.patch.object(pnplab.prior._Basin, "first_miss", tested):
+                return pnp_pgd_batch(op, ys, denoiser, config), route
+
+    @staticmethod
+    def _assert_keeps_the_solve_without_a_basin(op, ys, denoiser, config, got, route):
+        """``got``, a solve that held its basin, against the solve with no basin: equal
+        records and ``x_star`` within ``_HELD_ROUND_OFF`` of the iterates' size. Returns how
+        many held calls its block tests passed. Over a mask a held call's input is its iterate
+        on the hidden coordinates, so there each held iterate is bitwise ``coef x + off`` of
+        the one before, for the held pair ``(coef, off)``."""
+        with mock.patch.object(pnplab.solver, "_solve_basin", lambda denoiser: None):
+            want = pnp_pgd_batch(op, ys, denoiser, config)
+        for field in ("iterations", "converged", "diverged"):
+            assert np.array_equal(getattr(got, field), getattr(want, field))
+        scale = 1.0 + np.max(np.abs(want.x_star))
+        assert np.max(np.abs(got.x_star - want.x_star)) <= _HELD_ROUND_OFF * scale
+        passed, folds = 0, 0
+        for event in route:
+            if event[0] == "fold":
+                pair = event[1]
+                continue
+            held, found = event[1:]
+            passed += found
+            if isinstance(op, Mask) and len(held) > 1:
+                hidden = op.keep == 0.0
+                coef, off = (np.broadcast_to(v, held.shape[1:])[:, hidden] for v in pair)
+                for before, after in zip(held, held[1:]):
+                    assert np.array_equal(after[:, hidden], coef * before[:, hidden] + off)
+                    folds += 1
+        assert not isinstance(op, Mask) or folds > 0
+        return passed
+
+    def test_a_mixing_solve_is_bitwise_the_solve_without_a_basin(self, monkeypatch):
+        """ROADMAP item 4b's stability config, whose posterior mixes: the basin never holds,
+        so the solve runs the full route throughout and is bitwise the solve without one."""
+        args, result, certified = self._solve(monkeypatch, "stability", _mixing_stability())
+        assert certified == 0
         monkeypatch.setattr(pnplab.solver, "_solve_basin", lambda denoiser: None)
         without = pnp_pgd_batch(*args)
         for field in ("x_star", "iterations", "converged", "diverged"):
             assert np.array_equal(getattr(result, field), getattr(without, field))
 
+    @pytest.mark.parametrize(
+        "config",
+        [{}, {"prior": "wide", "operator": {"kind": "mask", "dim": 256, "mask_fraction": 0.2}}],
+        ids=["conv-reg", "conv-reg-wide-prior"],
+    )
+    def test_a_default_solve_keeps_the_records_of_the_solve_without_a_basin(self, monkeypatch, config):
+        """conv-reg's solve, and the same over the wide-prior mixture (K = 64, n = 256), hold
+        their basin: their records are the basin-free solve's, ``x_star`` is within round-off
+        of its ``x_star`` and the hidden coordinates are bitwise the held pair's iterates."""
+        if config:
+            config = {**config, "prior": _wide_prior()}
+        args, result, certified = self._solve(monkeypatch, "conv-reg", config)
+        assert certified > 0
+        monkeypatch.undo()
+        got, route = self._held_solve(*args)
+        for field in ("x_star", "iterations", "converged", "diverged"):
+            assert np.array_equal(getattr(got, field), getattr(result, field))
+        assert self._assert_keeps_the_solve_without_a_basin(*args, got, route) >= 297
+
     @staticmethod
     def _count_routes(monkeypatch, calls):
-        """Count each call of the prior's posterior mean, of its distances and of the basin's
-        held answers in ``calls``."""
+        """Count in ``calls`` each call of the prior's posterior mean, of its distances, of the
+        output maps' ``_apply`` and of the basin's block test, and the held calls it tested."""
         monkeypatch.setattr(GmmPrior, "_posterior_mean", _counted(calls, "mean", GmmPrior._posterior_mean))
         monkeypatch.setattr(GmmPrior, "_half_sq_dists", _counted(calls, "dists", GmmPrior._half_sq_dists))
-        held_rows = pnplab.prior._Basin.held_rows
+        monkeypatch.setattr(_OutputMap, "_apply", _counted(calls, "apply", _OutputMap._apply))
+        first_miss = pnplab.prior._Basin.first_miss
 
-        def counted_held(basin):
-            held = held_rows(basin)
-            calls["held"] += held is not None
-            return held
+        def tested(basin, inputs):
+            calls["tests"] += 1
+            calls["held"] += len(inputs)
+            return first_miss(basin, inputs)
 
-        monkeypatch.setattr(pnplab.prior._Basin, "held_rows", counted_held)
+        monkeypatch.setattr(pnplab.prior._Basin, "first_miss", tested)
 
     def test_the_default_solves_form_distances_on_few_calls(self, monkeypatch):
-        """Tier-1 guard for the skip: conv-reg's 300 calls reach the prior, and form distances,
-        on at most 3; the output map answers at least 297 from the basin's held rows. Stability's
-        folded one-Gaussian chain never reaches the prior."""
-        calls = {"mean": 0, "dists": 0, "held": 0}
+        """Tier-1 guard for the skip: conv-reg's 300 iterations reach the output map, the prior
+        and its distances on at most 3, and run at least 297 as fused held iterations, which
+        its block tests check. Stability's folded one-Gaussian chain never reaches the prior
+        or the output map."""
+        calls = {"mean": 0, "dists": 0, "apply": 0, "tests": 0, "held": 0}
         self._count_routes(monkeypatch, calls)
         run_experiment("conv-reg", {})
-        assert calls["mean"] <= 3 and calls["dists"] <= 3 and calls["held"] >= 297
-        assert calls["mean"] + calls["held"] == 300
-        calls.update(mean=0, dists=0, held=0)
+        assert calls["mean"] <= 3 and calls["dists"] <= 3 and calls["apply"] <= 3 and calls["held"] >= 297
+        assert calls["apply"] + calls["held"] == 300
+        calls.update(mean=0, dists=0, apply=0, tests=0, held=0)
         run_experiment("stability", {})
-        assert calls == {"mean": 0, "dists": 0, "held": 0}
+        assert calls == {"mean": 0, "dists": 0, "apply": 0, "tests": 0, "held": 0}
 
     def test_the_default_solve_tests_its_basin_once_per_stop_block(self, monkeypatch):
-        """Tier-1 guard for the block test: conv-reg's 300 calls reach the prior, and form
-        distances, on at most 3, the held answers take the rest, and its basin's radius test
-        runs at most once per stop block, 38 of them, never once per call."""
-        calls = {"mean": 0, "dists": 0, "held": 0, "tests": 0}
+        """Tier-1 guard for the block test: conv-reg's 300 iterations reach the output map, the
+        prior and its distances on at most 3, fused held iterations take the rest, and its
+        basin's radius test runs at most once per stop block, 38 of them, never once per call."""
+        calls = {"mean": 0, "dists": 0, "apply": 0, "tests": 0, "held": 0}
         self._count_routes(monkeypatch, calls)
-        monkeypatch.setattr(pnplab.prior._Basin, "first_miss", _counted(calls, "tests", pnplab.prior._Basin.first_miss))
         run_experiment("conv-reg", {})
         blocks = len(range(0, 300, _block_cap(32, 64, 300)))
         assert blocks == 38
-        assert calls["mean"] <= 3 and calls["dists"] <= 3 and calls["held"] >= 297
+        assert calls["mean"] <= 3 and calls["dists"] <= 3 and calls["apply"] <= 3 and calls["held"] >= 297
         assert 0 < calls["tests"] <= blocks
 
+    @pytest.mark.parametrize("kind", ["mask", "identity", "conv1d"])
     @pytest.mark.parametrize("rows", ["one", "per-row"])
     @pytest.mark.parametrize("chain", ["shrink-under-scaled", "homogeneous", "outer-shrink", "outer-scaled", "bare"])
-    def test_held_rows_answered_at_the_innermost_map_are_bitwise(self, monkeypatch, chain, rows):
-        """conv-reg's mixture and mask under chains whose held rows the innermost output map
-        answers: an ``OutputShrink`` under a ``ScaledDenoiser``, homogeneous mode with its
-        ``inner`` factor, a map over the scaled one, and a bare mixture denoiser, which the
-        solve wraps in ``_OutputMap(base, 1.0)``, at one scale and one per row. The solve
-        answers most calls from the basin and is bitwise the solve without one."""
+    def test_held_iterations_keep_the_records_of_the_solve_without_a_basin(self, chain, rows, kind):
+        """conv-reg's mixture over its mask, the identity and a convolution, under chains whose
+        pair over a held basin the solve folds: an ``OutputShrink`` under a
+        ``ScaledDenoiser``, homogeneous mode with its ``inner`` factor, a map over the scaled
+        one, and a bare mixture denoiser, which the solve wraps in ``_OutputMap(base, 1.0)``, at
+        one scale and one per row, 32 rows in blocks of 8. The unit step over the identity
+        would reach its fixed point at once, so it takes half of it. The solve runs at least
+        half of its iterations held and keeps the records of the solve without a basin."""
         resolved = resolve_config("conv-reg")
         prior = GmmPrior.from_config(resolved["prior"])
-        op = operator_from_config(resolved["operator"])
-        m = 6
+        op = {
+            "mask": operator_from_config(resolved["operator"]),
+            "identity": Identity(prior.dim),
+            "conv1d": Convolve1d(np.array([0.8, 0.2]), prior.dim),
+        }[kind]
+        m = 32
         deltas = np.linspace(1.2, 4.0, m) if rows == "per-row" else 1.7
         base = MmseDenoiser(prior, 0.1)
         denoiser = {
@@ -1469,27 +1548,27 @@ class TestBasinSolves:
             "bare": lambda: base,
         }[chain]()
         clean = prior.sample_pairs(0.1, m, 0)[0]
-        ys = clean * op.keep + 0.1 * np.random.default_rng(1).standard_normal((m, op.out_dim))
-        config = PnpConfig(max_iters=120, tol=1e-12)
-        calls = {"mean": 0, "dists": 0, "held": 0}
-        self._count_routes(monkeypatch, calls)
-        got = pnp_pgd_batch(op, ys, denoiser, config)
-        assert calls["held"] >= 60
-        monkeypatch.setattr(pnplab.solver, "_solve_basin", lambda denoiser: None)
-        want = pnp_pgd_batch(op, ys, denoiser, config)
-        for field in ("x_star", "iterations", "converged", "diverged"):
-            assert np.array_equal(getattr(got, field), getattr(want, field))
+        ys = op._apply(clean) + 0.1 * np.random.default_rng(1).standard_normal((m, op.out_dim))
+        config = PnpConfig(tau=0.5 if kind == "identity" else None, max_iters=120, tol=1e-12)
+        got, route = self._held_solve(op, ys, denoiser, config)
+        held = self._assert_keeps_the_solve_without_a_basin(op, ys, denoiser, config, got, route)
+        assert held >= np.max(got.iterations) // 2
 
-    def test_a_certified_basin_holds_contiguous_stacks(self, monkeypatch):
-        """A certified basin's ``rho_k`` and ``(1 - rho_k) mu_k`` are C-contiguous (m, n)
-        float64 stacks, so a held call multiplies and adds with no row or column broadcast."""
-        basins = []
-        solve_basin = pnplab.solver._solve_basin
+    def test_a_held_basin_folds_into_contiguous_stacks(self, monkeypatch):
+        """A certified basin holds ``(1 - rho_k) mu_k`` as a C-contiguous (m, n) float64 stack
+        and ``rho_k`` as an (m, 1) column, and the solve folds the held pair into C-contiguous
+        (m, n) gain and shift stacks, so a held iteration multiplies and adds with no row or
+        column broadcast."""
+        basins, folds = [], []
+        solve_basin, fold = pnplab.solver._solve_basin, pnplab.solver._fold
         monkeypatch.setattr(pnplab.solver, "_solve_basin", lambda d: basins.append(solve_basin(d)) or basins[-1])
+        monkeypatch.setattr(pnplab.solver, "_fold", lambda *a: folds.append(fold(*a)) or folds[-1])
         run_experiment("conv-reg", {})
         (basin,) = basins
-        assert basin.held is not None
-        for stack in basin.held[2:]:
+        assert basin.held is not None and basin.held[2].shape == (32, 1)
+        # The chain's own pair, which a mixture does not have, then the held one.
+        assert len(folds) == 2 and folds[0] is None
+        for stack in (basin.held[3], *folds[1]):
             assert stack.shape == (32, 64) and stack.dtype == np.float64 and stack.flags.c_contiguous
 
     def test_the_basin_lives_in_the_solve_only(self):

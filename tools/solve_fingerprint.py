@@ -1,12 +1,26 @@
-"""Fingerprint seeded random batched solves, one line per solve.
+"""Fingerprint seeded random batched solves, one line per solve, or save and compare them.
 
-Usage: ``PYTHONPATH=src python tools/solve_fingerprint.py [COUNT [SEED]]``
+Usage::
+
+    PYTHONPATH=src python tools/solve_fingerprint.py [COUNT [SEED]]
+    PYTHONPATH=src python tools/solve_fingerprint.py save FILE [COUNT [SEED]]
+    PYTHONPATH=src python tools/solve_fingerprint.py compare OLD NEW
+
 (default 400 solves from seed 0). It solves with the ``pnplab`` on the import
 path, so pointing ``PYTHONPATH`` at another tree's ``src`` fingerprints that
 tree, and ``diff`` of two trees' outputs shows which solves changed. Each line
 holds a solve's parameters, then its rows' iterations, converged and
 diverged flags, and a sha256 of ``x_star``'s bytes, so equal lines are
 bitwise-equal solves.
+
+A sha256 shows only bitwise equality. ``save`` writes every solve's label,
+``x_star`` and records to FILE (an ``.npz`` archive), and ``compare`` reads
+two such files of the same solves. It prints how many solves have equal
+records and how many of those a bitwise-equal ``x_star``, the largest
+relative deviation of ``x_star`` over the solves whose records agree, each
+solve's deviation taken relative to the larger of its two ``x_star``'s
+largest entries, and then every solve whose iterations, converged or
+diverged flags differ. It exits 1 if any do, else 0.
 
 Solve i draws from ``numpy.random.default_rng([SEED, i])``:
 
@@ -107,22 +121,73 @@ def solves(count: int, seed: int = 0):
         yield label, op, ys, denoiser, PnpConfig(tau=tau, max_iters=max_iters, tol=1e-9)
 
 
+RECORDS = ("iterations", "converged", "diverged")
+
+
 def _flags(values) -> str:
     return "".join(str(int(v)) for v in values)
 
 
+def _records(iterations, converged, diverged) -> str:
+    """A solve's records as its fingerprint line prints them."""
+    steps = ",".join(str(int(k)) for k in iterations)
+    return f"iterations={steps} converged={_flags(converged)} diverged={_flags(diverged)}"
+
+
+def save(path, count: int, seed: int) -> None:
+    """Write each solve's label, ``x_star`` and records to the ``.npz`` archive ``path``."""
+    arrays, labels = {}, []
+    for i, (label, op, ys, denoiser, config) in enumerate(solves(count, seed)):
+        result = pnp_pgd_batch(op, ys, denoiser, config)
+        labels.append(label)
+        for field in ("x_star",) + RECORDS:
+            arrays[f"{field}_{i}"] = getattr(result, field)
+    np.savez(path, labels=np.array(labels), **arrays)
+
+
+def compare(old_path, new_path) -> int:
+    """Print the largest relative deviation of ``x_star`` between two saved runs over the
+    solves whose records agree, and list every solve whose records differ; 1 if any do."""
+    with np.load(old_path) as old, np.load(new_path) as new:
+        labels = old["labels"]
+        if not np.array_equal(labels, new["labels"]):
+            raise SystemExit(f"{old_path} and {new_path} hold different solves")
+        worst, at, differ, bitwise = 0.0, "none", [], 0
+        for i, label in enumerate(labels):
+            before, after = ([saved[f"{field}_{i}"] for field in RECORDS] for saved in (old, new))
+            if not all(np.array_equal(a, b) for a, b in zip(before, after)):
+                differ.append(f"{label} | {_records(*before)} -> {_records(*after)}")
+                continue
+            a, b = old[f"x_star_{i}"], new[f"x_star_{i}"]
+            bitwise += np.array_equal(a, b)
+            scale = max(float(np.max(np.abs(a))), float(np.max(np.abs(b))))
+            deviation = float(np.max(np.abs(a - b))) / scale if scale > 0.0 else 0.0
+            if deviation > worst or at == "none":
+                worst, at = deviation, label.split()[0]
+    print(f"{len(labels)} solves, {len(labels) - len(differ)} with equal records, {bitwise} of them bitwise")
+    print(f"max relative deviation of x_star: {worst:.3g} (solve {at})")
+    print(f"solves whose records differ: {len(differ)}")
+    for line in differ:
+        print(f"  {line}")
+    return 1 if differ else 0
+
+
 def main(argv=None) -> int:
     args = argv if argv is not None else sys.argv[1:]
+    if args[:1] == ["compare"]:
+        return compare(*args[1:3])
+    path = None
+    if args[:1] == ["save"]:
+        path, args = args[1], args[2:]
     count = int(args[0]) if args else 400
     seed = int(args[1]) if len(args) > 1 else 0
+    if path is not None:
+        save(path, count, seed)
+        return 0
     for label, op, ys, denoiser, config in solves(count, seed):
         result = pnp_pgd_batch(op, ys, denoiser, config)
-        iterations = ",".join(str(int(k)) for k in result.iterations)
         digest = hashlib.sha256(np.ascontiguousarray(result.x_star).tobytes()).hexdigest()
-        print(
-            f"{label} | iterations={iterations} converged={_flags(result.converged)} "
-            f"diverged={_flags(result.diverged)} x_star={digest}"
-        )
+        print(f"{label} | {_records(*(getattr(result, field) for field in RECORDS))} x_star={digest}")
     return 0
 
 
