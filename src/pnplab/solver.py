@@ -89,19 +89,16 @@ _STOP_BLOCK = 8
 # formed over a mask only while the solve builds its gain and shift stacks;
 # those, or over any other operator the pair itself, are then held in place
 # of an iteration's temporaries: a fused iteration over a mask makes none,
-# and one over any other operator makes only its step's, at most four. A
-# block run again after a miss may still hold the dropped gain and shift
-# until its full route ends, in place of the basin's three freed stacks.
-# The held calls' inputs are formed, and the basin's test at
-# a block's end works, in place on the block's inputs, with one (block, m)
-# array of row dots, and the stop test
-# runs after an iteration's temporaries are freed, over a block of at most
-# n iterations: its norms, residuals and thresholds take at most four
-# (block, m) arrays at once, each at most one stack, and with its byte
-# masks they stay within the six. Iterates
-# are n wide, measurements and their residuals out_dim, and a mixture
-# denoiser's distances and responsibilities K, so each stack is counted at
-# the widest of the three, as the solve protocols cap their grids
+# and one over any other operator makes only its step's, at most four. The
+# held calls' inputs are formed, and the basin's test at a block's end
+# works, in place on the block's inputs, with one (block, m) array of row
+# dots, and the stop test runs after an iteration's temporaries are freed,
+# over a block of at most n iterations: its norms, residuals and thresholds
+# take at most four (block, m) arrays at once, each at most one stack, and
+# with its byte masks they stay within the six. Iterates are n wide,
+# measurements and their residuals out_dim, and a mixture denoiser's
+# distances and responsibilities K, so each stack is counted at the widest
+# of the three, as the solve protocols cap their grids
 # (experiments._solve_grid). A block longer than _STOP_BLOCK keeps its
 # iterates after the first, and their differences, within _BLOCK_FLOATS
 # floats in place of those 2 * _STOP_BLOCK stacks.
@@ -441,7 +438,9 @@ def pnp_pgd_batch(
                     # The held calls' inputs, one pass over the block each, bitwise the per-call steps.
                     gradient_step(buf[held_from:size], diffs[held_from:size])
                 first = held_from + basin.first_miss(diffs[held_from:size])
-                fold = fold if basin.held else None
+                if basin.held is None:
+                    # A miss drops the folded pair's stacks with the anchor.
+                    fold = gain = shift = None
             # Row-dot norms, one pass each over the block; a row with NaN or
             # inf entries, or an overflowing square, is not <= the bound.
             after = buf[1 : size + 1]

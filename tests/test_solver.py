@@ -42,6 +42,8 @@ from pnplab.solver import (
     scaled_affine_map,
 )
 
+from test_prior import _check_held_solve, _held_solve
+
 
 def _random_nonexpansive_affine(rng, n, norm=0.9):
     w = rng.standard_normal((n, n))
@@ -1371,10 +1373,6 @@ def _mixing_stability():
     return {"prior": {**prior, "means": (0.1 * np.asarray(prior["means"])).tolist()}}
 
 
-# A held fused solve's x_star against the solve without a basin, relative to the iterates' size.
-_HELD_ROUND_OFF = 1e-13
-
-
 class TestBasinSolves:
     """A batched solve over a mixture skips the distances while its rows stay on their
     components, and folds the chain's pair over their constants into its step, as it folds a
@@ -1397,56 +1395,6 @@ class TestBasinSolves:
         run_experiment(experiment, config)
         ((args, result),) = solves
         return args, result, len(certified)
-
-    @staticmethod
-    def _held_solve(op, ys, denoiser, config):
-        """``pnp_pgd_batch`` with its basin, and its route in order: each pair it folded (over a
-        mask the chain's own, None for a mixture, comes first) and each block test's held
-        inputs, copied, and result."""
-        route = []
-        fold, first_miss = pnplab.solver._fold, pnplab.prior._Basin.first_miss
-
-        def folded(pair, *args):
-            route.append(("fold", pair))
-            return fold(pair, *args)
-
-        def tested(basin, inputs):
-            held = inputs.copy()
-            route.append(("test", held, first_miss(basin, inputs)))
-            return route[-1][2]
-
-        with mock.patch.object(pnplab.solver, "_fold", folded):
-            with mock.patch.object(pnplab.prior._Basin, "first_miss", tested):
-                return pnp_pgd_batch(op, ys, denoiser, config), route
-
-    @staticmethod
-    def _assert_keeps_the_solve_without_a_basin(op, ys, denoiser, config, got, route):
-        """``got``, a solve that held its basin, against the solve with no basin: equal
-        records and ``x_star`` within ``_HELD_ROUND_OFF`` of the iterates' size. Returns how
-        many held calls its block tests passed. Over a mask a held call's input is its iterate
-        on the hidden coordinates, so there each held iterate is bitwise ``coef x + off`` of
-        the one before, for the held pair ``(coef, off)``."""
-        with mock.patch.object(pnplab.solver, "_solve_basin", lambda denoiser: None):
-            want = pnp_pgd_batch(op, ys, denoiser, config)
-        for field in ("iterations", "converged", "diverged"):
-            assert np.array_equal(getattr(got, field), getattr(want, field))
-        scale = 1.0 + np.max(np.abs(want.x_star))
-        assert np.max(np.abs(got.x_star - want.x_star)) <= _HELD_ROUND_OFF * scale
-        passed, folds = 0, 0
-        for event in route:
-            if event[0] == "fold":
-                pair = event[1]
-                continue
-            held, found = event[1:]
-            passed += found
-            if isinstance(op, Mask) and len(held) > 1:
-                hidden = op.keep == 0.0
-                coef, off = (np.broadcast_to(v, held.shape[1:])[:, hidden] for v in pair)
-                for before, after in zip(held, held[1:]):
-                    assert np.array_equal(after[:, hidden], coef * before[:, hidden] + off)
-                    folds += 1
-        assert not isinstance(op, Mask) or folds > 0
-        return passed
 
     def test_a_mixing_solve_is_bitwise_the_solve_without_a_basin(self, monkeypatch):
         """ROADMAP item 4b's stability config, whose posterior mixes: the basin never holds,
@@ -1472,10 +1420,11 @@ class TestBasinSolves:
         args, result, certified = self._solve(monkeypatch, "conv-reg", config)
         assert certified > 0
         monkeypatch.undo()
-        got, route = self._held_solve(*args)
+        got, route = _held_solve(*args)
         for field in ("x_star", "iterations", "converged", "diverged"):
             assert np.array_equal(getattr(got, field), getattr(result, field))
-        assert self._assert_keeps_the_solve_without_a_basin(*args, got, route) >= 297
+        _, held, folds = _check_held_solve(*args, got, route)
+        assert held >= 297 and folds > 0
 
     @staticmethod
     def _count_routes(monkeypatch, calls):
@@ -1550,9 +1499,10 @@ class TestBasinSolves:
         clean = prior.sample_pairs(0.1, m, 0)[0]
         ys = op._apply(clean) + 0.1 * np.random.default_rng(1).standard_normal((m, op.out_dim))
         config = PnpConfig(tau=0.5 if kind == "identity" else None, max_iters=120, tol=1e-12)
-        got, route = self._held_solve(op, ys, denoiser, config)
-        held = self._assert_keeps_the_solve_without_a_basin(op, ys, denoiser, config, got, route)
+        got, route = _held_solve(op, ys, denoiser, config)
+        _, held, folds = _check_held_solve(op, ys, denoiser, config, got, route)
         assert held >= np.max(got.iterations) // 2
+        assert kind != "mask" or folds > 0
 
     def test_a_held_basin_folds_into_contiguous_stacks(self, monkeypatch):
         """A certified basin holds ``(1 - rho_k) mu_k`` as a C-contiguous (m, n) float64 stack
